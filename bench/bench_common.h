@@ -18,7 +18,8 @@ namespace gpar::bench {
 /// Global scale multiplier: GPAR_BENCH_SCALE=4 reruns every experiment on
 /// 4x larger graphs. Default 1 keeps the full suite in a few minutes on a
 /// laptop; the paper's absolute sizes (millions of nodes) are reduced by a
-/// constant factor, which preserves curve *shapes* (see DESIGN.md §3).
+/// constant factor, which preserves curve *shapes* (see README.md,
+/// "Reproduction substitutions").
 inline uint32_t Scale() {
   const char* s = std::getenv("GPAR_BENCH_SCALE");
   if (s == nullptr) return 1;

@@ -1,7 +1,8 @@
 // Experiment E1a/E1b/E1e — Figures 5(a), 5(b), 5(e): DMine vs DMineno,
 // varying the number of processors n on Pokec-like, Google+-like, and
 // synthetic graphs. The reported time is the simulated parallel time
-// (max per-worker CPU per round + coordinator); see DESIGN.md §5.
+// (max per-worker CPU per round + coordinator); see README.md,
+// "Reproduction substitutions".
 //
 // Paper shape to reproduce: both curves fall as n grows (DMine ~3.7x /
 // 2.69x faster from n=4 to 20); DMine beats DMineno at every n.

@@ -16,7 +16,8 @@ namespace gpar {
 /// community share item preferences, and social edges are mostly
 /// intra-community, so "x--friend-->x', x'--likes-->y:kind" genuinely
 /// correlates with "x--likes-->y':kind". This is the behaviour-preserving
-/// substitute for the Pokec / Google+ snapshots (see DESIGN.md §5).
+/// substitute for the Pokec / Google+ snapshots (see README.md,
+/// "Reproduction substitutions").
 struct SocialGraphSpec {
   /// One item universe (music genres, employers, cities, ...): `num_kinds`
   /// distinct node labels, each carried by `items_per_kind` item nodes, and

@@ -11,9 +11,16 @@ namespace gpar {
 IncDiv::IncDiv(uint32_t k, double lambda, double n_norm)
     : k_(k), lambda_(lambda), n_norm_(n_norm), max_pairs_((k + 1) / 2) {}
 
-double IncDiv::PairFPrime(const MinedRule& a, const MinedRule& b) const {
-  double diff = JaccardDistance(a.matches, b.matches);
-  return FPrime(a.conf, b.conf, diff, lambda_, n_norm_, k_);
+const MatchBitset& IncDiv::BitsOf(const std::shared_ptr<MinedRule>& r) {
+  auto [it, fresh] = bits_.try_emplace(r);
+  if (fresh) it->second = ranks_.Encode(r->matches);
+  return it->second;
+}
+
+double IncDiv::PairFPrime(const std::shared_ptr<MinedRule>& a,
+                          const std::shared_ptr<MinedRule>& b) {
+  return FPrime(a->conf, b->conf, BitsetJaccardDistance(BitsOf(a), BitsOf(b)),
+                lambda_, n_norm_, k_);
 }
 
 bool IncDiv::UsedInQueue(const MinedRule* r) const {
@@ -26,9 +33,9 @@ void IncDiv::AddRound(const std::vector<std::shared_ptr<MinedRule>>& delta,
                       const std::vector<std::shared_ptr<MinedRule>>& sigma) {
   // Phase 1 — fill: while the queue holds < ⌈k/2⌉ pairs, greedily insert
   // the disjoint pair maximizing F'; at least one member must be new. Each
-  // unordered pair is scored exactly once (PairFPrime runs a Jaccard merge,
-  // the dominant cost): a both-new pair {a, b} is visited only from the
-  // earlier of a, b in ΔE, and the Σ-only fallback iterates i < j.
+  // unordered pair is scored once per fill step: a both-new pair {a, b} is
+  // visited only from the earlier of a, b in ΔE, and the Σ-only fallback
+  // iterates i < j.
   std::unordered_map<const MinedRule*, size_t> delta_idx;
   delta_idx.reserve(delta.size());
   for (size_t i = 0; i < delta.size(); ++i) delta_idx.emplace(delta[i].get(), i);
@@ -43,7 +50,7 @@ void IncDiv::AddRound(const std::vector<std::shared_ptr<MinedRule>>& delta,
       if (ra.get() == rb.get()) return;
       if (ra->pruned || rb->pruned) return;
       if (UsedInQueue(ra.get()) || UsedInQueue(rb.get())) return;
-      double f = PairFPrime(*ra, *rb);
+      double f = PairFPrime(ra, rb);
       if (f > best_f) {
         best_f = f;
         best_a = ra.get();
@@ -85,7 +92,7 @@ void IncDiv::AddRound(const std::vector<std::shared_ptr<MinedRule>>& delta,
     double best_f = -1;
     for (const auto& s : sigma) {
       if (s.get() == r.get() || s->pruned || UsedInQueue(s.get())) continue;
-      double f = PairFPrime(*r, *s);
+      double f = PairFPrime(r, s);
       if (f > best_f) {
         best_f = f;
         best_partner = &s;
@@ -148,6 +155,10 @@ std::vector<std::shared_ptr<MinedRule>> FullDiversify(
   for (const auto& r : pool) {
     if (!r->pruned) remaining.push_back(r);
   }
+  MatchRanks ranks;
+  std::vector<MatchBitset> bits;
+  bits.reserve(remaining.size());
+  for (const auto& r : remaining) bits.push_back(ranks.Encode(r->matches));
   std::vector<std::shared_ptr<MinedRule>> out;
   // Greedy max-sum dispersion [19]: repeatedly take the pair with maximum
   // F' among unused rules.
@@ -156,10 +167,9 @@ std::vector<std::shared_ptr<MinedRule>> FullDiversify(
     double best = -1;
     for (size_t i = 0; i < remaining.size(); ++i) {
       for (size_t j = i + 1; j < remaining.size(); ++j) {
-        double diff =
-            JaccardDistance(remaining[i]->matches, remaining[j]->matches);
-        double f = FPrime(remaining[i]->conf, remaining[j]->conf, diff,
-                          lambda, n_norm, k);
+        double f = FPrime(remaining[i]->conf, remaining[j]->conf,
+                          BitsetJaccardDistance(bits[i], bits[j]), lambda,
+                          n_norm, k);
         if (f > best) {
           best = f;
           bi = i;
@@ -172,6 +182,8 @@ std::vector<std::shared_ptr<MinedRule>> FullDiversify(
     // Erase higher index first.
     remaining.erase(remaining.begin() + bj);
     remaining.erase(remaining.begin() + bi);
+    bits.erase(bits.begin() + bj);
+    bits.erase(bits.begin() + bi);
   }
   if (out.size() < k && !remaining.empty()) {
     // Odd k: add the rule with the best marginal confidence.

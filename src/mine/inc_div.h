@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "mine/mined_rule.h"
+#include "rule/diversity.h"
 
 namespace gpar {
 
@@ -19,7 +21,10 @@ namespace gpar {
 /// ratio 2 for max-sum diversification, made incremental so the top-k list
 /// is never recomputed from scratch.
 ///
-/// Rules are owned by the caller (DMine's Σ, stable `shared_ptr`s).
+/// Rules are owned by the caller (DMine's Σ, stable `shared_ptr`s). A rule's
+/// match set must not change once offered: IncDiv encodes it as a
+/// `MatchBitset` on first sight and scores every later pair from the cached
+/// bitsets, so one diff costs at most ⌈supp_q/64⌉ word ANDs and popcounts.
 class IncDiv {
  public:
   IncDiv(uint32_t k, double lambda, double n_norm);
@@ -54,7 +59,9 @@ class IncDiv {
     double fprime;
   };
 
-  double PairFPrime(const MinedRule& a, const MinedRule& b) const;
+  const MatchBitset& BitsOf(const std::shared_ptr<MinedRule>& r);
+  double PairFPrime(const std::shared_ptr<MinedRule>& a,
+                    const std::shared_ptr<MinedRule>& b);
   bool UsedInQueue(const MinedRule* r) const;
 
   uint32_t k_;
@@ -63,9 +70,14 @@ class IncDiv {
   uint32_t max_pairs_;
   std::vector<QueuePair> queue_;
   /// Members of `queue_`, kept in sync on every insert/replace: membership
-  /// tests run inside AddRound's O(|σ|²) pair scans, so they must be O(1),
-  /// not a walk over the queue.
+  /// tests run inside AddRound's O(|Δ|·|Σ|) pair scans, whose other per-pair
+  /// cost is one bitset diff of ⌈supp_q/64⌉ words, so they must be O(1), not
+  /// a walk over the queue.
   std::unordered_set<const MinedRule*> in_queue_;
+  MatchRanks ranks_;
+  /// Each offered rule's match bitset. Keying by `shared_ptr` keeps the
+  /// rule alive, so its address cannot be reused by another rule.
+  std::unordered_map<std::shared_ptr<MinedRule>, MatchBitset> bits_;
 };
 
 /// Non-incremental greedy diversification over a full pool ("discover and

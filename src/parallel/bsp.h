@@ -19,7 +19,7 @@ namespace gpar {
 /// coordinator's assembly time. `SimulatedParallelSeconds` — makespan plus
 /// coordinator — is the quantity the Exp-1/Exp-3 "varying n" curves plot;
 /// wall time on a single host cannot show the speedup, makespan can
-/// (see DESIGN.md §5, EC2 substitution).
+/// (see README.md, "Reproduction substitutions").
 struct ParallelTimes {
   double wall_seconds = 0;
   double makespan_seconds = 0;

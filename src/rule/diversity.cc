@@ -1,28 +1,39 @@
 #include "rule/diversity.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace gpar {
 
-double JaccardDistance(const std::vector<NodeId>& a_sorted,
-                       const std::vector<NodeId>& b_sorted) {
-  if (a_sorted.empty() && b_sorted.empty()) return 0;
-  size_t inter = 0;
-  size_t i = 0, j = 0;
-  while (i < a_sorted.size() && j < b_sorted.size()) {
-    if (a_sorted[i] < b_sorted[j]) {
-      ++i;
-    } else if (a_sorted[i] > b_sorted[j]) {
-      ++j;
-    } else {
-      ++inter;
-      ++i;
-      ++j;
-    }
+MatchBitset MatchRanks::Encode(std::span<const NodeId> matches) {
+  MatchBitset out;
+  for (NodeId v : matches) {
+    const uint32_t r =
+        rank_.try_emplace(v, static_cast<uint32_t>(rank_.size())).first->second;
+    if (r / 64 >= out.words.size()) out.words.resize(r / 64 + 1);
+    out.words[r / 64] |= uint64_t{1} << (r % 64);
   }
-  size_t uni = a_sorted.size() + b_sorted.size() - inter;
+  for (uint64_t w : out.words) out.count += std::popcount(w);
+  return out;
+}
+
+double BitsetJaccardDistance(const MatchBitset& a, const MatchBitset& b) {
+  if (a.count == 0 && b.count == 0) return 0;
+  // Words past the shorter bitset hold no common member.
+  const size_t n = std::min(a.words.size(), b.words.size());
+  uint64_t inter = 0;
+  for (size_t i = 0; i < n; ++i) {
+    inter += std::popcount(a.words[i] & b.words[i]);
+  }
+  const uint64_t uni = a.count + b.count - inter;
   return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+double JaccardDistance(const std::vector<NodeId>& a,
+                       const std::vector<NodeId>& b) {
+  MatchRanks ranks;
+  return BitsetJaccardDistance(ranks.Encode(a), ranks.Encode(b));
 }
 
 double ObjectiveF(const std::vector<double>& confs,
@@ -30,10 +41,16 @@ double ObjectiveF(const std::vector<double>& confs,
                   double lambda, double n_norm, uint32_t k) {
   double conf_sum = 0;
   for (double c : confs) conf_sum += c;
+  MatchRanks ranks;
+  std::vector<MatchBitset> bits;
+  bits.reserve(match_sets.size());
+  for (const std::vector<NodeId>* s : match_sets) {
+    bits.push_back(ranks.Encode(*s));
+  }
   double diff_sum = 0;
-  for (size_t i = 0; i < match_sets.size(); ++i) {
-    for (size_t j = i + 1; j < match_sets.size(); ++j) {
-      diff_sum += JaccardDistance(*match_sets[i], *match_sets[j]);
+  for (size_t i = 0; i < bits.size(); ++i) {
+    for (size_t j = i + 1; j < bits.size(); ++j) {
+      diff_sum += BitsetJaccardDistance(bits[i], bits[j]);
     }
   }
   // A degenerate normalizer (supp_q or supp_~q = 0 makes N = 0) or

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "graph/paper_graphs.h"
 #include "match/matcher.h"
 #include "mine/fsm.h"
 #include "rule/diversity.h"
+#include "test_util.h"
 
 namespace gpar {
 namespace {
@@ -99,6 +102,91 @@ TEST(JaccardTest, EdgeCases) {
   EXPECT_DOUBLE_EQ(JaccardDistance({1, 2}, {}), 1.0);
   EXPECT_DOUBLE_EQ(JaccardDistance({1, 2}, {1, 2}), 0.0);
   EXPECT_DOUBLE_EQ(JaccardDistance({1, 2, 3}, {3, 4, 5}), 0.8);  // 1 - 1/5
+}
+
+// The bitset kernel against the sorted-merge oracle, bit for bit, over
+// random subsets of random universes. Encoding the whole universe first
+// pins every node's rank to its position, so the boundary ranks (0, 63, 64,
+// the last) are exercised on purpose, across one, two and 14 words.
+TEST(JaccardTest, BitsetKernelMatchesMergeOracle) {
+  std::mt19937_64 rng(20150601);
+  for (size_t n : {1, 63, 64, 65, 833}) {
+    std::vector<NodeId> universe;
+    while (universe.size() < n) {
+      universe.push_back(static_cast<NodeId>(rng() % 100000));
+      std::sort(universe.begin(), universe.end());
+      universe.erase(std::unique(universe.begin(), universe.end()),
+                     universe.end());
+    }
+    MatchRanks ranks;
+    const MatchBitset all = ranks.Encode(universe);
+    ASSERT_EQ(all.count, n);
+
+    auto subset = [&](double p, std::vector<size_t> forced) {
+      std::bernoulli_distribution keep(p);
+      std::vector<NodeId> out;
+      for (size_t r = 0; r < n; ++r) {
+        if (keep(rng) ||
+            std::find(forced.begin(), forced.end(), r) != forced.end()) {
+          out.push_back(universe[r]);
+        }
+      }
+      return out;
+    };
+    std::vector<std::vector<NodeId>> sets{{}, universe};
+    std::vector<size_t> boundary;
+    for (size_t r : {size_t{0}, size_t{63}, size_t{64}, n - 1}) {
+      if (r < n) boundary.push_back(r);
+    }
+    for (size_t r : boundary) sets.push_back({universe[r]});
+    sets.push_back(subset(0, boundary));
+    for (double p : {0.05, 0.3, 0.5, 0.9}) {
+      for (int rep = 0; rep < 4; ++rep) {
+        sets.push_back(subset(p, {}));
+        sets.push_back(subset(p, boundary));
+      }
+    }
+    // Disjoint halves: ranks below n/2 versus the rest.
+    sets.emplace_back(universe.begin(), universe.begin() + n / 2);
+    sets.emplace_back(universe.begin() + n / 2, universe.end());
+
+    std::vector<MatchBitset> bits;
+    for (const auto& s : sets) bits.push_back(ranks.Encode(s));
+    for (size_t i = 0; i < sets.size(); ++i) {
+      EXPECT_EQ(bits[i].count, sets[i].size());
+      for (size_t j = 0; j < sets.size(); ++j) {
+        const double want = test::MergeJaccardDistance(sets[i], sets[j]);
+        EXPECT_EQ(BitsetJaccardDistance(bits[i], bits[j]), want)
+            << "n=" << n << " sets " << i << ", " << j;
+        EXPECT_EQ(JaccardDistance(sets[i], sets[j]), want)
+            << "n=" << n << " sets " << i << ", " << j;
+      }
+    }
+    // The named corner cases: both empty, one empty, identical, disjoint.
+    EXPECT_EQ(BitsetJaccardDistance(bits[0], bits[0]), 0.0);
+    EXPECT_EQ(BitsetJaccardDistance(bits[0], bits[1]), 1.0);
+    EXPECT_EQ(BitsetJaccardDistance(bits[1], bits[1]), 0.0);
+    if (n > 1) {
+      EXPECT_EQ(BitsetJaccardDistance(bits[bits.size() - 2], bits.back()),
+                1.0);
+    }
+  }
+}
+
+// Bitsets of different widths: ranks handed out on first sight make a set
+// encoded early shorter than one encoded after the universe grew.
+TEST(JaccardTest, BitsetsOfDifferentWidthsCompare) {
+  MatchRanks ranks;
+  std::vector<NodeId> early{5, 9};
+  std::vector<NodeId> late;
+  for (NodeId v = 0; v < 200; ++v) late.push_back(v);
+  const MatchBitset a = ranks.Encode(early);
+  const MatchBitset b = ranks.Encode(late);
+  ASSERT_LT(a.words.size(), b.words.size());
+  EXPECT_EQ(BitsetJaccardDistance(a, b),
+            test::MergeJaccardDistance(early, late));
+  EXPECT_EQ(BitsetJaccardDistance(b, a),
+            test::MergeJaccardDistance(late, early));
 }
 
 TEST(FPrimeTest, DegenerateParameters) {
