@@ -3,38 +3,21 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
-#include <unordered_set>
 
 namespace gpar {
 
 size_t Fragment::MemoryBytes() const {
-  size_t bytes = centers.capacity() * sizeof(NodeId) +
-                 center_hops_available.capacity() * sizeof(uint32_t);
-  if (copy != nullptr) {
-    const Graph& cg = copy->graph;
-    // The copied CSR: labels, offsets, and both adjacency directions, plus
-    // the id maps the copy needs for global evidence.
-    bytes += cg.num_nodes() * sizeof(LabelId);
-    bytes += 2 * (cg.num_nodes() + 1) * sizeof(size_t);  // out/in offsets
-    bytes += 2 * cg.num_edges() * sizeof(AdjEntry);      // out/in adjacency
-    bytes += copy->to_global.capacity() * sizeof(NodeId);
-    bytes += copy->to_local.size() *
-             (sizeof(std::pair<const NodeId, NodeId>) + 2 * sizeof(void*));
-    bytes += copy->to_local.bucket_count() * sizeof(void*);
-    // The label inverted index the copy rebuilds.
-    bytes += cg.num_nodes() * sizeof(NodeId);
-  } else {
-    bytes += view.MemoryBytes();
-  }
-  return bytes;
+  return centers.capacity() * sizeof(NodeId) +
+         center_hops_available.capacity() * sizeof(uint32_t) +
+         view.MemoryBytes();
 }
 
 namespace {
 
-/// Greedy balanced assignment shared by both build paths: heaviest centers
-/// first, least-loaded fragment next (longest-processing-time heuristic).
-/// Deterministic: ties in weight keep input order (stable sort), ties in
-/// load pick the lowest fragment index.
+/// Greedy balanced assignment: heaviest centers first, least-loaded
+/// fragment next (longest-processing-time heuristic). Deterministic: ties
+/// in weight keep input order (stable sort), ties in load pick the lowest
+/// fragment index.
 struct Assignment {
   std::vector<std::vector<size_t>> per_fragment;  // center indices
   std::vector<uint32_t> owner_of_center;
@@ -73,69 +56,6 @@ Assignment AssignLpt(const std::vector<size_t>& weights, uint32_t n) {
   return out;
 }
 
-/// Legacy build pipeline, selected by `use_fragment_copies`: one BFS (with
-/// a hash-map visited set) per center, per-fragment unordered_set unions,
-/// and a materialized induced-CSR copy per fragment — the pre-view cost
-/// structure, kept intact as the Exp-4 A/B baseline. Produces the exact
-/// same assignment, membership, centers, and extendability signal as the
-/// single-sweep view path.
-Partitioning PartitionLegacy(const Graph& g, const std::vector<NodeId>& centers,
-                             const PartitionOptions& options) {
-  const uint32_t n = options.num_fragments;
-  Partitioning out;
-  out.d = options.d;
-
-  std::vector<std::vector<NodeId>> neigh(centers.size());
-  std::vector<uint32_t> hops_avail(centers.size(), 0);
-  std::vector<size_t> weights(centers.size(), 0);
-  for (size_t i = 0; i < centers.size(); ++i) {
-    std::vector<uint32_t> dist;
-    neigh[i] = NodesWithinRadius(g, centers[i], options.d, &dist);
-    weights[i] = neigh[i].size();
-    // Extendable past d iff some hop-d node has an incident edge leaving
-    // N_d (see the view path for the rationale).
-    std::unordered_set<NodeId> in_nd(neigh[i].begin(), neigh[i].end());
-    for (size_t k = 0; k < neigh[i].size() && hops_avail[i] == 0; ++k) {
-      if (dist[k] != options.d) continue;
-      for (const AdjEntry& e : g.out_edges(neigh[i][k])) {
-        if (!in_nd.count(e.other)) {
-          hops_avail[i] = 1;
-          break;
-        }
-      }
-      if (hops_avail[i] != 0) break;
-      for (const AdjEntry& e : g.in_edges(neigh[i][k])) {
-        if (!in_nd.count(e.other)) {
-          hops_avail[i] = 1;
-          break;
-        }
-      }
-    }
-  }
-
-  Assignment assign = AssignLpt(weights, n);
-  out.owner_of_center = assign.owner_of_center;
-
-  out.fragments.resize(n);
-  for (uint32_t f = 0; f < n; ++f) {
-    std::unordered_set<NodeId> node_set;
-    for (size_t idx : assign.per_fragment[f]) {
-      node_set.insert(neigh[idx].begin(), neigh[idx].end());
-    }
-    std::vector<NodeId> nodes(node_set.begin(), node_set.end());
-    std::sort(nodes.begin(), nodes.end());
-    Fragment& frag = out.fragments[f];
-    frag.copy = std::make_unique<InducedSubgraph>(BuildInducedSubgraph(g, nodes));
-    frag.centers.reserve(assign.per_fragment[f].size());
-    frag.center_hops_available.reserve(assign.per_fragment[f].size());
-    for (size_t idx : assign.per_fragment[f]) {
-      frag.centers.push_back(centers[idx]);
-      frag.center_hops_available.push_back(hops_avail[idx]);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<Partitioning> PartitionGraph(const Graph& g,
@@ -143,9 +63,6 @@ Result<Partitioning> PartitionGraph(const Graph& g,
                                     const PartitionOptions& options) {
   if (options.num_fragments == 0) {
     return Status::InvalidArgument("num_fragments must be positive");
-  }
-  if (options.use_fragment_copies) {
-    return PartitionLegacy(g, centers, options);
   }
   const uint32_t n = options.num_fragments;
   const size_t nc = centers.size();
@@ -265,7 +182,7 @@ double FragmentSkew(const Partitioning& p) {
   size_t max_size = 0;
   size_t min_size = static_cast<size_t>(-1);
   for (const Fragment& f : p.fragments) {
-    size_t s = f.SizeVE();
+    size_t s = f.view.size();  // |V_f| + |E_f|, the paper's size measure
     max_size = std::max(max_size, s);
     min_size = std::min(min_size, s);
   }

@@ -2,7 +2,6 @@
 #define GPAR_GRAPH_PARTITION_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -21,49 +20,20 @@ namespace gpar {
 /// Border (replicated) nodes are present for matching but never counted
 /// toward support: support counting only ever iterates `centers`.
 ///
-/// Representation: by default the fragment is a zero-copy `GraphView` over
-/// the parent CSR — matching runs on global ids, so match evidence is
-/// globally addressed by construction and border replication costs one
-/// id-list entry per node, not a CSR copy. With
-/// `PartitionOptions::use_fragment_copies` the legacy materialized
-/// `InducedSubgraph` is built instead (the A/B baseline); `MatchId` /
-/// `GlobalId` fold the id translation the copy still needs into two
-/// helpers so consumers stay representation-agnostic.
+/// Representation: the fragment is a zero-copy `GraphView` over the parent
+/// CSR — matching runs on global ids, so match evidence is globally
+/// addressed by construction and border replication costs one id-list entry
+/// per node, not a CSR copy.
 struct Fragment {
-  GraphView view;                       // zero-copy path (default)
-  std::unique_ptr<InducedSubgraph> copy;  // legacy path, iff requested
-  std::vector<NodeId> centers;          // GLOBAL ids of owned centers
+  GraphView view;
+  std::vector<NodeId> centers;  // GLOBAL ids of owned centers
   /// Per owned center: nonzero iff the center's N_d can still grow — some
   /// node at hop exactly d has an incident edge leaving N_d. 0 means the
   /// d-neighborhood is saturated (it is the whole reachable component).
   std::vector<uint32_t> center_hops_available;
 
-  bool uses_copy() const { return copy != nullptr; }
-  /// Id to hand the fragment's matcher for a global node (identity for
-  /// views; the local id for copies).
-  NodeId MatchId(NodeId global) const {
-    return copy ? copy->to_local.at(global) : global;
-  }
-  /// Inverse of `MatchId`.
-  NodeId GlobalId(NodeId match_id) const {
-    return copy ? copy->to_global[match_id] : match_id;
-  }
-  /// True iff the global node belongs to the fragment.
-  bool ContainsGlobal(NodeId v) const {
-    return copy ? copy->to_local.count(v) > 0 : view.contains(v);
-  }
-  /// True iff the global node has an outgoing `elabel` edge inside the
-  /// fragment — the consequent-edge (LCWA) classification DMine and EIP
-  /// share, kept here so consumers never pair the wrong id kind with the
-  /// wrong representation.
-  bool HasOutLabelAt(NodeId global, LabelId elabel) const {
-    return copy ? copy->graph.HasOutLabel(MatchId(global), elabel)
-                : view.HasOutLabel(global, elabel);
-  }
-  /// |V_f| + |E_f| — the paper's fragment size measure (skew metric).
-  size_t SizeVE() const { return copy ? copy->graph.size() : view.size(); }
-  /// Bytes held by the fragment's graph representation (view id-lists +
-  /// bitmap, or the copied CSR + id maps) — the Exp-4 memory column.
+  /// Bytes held by the fragment (view id-lists + bitmap + center lists) —
+  /// the Exp-4 memory column.
   size_t MemoryBytes() const;
 };
 
@@ -79,14 +49,6 @@ struct Partitioning {
 struct PartitionOptions {
   uint32_t num_fragments = 4;
   uint32_t d = 2;  ///< locality radius: G_d(center) kept within its fragment
-  /// Select the legacy build pipeline: one hash-map BFS per center,
-  /// per-fragment unordered_set unions, and a materialized `InducedSubgraph`
-  /// CSR copy per fragment — the pre-view cost structure, kept intact as
-  /// the A/B baseline for the Exp-4 bench and the view/copy equivalence
-  /// battery. The partition itself (assignment, membership, centers,
-  /// extendability signal) is identical under both settings; only build
-  /// cost, memory, and the fragment representation differ.
-  bool use_fragment_copies = false;
 };
 
 /// Partitions `g` for the given `centers` (candidate nodes v_x).
@@ -102,9 +64,8 @@ struct PartitionOptions {
 /// every node with the (center, distance) pairs that reach it within d,
 /// which yields exact |N_d| weights for the LPT assignment, the
 /// extendable-past-d signal, and sorted fragment membership lists in one
-/// near-linear pass — replacing |centers| independent BFS runs,
-/// per-fragment unordered_set unions, and (on the view path) the induced
-/// CSR rebuild entirely.
+/// near-linear pass — no per-center BFS, no set unions, and no induced-CSR
+/// rebuild.
 Result<Partitioning> PartitionGraph(const Graph& g,
                                     const std::vector<NodeId>& centers,
                                     const PartitionOptions& options);
@@ -113,8 +74,8 @@ Result<Partitioning> PartitionGraph(const Graph& g,
 /// [0, 1]; 0 is perfectly even. Used by the Exp-4 skew bench.
 double FragmentSkew(const Partitioning& p);
 
-/// Total `Fragment::MemoryBytes()` across fragments — the Exp-4 view/copy
-/// memory comparison.
+/// Total `Fragment::MemoryBytes()` across fragments — the Exp-4 memory
+/// column.
 size_t PartitionMemoryBytes(const Partitioning& p);
 
 }  // namespace gpar

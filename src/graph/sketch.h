@@ -84,9 +84,8 @@ class SketchStore {
 KHopSketch ComputeSketch(const Graph& g, NodeId v, uint32_t k);
 
 /// As above, with the BFS restricted to `view` members: the sketch of `v`
-/// in the subgraph the view induces — identical to the sketch a copied
-/// fragment would produce, so view-backed guided matching filters and
-/// orders candidates exactly like the copy-backed baseline.
+/// in the subgraph the view induces, so view-backed guided matching filters
+/// and orders candidates exactly as it would on the induced subgraph.
 KHopSketch ComputeSketch(const GraphView& view, NodeId v, uint32_t k);
 
 /// True iff `graph_side` dominates `pattern_side`: for every hop i <= k and

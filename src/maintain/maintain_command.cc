@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "graph/graph_snapshot.h"
+#include "mine/levelwise.h"
 #include "rule/rule_snapshot.h"
 
 namespace gpar {
@@ -28,10 +29,9 @@ Result<MaintainOptions> MaintainOptionsFromSetup(const MiningSetup& setup,
   o.mine.enable_reduction_rules = (setup.bool_flags & (1u << 1)) != 0;
   o.mine.enable_bisim_prefilter = (setup.bool_flags & (1u << 2)) != 0;
   o.mine.enable_parent_prune = (setup.bool_flags & (1u << 3)) != 0;
-  o.mine.enable_worker_gen = (setup.bool_flags & (1u << 4)) != 0;
-  o.mine.use_fragment_copies = (setup.bool_flags & (1u << 5)) != 0;
-  o.mine.enable_shared_plans = (setup.bool_flags & (1u << 6)) != 0;
+  // Bits 4-6 belonged to retired switches that never changed a result.
   o.mine.enable_prune_aware_usupp = (setup.bool_flags & (1u << 7)) != 0;
+  GPAR_RETURN_NOT_OK(ValidateMiningOptions(o.mine));
   return o;
 }
 

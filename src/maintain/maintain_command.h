@@ -56,7 +56,8 @@ struct MaintainReport {
 /// under: `base` supplies everything that is not part of the mining setup
 /// (`enable_incremental_maintenance`, `mine.num_workers`), the setup
 /// supplies the mining parameters and ablation flags. InvalidArgument when
-/// the setup carries flag bits this build does not know.
+/// the setup carries flag bits this build does not know (above bit 7) or
+/// fails `ValidateMiningOptions`. Bits 4-6 are ignored.
 Result<MaintainOptions> MaintainOptionsFromSetup(const MiningSetup& setup,
                                                  const MaintainOptions& base);
 

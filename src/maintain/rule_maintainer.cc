@@ -4,29 +4,30 @@
 #include <chrono>
 #include <utility>
 
-#include "graph/stats.h"
 #include "match/matcher.h"
-#include "mine/inc_div.h"
-#include "mine/reduction.h"
+#include "mine/levelwise.h"
 #include "pattern/pattern_ops.h"
-#include "rule/diversity.h"
 #include "rule/match_delta.h"
-#include "rule/metrics.h"
 #include "serve/delta_journal.h"
 
 namespace gpar {
 
 namespace {
 
+// Bits 4-6 of `MiningSetup::bool_flags` packed three retired DMine
+// switches (worker-side generation, copied fragments, shared plans). They
+// never changed a result. Writers keep them at those switches' defaults
+// (on, off, on), so setups serialize as they always did; readers ignore
+// them.
+constexpr uint32_t kRetiredFlagBits = 0x70u;
+constexpr uint32_t kRetiredFlagDefaults = (1u << 4) | (1u << 6);
+
 uint32_t PackFlags(const DmineOptions& o) {
-  uint32_t f = 0;
+  uint32_t f = kRetiredFlagDefaults;
   if (o.enable_incremental_div) f |= 1u << 0;
   if (o.enable_reduction_rules) f |= 1u << 1;
   if (o.enable_bisim_prefilter) f |= 1u << 2;
   if (o.enable_parent_prune) f |= 1u << 3;
-  if (o.enable_worker_gen) f |= 1u << 4;
-  if (o.use_fragment_copies) f |= 1u << 5;
-  if (o.enable_shared_plans) f |= 1u << 6;
   if (o.enable_prune_aware_usupp) f |= 1u << 7;
   return f;
 }
@@ -49,12 +50,7 @@ MiningSetup MakeSetup(const DmineOptions& o, const Predicate& q,
 }
 
 Status ValidateOptions(const MaintainOptions& options) {
-  if (options.mine.k < 2) {
-    return Status::InvalidArgument("k must be at least 2");
-  }
-  if (options.mine.d == 0) {
-    return Status::InvalidArgument("d must be at least 1");
-  }
+  GPAR_RETURN_NOT_OK(ValidateMiningOptions(options.mine));
   if (options.mine.enable_prune_aware_usupp) {
     return Status::InvalidArgument(
         "enable_prune_aware_usupp is not maintainable: its Usupp tightening "
@@ -92,17 +88,225 @@ void Accumulate(MaintainStats* total, const MaintainStats& ps) {
   total->seconds += ps.seconds;
 }
 
+using AffectedMap = std::unordered_map<NodeId, uint32_t>;
+
+/// The maintainer's evaluation strategy: sequential matching over the whole
+/// graph, with evidence patching. By the locality property (Section 5.1) a
+/// center's membership in a pattern of eval radius r depends only on
+/// G_r(center), so only centers inside the affected region at that radius
+/// are re-probed; every other membership is carried from the prior pass's
+/// evidence. Supports are therefore exactly the full-probe values. With
+/// `affected == nullptr` every membership is probed (the seed pass and the
+/// incremental-off ablation). Every evaluated candidate, sub-sigma ones
+/// included, leaves an entry in `next`.
+class EvidencePatcher : public LevelwiseEvaluator {
+ public:
+  EvidencePatcher(const RuleMaintainer& m, const AffectedMap* affected,
+                  RuleSetEvidence* next, MaintainStats* ps)
+      : g_(*m.graph()),
+        q_(m.predicate()),
+        options_(m.options().mine),
+        prior_(m.evidence()),
+        affected_(affected),
+        next_(*next),
+        ps_(*ps),
+        matcher_(g_) {
+    if (affected_ == nullptr) return;  // nothing will be carried
+    for (uint32_t i = 0; i < prior_.entries.size(); ++i) {
+      index_[StructuralHash(prior_.entries[i].rule.pr())].push_back(i);
+    }
+  }
+
+  // Pool membership of a center depends on G_1(center) (P_q has radius 1;
+  // the ~q test reads the center's own out-edges), so only centers within
+  // distance 1 of a touched endpoint are re-probed.
+  LevelwisePools EvaluatePools(const SearchPlanStore& plans) override {
+    matcher_.set_plan_store(&plans);
+    const Pattern pq = q_.ToPattern();
+    for (NodeId c : g_.nodes_with_label(q_.x_label)) {
+      bool probe = affected_ == nullptr;
+      if (!probe) {
+        auto it = affected_->find(c);
+        probe = it != affected_->end() && it->second <= 1;
+      }
+      bool in_q = false, in_qbar = false;
+      if (probe) {
+        ++ps_.centers_reprobed;
+        ++ps_.exists_calls;
+        in_q = matcher_.ExistsAt(pq, c);
+        if (!in_q) in_qbar = g_.HasOutLabel(c, q_.edge_label);
+      } else {
+        ++ps_.centers_carried;
+        in_q = std::binary_search(prior_.q_pool.begin(), prior_.q_pool.end(),
+                                  c);
+        if (!in_q) {
+          in_qbar = std::binary_search(prior_.qbar_pool.begin(),
+                                       prior_.qbar_pool.end(), c);
+        }
+      }
+      if (in_q) {
+        next_.q_pool.push_back(c);
+      } else if (in_qbar) {
+        next_.qbar_pool.push_back(c);
+      }
+    }
+    return {next_.q_pool.size(), next_.qbar_pool.size()};
+  }
+
+  std::vector<std::shared_ptr<MinedRule>> Evaluate(
+      const std::vector<Gpar>& candidates,
+      const std::vector<size_t>& cand_parent,
+      const std::vector<char>& other_ok,
+      const std::vector<std::shared_ptr<MinedRule>>& parents) override {
+    static const std::vector<NodeId> kNoOldSet;
+    const bool prune = options_.enable_parent_prune;
+    // Each parent's entry in `next_` (its match sets of THIS pass). All
+    // keys of `entry_of_` belong to rules of one round, alive together
+    // when inserted, so a live parent's lookup cannot alias another rule.
+    std::vector<uint32_t> parent_entry(parents.size(), kEvidenceRoot);
+    if (prune) {
+      for (size_t pi = 0; pi < parents.size(); ++pi) {
+        parent_entry[pi] = entry_of_.at(parents[pi].get());
+      }
+    }
+    entry_of_.clear();
+
+    std::vector<std::shared_ptr<MinedRule>> rules;
+    rules.reserve(candidates.size());
+    for (size_t ci = 0; ci < candidates.size(); ++ci) {
+      const Gpar& r = candidates[ci];
+      const uint32_t radius = r.eval_radius();
+
+      // Pools: the parent's match sets, or the round-0 pools for roots and
+      // the prune-off ablation. Spans into entry vectors stay valid across
+      // `next_.entries` growth — reallocation moves the EvidenceEntry
+      // objects, which transfers the inner buffers without touching them.
+      const uint32_t pe = cand_parent[ci] == kRootParent
+                              ? kEvidenceRoot
+                              : parent_entry[cand_parent[ci]];
+      std::span<const NodeId> pr_pool =
+          pe != kEvidenceRoot
+              ? std::span<const NodeId>(next_.entries[pe].pr_matches)
+              : std::span<const NodeId>(next_.q_pool);
+      std::span<const NodeId> ant_pool =
+          pe != kEvidenceRoot
+              ? std::span<const NodeId>(next_.entries[pe].ant_matches)
+              : std::span<const NodeId>(next_.qbar_pool);
+
+      // Prior evidence for this exact pattern, if any (a fresh pattern —
+      // new seed, shifted lineage — has none and is re-expanded over its
+      // pool, which its parent has already narrowed).
+      const EvidenceEntry* old_ev = nullptr;
+      if (affected_ != nullptr) {
+        auto it = index_.find(StructuralHash(r.pr()));
+        if (it != index_.end()) {
+          for (uint32_t ei : it->second) {
+            if (prior_.entries[ei].rule == r) {
+              old_ev = &prior_.entries[ei];
+              break;
+            }
+          }
+        }
+      }
+      if (old_ev != nullptr) {
+        ++ps_.rules_patched;
+      } else {
+        ++ps_.rules_reexpanded;
+      }
+
+      // Membership of `c` in pattern `p` (eval radius <= `radius`): probe
+      // when the center sits inside the affected region at that radius or
+      // there is no evidence to carry; otherwise the prior answer stands.
+      auto membership = [&](NodeId c, const Pattern& p,
+                            const std::vector<NodeId>& old_set,
+                            bool have_old) -> bool {
+        bool must_probe = !have_old;
+        if (!must_probe) {
+          auto it = affected_->find(c);
+          must_probe = it != affected_->end() && it->second <= radius;
+        }
+        if (must_probe) {
+          ++ps_.centers_reprobed;
+          ++ps_.exists_calls;
+          return matcher_.ExistsAt(p, c);
+        }
+        ++ps_.centers_carried;
+        return std::binary_search(old_set.begin(), old_set.end(), c);
+      };
+
+      EvidenceEntry ent;
+      ent.rule = r;
+      ent.parent = pe;
+      auto rule = std::make_shared<MinedRule>();
+      rule->rule = r;
+
+      const bool have_pr = old_ev != nullptr;
+      for (NodeId c : pr_pool) {
+        if (membership(c, r.pr(), have_pr ? old_ev->pr_matches : kNoOldSet,
+                       have_pr)) {
+          ent.pr_matches.push_back(c);
+        }
+      }
+      rule->supp = ent.pr_matches.size();
+      rule->matches = ent.pr_matches;
+      rule->extendable = rule->supp > 0;
+      rule->usupp = rule->supp;  // enable_prune_aware_usupp rejected upfront
+
+      if (other_ok[ci]) {
+        ent.ant_probed = true;
+        const bool have_ant = old_ev != nullptr && old_ev->ant_probed;
+        for (NodeId c : ant_pool) {
+          if (membership(c, r.x_component(),
+                         have_ant ? old_ev->ant_matches : kNoOldSet,
+                         have_ant)) {
+            ent.ant_matches.push_back(c);
+          }
+        }
+        rule->supp_qqbar = ent.ant_matches.size();
+      }
+
+      if (old_ev != nullptr) {
+        const bool was_in = old_ev->pr_matches.size() >= options_.sigma;
+        const bool now_in = rule->supp >= options_.sigma;
+        if (!was_in && now_in) ++ps_.sigma_crossed_up;
+        if (was_in && !now_in) ++ps_.sigma_crossed_down;
+      }
+
+      // Persisted size: raw lists vs deltas against the pools they were
+      // probed from (the parent's sets, or the round-0 pools).
+      ps_.evidence_bytes_full += FullEncodedBytes(ent.pr_matches.size()) +
+                                 FullEncodedBytes(ent.ant_matches.size());
+      ps_.evidence_bytes_delta +=
+          DeltaEncodedBytes(ent.pr_matches.size(), pr_pool.size()) +
+          DeltaEncodedBytes(ent.ant_matches.size(), ant_pool.size());
+      entry_of_[rule.get()] = static_cast<uint32_t>(next_.entries.size());
+      next_.entries.push_back(std::move(ent));
+      rules.push_back(std::move(rule));
+    }
+    return rules;
+  }
+
+ private:
+  const Graph& g_;
+  const Predicate& q_;
+  const DmineOptions& options_;
+  const RuleSetEvidence& prior_;
+  const AffectedMap* affected_;
+  RuleSetEvidence& next_;
+  MaintainStats& ps_;
+  VF2Matcher matcher_;
+  /// StructuralHash(P_R) -> indices of the prior entries with that hash.
+  std::unordered_map<uint64_t, std::vector<uint32_t>> index_;
+  /// Entry index in `next_` of each rule the last `Evaluate` produced.
+  std::unordered_map<const MinedRule*, uint32_t> entry_of_;
+};
+
 }  // namespace
 
 RuleMaintainer::RuleMaintainer(std::shared_ptr<const Graph> g,
                                const Predicate& q,
                                const MaintainOptions& options)
     : options_(options), graph_(std::move(g)), q_(q) {
-  pq_ = q_.ToPattern();
-  PNodeId x = base_.AddNode(q_.x_label);
-  PNodeId y = base_.AddNode(q_.y_label);
-  base_.set_x(x);
-  base_.set_y(y);
   evidence_.setup = MakeSetup(options_.mine, q_, graph_->labels());
 }
 
@@ -135,346 +339,47 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
                     labels->Intern(evidence.setup.y_label)};
   std::unique_ptr<RuleMaintainer> m(
       new RuleMaintainer(std::move(g), q, options));
+  // The retired bits are don't-care; adopting this build's values keeps
+  // later snapshots byte-identical to a fresh seed's.
+  evidence.setup.bool_flags =
+      (evidence.setup.bool_flags & ~kRetiredFlagBits) | kRetiredFlagDefaults;
   if (!(evidence.setup == m->evidence_.setup)) {
     return Status::InvalidArgument(
         "evidence mining setup does not match MaintainOptions: evidence is "
         "only reusable under the exact parameters it was mined with");
   }
   m->evidence_ = std::move(evidence);
-  m->RebuildIndex();
   // A zero-delta pass rebuilds Σ/top-k from the adopted evidence: with an
   // empty affected map every membership is carried, so this is pattern-
   // level work only (no pool probes) when the evidence matches the graph —
   // and a sound (if slow) re-expansion when it does not.
-  const std::unordered_map<NodeId, uint32_t> kNoneAffected;
+  const AffectedMap kNoneAffected;
   MaintainStats ps;
   GPAR_RETURN_NOT_OK(m->RefreshPass(&kNoneAffected, &ps));
   Accumulate(&m->lifetime_, ps);
   return m;
 }
 
-void RuleMaintainer::RebuildIndex() {
-  index_.clear();
-  for (uint32_t i = 0; i < evidence_.entries.size(); ++i) {
-    index_[StructuralHash(evidence_.entries[i].rule.pr())].push_back(i);
-  }
-}
-
-Status RuleMaintainer::RefreshPass(
-    const std::unordered_map<NodeId, uint32_t>* affected, MaintainStats* ps) {
+Status RuleMaintainer::RefreshPass(const AffectedMap* affected,
+                                   MaintainStats* ps) {
   const auto t0 = std::chrono::steady_clock::now();
-  const DmineOptions& mo = options_.mine;
-  const Graph& g = *graph_;
   if (!options_.enable_incremental_maintenance) affected = nullptr;
   ++ps->passes;
 
-  VF2Matcher matcher(g);
-  SearchPlanStore plan_store(g);
-  if (mo.enable_shared_plans) {
-    PNodeId px = pq_.x();
-    plan_store.Prepare(pq_, {&px, 1});
-    matcher.set_plan_store(&plan_store);
-  }
-
-  // --- Round 0: the q / ~q pools, patched over the affected frontier.
-  // Pool membership of a center depends on G_1(center) (P_q has radius 1;
-  // the ~q test reads the center's own out-edges), so only centers within
-  // distance 1 of a touched endpoint are re-probed.
   RuleSetEvidence next;
   next.setup = evidence_.setup;
-  for (NodeId c : g.nodes_with_label(q_.x_label)) {
-    bool probe = affected == nullptr;
-    if (!probe) {
-      auto it = affected->find(c);
-      probe = it != affected->end() && it->second <= 1;
-    }
-    bool in_q = false, in_qbar = false;
-    if (probe) {
-      ++ps->centers_reprobed;
-      ++ps->exists_calls;
-      in_q = matcher.ExistsAt(pq_, c);
-      if (!in_q) in_qbar = g.HasOutLabel(c, q_.edge_label);
-    } else {
-      ++ps->centers_carried;
-      in_q = std::binary_search(evidence_.q_pool.begin(),
-                                evidence_.q_pool.end(), c);
-      if (!in_q) {
-        in_qbar = std::binary_search(evidence_.qbar_pool.begin(),
-                                     evidence_.qbar_pool.end(), c);
-      }
-    }
-    if (in_q) {
-      next.q_pool.push_back(c);
-    } else if (in_qbar) {
-      next.qbar_pool.push_back(c);
-    }
-  }
-
-  const uint64_t supp_q = next.q_pool.size();
-  const uint64_t supp_qbar = next.qbar_pool.size();
-  if (supp_q == 0 || supp_qbar == 0) {
-    // Dmine's early-out: no mineable rules. Discovery is skipped, so no
-    // evidence gets refreshed — and stale entries must not survive to be
-    // patched against a graph they no longer describe. Drop them; the next
-    // pass with live pools re-expands from scratch.
-    evidence_ = std::move(next);
-    index_.clear();
-    topk_.clear();
-    objective_ = 0;
-    ps->seconds = SecondsSince(t0);
-    return Status::OK();
-  }
-
-  const double n_norm =
-      static_cast<double>(supp_q) * static_cast<double>(supp_qbar);
-  IncDiv incdiv(mo.k, mo.lambda, n_norm);
-  std::vector<std::shared_ptr<MinedRule>> sigma;
-  std::unordered_map<uint64_t, std::vector<Pattern>> seen_buckets;
-  const std::vector<EdgePatternStat> seeds =
-      FrequentEdgePatterns(g, mo.seed_edge_limit);
-  VF2Matcher global_matcher(g);
-  DmineStats dedup_stats;  // scratch for DedupCandidates' counters
-  const bool prune = mo.enable_parent_prune;
-  static const std::vector<NodeId> kNoOldSet;
-
-  // This round's parents, with the index of each parent's entry in
-  // `next.entries` (its freshly patched pools).
-  std::vector<std::shared_ptr<MinedRule>> m_parents;
-  std::vector<uint32_t> m_parent_entry;
-
-  // The discovery skeleton below replays Dmine's coordinator loop verbatim
-  // (same candidate stream, dedup, acceptance, incDiv and reduction calls),
-  // with match evaluation swapped for evidence patching. Supports computed
-  // here are exactly the full-probe values — locality carries unaffected
-  // memberships, anti-monotone pools bound the rest — so the pass output is
-  // byte-identical to Dmine on the current graph.
-  for (uint32_t round = 1;
-       round <= mo.max_pattern_edges && (round == 1 || !m_parents.empty());
-       ++round) {
-    std::vector<Gpar> fresh;
-    std::vector<size_t> fresh_parent;
-    auto generate_from = [&](const Pattern& ant, size_t parent_idx) {
-      std::vector<Gpar> ext = GenerateExtensions(
-          ant, q_.edge_label, mo.d, mo.max_pattern_edges, seeds);
-      for (Gpar& e : ext) {
-        fresh.push_back(std::move(e));
-        fresh_parent.push_back(parent_idx);
-      }
-    };
-    if (round == 1) {
-      generate_from(base_, kRootParent);
-    } else {
-      for (size_t pi = 0; pi < m_parents.size(); ++pi) {
-        generate_from(m_parents[pi]->rule.antecedent(), pi);
-      }
-    }
-
-    const std::vector<size_t> kept =
-        DedupCandidates(fresh, mo.max_candidates_per_round, &seen_buckets,
-                        mo.enable_bisim_prefilter, &dedup_stats);
-    std::vector<Gpar> candidates;
-    std::vector<size_t> cand_parent;
-    candidates.reserve(kept.size());
-    cand_parent.reserve(kept.size());
-    for (size_t idx : kept) {
-      candidates.push_back(std::move(fresh[idx]));
-      cand_parent.push_back(fresh_parent[idx]);
-    }
-    if (candidates.empty()) break;
-    ps->candidates_evaluated += candidates.size();
-
-    std::vector<char> other_ok(candidates.size(), 1);
-    for (size_t ci = 0; ci < candidates.size(); ++ci) {
-      for (const Pattern& comp : candidates[ci].other_components()) {
-        ++ps->exists_calls;
-        if (!global_matcher.Exists(comp)) {
-          other_ok[ci] = 0;
-          break;
-        }
-      }
-    }
-
-    if (mo.enable_shared_plans) {
-      for (const Gpar& r : candidates) {
-        PNodeId prx = r.pr().x();
-        plan_store.Prepare(r.pr(), {&prx, 1});
-        PNodeId qx = r.x_component().x();
-        plan_store.Prepare(r.x_component(), {&qx, 1});
-      }
-    }
-
-    std::vector<std::shared_ptr<MinedRule>> delta;
-    std::vector<uint32_t> delta_entry;  // entry index per accepted rule
-
-    for (size_t ci = 0; ci < candidates.size(); ++ci) {
-      const Gpar& r = candidates[ci];
-      const uint32_t radius = r.eval_radius();
-
-      // Pools: the parent's THIS-pass match sets (already exact), or the
-      // round-0 pools for roots and the prune-off ablation. Note: spans
-      // into entry vectors stay valid across `next.entries` growth — vector
-      // reallocation moves the EvidenceEntry objects, which transfers the
-      // inner buffers without touching their contents.
-      const uint32_t parent_entry =
-          (prune && cand_parent[ci] != kRootParent)
-              ? m_parent_entry[cand_parent[ci]]
-              : kEvidenceRoot;
-      std::span<const NodeId> pr_pool =
-          parent_entry != kEvidenceRoot
-              ? std::span<const NodeId>(next.entries[parent_entry].pr_matches)
-              : std::span<const NodeId>(next.q_pool);
-      std::span<const NodeId> ant_pool =
-          parent_entry != kEvidenceRoot
-              ? std::span<const NodeId>(next.entries[parent_entry].ant_matches)
-              : std::span<const NodeId>(next.qbar_pool);
-
-      // Prior evidence for this exact pattern, if any (a fresh pattern —
-      // new seed, shifted lineage — has none and is re-expanded over its
-      // pool, which its parent has already narrowed).
-      const EvidenceEntry* old_ev = nullptr;
-      if (affected != nullptr) {
-        auto it = index_.find(StructuralHash(r.pr()));
-        if (it != index_.end()) {
-          for (uint32_t ei : it->second) {
-            if (evidence_.entries[ei].rule == r) {
-              old_ev = &evidence_.entries[ei];
-              break;
-            }
-          }
-        }
-      }
-      if (old_ev != nullptr) {
-        ++ps->rules_patched;
-      } else {
-        ++ps->rules_reexpanded;
-      }
-
-      // Membership of `c` in pattern `p` (eval radius <= `radius`): probe
-      // when the center sits inside the affected region at that radius or
-      // there is no evidence to carry; otherwise G_radius(c) is unchanged
-      // and the prior pass's answer stands (locality, Section 5.1).
-      auto membership = [&](NodeId c, const Pattern& p,
-                            const std::vector<NodeId>& old_set,
-                            bool have_old) -> bool {
-        bool must_probe = !have_old;
-        if (!must_probe) {
-          auto it = affected->find(c);
-          must_probe = it != affected->end() && it->second <= radius;
-        }
-        if (must_probe) {
-          ++ps->centers_reprobed;
-          ++ps->exists_calls;
-          return matcher.ExistsAt(p, c);
-        }
-        ++ps->centers_carried;
-        return std::binary_search(old_set.begin(), old_set.end(), c);
-      };
-
-      EvidenceEntry ent;
-      ent.rule = r;
-      ent.parent = parent_entry;
-      auto rule = std::make_shared<MinedRule>();
-      rule->rule = r;
-
-      const bool have_pr = old_ev != nullptr;
-      for (NodeId c : pr_pool) {
-        if (membership(c, r.pr(), have_pr ? old_ev->pr_matches : kNoOldSet,
-                       have_pr)) {
-          ent.pr_matches.push_back(c);
-        }
-      }
-      rule->supp = ent.pr_matches.size();
-      rule->matches = ent.pr_matches;
-      rule->extendable = rule->supp > 0;
-      rule->usupp = rule->supp;  // enable_prune_aware_usupp rejected upfront
-      rule->uconf_plus = UConfPlus(rule->usupp, supp_qbar, supp_q);
-
-      if (other_ok[ci]) {
-        ent.ant_probed = true;
-        const bool have_ant = old_ev != nullptr && old_ev->ant_probed;
-        for (NodeId c : ant_pool) {
-          if (membership(c, r.x_component(),
-                         have_ant ? old_ev->ant_matches : kNoOldSet,
-                         have_ant)) {
-            ent.ant_matches.push_back(c);
-          }
-        }
-        rule->supp_qqbar = ent.ant_matches.size();
-      }
-
-      if (old_ev != nullptr) {
-        const bool was_in = old_ev->pr_matches.size() >= mo.sigma;
-        const bool now_in = rule->supp >= mo.sigma;
-        if (!was_in && now_in) ++ps->sigma_crossed_up;
-        if (was_in && !now_in) ++ps->sigma_crossed_down;
-      }
-
-      const uint32_t entry_idx = static_cast<uint32_t>(next.entries.size());
-      next.entries.push_back(std::move(ent));
-
-      if (rule->supp < mo.sigma) continue;
-      if (rule->supp_qqbar == 0) continue;  // trivial logic rule
-      rule->conf =
-          BayesFactorConf(rule->supp, supp_qbar, rule->supp_qqbar, supp_q);
-      delta.push_back(std::move(rule));
-      delta_entry.push_back(entry_idx);
-    }
-    ps->rules_accepted += delta.size();
-    sigma.insert(sigma.end(), delta.begin(), delta.end());
-
-    if (mo.enable_incremental_div) {
-      incdiv.AddRound(delta, sigma);
-      if (mo.enable_reduction_rules) {
-        ApplyReductionRules(
-            sigma, delta, incdiv.MinPairFPrime(), mo.lambda, n_norm, mo.k,
-            [&](const MinedRule* rr) { return incdiv.InQueue(rr); });
-      }
-    }
-
-    m_parents.clear();
-    m_parent_entry.clear();
-    for (size_t di = 0; di < delta.size(); ++di) {
-      const auto& rr = delta[di];
-      if (!rr->extendable || rr->pruned ||
-          rr->rule.antecedent().num_edges() >= mo.max_pattern_edges) {
-        continue;
-      }
-      m_parents.push_back(rr);
-      m_parent_entry.push_back(delta_entry[di]);
-    }
-  }
-
-  if (mo.enable_incremental_div) {
-    topk_ = incdiv.TopK();
-    objective_ = incdiv.Objective();
-  } else {
-    topk_ = FullDiversify(sigma, mo.k, mo.lambda, n_norm);
-    std::vector<double> confs;
-    std::vector<const std::vector<NodeId>*> sets;
-    for (const auto& r : topk_) {
-      confs.push_back(r->conf);
-      sets.push_back(&r->matches);
-    }
-    objective_ = ObjectiveF(confs, sets, mo.lambda, n_norm, mo.k);
-  }
-
+  EvidencePatcher patcher(*this, affected, &next, ps);
+  DmineStats ds;
+  LevelwiseResult lw = RunLevelwise(*graph_, q_, options_.mine, patcher, &ds);
+  ps->candidates_evaluated += ds.candidates_verified;
+  ps->rules_accepted += ds.accepted;
+  ps->exists_calls += lw.global_exists_calls;
+  topk_ = std::move(lw.top.topk);
+  objective_ = lw.top.objective;
+  // With an empty pool the driver stops before round 1, so `next` holds
+  // only the pools: stale entries never survive to be patched against a
+  // graph they no longer describe.
   evidence_ = std::move(next);
-  RebuildIndex();
-
-  for (const EvidenceEntry& e : evidence_.entries) {
-    const size_t parent_pr =
-        e.parent == kEvidenceRoot ? evidence_.q_pool.size()
-                                  : evidence_.entries[e.parent].pr_matches.size();
-    const size_t parent_ant =
-        e.parent == kEvidenceRoot
-            ? evidence_.qbar_pool.size()
-            : evidence_.entries[e.parent].ant_matches.size();
-    ps->evidence_bytes_full += FullEncodedBytes(e.pr_matches.size()) +
-                               FullEncodedBytes(e.ant_matches.size());
-    ps->evidence_bytes_delta +=
-        DeltaEncodedBytes(e.pr_matches.size(), parent_pr) +
-        DeltaEncodedBytes(e.ant_matches.size(), parent_ant);
-  }
   ps->seconds = SecondsSince(t0);
   return Status::OK();
 }

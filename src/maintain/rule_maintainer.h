@@ -21,11 +21,12 @@ namespace gpar {
 /// Options for `RuleMaintainer`.
 struct MaintainOptions {
   /// The mining parameters the maintained rule set is defined by. Every
-  /// refresh pass replays DMine's discovery skeleton under these exact
-  /// parameters (the maintained output is DEFINED as what `Dmine` would
-  /// return on the current graph), so they are fixed at construction and
-  /// persisted with the evidence. `num_workers` is irrelevant here — DMine
-  /// results are worker-count-independent and the maintainer patches
+  /// refresh pass runs DMine's levelwise driver (`RunLevelwise`) under
+  /// these exact parameters (the maintained output is DEFINED as what
+  /// `Dmine` would return on the current graph), so they are fixed at
+  /// construction and persisted with the evidence. They must pass
+  /// `ValidateMiningOptions`. `num_workers` is irrelevant here — DMine
+  /// results are worker-count-independent and the maintainer evaluates
   /// sequentially — and `enable_prune_aware_usupp` is rejected (its Usupp
   /// tightening depends on fragment geometry the maintainer does not have).
   DmineOptions mine;
@@ -75,11 +76,12 @@ struct MaintainStats {
 /// The maintained invariant: after every pass, `topk()`/`objective()` (and
 /// the supports/confidences of every rule in Σ) equal what
 /// `Dmine(current graph, q, options.mine)` would return, byte-for-byte.
-/// Each pass replays DMine's cheap discovery skeleton — seed alphabet,
-/// levelwise candidate generation, automorphism dedup, incDiv, reduction
-/// rules — but replaces the expensive part, match evaluation, with evidence
-/// patching: by the locality property (Section 5.1) a center's membership
-/// in a pattern of eval radius r depends only on G_r(center), so only
+/// Each pass runs DMine's levelwise driver (`RunLevelwise`: seed alphabet,
+/// candidate generation, automorphism dedup, incDiv, reduction rules) with
+/// sequential candidate generation and, in place of DMine's fragment
+/// workers, evidence patching for the expensive part, match evaluation: by
+/// the locality property (Section 5.1) a center's membership in a pattern
+/// of eval radius r depends only on G_r(center), so only
 /// centers within d hops of a touched edge (`DeltaAffectedRegion`) are
 /// re-probed; every other membership is carried from the previous pass's
 /// evidence. A candidate whose pattern has no prior evidence (a sigma
@@ -160,20 +162,15 @@ class RuleMaintainer {
   /// seed pass and the incremental-off ablation).
   Status RefreshPass(const std::unordered_map<NodeId, uint32_t>* affected,
                      MaintainStats* ps);
-  void RebuildIndex();
 
   MaintainOptions options_;
   std::shared_ptr<const Graph> graph_;
   Predicate q_;
-  Pattern pq_;    ///< P_q: x --q--> y
-  Pattern base_;  ///< the bare two-node antecedent round 1 extends
 
   /// The current evidence: pools + per-candidate match sets of the latest
   /// pass (ALL evaluated candidates, sub-sigma ones included — that is
   /// what makes upward sigma crossings cheap).
   RuleSetEvidence evidence_;
-  /// StructuralHash(entry.rule.pr()) -> indices into evidence_.entries.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index_;
 
   std::vector<std::shared_ptr<MinedRule>> topk_;
   double objective_ = 0;

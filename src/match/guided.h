@@ -25,7 +25,7 @@ namespace gpar {
 /// touches never pay for a sketch (crucial on large fragments, where an
 /// eager index would dwarf the matching work itself). View-backed matchers
 /// sketch the view-induced subgraph (BFS restricted to members), so
-/// filtering and ordering match the copied-fragment baseline exactly.
+/// filtering and ordering match the induced subgraph exactly.
 class GuidedMatcher : public Matcher {
  public:
   explicit GuidedMatcher(const Graph& g, uint32_t k = 2)

@@ -6,14 +6,11 @@
 
 #include "graph/partition.h"
 #include "match/matcher.h"
-#include "mine/inc_div.h"
-#include "mine/reduction.h"
+#include "mine/levelwise.h"
 #include "pattern/automorphism.h"
 #include "pattern/bisimulation.h"
 #include "pattern/pattern_ops.h"
-#include "rule/diversity.h"
 #include "rule/match_delta.h"
-#include "rule/metrics.h"
 
 namespace gpar {
 
@@ -95,14 +92,13 @@ std::vector<Gpar> GenerateExtensions(const Pattern& antecedent,
 
 namespace {
 
-/// Per-worker evaluation context over one fragment.
-struct WorkerState {
+/// Per-worker evaluation context over one fragment. Aligned so a worker's
+/// per-probe counter writes never share a cache line with the next worker.
+struct alignas(64) WorkerState {
   const Fragment* frag = nullptr;
   std::unique_ptr<VF2Matcher> matcher;
   std::vector<uint32_t> q_centers;     // center indices in P_q(x, ·)
   std::vector<uint32_t> qbar_centers;  // center indices in the ~q pool
-  uint64_t supp_q_local = 0;
-  uint64_t supp_qbar_local = 0;
   uint64_t exists_calls = 0;
   uint64_t centers_skipped = 0;
   uint64_t evidence_bytes_full = 0;
@@ -134,6 +130,287 @@ struct LocalStats {
 uint64_t DeltaWireBytes(const MatchSetDelta& d) {
   return 1 + 4 + 4 * static_cast<uint64_t>(d.payload.size());
 }
+
+/// DMine's evaluation strategy: BSP fragment workers propose candidates
+/// and count local supports; coordinator sections merge proposals and
+/// assemble the per-fragment counts and lineage.
+class FragmentEvaluator : public LevelwiseEvaluator {
+ public:
+  FragmentEvaluator(BspRuntime* bsp, const Partitioning& parts,
+                    const Predicate& q, const DmineOptions& options,
+                    DmineStats* stats)
+      : bsp_(*bsp), q_(q), options_(options), stats_(*stats),
+        workers_(options.num_workers) {
+    for (uint32_t i = 0; i < options.num_workers; ++i) {
+      workers_[i].frag = &parts.fragments[i];
+    }
+  }
+
+  void Coordinator(const std::function<void()>& section) override {
+    bsp_.RunCoordinator(section);
+  }
+
+  LevelwisePools EvaluatePools(const SearchPlanStore& plans) override {
+    const Pattern pq = q_.ToPattern();
+    bsp_.RunRound([&](uint32_t i) {
+      WorkerState& w = workers_[i];
+      w.matcher = std::make_unique<VF2Matcher>(w.frag->view);
+      w.matcher->set_plan_store(&plans);
+      for (size_t c = 0; c < w.frag->centers.size(); ++c) {
+        const NodeId center = w.frag->centers[c];
+        ++w.exists_calls;
+        if (w.matcher->ExistsAt(pq, center)) {
+          w.q_centers.push_back(static_cast<uint32_t>(c));
+        } else if (w.frag->view.HasOutLabel(center, q_.edge_label)) {
+          w.qbar_centers.push_back(static_cast<uint32_t>(c));
+        }
+      }
+    });
+    LevelwisePools pools;
+    for (const WorkerState& w : workers_) {
+      pools.supp_q += w.q_centers.size();
+      pools.supp_qbar += w.qbar_centers.size();
+    }
+    return pools;
+  }
+
+  // Workers propose the extensions of the parents that survive locally
+  // (round 1 extends the bare predicate from the q-pool). A parent may
+  // survive in several fragments; since every surviving fragment would
+  // enumerate the identical deterministic extension set, exactly one of
+  // them — round-robin over the survivors by parent index, for balance —
+  // materializes and ships the proposals. Each worker derives the
+  // assignment locally from the broadcast lineage (no extra coordinator
+  // round). Without parent lineage (prune off) the survivor set degrades to
+  // "fragments with a non-empty q-pool". MergeProposals keeps the
+  // duplicate-collapse path regardless, as a tripwire
+  // (`cross_fragment_merged` stays 0 unless the assignment ever
+  // double-proposes).
+  void Generate(const Pattern& base,
+                const std::vector<std::shared_ptr<MinedRule>>& parents,
+                const Extender& extend, std::vector<Gpar>* fresh,
+                std::vector<size_t>* fresh_parent) override {
+    const uint32_t n = options_.num_workers;
+    const bool prune = options_.enable_parent_prune;
+    auto proposals = bsp_.RunRound([&](uint32_t wi) {
+      const WorkerState& w = workers_[wi];
+      std::vector<CandidateProposal> out;
+      // survives(j): fragment j holds centers this parent can extend at.
+      // Every extendable parent (and, round 1, the bare predicate, since
+      // supp_q > 0 here) survives in at least one fragment; correctness
+      // only needs *one deterministic owner per parent*, so a
+      // survivor-free parent (impossible by the invariant above) would
+      // still be assigned soundly, just without the locality rationale.
+      auto owner_of = [&](size_t pi, auto survives) -> uint32_t {
+        uint32_t count = 0;
+        for (uint32_t j = 0; j < n; ++j) {
+          if (survives(j)) ++count;
+        }
+        if (count == 0) return static_cast<uint32_t>(pi % n);
+        uint32_t target = static_cast<uint32_t>(pi % count);
+        for (uint32_t j = 0; j < n; ++j) {
+          if (!survives(j)) continue;
+          if (target == 0) return j;
+          --target;
+        }
+        return 0;  // unreachable: count > 0
+      };
+      auto propose_from = [&](const Pattern& ant, size_t parent_idx,
+                              size_t evidence) {
+        std::vector<Gpar> ext = extend(ant);
+        for (uint32_t e = 0; e < ext.size(); ++e) {
+          CandidateProposal p;
+          p.parent = parent_idx;
+          p.ext_ordinal = e;
+          p.structural_hash = StructuralHash(ext[e].pr());
+          p.local_evidence = static_cast<uint32_t>(evidence);
+          p.rule = std::move(ext[e]);
+          out.push_back(std::move(p));
+        }
+      };
+      auto q_pool = [&](uint32_t j) {
+        return !workers_[j].q_centers.empty();
+      };
+      if (parents.empty()) {
+        if (owner_of(0, q_pool) == wi) {
+          propose_from(base, kRootParent, w.q_centers.size());
+        }
+        return out;
+      }
+      for (size_t pi = 0; pi < parents.size(); ++pi) {
+        const MinedRule& parent = *parents[pi];
+        const uint32_t owner =
+            prune ? owner_of(pi,
+                             [&](uint32_t j) {
+                               return !parent.frag_pr_centers[j].empty();
+                             })
+                  : owner_of(pi, q_pool);
+        if (owner != wi) continue;
+        propose_from(parent.rule.antecedent(), pi,
+                     prune ? parent.frag_pr_centers[wi].size()
+                           : w.q_centers.size());
+      }
+      return out;
+    });
+    // Coordinator: its generation role is the cross-fragment
+    // (parent, ordinal) merge; the driver's dedup and cap follow.
+    bsp_.RunCoordinator([&] {
+      const double start = ThreadCpuSeconds();
+      if (stats_.proposals_per_worker.empty()) {
+        stats_.proposals_per_worker.assign(n, 0);
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        stats_.proposals_per_worker[i] += proposals[i].size();
+      }
+      std::vector<CandidateProposal> merged =
+          MergeProposals(std::move(proposals), &stats_);
+      fresh->reserve(merged.size());
+      fresh_parent->reserve(merged.size());
+      for (CandidateProposal& p : merged) {
+        fresh->push_back(std::move(p.rule));
+        fresh_parent->push_back(p.parent);
+      }
+      stats_.coordinator_merge_seconds += ThreadCpuSeconds() - start;
+    });
+  }
+
+  std::vector<std::shared_ptr<MinedRule>> Evaluate(
+      const std::vector<Gpar>& candidates,
+      const std::vector<size_t>& cand_parent,
+      const std::vector<char>& other_ok,
+      const std::vector<std::shared_ptr<MinedRule>>& parents) override {
+    const uint32_t n = options_.num_workers;
+    const bool prune = options_.enable_parent_prune;
+    const bool usupp_tight = options_.enable_prune_aware_usupp;
+    // With parent pruning, a candidate is only probed at the centers where
+    // its parent rule matched (per fragment, per side): anti-monotonicity
+    // guarantees every other center fails, so skipping it cannot change
+    // any support. Without pruning (ablation), every candidate re-tests the
+    // full round-0 pools.
+    auto parent_of = [&](size_t ci) -> const MinedRule* {
+      if (!prune || cand_parent[ci] == kRootParent) return nullptr;
+      return parents[cand_parent[ci]].get();
+    };
+    auto pr_pool = [&](const MinedRule* parent, uint32_t i) {
+      return parent ? std::span<const uint32_t>(parent->frag_pr_centers[i])
+                    : std::span<const uint32_t>(workers_[i].q_centers);
+    };
+    auto ant_pool = [&](const MinedRule* parent, uint32_t i) {
+      return parent ? std::span<const uint32_t>(parent->frag_ant_centers[i])
+                    : std::span<const uint32_t>(workers_[i].qbar_centers);
+    };
+
+    // --- Workers: local support counting over owned centers.
+    std::vector<std::vector<LocalStats>> local(n);
+    bsp_.RunRound([&](uint32_t i) {
+      WorkerState& w = workers_[i];
+      local[i].assign(candidates.size(), {});
+      for (size_t ci = 0; ci < candidates.size(); ++ci) {
+        const Gpar& r = candidates[ci];
+        LocalStats& ls = local[i][ci];
+        const MinedRule* parent = parent_of(ci);
+        // P_R matches live inside the q-match pool (or the parent's
+        // surviving subset of it).
+        const std::span<const uint32_t> prs = pr_pool(parent, i);
+        w.centers_skipped += w.q_centers.size() - prs.size();
+        for (uint32_t c : prs) {
+          const NodeId center = w.frag->centers[c];
+          ++w.exists_calls;
+          if (w.matcher->ExistsAt(r.pr(), center)) {
+            ++ls.supp_r;
+            ls.matches_global.push_back(center);
+            // Anti-monotonicity makes supp_r a sound Usupp bound: any
+            // extension matches a subset of these centers. The prune-aware
+            // tightening (flagged) additionally requires the center's N_d
+            // to still have room to grow.
+            if (!usupp_tight || w.frag->center_hops_available[c] > 0) {
+              ++ls.usupp;
+            }
+            ls.extendable = true;
+            if (prune) ls.pr_centers.push_back(c);
+          }
+        }
+        // Antecedent membership: x-component locally (exact within the
+        // d-hop fragment), remaining components pre-checked globally.
+        const std::span<const uint32_t> ants = ant_pool(parent, i);
+        if (other_ok[ci]) {
+          w.centers_skipped += w.qbar_centers.size() - ants.size();
+          for (uint32_t c : ants) {
+            ++w.exists_calls;
+            if (w.matcher->ExistsAt(r.x_component(), w.frag->centers[c])) {
+              ++ls.supp_qqbar;
+              if (prune) ls.ant_centers.push_back(c);
+            }
+          }
+        }
+        if (prune) {
+          // Ship the lineage as deltas against the probed pools (the
+          // match-set-delta BSP message).
+          ls.pr_delta = EncodeMatchSet(ls.pr_centers, prs);
+          ls.ant_delta = EncodeMatchSet(ls.ant_centers, ants);
+          w.evidence_bytes_full += FullEncodedBytes(ls.pr_centers.size()) +
+                                   FullEncodedBytes(ls.ant_centers.size());
+          w.evidence_bytes_delta +=
+              DeltaWireBytes(ls.pr_delta) + DeltaWireBytes(ls.ant_delta);
+          ls.pr_centers = {};
+          ls.ant_centers = {};
+        }
+      }
+    });
+
+    // --- Coordinator: sum the local counts and decode the lineage.
+    std::vector<std::shared_ptr<MinedRule>> rules(candidates.size());
+    bsp_.RunCoordinator([&] {
+      for (size_t ci = 0; ci < candidates.size(); ++ci) {
+        auto rule = std::make_shared<MinedRule>();
+        rule->rule = candidates[ci];
+        const MinedRule* parent = parent_of(ci);
+        if (prune) {
+          rule->frag_pr_centers.resize(n);
+          rule->frag_ant_centers.resize(n);
+        }
+        for (uint32_t i = 0; i < n; ++i) {
+          LocalStats& ls = local[i][ci];
+          rule->supp += ls.supp_r;
+          rule->supp_qqbar += ls.supp_qqbar;
+          rule->usupp += ls.usupp;
+          rule->extendable = rule->extendable || ls.extendable;
+          rule->matches.insert(rule->matches.end(), ls.matches_global.begin(),
+                               ls.matches_global.end());
+          if (prune) {
+            // Decode against the same pools the worker encoded from; the
+            // round trip is exact (the worker encoded a true subset).
+            rule->frag_pr_centers[i] =
+                DecodeMatchSet(ls.pr_delta, pr_pool(parent, i)).value();
+            rule->frag_ant_centers[i] =
+                DecodeMatchSet(ls.ant_delta, ant_pool(parent, i)).value();
+          }
+        }
+        std::sort(rule->matches.begin(), rule->matches.end());
+        rules[ci] = std::move(rule);
+      }
+    });
+    return rules;
+  }
+
+  /// Folds the per-worker counters into the run's stats.
+  void FinishStats() const {
+    for (const WorkerState& w : workers_) {
+      stats_.exists_calls += w.exists_calls;
+      stats_.centers_skipped_by_parent += w.centers_skipped;
+      stats_.evidence_bytes_full += w.evidence_bytes_full;
+      stats_.evidence_bytes_delta += w.evidence_bytes_delta;
+      stats_.plans_shared_hits += w.matcher->plan_store_hits();
+    }
+  }
+
+ private:
+  BspRuntime& bsp_;
+  const Predicate& q_;
+  const DmineOptions& options_;
+  DmineStats& stats_;
+  std::vector<WorkerState> workers_;
+};
 
 }  // namespace
 
@@ -227,512 +504,21 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
   if (options.num_workers == 0) {
     return Status::InvalidArgument("num_workers must be positive");
   }
-  if (options.k < 2) {
-    return Status::InvalidArgument("k must be at least 2");
-  }
-  if (options.d == 0) {
-    return Status::InvalidArgument("d must be at least 1");
-  }
+  GPAR_RETURN_NOT_OK(ValidateMiningOptions(options));
 
   DmineResult result;
   BspRuntime bsp(options.num_workers);
+  const auto span = g.nodes_with_label(q.x_label);
+  const std::vector<NodeId> centers(span.begin(), span.end());
+  GPAR_ASSIGN_OR_RETURN(
+      Partitioning parts,
+      PartitionGraph(g, centers, {options.num_workers, options.d}));
 
-  // --- Setup: candidates, fragments, seed alphabet. -----------------------
-  std::vector<NodeId> centers;
-  {
-    auto span = g.nodes_with_label(q.x_label);
-    centers.assign(span.begin(), span.end());
-  }
-  PartitionOptions popt;
-  popt.num_fragments = options.num_workers;
-  popt.d = options.d;
-  popt.use_fragment_copies = options.use_fragment_copies;
-  GPAR_ASSIGN_OR_RETURN(Partitioning parts, PartitionGraph(g, centers, popt));
-
-  std::vector<EdgePatternStat> seeds =
-      FrequentEdgePatterns(g, options.seed_edge_limit);
-
-  std::vector<WorkerState> workers(options.num_workers);
-  const Pattern pq = q.ToPattern();
-
-  // Shared search-plan store: the coordinator plans each round's patterns
-  // once; worker matchers consult it read-only during rounds (patterns are
-  // identical across fragments, so per-worker planning is pure redundancy).
-  SearchPlanStore plan_store(g);
-  if (options.enable_shared_plans) {
-    bsp.RunCoordinator([&] {
-      PNodeId px = pq.x();
-      plan_store.Prepare(pq, {&px, 1});
-    });
-  }
-
-  // Round 0: per-fragment matcher construction and the q / ~q sets, which
-  // "never change and hence are derived once for all". View-backed
-  // fragments match directly on global ids over the parent CSR; the copied
-  // path (ablation) translates through MatchId.
-  bsp.RunRound([&](uint32_t i) {
-    WorkerState& w = workers[i];
-    w.frag = &parts.fragments[i];
-    w.matcher = w.frag->uses_copy()
-                    ? std::make_unique<VF2Matcher>(w.frag->copy->graph)
-                    : std::make_unique<VF2Matcher>(w.frag->view);
-    if (options.enable_shared_plans) w.matcher->set_plan_store(&plan_store);
-    const size_t nc = w.frag->centers.size();
-    for (size_t c = 0; c < nc; ++c) {
-      const NodeId global = w.frag->centers[c];
-      const NodeId probe = w.frag->MatchId(global);
-      ++w.exists_calls;
-      if (w.matcher->ExistsAt(pq, probe)) {
-        w.q_centers.push_back(static_cast<uint32_t>(c));
-        ++w.supp_q_local;
-      } else if (w.frag->HasOutLabelAt(global, q.edge_label)) {
-        w.qbar_centers.push_back(static_cast<uint32_t>(c));
-        ++w.supp_qbar_local;
-      }
-    }
-  });
-
-  uint64_t supp_q = 0, supp_qbar = 0;
-  for (const WorkerState& w : workers) {
-    supp_q += w.supp_q_local;
-    supp_qbar += w.supp_qbar_local;
-  }
-  result.stats.supp_q = supp_q;
-  result.stats.supp_qbar = supp_qbar;
-
-  // Trivial case: q(x, y) names no one in G — no interesting GPARs exist.
-  // Degenerate case: no ~q "negative" pool (every x-candidate with a q-edge
-  // already satisfies q). Every discovered rule would have supp(Q~q) = 0 —
-  // a trivial logic rule the paper discards — so mining finds nothing, and
-  // returning early keeps n_norm = supp_q * supp_qbar = 0 away from the
-  // objective's division paths (which are additionally guarded in
-  // FPrime/ObjectiveF).
-  if (supp_q == 0 || supp_qbar == 0) {
-    for (const WorkerState& w : workers) {
-      result.stats.exists_calls += w.exists_calls;
-      result.stats.plans_shared_hits += w.matcher->plan_store_hits();
-    }
-    result.stats.plans_prepared = plan_store.patterns_planned();
-    result.times = bsp.FinishTiming();
-    return result;
-  }
-  const double n_norm =
-      static_cast<double>(supp_q) * static_cast<double>(supp_qbar);
-
-  IncDiv incdiv(options.k, options.lambda, n_norm);
-  std::vector<std::shared_ptr<MinedRule>> sigma;  // Σ
-  std::unordered_map<uint64_t, std::vector<Pattern>> seen_buckets;
-
-  // M: the rules to extend next round, each carrying its per-fragment match
-  // sets — the parent pools the workers restrict to. Round 1 extends the
-  // base "rule", bare q(x, y): an antecedent with just the designated nodes
-  // and no edges, whose pools are the round-0 q / ~q center sets.
-  Pattern base;
-  {
-    PNodeId x = base.AddNode(q.x_label);
-    PNodeId y = base.AddNode(q.y_label);
-    base.set_x(x);
-    base.set_y(y);
-  }
-  std::vector<std::shared_ptr<MinedRule>> m_parents;
-
-  // A full-graph matcher for the (rare) antecedent components that do not
-  // contain x: their matches can live anywhere in G, so the coordinator
-  // checks their satisfiability once per candidate rule.
-  VF2Matcher global_matcher(g);
-
-  // With parent pruning, a candidate is only probed at the centers where
-  // its parent rule matched (per fragment, per side): anti-monotonicity
-  // guarantees every other center fails, so skipping it cannot change any
-  // support. Without pruning (ablation), every candidate re-tests the
-  // full round-0 pools — the pre-lineage cost structure.
-  const bool prune = options.enable_parent_prune;
-  const bool worker_gen = options.enable_worker_gen;
-  const bool usupp_tight = options.enable_prune_aware_usupp;
-
-  // Each round grows antecedents by one edge (radius capped at d by the
-  // generator), up to max_pattern_edges edges — the levelwise structure of
-  // DMine with the growth alphabet of seed edge patterns.
-  for (uint32_t round = 1;
-       round <= options.max_pattern_edges &&
-       (round == 1 || !m_parents.empty());
-       ++round) {
-    // --- Candidate generation: this round's fresh extension stream, in
-    // (parent, generation-ordinal) order, before dedup. Both paths produce
-    // the identical stream; they differ only in *where* the enumeration
-    // work runs.
-    std::vector<Gpar> fresh;
-    std::vector<size_t> fresh_parent;
-    // coordinator_merge_seconds spans every coordinator section from here
-    // through dedup/cap: merge-only under worker_gen, full generation +
-    // dedup on the centralized path — the share the WorkerGen ablation
-    // compares. (Worker rounds in between add nothing to it.)
-    const double merge_start = bsp.times().coordinator_seconds;
-    if (worker_gen) {
-      // Workers: propose extensions from the parents that survive locally
-      // (lineage sets from PR 2; round 1 extends the bare predicate from
-      // the q-pool). A parent may survive in several fragments; since every
-      // surviving fragment would enumerate the identical deterministic
-      // extension set, exactly one of them — round-robin over the
-      // survivors by parent index, for balance — materializes and ships
-      // the proposals. Each worker derives the assignment locally from the
-      // broadcast lineage (no extra coordinator round), and only ever
-      // generates from parents whose matches live in its own fragment.
-      // Without parent lineage (prune off) the survivor set degrades to
-      // "fragments with a non-empty q-pool". MergeProposals keeps the
-      // duplicate-collapse path regardless, as a tripwire
-      // (`cross_fragment_merged` stays 0 unless the assignment ever
-      // double-proposes).
-      auto proposals = bsp.RunRound([&](uint32_t wi) {
-        const WorkerState& w = workers[wi];
-        std::vector<CandidateProposal> out;
-        // survives(j): fragment j holds centers this parent can extend at.
-        // Every extendable parent (and, round 1, the bare predicate, since
-        // supp_q > 0 here) survives in at least one fragment; correctness
-        // only needs *one deterministic owner per parent*, so a survivor-
-        // free parent (impossible by the invariant above) would still be
-        // assigned soundly, just without the locality rationale.
-        auto owner_of = [&](size_t pi, auto survives) -> uint32_t {
-          uint32_t count = 0;
-          for (uint32_t j = 0; j < options.num_workers; ++j) {
-            if (survives(j)) ++count;
-          }
-          if (count == 0) {
-            return static_cast<uint32_t>(pi % options.num_workers);
-          }
-          uint32_t target = static_cast<uint32_t>(pi % count);
-          for (uint32_t j = 0; j < options.num_workers; ++j) {
-            if (!survives(j)) continue;
-            if (target == 0) return j;
-            --target;
-          }
-          return 0;  // unreachable: count > 0
-        };
-        auto propose_from = [&](const Pattern& ant, size_t parent_idx,
-                                uint32_t evidence) {
-          std::vector<Gpar> ext = GenerateExtensions(
-              ant, q.edge_label, options.d, options.max_pattern_edges, seeds);
-          for (uint32_t e = 0; e < ext.size(); ++e) {
-            CandidateProposal p;
-            p.parent = parent_idx;
-            p.ext_ordinal = e;
-            p.structural_hash = StructuralHash(ext[e].pr());
-            p.local_evidence = evidence;
-            p.rule = std::move(ext[e]);
-            out.push_back(std::move(p));
-          }
-        };
-        auto q_pool = [&](uint32_t j) {
-          return !workers[j].q_centers.empty();
-        };
-        if (round == 1) {
-          if (owner_of(0, q_pool) == wi) {
-            propose_from(base, kRootParent,
-                         static_cast<uint32_t>(w.q_centers.size()));
-          }
-        } else {
-          for (size_t pi = 0; pi < m_parents.size(); ++pi) {
-            const uint32_t owner =
-                prune ? owner_of(pi,
-                                 [&](uint32_t j) {
-                                   return !m_parents[pi]
-                                               ->frag_pr_centers[j]
-                                               .empty();
-                                 })
-                      : owner_of(pi, q_pool);
-            if (owner != wi) continue;
-            const size_t evidence = prune
-                                        ? m_parents[pi]->frag_pr_centers[wi].size()
-                                        : w.q_centers.size();
-            propose_from(m_parents[pi]->rule.antecedent(), pi,
-                         static_cast<uint32_t>(evidence));
-          }
-        }
-        return out;
-      });
-      // Coordinator: its generation role shrinks to the cross-fragment
-      // (parent, ordinal) merge; automorphism dedup + cap follow below,
-      // shared with the centralized path.
-      bsp.RunCoordinator([&] {
-        if (result.stats.proposals_per_worker.empty()) {
-          result.stats.proposals_per_worker.assign(options.num_workers, 0);
-        }
-        for (uint32_t i = 0; i < options.num_workers; ++i) {
-          result.stats.proposals_per_worker[i] += proposals[i].size();
-        }
-        std::vector<CandidateProposal> merged =
-            MergeProposals(std::move(proposals), &result.stats);
-        result.stats.candidates_generated += merged.size();
-        fresh.reserve(merged.size());
-        fresh_parent.reserve(merged.size());
-        for (CandidateProposal& p : merged) {
-          fresh.push_back(std::move(p.rule));
-          fresh_parent.push_back(p.parent);
-        }
-      });
-    } else {
-      // Centralized baseline: the coordinator enumerates every parent's
-      // extensions itself (the pre-decentralization contract, kept for the
-      // Exp-1 A/B ablation).
-      bsp.RunCoordinator([&] {
-        auto generate_from = [&](const Pattern& ant, size_t parent_idx) {
-          std::vector<Gpar> ext = GenerateExtensions(
-              ant, q.edge_label, options.d, options.max_pattern_edges, seeds);
-          result.stats.candidates_generated += ext.size();
-          for (Gpar& e : ext) {
-            fresh.push_back(std::move(e));
-            fresh_parent.push_back(parent_idx);
-          }
-        };
-        if (round == 1) {
-          generate_from(base, kRootParent);
-        } else {
-          for (size_t pi = 0; pi < m_parents.size(); ++pi) {
-            generate_from(m_parents[pi]->rule.antecedent(), pi);
-          }
-        }
-      });
-    }
-
-    // --- Coordinator: automorphism dedup + cap + global component check,
-    // identical under both generation paths (same fresh stream in, same
-    // candidate set out). coordinator_merge_seconds isolates this round's
-    // candidate-production share of the coordinator from assembly/incDiv.
-    std::vector<Gpar> candidates;
-    std::vector<size_t> cand_parent;  // per candidate: m_parents index
-    std::vector<char> other_ok;  // per candidate: non-x components matchable
-    bsp.RunCoordinator([&] {
-      std::vector<size_t> kept = DedupCandidates(
-          fresh, options.max_candidates_per_round, &seen_buckets,
-          options.enable_bisim_prefilter, &result.stats);
-      candidates.reserve(kept.size());
-      cand_parent.reserve(kept.size());
-      for (size_t idx : kept) {
-        candidates.push_back(std::move(fresh[idx]));
-        cand_parent.push_back(fresh_parent[idx]);
-      }
-      result.stats.candidates_verified += candidates.size();
-      other_ok.assign(candidates.size(), 1);
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        for (const Pattern& comp : candidates[ci].other_components()) {
-          if (!global_matcher.Exists(comp)) {
-            other_ok[ci] = 0;
-            break;
-          }
-        }
-      }
-    });
-    result.stats.coordinator_merge_seconds +=
-        bsp.times().coordinator_seconds - merge_start;
-    if (candidates.empty()) break;
-
-    // Plan this round's patterns once into the shared store (outside the
-    // merge-seconds window: planning is not part of the generation-path
-    // A/B the WorkerGen ablation measures). Workers then probe P_R and the
-    // antecedent's x-component anchored at x with store-served plans.
-    if (options.enable_shared_plans) {
-      bsp.RunCoordinator([&] {
-        for (const Gpar& r : candidates) {
-          PNodeId prx = r.pr().x();
-          plan_store.Prepare(r.pr(), {&prx, 1});
-          PNodeId qx = r.x_component().x();
-          plan_store.Prepare(r.x_component(), {&qx, 1});
-        }
-      });
-    }
-
-    // --- Workers: local support counting over owned centers. -------------
-    std::vector<std::vector<LocalStats>> local(options.num_workers);
-    bsp.RunRound([&](uint32_t i) {
-      WorkerState& w = workers[i];
-      local[i].assign(candidates.size(), {});
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        const Gpar& r = candidates[ci];
-        LocalStats& ls = local[i][ci];
-        const MinedRule* parent = nullptr;
-        if (prune && cand_parent[ci] != kRootParent) {
-          parent = m_parents[cand_parent[ci]].get();
-        }
-        // P_R matches live inside the q-match pool (or the parent's
-        // surviving subset of it).
-        std::span<const uint32_t> pr_pool =
-            parent ? std::span<const uint32_t>(parent->frag_pr_centers[i])
-                   : std::span<const uint32_t>(w.q_centers);
-        w.centers_skipped += w.q_centers.size() - pr_pool.size();
-        for (uint32_t c : pr_pool) {
-          const NodeId global = w.frag->centers[c];
-          ++w.exists_calls;
-          if (w.matcher->ExistsAt(r.pr(), w.frag->MatchId(global))) {
-            ++ls.supp_r;
-            ls.matches_global.push_back(global);
-            // Anti-monotonicity makes supp_r a sound Usupp bound: any
-            // extension matches a subset of these centers. The prune-aware
-            // tightening (flagged) additionally requires the center's N_d
-            // to still have room to grow.
-            if (!usupp_tight || w.frag->center_hops_available[c] > 0) {
-              ++ls.usupp;
-            }
-            ls.extendable = true;
-            if (prune) ls.pr_centers.push_back(c);
-          }
-        }
-        // Antecedent membership: x-component locally (exact within the
-        // d-hop fragment), remaining components pre-checked globally.
-        std::span<const uint32_t> ant_pool =
-            parent ? std::span<const uint32_t>(parent->frag_ant_centers[i])
-                   : std::span<const uint32_t>(w.qbar_centers);
-        if (other_ok[ci]) {
-          w.centers_skipped += w.qbar_centers.size() - ant_pool.size();
-          for (uint32_t c : ant_pool) {
-            const NodeId probe = w.frag->MatchId(w.frag->centers[c]);
-            ++w.exists_calls;
-            if (w.matcher->ExistsAt(r.x_component(), probe)) {
-              ++ls.supp_qqbar;
-              if (prune) ls.ant_centers.push_back(c);
-            }
-          }
-        }
-        if (prune) {
-          // Ship the lineage as deltas against the probed pools (the
-          // match-set-delta BSP message); the coordinator decodes against
-          // the identical pools at assembly.
-          ls.pr_delta = EncodeMatchSet(ls.pr_centers, pr_pool);
-          ls.ant_delta = EncodeMatchSet(ls.ant_centers, ant_pool);
-          w.evidence_bytes_full += FullEncodedBytes(ls.pr_centers.size()) +
-                                   FullEncodedBytes(ls.ant_centers.size());
-          w.evidence_bytes_delta +=
-              DeltaWireBytes(ls.pr_delta) + DeltaWireBytes(ls.ant_delta);
-          ls.pr_centers = {};
-          ls.ant_centers = {};
-        }
-      }
-    });
-
-    // --- Coordinator: assemble, filter, diversify, reduce. ---------------
-    std::vector<std::shared_ptr<MinedRule>> delta;
-    bsp.RunCoordinator([&] {
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        auto rule = std::make_shared<MinedRule>();
-        rule->rule = candidates[ci];
-        uint64_t usupp = 0;
-        const MinedRule* parent = nullptr;
-        if (prune && cand_parent[ci] != kRootParent) {
-          parent = m_parents[cand_parent[ci]].get();
-        }
-        if (prune) {
-          rule->frag_pr_centers.resize(options.num_workers);
-          rule->frag_ant_centers.resize(options.num_workers);
-        }
-        for (uint32_t i = 0; i < options.num_workers; ++i) {
-          LocalStats& ls = local[i][ci];
-          rule->supp += ls.supp_r;
-          rule->supp_qqbar += ls.supp_qqbar;
-          usupp += ls.usupp;
-          rule->extendable = rule->extendable || ls.extendable;
-          rule->matches.insert(rule->matches.end(), ls.matches_global.begin(),
-                               ls.matches_global.end());
-          if (prune) {
-            // Decode the shipped lineage deltas against the same pools the
-            // worker encoded them from. The round trip is exact (the worker
-            // encoded a true subset), so lineage is byte-identical to the
-            // pre-delta raw lists.
-            std::span<const uint32_t> pr_pool =
-                parent ? std::span<const uint32_t>(parent->frag_pr_centers[i])
-                       : std::span<const uint32_t>(workers[i].q_centers);
-            std::span<const uint32_t> ant_pool =
-                parent ? std::span<const uint32_t>(parent->frag_ant_centers[i])
-                       : std::span<const uint32_t>(workers[i].qbar_centers);
-            auto pr = DecodeMatchSet(ls.pr_delta, pr_pool);
-            auto ant = DecodeMatchSet(ls.ant_delta, ant_pool);
-            rule->frag_pr_centers[i] = std::move(pr).value();
-            rule->frag_ant_centers[i] = std::move(ant).value();
-          }
-        }
-        std::sort(rule->matches.begin(), rule->matches.end());
-        rule->usupp = usupp;
-        rule->uconf_plus = UConfPlus(usupp, supp_qbar, supp_q);
-        if (rule->supp < options.sigma) continue;
-        if (rule->supp_qqbar == 0) {
-          // Trivial "logic rule": holds on all of Q(x, G); discarded per
-          // the paper's trivial-GPAR handling.
-          ++result.stats.trivial_discarded;
-          continue;
-        }
-        rule->conf =
-            BayesFactorConf(rule->supp, supp_qbar, rule->supp_qqbar, supp_q);
-        delta.push_back(std::move(rule));
-      }
-      result.stats.accepted += delta.size();
-      sigma.insert(sigma.end(), delta.begin(), delta.end());
-
-      if (options.enable_incremental_div) {
-        incdiv.AddRound(delta, sigma);
-        if (options.enable_reduction_rules) {
-          ReductionStats rs = ApplyReductionRules(
-              sigma, delta, incdiv.MinPairFPrime(), options.lambda, n_norm,
-              options.k,
-              [&](const MinedRule* r) { return incdiv.InQueue(r); });
-          result.stats.pruned_by_reduction += rs.pruned_sigma + rs.pruned_delta;
-        }
-      } else {
-        // DMineno recomputes the diversified top-k from scratch every round
-        // instead of maintaining it incrementally — the cost the paper's
-        // Exp-1 ablation measures.
-        result.topk =
-            FullDiversify(sigma, options.k, options.lambda, n_norm);
-      }
-
-      // Next round's M: extendable, unpruned survivors of this round. The
-      // outgoing parents' match sets have served their one round; release
-      // them (Σ keeps the rules themselves alive for diversification).
-      for (const auto& p : m_parents) {
-        p->frag_pr_centers = {};
-        p->frag_ant_centers = {};
-      }
-      m_parents.clear();
-      for (const auto& r : delta) {
-        if (!r->extendable || r->pruned ||
-            r->rule.antecedent().num_edges() >= options.max_pattern_edges) {
-          r->frag_pr_centers = {};
-          r->frag_ant_centers = {};
-          continue;
-        }
-        m_parents.push_back(r);
-      }
-    });
-  }
-  for (const auto& p : m_parents) {
-    p->frag_pr_centers = {};
-    p->frag_ant_centers = {};
-  }
-
-  bsp.RunCoordinator([&] {
-    if (options.enable_incremental_div) {
-      result.topk = incdiv.TopK();
-      result.objective = incdiv.Objective();
-    } else {
-      // DMineno path: diversify the full pool from scratch.
-      result.topk =
-          FullDiversify(sigma, options.k, options.lambda, n_norm);
-      std::vector<double> confs;
-      std::vector<const std::vector<NodeId>*> sets;
-      for (const auto& r : result.topk) {
-        confs.push_back(r->conf);
-        sets.push_back(&r->matches);
-      }
-      result.objective =
-          ObjectiveF(confs, sets, options.lambda, n_norm, options.k);
-    }
-  });
-
-  for (const WorkerState& w : workers) {
-    result.stats.exists_calls += w.exists_calls;
-    result.stats.centers_skipped_by_parent += w.centers_skipped;
-    result.stats.plans_shared_hits += w.matcher->plan_store_hits();
-    result.stats.evidence_bytes_full += w.evidence_bytes_full;
-    result.stats.evidence_bytes_delta += w.evidence_bytes_delta;
-  }
-  result.stats.plans_prepared = plan_store.patterns_planned();
+  FragmentEvaluator ev(&bsp, parts, q, options, &result.stats);
+  LevelwiseResult lw = RunLevelwise(g, q, options, ev, &result.stats);
+  ev.FinishStats();
+  result.topk = std::move(lw.top.topk);
+  result.objective = lw.top.objective;
   result.times = bsp.FinishTiming();
   return result;
 }

@@ -37,33 +37,6 @@ struct DmineOptions {
   /// unpruned runs produce identical supports, confidences, and top-k — and
   /// kept as an ablation flag for the Exp-1 benches.
   bool enable_parent_prune = true;
-  /// Decentralized candidate generation (the paper's worker/coordinator
-  /// contract, §4.2): each worker *proposes* the extensions of the parents
-  /// surviving in its own fragment — one deterministic owner per parent, so
-  /// no fragment duplicates another's generation work — and ships them to
-  /// the coordinator as `CandidateProposal` messages; the coordinator's
-  /// role shrinks to cross-fragment ordering/duplicate merging,
-  /// automorphism dedup (bisim prefilter + exact test), and the per-round
-  /// cap. Off = the legacy centralized path (coordinator generates every
-  /// extension itself), kept as the A/B baseline for the Exp-1 benches.
-  /// Both settings are result-identical: same candidate pools, supports,
-  /// confidences, and diversified top-k (enforced by the
-  /// WorkerGenEquivalence property test).
-  bool enable_worker_gen = true;
-  /// Materialize fragments as copied induced subgraphs (the pre-view
-  /// representation) instead of zero-copy `GraphView`s over the parent
-  /// CSR. Off = views (default): fragment memory is O(node-id lists), the
-  /// partition build skips the per-fragment CSR rebuild, and worker match
-  /// evidence is globally addressed by construction. Kept as the A/B
-  /// baseline for the Exp-4 bench; both settings produce byte-identical
-  /// results (ViewCopyEquivalence property battery).
-  bool use_fragment_copies = false;
-  /// Share one read-only `SearchPlanStore` across workers: patterns are
-  /// identical across fragments, so the coordinator plans each round's
-  /// candidates once and worker matchers consult the store instead of
-  /// re-planning per worker. Result-identical either way; the
-  /// `plans_shared_hits` stat counts store-served probes.
-  bool enable_shared_plans = true;
   /// Prune-aware Usupp (Lemma 3 tightening): count toward Usupp only the
   /// matched centers whose d-neighborhood can still grow
   /// (`center_hops_available > 0`) instead of all of supp_r. HEURISTIC,
@@ -78,9 +51,8 @@ struct DmineOptions {
 };
 
 /// Returns `base` with every optimization disabled (the paper's DMineno).
-/// `enable_parent_prune` and `enable_worker_gen` are left untouched: they
-/// are this implementation's own ablation axes, not among the paper's
-/// three.
+/// `enable_parent_prune` is left untouched: it is this implementation's own
+/// ablation axis, not among the paper's three.
 DmineOptions DmineNoOptions(DmineOptions base = {});
 
 /// Counters reported alongside the result.
@@ -102,8 +74,8 @@ struct DmineStats {
   /// round-1 candidate exhausts its seed pool).
   uint64_t centers_skipped_by_parent = 0;
   /// Raw candidate proposals emitted by each worker across all rounds,
-  /// indexed by worker id (empty when `enable_worker_gen` is off). The sum
-  /// exceeds `candidates_generated` exactly by `cross_fragment_merged`.
+  /// indexed by worker id (empty when the run stopped before round 1). The
+  /// sum exceeds `candidates_generated` exactly by `cross_fragment_merged`.
   std::vector<uint64_t> proposals_per_worker;
   /// Proposals discarded because another fragment already proposed the same
   /// extension of the same parent (same (parent, ext_ordinal) key) — the
@@ -113,15 +85,12 @@ struct DmineStats {
   /// for a double-proposing ownership bug (tracked in BENCH_dmine.json).
   size_t cross_fragment_merged = 0;
   /// Coordinator CPU seconds spent producing each round's verified
-  /// candidate set: proposal merging + automorphism dedup + cap under
-  /// `enable_worker_gen`, full generation + dedup + cap on the centralized
-  /// path. The quantity the Exp-1 WorkerGen ablation tracks (its share of
-  /// `ParallelTimes::coordinator_seconds` shrinks when generation moves to
-  /// the workers).
+  /// candidate set: proposal merging + automorphism dedup + cap + the
+  /// global check of antecedent components without x.
   double coordinator_merge_seconds = 0;
   /// Worker probes whose search plan came from the shared read-only plan
-  /// store (0 when `enable_shared_plans` is off): each hit is a per-worker
-  /// pattern expansion + plan construction that was not repeated.
+  /// store: each hit is a per-worker pattern expansion + plan construction
+  /// that was not repeated.
   uint64_t plans_shared_hits = 0;
   /// Distinct patterns the coordinator planned into the shared store.
   size_t plans_prepared = 0;
@@ -143,16 +112,14 @@ struct DmineResult {
 };
 
 /// Discovers top-k diversified GPARs pertaining to `q` in `g` (problem DMP,
-/// Section 4.1) with DMine's BSP structure: the graph is partitioned into
-/// `num_workers` fragments with d-hop locality; in round r each worker
-/// first *proposes* candidate extensions from its locally surviving parents
-/// and then evaluates the merged round candidates (radius r) over its owned
-/// centers; the coordinator merges cross-fragment duplicate and automorphic
-/// proposals, assembles confidences, updates the top-k incrementally
-/// (incDiv), and prunes via the Lemma-3 reduction rules and
-/// bisimulation-prefiltered automorphism grouping.
+/// Section 4.2) with DMine's BSP structure. The round loop is
+/// `RunLevelwise` (levelwise.h); this function partitions the graph into
+/// `num_workers` fragments with d-hop locality and supplies the BSP
+/// evaluation strategy: in round r each worker first *proposes* candidate
+/// extensions from its locally surviving parents and then counts the
+/// merged round candidates' supports over its owned centers.
 ///
-/// Worker/coordinator candidate contract (round r, `enable_worker_gen`):
+/// Worker/coordinator candidate contract (round r):
 ///  1. Worker i enumerates `GenerateExtensions(parent)` for each parent
 ///     rule it *owns*: a parent is owned by exactly one of the fragments
 ///     where it survives (`frag_pr_centers[j]` non-empty; round-robin over
@@ -168,9 +135,9 @@ struct DmineResult {
 ///     `automorphic_merged`) and applies `max_candidates_per_round`.
 /// Because every extendable parent survives in at least one fragment and
 /// its owner enumerates the full deterministic extension set, the merged,
-/// ordered candidate stream is byte-identical to the centralized path's —
-/// decentralization moves generation cost from `coordinator_seconds` into
-/// the round makespan without changing any result (pools, supports,
+/// ordered candidate stream is byte-identical to the sequential generator's
+/// (`RuleMaintainer::Seed`) — generation cost sits in the round makespan,
+/// not in `coordinator_seconds`, and no result changes (pools, supports,
 /// confidences, diversified top-k).
 Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
                           const DmineOptions& options = {});
@@ -206,7 +173,7 @@ struct CandidateProposal {
 /// (parent, ext_ordinal) AND equal structural checksum) merged — first
 /// proposer's rule kept, evidence summed, `stats->cross_fragment_merged`
 /// incremented — ordered by (parent, ext_ordinal) ascending, i.e. exactly
-/// the order the centralized generator would emit. Exposed for tests.
+/// the order the sequential generator emits. Exposed for tests.
 std::vector<CandidateProposal> MergeProposals(
     std::vector<std::vector<CandidateProposal>> per_worker, DmineStats* stats);
 

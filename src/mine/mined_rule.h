@@ -26,12 +26,12 @@ struct MinedRule {
   /// where P_R matched. Anti-monotonicity makes this the exact search pool
   /// for every extension of this rule: a child's P_R contains the parent's
   /// P_R, so the child can only match where the parent did. Doubly used by
-  /// decentralized candidate generation (`enable_worker_gen`): the rule
-  /// "survives" in fragment i iff frag_pr_centers[i] is non-empty, exactly
-  /// one surviving fragment owns (proposes) the rule's extensions, and the
-  /// owner ships its list's size as the proposal's local support evidence.
-  /// The coordinator clears these once the rule's children have been
-  /// evaluated.
+  /// worker-side candidate generation: the rule "survives" in fragment i
+  /// iff frag_pr_centers[i] is non-empty, exactly one surviving fragment
+  /// owns (proposes) the rule's extensions, and the owner ships its list's
+  /// size as the proposal's local support evidence. The levelwise driver
+  /// clears these once the rule's children have been evaluated. Empty
+  /// outside DMine.
   std::vector<std::vector<uint32_t>> frag_pr_centers;
   /// Same lineage for the negative side: per-fragment ~q-pool center indices
   /// where the antecedent's x-component matched (the supp(Q~q) pool).

@@ -6,10 +6,9 @@
 
 #include "graph/neighborhood.h"
 #include "match/matcher.h"
-#include "mine/inc_div.h"
+#include "mine/levelwise.h"
 #include "pattern/automorphism.h"
 #include "pattern/pattern_ops.h"
-#include "rule/diversity.h"
 #include "rule/metrics.h"
 
 namespace gpar {
@@ -89,16 +88,10 @@ Result<NaiveMineResult> NaiveMine(const Graph& g, const Predicate& q,
     }
   }
 
-  result.topk =
-      FullDiversify(result.all_rules, options.k, options.lambda, n_norm);
-  std::vector<double> confs;
-  std::vector<const std::vector<NodeId>*> sets;
-  for (const auto& r : result.topk) {
-    confs.push_back(r->conf);
-    sets.push_back(&r->matches);
-  }
-  result.objective =
-      ObjectiveF(confs, sets, options.lambda, n_norm, options.k);
+  DiversifiedTopK top =
+      DiversifyPool(result.all_rules, options.k, options.lambda, n_norm);
+  result.topk = std::move(top.topk);
+  result.objective = top.objective;
   return result;
 }
 

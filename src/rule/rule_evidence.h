@@ -32,9 +32,11 @@ struct MiningSetup {
   uint32_t max_pattern_edges = 6;
   uint64_t seed_edge_limit = 20;
   uint64_t max_candidates_per_round = 300;
-  /// The `DmineOptions` ablation booleans, bit-packed (see
-  /// `MaintainOptions` for the mapping). Part of the setup because flags
-  /// like `enable_bisim_prefilter` change which candidates survive dedup.
+  /// The `DmineOptions` ablation booleans, bit-packed: bit 0 incremental
+  /// div, 1 reduction rules, 2 bisim prefilter, 3 parent prune, 7
+  /// prune-aware Usupp; bits 4-6 are retired and ignored on read. Part of
+  /// the setup because flags like `enable_bisim_prefilter` change which
+  /// candidates survive dedup.
   uint32_t bool_flags = 0;
 
   friend bool operator==(const MiningSetup&, const MiningSetup&) = default;

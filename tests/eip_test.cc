@@ -158,36 +158,6 @@ TEST_F(EipTest, AblationVariantsAgree) {
   }
 }
 
-TEST_F(EipTest, ViewAndCopiedFragmentsAgree) {
-  // Zero-copy fragment views vs materialized induced subgraphs: identical
-  // entities, supports, and confidences under every parallel algorithm.
-  for (EipAlgorithm algo : {EipAlgorithm::kMatch, EipAlgorithm::kMatchc,
-                            EipAlgorithm::kDisVf2}) {
-    EipOptions opt;
-    opt.algorithm = algo;
-    opt.eta = 0.5;
-    opt.num_workers = 3;
-    opt.use_fragment_copies = false;
-    auto viewed = IdentifyEntities(g1_.graph, sigma_, opt);
-    opt.use_fragment_copies = true;
-    auto copied = IdentifyEntities(g1_.graph, sigma_, opt);
-    ASSERT_TRUE(viewed.ok()) << viewed.status();
-    ASSERT_TRUE(copied.ok()) << copied.status();
-    EXPECT_EQ(viewed->entities, copied->entities)
-        << "algo " << static_cast<int>(algo);
-    EXPECT_EQ(viewed->supp_q, copied->supp_q);
-    EXPECT_EQ(viewed->supp_qbar, copied->supp_qbar);
-    ASSERT_EQ(viewed->rule_evals.size(), copied->rule_evals.size());
-    for (size_t i = 0; i < viewed->rule_evals.size(); ++i) {
-      EXPECT_EQ(viewed->rule_evals[i].supp_r, copied->rule_evals[i].supp_r);
-      EXPECT_EQ(viewed->rule_evals[i].supp_qqbar,
-                copied->rule_evals[i].supp_qqbar);
-      EXPECT_DOUBLE_EQ(viewed->rule_evals[i].conf,
-                       copied->rule_evals[i].conf);
-    }
-  }
-}
-
 TEST_F(EipTest, InputValidation) {
   EXPECT_FALSE(IdentifyEntities(g1_.graph, {}, {}).ok());
 

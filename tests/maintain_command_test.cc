@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "graph/graph_snapshot.h"
 #include "graph/stats.h"
 #include "mine/dmine.h"
+#include "pattern/pattern_ops.h"
 #include "rule/rule_snapshot.h"
 #include "serve/delta_journal.h"
 
@@ -85,7 +87,8 @@ TEST(MaintainOptionsFromSetupTest, UnpacksTheMiningParameters) {
   setup.max_pattern_edges = 5;
   setup.seed_edge_limit = 12;
   setup.max_candidates_per_round = 99;
-  // bits 0..7 in DmineOptions declaration order; set an asymmetric pattern.
+  // Bits 0-3 and 7 in DmineOptions declaration order; set an asymmetric
+  // pattern. Bit 6 is retired and must be ignored.
   setup.bool_flags = (1u << 0) | (1u << 3) | (1u << 6);
 
   MaintainOptions base;
@@ -104,9 +107,6 @@ TEST(MaintainOptionsFromSetupTest, UnpacksTheMiningParameters) {
   EXPECT_FALSE(o->mine.enable_reduction_rules);
   EXPECT_FALSE(o->mine.enable_bisim_prefilter);
   EXPECT_TRUE(o->mine.enable_parent_prune);
-  EXPECT_FALSE(o->mine.enable_worker_gen);
-  EXPECT_FALSE(o->mine.use_fragment_copies);
-  EXPECT_TRUE(o->mine.enable_shared_plans);
   EXPECT_FALSE(o->mine.enable_prune_aware_usupp);
   // Non-setup knobs come from `base`, untouched.
   EXPECT_FALSE(o->enable_incremental_maintenance);
@@ -122,6 +122,26 @@ TEST(MaintainOptionsFromSetupTest, RejectsUnknownFlagBits) {
   EXPECT_NE(o.status().message().find("unknown ablation flag"),
             std::string::npos)
       << o.status();
+}
+
+TEST(MaintainOptionsFromSetupTest, RejectsLambdaOutsideTheUnitInterval) {
+  // Snapshot evidence carries lambda as raw bytes: a value no miner could
+  // have been run with is refused, not adopted.
+  for (double lambda : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+    MiningSetup setup;
+    setup.lambda = lambda;
+    auto o = MaintainOptionsFromSetup(setup, {});
+    ASSERT_FALSE(o.ok()) << "lambda " << lambda;
+    EXPECT_EQ(o.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(o.status().message().find("lambda"), std::string::npos)
+        << o.status();
+  }
+  for (double lambda : {0.0, 1.0}) {
+    MiningSetup setup;
+    setup.lambda = lambda;
+    EXPECT_TRUE(MaintainOptionsFromSetup(setup, {}).ok()) << lambda;
+  }
 }
 
 TEST(MaintainCommandTest, MalformedRequestsNameTheMissingPiece) {
@@ -198,6 +218,84 @@ TEST(MaintainCommandTest, SeedsFromV1ThenRestoresFromItsV2Output) {
   std::remove(f.gpath.c_str());
   std::remove(f.rpath.c_str());
   std::remove(out.c_str());
+}
+
+// Bits 4-6 of the evidence setup packed switches that no longer exist. A
+// v2 section written with any of them flipped still restores through
+// FromEvidence, maintains across a journal frame to exactly what Dmine
+// mines on the patched graph, and is written back with the bits at their
+// canonical values.
+TEST(MaintainCommandTest, RetiredFlagBitsAreIgnoredOnRestore) {
+  Fixture f = MakeFixture("retired");
+  const std::string seeded = "/tmp/gpar_mcmd_retired.seeded";
+  const std::string flipped = "/tmp/gpar_mcmd_retired.flipped";
+  const std::string out = "/tmp/gpar_mcmd_retired.out";
+  const std::string wal = "/tmp/gpar_mcmd_retired.wal";
+  std::remove(wal.c_str());
+  MaintainRequest req = SmallRequest();
+  req.graph_snapshot = f.gpath;
+  req.rules_snapshot = f.rpath;
+  req.out = seeded;
+  req.x_label = f.x;
+  req.edge_label = f.edge;
+  req.y_label = f.y;
+  ASSERT_TRUE(RunMaintain(req).ok());
+  Interner labels = f.graph.labels();
+  auto base = ReadRuleSetSnapshotAnyFile(seeded, &labels);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_TRUE(base->has_evidence);
+  // Default options keep writing the retired bits at their old defaults
+  // (on, off, on), so default snapshots are unchanged on disk.
+  EXPECT_EQ(base->evidence.setup.bool_flags & 0x70u, (1u << 4) | (1u << 6));
+
+  GraphDelta d;
+  d.sequence = 1;
+  for (NodeId v = 0; v < 10; ++v) {
+    d.inserts.push_back({static_cast<NodeId>(v * 7 + 1), f.q.edge_label,
+                         static_cast<NodeId>(v * 11 + 2)});
+  }
+  {
+    auto j = DeltaJournal::Open(wal);
+    ASSERT_TRUE(j.ok()) << j.status();
+    ASSERT_TRUE((*j)->Append(d).ok());
+  }
+  auto patched = PatchGraph(f.graph, d);
+  ASSERT_TRUE(patched.ok()) << patched.status();
+  auto mined = Dmine(patched->graph, f.q, req.options.mine);
+  ASSERT_TRUE(mined.ok()) << mined.status();
+
+  for (uint32_t bit : {4u, 5u, 6u}) {
+    RuleSetEvidence evidence = base->evidence;
+    evidence.setup.bool_flags ^= 1u << bit;
+    ASSERT_TRUE(WriteRuleSetSnapshotV2File(base->rules, evidence,
+                                           f.graph.labels(), flipped)
+                    .ok());
+    MaintainRequest restore = SmallRequest();
+    restore.graph_snapshot = f.gpath;
+    restore.rules_snapshot = flipped;
+    restore.journal = wal;
+    restore.out = out;
+    auto r = RunMaintain(restore);
+    ASSERT_TRUE(r.ok()) << "bit " << bit << ": " << r.status();
+    EXPECT_FALSE(r->seeded);
+    EXPECT_EQ(r->last_sequence, 1u);
+
+    Interner out_labels = patched->graph.labels();
+    auto snap = ReadRuleSetSnapshotAnyFile(out, &out_labels);
+    ASSERT_TRUE(snap.ok()) << snap.status();
+    EXPECT_EQ(snap->evidence.setup, base->evidence.setup) << "bit " << bit;
+    ASSERT_EQ(snap->rules.size(), mined->topk.size()) << "bit " << bit;
+    for (size_t i = 0; i < snap->rules.size(); ++i) {
+      EXPECT_EQ(snap->rules[i].supp, mined->topk[i]->supp) << "rule " << i;
+      EXPECT_EQ(snap->rules[i].conf, mined->topk[i]->conf) << "rule " << i;
+      EXPECT_EQ(StructuralHash(snap->rules[i].rule.pr()),
+                StructuralHash(mined->topk[i]->rule.pr()))
+          << "rule " << i;
+    }
+  }
+  for (const std::string& p : {f.gpath, f.rpath, seeded, flipped, out, wal}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST(MaintainCommandTest, ReplaysTheJournalAndReportsTheScan) {

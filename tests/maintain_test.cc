@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -126,6 +127,25 @@ TEST(MaintainTest, SeedMatchesDmine) {
   EXPECT_GT((*m)->TopKRecords().size(), 0u);
   EXPECT_GT((*m)->objective(), 0.0);
   EXPECT_EQ((*m)->last_sequence(), 0u);
+}
+
+TEST(MaintainTest, RejectsLambdaOutsideTheUnitInterval) {
+  auto g = std::make_shared<const Graph>(MakeSynthetic(200, 600, 10, 3));
+  Predicate q = PickQ(*g);
+  for (double lambda : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    MaintainOptions opt = SmallMaintain();
+    opt.mine.lambda = lambda;
+    auto m = RuleMaintainer::Seed(g, q, opt);
+    ASSERT_FALSE(m.ok()) << "lambda " << lambda;
+    EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (double lambda : {0.0, 1.0}) {
+    MaintainOptions opt = SmallMaintain();
+    opt.mine.lambda = lambda;
+    auto m = RuleMaintainer::Seed(g, q, opt);
+    ASSERT_TRUE(m.ok()) << m.status();
+    ExpectMatchesDmine(**m, "lambda " + std::to_string(lambda));
+  }
 }
 
 TEST(MaintainTest, RejectsPruneAwareUsupp) {

@@ -44,109 +44,48 @@ TEST(PartitionTest, CentersOwnedExactlyOnce) {
 
 TEST(PartitionTest, DLocalityInvariant) {
   // The defining invariant: G_d(v_x) of every owned center is contained in
-  // its fragment (same nodes, same induced edges) — checked for both
-  // representations. A view carries membership only (parent edges between
-  // members are in the induced subgraph by definition), so its edge half
-  // is the node set; the copied CSR must additionally have materialized
-  // every member-member edge.
+  // its fragment. A view carries membership only (parent edges between
+  // members are in the induced subgraph by definition), so the node set is
+  // the whole check.
   Graph g = MakeSynthetic(300, 900, 15, 3);
   std::vector<NodeId> centers;
   for (NodeId v = 0; v < 60; ++v) centers.push_back(v);
-  for (bool use_copies : {false, true}) {
-    PartitionOptions opt;
-    opt.num_fragments = 3;
-    opt.d = 2;
-    opt.use_fragment_copies = use_copies;
-    auto parts = PartitionGraph(g, centers, opt);
-    ASSERT_TRUE(parts.ok());
+  PartitionOptions opt;
+  opt.num_fragments = 3;
+  opt.d = 2;
+  auto parts = PartitionGraph(g, centers, opt);
+  ASSERT_TRUE(parts.ok());
 
-    for (const Fragment& f : parts->fragments) {
-      ASSERT_EQ(f.uses_copy(), use_copies);
-      for (NodeId global : f.centers) {
-        // All of N_d(global) must be present in the fragment...
-        for (NodeId w : NodesWithinRadius(g, global, opt.d)) {
-          EXPECT_TRUE(f.ContainsGlobal(w))
-              << "missing node " << w << " from N_d(" << global << ")";
-        }
-        if (!use_copies) continue;
-        // ...and the copy must carry all their mutual edges.
-        for (NodeId w : NodesWithinRadius(g, global, opt.d)) {
-          auto it = f.copy->to_local.find(w);
-          if (it == f.copy->to_local.end()) continue;
-          for (const AdjEntry& e : g.out_edges(w)) {
-            auto jt = f.copy->to_local.find(e.other);
-            if (jt == f.copy->to_local.end()) continue;
-            EXPECT_TRUE(
-                f.copy->graph.HasEdge(it->second, e.label, jt->second))
-                << "missing induced edge";
-          }
-        }
+  for (const Fragment& f : parts->fragments) {
+    for (NodeId global : f.centers) {
+      for (NodeId w : NodesWithinRadius(g, global, opt.d)) {
+        EXPECT_TRUE(f.view.contains(w))
+            << "missing node " << w << " from N_d(" << global << ")";
       }
     }
   }
 }
 
-TEST(PartitionTest, CopiedFragmentsMatchViewMembership) {
-  // The use_fragment_copies ablation changes the representation only: same
-  // assignment, same member sets, same induced |V|+|E|, same centers.
-  Graph g = MakeSynthetic(400, 1200, 20, 11);
-  std::vector<NodeId> centers;
-  for (NodeId v = 0; v < 80; ++v) centers.push_back(v);
-  PartitionOptions opt;
-  opt.num_fragments = 4;
-  opt.d = 2;
-  auto views = PartitionGraph(g, centers, opt);
-  opt.use_fragment_copies = true;
-  auto copies = PartitionGraph(g, centers, opt);
-  ASSERT_TRUE(views.ok());
-  ASSERT_TRUE(copies.ok());
-
-  EXPECT_EQ(views->owner_of_center, copies->owner_of_center);
-  ASSERT_EQ(views->fragments.size(), copies->fragments.size());
-  for (size_t i = 0; i < views->fragments.size(); ++i) {
-    const Fragment& fv = views->fragments[i];
-    const Fragment& fc = copies->fragments[i];
-    ASSERT_FALSE(fv.uses_copy());
-    ASSERT_TRUE(fc.uses_copy());
-    EXPECT_EQ(fv.centers, fc.centers);
-    EXPECT_EQ(fv.center_hops_available, fc.center_hops_available);
-    // Same member set (the copy's to_global list is sorted by build order,
-    // which matches the view's ascending member list).
-    EXPECT_EQ(fv.view.nodes(), fc.copy->to_global);
-    EXPECT_EQ(fv.SizeVE(), fc.SizeVE());
-    EXPECT_EQ(fv.view.num_edges(), fc.copy->graph.num_edges());
-    // The representation claim itself: views are much smaller.
-    EXPECT_LT(fv.MemoryBytes(), fc.MemoryBytes());
-  }
-  EXPECT_DOUBLE_EQ(FragmentSkew(*views), FragmentSkew(*copies));
-}
-
 TEST(PartitionTest, LocalMatchingEqualsGlobalMatching) {
   // Data locality of subgraph isomorphism (Section 4.2): v_x ∈ P_R(x, G)
-  // iff v_x ∈ P_R(x, G_d(v_x)) — matching inside the fragment is exact,
-  // for view-backed and copy-backed fragments alike.
+  // iff v_x ∈ P_R(x, G_d(v_x)) — matching inside the fragment is exact.
   PaperG1 g1 = MakePaperG1();
   std::vector<NodeId> centers{g1.cust1, g1.cust2, g1.cust3,
                               g1.cust4, g1.cust5, g1.cust6};
-  for (bool use_copies : {false, true}) {
-    PartitionOptions opt;
-    opt.num_fragments = 2;
-    opt.d = 2;
-    opt.use_fragment_copies = use_copies;
-    auto parts = PartitionGraph(g1.graph, centers, opt);
-    ASSERT_TRUE(parts.ok());
+  PartitionOptions opt;
+  opt.num_fragments = 2;
+  opt.d = 2;
+  auto parts = PartitionGraph(g1.graph, centers, opt);
+  ASSERT_TRUE(parts.ok());
 
-    VF2Matcher global(g1.graph);
-    for (const Fragment& f : parts->fragments) {
-      VF2Matcher local = f.uses_copy() ? VF2Matcher(f.copy->graph)
-                                       : VF2Matcher(f.view);
-      for (NodeId global_id : f.centers) {
-        for (const Gpar* r : {&g1.r1, &g1.r5, &g1.r6, &g1.r7, &g1.r8}) {
-          EXPECT_EQ(local.ExistsAt(r->pr(), f.MatchId(global_id)),
-                    global.ExistsAt(r->pr(), global_id))
-              << "locality violated at center " << global_id
-              << " use_copies=" << use_copies;
-        }
+  VF2Matcher global(g1.graph);
+  for (const Fragment& f : parts->fragments) {
+    VF2Matcher local(f.view);
+    for (NodeId global_id : f.centers) {
+      for (const Gpar* r : {&g1.r1, &g1.r5, &g1.r6, &g1.r7, &g1.r8}) {
+        EXPECT_EQ(local.ExistsAt(r->pr(), global_id),
+                  global.ExistsAt(r->pr(), global_id))
+            << "locality violated at center " << global_id;
       }
     }
   }

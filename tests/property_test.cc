@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <sstream>
 
 #include "graph/generator.h"
@@ -12,6 +14,7 @@
 #include "graph/neighborhood.h"
 #include "graph/partition.h"
 #include "graph/stats.h"
+#include "maintain/rule_maintainer.h"
 #include "match/guided.h"
 #include "match/matcher.h"
 #include "match/simulation.h"
@@ -292,7 +295,7 @@ TEST_P(SeededProperty, PartitionInvariants) {
     for (const Fragment& f : parts->fragments) {
       for (NodeId global : f.centers) {
         for (NodeId w : NodesWithinRadius(s.graph, global, opt.d)) {
-          EXPECT_TRUE(f.ContainsGlobal(w));
+          EXPECT_TRUE(f.view.contains(w));
         }
         break;  // one center per fragment suffices
       }
@@ -341,20 +344,15 @@ TEST_P(SeededProperty, JaccardIsAMetricOnMatchSets) {
   }
 }
 
-/// Full-result fingerprint: every stat a result-identity claim covers, plus
-/// the top-k *in order* with per-rule structure (StructuralHash), supports,
-/// confidence, and match sets. Two runs with equal fingerprints are
-/// indistinguishable to a caller.
-std::string ResultFingerprint(const DmineResult& r) {
+/// The top-k *in order* with per-rule structure (StructuralHash),
+/// supports, confidence and match sets, plus the objective: everything a
+/// caller of either discovery engine sees.
+std::string TopKFingerprint(const std::vector<std::shared_ptr<MinedRule>>& topk,
+                            double objective) {
   std::ostringstream os;
   os.precision(17);
-  os << "gen=" << r.stats.candidates_generated
-     << ";ver=" << r.stats.candidates_verified
-     << ";acc=" << r.stats.accepted
-     << ";auto=" << r.stats.automorphic_merged
-     << ";triv=" << r.stats.trivial_discarded
-     << ";obj=" << r.objective << ";topk=[";
-  for (const auto& rule : r.topk) {
+  os << "obj=" << objective << ";topk=[";
+  for (const auto& rule : topk) {
     os << "{h=" << StructuralHash(rule->rule.pr()) << ";s=" << rule->supp
        << ";n=" << rule->supp_qqbar << ";c=" << rule->conf << ";m=";
     for (NodeId v : rule->matches) os << v << ',';
@@ -364,129 +362,164 @@ std::string ResultFingerprint(const DmineResult& r) {
   return os.str();
 }
 
-TEST_P(SeededProperty, WorkerGenEquivalence) {
-  // Decentralized candidate generation is a relocation of work, not an
-  // approximation: across worker counts, the worker-proposed path and the
-  // centralized path must produce identical candidate pools (by structural
-  // hash), supports, confidences, and diversified top-k — the mirror of
-  // ParentPruneEquivalence for PR 2's lineage pruning.
-  Scenario s = MakeScenario(GetParam());
+/// Full-result fingerprint: every stat a result-identity claim covers, plus
+/// the top-k fingerprint. Two runs with equal fingerprints are
+/// indistinguishable to a caller.
+std::string ResultFingerprint(const DmineResult& r) {
+  std::ostringstream os;
+  os << "gen=" << r.stats.candidates_generated
+     << ";ver=" << r.stats.candidates_verified
+     << ";acc=" << r.stats.accepted
+     << ";auto=" << r.stats.automorphic_merged
+     << ";triv=" << r.stats.trivial_discarded << ';'
+     << TopKFingerprint(r.topk, r.objective);
+  return os.str();
+}
+
+DmineOptions BatteryOptions() {
   DmineOptions opt;
   opt.k = 4;
   opt.d = 2;
   opt.sigma = 2;
   opt.max_pattern_edges = 3;
   opt.seed_edge_limit = 6;
+  return opt;
+}
 
+/// The sequential reference: `RuleMaintainer::Seed` runs the same
+/// levelwise driver with one-thread candidate generation and probes every
+/// center on the whole graph — no fragments, no proposals, no lineage
+/// messages.
+std::unique_ptr<RuleMaintainer> SequentialReference(const Scenario& s,
+                                                    const DmineOptions& opt) {
+  MaintainOptions mo;
+  mo.mine = opt;
+  auto seq =
+      RuleMaintainer::Seed(std::make_shared<const Graph>(s.graph), s.q, mo);
+  EXPECT_TRUE(seq.ok()) << seq.status();
+  return seq.ok() ? std::move(seq).value() : nullptr;
+}
+
+/// DMine's BSP run must equal the sequential reference at every worker
+/// count: same top-k (order, supports, confidences, match sets) and
+/// objective, same verified candidates and accepted rules, and balanced
+/// proposal bookkeeping (raw = unique + merged, and single ownership never
+/// double-proposes).
+void ExpectDmineMatchesSequential(const Scenario& s, bool parent_prune) {
+  DmineOptions opt = BatteryOptions();
+  opt.enable_parent_prune = parent_prune;
+  std::unique_ptr<RuleMaintainer> seq = SequentialReference(s, opt);
+  ASSERT_NE(seq, nullptr);
+  const std::string want = TopKFingerprint(seq->topk(), seq->objective());
   for (uint32_t n : {1u, 2u, 4u, 8u}) {
     opt.num_workers = n;
-    opt.enable_worker_gen = true;
-    auto decentralized = Dmine(s.graph, s.q, opt);
-    opt.enable_worker_gen = false;
-    auto centralized = Dmine(s.graph, s.q, opt);
-    ASSERT_TRUE(decentralized.ok()) << decentralized.status();
-    ASSERT_TRUE(centralized.ok()) << centralized.status();
-
-    EXPECT_EQ(ResultFingerprint(*decentralized),
-              ResultFingerprint(*centralized))
-        << "worker-gen result diverged at seed " << GetParam() << " n=" << n;
-    // The evaluation half is untouched by where generation runs: the two
-    // paths issue the exact same worker probes.
-    EXPECT_EQ(decentralized->stats.exists_calls,
-              centralized->stats.exists_calls);
-    EXPECT_EQ(decentralized->stats.centers_skipped_by_parent,
-              centralized->stats.centers_skipped_by_parent);
-    // Proposal bookkeeping balances: raw = unique + merged duplicates.
+    auto r = Dmine(s.graph, s.q, opt);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(TopKFingerprint(r->topk, r->objective), want)
+        << "DMine diverged from the sequential reference at n=" << n;
+    EXPECT_EQ(r->stats.candidates_verified,
+              seq->lifetime_stats().candidates_evaluated);
+    EXPECT_EQ(r->stats.accepted, seq->lifetime_stats().rules_accepted);
     uint64_t raw = 0;
-    for (uint64_t p : decentralized->stats.proposals_per_worker) raw += p;
-    EXPECT_EQ(raw, decentralized->stats.candidates_generated +
-                       decentralized->stats.cross_fragment_merged);
+    for (uint64_t p : r->stats.proposals_per_worker) raw += p;
+    EXPECT_EQ(raw, r->stats.candidates_generated +
+                       r->stats.cross_fragment_merged);
+    EXPECT_EQ(r->stats.cross_fragment_merged, 0u);
   }
 }
 
-TEST_P(SeededProperty, WorkerGenEquivalenceComposesWithParentPruneOff) {
-  // The two ablation axes are independent: without parent lineage the
-  // ownership predicate degrades from "fragments where the parent
-  // survives" to "fragments with a non-empty q-pool" (still one
-  // deterministic owner per parent) — results still match the centralized
-  // no-prune run.
-  Scenario s = MakeScenario(GetParam());
-  DmineOptions opt;
-  opt.num_workers = 4;
-  opt.k = 4;
-  opt.d = 2;
-  opt.sigma = 2;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 6;
-  opt.enable_parent_prune = false;
+TEST_P(SeededProperty, WorkerGenEquivalence) {
+  // Worker-side candidate generation is a relocation of work, not an
+  // approximation: DMine's fragment workers must reproduce the sequential
+  // generator's result exactly — the mirror of ParentPruneEquivalence for
+  // the lineage pruning.
+  ExpectDmineMatchesSequential(MakeScenario(GetParam()),
+                               /*parent_prune=*/true);
+}
 
-  opt.enable_worker_gen = true;
-  auto decentralized = Dmine(s.graph, s.q, opt);
-  opt.enable_worker_gen = false;
-  auto centralized = Dmine(s.graph, s.q, opt);
-  ASSERT_TRUE(decentralized.ok());
-  ASSERT_TRUE(centralized.ok());
-  EXPECT_EQ(ResultFingerprint(*decentralized), ResultFingerprint(*centralized))
-      << "no-prune worker-gen diverged at seed " << GetParam();
+TEST_P(SeededProperty, WorkerGenEquivalenceComposesWithParentPruneOff) {
+  // Without parent lineage the ownership predicate degrades from
+  // "fragments where the parent survives" to "fragments with a non-empty
+  // q-pool" (still one deterministic owner per parent); results still
+  // match the sequential no-prune reference.
+  ExpectDmineMatchesSequential(MakeScenario(GetParam()),
+                               /*parent_prune=*/false);
 }
 
 TEST_P(SeededProperty, ViewCopyEquivalence) {
-  // Zero-copy fragment views are a representation change, not a semantic
-  // one: view-backed and copy-backed DMine must produce byte-identical
-  // results — candidate pools, supports, confidences, match sets, and the
-  // diversified top-k — at every worker count, and the evaluation halves
-  // must issue the exact same probes.
+  // A zero-copy fragment view denotes exactly the induced subgraph a copied
+  // fragment would materialize. Checked against brute force: members are
+  // the sorted union of the owned centers' N_d, the induced edge count
+  // matches both a direct count and `BuildInducedSubgraph`, and
+  // center_hops_available is nonzero iff some hop-d node of N_d has an
+  // edge leaving N_d.
   Scenario s = MakeScenario(GetParam());
-  DmineOptions opt;
-  opt.k = 4;
-  opt.d = 2;
-  opt.sigma = 2;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 6;
-
+  std::vector<NodeId> centers;
+  {
+    auto span = s.graph.nodes_with_label(s.q.x_label);
+    centers.assign(span.begin(), span.end());
+  }
   for (uint32_t n : {1u, 2u, 4u, 8u}) {
-    opt.num_workers = n;
-    opt.use_fragment_copies = false;
-    auto viewed = Dmine(s.graph, s.q, opt);
-    opt.use_fragment_copies = true;
-    auto copied = Dmine(s.graph, s.q, opt);
-    ASSERT_TRUE(viewed.ok()) << viewed.status();
-    ASSERT_TRUE(copied.ok()) << copied.status();
-
-    EXPECT_EQ(ResultFingerprint(*viewed), ResultFingerprint(*copied))
-        << "view/copy result diverged at seed " << GetParam() << " n=" << n;
-    EXPECT_EQ(viewed->stats.exists_calls, copied->stats.exists_calls);
-    EXPECT_EQ(viewed->stats.centers_skipped_by_parent,
-              copied->stats.centers_skipped_by_parent);
+    PartitionOptions opt;
+    opt.num_fragments = n;
+    opt.d = 2;
+    auto parts = PartitionGraph(s.graph, centers, opt);
+    ASSERT_TRUE(parts.ok()) << parts.status();
+    for (const Fragment& f : parts->fragments) {
+      std::set<NodeId> members;
+      for (size_t c = 0; c < f.centers.size(); ++c) {
+        std::vector<uint32_t> dist;
+        const std::vector<NodeId> nd =
+            NodesWithinRadius(s.graph, f.centers[c], opt.d, &dist);
+        const std::set<NodeId> in_nd(nd.begin(), nd.end());
+        members.insert(nd.begin(), nd.end());
+        bool escapes = false;
+        for (size_t i = 0; i < nd.size() && !escapes; ++i) {
+          if (dist[i] != opt.d) continue;
+          for (const AdjEntry& e : s.graph.out_edges(nd[i])) {
+            escapes = escapes || in_nd.count(e.other) == 0;
+          }
+          for (const AdjEntry& e : s.graph.in_edges(nd[i])) {
+            escapes = escapes || in_nd.count(e.other) == 0;
+          }
+        }
+        EXPECT_EQ(f.center_hops_available[c] != 0, escapes)
+            << "center " << f.centers[c] << " n=" << n;
+      }
+      const std::vector<NodeId> want(members.begin(), members.end());
+      EXPECT_EQ(f.view.nodes(), want) << "n=" << n;
+      size_t induced = 0;
+      for (NodeId v : want) {
+        for (const AdjEntry& e : s.graph.out_edges(v)) {
+          induced += members.count(e.other);
+        }
+      }
+      EXPECT_EQ(f.view.num_edges(), induced) << "n=" << n;
+      EXPECT_EQ(f.view.num_edges(),
+                BuildInducedSubgraph(s.graph, want).graph.num_edges());
+    }
   }
 }
 
 TEST_P(SeededProperty, SharedPlanStoreEquivalence) {
-  // The shared plan store relocates planning work, never results: store-on
-  // and store-off runs must be fingerprint-identical, and on a multi-worker
-  // run the store must actually serve worker probes.
+  // Plans are always shared: the coordinator plans each round's patterns
+  // once and every worker matcher reads the same store. On a multi-worker
+  // run the store must actually serve the worker probes (all of them are
+  // anchored at x), and the result must still equal the sequential
+  // reference.
   Scenario s = MakeScenario(GetParam());
-  DmineOptions opt;
+  DmineOptions opt = BatteryOptions();
   opt.num_workers = 4;
-  opt.k = 4;
-  opt.d = 2;
-  opt.sigma = 2;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 6;
-
-  opt.enable_shared_plans = true;
   auto shared = Dmine(s.graph, s.q, opt);
-  opt.enable_shared_plans = false;
-  auto private_plans = Dmine(s.graph, s.q, opt);
   ASSERT_TRUE(shared.ok()) << shared.status();
-  ASSERT_TRUE(private_plans.ok()) << private_plans.status();
-
-  EXPECT_EQ(ResultFingerprint(*shared), ResultFingerprint(*private_plans))
-      << "plan-store result diverged at seed " << GetParam();
   EXPECT_GT(shared->stats.plans_shared_hits, 0u);
+  EXPECT_EQ(shared->stats.plans_shared_hits, shared->stats.exists_calls);
   EXPECT_GT(shared->stats.plans_prepared, 0u);
-  EXPECT_EQ(private_plans->stats.plans_shared_hits, 0u);
-  EXPECT_EQ(private_plans->stats.plans_prepared, 0u);
+  std::unique_ptr<RuleMaintainer> seq = SequentialReference(s, opt);
+  ASSERT_NE(seq, nullptr);
+  EXPECT_EQ(TopKFingerprint(shared->topk, shared->objective),
+            TopKFingerprint(seq->topk(), seq->objective()))
+      << "plan-store run diverged at seed " << GetParam();
 }
 
 TEST_P(SeededProperty, PruneAwareUsuppEquivalence) {
@@ -557,10 +590,9 @@ TEST_P(WorkerCountProperty, DmineAcceptedPoolInvariant) {
 
 TEST(WorkerGenDeterminism, ResultsInvariantToWorkersSchedulingAndPath) {
   // Full determinism, top-k order included: DMine's result must not depend
-  // on the worker count, on thread scheduling (repeat runs race workers
-  // differently), or on which side generates candidates. Run under ASan as
-  // part of the sanitizer suite, the repeat-run check doubles as a data-race
-  // stability probe on the proposal gather.
+  // on the worker count or on thread scheduling (repeat runs race workers
+  // differently). Run under the sanitizers, the repeat-run check doubles as
+  // a data-race stability probe on the proposal gather.
   Graph g = MakeSynthetic(600, 1800, 25, 11);
   auto freq = FrequentEdgePatterns(g, 1);
   Predicate q{freq[0].src_label, freq[0].edge_label, freq[0].dst_label};
@@ -572,30 +604,25 @@ TEST(WorkerGenDeterminism, ResultsInvariantToWorkersSchedulingAndPath) {
   opt.seed_edge_limit = 6;
 
   std::string reference;
-  for (bool worker_gen : {true, false}) {
-    opt.enable_worker_gen = worker_gen;
-    for (uint32_t n : {1u, 2u, 4u, 8u}) {
-      opt.num_workers = n;
-      auto result = Dmine(g, q, opt);
-      ASSERT_TRUE(result.ok()) << result.status();
-      std::string fp = ResultFingerprint(*result);
-      if (reference.empty()) {
-        reference = fp;
-        EXPECT_FALSE(result->topk.empty());
-      } else {
-        EXPECT_EQ(fp, reference)
-            << "divergence at n=" << n << " worker_gen=" << worker_gen;
-      }
+  for (uint32_t n : {1u, 2u, 4u, 8u}) {
+    opt.num_workers = n;
+    auto result = Dmine(g, q, opt);
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::string fp = ResultFingerprint(*result);
+    if (reference.empty()) {
+      reference = fp;
+      EXPECT_FALSE(result->topk.empty());
+    } else {
+      EXPECT_EQ(fp, reference) << "divergence at n=" << n;
     }
-    // Repeat-run stability at the widest fan-out: same fingerprint when the
-    // same configuration races its workers a second and third time.
-    opt.num_workers = 8;
-    for (int rep = 0; rep < 2; ++rep) {
-      auto result = Dmine(g, q, opt);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(ResultFingerprint(*result), reference)
-          << "repeat-run divergence, worker_gen=" << worker_gen;
-    }
+  }
+  // Repeat-run stability at the widest fan-out: same fingerprint when the
+  // same configuration races its workers a second and third time.
+  opt.num_workers = 8;
+  for (int rep = 0; rep < 2; ++rep) {
+    auto result = Dmine(g, q, opt);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(ResultFingerprint(*result), reference) << "repeat-run divergence";
   }
 }
 
