@@ -1,21 +1,26 @@
 // Experiment E9 — the cost of keeping mined rules fresh. Two
 // RuleMaintainers ride the same interleaved insert+delete stream:
 //
-//   maintained: enable_incremental_maintenance = true — per batch, only
-//               centers inside the d-hop delta-affected region are
-//               re-probed; every other pool membership and match set is
-//               carried from the previous pass's evidence.
+//   maintained: enable_incremental_maintenance = true — per batch, a
+//               membership is re-probed only if the delta can change it:
+//               a deleted edge its pattern uses lies within the rule's
+//               radius of an old member, an inserted one within radius of
+//               an old non-member, or the center changed q / ~q pool. Every
+//               other pool membership and match set is carried from the
+//               previous pass's evidence.
 //   remine:     the ablation (flag off) — every pass re-probes every pool
 //               center from scratch, i.e. a sequential re-mine per batch.
 //
 // Both must produce byte-identical top-k supports/confidences every batch
-// (the MaintainEquivalence invariant; a mismatch fails the bench), so the
-// only difference the table shows is cost: per-batch maintain seconds
-// (freshness lag — how stale the served top-k is after a delta lands),
-// centers re-probed vs carried, and the match-set-delta encoding's
-// evidence bytes against the raw full encoding. A final from-scratch
-// Dmine on the post-stream graph anchors the comparison to the real
-// miner's cost and checks the maintained objective against it.
+// (the MaintainEquivalence invariant; a mismatch fails the bench), and
+// every membership the maintained run carries must be one the remine run
+// probes (re-probed + carried = remine's re-probed; a mismatch fails the
+// bench too), so the only difference the table shows is cost: per-batch
+// maintain seconds (freshness lag — how stale the served top-k is after a
+// delta lands), centers re-probed vs carried, and the match-set-delta
+// encoding's evidence bytes against the raw full encoding. A final
+// from-scratch Dmine on the post-stream graph anchors the comparison to
+// the real miner's cost and checks the maintained objective against it.
 //
 // With GPAR_BENCH_JSON=<path> the rows are also written as JSON (the
 // BENCH_maintenance.json CI artifact); GPAR_BENCH_SMALL=1 keeps the
@@ -117,6 +122,15 @@ int main() {
     if (!SameTopK(m.TopKRecords(), r.TopKRecords())) {
       std::fprintf(stderr, "batch %zu: maintained top-k diverged from the "
                    "remine baseline\n", b);
+      return 1;
+    }
+    if (ms->centers_reprobed + ms->centers_carried != rs->centers_reprobed) {
+      std::fprintf(stderr,
+                   "batch %zu: maintained re-probed %llu + carried %llu != "
+                   "remine re-probed %llu memberships\n",
+                   b, static_cast<unsigned long long>(ms->centers_reprobed),
+                   static_cast<unsigned long long>(ms->centers_carried),
+                   static_cast<unsigned long long>(rs->centers_reprobed));
       return 1;
     }
 

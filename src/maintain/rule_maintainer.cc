@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "match/matcher.h"
 #include "mine/levelwise.h"
@@ -88,61 +91,150 @@ void Accumulate(MaintainStats* total, const MaintainStats& ps) {
   total->seconds += ps.seconds;
 }
 
-using AffectedMap = std::unordered_map<NodeId, uint32_t>;
+/// The labels (label(src), edge label, label(dst)) of one delta edge. Node
+/// labels never change under a `GraphDelta`.
+struct LabelTriple {
+  LabelId src;
+  LabelId edge;
+  LabelId dst;
+};
+
+/// Whether some edge of `p` carries `t`. Matching is label-exact, so a
+/// delta edge whose triple `p` lacks is never the image of a pattern edge:
+/// it can neither create nor destroy a match of `p`.
+bool UsesTriple(const Pattern& p, const LabelTriple& t) {
+  for (const PatternEdge& e : p.edges()) {
+    if (e.label == t.edge && p.node(e.src).label == t.src &&
+        p.node(e.dst).label == t.dst) {
+      return true;
+    }
+  }
+  return false;
+}
+
+constexpr uint32_t kFar = static_cast<uint32_t>(-1);
+
+bool Contains(const std::vector<NodeId>& sorted, NodeId v) {
+  return std::binary_search(sorted.begin(), sorted.end(), v);
+}
+
+/// One direction of a pass's delta — the applied inserts, measured on the
+/// new graph, or the applied deletes, measured on the old one — and the
+/// distance arrays built from it so far. A pattern's array covers only the
+/// delta edges it uses; candidates share few distinct such subsets, so
+/// each array is built once per pass. Arrays reach the mining radius d,
+/// which bounds every generated rule's eval_radius().
+class DeltaReach {
+ public:
+  template <typename Mutation>
+  DeltaReach(const Graph& g, std::span<const Mutation> applied, uint32_t radius)
+      : g_(g), radius_(radius) {
+    for (const Mutation& m : applied) {
+      const LabelTriple t{g.node_label(m.src), m.label, g.node_label(m.dst)};
+      edges_.push_back({m.src, m.dst, t});
+    }
+  }
+
+  /// Per node, the distance (up to the mining radius, else kFar) to the
+  /// nearest endpoint of a delta edge `p` uses; nullptr when `p` uses none.
+  const std::vector<uint32_t>* For(const Pattern& p) {
+    std::vector<uint32_t> used;
+    for (uint32_t i = 0; i < edges_.size(); ++i) {
+      if (UsesTriple(p, edges_[i].labels)) used.push_back(i);
+    }
+    if (used.empty()) return nullptr;
+    auto [it, fresh] = memo_.try_emplace(std::move(used));
+    if (fresh) {
+      std::vector<NodeId> sources;
+      for (uint32_t i : it->first) {
+        sources.push_back(edges_[i].src);
+        sources.push_back(edges_[i].dst);
+      }
+      it->second.assign(g_.num_nodes(), kFar);
+      for (const auto& [v, dist] :
+           NodesWithinRadiusOfAny(g_, sources, radius_)) {
+        it->second[v] = dist;
+      }
+    }
+    return &it->second;
+  }
+
+ private:
+  struct Edge {
+    NodeId src;
+    NodeId dst;
+    LabelTriple labels;
+  };
+  const Graph& g_;
+  const uint32_t radius_;
+  std::vector<Edge> edges_;
+  /// Indices of the used delta edges -> their distance array.
+  std::map<std::vector<uint32_t>, std::vector<uint32_t>> memo_;
+};
+
+/// How one pattern's prior match set carries over a pool. With no old set
+/// every center is probed.
+struct Carry {
+  const std::vector<NodeId>* old_set = nullptr;
+  const std::vector<uint32_t>* lost = nullptr;    ///< deleted-edge reach
+  const std::vector<uint32_t>* gained = nullptr;  ///< inserted-edge reach
+};
 
 /// The maintainer's evaluation strategy: sequential matching over the whole
-/// graph, with evidence patching. By the locality property (Section 5.1) a
-/// center's membership in a pattern of eval radius r depends only on
-/// G_r(center), so only centers inside the affected region at that radius
-/// are re-probed; every other membership is carried from the prior pass's
-/// evidence. Supports are therefore exactly the full-probe values. With
-/// `affected == nullptr` every membership is probed (the seed pass and the
-/// incremental-off ablation). Every evaluated candidate, sub-sigma ones
-/// included, leaves an entry in `next`.
+/// graph, with evidence patching. A membership is carried from the prior
+/// pass's evidence unless the delta can have changed it (see
+/// `RuleMaintainer` for the three rules and why they are sound), so
+/// supports are exactly the full-probe values. With `old_graph == nullptr`
+/// every membership is probed (the seed pass and the incremental-off
+/// ablation). Every evaluated candidate, sub-sigma ones included, leaves
+/// an entry in `next`.
 class EvidencePatcher : public LevelwiseEvaluator {
  public:
-  EvidencePatcher(const RuleMaintainer& m, const AffectedMap* affected,
-                  RuleSetEvidence* next, MaintainStats* ps)
+  EvidencePatcher(const RuleMaintainer& m, const Graph* old_graph,
+                  std::span<const EdgeInsert> inserts,
+                  std::span<const EdgeDelete> deletes, RuleSetEvidence* next,
+                  MaintainStats* ps)
       : g_(*m.graph()),
         q_(m.predicate()),
         options_(m.options().mine),
         prior_(m.evidence()),
-        affected_(affected),
+        incremental_(old_graph != nullptr),
+        lost_(incremental_ ? *old_graph : g_, deletes, options_.d),
+        gained_(g_, inserts, options_.d),
+        flipped_(g_.num_nodes(), 0),
         next_(*next),
         ps_(*ps),
         matcher_(g_) {
-    if (affected_ == nullptr) return;  // nothing will be carried
+    if (!incremental_) return;  // nothing will be carried
     for (uint32_t i = 0; i < prior_.entries.size(); ++i) {
       index_[StructuralHash(prior_.entries[i].rule.pr())].push_back(i);
     }
+    const auto region =
+        DeltaAffectedRegion(*old_graph, g_, inserts, deletes, options_.d);
+    ps_.affected_nodes = region.size();
+    pool_frontier_.assign(g_.num_nodes(), 0);
+    for (const auto& [v, dist] : region) pool_frontier_[v] = dist <= 1;
   }
 
   // Pool membership of a center depends on G_1(center) (P_q has radius 1;
   // the ~q test reads the center's own out-edges), so only centers within
-  // distance 1 of a touched endpoint are re-probed.
+  // distance 1 of a touched endpoint are re-probed. A center whose pool
+  // status changes is marked for re-probing in every pattern.
   LevelwisePools EvaluatePools(const SearchPlanStore& plans) override {
     matcher_.set_plan_store(&plans);
     const Pattern pq = q_.ToPattern();
     for (NodeId c : g_.nodes_with_label(q_.x_label)) {
-      bool probe = affected_ == nullptr;
-      if (!probe) {
-        auto it = affected_->find(c);
-        probe = it != affected_->end() && it->second <= 1;
-      }
-      bool in_q = false, in_qbar = false;
-      if (probe) {
+      const bool was_q = Contains(prior_.q_pool, c);
+      const bool was_qbar = !was_q && Contains(prior_.qbar_pool, c);
+      bool in_q = was_q, in_qbar = was_qbar;
+      if (!incremental_ || pool_frontier_[c]) {
         ++ps_.centers_reprobed;
         ++ps_.exists_calls;
         in_q = matcher_.ExistsAt(pq, c);
-        if (!in_q) in_qbar = g_.HasOutLabel(c, q_.edge_label);
+        in_qbar = !in_q && g_.HasOutLabel(c, q_.edge_label);
+        flipped_[c] = incremental_ && (in_q != was_q || in_qbar != was_qbar);
       } else {
         ++ps_.centers_carried;
-        in_q = std::binary_search(prior_.q_pool.begin(), prior_.q_pool.end(),
-                                  c);
-        if (!in_q) {
-          in_qbar = std::binary_search(prior_.qbar_pool.begin(),
-                                       prior_.qbar_pool.end(), c);
-        }
       }
       if (in_q) {
         next_.q_pool.push_back(c);
@@ -158,7 +250,6 @@ class EvidencePatcher : public LevelwiseEvaluator {
       const std::vector<size_t>& cand_parent,
       const std::vector<char>& other_ok,
       const std::vector<std::shared_ptr<MinedRule>>& parents) override {
-    static const std::vector<NodeId> kNoOldSet;
     const bool prune = options_.enable_parent_prune;
     // Each parent's entry in `next_` (its match sets of THIS pass). All
     // keys of `entry_of_` belong to rules of one round, alive together
@@ -197,7 +288,7 @@ class EvidencePatcher : public LevelwiseEvaluator {
       // new seed, shifted lineage — has none and is re-expanded over its
       // pool, which its parent has already narrowed).
       const EvidenceEntry* old_ev = nullptr;
-      if (affected_ != nullptr) {
+      if (incremental_) {
         auto it = index_.find(StructuralHash(r.pr()));
         if (it != index_.end()) {
           for (uint32_t ei : it->second) {
@@ -214,39 +305,15 @@ class EvidencePatcher : public LevelwiseEvaluator {
         ++ps_.rules_reexpanded;
       }
 
-      // Membership of `c` in pattern `p` (eval radius <= `radius`): probe
-      // when the center sits inside the affected region at that radius or
-      // there is no evidence to carry; otherwise the prior answer stands.
-      auto membership = [&](NodeId c, const Pattern& p,
-                            const std::vector<NodeId>& old_set,
-                            bool have_old) -> bool {
-        bool must_probe = !have_old;
-        if (!must_probe) {
-          auto it = affected_->find(c);
-          must_probe = it != affected_->end() && it->second <= radius;
-        }
-        if (must_probe) {
-          ++ps_.centers_reprobed;
-          ++ps_.exists_calls;
-          return matcher_.ExistsAt(p, c);
-        }
-        ++ps_.centers_carried;
-        return std::binary_search(old_set.begin(), old_set.end(), c);
-      };
-
       EvidenceEntry ent;
       ent.rule = r;
       ent.parent = pe;
       auto rule = std::make_shared<MinedRule>();
       rule->rule = r;
 
-      const bool have_pr = old_ev != nullptr;
-      for (NodeId c : pr_pool) {
-        if (membership(c, r.pr(), have_pr ? old_ev->pr_matches : kNoOldSet,
-                       have_pr)) {
-          ent.pr_matches.push_back(c);
-        }
-      }
+      Carry pr_carry;
+      if (old_ev != nullptr) pr_carry = CarryOver(old_ev->pr_matches, r.pr());
+      Match(pr_pool, r.pr(), radius, pr_carry, &ent.pr_matches);
       rule->supp = ent.pr_matches.size();
       rule->matches = ent.pr_matches;
       rule->extendable = rule->supp > 0;
@@ -254,14 +321,11 @@ class EvidencePatcher : public LevelwiseEvaluator {
 
       if (other_ok[ci]) {
         ent.ant_probed = true;
-        const bool have_ant = old_ev != nullptr && old_ev->ant_probed;
-        for (NodeId c : ant_pool) {
-          if (membership(c, r.x_component(),
-                         have_ant ? old_ev->ant_matches : kNoOldSet,
-                         have_ant)) {
-            ent.ant_matches.push_back(c);
-          }
+        Carry ant_carry;
+        if (old_ev != nullptr && old_ev->ant_probed) {
+          ant_carry = CarryOver(old_ev->ant_matches, r.x_component());
         }
+        Match(ant_pool, r.x_component(), radius, ant_carry, &ent.ant_matches);
         rule->supp_qqbar = ent.ant_matches.size();
       }
 
@@ -287,11 +351,56 @@ class EvidencePatcher : public LevelwiseEvaluator {
   }
 
  private:
+  // Carries `old`, the prior match set of `p`, subject to the delta edges
+  // `p` uses.
+  Carry CarryOver(const std::vector<NodeId>& old, const Pattern& p) {
+    return {&old, lost_.For(p), gained_.For(p)};
+  }
+
+  // Appends the centers of `pool` matching `p` (eval radius <= `radius`)
+  // to `out`. A center is probed when its pool status flipped this pass,
+  // when there is no old set, or when a delta edge `p` uses lies within
+  // `radius` in the direction that can change its old answer: deletes for
+  // an old member, inserts for an old non-member. Otherwise the old answer
+  // stands. Pools and old sets are both sorted, so one cursor walks the
+  // old set.
+  void Match(std::span<const NodeId> pool, const Pattern& p, uint32_t radius,
+             const Carry& carry, std::vector<NodeId>* out) {
+    size_t pos = 0;
+    for (NodeId c : pool) {
+      bool probe = carry.old_set == nullptr || flipped_[c];
+      bool was_in = false;
+      if (!probe) {
+        const std::vector<NodeId>& old = *carry.old_set;
+        while (pos < old.size() && old[pos] < c) ++pos;
+        was_in = pos < old.size() && old[pos] == c;
+        const std::vector<uint32_t>* reach =
+            was_in ? carry.lost : carry.gained;
+        probe = reach != nullptr && (*reach)[c] <= radius;
+      }
+      bool in = was_in;
+      if (probe) {
+        ++ps_.centers_reprobed;
+        ++ps_.exists_calls;
+        in = matcher_.ExistsAt(p, c);
+      } else {
+        ++ps_.centers_carried;
+      }
+      if (in) out->push_back(c);
+    }
+  }
+
   const Graph& g_;
   const Predicate& q_;
   const DmineOptions& options_;
   const RuleSetEvidence& prior_;
-  const AffectedMap* affected_;
+  const bool incremental_;
+  DeltaReach lost_;    // applied deletes, on the old graph
+  DeltaReach gained_;  // applied inserts, on the new graph
+  /// Per node: within distance 1 of a touched endpoint (pools re-probed).
+  std::vector<char> pool_frontier_;
+  /// Per node: its q / ~q pool status changed this pass.
+  std::vector<char> flipped_;
   RuleSetEvidence& next_;
   MaintainStats& ps_;
   VF2Matcher matcher_;
@@ -323,7 +432,7 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(
   std::unique_ptr<RuleMaintainer> m(
       new RuleMaintainer(std::move(g), q, options));
   MaintainStats ps;
-  GPAR_RETURN_NOT_OK(m->RefreshPass(nullptr, &ps));
+  GPAR_RETURN_NOT_OK(m->RefreshPass(nullptr, {}, {}, &ps));
   Accumulate(&m->lifetime_, ps);
   return m;
 }
@@ -349,26 +458,27 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
         "only reusable under the exact parameters it was mined with");
   }
   m->evidence_ = std::move(evidence);
-  // A zero-delta pass rebuilds Σ/top-k from the adopted evidence: with an
-  // empty affected map every membership is carried, so this is pattern-
-  // level work only (no pool probes) when the evidence matches the graph —
-  // and a sound (if slow) re-expansion when it does not.
-  const AffectedMap kNoneAffected;
+  // A zero-delta pass rebuilds Σ/top-k from the adopted evidence: with no
+  // delta edges every membership is carried, so this is pattern-level work
+  // only (no pool probes) when the evidence matches the graph — and a
+  // sound (if slow) re-expansion when it does not.
   MaintainStats ps;
-  GPAR_RETURN_NOT_OK(m->RefreshPass(&kNoneAffected, &ps));
+  GPAR_RETURN_NOT_OK(m->RefreshPass(m->graph_.get(), {}, {}, &ps));
   Accumulate(&m->lifetime_, ps);
   return m;
 }
 
-Status RuleMaintainer::RefreshPass(const AffectedMap* affected,
+Status RuleMaintainer::RefreshPass(const Graph* old_graph,
+                                   std::span<const EdgeInsert> inserts,
+                                   std::span<const EdgeDelete> deletes,
                                    MaintainStats* ps) {
   const auto t0 = std::chrono::steady_clock::now();
-  if (!options_.enable_incremental_maintenance) affected = nullptr;
+  if (!options_.enable_incremental_maintenance) old_graph = nullptr;
   ++ps->passes;
 
   RuleSetEvidence next;
   next.setup = evidence_.setup;
-  EvidencePatcher patcher(*this, affected, &next, ps);
+  EvidencePatcher patcher(*this, old_graph, inserts, deletes, &next, ps);
   DmineStats ds;
   LevelwiseResult lw = RunLevelwise(*graph_, q_, options_.mine, patcher, &ds);
   ps->candidates_evaluated += ds.candidates_verified;
@@ -394,19 +504,7 @@ Result<MaintainStats> RuleMaintainer::Advance(
   ps.edges_deleted = applied_deletes.size();
   graph_ = std::move(new_graph);
 
-  std::unordered_map<NodeId, uint32_t> affected;
-  const std::unordered_map<NodeId, uint32_t>* affected_ptr = nullptr;
-  if (options_.enable_incremental_maintenance) {
-    // The shared re-probe frontier, at the mining radius: every generated
-    // rule has eval_radius() <= mine.d, and the pools live at radius 1.
-    const auto region = DeltaAffectedRegion(old_graph, *graph_, applied,
-                                            applied_deletes, options_.mine.d);
-    affected.reserve(region.size());
-    for (const auto& [v, dist] : region) affected.emplace(v, dist);
-    ps.affected_nodes = affected.size();
-    affected_ptr = &affected;
-  }
-  GPAR_RETURN_NOT_OK(RefreshPass(affected_ptr, &ps));
+  GPAR_RETURN_NOT_OK(RefreshPass(&old_graph, applied, applied_deletes, &ps));
   Accumulate(&lifetime_, ps);
   return ps;
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -32,9 +31,10 @@ struct MaintainOptions {
   DmineOptions mine;
   /// The subsystem's own ablation flag: off = every pass re-probes every
   /// pool center from scratch (a sequential re-mine — the "remine" baseline
-  /// of BENCH_maintenance), on = only centers inside the delta-affected
-  /// region are re-probed; everything else is carried from evidence. Both
-  /// settings produce identical rule sets (MaintainEquivalence battery).
+  /// of BENCH_maintenance), on = only memberships the delta can change are
+  /// re-probed (see `RuleMaintainer`); everything else is carried from
+  /// evidence. Both settings produce identical evidence and rule sets (the
+  /// MaintainEquivalence and MaintainEvidenceEquivalence batteries).
   bool enable_incremental_maintenance = true;
 };
 
@@ -44,14 +44,25 @@ struct MaintainStats {
   uint64_t passes = 0;
   size_t edges_inserted = 0;  ///< applied mutations this pass
   size_t edges_deleted = 0;
-  /// Nodes in the delta-affected region (radius d) — the re-probe frontier.
+  /// Nodes within d hops of a touched endpoint (`DeltaAffectedRegion`):
+  /// the region locality alone would re-probe. Pools are re-probed within
+  /// 1 hop; the label and direction tests narrow the pattern re-probes to
+  /// a subset of this region.
   uint64_t affected_nodes = 0;
-  uint64_t centers_reprobed = 0;  ///< pool memberships recomputed by matching
-  uint64_t centers_carried = 0;   ///< pool memberships reused from evidence
-  uint64_t exists_calls = 0;      ///< matcher probes (pools + rules)
+  /// Memberships (pool, P_R or x-component) recomputed by matching: those
+  /// with no prior evidence, those of a center whose q / ~q pool status
+  /// flipped this pass, and those within the rule's radius of a delta edge
+  /// whose label triple the pattern uses and whose direction can change
+  /// the old answer (a delete for an old member, an insert for an old
+  /// non-member). With incremental maintenance off, every membership.
+  uint64_t centers_reprobed = 0;
+  /// Memberships reused from evidence. `centers_reprobed + centers_carried`
+  /// equals the incremental-off pass's `centers_reprobed` on the same delta.
+  uint64_t centers_carried = 0;
+  uint64_t exists_calls = 0;        ///< matcher probes (pools + rules)
   size_t candidates_evaluated = 0;  ///< candidate rules the pass walked
   /// Candidates whose match sets were patched from a prior pass's evidence
-  /// (only affected centers re-probed).
+  /// (only the memberships the delta can change re-probed).
   size_t rules_patched = 0;
   /// Candidates with no usable evidence — first seen, or their pattern
   /// never evaluated before — re-expanded by probing their full (parent-
@@ -79,16 +90,40 @@ struct MaintainStats {
 /// Each pass runs DMine's levelwise driver (`RunLevelwise`: seed alphabet,
 /// candidate generation, automorphism dedup, incDiv, reduction rules) with
 /// sequential candidate generation and, in place of DMine's fragment
-/// workers, evidence patching for the expensive part, match evaluation: by
-/// the locality property (Section 5.1) a center's membership in a pattern
-/// of eval radius r depends only on G_r(center), so only
-/// centers within d hops of a touched edge (`DeltaAffectedRegion`) are
-/// re-probed; every other membership is carried from the previous pass's
-/// evidence. A candidate whose pattern has no prior evidence (a sigma
-/// crossing upstream changed the lineage, or the seed alphabet shifted) is
-/// re-expanded locally: its pool is already restricted to its parent's
-/// fresh match set, so the full probe stays proportional to that rule, not
-/// the graph.
+/// workers, evidence patching for the expensive part, match evaluation.
+/// A center's membership in a pattern P (P_R or the antecedent's
+/// x-component) is carried from the previous pass's evidence unless one of
+/// three rules asks for a probe:
+///
+///  1. Pool flip. The center's q / ~q pool status changed this pass. Pools
+///     are re-probed within 1 hop of a touched endpoint (P_q has radius 1;
+///     the ~q test reads the center's own out-edges). A center that just
+///     entered a pool is missing from every old match set because it was
+///     outside the pool, not because it failed to match, so it is probed
+///     in every pattern.
+///  2. Direction. Matching is non-induced (Section 2.1), so an inserted
+///     edge can only add matches and a deleted edge can only remove them.
+///     An old member is probed only if a relevant deleted edge has an
+///     endpoint within eval_radius of the center in the old graph; an old
+///     non-member only if a relevant inserted edge has one within
+///     eval_radius in the new graph. Every edge of a match at the center
+///     lies within the pattern's radius of it (locality, Section 5.1).
+///  3. Label relevance. A delta edge (a, l, b) is relevant to P only if P
+///     has an edge labelled l from a node labelled label(a) to one
+///     labelled label(b): matching is label-exact, so no other edge is
+///     ever the image of a pattern edge. Node labels never change under a
+///     delta.
+///
+/// A center absent from an old match set and outside rule 1 is a true old
+/// non-member: the old set was probed over the parent's old matches, and
+/// the parent pattern is a subpattern of the child (anti-monotonicity),
+/// down to the round-0 pool the center was already in. This is the
+/// affected-area bound of incremental pattern matching (Fan, Wang and Wu,
+/// TODS 2013) applied to GPAR evidence. A candidate whose pattern has no
+/// prior evidence (a sigma crossing upstream changed the lineage, or the
+/// seed alphabet shifted) is re-expanded locally: its pool is already
+/// restricted to its parent's fresh match set, so the full probe stays
+/// proportional to that rule, not the graph.
 ///
 /// Not thread-safe: callers serialize passes (the servers run them under
 /// their writer lock).
@@ -119,8 +154,8 @@ class RuleMaintainer {
 
   /// Serving hook: the caller (a server) already patched and swapped the
   /// graph; run the maintenance pass from the applied mutations. `old_graph`
-  /// is the pre-delta graph (needed for the delete side of the affected
-  /// region); the maintainer adopts `new_graph` as current.
+  /// is the pre-delta graph (deleted edges are measured on it); the
+  /// maintainer adopts `new_graph` as current.
   Result<MaintainStats> Advance(const Graph& old_graph,
                                 std::shared_ptr<const Graph> new_graph,
                                 std::span<const EdgeInsert> applied,
@@ -157,11 +192,12 @@ class RuleMaintainer {
   RuleMaintainer(std::shared_ptr<const Graph> g, const Predicate& q,
                  const MaintainOptions& options);
 
-  /// One maintenance pass on the current graph. `affected` maps node ->
-  /// min distance to a touched endpoint; nullptr = probe everything (the
-  /// seed pass and the incremental-off ablation).
-  Status RefreshPass(const std::unordered_map<NodeId, uint32_t>* affected,
-                     MaintainStats* ps);
+  /// One maintenance pass on the current graph, which is `old_graph` with
+  /// `inserts` and `deletes` applied. `old_graph == nullptr` probes every
+  /// membership (the seed pass and the incremental-off ablation).
+  Status RefreshPass(const Graph* old_graph,
+                     std::span<const EdgeInsert> inserts,
+                     std::span<const EdgeDelete> deletes, MaintainStats* ps);
 
   MaintainOptions options_;
   std::shared_ptr<const Graph> graph_;

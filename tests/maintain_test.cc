@@ -9,11 +9,13 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/generator.h"
+#include "graph/graph_builder.h"
 #include "graph/graph_delta.h"
 #include "graph/stats.h"
 #include "mine/dmine.h"
@@ -114,6 +116,34 @@ GraphDelta MakeChurn(const Graph& g, LabelId q_label, uint64_t seed,
     NodeId dst = static_cast<NodeId>(rng() % g.num_nodes());
     d.inserts.push_back(
         {src, i % 2 == 0 ? q_label : labels[rng() % labels.size()], dst});
+  }
+  return d;
+}
+
+/// A churn batch the label test cannot wave through: deletes `deletes`
+/// random existing edges and inserts `inserts` copies of random existing
+/// edges' label triples between other endpoints with the same node labels,
+/// so every insert carries a triple the graph, and so the seed alphabet,
+/// already has.
+GraphDelta MakeLabelMatchedChurn(const Graph& g, uint64_t seed, size_t inserts,
+                                 size_t deletes) {
+  std::mt19937_64 rng(seed);
+  auto random_edge = [&] {
+    NodeId v = static_cast<NodeId>(rng() % g.num_nodes());
+    while (g.out_edges(v).empty()) v = (v + 1) % g.num_nodes();
+    const auto edges = g.out_edges(v);
+    const AdjEntry& e = edges[rng() % edges.size()];
+    return EdgeDelete{v, e.label, e.other};
+  };
+  GraphDelta d;
+  for (size_t i = 0; i < deletes; ++i) d.deletes.push_back(random_edge());
+  for (size_t i = 0; i < inserts; ++i) {
+    const EdgeDelete e = random_edge();
+    const auto srcs = g.nodes_with_label(g.node_label(e.src));
+    const auto dsts = g.nodes_with_label(g.node_label(e.dst));
+    const NodeId src = srcs[rng() % srcs.size()];
+    const NodeId dst = dsts[rng() % dsts.size()];
+    d.inserts.push_back({src, e.label, dst});
   }
   return d;
 }
@@ -222,6 +252,211 @@ TEST(MaintainEquivalenceTest, IncrementalAblationIsResultIdentical) {
     // maintainer must carry memberships the off maintainer re-probes.
     EXPECT_GT(pa->centers_carried, 0u);
     EXPECT_EQ(pb->centers_carried, 0u);
+  }
+}
+
+// Evidence-level ablation battery: the top-k comparisons above only see
+// rules in Σ, so a wrongly carried membership of a sub-sigma rule would
+// stay hidden until its support crossed sigma. Here the full evidence —
+// pools and every candidate's match sets — must equal the full-probe
+// ablation's after every batch, over plain churn, label-matched churn
+// (every insert copies a triple already in the graph), and insert-only
+// and delete-only batches. Every membership the on maintainer carries is one
+// the off maintainer probes.
+TEST(MaintainEvidenceEquivalenceTest, CarriedEvidenceEqualsFullProbe) {
+  const size_t kChurn = 20;
+  uint64_t carried = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    auto g = std::make_shared<const Graph>(
+        MakeSynthetic(300, 900, 10, seed * 31));
+    Predicate q = PickQ(*g);
+    MaintainOptions off_opt = SmallMaintain();
+    off_opt.enable_incremental_maintenance = false;
+    auto on = RuleMaintainer::Seed(g, q, SmallMaintain());
+    auto off = RuleMaintainer::Seed(g, q, off_opt);
+    ASSERT_TRUE(on.ok()) << on.status();
+    ASSERT_TRUE(off.ok()) << off.status();
+    for (size_t b = 0; b < 6; ++b) {
+      const std::shared_ptr<const Graph> cur = (*on)->graph();
+      const uint64_t s = seed * 100 + b;
+      GraphDelta d;
+      switch (b) {
+        case 0:
+        case 3:
+          d = MakeChurn(*cur, q.edge_label, s, kChurn);
+          break;
+        case 1:
+        case 5:
+          d = MakeLabelMatchedChurn(*cur, s, kChurn, kChurn);
+          break;
+        case 2:
+          d = MakeLabelMatchedChurn(*cur, s, kChurn, 0);
+          break;
+        default:
+          d = MakeLabelMatchedChurn(*cur, s, 0, kChurn);
+          break;
+      }
+      d.sequence = b + 1;
+      auto pon = (*on)->ApplyDelta(d);
+      auto poff = (*off)->ApplyDelta(d);
+      ASSERT_TRUE(pon.ok()) << pon.status();
+      ASSERT_TRUE(poff.ok()) << poff.status();
+      const std::string what =
+          "seed " + std::to_string(seed) + " batch " + std::to_string(b);
+      EXPECT_EQ((*on)->evidence(), (*off)->evidence()) << what;
+      EXPECT_EQ((*on)->TopKRecords(), (*off)->TopKRecords()) << what;
+      EXPECT_EQ(pon->centers_reprobed + pon->centers_carried,
+                poff->centers_reprobed)
+          << what;
+      EXPECT_EQ(poff->centers_carried, 0u) << what;
+      carried += pon->centers_carried;
+    }
+  }
+  EXPECT_GT(carried, 0u) << "the battery never carried a membership";
+}
+
+/// Whether any pattern the maintainer evaluated (P_R or x-component) has
+/// an edge labelled `edge` from a `src`-labelled to a `dst`-labelled node.
+bool AnyPatternUses(const RuleMaintainer& m, LabelId src, LabelId edge,
+                    LabelId dst) {
+  for (const EvidenceEntry& e : m.evidence().entries) {
+    for (const Pattern* p : {&e.rule.pr(), &e.rule.x_component()}) {
+      for (const PatternEdge& pe : p->edges()) {
+        if (pe.label == edge && p->node(pe.src).label == src &&
+            p->node(pe.dst).label == dst) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+/// A hand-built graph for the deterministic carry regressions. Predicate
+/// person -buys-> item. Persons p0..p3 buy items (the q pool), p4 and p5
+/// buy only a gift (the ~q pool), p6 and p7 buy nothing. Every person is
+/// at a place and knows the next one around a ring. With a seed alphabet
+/// of three triples (at, knows, buys-item), no evaluated pattern uses the
+/// person -buys-> gift or item -at-> place triples.
+struct CarryFixture {
+  std::shared_ptr<const Graph> g;
+  Predicate q;
+  NodeId p6, gift, item0, place1;
+
+  CarryFixture() {
+    GraphBuilder b;
+    std::vector<NodeId> p;
+    for (int i = 0; i < 8; ++i) p.push_back(b.AddNode("person"));
+    const NodeId i0 = b.AddNode("item");
+    const NodeId i1 = b.AddNode("item");
+    const NodeId l0 = b.AddNode("place");
+    const NodeId l1 = b.AddNode("place");
+    const NodeId g0 = b.AddNode("gift");
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_TRUE(b.AddEdge(p[i], "at", i % 2 == 0 ? l0 : l1).ok());
+      EXPECT_TRUE(b.AddEdge(p[i], "knows", p[(i + 1) % 8]).ok());
+    }
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_TRUE(b.AddEdge(p[i], "buys", i % 2 == 0 ? i0 : i1).ok());
+    }
+    EXPECT_TRUE(b.AddEdge(p[4], "buys", g0).ok());
+    EXPECT_TRUE(b.AddEdge(p[5], "buys", g0).ok());
+    const Interner& labels = *b.labels_ptr();
+    q.x_label = labels.Lookup("person");
+    q.edge_label = labels.Lookup("buys");
+    q.y_label = labels.Lookup("item");
+    g = std::make_shared<const Graph>(std::move(b).Build());
+    p6 = p[6];
+    gift = g0;
+    item0 = i0;
+    place1 = l1;
+  }
+
+  static MaintainOptions Options() {
+    MaintainOptions opt;
+    opt.mine.k = 2;
+    opt.mine.d = 2;
+    opt.mine.sigma = 1;
+    opt.mine.max_pattern_edges = 2;
+    opt.mine.seed_edge_limit = 3;
+    return opt;
+  }
+
+  /// x-labelled nodes within distance 1 of `endpoints` in `before` or
+  /// `after`: the centers whose pool status a pass re-probes.
+  size_t PoolFrontier(const Graph& before, const Graph& after,
+                      const std::vector<NodeId>& endpoints) const {
+    std::set<NodeId> near;
+    for (const Graph* graph : {&before, &after}) {
+      for (const auto& [v, dist] :
+           NodesWithinRadiusOfAny(*graph, endpoints, 1)) {
+        if (graph->node_label(v) == q.x_label) near.insert(v);
+      }
+    }
+    return near.size();
+  }
+};
+
+// Pool-flip trap: inserting p6 -buys-> gift moves p6 into the ~q pool. No
+// evaluated pattern uses that triple, so neither the label nor the
+// direction test asks for a probe — but p6 is absent from every old
+// antecedent match set only because it was outside the pool, not because
+// it failed to match (p6 is at a place, like the ~q members). It must be
+// re-probed, or supp(Q~q) and with it every confidence comes out short.
+TEST(MaintainTest, CenterEnteringQbarIsReprobedWithoutRelevantEdges) {
+  CarryFixture f;
+  auto m = RuleMaintainer::Seed(f.g, f.q, CarryFixture::Options());
+  ASSERT_TRUE(m.ok()) << m.status();
+  ASSERT_FALSE((*m)->topk().empty());
+  ASSERT_EQ((*m)->supp_qbar(), 2u);
+  GraphDelta d;
+  d.sequence = 1;
+  d.inserts.push_back({f.p6, f.q.edge_label, f.gift});
+  auto ps = (*m)->ApplyDelta(d);
+  ASSERT_TRUE(ps.ok()) << ps.status();
+  const Graph& after = *(*m)->graph();
+  const Interner& labels = f.g->labels();
+  const LabelId gift = labels.Lookup("gift");
+  EXPECT_FALSE(AnyPatternUses(**m, f.q.x_label, f.q.edge_label, gift));
+  EXPECT_EQ((*m)->supp_qbar(), 3u);
+  ExpectMatchesDmine(**m, "after p6 entered ~q");
+
+  MaintainOptions off = CarryFixture::Options();
+  off.enable_incremental_maintenance = false;
+  auto full = RuleMaintainer::Seed((*m)->graph(), f.q, off);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ((*m)->evidence(), (*full)->evidence());
+  // Beyond the pool frontier, only the flipped p6 can have been probed.
+  EXPECT_GT(ps->centers_reprobed, f.PoolFrontier(*f.g, after, {f.p6, f.gift}));
+}
+
+// Counter guard for the label test: a delta whose triple no evaluated
+// pattern uses, and which flips no pool status, re-probes exactly the
+// pool frontier and carries every pattern membership.
+TEST(MaintainTest, IrrelevantTriplesReprobeOnlyThePoolFrontier) {
+  CarryFixture f;
+  auto m = RuleMaintainer::Seed(f.g, f.q, CarryFixture::Options());
+  ASSERT_TRUE(m.ok()) << m.status();
+  const Interner& labels = f.g->labels();
+  const LabelId at = labels.Lookup("at");
+  ASSERT_FALSE(AnyPatternUses(**m, f.q.y_label, at, labels.Lookup("place")));
+  const std::vector<NodeId> endpoints = {f.item0, f.place1};
+  for (uint64_t seq = 1; seq <= 2; ++seq) {
+    GraphDelta d;
+    d.sequence = seq;
+    if (seq == 1) {
+      d.inserts.push_back({f.item0, at, f.place1});
+    } else {
+      d.deletes.push_back({f.item0, at, f.place1});
+    }
+    const std::shared_ptr<const Graph> before = (*m)->graph();
+    auto ps = (*m)->ApplyDelta(d);
+    ASSERT_TRUE(ps.ok()) << ps.status();
+    const size_t frontier = f.PoolFrontier(*before, *(*m)->graph(), endpoints);
+    EXPECT_EQ(ps->centers_reprobed, frontier) << "batch " << seq;
+    EXPECT_GT(ps->centers_carried, 0u) << "batch " << seq;
+    EXPECT_EQ(ps->rules_reexpanded, 0u) << "batch " << seq;
+    ExpectMatchesDmine(**m, "batch " + std::to_string(seq));
   }
 }
 
