@@ -79,7 +79,7 @@ int main() {
     size_t num_requests =
         std::min<size_t>(small ? 64 : 512,
                          std::max<size_t>(cands.size() / batch_size, 1));
-    std::vector<ServeRequest> requests(num_requests);
+    std::vector<SessionRequest> requests(num_requests);
     for (auto& req : requests) {
       for (size_t i = 0; i < batch_size; ++i) {
         req.centers.push_back(cands[rng() % cands.size()]);
@@ -88,8 +88,8 @@ int main() {
 
     auto run_requests = [&]() -> double {
       Timer t;
-      for (const ServeRequest& req : requests) {
-        auto reply = s.Serve(req);
+      for (const SessionRequest& req : requests) {
+        auto reply = s.Query(req);
         if (!reply.ok()) std::abort();
       }
       return static_cast<double>(requests.size()) / t.Seconds();
@@ -100,7 +100,10 @@ int main() {
 
     // Warm full identification (the batch-equivalent answer, from cache).
     Timer tw;
-    auto warm_all = s.IdentifyAll(1.0);
+    SessionRequest all;
+    all.all_centers = true;
+    all.eta = 1.0;
+    auto warm_all = s.Query(all);
     double warm_all_s = tw.Seconds();
     if (!warm_all.ok() || warm_all->entities != batch->entities) {
       std::fprintf(stderr, "serve/batch mismatch at m=%zu\n", m);
@@ -108,12 +111,12 @@ int main() {
     }
 
     // Delta: a few random inserts, then the same request set.
-    std::vector<EdgeInsert> inserts;
+    GraphDelta inserts;
     {
       LabelId follows = g.labels().Lookup("follows");
       if (follows == kNoLabel) follows = q.edge_label;
       for (int i = 0; i < 8; ++i) {
-        inserts.push_back(
+        inserts.inserts.push_back(
             {static_cast<NodeId>(rng() % g.num_nodes()), follows,
              static_cast<NodeId>(rng() % g.num_nodes())});
       }

@@ -49,7 +49,10 @@ int main() {
   auto server = RuleServer::Create(g, records, sopt);
   if (!server.ok()) return 1;
   RuleServer& s = **server;
-  if (!s.IdentifyAll(1.0).ok()) return 1;  // warm the maintained session
+  SessionRequest all;
+  all.all_centers = true;
+  all.eta = 1.0;
+  if (!s.Query(all).ok()) return 1;  // warm the maintained session
 
   const double cache_slots =
       static_cast<double>(records.size()) * s.candidates().size();
@@ -113,7 +116,7 @@ int main() {
 
     // Maintained path: re-answer the full identification from the session.
     Timer tq;
-    auto maintained = s.IdentifyAll(1.0);
+    auto maintained = s.Query(all);
     double requery_s = tq.Seconds();
     if (!maintained.ok()) return 1;
 
@@ -121,7 +124,7 @@ int main() {
     Timer tr;
     auto fresh = RuleServer::Create(current, records, sopt);
     if (!fresh.ok()) return 1;
-    auto cold = (*fresh)->IdentifyAll(1.0);
+    auto cold = (*fresh)->Query(all);
     double rebuild_s = tr.Seconds();
     if (!cold.ok()) return 1;
     if (cold->entities != maintained->entities) {

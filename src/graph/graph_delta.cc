@@ -81,9 +81,11 @@ Graph MergePatched(const Graph& g, const std::vector<EdgeDelete>& dels,
   return out;
 }
 
-Result<GraphPatch> PatchImpl(const Graph& g,
-                             std::span<const EdgeInsert> inserts,
-                             std::span<const EdgeDelete> deletes) {
+}  // namespace
+
+Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta) {
+  const std::vector<EdgeInsert>& inserts = delta.inserts;
+  const std::vector<EdgeDelete>& deletes = delta.deletes;
   const NodeId n = g.num_nodes();
   // Inserts stay strict — a dangling endpoint or uninterned label is a
   // producer bug. Deletes are tolerant (see EdgeDelete): anything that
@@ -128,8 +130,6 @@ Result<GraphPatch> PatchImpl(const Graph& g,
   patch.applied_deletes = std::move(dels);
   return patch;
 }
-
-}  // namespace
 
 std::string GraphDelta::Serialize() const {
   std::string payload;
@@ -301,25 +301,6 @@ Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels) {
     }
   }
   return Status::OK();
-}
-
-Result<GraphPatch> PatchGraphWithInserts(const Graph& g,
-                                         std::span<const EdgeInsert> inserts) {
-  return PatchImpl(g, inserts, {});
-}
-
-Result<GraphPatch> PatchGraphWithDeletes(const Graph& g,
-                                         std::span<const EdgeDelete> deletes) {
-  return PatchImpl(g, {}, deletes);
-}
-
-Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta) {
-  return PatchImpl(g, delta.inserts, delta.deletes);
-}
-
-Result<GraphPatch> PatchGraphWithInserts(const Graph& g,
-                                         const GraphDelta& delta) {
-  return PatchGraph(g, delta);
 }
 
 std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(

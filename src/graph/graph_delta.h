@@ -118,6 +118,11 @@ struct GraphPatch {
   /// The deletes that actually removed an edge (sorted, deduplicated) —
   /// the other half of the invalidation frontier.
   std::vector<EdgeDelete> applied_deletes;
+
+  /// False when the batch changed nothing (all duplicates / missing).
+  bool changed() const noexcept {
+    return !applied.empty() || !applied_deletes.empty();
+  }
 };
 
 /// Fills `delta->label_defs` with a definition for every distinct label id
@@ -137,35 +142,21 @@ void CollectLabelDefs(const Interner& labels, GraphDelta* delta);
 /// has (the live shard-wire path): those verify and no-op.
 Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels);
 
-/// Applies edge inserts to an immutable CSR graph, producing a new `Graph`
-/// that is bit-identical to rebuilding from scratch with the extended edge
-/// list (guarded by the delta tests via snapshot-byte comparison).
+/// The one mutation entry point: applies `delta.deletes` then
+/// `delta.inserts` to an immutable CSR graph, producing a new `Graph` that
+/// is bit-identical to rebuilding from scratch with the final edge list
+/// (old edges \ deletes) ∪ inserts (guarded by the delta tests via
+/// snapshot-byte comparison). Deletes of absent edges (including
+/// out-of-range endpoints or uninterned labels) are counted in
+/// `GraphPatch::missing`, never fatal; inserts naming an unknown node or
+/// label are rejected.
 ///
-/// Cost is O(|V| + |E| + k log k) for k inserts: the inserts are sorted and
+/// Cost is O(|V| + |E| + k log k) for k mutations: the batch is sorted and
 /// merged into the out-CSR in one pass — no global edge re-sort — and the
 /// in-CSR and label index are re-derived by the shared assembly routine.
 /// The paper's serving scenario applies small deltas to large graphs, where
 /// the merge is dominated by the memcpy of the untouched adjacency.
-Result<GraphPatch> PatchGraphWithInserts(const Graph& g,
-                                         std::span<const EdgeInsert> inserts);
-
-/// Deletion counterpart: removes the named edges in the same single merge
-/// pass, bit-identical to a from-scratch rebuild from the shrunken edge
-/// list. Deletes of absent edges (including out-of-range endpoints or
-/// uninterned labels) are counted in `GraphPatch::missing`, never fatal.
-Result<GraphPatch> PatchGraphWithDeletes(const Graph& g,
-                                         std::span<const EdgeDelete> deletes);
-
-/// The unified mutation entry point — applies `delta.deletes` then
-/// `delta.inserts` in ONE merge pass over the CSR, bit-identical to a
-/// from-scratch rebuild from the final edge list
-/// (old edges \ deletes) ∪ inserts.
 Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta);
-
-/// Typed-batch insert form — kept for PR 5/6 callers; equivalent to
-/// `PatchGraph` when `delta.deletes` is empty.
-Result<GraphPatch> PatchGraphWithInserts(const Graph& g,
-                                         const GraphDelta& delta);
 
 /// Distance-bounded invalidation support: for every node within undirected
 /// distance `radius` of any source, its distance to the nearest source.

@@ -16,7 +16,7 @@ namespace gpar {
 /// One stored rule: the GPAR plus the mining metadata a server needs to
 /// rank/filter without re-evaluating (supp(R, G) and the BF/LCWA confidence
 /// at mining time). Metadata is advisory — live confidences on a patched
-/// graph come from `RuleServer::IdentifyAll`.
+/// graph come from an `all_centers` `ServeSession::Query`.
 struct RuleRecord {
   Gpar rule;
   uint64_t supp = 0;

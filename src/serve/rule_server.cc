@@ -10,7 +10,6 @@
 #include "common/timer.h"
 #include "graph/graph_snapshot.h"
 #include "match/guided.h"
-#include "rule/metrics.h"
 
 namespace gpar {
 
@@ -30,14 +29,6 @@ void ClearBit(std::vector<uint64_t>* words, size_t i) {
   (*words)[i >> 6] &= ~(uint64_t{1} << (i & 63));
 }
 
-void Accumulate(ServeStats* into, const ServeStats& s) {
-  into->requests += s.requests;
-  into->cache_hits += s.cache_hits;
-  into->cache_probes += s.cache_probes;
-  into->centers_evaluated += s.centers_evaluated;
-  into->latency_seconds += s.latency_seconds;
-}
-
 }  // namespace
 
 RuleServer::RuleServer(std::vector<RuleRecord> rules,
@@ -51,13 +42,10 @@ RuleServer::RuleServer(std::vector<RuleRecord> rules,
 Result<std::unique_ptr<RuleServer>> RuleServer::Load(
     const std::string& graph_snapshot_path,
     const std::string& rules_snapshot_path, const RuleServerOptions& options) {
-  GPAR_FAILPOINT("snapshot.load");
-  auto g = ReadGraphSnapshotFile(graph_snapshot_path);
-  if (!g.ok()) return g.status();
-  auto rules =
-      ReadRuleSetSnapshotFile(rules_snapshot_path, g->mutable_labels());
-  if (!rules.ok()) return rules.status();
-  return Create(std::move(g).value(), std::move(rules).value(), options);
+  GPAR_ASSIGN_OR_RETURN(
+      SnapshotPair pair,
+      ReadSnapshotPair(graph_snapshot_path, rules_snapshot_path));
+  return Create(std::move(pair.graph), std::move(pair.rules), options);
 }
 
 Result<std::unique_ptr<RuleServer>> RuleServer::Recover(
@@ -446,22 +434,17 @@ Result<SessionReply> RuleServer::Query(const SessionRequest& request) {
   // rule set the request will match with, or a racing rule refresh could
   // hand back indices into the wrong set.
   const std::shared_ptr<const State> st = AcquireState();
-  GPAR_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> selected,
-      NormalizeRuleSelection(request.rules, st->rules->sigma.size()));
-  if (request.all_centers && request.eta <= 0) {
-    return Status::InvalidArgument("eta must be positive");
-  }
+  GPAR_ASSIGN_OR_RETURN(std::vector<uint32_t> selected,
+                        ValidateRequest(request, st->rules->sigma.size()));
   const std::span<const NodeId> centers =
       request.all_centers ? std::span<const NodeId>(candidates_)
                           : std::span<const NodeId>(request.centers);
 
-  ServeStats stats;
-  stats.requests = 1;
-  std::unordered_map<NodeId, Row> rows;
-  GPAR_RETURN_NOT_OK(EnsureRows(*st, centers, selected, &rows, &stats));
-
   SessionReply reply;
+  reply.stats.requests = 1;
+  std::unordered_map<NodeId, Row> rows;
+  GPAR_RETURN_NOT_OK(EnsureRows(*st, centers, selected, &rows, &reply.stats));
+
   reply.matched.reserve(centers.size());
   for (NodeId c : centers) {
     const Row& row = rows.at(c);
@@ -492,38 +475,11 @@ Result<SessionReply> RuleServer::Query(const SessionRequest& request) {
         }
       }
     }
-    std::vector<char> qualified(st->rules->sigma.size(), 0);
-    for (uint32_t ri : selected) {
-      EipRuleEval& ev = reply.rule_evals[ri];
-      ev.conf = BayesFactorConf(ev.supp_r, reply.supp_qbar, ev.supp_qqbar,
-                                reply.supp_q);
-      if (ev.conf >= request.eta) qualified[ri] = 1;
-    }
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      // candidates_ is sorted, so entities come out sorted
-      for (uint32_t ri : reply.matched[i]) {
-        if (qualified[ri] != 0) {
-          reply.entities.push_back(candidates_[i]);
-          break;
-        }
-      }
-    }
-  } else {
-    for (size_t i = 0; i < centers.size(); ++i) {
-      if (!reply.matched[i].empty()) reply.entities.push_back(centers[i]);
-    }
-    std::sort(reply.entities.begin(), reply.entities.end());
-    reply.entities.erase(
-        std::unique(reply.entities.begin(), reply.entities.end()),
-        reply.entities.end());
   }
+  AssembleEntities(request, selected, centers, &reply);
 
-  stats.latency_seconds = timer.Seconds();
-  {
-    MutexLock lock(stats_mu_);
-    Accumulate(&lifetime_stats_, stats);
-  }
-  reply.stats = stats;
+  reply.stats.latency_seconds = timer.Seconds();
+  lifetime_.Record(reply.stats);
   return reply;
 }
 
@@ -541,18 +497,11 @@ Result<DeltaStats> RuleServer::ApplyDeltaLocked(const GraphDelta& delta,
   const std::shared_ptr<const State> st = AcquireState();
   Timer timer;
   DeltaStats ds;
-  // Replayed journal frames carry their own label dictionary (v3 wire);
-  // re-intern before patching so a frame minted after the snapshot was
-  // written still resolves. Live deltas have no defs — this is free.
-  GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, interner_.get()));
-  GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(*st->graph, delta));
-  ds.edges_inserted = patch.edges_inserted;
-  ds.duplicates_ignored = patch.duplicates;
-  ds.edges_deleted = patch.edges_deleted;
-  ds.deletes_missing = patch.missing;
-  if (patch.applied.empty() && patch.applied_deletes.empty()) {
-    // No structural change: every cached answer and sketch stays valid —
-    // and nothing is journaled, so replay reproduces only real mutations.
+  GPAR_ASSIGN_OR_RETURN(
+      GraphPatch patch,
+      IntakeDelta(*st->graph, delta, interner_.get(), &ds));
+  if (!patch.changed()) {
+    // Nothing is journaled, so replay reproduces only real mutations.
     ds.seconds = timer.Seconds();
     return ds;
   }
@@ -919,10 +868,7 @@ std::shared_ptr<const Graph> RuleServer::graph_snapshot() const {
   return AcquireState()->graph;
 }
 
-ServeStats RuleServer::lifetime_stats() const {
-  MutexLock lock(stats_mu_);
-  return lifetime_stats_;
-}
+ServeStats RuleServer::lifetime_stats() const { return lifetime_.Snapshot(); }
 
 size_t RuleServer::cached_centers() const {
   size_t total = 0;
@@ -945,41 +891,6 @@ size_t RuleServer::plans_prepared() const {
 size_t RuleServer::view_members() const {
   const auto st = AcquireState();
   return st->view != nullptr ? st->view->nodes().size() : 0;
-}
-
-Result<ServeReply> RuleServer::Serve(const ServeRequest& request) {
-  SessionRequest req;
-  req.centers = request.centers;
-  req.rules = request.rules;
-  req.require_consequent = request.require_consequent;
-  GPAR_ASSIGN_OR_RETURN(SessionReply r, Query(req));
-  ServeReply reply;
-  reply.matched = std::move(r.matched);
-  reply.entities = std::move(r.entities);
-  reply.stats = r.stats;
-  return reply;
-}
-
-Result<EipResult> RuleServer::IdentifyAll(double eta, bool require_consequent,
-                                          ServeStats* request_stats) {
-  SessionRequest req;
-  req.all_centers = true;
-  req.eta = eta;
-  req.require_consequent = require_consequent;
-  GPAR_ASSIGN_OR_RETURN(SessionReply r, Query(req));
-  EipResult result;
-  result.entities = std::move(r.entities);
-  result.rule_evals = std::move(r.rule_evals);
-  result.supp_q = r.supp_q;
-  result.supp_qbar = r.supp_qbar;
-  if (request_stats != nullptr) *request_stats = r.stats;
-  return result;
-}
-
-Result<DeltaStats> RuleServer::ApplyDelta(std::span<const EdgeInsert> inserts) {
-  GraphDelta delta;
-  delta.inserts.assign(inserts.begin(), inserts.end());
-  return ApplyDelta(delta);
 }
 
 }  // namespace gpar

@@ -51,22 +51,6 @@ struct RuleServerOptions {
   size_t max_precomputed_sketches = size_t{1} << 17;
 };
 
-/// Deprecated (PR 5) request shape — `SessionRequest` with
-/// `all_centers = false`. Kept as a thin shim through this PR.
-struct ServeRequest {
-  std::vector<NodeId> centers;
-  std::vector<uint32_t> rules;
-  bool require_consequent = false;
-};
-
-/// Deprecated (PR 5) reply shape for `Serve` — the point-lookup subset of
-/// `SessionReply`.
-struct ServeReply {
-  std::vector<std::vector<uint32_t>> matched;
-  std::vector<NodeId> entities;
-  ServeStats stats;
-};
-
 /// The online half of GPAR mining (Section 5 framing): rules are mined
 /// offline into snapshots; a long-lived `RuleServer` session loads one
 /// (graph, rule set) snapshot pair, precomputes per-rule state once —
@@ -220,19 +204,6 @@ class RuleServer : public ServeSession {
   /// deletes and the session must keep serving (zero rules match nothing).
   /// Drops the whole match cache: rule indices change meaning.
   Status UpdateRules(std::vector<RuleRecord> rules) GPAR_EXCLUDES(writer_mu_);
-
-  // ---- Deprecated PR 5 surface (thin shims over Query/ApplyDelta) ----
-
-  /// Deprecated: use `Query` with `all_centers = false`.
-  Result<ServeReply> Serve(const ServeRequest& request);
-  /// Deprecated: use `Query` with `all_centers = true`.
-  Result<EipResult> IdentifyAll(double eta, bool require_consequent = false,
-                                ServeStats* request_stats = nullptr);
-  /// Deprecated: use the typed `GraphDelta` overload.
-  Result<DeltaStats> ApplyDelta(std::span<const EdgeInsert> inserts);
-  /// Deprecated: use `graph_snapshot()`. The reference is only guaranteed
-  /// valid until the next `ApplyDelta`.
-  const Graph& graph() const { return *graph_snapshot(); }
 
   // ---- Introspection ----
 
@@ -414,8 +385,7 @@ class RuleServer : public ServeSession {
   uint32_t num_cache_shards_ = 1;
   std::unique_ptr<CacheShard[]> cache_shards_;
 
-  mutable Mutex stats_mu_;
-  ServeStats lifetime_stats_ GPAR_GUARDED_BY(stats_mu_);
+  LifetimeStats lifetime_;
 };
 
 }  // namespace gpar

@@ -1,8 +1,11 @@
 #ifndef GPAR_SERVE_SERVE_SESSION_H_
 #define GPAR_SERVE_SERVE_SESSION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -15,10 +18,9 @@
 
 namespace gpar {
 
-/// The one request shape the serving tier answers — it subsumes the PR 5
-/// `Serve` (point lookups) and `IdentifyAll` (full Σ(x, G, η)) entry
-/// points so routers, tools, benches, and the equivalence batteries are
-/// written once against `ServeSession`.
+/// The one request shape the serving tier answers — point lookups and the
+/// full Σ(x, G, η) alike — so routers, tools, benches, and the equivalence
+/// batteries are written once against `ServeSession`.
 struct SessionRequest {
   /// True: classify every candidate center (all nodes with x's label) and
   /// fill the support/confidence fields of the reply, honoring `eta` — the
@@ -35,9 +37,9 @@ struct SessionRequest {
   /// False (default): a rule matches a center when its antecedent Q does
   /// (the formal Σ(x, G, η) semantics). True: require the full P_R.
   bool require_consequent = false;
-  /// Per-request time budget in seconds; 0 = unbounded. The sharded
-  /// router checks it on entry and lets it cap the retry/backoff budget
-  /// for failing shards (an in-flight shard call is never cancelled — the
+  /// Per-request time budget in seconds; 0 = unbounded, negative is
+  /// rejected. The sharded router lets it cap the retry/backoff budget for
+  /// failing shards (an in-flight shard call is never cancelled — the
   /// budget bounds how long the router keeps TRYING, not a hard wall).
   double deadline_seconds = 0;
 };
@@ -158,11 +160,65 @@ class ServeSession {
   virtual ServeStats lifetime_stats() const = 0;
 };
 
-/// Expands/validates a request's rule subset against `num_rules` loaded
-/// rules: empty selects all; otherwise sorted, deduplicated, and
-/// range-checked. Shared by both `ServeSession` implementations.
-Result<std::vector<uint32_t>> NormalizeRuleSelection(
-    const std::vector<uint32_t>& rules, size_t num_rules);
+/// Validates `request` against a session serving `num_rules` rules and
+/// returns its rule selection — empty selects all, otherwise sorted,
+/// deduplicated and range-checked. Rejects η <= 0 for `all_centers` and a
+/// negative `deadline_seconds`. Both `ServeSession` implementations call
+/// it first, against the rule set they pinned for the request.
+Result<std::vector<uint32_t>> ValidateRequest(const SessionRequest& request,
+                                              size_t num_rules);
+
+/// Fills `reply->entities` once `reply->matched` holds one row per entry
+/// of `centers`. Point lookups: the distinct centers with a matched rule.
+/// `all_centers` (`centers` = the sorted candidates): computes each
+/// selected rule's BayesFactorConf from the supports summed into `reply`
+/// — the one place confidence is assembled, whether the sums come from
+/// one server or from every shard (Section 5.1) — and keeps the
+/// candidates matching some rule with confidence >= η. Matched indices
+/// past `reply->rule_evals` (a shard racing a rule refresh) never qualify.
+void AssembleEntities(const SessionRequest& request,
+                      const std::vector<uint32_t>& selected,
+                      std::span<const NodeId> centers, SessionReply* reply);
+
+/// The front half of every `ApplyDelta`: re-interns `delta.label_defs`
+/// (replayed journal frames carry their own dictionary, so a frame minted
+/// after the snapshot was written still resolves; live deltas have none),
+/// patches `g`, and records the patch counts in `ds`. A patch that has not
+/// `changed()` the graph leaves every cached answer valid — callers return
+/// early, journaling and publishing nothing.
+Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
+                               Interner* labels, DeltaStats* ds);
+
+/// A (graph, rule set) snapshot pair as written by `WriteGraphSnapshot[File]`
+/// and `WriteRuleSetSnapshot[File]`.
+struct SnapshotPair {
+  Graph graph;
+  std::vector<RuleRecord> rules;
+};
+
+/// Reads a snapshot pair; the rules are interned into the graph's
+/// dictionary.
+Result<SnapshotPair> ReadSnapshotPair(const std::string& graph_snapshot_path,
+                                      const std::string& rules_snapshot_path);
+
+/// A session's lifetime `ServeStats`. Lock-free — relaxed atomics, latency
+/// in nanoseconds — because every request adds to it, and a shared mutex
+/// here would serialize otherwise disjoint hot paths.
+class LifetimeStats {
+ public:
+  /// Adds one request's (or a delta's retry) counts.
+  void Record(const ServeStats& stats);
+  ServeStats Snapshot() const;
+
+ private:
+  std::atomic<uint64_t> requests_{0};
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> cache_probes_{0};
+  std::atomic<uint64_t> centers_evaluated_{0};
+  std::atomic<uint64_t> shards_failed_{0};
+  std::atomic<uint64_t> retries_{0};
+  std::atomic<uint64_t> latency_nanos_{0};
+};
 
 }  // namespace gpar
 

@@ -1,7 +1,6 @@
 #include "serve/sharded_rule_server.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -9,13 +8,13 @@
 #include "common/failpoint.h"
 #include "graph/graph_snapshot.h"
 #include "graph/partition.h"
-#include "identify/eip.h"
-#include "rule/metrics.h"
 
 namespace gpar {
 
 namespace {
 
+/// Folds one shard's request stats into the router's (the router counts
+/// the request itself once, and latency end to end).
 void Accumulate(ServeStats* into, const ServeStats& s) {
   into->cache_hits += s.cache_hits;
   into->cache_probes += s.cache_probes;
@@ -39,13 +38,10 @@ Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Load(
     const std::string& graph_snapshot_path,
     const std::string& rules_snapshot_path,
     const ShardedRuleServerOptions& options) {
-  GPAR_FAILPOINT("snapshot.load");
-  auto g = ReadGraphSnapshotFile(graph_snapshot_path);
-  if (!g.ok()) return g.status();
-  auto rules =
-      ReadRuleSetSnapshotFile(rules_snapshot_path, g->mutable_labels());
-  if (!rules.ok()) return rules.status();
-  return Create(std::move(g).value(), std::move(rules).value(), options);
+  GPAR_ASSIGN_OR_RETURN(
+      SnapshotPair pair,
+      ReadSnapshotPair(graph_snapshot_path, rules_snapshot_path));
+  return Create(std::move(pair.graph), std::move(pair.rules), options);
 }
 
 Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Recover(
@@ -164,50 +160,30 @@ std::shared_ptr<const Graph> ShardedRuleServer::graph_snapshot() const {
 }
 
 ServeStats ShardedRuleServer::lifetime_stats() const {
-  // Relaxed: each counter is independently monotonic and the snapshot is
-  // advisory — a read torn ACROSS counters is acceptable, no ordering with
-  // any other memory is implied.
-  const auto get = [](const std::atomic<uint64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
-  ServeStats st;
-  st.requests = get(lifetime_.requests);
-  st.cache_hits = get(lifetime_.cache_hits);
-  st.cache_probes = get(lifetime_.cache_probes);
-  st.centers_evaluated = get(lifetime_.centers_evaluated);
-  st.shards_failed = get(lifetime_.shards_failed);
-  st.retries = get(lifetime_.retries);
-  st.latency_seconds = static_cast<double>(get(lifetime_.latency_micros)) * 1e-6;
-  return st;
-}
-
-void ShardedRuleServer::RecordRequest(const ServeStats& stats) {
-  // Relaxed: pure monotonic counters on the router hot path; publishing
-  // request results does not ride on these stores, so no release is needed.
-  const auto add = [](std::atomic<uint64_t>& c, uint64_t v) {
-    c.fetch_add(v, std::memory_order_relaxed);
-  };
-  add(lifetime_.requests, 1);
-  add(lifetime_.cache_hits, stats.cache_hits);
-  add(lifetime_.cache_probes, stats.cache_probes);
-  add(lifetime_.centers_evaluated, stats.centers_evaluated);
-  add(lifetime_.shards_failed, stats.shards_failed);
-  add(lifetime_.retries, stats.retries);
-  add(lifetime_.latency_micros,
-      static_cast<uint64_t>(stats.latency_seconds * 1e6));
+  return lifetime_.Snapshot();
 }
 
 Result<SessionReply> ShardedRuleServer::Query(const SessionRequest& request) {
+  Timer timer;
+  // Pin the record set once: the selection is normalized against it and
+  // the all-centers reply is sized from it, so a racing refresh can never
+  // hand the two different sets.
   const std::shared_ptr<const std::vector<RuleRecord>> records =
       AcquireRecords();
-  GPAR_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> selected,
-      NormalizeRuleSelection(request.rules, records->size()));
-  if (request.deadline_seconds < 0) {
-    return Status::InvalidArgument("deadline_seconds must be non-negative");
-  }
-  return request.all_centers ? QueryAll(request, selected)
-                             : QueryPoint(request, selected);
+  GPAR_ASSIGN_OR_RETURN(std::vector<uint32_t> selected,
+                        ValidateRequest(request, records->size()));
+  SessionReply reply;
+  reply.stats.requests = 1;
+  GPAR_RETURN_NOT_OK(request.all_centers
+                         ? GatherAll(request, selected, records->size(),
+                                     timer, &reply)
+                         : GatherPoint(request, selected, timer, &reply));
+  AssembleEntities(request, selected,
+                   request.all_centers ? candidates_ : request.centers,
+                   &reply);
+  reply.stats.latency_seconds = timer.Seconds();
+  lifetime_.Record(reply.stats);
+  return reply;
 }
 
 Status ShardedRuleServer::CallWithRetry(const std::function<Status()>& call,
@@ -236,228 +212,150 @@ Status ShardedRuleServer::CallWithRetry(const std::function<Status()>& call,
   return st;
 }
 
-Result<SessionReply> ShardedRuleServer::QueryPoint(
-    const SessionRequest& request, const std::vector<uint32_t>& selected) {
-  Timer timer;
-  const NodeId n = num_nodes_;
-  const uint32_t k = num_shards();
+void ShardedRuleServer::RunOnShards(
+    uint32_t n, const std::function<void(uint32_t)>& fn) const {
+  // A single call (the common point-lookup case under center affinity)
+  // skips the router pool entirely and runs on the caller.
+  if (n == 1) {
+    fn(0);
+  } else if (n > 1) {
+    ParallelFor(*router_pool_, n, fn);
+  }
+}
 
+Status ShardedRuleServer::Scatter(std::vector<ShardCall>& calls,
+                                  double deadline_seconds, const Timer& timer,
+                                  SessionReply* reply) const {
+  // Health snapshot: a shard behind the delta sequence would answer from
+  // a stale graph, so it fails fast here and the reply degrades around it.
+  std::vector<char> healthy(num_shards(), 0);
+  {
+    MutexLock lock(graph_mu_);
+    for (size_t s = 0; s < healthy.size(); ++s) {
+      healthy[s] = shard_acked_[s] == delta_sequence_ ? 1 : 0;
+    }
+  }
+  auto run = [&](uint32_t i) {
+    ShardCall& call = calls[i];
+    if (healthy[call.shard] == 0) {
+      call.status = Status::Unavailable(
+          "shard " + std::to_string(call.shard) +
+          " is lagging behind the delta sequence");
+      return;
+    }
+    call.status = CallWithRetry(
+        [&]() {
+          auto r = shards_[call.shard]->Query(call.request);
+          if (!r.ok()) return r.status();
+          call.reply = std::move(r).value();
+          return Status::OK();
+        },
+        deadline_seconds, timer, &call.retries);
+  };
+  RunOnShards(static_cast<uint32_t>(calls.size()), run);
+
+  ServeStats& stats = reply->stats;
+  for (const ShardCall& call : calls) {
+    stats.retries += call.retries;
+    if (call.status.ok()) {
+      Accumulate(&stats, call.reply.stats);
+      continue;
+    }
+    if (!options_.degrade_on_shard_failure) return call.status;
+    // Degrade: this shard's centers keep their empty matched rows and
+    // contribute nothing to the sums — exactly what the failed_shards
+    // marker tells the caller to expect.
+    reply->degraded = true;
+    reply->failed_shards.push_back(call.shard);
+    ++stats.shards_failed;
+  }
+  return Status::OK();
+}
+
+Status ShardedRuleServer::GatherPoint(const SessionRequest& request,
+                                      const std::vector<uint32_t>& selected,
+                                      const Timer& timer,
+                                      SessionReply* reply) const {
   // Scatter by center ownership; non-candidate centers match nothing and
   // never leave the router.
-  struct ShardBatch {
-    std::vector<NodeId> centers;
-    std::vector<size_t> positions;  ///< indices into request.centers
-  };
-  std::vector<ShardBatch> batches(k);
+  std::vector<std::vector<size_t>> positions(num_shards());
   for (size_t i = 0; i < request.centers.size(); ++i) {
     const NodeId c = request.centers[i];
-    if (c >= n) {
+    if (c >= num_nodes_) {
       return Status::InvalidArgument("center id " + std::to_string(c) +
                                      " out of range");
     }
     const uint32_t owner = OwnerOf(c);
-    if (owner >= k) continue;
-    batches[owner].centers.push_back(c);
-    batches[owner].positions.push_back(i);
+    if (owner < num_shards()) positions[owner].push_back(i);
   }
-  std::vector<uint32_t> involved;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (!batches[s].centers.empty()) involved.push_back(s);
+  std::vector<ShardCall> calls;
+  for (uint32_t s = 0; s < num_shards(); ++s) {
+    if (positions[s].empty()) continue;
+    ShardCall& call = calls.emplace_back();
+    call.shard = s;
+    for (size_t i : positions[s]) {
+      call.request.centers.push_back(request.centers[i]);
+    }
+    call.request.rules = selected;
+    call.request.require_consequent = request.require_consequent;
   }
+  GPAR_RETURN_NOT_OK(Scatter(calls, request.deadline_seconds, timer, reply));
 
-  // Health snapshot: a shard behind the delta sequence would answer from
-  // a stale graph, so it fails fast here and the reply degrades around it.
-  std::vector<char> healthy(k, 1);
-  {
-    MutexLock lock(graph_mu_);
-    for (uint32_t s = 0; s < k; ++s) {
-      healthy[s] = shard_acked_[s] == delta_sequence_ ? 1 : 0;
+  reply->matched.assign(request.centers.size(), {});
+  for (ShardCall& call : calls) {
+    if (!call.status.ok()) continue;
+    const std::vector<size_t>& pos = positions[call.shard];
+    for (size_t j = 0; j < pos.size(); ++j) {
+      reply->matched[pos[j]] = std::move(call.reply.matched[j]);
     }
   }
-
-  std::vector<Status> statuses(involved.size(), Status::OK());
-  std::vector<SessionReply> shard_replies(involved.size());
-  std::vector<uint64_t> retries(involved.size(), 0);
-  auto run = [&](uint32_t idx) {
-    const uint32_t s = involved[idx];
-    if (healthy[s] == 0) {
-      statuses[idx] = Status::Unavailable(
-          "shard " + std::to_string(s) +
-          " is lagging behind the delta sequence");
-      return;
-    }
-    SessionRequest sub;
-    sub.centers = std::move(batches[s].centers);
-    sub.rules = selected;
-    sub.require_consequent = request.require_consequent;
-    statuses[idx] = CallWithRetry(
-        [&]() {
-          auto r = shards_[s]->Query(sub);
-          if (!r.ok()) return r.status();
-          shard_replies[idx] = std::move(r).value();
-          return Status::OK();
-        },
-        request.deadline_seconds, timer, &retries[idx]);
-  };
-  // Single-shard requests (the common point-lookup case under center
-  // affinity) skip the router pool entirely and run on the caller.
-  if (involved.size() == 1) {
-    run(0);
-  } else if (!involved.empty()) {
-    ParallelFor(*router_pool_, static_cast<uint32_t>(involved.size()), run);
-  }
-
-  SessionReply reply;
-  reply.matched.assign(request.centers.size(), {});
-  ServeStats stats;
-  stats.requests = 1;
-  for (uint64_t r : retries) stats.retries += r;
-  for (size_t bi = 0; bi < involved.size(); ++bi) {
-    if (!statuses[bi].ok()) {
-      if (!options_.degrade_on_shard_failure) return statuses[bi];
-      // Degrade: this shard's centers keep their empty matched rows —
-      // exactly what the failed_shards marker tells the caller to expect.
-      reply.degraded = true;
-      reply.failed_shards.push_back(involved[bi]);
-      ++stats.shards_failed;
-      continue;
-    }
-    const ShardBatch& batch = batches[involved[bi]];
-    SessionReply& sub = shard_replies[bi];
-    for (size_t j = 0; j < batch.positions.size(); ++j) {
-      reply.matched[batch.positions[j]] = std::move(sub.matched[j]);
-    }
-    Accumulate(&stats, sub.stats);
-  }
-  for (size_t i = 0; i < request.centers.size(); ++i) {
-    if (!reply.matched[i].empty()) {
-      reply.entities.push_back(request.centers[i]);
-    }
-  }
-  std::sort(reply.entities.begin(), reply.entities.end());
-  reply.entities.erase(
-      std::unique(reply.entities.begin(), reply.entities.end()),
-      reply.entities.end());
-
-  stats.latency_seconds = timer.Seconds();
-  RecordRequest(stats);
-  reply.stats = stats;
-  return reply;
+  return Status::OK();
 }
 
-Result<SessionReply> ShardedRuleServer::QueryAll(
-    const SessionRequest& request, const std::vector<uint32_t>& selected) {
-  Timer timer;
-  if (request.eta <= 0) {
-    return Status::InvalidArgument("eta must be positive");
+Status ShardedRuleServer::GatherAll(const SessionRequest& request,
+                                    const std::vector<uint32_t>& selected,
+                                    size_t num_rules, const Timer& timer,
+                                    SessionReply* reply) const {
+  std::vector<ShardCall> calls(num_shards());
+  for (uint32_t s = 0; s < num_shards(); ++s) {
+    calls[s].shard = s;
+    calls[s].request.all_centers = true;
+    calls[s].request.rules = selected;
+    calls[s].request.eta = request.eta;
+    calls[s].request.require_consequent = request.require_consequent;
   }
-  const uint32_t k = num_shards();
-
-  SessionRequest sub;
-  sub.all_centers = true;
-  sub.rules = selected;
-  sub.eta = request.eta;
-  sub.require_consequent = request.require_consequent;
-
-  // Health snapshot, as in QueryPoint: lagging shards fail fast.
-  std::vector<char> healthy(k, 1);
-  {
-    MutexLock lock(graph_mu_);
-    for (uint32_t s = 0; s < k; ++s) {
-      healthy[s] = shard_acked_[s] == delta_sequence_ ? 1 : 0;
-    }
-  }
-
-  std::vector<Status> statuses(k, Status::OK());
-  std::vector<SessionReply> shard_replies(k);
-  std::vector<uint64_t> retries(k, 0);
-  auto run = [&](uint32_t s) {
-    if (healthy[s] == 0) {
-      statuses[s] = Status::Unavailable(
-          "shard " + std::to_string(s) +
-          " is lagging behind the delta sequence");
-      return;
-    }
-    statuses[s] = CallWithRetry(
-        [&]() {
-          auto r = shards_[s]->Query(sub);
-          if (!r.ok()) return r.status();
-          shard_replies[s] = std::move(r).value();
-          return Status::OK();
-        },
-        request.deadline_seconds, timer, &retries[s]);
-  };
-  if (k == 1) {
-    run(0);
-  } else {
-    ParallelFor(*router_pool_, k, run);
-  }
+  GPAR_RETURN_NOT_OK(Scatter(calls, request.deadline_seconds, timer, reply));
 
   // Gather: center ownership is disjoint, so the per-shard partial
-  // supports sum to the global ones; confidences must be computed HERE,
-  // from the global sums — shard-local confidences are meaningless.
-  // Failed shards contribute nothing: their owned centers keep empty
-  // matched rows and the sums cover the SURVIVING shards only (exact for
-  // survivors' centers, a lower bound globally).
-  SessionReply reply;
-  reply.matched.assign(candidates_.size(), {});
-  reply.rule_evals.assign(AcquireRecords()->size(), {});
-  ServeStats stats;
-  stats.requests = 1;
-  for (uint64_t r : retries) stats.retries += r;
-  for (uint32_t s = 0; s < k; ++s) {
-    if (!statuses[s].ok()) {
-      if (!options_.degrade_on_shard_failure) return statuses[s];
-      reply.degraded = true;
-      reply.failed_shards.push_back(s);
-      ++stats.shards_failed;
-      continue;
-    }
-    SessionReply& sub_reply = shard_replies[s];
-    const std::vector<NodeId>& owned = shards_[s]->candidates();
+  // supports sum to the global ones; confidences are computed from the
+  // global sums (AssembleEntities) — shard-local confidences are
+  // meaningless. Failed shards contribute nothing: the sums cover the
+  // SURVIVING shards only (exact for survivors' centers, a lower bound
+  // globally).
+  reply->matched.assign(candidates_.size(), {});
+  reply->rule_evals.assign(num_rules, {});
+  for (ShardCall& call : calls) {
+    if (!call.status.ok()) continue;
+    SessionReply& sub = call.reply;
+    const std::vector<NodeId>& owned = shards_[call.shard]->candidates();
     for (size_t j = 0; j < owned.size(); ++j) {
       auto it =
           std::lower_bound(candidates_.begin(), candidates_.end(), owned[j]);
-      reply.matched[static_cast<size_t>(it - candidates_.begin())] =
-          std::move(sub_reply.matched[j]);
+      reply->matched[static_cast<size_t>(it - candidates_.begin())] =
+          std::move(sub.matched[j]);
     }
-    reply.supp_q += sub_reply.supp_q;
-    reply.supp_qbar += sub_reply.supp_qbar;
+    reply->supp_q += sub.supp_q;
+    reply->supp_qbar += sub.supp_qbar;
     for (uint32_t ri : selected) {
-      // Bounds guards: a maintenance refresh racing this request can leave
-      // router and shards briefly on differently sized rule sets (the
-      // per-shard snapshot consistency caveat) — never index across the
-      // mismatch.
-      if (ri >= reply.rule_evals.size() ||
-          ri >= sub_reply.rule_evals.size()) {
-        continue;
-      }
-      reply.rule_evals[ri].supp_r += sub_reply.rule_evals[ri].supp_r;
-      reply.rule_evals[ri].supp_qqbar += sub_reply.rule_evals[ri].supp_qqbar;
-    }
-    Accumulate(&stats, sub_reply.stats);
-  }
-  std::vector<char> qualified(reply.rule_evals.size(), 0);
-  for (uint32_t ri : selected) {
-    if (ri >= reply.rule_evals.size()) continue;  // refresh race, as above
-    EipRuleEval& ev = reply.rule_evals[ri];
-    ev.conf = BayesFactorConf(ev.supp_r, reply.supp_qbar, ev.supp_qqbar,
-                              reply.supp_q);
-    if (ev.conf >= request.eta) qualified[ri] = 1;
-  }
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    for (uint32_t ri : reply.matched[i]) {
-      if (ri < qualified.size() && qualified[ri] != 0) {
-        reply.entities.push_back(candidates_[i]);
-        break;
-      }
+      // Bounds guard: a maintenance refresh racing this request can leave
+      // a shard briefly on a smaller rule set than the router (the
+      // per-shard snapshot consistency caveat) — never index across it.
+      if (ri >= sub.rule_evals.size()) continue;
+      reply->rule_evals[ri].supp_r += sub.rule_evals[ri].supp_r;
+      reply->rule_evals[ri].supp_qqbar += sub.rule_evals[ri].supp_qqbar;
     }
   }
-
-  stats.latency_seconds = timer.Seconds();
-  RecordRequest(stats);
-  reply.stats = stats;
-  return reply;
+  return Status::OK();
 }
 
 Result<DeltaStats> ShardedRuleServer::ApplyDelta(const GraphDelta& delta) {
@@ -473,23 +371,12 @@ Result<DeltaStats> ShardedRuleServer::ApplyDelta(const GraphDelta& delta) {
 
 Result<DeltaStats> ShardedRuleServer::ApplyDeltaLocked(
     const GraphDelta& delta, bool journal, uint64_t replay_sequence) {
-  std::shared_ptr<const Graph> cur;
-  {
-    MutexLock lock(graph_mu_);
-    cur = graph_;
-  }
+  const std::shared_ptr<const Graph> cur = graph_snapshot();
   Timer timer;
   DeltaStats ds;
-  // Replayed journal frames carry their own label dictionary (v3 wire);
-  // re-intern before patching so a frame minted after the snapshot was
-  // written still resolves. Live deltas have no defs — this is free.
-  GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, interner_.get()));
-  GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(*cur, delta));
-  ds.edges_inserted = patch.edges_inserted;
-  ds.duplicates_ignored = patch.duplicates;
-  ds.edges_deleted = patch.edges_deleted;
-  ds.deletes_missing = patch.missing;
-  if (patch.applied.empty() && patch.applied_deletes.empty()) {
+  GPAR_ASSIGN_OR_RETURN(GraphPatch patch,
+                        IntakeDelta(*cur, delta, interner_.get(), &ds));
+  if (!patch.changed()) {
     if (replay_sequence != 0) {
       // Replayed no-op (the checkpoint floor marker): nothing to ship,
       // but the sequence must advance — and shards that were current stay
@@ -555,17 +442,11 @@ Result<DeltaStats> ShardedRuleServer::ApplyDeltaLocked(
         },
         /*deadline_seconds=*/0, timer, &retries[s]);
   };
-  if (k == 1) {
-    ship(0);
-  } else {
-    ParallelFor(*router_pool_, k, ship);
-  }
+  RunOnShards(k, ship);
 
-  uint64_t total_retries = 0;
-  for (uint64_t r : retries) total_retries += r;
-  // Relaxed: pure monotonic counter off the query path, no ordering with
-  // other memory implied.
-  lifetime_.retries.fetch_add(total_retries, std::memory_order_relaxed);
+  ServeStats ship_stats;
+  for (uint64_t r : retries) ship_stats.retries += r;
+  lifetime_.Record(ship_stats);
 
   if (!options_.degrade_on_shard_failure) {
     for (uint32_t s = 0; s < k; ++s) {
@@ -638,7 +519,11 @@ Status ShardedRuleServer::MaintainAfterShip(
       maintainer_->Advance(old_graph, std::move(new_graph), wire.inserts,
                            wire.deletes));
   (void)ms;  // folded into maintain_stats()
-  std::vector<RuleRecord> refreshed = maintainer_->TopKRecords();
+  return PublishRules(maintainer_->TopKRecords(), ds);
+}
+
+Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> refreshed,
+                                       DeltaStats* ds) {
   {
     MutexLock lock(graph_mu_);
     if (refreshed == *records_) return Status::OK();
@@ -674,30 +559,10 @@ Status ShardedRuleServer::EnableMaintenance(const MaintainOptions& options) {
         " the fragments were cut for; reload the deployment with the "
         "deeper radius instead");
   }
-  std::shared_ptr<const Graph> g;
-  {
-    MutexLock lock(graph_mu_);
-    g = graph_;
-  }
   GPAR_ASSIGN_OR_RETURN(maintainer_,
-                        RuleMaintainer::Seed(std::move(g), q_, options));
-  std::vector<RuleRecord> refreshed = maintainer_->TopKRecords();
-  {
-    MutexLock lock(graph_mu_);
-    if (refreshed == *records_) return Status::OK();
-  }
-  auto shared =
-      std::make_shared<const std::vector<RuleRecord>>(std::move(refreshed));
-  {
-    MutexLock lock(graph_mu_);
-    records_ = shared;
-  }
-  Status first_failure = Status::OK();
-  for (auto& shard : shards_) {
-    Status st = shard->UpdateRules(*shared);
-    if (!st.ok() && first_failure.ok()) first_failure = std::move(st);
-  }
-  return first_failure;
+                        RuleMaintainer::Seed(graph_snapshot(), q_, options));
+  DeltaStats ds;
+  return PublishRules(maintainer_->TopKRecords(), &ds);
 }
 
 bool ShardedRuleServer::maintenance_enabled() const {
@@ -824,12 +689,8 @@ Status ShardedRuleServer::Checkpoint(const std::string& graph_snapshot_path) {
   if (journal_ == nullptr) {
     return Status::InvalidArgument("checkpoint requires an attached journal");
   }
-  std::shared_ptr<const Graph> g;
-  {
-    MutexLock lock(graph_mu_);
-    g = graph_;
-  }
-  GPAR_RETURN_NOT_OK(WriteGraphSnapshotFile(*g, graph_snapshot_path));
+  GPAR_RETURN_NOT_OK(
+      WriteGraphSnapshotFile(*graph_snapshot(), graph_snapshot_path));
   // The snapshot now carries every journaled frame's effects; compaction
   // keeps only the sequence floor.
   return journal_->Compact();

@@ -1,7 +1,6 @@
 #ifndef GPAR_SERVE_SHARDED_RULE_SERVER_H_
 #define GPAR_SERVE_SHARDED_RULE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -171,10 +170,34 @@ class ShardedRuleServer : public ServeSession {
  private:
   explicit ShardedRuleServer(const ShardedRuleServerOptions& options);
 
-  Result<SessionReply> QueryPoint(const SessionRequest& request,
-                                  const std::vector<uint32_t>& selected);
-  Result<SessionReply> QueryAll(const SessionRequest& request,
-                                const std::vector<uint32_t>& selected);
+  /// Runs `fn(0)` .. `fn(n - 1)` on the router pool, or on the caller when
+  /// n == 1.
+  void RunOnShards(uint32_t n, const std::function<void(uint32_t)>& fn) const;
+  /// One shard's part of a scattered request.
+  struct ShardCall {
+    uint32_t shard = 0;
+    SessionRequest request;
+    Status status;
+    SessionReply reply;
+    uint64_t retries = 0;
+  };
+  /// Runs `calls` under the retry policy — on the caller when there is
+  /// just one, else on the router pool. A lagging shard fails fast. Each
+  /// failed call degrades `reply` (its shard joins `failed_shards`) or, in
+  /// strict mode, fails the request. Retries and the successful calls'
+  /// shard stats are summed into `reply->stats`; callers merge the replies
+  /// of the calls left ok.
+  Status Scatter(std::vector<ShardCall>& calls, double deadline_seconds,
+                 const Timer& timer, SessionReply* reply) const;
+  /// Point lookups: scatters the centers by ownership, gathers `matched`.
+  Status GatherPoint(const SessionRequest& request,
+                     const std::vector<uint32_t>& selected, const Timer& timer,
+                     SessionReply* reply) const;
+  /// `all_centers`: asks every shard, sums the partial supports into a
+  /// reply sized for the `num_rules` the request pinned.
+  Status GatherAll(const SessionRequest& request,
+                   const std::vector<uint32_t>& selected, size_t num_rules,
+                   const Timer& timer, SessionReply* reply) const;
   /// The body of `ApplyDelta`. `journal` is false on the replay path;
   /// `replay_sequence`, when nonzero, pins the batch's sequence to a
   /// journaled frame's instead of stamping the next one.
@@ -192,15 +215,18 @@ class ShardedRuleServer : public ServeSession {
   /// racing maintenance refresh can never resize it mid-merge.
   std::shared_ptr<const std::vector<RuleRecord>> AcquireRecords() const
       GPAR_EXCLUDES(graph_mu_);
-  /// Runs the maintenance pass for one applied batch and, when the top-k
-  /// changed, publishes the refreshed set router-side and pushes it to
-  /// every shard that acked the batch. Push failures leave those shards on
-  /// the previous set (the next refresh retries — the compare is against
-  /// the router's records) and are reported in `ds->rules_refreshed` only
-  /// through the router's own publish.
+  /// Runs the maintenance pass for one applied batch, then `PublishRules`
+  /// its top-k.
   Status MaintainAfterShip(const Graph& old_graph,
                            std::shared_ptr<const Graph> new_graph,
                            const GraphDelta& wire, DeltaStats* ds)
+      GPAR_REQUIRES(writer_mu_);
+  /// When `refreshed` differs from the served set: publishes it
+  /// router-side, sets `ds->rules_refreshed`, and pushes it to every shard.
+  /// Push failures leave those shards on the previous set (the next
+  /// refresh retries — the compare is against the router's records); the
+  /// first one is returned.
+  Status PublishRules(std::vector<RuleRecord> refreshed, DeltaStats* ds)
       GPAR_REQUIRES(writer_mu_);
 
   ShardedRuleServerOptions options_;
@@ -246,21 +272,7 @@ class ShardedRuleServer : public ServeSession {
   /// graph; passes run under the writer lock, after the ship.
   std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);
 
-  /// Lifetime counters are lock-free (relaxed atomics; latency in
-  /// microseconds): the router adds one entry per request, and a shared
-  /// mutex here would serialize otherwise shard-disjoint hot paths.
-  struct AtomicStats {
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_probes{0};
-    std::atomic<uint64_t> centers_evaluated{0};
-    std::atomic<uint64_t> shards_failed{0};
-    std::atomic<uint64_t> retries{0};
-    std::atomic<uint64_t> latency_micros{0};
-  };
-  AtomicStats lifetime_;
-
-  void RecordRequest(const ServeStats& stats);
+  LifetimeStats lifetime_;
 };
 
 }  // namespace gpar

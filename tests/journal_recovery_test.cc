@@ -48,7 +48,14 @@ Workload MakeWorkload(uint64_t seed) {
   return w;
 }
 
-void ExpectSameAnswer(const EipResult& got, const EipResult& want,
+SessionRequest AllRequest(double eta) {
+  SessionRequest req;
+  req.all_centers = true;
+  req.eta = eta;
+  return req;
+}
+
+void ExpectSameAnswer(const SessionReply& got, const SessionReply& want,
                       const std::string& what) {
   EXPECT_EQ(got.entities, want.entities) << what;
   EXPECT_EQ(got.supp_q, want.supp_q) << what;
@@ -351,7 +358,7 @@ TEST_F(JournalRecovery, TruncateAtEveryByteOffsetReplaysValidPrefix) {
     ASSERT_TRUE((*live)->AttachJournal(jpath).ok());
     EXPECT_TRUE((*live)->journal_attached());
     for (int b = 0; b < kBatches; ++b) {
-      GraphDelta d = MakeMutationDelta((*live)->graph(), seed * 613 + b, 5);
+      GraphDelta d = MakeMutationDelta(*(*live)->graph_snapshot(), seed * 613 + b, 5);
       auto ds = (*live)->ApplyDelta(d);
       ASSERT_TRUE(ds.ok()) << ds.status();
       EXPECT_EQ(ds->sequence, static_cast<uint64_t>(b) + 1);
@@ -382,7 +389,7 @@ TEST_F(JournalRecovery, TruncateAtEveryByteOffsetReplaysValidPrefix) {
       }
       ASSERT_EQ(pos, bytes.size());
     }
-    EXPECT_EQ(GraphBytes((*live)->graph()), graph_at.back());
+    EXPECT_EQ(GraphBytes(*(*live)->graph_snapshot()), graph_at.back());
 
     // Every byte offset: scan + replay the slice.
     size_t frames_before = 0;
@@ -421,7 +428,7 @@ TEST_F(JournalRecovery, TruncateAtEveryByteOffsetReplaysValidPrefix) {
                                   << recovered.status();
       EXPECT_EQ(replay.frames, f);
       EXPECT_FALSE(replay.tail_truncated);
-      EXPECT_EQ(GraphBytes((*recovered)->graph()), graph_at[f])
+      EXPECT_EQ(GraphBytes(*(*recovered)->graph_snapshot()), graph_at[f])
           << "boundary " << f;
       EXPECT_EQ((*recovered)->journal_sequence(), static_cast<uint64_t>(f));
     }
@@ -433,15 +440,15 @@ TEST_F(JournalRecovery, TruncateAtEveryByteOffsetReplaysValidPrefix) {
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     EXPECT_TRUE(replay.tail_truncated);
     EXPECT_EQ(replay.frames, 1u);
-    EXPECT_EQ(GraphBytes((*recovered)->graph()), graph_at[1]);
+    EXPECT_EQ(GraphBytes(*(*recovered)->graph_snapshot()), graph_at[1]);
 
     // The recovered server answers exactly like the live one (restore the
     // full journal first).
     WriteFile(jpath, bytes);
     auto full = RuleServer::Recover(gpath, rpath, jpath, opt);
     ASSERT_TRUE(full.ok()) << full.status();
-    auto a = (*full)->IdentifyAll(0.5);
-    auto b = (*live)->IdentifyAll(0.5);
+    auto a = (*full)->Query(AllRequest(0.5));
+    auto b = (*live)->Query(AllRequest(0.5));
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ExpectSameAnswer(*a, *b, "recovered vs live");
@@ -488,7 +495,7 @@ TEST_F(JournalRecovery, KillAtEveryAppendAndPublishSite) {
       auto live = RuleServer::Recover(gpath, rpath, jpath, opt);
       ASSERT_TRUE(live.ok()) << live.status();
       ASSERT_TRUE((*live)->ApplyDelta(d1).ok());
-      const std::string before = GraphBytes((*live)->graph());
+      const std::string before = GraphBytes(*(*live)->graph_snapshot());
 
       FailpointSpec spec;
       spec.code = StatusCode::kIoError;
@@ -499,20 +506,20 @@ TEST_F(JournalRecovery, KillAtEveryAppendAndPublishSite) {
       FailpointRegistry::Instance().DisarmAll();
       // The crash never leaks into the served state: published answers
       // still come from the pre-crash graph.
-      EXPECT_EQ(GraphBytes((*live)->graph()), before);
+      EXPECT_EQ(GraphBytes(*(*live)->graph_snapshot()), before);
 
       // "Crash" = drop the process state; recover from snapshot + journal.
       live->reset();
       auto recovered = RuleServer::Recover(gpath, rpath, jpath, opt);
       ASSERT_TRUE(recovered.ok()) << recovered.status();
       const Graph& want = crash.delta_survives ? p2->graph : p1->graph;
-      EXPECT_EQ(GraphBytes((*recovered)->graph()), GraphBytes(want));
+      EXPECT_EQ(GraphBytes(*(*recovered)->graph_snapshot()), GraphBytes(want));
 
-      auto got = (*recovered)->IdentifyAll(0.5);
+      auto got = (*recovered)->Query(AllRequest(0.5));
       ASSERT_TRUE(got.ok());
       auto fresh = RuleServer::Create(want, w.records, opt);
       ASSERT_TRUE(fresh.ok());
-      auto want_ans = (*fresh)->IdentifyAll(0.5);
+      auto want_ans = (*fresh)->Query(AllRequest(0.5));
       ASSERT_TRUE(want_ans.ok());
       ExpectSameAnswer(*got, *want_ans, std::string("recovered after ") +
                                             crash.site);
@@ -571,9 +578,9 @@ TEST_F(JournalRecovery, CheckpointCompactsJournalAndRecovers) {
   // Double-attach is rejected.
   EXPECT_FALSE(s.AttachJournal(jpath).ok());
 
-  GraphDelta d1 = MakeMutationDelta(s.graph(), 21, 4);
+  GraphDelta d1 = MakeMutationDelta(*s.graph_snapshot(), 21, 4);
   ASSERT_TRUE(s.ApplyDelta(d1).ok());
-  GraphDelta d2 = MakeMutationDelta(s.graph(), 22, 4);
+  GraphDelta d2 = MakeMutationDelta(*s.graph_snapshot(), 22, 4);
   ASSERT_TRUE(s.ApplyDelta(d2).ok());
 
   ASSERT_TRUE(s.Checkpoint(ckpt).ok());
@@ -587,20 +594,20 @@ TEST_F(JournalRecovery, CheckpointCompactsJournalAndRecovers) {
   // Recovery from checkpoint + compacted journal reproduces the live graph.
   auto rec1 = RuleServer::Recover(ckpt, rpath, jpath);
   ASSERT_TRUE(rec1.ok()) << rec1.status();
-  EXPECT_EQ(GraphBytes((*rec1)->graph()), GraphBytes(s.graph()));
+  EXPECT_EQ(GraphBytes(*(*rec1)->graph_snapshot()), GraphBytes(*s.graph_snapshot()));
   EXPECT_EQ((*rec1)->journal_sequence(), 2u);
 
   // Post-checkpoint deltas continue the sequence past the floor.
-  GraphDelta d3 = MakeMutationDelta(s.graph(), 23, 4);
+  GraphDelta d3 = MakeMutationDelta(*s.graph_snapshot(), 23, 4);
   auto ds3 = s.ApplyDelta(d3);
   ASSERT_TRUE(ds3.ok());
   EXPECT_EQ(ds3->sequence, 3u);
   auto rec2 = RuleServer::Recover(ckpt, rpath, jpath);
   ASSERT_TRUE(rec2.ok()) << rec2.status();
-  EXPECT_EQ(GraphBytes((*rec2)->graph()), GraphBytes(s.graph()));
+  EXPECT_EQ(GraphBytes(*(*rec2)->graph_snapshot()), GraphBytes(*s.graph_snapshot()));
 
-  auto a = (*rec2)->IdentifyAll(0.5);
-  auto b = s.IdentifyAll(0.5);
+  auto a = (*rec2)->Query(AllRequest(0.5));
+  auto b = s.Query(AllRequest(0.5));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswer(*a, *b, "post-checkpoint recovery");
@@ -640,11 +647,11 @@ TEST_F(JournalRecovery, ReplaysLabelsMintedAfterTheSnapshot) {
 
   auto rec = RuleServer::Recover(gpath, rpath, jpath);
   ASSERT_TRUE(rec.ok()) << rec.status();
-  EXPECT_EQ(GraphBytes((*rec)->graph()), GraphBytes(s.graph()));
-  EXPECT_EQ((*rec)->graph().labels().Lookup("minted_after_snapshot"),
+  EXPECT_EQ(GraphBytes(*(*rec)->graph_snapshot()), GraphBytes(*s.graph_snapshot()));
+  EXPECT_EQ((*rec)->graph_snapshot()->labels().Lookup("minted_after_snapshot"),
             minted);
-  auto a = (*rec)->IdentifyAll(0.5);
-  auto b = s.IdentifyAll(0.5);
+  auto a = (*rec)->Query(AllRequest(0.5));
+  auto b = s.Query(AllRequest(0.5));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswer(*a, *b, "minted-label recovery");

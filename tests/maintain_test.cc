@@ -731,7 +731,10 @@ TEST(MaintainServeTest, RuleServerMaintainsOnApplyDelta) {
     EXPECT_EQ((*server)->rules(), want) << "batch " << b;
   }
   // The maintained server must still answer queries on the final rule set.
-  auto answer = (*server)->IdentifyAll(1.0);
+  SessionRequest all;
+  all.all_centers = true;
+  all.eta = 1.0;
+  auto answer = (*server)->Query(all);
   ASSERT_TRUE(answer.ok()) << answer.status();
 }
 
@@ -761,7 +764,10 @@ TEST(MaintainServeTest, UpdateRulesRejectsAForeignPredicate) {
   // server keeps serving with zero rules rather than failing the refresh.
   EXPECT_TRUE((*server)->UpdateRules({}).ok());
   EXPECT_TRUE((*server)->rules().empty());
-  auto answer = (*server)->IdentifyAll(1.0);
+  SessionRequest all;
+  all.all_centers = true;
+  all.eta = 1.0;
+  auto answer = (*server)->Query(all);
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_TRUE(answer->rule_evals.empty());
 }
@@ -868,7 +874,7 @@ TEST(MaintainServeTest, ConcurrentMaintainAndQuery) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
-  EXPECT_EQ(s.rules(), DmineRecords(s.graph(), q, mopt.mine));
+  EXPECT_EQ(s.rules(), DmineRecords(*s.graph_snapshot(), q, mopt.mine));
 }
 
 }  // namespace

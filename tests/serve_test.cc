@@ -11,7 +11,6 @@
 #include "graph/generator.h"
 #include "graph/graph_delta.h"
 #include "graph/graph_snapshot.h"
-#include "graph/paper_graphs.h"
 #include "graph/stats.h"
 #include "identify/eip.h"
 #include "match/matcher.h"
@@ -47,7 +46,24 @@ Workload MakeWorkload(uint64_t seed) {
   return w;
 }
 
-void ExpectSameAnswer(const EipResult& got, const EipResult& want,
+SessionRequest AllRequest(double eta, bool require_consequent = false) {
+  SessionRequest req;
+  req.all_centers = true;
+  req.eta = eta;
+  req.require_consequent = require_consequent;
+  return req;
+}
+
+GraphDelta InsertDelta(std::vector<EdgeInsert> inserts) {
+  GraphDelta d;
+  d.inserts = std::move(inserts);
+  return d;
+}
+
+/// Field-for-field Σ(x, G, η) equality; either side may be a batch
+/// `EipResult` or an `all_centers` `SessionReply`.
+template <typename Got, typename Want>
+void ExpectSameAnswer(const Got& got, const Want& want,
                       const std::string& what) {
   EXPECT_EQ(got.entities, want.entities) << what;
   EXPECT_EQ(got.supp_q, want.supp_q) << what;
@@ -168,7 +184,8 @@ std::vector<NodeId> SampleCenters(const RuleServer& server, uint64_t seed,
     centers.push_back(cands[rng() % cands.size()]);
   }
   // A couple of non-candidates (legal; they match nothing).
-  centers.push_back(static_cast<NodeId>(rng() % server.graph().num_nodes()));
+  centers.push_back(
+      static_cast<NodeId>(rng() % server.graph_snapshot()->num_nodes()));
   return centers;
 }
 
@@ -184,8 +201,8 @@ TEST(ServeEquivalence, ColdWarmAndDeltaMatchBatch) {
     EipResult batch_hi = BatchIdentify(w.graph, w.sigma, 1.2, false);
     EipResult batch_pr = BatchIdentify(w.graph, w.sigma, 0.5, true);
 
-    std::vector<EdgeInsert> delta = MakeDelta(w.graph, seed * 977 + 5, 6);
-    auto patchref = PatchGraphWithInserts(w.graph, delta);
+    GraphDelta delta = InsertDelta(MakeDelta(w.graph, seed * 977 + 5, 6));
+    auto patchref = PatchGraph(w.graph, delta);
     ASSERT_TRUE(patchref.ok());
     EipResult batch_patched =
         BatchIdentify(patchref->graph, w.sigma, 0.5, false);
@@ -199,27 +216,25 @@ TEST(ServeEquivalence, ColdWarmAndDeltaMatchBatch) {
       RuleServer& s = **server;
 
       // Cold.
-      ServeStats cold_stats;
-      auto cold = s.IdentifyAll(0.5, false, &cold_stats);
+      auto cold = s.Query(AllRequest(0.5));
       ASSERT_TRUE(cold.ok()) << cold.status();
       ExpectSameAnswer(*cold, batch_lo, "cold");
-      EXPECT_GT(cold_stats.cache_probes, 0u);
+      EXPECT_GT(cold->stats.cache_probes, 0u);
 
       // Warm: different eta, P_R semantics — all from cache.
-      ServeStats warm_stats;
-      auto warm = s.IdentifyAll(1.2, false, &warm_stats);
+      auto warm = s.Query(AllRequest(1.2));
       ASSERT_TRUE(warm.ok());
       ExpectSameAnswer(*warm, batch_hi, "warm");
-      EXPECT_EQ(warm_stats.cache_probes, 0u);
-      EXPECT_GT(warm_stats.cache_hits, 0u);
-      auto warm_pr = s.IdentifyAll(0.5, true);
+      EXPECT_EQ(warm->stats.cache_probes, 0u);
+      EXPECT_GT(warm->stats.cache_hits, 0u);
+      auto warm_pr = s.Query(AllRequest(0.5, true));
       ASSERT_TRUE(warm_pr.ok());
       ExpectSameAnswer(*warm_pr, batch_pr, "warm require_consequent");
 
       // Point queries against the fresh-match oracle.
-      ServeRequest req;
+      SessionRequest req;
       req.centers = SampleCenters(s, seed + n, 6);
-      auto reply = s.Serve(req);
+      auto reply = s.Query(req);
       ASSERT_TRUE(reply.ok()) << reply.status();
       ASSERT_EQ(reply->matched.size(), req.centers.size());
       for (size_t i = 0; i < req.centers.size(); ++i) {
@@ -231,16 +246,15 @@ TEST(ServeEquivalence, ColdWarmAndDeltaMatchBatch) {
       // Delta-then-query == rebuild-then-query.
       auto ds = s.ApplyDelta(delta);
       ASSERT_TRUE(ds.ok()) << ds.status();
-      ServeStats delta_stats;
-      auto after = s.IdentifyAll(0.5, false, &delta_stats);
+      auto after = s.Query(AllRequest(0.5));
       ASSERT_TRUE(after.ok());
       ExpectSameAnswer(*after, batch_patched, "after delta");
       // Locality: a 6-edge delta must not flush the whole cache.
-      EXPECT_LE(delta_stats.cache_probes, cold_stats.cache_probes);
+      EXPECT_LE(after->stats.cache_probes, cold->stats.cache_probes);
 
       // Point queries on the patched graph (exercises the partial per-rule
       // probe path on half-invalidated centers).
-      auto reply2 = s.Serve(req);
+      auto reply2 = s.Query(req);
       ASSERT_TRUE(reply2.ok());
       for (size_t i = 0; i < req.centers.size(); ++i) {
         EXPECT_EQ(reply2->matched[i],
@@ -264,7 +278,7 @@ TEST(ServeEquivalence, GuidedAndPlainAgree) {
         opt.precompute_sketches = precompute;
         auto server = RuleServer::Create(w.graph, w.records, opt);
         ASSERT_TRUE(server.ok()) << server.status();
-        auto got = (*server)->IdentifyAll(0.8);
+        auto got = (*server)->Query(AllRequest(0.8));
         ASSERT_TRUE(got.ok());
         ExpectSameAnswer(*got, batch,
                          "guided=" + std::to_string(guided) +
@@ -286,15 +300,15 @@ TEST(ServeEquivalence, TinyCacheStillCorrect) {
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
   for (int round = 0; round < 2; ++round) {
-    auto got = s.IdentifyAll(0.5);
+    auto got = s.Query(AllRequest(0.5));
     ASSERT_TRUE(got.ok());
     ExpectSameAnswer(*got, batch, "tiny cache round " + std::to_string(round));
   }
   EXPECT_LE(s.cached_centers(), 8u);
 
-  ServeRequest req;
+  SessionRequest req;
   req.centers = SampleCenters(s, 9, 5);
-  auto reply = s.Serve(req);
+  auto reply = s.Query(req);
   ASSERT_TRUE(reply.ok());
   for (size_t i = 0; i < req.centers.size(); ++i) {
     EXPECT_EQ(reply->matched[i],
@@ -317,8 +331,8 @@ TEST(ServeEquivalence, SnapshotLoadRoundTrip) {
   auto in_memory = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(in_memory.ok());
 
-  auto a = (*loaded)->IdentifyAll(0.7);
-  auto b = (*in_memory)->IdentifyAll(0.7);
+  auto a = (*loaded)->Query(AllRequest(0.7));
+  auto b = (*in_memory)->Query(AllRequest(0.7));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswer(*a, *b, "loaded vs in-memory");
@@ -327,13 +341,13 @@ TEST(ServeEquivalence, SnapshotLoadRoundTrip) {
 
 TEST(ServeEquivalence, DeltaEquivalentToFreshServer) {
   Workload w = MakeWorkload(5);
-  std::vector<EdgeInsert> delta = MakeDelta(w.graph, 123, 10);
-  auto patchref = PatchGraphWithInserts(w.graph, delta);
+  GraphDelta delta = InsertDelta(MakeDelta(w.graph, 123, 10));
+  auto patchref = PatchGraph(w.graph, delta);
   ASSERT_TRUE(patchref.ok());
 
   auto live = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(live.ok());
-  ASSERT_TRUE((*live)->IdentifyAll(0.5).ok());  // warm up pre-delta
+  ASSERT_TRUE((*live)->Query(AllRequest(0.5)).ok());  // warm up pre-delta
   auto ds = (*live)->ApplyDelta(delta);
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->edges_inserted, patchref->edges_inserted);
@@ -341,8 +355,8 @@ TEST(ServeEquivalence, DeltaEquivalentToFreshServer) {
   auto fresh = RuleServer::Create(patchref->graph, w.records);
   ASSERT_TRUE(fresh.ok());
 
-  auto a = (*live)->IdentifyAll(0.5);
-  auto b = (*fresh)->IdentifyAll(0.5);
+  auto a = (*live)->Query(AllRequest(0.5));
+  auto b = (*fresh)->Query(AllRequest(0.5));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswer(*a, *b, "delta-maintained vs fresh");
@@ -388,21 +402,20 @@ TEST(DeltaStreamEquivalence, InterleavedStreamMatchesBatchAndFresh) {
       RuleServer& s = **server;
 
       // Cold, then warm (all from cache).
-      auto cold = s.IdentifyAll(0.5);
+      auto cold = s.Query(AllRequest(0.5));
       ASSERT_TRUE(cold.ok()) << cold.status();
       ExpectSameAnswer(*cold, batch_cold, "cold");
-      ServeStats warm_stats;
-      auto warm = s.IdentifyAll(0.5, false, &warm_stats);
+      auto warm = s.Query(AllRequest(0.5));
       ASSERT_TRUE(warm.ok());
       ExpectSameAnswer(*warm, batch_cold, "warm");
-      EXPECT_EQ(warm_stats.cache_probes, 0u);
+      EXPECT_EQ(warm->stats.cache_probes, 0u);
 
       // Mid-stream checkpoint.
       for (int b = 0; b < kBatches / 2; ++b) {
         auto ds = s.ApplyDelta(stream[b]);
         ASSERT_TRUE(ds.ok()) << ds.status();
       }
-      auto mid = s.IdentifyAll(0.5);
+      auto mid = s.Query(AllRequest(0.5));
       ASSERT_TRUE(mid.ok());
       ExpectSameAnswer(*mid, batch_mid, "mid-stream");
 
@@ -412,21 +425,21 @@ TEST(DeltaStreamEquivalence, InterleavedStreamMatchesBatchAndFresh) {
         auto ds = s.ApplyDelta(stream[b]);
         ASSERT_TRUE(ds.ok()) << ds.status();
       }
-      EXPECT_EQ(GraphBytes(s.graph()), GraphBytes(final_graph));
-      auto fin = s.IdentifyAll(0.5);
+      EXPECT_EQ(GraphBytes(*s.graph_snapshot()), GraphBytes(final_graph));
+      auto fin = s.Query(AllRequest(0.5));
       ASSERT_TRUE(fin.ok());
       ExpectSameAnswer(*fin, batch_final, "final vs batch");
 
       auto fresh = RuleServer::Create(final_graph, w.records, opt);
       ASSERT_TRUE(fresh.ok());
-      auto fresh_ans = (*fresh)->IdentifyAll(0.5);
+      auto fresh_ans = (*fresh)->Query(AllRequest(0.5));
       ASSERT_TRUE(fresh_ans.ok());
       ExpectSameAnswer(*fin, *fresh_ans, "final vs fresh server");
 
       // Point queries against the fresh-match oracle on the final graph.
-      ServeRequest req;
+      SessionRequest req;
       req.centers = SampleCenters(s, seed * 7 + n, 5);
-      auto reply = s.Serve(req);
+      auto reply = s.Query(req);
       ASSERT_TRUE(reply.ok()) << reply.status();
       for (size_t i = 0; i < req.centers.size(); ++i) {
         EXPECT_EQ(reply->matched[i],
@@ -444,7 +457,7 @@ TEST(DeltaStreamEquivalence, DeletesCollapseSupportBelowSigma) {
   auto server = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
-  auto before = s.IdentifyAll(0.5);
+  auto before = s.Query(AllRequest(0.5));
   ASSERT_TRUE(before.ok());
   EXPECT_GT(before->supp_q, 0u);
 
@@ -467,14 +480,14 @@ TEST(DeltaStreamEquivalence, DeletesCollapseSupportBelowSigma) {
 
   auto p = PatchGraph(w.graph, wipe);
   ASSERT_TRUE(p.ok());
-  auto shrunk = s.IdentifyAll(0.5);
+  auto shrunk = s.Query(AllRequest(0.5));
   ASSERT_TRUE(shrunk.ok());
   EXPECT_EQ(shrunk->supp_q, 0u);
   ExpectSameAnswer(*shrunk, BatchIdentify(p->graph, w.sigma, 0.5, false),
                    "support wiped vs batch");
   auto fresh = RuleServer::Create(p->graph, w.records);
   ASSERT_TRUE(fresh.ok());
-  auto f = (*fresh)->IdentifyAll(0.5);
+  auto f = (*fresh)->Query(AllRequest(0.5));
   ASSERT_TRUE(f.ok());
   ExpectSameAnswer(*shrunk, *f, "support wiped vs fresh server");
 }
@@ -488,7 +501,7 @@ TEST(DeltaStreamEquivalence, DeleteThenReinsertRestoresAnswers) {
   auto server = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
-  ASSERT_TRUE(s.IdentifyAll(0.5).ok());  // warm up pre-delete
+  ASSERT_TRUE(s.Query(AllRequest(0.5)).ok());  // warm up pre-delete
 
   std::mt19937_64 rng(99);
   GraphDelta drop;
@@ -503,7 +516,7 @@ TEST(DeltaStreamEquivalence, DeleteThenReinsertRestoresAnswers) {
   ASSERT_TRUE(ds1.ok()) << ds1.status();
   auto p = PatchGraph(w.graph, drop);
   ASSERT_TRUE(p.ok());
-  auto shrunk = s.IdentifyAll(0.5);
+  auto shrunk = s.Query(AllRequest(0.5));
   ASSERT_TRUE(shrunk.ok());
   ExpectSameAnswer(*shrunk, BatchIdentify(p->graph, w.sigma, 0.5, false),
                    "after drop");
@@ -515,8 +528,8 @@ TEST(DeltaStreamEquivalence, DeleteThenReinsertRestoresAnswers) {
   }
   auto ds2 = s.ApplyDelta(put);
   ASSERT_TRUE(ds2.ok()) << ds2.status();
-  EXPECT_EQ(GraphBytes(s.graph()), GraphBytes(w.graph));
-  auto back = s.IdentifyAll(0.5);
+  EXPECT_EQ(GraphBytes(*s.graph_snapshot()), GraphBytes(w.graph));
+  auto back = s.Query(AllRequest(0.5));
   ASSERT_TRUE(back.ok());
   ExpectSameAnswer(*back, batch, "after reinsert");
 }
@@ -526,58 +539,21 @@ TEST(RuleServerTest, DuplicateDeltaIsNoOp) {
   auto server = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
-  ASSERT_TRUE(s.IdentifyAll(0.5).ok());
+  ASSERT_TRUE(s.Query(AllRequest(0.5)).ok());
 
   // Re-insert an existing edge: nothing invalidated, cache stays warm.
   NodeId v = 0;
-  while (s.graph().out_edges(v).empty()) ++v;
-  AdjEntry e = s.graph().out_edges(v)[0];
-  auto ds = s.ApplyDelta(std::vector<EdgeInsert>{{v, e.label, e.other}});
+  while (s.graph_snapshot()->out_edges(v).empty()) ++v;
+  AdjEntry e = s.graph_snapshot()->out_edges(v)[0];
+  auto ds = s.ApplyDelta(InsertDelta({{v, e.label, e.other}}));
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->edges_inserted, 0u);
   EXPECT_EQ(ds->duplicates_ignored, 1u);
   EXPECT_EQ(ds->memberships_invalidated, 0u);
 
-  ServeStats stats;
-  ASSERT_TRUE(s.IdentifyAll(0.5, false, &stats).ok());
-  EXPECT_EQ(stats.cache_probes, 0u);
-}
-
-TEST(RuleServerTest, InputValidation) {
-  Workload w = MakeWorkload(1);
-
-  // Empty rule set.
-  EXPECT_FALSE(RuleServer::Create(w.graph, {}).ok());
-
-  // Mixed predicates.
-  PaperG1 g1 = MakePaperG1();
-  PaperG2 g2 = MakePaperG2();
-  std::vector<RuleRecord> mixed{{g1.r1, 0, 0}, {g2.r4, 0, 0}};
-  EXPECT_FALSE(RuleServer::Create(g1.graph, mixed).ok());
-
-  auto server = RuleServer::Create(w.graph, w.records);
-  ASSERT_TRUE(server.ok());
-  RuleServer& s = **server;
-
-  // Center out of range.
-  ServeRequest bad_center;
-  bad_center.centers = {s.graph().num_nodes() + 7};
-  EXPECT_FALSE(s.Serve(bad_center).ok());
-
-  // Rule index out of range.
-  ServeRequest bad_rule;
-  bad_rule.centers = {0};
-  bad_rule.rules = {static_cast<uint32_t>(w.sigma.size())};
-  EXPECT_FALSE(s.Serve(bad_rule).ok());
-
-  // Non-positive eta.
-  EXPECT_FALSE(s.IdentifyAll(0).ok());
-
-  // Delta referencing unknown node.
-  LabelId l = s.graph().node_label(0);
-  EXPECT_FALSE(
-      s.ApplyDelta(std::vector<EdgeInsert>{{s.graph().num_nodes(), l, 0}})
-          .ok());
+  auto warm = s.Query(AllRequest(0.5));
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->stats.cache_probes, 0u);
 }
 
 TEST(RuleServerTest, RuleSubsetRequestsProbeOnlySelected) {
@@ -586,10 +562,10 @@ TEST(RuleServerTest, RuleSubsetRequestsProbeOnlySelected) {
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
 
-  ServeRequest req;
+  SessionRequest req;
   req.centers = SampleCenters(s, 17, 4);
   req.rules = {0};
-  auto reply = s.Serve(req);
+  auto reply = s.Query(req);
   ASSERT_TRUE(reply.ok());
   for (size_t i = 0; i < req.centers.size(); ++i) {
     auto oracle = OracleMatched(w.graph, w.sigma, req.centers[i], false);
@@ -603,9 +579,9 @@ TEST(RuleServerTest, RuleSubsetRequestsProbeOnlySelected) {
   EXPECT_LE(reply->stats.cache_probes, req.centers.size());
 
   // The same centers for all rules: rule 0 comes from cache.
-  ServeRequest all;
+  SessionRequest all;
   all.centers = req.centers;
-  auto reply2 = s.Serve(all);
+  auto reply2 = s.Query(all);
   ASSERT_TRUE(reply2.ok());
   EXPECT_GT(reply2->stats.cache_hits, 0u);
   for (size_t i = 0; i < all.centers.size(); ++i) {
@@ -619,10 +595,10 @@ TEST(RuleServerTest, RequireConsequentSemantics) {
   auto server = RuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok());
   RuleServer& s = **server;
-  ServeRequest req;
+  SessionRequest req;
   req.centers = SampleCenters(s, 3, 6);
   req.require_consequent = true;
-  auto reply = s.Serve(req);
+  auto reply = s.Query(req);
   ASSERT_TRUE(reply.ok());
   for (size_t i = 0; i < req.centers.size(); ++i) {
     EXPECT_EQ(reply->matched[i],

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/generator.h"
@@ -179,7 +180,7 @@ TEST(ShardedServeEquivalence, ColdWarmAndDeltaMatchSingleAndBatch) {
                      .inserts = MakeDelta(w.graph, seed * 977 + 5, 6),
                      .deletes = {},
                      .label_defs = {}};
-    auto patchref = PatchGraphWithInserts(w.graph, delta);
+    auto patchref = PatchGraph(w.graph, delta);
     ASSERT_TRUE(patchref.ok());
     EipResult batch_patched =
         BatchIdentify(patchref->graph, w.sigma, 0.5, false);
@@ -402,34 +403,72 @@ TEST(ShardedServeEquivalence, SnapshotLoadRoundTrip) {
   EXPECT_EQ((*loaded)->rules().size(), w.records.size());
 }
 
-TEST(ShardedServeEquivalence, InputValidation) {
-  Workload w = MakeWorkload(1);
-
-  ShardedRuleServerOptions zero;
-  zero.num_shards = 0;
-  EXPECT_FALSE(ShardedRuleServer::Create(w.graph, w.records, zero).ok());
-  EXPECT_FALSE(ShardedRuleServer::Create(w.graph, {}).ok());
-
-  auto server = ShardedRuleServer::Create(w.graph, w.records);
-  ASSERT_TRUE(server.ok()) << server.status();
-  ShardedRuleServer& s = **server;
+/// One input-validation battery for both `ServeSession` implementations:
+/// the same malformed requests and delta go through `ServeSession&`.
+void ExpectRejectsMalformedInput(ServeSession& s, size_t num_rules) {
+  const NodeId n = s.graph_snapshot()->num_nodes();
+  auto expect_invalid = [&s](const SessionRequest& req, const char* what) {
+    auto r = s.Query(req);
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+  };
 
   SessionRequest bad_center;
-  bad_center.centers = {s.graph_snapshot()->num_nodes() + 7};
-  EXPECT_FALSE(s.Query(bad_center).ok());
+  bad_center.centers = {n + 7};
+  expect_invalid(bad_center, "center out of range");
 
   SessionRequest bad_rule;
   bad_rule.centers = {0};
-  bad_rule.rules = {static_cast<uint32_t>(w.records.size())};
-  EXPECT_FALSE(s.Query(bad_rule).ok());
+  bad_rule.rules = {static_cast<uint32_t>(num_rules)};
+  expect_invalid(bad_rule, "rule index out of range");
 
-  SessionRequest bad_eta = AllRequest(0);
-  EXPECT_FALSE(s.Query(bad_eta).ok());
+  expect_invalid(AllRequest(0), "eta = 0");
+  expect_invalid(AllRequest(-1), "eta < 0");
+
+  SessionRequest bad_deadline;
+  bad_deadline.centers = {s.candidates().front()};
+  bad_deadline.deadline_seconds = -1;
+  expect_invalid(bad_deadline, "negative deadline, point lookup");
+  SessionRequest bad_deadline_all = AllRequest(0.5);
+  bad_deadline_all.deadline_seconds = -1;
+  expect_invalid(bad_deadline_all, "negative deadline, all centers");
 
   GraphDelta bad_delta;
-  bad_delta.inserts.push_back(
-      {s.graph_snapshot()->num_nodes(), s.graph_snapshot()->node_label(0), 0});
-  EXPECT_FALSE(s.ApplyDelta(bad_delta).ok());
+  bad_delta.inserts.push_back({n, s.graph_snapshot()->node_label(0), 0});
+  EXPECT_FALSE(s.ApplyDelta(bad_delta).ok()) << "delta node out of range";
+}
+
+TEST(RuleServerTest, InputValidation) {
+  Workload w = MakeWorkload(1);
+
+  // Factory: an empty Σ and mixed predicates.
+  EXPECT_FALSE(RuleServer::Create(w.graph, {}).ok());
+  PaperG1 g1 = MakePaperG1();
+  PaperG2 g2 = MakePaperG2();
+  std::vector<RuleRecord> mixed{{g1.r1, 0, 0}, {g2.r4, 0, 0}};
+  EXPECT_FALSE(RuleServer::Create(g1.graph, mixed).ok());
+
+  auto server = RuleServer::Create(w.graph, w.records);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ExpectRejectsMalformedInput(**server, w.records.size());
+}
+
+TEST(ShardedServeEquivalence, InputValidation) {
+  Workload w = MakeWorkload(1);
+
+  // Factory: an empty Σ, mixed predicates and zero shards.
+  EXPECT_FALSE(ShardedRuleServer::Create(w.graph, {}).ok());
+  PaperG1 g1 = MakePaperG1();
+  PaperG2 g2 = MakePaperG2();
+  std::vector<RuleRecord> mixed{{g1.r1, 0, 0}, {g2.r4, 0, 0}};
+  EXPECT_FALSE(ShardedRuleServer::Create(g1.graph, mixed).ok());
+  ShardedRuleServerOptions zero;
+  zero.num_shards = 0;
+  EXPECT_FALSE(ShardedRuleServer::Create(w.graph, w.records, zero).ok());
+
+  auto server = ShardedRuleServer::Create(w.graph, w.records);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ExpectRejectsMalformedInput(**server, w.records.size());
 }
 
 TEST(ShardedServeEquivalence, ShardSeamRejectsWrongDeltaEntryPoint) {

@@ -243,7 +243,9 @@ TEST(GraphDeltaTest, PatchedEqualsRebuilt) {
   }
   inserts.push_back({199, like, 0});
 
-  auto patch = PatchGraphWithInserts(g, inserts);
+  GraphDelta delta;
+  delta.inserts = inserts;
+  auto patch = PatchGraph(g, delta);
   ASSERT_TRUE(patch.ok()) << patch.status();
 
   // Reference: rebuild from scratch with the original edges + inserts.
@@ -304,7 +306,9 @@ TEST(GraphDeltaTest, PureDeletePatchEqualsRebuilt) {
   };
   const bool absent_really_absent = !g.HasEdge(3, e1.label, 199);
 
-  auto patch = PatchGraphWithDeletes(g, deletes);
+  GraphDelta delta;
+  delta.deletes = deletes;
+  auto patch = PatchGraph(g, delta);
   ASSERT_TRUE(patch.ok()) << patch.status();
   EXPECT_EQ(GraphBytes(patch->graph),
             GraphBytes(RebuildWith(g, deletes, {})));
@@ -350,36 +354,31 @@ TEST(GraphDeltaTest, MixedPatchEqualsRebuilt) {
   EXPECT_EQ(patch->missing, 1u);
   EXPECT_EQ(patch->edges_inserted, 2u);
   EXPECT_EQ(patch->duplicates, 1u);
-
-  // The three entry points agree where their domains overlap.
-  GraphDelta insert_only;
-  insert_only.inserts = delta.inserts;
-  auto via_typed = PatchGraphWithInserts(g, insert_only);
-  auto via_span =
-      PatchGraphWithInserts(g, std::span<const EdgeInsert>(delta.inserts));
-  ASSERT_TRUE(via_typed.ok());
-  ASSERT_TRUE(via_span.ok());
-  EXPECT_EQ(GraphBytes(via_typed->graph), GraphBytes(via_span->graph));
 }
 
 TEST(GraphDeltaTest, ValidatesInserts) {
   Graph g = MakeSynthetic(10, 20, 3, 1);
   LabelId l = g.node_label(0);
+  auto patch_inserts = [&g](std::vector<EdgeInsert> inserts) {
+    GraphDelta d;
+    d.inserts = std::move(inserts);
+    return PatchGraph(g, d);
+  };
   {
-    auto r = PatchGraphWithInserts(g, std::vector<EdgeInsert>{{99, l, 0}});
+    auto r = patch_inserts({{99, l, 0}});
     EXPECT_FALSE(r.ok());
   }
   {
     LabelId bogus = static_cast<LabelId>(g.labels().size() + 5);
-    auto r = PatchGraphWithInserts(g, std::vector<EdgeInsert>{{0, bogus, 1}});
+    auto r = patch_inserts({{0, bogus, 1}});
     EXPECT_FALSE(r.ok());
   }
   {  // all-duplicate batch: graph unchanged
     auto e = g.out_edges(0);
     if (!e.empty()) {
-      auto r = PatchGraphWithInserts(
-          g, std::vector<EdgeInsert>{{0, e[0].label, e[0].other}});
+      auto r = patch_inserts({{0, e[0].label, e[0].other}});
       ASSERT_TRUE(r.ok());
+      EXPECT_FALSE(r->changed());
       EXPECT_EQ(r->edges_inserted, 0u);
       EXPECT_EQ(r->duplicates, 1u);
       EXPECT_EQ(GraphBytes(r->graph), GraphBytes(g));
@@ -621,17 +620,18 @@ TEST(GraphDeltaTest, WireV2RejectsCorruption) {
   }
 }
 
+/// A typed insert-only batch patches to the same CSR as a from-scratch
+/// rebuild over the old edges plus the batch's insert span.
 TEST(GraphDeltaTest, TypedPatchMatchesSpanPatch) {
   Graph g = MakeSynthetic(50, 120, 6, 3);
   GraphDelta delta;
   delta.inserts = {{0, g.node_label(1), 5}, {7, g.node_label(0), 3}};
-  auto a = PatchGraphWithInserts(g, delta);
-  auto b = PatchGraphWithInserts(
-      g, std::span<const EdgeInsert>(delta.inserts));
+  auto a = PatchGraph(g, delta);
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(GraphBytes(a->graph), GraphBytes(b->graph));
-  EXPECT_EQ(a->edges_inserted, b->edges_inserted);
+  EXPECT_TRUE(a->changed());
+  EXPECT_EQ(GraphBytes(a->graph),
+            GraphBytes(RebuildWith(g, {}, delta.inserts)));
+  EXPECT_EQ(a->edges_inserted + a->duplicates, delta.inserts.size());
 }
 
 TEST(GraphDeltaTest, RadiusBfsFindsLocalNodes) {
