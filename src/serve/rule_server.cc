@@ -8,7 +8,6 @@
 
 #include "common/failpoint.h"
 #include "common/timer.h"
-#include "graph/graph_snapshot.h"
 #include "match/guided.h"
 
 namespace gpar {
@@ -39,28 +38,6 @@ RuleServer::RuleServer(std::vector<RuleRecord> rules,
   options_.num_workers = pool_.num_threads();
 }
 
-Result<std::unique_ptr<RuleServer>> RuleServer::Load(
-    const std::string& graph_snapshot_path,
-    const std::string& rules_snapshot_path, const RuleServerOptions& options) {
-  GPAR_ASSIGN_OR_RETURN(
-      SnapshotPair pair,
-      ReadSnapshotPair(graph_snapshot_path, rules_snapshot_path));
-  return Create(std::move(pair.graph), std::move(pair.rules), options);
-}
-
-Result<std::unique_ptr<RuleServer>> RuleServer::Recover(
-    const std::string& graph_snapshot_path,
-    const std::string& rules_snapshot_path, const std::string& journal_path,
-    const RuleServerOptions& options,
-    const DeltaJournalOptions& journal_options, JournalReplayStats* replay) {
-  GPAR_ASSIGN_OR_RETURN(
-      std::unique_ptr<RuleServer> server,
-      Load(graph_snapshot_path, rules_snapshot_path, options));
-  GPAR_RETURN_NOT_OK(
-      server->AttachJournal(journal_path, journal_options, replay));
-  return server;
-}
-
 Result<std::unique_ptr<RuleServer>> RuleServer::Create(
     Graph g, std::vector<RuleRecord> rules, const RuleServerOptions& options) {
   auto graph = std::make_shared<const Graph>(std::move(g));
@@ -80,7 +57,7 @@ Result<std::unique_ptr<RuleServer>> RuleServer::CreateShard(
   }
   std::unique_ptr<RuleServer> server(
       new RuleServer(std::move(rules), options));
-  server->is_shard_ = true;
+  server->read_only_ = true;
   // Shard matchers run view-restricted: the parent-graph sketch store would
   // never be consulted, so skip the precompute entirely.
   server->options_.precompute_sketches = false;
@@ -105,7 +82,7 @@ Status RuleServer::Init(std::shared_ptr<const Graph> g,
   q_ = info->q;
   max_d_ = std::max<uint32_t>(info->d, 1);
   pq_ = q_.ToPattern();
-  if (!is_shard_) {
+  if (!is_shard()) {
     auto span = g->nodes_with_label(q_.x_label);
     candidates_.assign(span.begin(), span.end());
   } else {
@@ -119,7 +96,7 @@ Status RuleServer::Init(std::shared_ptr<const Graph> g,
   auto st = std::make_shared<State>(options_.sketch_hops);
   st->graph = std::move(g);
   st->rules = std::move(rules);
-  if (is_shard_) {
+  if (is_shard()) {
     st->members = std::move(members);
     st->view = std::make_unique<GraphView>(*st->graph, st->members);
   }
@@ -130,7 +107,7 @@ Status RuleServer::Init(std::shared_ptr<const Graph> g,
   st->other_ok = OtherComponentsOk(*st->graph, st->rules->sigma);
   st->plan_store = std::make_unique<SearchPlanStore>(*st->graph);
   PreparePlans(st->plan_store.get(), *st->rules);
-  if (!is_shard_ && options_.precompute_sketches &&
+  if (!is_shard() && options_.precompute_sketches &&
       options_.use_guided_search) {
     PrecomputeSketches(st.get());
   }
@@ -424,7 +401,7 @@ Status RuleServer::EnsureRows(const State& st, std::span<const NodeId> centers,
 }
 
 Result<SessionReply> RuleServer::Query(const SessionRequest& request) {
-  if (is_shard_) {
+  if (is_shard()) {
     // Simulated shard failure on the query path — what the router's
     // degraded mode and per-request retries are tested against.
     GPAR_FAILPOINT("shard.query");
@@ -483,111 +460,32 @@ Result<SessionReply> RuleServer::Query(const SessionRequest& request) {
   return reply;
 }
 
-Result<DeltaStats> RuleServer::ApplyDelta(const GraphDelta& delta) {
-  if (is_shard_) {
-    return Status::InvalidArgument(
-        "shard servers receive deltas from their router (ApplyShardDelta)");
+Status RuleServer::PublishDelta(DeltaCommit* commit) {
+  if (!commit->changes_graph()) {
+    // A replayed floor marker changes nothing a reader can see.
+    commit->published = true;
+    return Status::OK();
   }
-  MutexLock writer(writer_mu_);
-  return ApplyDeltaLocked(delta, /*journal=*/true);
-}
-
-Result<DeltaStats> RuleServer::ApplyDeltaLocked(const GraphDelta& delta,
-                                                bool journal) {
   const std::shared_ptr<const State> st = AcquireState();
-  Timer timer;
-  DeltaStats ds;
-  GPAR_ASSIGN_OR_RETURN(
-      GraphPatch patch,
-      IntakeDelta(*st->graph, delta, interner_.get(), &ds));
-  if (!patch.changed()) {
-    // Nothing is journaled, so replay reproduces only real mutations.
-    ds.seconds = timer.Seconds();
-    return ds;
-  }
-  if (journal && journal_ != nullptr) {
-    // Append-before-publish, and journal the APPLIED mutations rather than
-    // the raw input: duplicates and missing deletes are already filtered,
-    // so snapshot + replay re-derives this exact graph bit-for-bit. An
-    // append failure leaves the served state untouched.
-    GraphDelta wire;
-    wire.sequence = journal_->last_sequence() + 1;
-    wire.inserts = patch.applied;
-    wire.deletes = patch.applied_deletes;
-    // Frames name the labels they reference, so replay against an older
-    // snapshot re-interns live-minted labels instead of failing.
-    CollectLabelDefs(*interner_, &wire);
-    const uint64_t bytes_before = journal_->size_bytes();
-    GPAR_RETURN_NOT_OK(journal_->Append(wire));
-    ds.sequence = wire.sequence;
-    ds.journal_bytes = journal_->size_bytes() - bytes_before;
-  }
-  // The crash window recovery must close: the frame is on disk but not yet
-  // published. Replay applies it, converging with the no-crash timeline.
-  GPAR_FAILPOINT("serve.publish");
-  auto new_graph = std::make_shared<const Graph>(std::move(patch.graph));
+  // Maintain-on-ApplyDelta: the pass runs before the swap, so queries
+  // observe the new graph together with the rule set that is fresh for it.
+  std::vector<RuleRecord> top_k;
+  GPAR_ASSIGN_OR_RETURN(const bool maintained, MaintainPass(*commit, &top_k));
   std::shared_ptr<const RuleSet> new_rules;
-  if (maintainer_ != nullptr) {
-    // Maintain-on-ApplyDelta: run the maintenance pass between patching
-    // and publishing, so queries observe the new graph together with the
-    // rule set that is fresh for it.
-    GPAR_ASSIGN_OR_RETURN(
-        const MaintainStats ms,
-        maintainer_->Advance(*st->graph, new_graph, patch.applied,
-                             patch.applied_deletes));
-    (void)ms;  // folded into maintain_stats()
-    std::vector<RuleRecord> refreshed = maintainer_->TopKRecords();
-    if (refreshed != st->rules->records) {
-      new_rules = BuildRuleSet(std::move(refreshed));
-      ds.rules_refreshed = 1;
-    }
+  if (maintained && top_k != st->rules->records) {
+    new_rules = BuildRuleSet(std::move(top_k));
+    commit->stats.rules_refreshed = 1;
   }
-  SwapStateAndInvalidate(*st, std::move(new_graph), patch.applied,
-                         patch.applied_deletes, &ds, std::move(new_rules));
-  ds.seconds = timer.Seconds();
-  return ds;
-}
-
-Status RuleServer::AttachJournal(const std::string& path,
-                                 const DeltaJournalOptions& options,
-                                 JournalReplayStats* replay) {
-  if (is_shard_) {
-    return Status::InvalidArgument(
-        "shard servers do not journal; attach at the router");
-  }
-  MutexLock writer(writer_mu_);
-  if (journal_ != nullptr) {
-    return Status::InvalidArgument("a journal is already attached");
-  }
-  JournalReplayStats stats;
-  GPAR_ASSIGN_OR_RETURN(std::vector<GraphDelta> frames,
-                        DeltaJournal::ReadAll(path, &stats));
-  for (const GraphDelta& frame : frames) {
-    // Replay without re-journaling — these frames ARE the journal. The
-    // checkpoint floor marker (an empty frame) falls out as a no-op.
-    auto applied = ApplyDeltaLocked(frame, /*journal=*/false);
-    if (!applied.ok()) return applied.status();
-  }
-  GPAR_ASSIGN_OR_RETURN(journal_, DeltaJournal::Open(path, options));
-  if (replay != nullptr) *replay = stats;
+  SwapStateAndInvalidate(*st, commit->new_graph, commit->frame.inserts,
+                         commit->frame.deletes, &commit->stats,
+                         std::move(new_rules));
+  commit->published = true;
   return Status::OK();
-}
-
-Status RuleServer::Checkpoint(const std::string& graph_snapshot_path) {
-  MutexLock writer(writer_mu_);
-  if (journal_ == nullptr) {
-    return Status::InvalidArgument("checkpoint requires an attached journal");
-  }
-  const std::shared_ptr<const State> st = AcquireState();
-  GPAR_RETURN_NOT_OK(WriteGraphSnapshotFile(*st->graph, graph_snapshot_path));
-  // The snapshot now carries every journaled frame's effects; compaction
-  // keeps only the sequence floor.
-  return journal_->Compact();
 }
 
 Result<DeltaStats> RuleServer::ApplyShardDelta(
     std::shared_ptr<const Graph> new_graph, std::string_view delta_bytes) {
-  if (!is_shard_) {
+  if (!is_shard()) {
     return Status::InvalidArgument(
         "ApplyShardDelta is only for shard servers");
   }
@@ -635,61 +533,14 @@ uint64_t RuleServer::shard_sequence() const {
   return shard_sequence_;
 }
 
-bool RuleServer::journal_attached() const {
-  MutexLock writer(writer_mu_);
-  return journal_ != nullptr;
-}
-
-uint64_t RuleServer::journal_sequence() const {
-  MutexLock writer(writer_mu_);
-  return journal_ != nullptr ? journal_->last_sequence() : 0;
-}
-
 const std::vector<RuleRecord>& RuleServer::rules() const {
   // The RuleSet is owned by the published State, which outlives this call;
   // the reference stays valid until a refresh publishes a different set.
   return AcquireState()->rules->records;
 }
 
-Status RuleServer::EnableMaintenance(const MaintainOptions& options) {
-  if (is_shard_) {
-    return Status::InvalidArgument(
-        "shards serve refreshed rule sets from their router (UpdateRules); "
-        "enable maintenance there");
-  }
-  MutexLock writer(writer_mu_);
-  if (maintainer_ != nullptr) {
-    return Status::InvalidArgument("maintenance is already enabled");
-  }
-  const std::shared_ptr<const State> st = AcquireState();
-  GPAR_ASSIGN_OR_RETURN(maintainer_,
-                        RuleMaintainer::Seed(st->graph, q_, options));
-  // Every rule the maintainer will ever emit has eval radius <= mine.d, so
-  // widening the invalidation radius once up front covers all refreshes.
-  max_d_ = std::max(max_d_, std::max<uint32_t>(options.mine.d, 1));
-  std::vector<RuleRecord> refreshed = maintainer_->TopKRecords();
-  if (refreshed == st->rules->records) return Status::OK();
-  DeltaStats ds;
-  SwapStateAndInvalidate(*st, st->graph, {}, {}, &ds,
-                         BuildRuleSet(std::move(refreshed)));
-  return Status::OK();
-}
-
-bool RuleServer::maintenance_enabled() const {
-  MutexLock writer(writer_mu_);
-  return maintainer_ != nullptr;
-}
-
-MaintainStats RuleServer::maintain_stats() const {
-  MutexLock writer(writer_mu_);
-  return maintainer_ != nullptr ? maintainer_->lifetime_stats()
-                                : MaintainStats{};
-}
-
 Status RuleServer::UpdateRules(std::vector<RuleRecord> rules) {
   MutexLock writer(writer_mu_);
-  const std::shared_ptr<const State> st = AcquireState();
-  if (rules == st->rules->records) return Status::OK();
   if (!rules.empty()) {
     std::vector<Gpar> sigma;
     sigma.reserve(rules.size());
@@ -699,20 +550,31 @@ Status RuleServer::UpdateRules(std::vector<RuleRecord> rules) {
       return Status::InvalidArgument(
           "refreshed rule set changes the session predicate q(x, y)");
     }
-    const uint32_t d = std::max<uint32_t>(info.d, 1);
-    if (is_shard_ && d > max_d_) {
-      return Status::InvalidArgument(
-          "refreshed rule radius " + std::to_string(d) +
-          " exceeds the partition radius " + std::to_string(max_d_) +
-          " this shard's view was cut for");
-    }
-    max_d_ = std::max(max_d_, d);
+    GPAR_RETURN_NOT_OK(AdmitRadius(std::max<uint32_t>(info.d, 1)));
   }
   // An empty set skips sigma validation on purpose: a maintained top-k can
   // die under deletes and the session keeps serving zero rules.
   DeltaStats ds;
-  SwapStateAndInvalidate(*st, st->graph, {}, {}, &ds,
+  return PublishRules(std::move(rules), &ds);
+}
+
+Status RuleServer::PublishRules(std::vector<RuleRecord> rules,
+                                DeltaStats* ds) {
+  const std::shared_ptr<const State> st = AcquireState();
+  if (rules == st->rules->records) return Status::OK();
+  SwapStateAndInvalidate(*st, st->graph, {}, {}, ds,
                          BuildRuleSet(std::move(rules)));
+  ds->rules_refreshed = 1;
+  return Status::OK();
+}
+
+Status RuleServer::AdmitRadius(uint32_t d) {
+  if (is_shard() && d > max_d_) {
+    return Status::InvalidArgument(
+        "rule radius " + std::to_string(d) + " exceeds the partition radius " +
+        std::to_string(max_d_) + " this shard's view was cut for");
+  }
+  max_d_ = std::max(max_d_, d);
   return Status::OK();
 }
 
@@ -744,7 +606,7 @@ void RuleServer::SwapStateAndInvalidate(
   next->graph = std::move(new_graph);
   next->rules = rules_changed ? std::move(new_rules) : old.rules;
 
-  if (is_shard_) {
+  if (is_shard()) {
     // Inserted edges can pull new nodes into an owned center's N_d (and
     // chained inserts can do so through nodes that were not members
     // before), so re-derive the d-ball of every owned center the delta can
@@ -867,8 +729,6 @@ void RuleServer::SwapStateAndInvalidate(
 std::shared_ptr<const Graph> RuleServer::graph_snapshot() const {
   return AcquireState()->graph;
 }
-
-ServeStats RuleServer::lifetime_stats() const { return lifetime_.Snapshot(); }
 
 size_t RuleServer::cached_centers() const {
   size_t total = 0;

@@ -20,7 +20,6 @@
 #include "graph/sketch.h"
 #include "identify/center_evaluator.h"
 #include "identify/eip.h"
-#include "maintain/rule_maintainer.h"
 #include "match/matcher.h"
 #include "parallel/thread_pool.h"
 #include "rule/rule_snapshot.h"
@@ -73,32 +72,17 @@ struct RuleServerOptions {
 /// `ApplyDelta` never blocks in-flight queries (they finish on the state
 /// snapshot they started with). Writers serialize among themselves.
 ///
+/// The write path (`ApplyDelta`, journal, replay, checkpoint, maintenance)
+/// is `ServeSession`'s; this class supplies its publish step — one
+/// `SwapStateAndInvalidate` that moves graph and rules together.
+///
 /// A `RuleServer` can also run as one shard of a `ShardedRuleServer`
 /// deployment (`CreateShard`): it then serves only its owned centers from
 /// a zero-copy `GraphView` slice of the shared parent CSR and receives
 /// serialized `GraphDelta` batches from the router (`ApplyShardDelta`)
 /// instead of applying deltas itself.
-class RuleServer : public ServeSession {
+class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
  public:
-  /// Loads a snapshot pair produced by `WriteGraphSnapshot[File]` and
-  /// `WriteRuleSetSnapshot[File]`.
-  static Result<std::unique_ptr<RuleServer>> Load(
-      const std::string& graph_snapshot_path,
-      const std::string& rules_snapshot_path,
-      const RuleServerOptions& options = {});
-
-  /// Crash recovery: loads the snapshot pair, then attaches the journal
-  /// at `journal_path` — which replays its valid frame prefix (torn tail
-  /// truncated) and leaves the journal live for later appends. The result
-  /// is byte-equivalent to a server that applied those deltas and never
-  /// crashed.
-  static Result<std::unique_ptr<RuleServer>> Recover(
-      const std::string& graph_snapshot_path,
-      const std::string& rules_snapshot_path,
-      const std::string& journal_path, const RuleServerOptions& options = {},
-      const DeltaJournalOptions& journal_options = {},
-      JournalReplayStats* replay = nullptr);
-
   /// Builds a session from in-memory state (tests, single-process use).
   static Result<std::unique_ptr<RuleServer>> Create(
       Graph g, std::vector<RuleRecord> rules,
@@ -120,36 +104,8 @@ class RuleServer : public ServeSession {
   // ---- ServeSession ----
 
   Result<SessionReply> Query(const SessionRequest& request) override;
-
-  /// Applies a typed edge-mutation batch (deletes, then inserts): patches
-  /// the CSR into a fresh state snapshot, refreshes stale shared sketches,
-  /// and invalidates cached memberships within d(R) hops of the touched
-  /// edges' endpoints (per rule R). Deleted edges make the walk
-  /// non-monotone — memberships can be LOST — so affected (rule, center)
-  /// entries are dropped and re-checked on their next query; the BFS runs
-  /// on the pre-delete graph as well as the patched one, because a center
-  /// whose only path to a deleted edge ran through that edge is out of
-  /// reach afterwards but still stale. Rejected on shard servers — shards
-  /// take `ApplyShardDelta` from their router.
-  Result<DeltaStats> ApplyDelta(const GraphDelta& delta) override;
-
-  Status AttachJournal(const std::string& path,
-                       const DeltaJournalOptions& options = {},
-                       JournalReplayStats* replay = nullptr) override;
-  Status Checkpoint(const std::string& graph_snapshot_path) override;
-
   std::shared_ptr<const Graph> graph_snapshot() const override;
-  /// The currently served rule set. The reference is valid until the next
-  /// rule refresh (maintenance pass that changed the top-k, or
-  /// `UpdateRules`); callers that race refreshes should copy.
   const std::vector<RuleRecord>& rules() const override;
-  const std::vector<NodeId>& candidates() const override {
-    return candidates_;
-  }
-  LabelId InternLabel(std::string_view name) override {
-    return interner_->Intern(name);
-  }
-  ServeStats lifetime_stats() const override;
 
   // ---- Shard seam (used by ShardedRuleServer) ----
 
@@ -165,35 +121,16 @@ class RuleServer : public ServeSession {
   Result<DeltaStats> ApplyShardDelta(std::shared_ptr<const Graph> new_graph,
                                      std::string_view delta_bytes);
 
-  bool is_shard() const noexcept { return is_shard_; }
+  /// Shard servers are read-only: `ApplyDelta`, `AttachJournal` and
+  /// `EnableMaintenance` are rejected — the router owns those.
+  bool is_shard() const noexcept { return read_only_; }
   /// Shard mode: current fragment view size in nodes (0 otherwise).
   size_t view_members() const;
   /// Shard mode: sequence of the last batch this shard applied — the
   /// router's resync logic compares it against its own delta sequence.
   uint64_t shard_sequence() const GPAR_EXCLUDES(writer_mu_);
 
-  bool journal_attached() const GPAR_EXCLUDES(writer_mu_);
-  /// Last sequence the attached journal holds (0 when none is attached).
-  uint64_t journal_sequence() const GPAR_EXCLUDES(writer_mu_);
-
-  // ---- Incremental rule maintenance ----
-
-  /// Switches the session into maintain-on-ApplyDelta mode: seeds a
-  /// `RuleMaintainer` on the current graph (one full discovery pass under
-  /// `options.mine`) and serves its diversified top-k from here on — every
-  /// subsequent delta runs a maintenance pass under the writer lock and,
-  /// when the top-k changed, publishes the refreshed rule set with the new
-  /// graph generation (queries see graph+rules move together). The
-  /// maintained set replaces the loaded snapshot records, which may differ
-  /// from them when the snapshot was mined under other parameters.
-  /// Rejected on shard servers (the router maintains on the parent graph
-  /// and pushes refreshed sets down via `UpdateRules`) and when
-  /// maintenance is already enabled.
-  Status EnableMaintenance(const MaintainOptions& options)
-      GPAR_EXCLUDES(writer_mu_);
-  bool maintenance_enabled() const GPAR_EXCLUDES(writer_mu_);
-  /// Accumulated maintenance-pass stats (zero when maintenance is off).
-  MaintainStats maintain_stats() const GPAR_EXCLUDES(writer_mu_);
+  // ---- Rule refresh ----
 
   /// Replaces the served rule set (router -> shard push after a router-side
   /// maintenance refresh; also usable standalone as a hot rule reload). The
@@ -299,12 +236,16 @@ class RuleServer : public ServeSession {
   RuleServer(std::vector<RuleRecord> rules, const RuleServerOptions& options);
 
   Status Init(std::shared_ptr<const Graph> g, std::vector<NodeId> members);
-  /// The body of `ApplyDelta`: patches, optionally journals the applied
-  /// mutations (appends-before-publish), then swaps + invalidates.
-  /// `journal` is false on the replay path — those frames are already on
-  /// disk.
-  Result<DeltaStats> ApplyDeltaLocked(const GraphDelta& delta, bool journal)
+
+  /// The publish step of `ApplyDelta`: runs the maintenance pass, then one
+  /// `SwapStateAndInvalidate` publishes the new graph generation — with the
+  /// refreshed rule set when the top-k changed.
+  Status PublishDelta(DeltaCommit* commit) override GPAR_REQUIRES(writer_mu_);
+  Status PublishRules(std::vector<RuleRecord> rules, DeltaStats* ds) override
       GPAR_REQUIRES(writer_mu_);
+  /// Widens the invalidation radius; a shard rejects a radius above the
+  /// one its fragment view was cut for.
+  Status AdmitRadius(uint32_t d) override GPAR_REQUIRES(writer_mu_);
   /// Derives the per-rule state (sigma storage, other-component flag) for a
   /// record set. Validation (non-empty sets keep q and respect the radius
   /// bound) happens in the callers — see UpdateRules.
@@ -348,18 +289,14 @@ class RuleServer : public ServeSession {
   void EvaluateItem(const State& st, WorkerCtx& ctx, WorkItem& item) const;
 
   RuleServerOptions options_;
-  bool is_shard_ = false;
-  std::shared_ptr<Interner> interner_;
   /// Records handed to Create/Load, consumed by Init into the first
   /// published RuleSet (empty afterwards — the live set lives in State).
   std::vector<RuleRecord> initial_records_;
-  Predicate q_{};
   Pattern pq_;
   /// Invalidation/view radius bound. Fixed on shards (the fragment view was
   /// cut at this radius); may grow on non-shard servers when a refreshed
   /// rule set carries deeper rules.
   uint32_t max_d_ = 0;
-  std::vector<NodeId> candidates_;
 
   ThreadPool pool_;
 
@@ -370,22 +307,13 @@ class RuleServer : public ServeSession {
   /// under the cache-shard lock), so a reader that outlived a delta can
   /// never resurrect stale memberships after the invalidation walk.
   std::atomic<uint64_t> epoch_{0};
-  mutable Mutex writer_mu_;  ///< serializes ApplyDelta / ApplyShardDelta
-  /// Attach-journal mode (non-shard servers): applied mutations are
-  /// appended here before they are published.
-  std::unique_ptr<DeltaJournal> journal_ GPAR_GUARDED_BY(writer_mu_);
   /// Shard mode: sequence of the last applied batch. Retried ships of an
   /// already-applied frame are recognized here and become no-ops, so a
   /// router retry can never double-apply a delta.
   uint64_t shard_sequence_ GPAR_GUARDED_BY(writer_mu_) = 0;
-  /// Maintain-on-ApplyDelta mode (non-shard): passes run under the writer
-  /// lock, between patching the graph and publishing the new generation.
-  std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);
 
   uint32_t num_cache_shards_ = 1;
   std::unique_ptr<CacheShard[]> cache_shards_;
-
-  LifetimeStats lifetime_;
 };
 
 }  // namespace gpar

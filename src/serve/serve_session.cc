@@ -4,10 +4,30 @@
 #include <numeric>
 
 #include "common/failpoint.h"
+#include "common/timer.h"
 #include "graph/graph_snapshot.h"
 #include "rule/metrics.h"
 
 namespace gpar {
+
+namespace {
+
+/// The front half of every `ApplyDelta`: re-interns `delta.label_defs`
+/// (replayed journal frames carry their own dictionary, so a frame minted
+/// after the snapshot was written still resolves; live deltas have none),
+/// patches `g`, and records the patch counts in `ds`.
+Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
+                               Interner* labels, DeltaStats* ds) {
+  GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, labels));
+  GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(g, delta));
+  ds->edges_inserted = patch.edges_inserted;
+  ds->duplicates_ignored = patch.duplicates;
+  ds->edges_deleted = patch.edges_deleted;
+  ds->deletes_missing = patch.missing;
+  return patch;
+}
+
+}  // namespace
 
 Result<std::vector<uint32_t>> ValidateRequest(const SessionRequest& request,
                                               size_t num_rules) {
@@ -65,17 +85,6 @@ void AssembleEntities(const SessionRequest& request,
   }
 }
 
-Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
-                               Interner* labels, DeltaStats* ds) {
-  GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, labels));
-  GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(g, delta));
-  ds->edges_inserted = patch.edges_inserted;
-  ds->duplicates_ignored = patch.duplicates;
-  ds->edges_deleted = patch.edges_deleted;
-  ds->deletes_missing = patch.missing;
-  return patch;
-}
-
 Result<SnapshotPair> ReadSnapshotPair(const std::string& graph_snapshot_path,
                                       const std::string& rules_snapshot_path) {
   GPAR_FAILPOINT("snapshot.load");
@@ -85,6 +94,154 @@ Result<SnapshotPair> ReadSnapshotPair(const std::string& graph_snapshot_path,
       pair.rules, ReadRuleSetSnapshotFile(rules_snapshot_path,
                                           pair.graph.mutable_labels()));
   return pair;
+}
+
+Status ServeSession::CheckWritable() const {
+  if (read_only_) {
+    return Status::InvalidArgument(
+        "read-only session: a shard takes deltas, journals and rule "
+        "refreshes from its router");
+  }
+  return Status::OK();
+}
+
+Result<DeltaStats> ServeSession::ApplyDelta(const GraphDelta& delta) {
+  GPAR_RETURN_NOT_OK(CheckWritable());
+  MutexLock writer(writer_mu_);
+  return ApplyDeltaLocked(delta, /*replay_sequence=*/0);
+}
+
+Result<DeltaStats> ServeSession::ApplyDeltaLocked(const GraphDelta& delta,
+                                                  uint64_t replay_sequence) {
+  if (replay_sequence != 0 && replay_sequence <= sequence_) {
+    return Status::InvalidArgument(
+        "journal frames must follow the session's sequence");
+  }
+  Timer timer;
+  DeltaCommit commit;
+  commit.old_graph = graph_snapshot();
+  GPAR_ASSIGN_OR_RETURN(
+      GraphPatch patch,
+      IntakeDelta(*commit.old_graph, delta, interner_.get(), &commit.stats));
+  if (replay_sequence == 0 && !patch.changed()) {
+    // Nothing changed, so every cached answer stays valid and nothing is
+    // journaled: replay reproduces only real mutations.
+    commit.stats.seconds = timer.Seconds();
+    return commit.stats;
+  }
+  commit.new_graph = commit.old_graph;
+  if (patch.changed()) {
+    commit.new_graph = std::make_shared<const Graph>(std::move(patch.graph));
+  }
+  commit.frame.sequence =
+      replay_sequence != 0 ? replay_sequence : sequence_ + 1;
+  commit.frame.inserts = std::move(patch.applied);
+  commit.frame.deletes = std::move(patch.applied_deletes);
+  // Frames name the labels they reference, so replay against an older
+  // snapshot (and a shard brought up on one) re-interns live-minted labels
+  // instead of failing.
+  CollectLabelDefs(*interner_, &commit.frame);
+  if (journal_ != nullptr) {
+    // Append-before-publish, and journal the APPLIED mutations rather than
+    // the raw input: snapshot + replay re-derives this exact graph
+    // bit-for-bit. An append failure leaves the served state untouched.
+    // (Replay runs before the journal is attached, so it never re-appends.)
+    const uint64_t bytes_before = journal_->size_bytes();
+    GPAR_RETURN_NOT_OK(journal_->Append(commit.frame));
+    commit.stats.journal_bytes = journal_->size_bytes() - bytes_before;
+  }
+  // The crash window recovery must close: the frame is on disk but not yet
+  // published. Replay applies it, converging with the no-crash timeline.
+  GPAR_FAILPOINT("serve.publish");
+  const uint64_t sequence = commit.frame.sequence;
+  commit.stats.sequence = sequence;
+  const Status published = PublishDelta(&commit);
+  if (commit.published) sequence_ = sequence;
+  GPAR_RETURN_NOT_OK(published);
+  commit.stats.seconds = timer.Seconds();
+  return commit.stats;
+}
+
+Status ServeSession::AttachJournal(const std::string& path,
+                                   const DeltaJournalOptions& options,
+                                   JournalReplayStats* replay) {
+  GPAR_RETURN_NOT_OK(CheckWritable());
+  MutexLock writer(writer_mu_);
+  if (journal_ != nullptr) {
+    return Status::InvalidArgument("a journal is already attached");
+  }
+  JournalReplayStats stats;
+  GPAR_ASSIGN_OR_RETURN(std::vector<GraphDelta> frames,
+                        DeltaJournal::ReadAll(path, &stats));
+  for (const GraphDelta& frame : frames) {
+    // Replay through the normal publish step, pinned to the journaled
+    // sequence — a checkpoint's floor marker (an empty frame) just carries
+    // the session to its sequence.
+    GPAR_RETURN_NOT_OK(ApplyDeltaLocked(frame, frame.sequence).status());
+  }
+  GPAR_ASSIGN_OR_RETURN(journal_, DeltaJournal::Open(path, options));
+  if (replay != nullptr) *replay = stats;
+  return Status::OK();
+}
+
+Status ServeSession::Checkpoint(const std::string& graph_snapshot_path) {
+  MutexLock writer(writer_mu_);
+  if (journal_ == nullptr) {
+    return Status::InvalidArgument("checkpoint requires an attached journal");
+  }
+  GPAR_RETURN_NOT_OK(
+      WriteGraphSnapshotFile(*graph_snapshot(), graph_snapshot_path));
+  // The snapshot now carries every journaled frame's effects; compaction
+  // keeps only the sequence floor.
+  return journal_->Compact();
+}
+
+Status ServeSession::EnableMaintenance(const MaintainOptions& options) {
+  GPAR_RETURN_NOT_OK(CheckWritable());
+  MutexLock writer(writer_mu_);
+  if (maintainer_ != nullptr) {
+    return Status::InvalidArgument("maintenance is already enabled");
+  }
+  // Every rule the maintainer will ever emit has eval radius <= mine.d, so
+  // admitting that radius once up front covers all refreshes.
+  GPAR_RETURN_NOT_OK(AdmitRadius(std::max<uint32_t>(options.mine.d, 1)));
+  GPAR_ASSIGN_OR_RETURN(maintainer_,
+                        RuleMaintainer::Seed(graph_snapshot(), q_, options));
+  DeltaStats ds;
+  return PublishRules(maintainer_->TopKRecords(), &ds);
+}
+
+Result<bool> ServeSession::MaintainPass(const DeltaCommit& commit,
+                                        std::vector<RuleRecord>* top_k) {
+  if (maintainer_ == nullptr) return false;
+  GPAR_ASSIGN_OR_RETURN(
+      const MaintainStats ms,
+      maintainer_->Advance(*commit.old_graph, commit.new_graph,
+                           commit.frame.inserts, commit.frame.deletes));
+  (void)ms;  // folded into maintain_stats()
+  *top_k = maintainer_->TopKRecords();
+  return true;
+}
+
+bool ServeSession::maintenance_enabled() const {
+  MutexLock writer(writer_mu_);
+  return maintainer_ != nullptr;
+}
+
+MaintainStats ServeSession::maintain_stats() const {
+  MutexLock writer(writer_mu_);
+  return maintainer_ != nullptr ? maintainer_->lifetime_stats()
+                                : MaintainStats{};
+}
+
+bool ServeSession::journal_attached() const {
+  MutexLock writer(writer_mu_);
+  return journal_ != nullptr;
+}
+
+uint64_t ServeSession::journal_sequence() const {
+  MutexLock writer(writer_mu_);
+  return journal_ != nullptr ? journal_->last_sequence() : 0;
 }
 
 void LifetimeStats::Record(const ServeStats& stats) {

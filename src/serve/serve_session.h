@@ -7,12 +7,16 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/result.h"
+#include "common/thread_annotations.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
 #include "identify/eip.h"
+#include "maintain/rule_maintainer.h"
 #include "rule/rule_snapshot.h"
 #include "serve/delta_journal.h"
 
@@ -106,15 +110,49 @@ struct DeltaStats {
   double seconds = 0;
 };
 
+/// A session's lifetime `ServeStats`. Lock-free — relaxed atomics, latency
+/// in nanoseconds — because every request adds to it, and a shared mutex
+/// here would serialize otherwise disjoint hot paths.
+class LifetimeStats {
+ public:
+  /// Adds one request's (or a delta's retry) counts.
+  void Record(const ServeStats& stats);
+  ServeStats Snapshot() const;
+
+ private:
+  std::atomic<uint64_t> requests_{0};
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> cache_probes_{0};
+  std::atomic<uint64_t> centers_evaluated_{0};
+  std::atomic<uint64_t> shards_failed_{0};
+  std::atomic<uint64_t> retries_{0};
+  std::atomic<uint64_t> latency_nanos_{0};
+};
+
 /// A long-lived serving session over one (graph, rule set) snapshot pair:
 /// `RuleServer` answers from a single process-local graph; sharded
 /// deployments put a `ShardedRuleServer` router in front of k of them.
 /// Both ends of that split speak this interface.
 ///
+/// The read side (`Query` and the accessors) is each deployment's own. The
+/// write side is written once, here, for both: intake, sequence stamp,
+/// journal append before publish, the `serve.publish` crash window, the
+/// deployment's publish step, the maintenance pass, replay on attach, and
+/// checkpoint/compact. A deployment plugs in through three hooks —
+/// `PublishDelta`, `PublishRules` and `AdmitRadius` — and the shared
+/// `MaintainPass` its publish step calls.
+///
+/// One sequence rule: a live batch that changes the graph is stamped with
+/// the last published sequence + 1; a replayed journal frame keeps its own
+/// (a checkpoint's floor marker included). The sequence advances when the
+/// publish step makes the frame visible, so a frame no reader ever saw is
+/// never acknowledged.
+///
 /// Thread-safety contract: `Query` may be called from any number of threads
 /// concurrently, including while one `ApplyDelta` is in flight (deltas
 /// publish a new immutable state snapshot; in-flight queries finish on the
-/// old one). Concurrent `ApplyDelta` calls serialize internally.
+/// old one). Writes (`ApplyDelta`, `AttachJournal`, `Checkpoint`,
+/// `EnableMaintenance`) serialize on the writer mutex.
 class ServeSession {
  public:
   virtual ~ServeSession() = default;
@@ -126,38 +164,135 @@ class ServeSession {
   /// the graph and invalidates exactly the cached state within reach of the
   /// touched edges. Deletions are non-monotone — a membership can be LOST —
   /// so invalidated centers are re-checked on their next query rather than
-  /// monotonely extended.
-  virtual Result<DeltaStats> ApplyDelta(const GraphDelta& delta) = 0;
+  /// monotonely extended. The applied mutations are journaled (when a
+  /// journal is attached) before the deployment publishes them. A batch
+  /// that changes nothing is neither stamped, journaled nor published.
+  Result<DeltaStats> ApplyDelta(const GraphDelta& delta)
+      GPAR_EXCLUDES(writer_mu_);
 
   /// Attach-journal mode: replays any frames already in the journal at
   /// `path` (so attaching IS recovering — a fresh session + a populated
   /// journal converge to the journaled state), then appends the applied
   /// mutations of every later `ApplyDelta` BEFORE publishing them.
   /// `replay`, when non-null, reports what the attach scan found.
-  virtual Status AttachJournal(const std::string& path,
-                               const DeltaJournalOptions& options = {},
-                               JournalReplayStats* replay = nullptr) = 0;
+  Status AttachJournal(const std::string& path,
+                       const DeltaJournalOptions& options = {},
+                       JournalReplayStats* replay = nullptr)
+      GPAR_EXCLUDES(writer_mu_);
 
   /// Checkpoint: writes the current graph to `graph_snapshot_path` and
   /// compacts the attached journal behind it (keeping the sequence
   /// floor). Requires an attached journal; serialized against deltas.
-  virtual Status Checkpoint(const std::string& graph_snapshot_path) = 0;
+  Status Checkpoint(const std::string& graph_snapshot_path)
+      GPAR_EXCLUDES(writer_mu_);
+
+  /// Switches the session into maintain-on-ApplyDelta mode: seeds a
+  /// `RuleMaintainer` on the current graph (one full discovery pass under
+  /// `options.mine`) and serves its diversified top-k from here on — every
+  /// later delta runs a maintenance pass inside the deployment's publish
+  /// step and, when the top-k changed, publishes the refreshed rule set.
+  /// The maintained set replaces the loaded snapshot records, which may
+  /// differ from them when the snapshot was mined under other parameters.
+  /// Rejected when maintenance is already enabled and when the deployment
+  /// cannot serve rules of radius `options.mine.d`.
+  Status EnableMaintenance(const MaintainOptions& options)
+      GPAR_EXCLUDES(writer_mu_);
+  bool maintenance_enabled() const GPAR_EXCLUDES(writer_mu_);
+  /// Accumulated maintenance-pass stats (zero when maintenance is off).
+  MaintainStats maintain_stats() const GPAR_EXCLUDES(writer_mu_);
+  bool journal_attached() const GPAR_EXCLUDES(writer_mu_);
+  /// Last sequence the attached journal holds (0 when none is attached).
+  uint64_t journal_sequence() const GPAR_EXCLUDES(writer_mu_);
 
   /// The current graph snapshot. Holding the returned pointer keeps that
   /// version alive across subsequent deltas.
   virtual std::shared_ptr<const Graph> graph_snapshot() const = 0;
 
+  /// The currently served rule set. The reference stays valid until the
+  /// next rule refresh (a maintenance pass that changed the top-k, or
+  /// `RuleServer::UpdateRules`); callers that race refreshes should copy.
   virtual const std::vector<RuleRecord>& rules() const = 0;
-  /// All candidate centers (nodes satisfying x's label), sorted.
-  virtual const std::vector<NodeId>& candidates() const = 0;
+  /// The candidate centers this session answers for (nodes satisfying x's
+  /// label — a shard's owned ones), sorted.
+  const std::vector<NodeId>& candidates() const { return candidates_; }
   /// Interns an edge-label name through the session's dictionary — for
   /// building `GraphDelta` batches from textual input (ids are append-only,
   /// so existing patterns and cached state are unaffected). Call from the
   /// delta-applying thread only; it mutates the shared dictionary.
-  virtual LabelId InternLabel(std::string_view name) = 0;
+  LabelId InternLabel(std::string_view name) {
+    return interner_->Intern(name);
+  }
   /// Accumulated statistics over the session's lifetime (by value — the
-  /// internals keep mutating under concurrent queries).
-  virtual ServeStats lifetime_stats() const = 0;
+  /// internals keep mutating under concurrent queries). A router counts
+  /// each request once; per-shard stats live on the shards.
+  ServeStats lifetime_stats() const { return lifetime_.Snapshot(); }
+
+ protected:
+  ServeSession() = default;
+
+  /// One stamped frame on its way from the writer to the readers.
+  struct DeltaCommit {
+    /// The served graph the frame was patched against, and the patched
+    /// graph — the same pointer for a replayed floor marker, which changes
+    /// nothing.
+    std::shared_ptr<const Graph> old_graph;
+    std::shared_ptr<const Graph> new_graph;
+    /// The frame as journaled: the applied mutations (duplicates and
+    /// missing deletes filtered), the stamped sequence, and the definitions
+    /// of the labels they name. The publish step may consume it.
+    GraphDelta frame;
+    DeltaStats stats;
+    /// Set by `PublishDelta` once readers can observe `new_graph`. The
+    /// sequence advances with it, even when the step then reports an error.
+    bool published = false;
+
+    bool changes_graph() const { return new_graph != old_graph; }
+  };
+
+  /// Hook: makes a committed frame visible to readers, running
+  /// `MaintainPass` where the deployment keeps graph and rules in step.
+  virtual Status PublishDelta(DeltaCommit* commit)
+      GPAR_REQUIRES(writer_mu_) = 0;
+  /// Hook: serves `rules` from now on when they differ from the served set
+  /// (setting `ds->rules_refreshed`) — the seed of `EnableMaintenance`.
+  virtual Status PublishRules(std::vector<RuleRecord> rules, DeltaStats* ds)
+      GPAR_REQUIRES(writer_mu_) = 0;
+  /// Hook: accepts (widening what must) or rejects rules of radius `d`.
+  virtual Status AdmitRadius(uint32_t d) GPAR_REQUIRES(writer_mu_) = 0;
+
+  /// The maintenance pass for a published frame: when maintenance is on,
+  /// advances the maintainer from `commit.old_graph` to `commit.new_graph`,
+  /// fills `top_k` with its top-k and returns true; false when it is off.
+  Result<bool> MaintainPass(const DeltaCommit& commit,
+                            std::vector<RuleRecord>* top_k)
+      GPAR_REQUIRES(writer_mu_);
+
+  const DeltaJournal* journal() const GPAR_REQUIRES(writer_mu_) {
+    return journal_.get();
+  }
+
+  /// Serializes every write; deployments guard their writer-side state
+  /// with it too.
+  mutable Mutex writer_mu_;
+  std::shared_ptr<Interner> interner_;
+  Predicate q_{};  ///< the rule set's predicate q(x, y)
+  std::vector<NodeId> candidates_;
+  /// Read-only sessions (shards, whose writes come from their router)
+  /// reject every write entry point with InvalidArgument.
+  bool read_only_ = false;
+  LifetimeStats lifetime_;
+
+ private:
+  /// The body of `ApplyDelta`. `replay_sequence`, when nonzero, pins the
+  /// frame to a journaled sequence instead of stamping the next one.
+  Result<DeltaStats> ApplyDeltaLocked(const GraphDelta& delta,
+                                      uint64_t replay_sequence)
+      GPAR_REQUIRES(writer_mu_);
+  Status CheckWritable() const;
+
+  std::unique_ptr<DeltaJournal> journal_ GPAR_GUARDED_BY(writer_mu_);
+  std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);
+  uint64_t sequence_ GPAR_GUARDED_BY(writer_mu_) = 0;
 };
 
 /// Validates `request` against a session serving `num_rules` rules and
@@ -180,15 +315,6 @@ void AssembleEntities(const SessionRequest& request,
                       const std::vector<uint32_t>& selected,
                       std::span<const NodeId> centers, SessionReply* reply);
 
-/// The front half of every `ApplyDelta`: re-interns `delta.label_defs`
-/// (replayed journal frames carry their own dictionary, so a frame minted
-/// after the snapshot was written still resolves; live deltas have none),
-/// patches `g`, and records the patch counts in `ds`. A patch that has not
-/// `changed()` the graph leaves every cached answer valid — callers return
-/// early, journaling and publishing nothing.
-Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
-                               Interner* labels, DeltaStats* ds);
-
 /// A (graph, rule set) snapshot pair as written by `WriteGraphSnapshot[File]`
 /// and `WriteRuleSetSnapshot[File]`.
 struct SnapshotPair {
@@ -201,23 +327,41 @@ struct SnapshotPair {
 Result<SnapshotPair> ReadSnapshotPair(const std::string& graph_snapshot_path,
                                       const std::string& rules_snapshot_path);
 
-/// A session's lifetime `ServeStats`. Lock-free — relaxed atomics, latency
-/// in nanoseconds — because every request adds to it, and a shared mutex
-/// here would serialize otherwise disjoint hot paths.
-class LifetimeStats {
+/// The one Load/Recover pair, for any deployment `Server` built in memory
+/// by `Server::Create(Graph, rules, Options)`.
+template <typename Server, typename Options>
+class SnapshotSession : public ServeSession {
  public:
-  /// Adds one request's (or a delta's retry) counts.
-  void Record(const ServeStats& stats);
-  ServeStats Snapshot() const;
+  /// Loads a snapshot pair produced by `WriteGraphSnapshot[File]` and
+  /// `WriteRuleSetSnapshot[File]`.
+  static Result<std::unique_ptr<Server>> Load(
+      const std::string& graph_snapshot_path,
+      const std::string& rules_snapshot_path, const Options& options = {}) {
+    GPAR_ASSIGN_OR_RETURN(
+        SnapshotPair pair,
+        ReadSnapshotPair(graph_snapshot_path, rules_snapshot_path));
+    return Server::Create(std::move(pair.graph), std::move(pair.rules),
+                          options);
+  }
 
- private:
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_probes_{0};
-  std::atomic<uint64_t> centers_evaluated_{0};
-  std::atomic<uint64_t> shards_failed_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> latency_nanos_{0};
+  /// Crash recovery: loads the snapshot pair, then attaches the journal at
+  /// `journal_path` — which replays its valid frame prefix (torn tail
+  /// truncated) through the normal publish step and leaves the journal
+  /// live for later appends. The result is equivalent to a deployment that
+  /// applied those deltas and never crashed.
+  static Result<std::unique_ptr<Server>> Recover(
+      const std::string& graph_snapshot_path,
+      const std::string& rules_snapshot_path,
+      const std::string& journal_path, const Options& options = {},
+      const DeltaJournalOptions& journal_options = {},
+      JournalReplayStats* replay = nullptr) {
+    GPAR_ASSIGN_OR_RETURN(
+        std::unique_ptr<Server> server,
+        Load(graph_snapshot_path, rules_snapshot_path, options));
+    GPAR_RETURN_NOT_OK(
+        server->AttachJournal(journal_path, journal_options, replay));
+    return server;
+  }
 };
 
 }  // namespace gpar

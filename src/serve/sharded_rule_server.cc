@@ -5,8 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/failpoint.h"
-#include "graph/graph_snapshot.h"
 #include "graph/partition.h"
 
 namespace gpar {
@@ -33,29 +31,6 @@ bool IsTransient(const Status& st) {
 
 ShardedRuleServer::ShardedRuleServer(const ShardedRuleServerOptions& options)
     : options_(options) {}
-
-Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Load(
-    const std::string& graph_snapshot_path,
-    const std::string& rules_snapshot_path,
-    const ShardedRuleServerOptions& options) {
-  GPAR_ASSIGN_OR_RETURN(
-      SnapshotPair pair,
-      ReadSnapshotPair(graph_snapshot_path, rules_snapshot_path));
-  return Create(std::move(pair.graph), std::move(pair.rules), options);
-}
-
-Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Recover(
-    const std::string& graph_snapshot_path,
-    const std::string& rules_snapshot_path, const std::string& journal_path,
-    const ShardedRuleServerOptions& options,
-    const DeltaJournalOptions& journal_options, JournalReplayStats* replay) {
-  GPAR_ASSIGN_OR_RETURN(
-      std::unique_ptr<ShardedRuleServer> server,
-      Load(graph_snapshot_path, rules_snapshot_path, options));
-  GPAR_RETURN_NOT_OK(
-      server->AttachJournal(journal_path, journal_options, replay));
-  return server;
-}
 
 Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Create(
     Graph g, std::vector<RuleRecord> rules,
@@ -149,18 +124,9 @@ size_t ShardedRuleServer::lagging_shards() const {
   return lagging;
 }
 
-bool ShardedRuleServer::journal_attached() const {
-  MutexLock writer(writer_mu_);
-  return journal_ != nullptr;
-}
-
 std::shared_ptr<const Graph> ShardedRuleServer::graph_snapshot() const {
   MutexLock lock(graph_mu_);
   return graph_;
-}
-
-ServeStats ShardedRuleServer::lifetime_stats() const {
-  return lifetime_.Snapshot();
 }
 
 Result<SessionReply> ShardedRuleServer::Query(const SessionRequest& request) {
@@ -358,135 +324,101 @@ Status ShardedRuleServer::GatherAll(const SessionRequest& request,
   return Status::OK();
 }
 
-Result<DeltaStats> ShardedRuleServer::ApplyDelta(const GraphDelta& delta) {
-  MutexLock writer(writer_mu_);
-  // Heal first: a lagging shard must not receive this batch on top of a
+Status ShardedRuleServer::PublishDelta(DeltaCommit* commit) {
+  // Heal first: a lagging shard must not receive this frame on top of a
   // gap (it would miss the intermediate invalidations). Shards that are
-  // still lagging afterwards are excluded from the ship below and stay
-  // degraded.
-  Status resync = ResyncLaggingShardsLocked();
-  (void)resync;
-  return ApplyDeltaLocked(delta, /*journal=*/true, /*replay_sequence=*/0);
-}
-
-Result<DeltaStats> ShardedRuleServer::ApplyDeltaLocked(
-    const GraphDelta& delta, bool journal, uint64_t replay_sequence) {
-  const std::shared_ptr<const Graph> cur = graph_snapshot();
-  Timer timer;
-  DeltaStats ds;
-  GPAR_ASSIGN_OR_RETURN(GraphPatch patch,
-                        IntakeDelta(*cur, delta, interner_.get(), &ds));
-  if (!patch.changed()) {
-    if (replay_sequence != 0) {
-      // Replayed no-op (the checkpoint floor marker): nothing to ship,
-      // but the sequence must advance — and shards that were current stay
-      // current over an empty frame.
-      MutexLock lock(graph_mu_);
-      for (uint64_t& acked : shard_acked_) {
-        if (acked == delta_sequence_) acked = replay_sequence;
-      }
-      delta_sequence_ = replay_sequence;
-      ds.sequence = replay_sequence;
-    }
-    ds.seconds = timer.Seconds();
-    return ds;
-  }
-
-  // Patch the shared parent CSR once, then ship one serialized batch of
-  // the applied mutations to every shard — bytes on the wire instead of k
-  // graph snapshots. Batches with deletes go out as v2 frames; pure-insert
-  // batches keep the v1 framing.
-  auto next = std::make_shared<const Graph>(std::move(patch.graph));
-  GraphDelta wire;
-  wire.inserts = std::move(patch.applied);
-  wire.deletes = std::move(patch.applied_deletes);
-  // Frames name the labels they reference, so journal replay against an
-  // older snapshot re-interns live-minted labels instead of failing.
-  CollectLabelDefs(*interner_, &wire);
-  {
-    MutexLock lock(graph_mu_);
-    wire.sequence =
-        replay_sequence != 0 ? replay_sequence : delta_sequence_ + 1;
-  }
-  if (journal && journal_ != nullptr) {
-    // Append-before-ship: on an append failure nothing has advanced and
-    // nothing was shipped, so the deployment is exactly as before.
-    const uint64_t bytes_before = journal_->size_bytes();
-    GPAR_RETURN_NOT_OK(journal_->Append(wire));
-    ds.journal_bytes = journal_->size_bytes() - bytes_before;
-  }
-  // The crash window recovery must close: the frame is journaled but not
-  // yet shipped or published. Replay applies it.
-  GPAR_FAILPOINT("serve.publish");
+  // still lagging afterwards are left out of the ship and stay degraded.
+  (void)ResyncLaggingShardsLocked();
 
   const uint32_t k = num_shards();
-  const std::string bytes = wire.Serialize();
-  std::vector<char> ship_to(k, 1);
+  const uint64_t sequence = commit->frame.sequence;
+  std::vector<char> ship_to(k, 0);
   {
     MutexLock lock(graph_mu_);
     for (uint32_t s = 0; s < k; ++s) {
-      ship_to[s] = shard_acked_[s] + 1 == wire.sequence ? 1 : 0;
+      ship_to[s] = shard_acked_[s] == delta_sequence_ ? 1 : 0;
     }
   }
+  // The parent CSR is patched once (the writer did); every current shard
+  // gets one serialized batch of the applied mutations — bytes on the wire
+  // instead of k graph snapshots. A replayed floor marker ships nothing:
+  // it only carries the current shards to its sequence.
   std::vector<Status> statuses(k, Status::OK());
   std::vector<DeltaStats> shard_stats(k);
-  std::vector<uint64_t> retries(k, 0);
-  auto ship = [&](uint32_t s) {
-    if (ship_to[s] == 0) return;
-    statuses[s] = CallWithRetry(
-        [&]() {
-          auto r = shards_[s]->ApplyShardDelta(next, bytes);
-          if (!r.ok()) return r.status();
-          shard_stats[s] = std::move(r).value();
-          return Status::OK();
-        },
-        /*deadline_seconds=*/0, timer, &retries[s]);
-  };
-  RunOnShards(k, ship);
+  if (commit->changes_graph()) {
+    const std::string bytes = commit->frame.Serialize();
+    std::vector<uint64_t> retries(k, 0);
+    auto ship = [&](uint32_t s) {
+      if (ship_to[s] == 0) return;
+      statuses[s] = CallWithRetry(
+          [&]() {
+            auto r = shards_[s]->ApplyShardDelta(commit->new_graph, bytes);
+            if (!r.ok()) return r.status();
+            shard_stats[s] = std::move(r).value();
+            return Status::OK();
+          },
+          /*deadline_seconds=*/0, Timer(), &retries[s]);
+    };
+    RunOnShards(k, ship);
+    ServeStats ship_stats;
+    for (uint64_t r : retries) ship_stats.retries += r;
+    lifetime_.Record(ship_stats);
+  }
 
-  ServeStats ship_stats;
-  for (uint64_t r : retries) ship_stats.retries += r;
-  lifetime_.Record(ship_stats);
-
-  if (!options_.degrade_on_shard_failure) {
-    for (uint32_t s = 0; s < k; ++s) {
-      // Strict mode: propagate the first ship failure without publishing.
-      // (A journaled frame stays journaled — the journal is the source of
-      // truth, and recovery replays it.)
-      if (ship_to[s] != 0) GPAR_RETURN_NOT_OK(statuses[s]);
+  DeltaStats& ds = commit->stats;
+  bool applied = false;
+  Status ship_failure = Status::OK();
+  for (uint32_t s = 0; s < k; ++s) {
+    if (ship_to[s] == 0) continue;
+    if (!statuses[s].ok()) {
+      if (ship_failure.ok()) ship_failure = statuses[s];
+      continue;
     }
+    applied = true;
+    const DeltaStats& st = shard_stats[s];
+    ds.memberships_invalidated += st.memberships_invalidated;
+    ds.qclass_invalidated += st.qclass_invalidated;
+    ds.sketches_refreshed += st.sketches_refreshed;
+    ds.members_extended += st.members_extended;
+    ds.wire_bytes += st.wire_bytes;
+  }
+  const bool strict = !options_.degrade_on_shard_failure;
+  if (strict && !ship_failure.ok() && !applied) {
+    // Strict mode, and no shard applied the frame: publish nothing. (A
+    // journaled frame stays journaled — the journal is the source of
+    // truth, and recovery replays it.)
+    return ship_failure;
   }
 
   {
     MutexLock lock(graph_mu_);
-    graph_ = next;
-    delta_sequence_ = wire.sequence;
+    graph_ = commit->new_graph;
+    delta_sequence_ = sequence;
     for (uint32_t s = 0; s < k; ++s) {
-      if (ship_to[s] != 0 && statuses[s].ok()) {
-        shard_acked_[s] = wire.sequence;
-      }
+      if (ship_to[s] != 0 && statuses[s].ok()) shard_acked_[s] = sequence;
     }
     for (uint64_t acked : shard_acked_) {
-      if (acked != wire.sequence) ++ds.shards_lagging;
+      if (acked != sequence) ++ds.shards_lagging;
     }
   }
-  ds.sequence = wire.sequence;
+  commit->published = true;
+  if (!commit->changes_graph()) return Status::OK();
 
-  if (maintainer_ != nullptr) {
-    // Maintain-on-ApplyDelta: the pass runs on the parent graph after the
-    // ship; a changed top-k is pushed to the shards and republished
-    // router-side. Push failures degrade (the affected shard keeps the
-    // previous set until the next refresh) unless strict mode is on.
-    Status maintained = MaintainAfterShip(*cur, next, wire, &ds);
-    if (!maintained.ok() && !options_.degrade_on_shard_failure) {
-      return maintained;
-    }
+  // Maintain-on-ApplyDelta: the pass runs on the parent graph after the
+  // committed ship; a changed top-k is pushed to the shards and
+  // republished router-side. Its failures degrade (a shard that missed the
+  // push keeps the previous set until the next refresh) unless strict.
+  std::vector<RuleRecord> top_k;
+  const Result<bool> maintained = MaintainPass(*commit, &top_k);
+  Status refreshed = maintained.status();
+  if (maintained.ok() && *maintained) {
+    refreshed = PublishRules(std::move(top_k), &ds);
   }
 
   // Keep the frame for pending-tail resync until every shard acked it,
   // bounded: a shard lagging past the cap resyncs from the journal or not
   // at all.
-  pending_.push_back(PendingFrame{wire.sequence, std::move(wire)});
+  pending_.push_back(std::move(commit->frame));
   {
     MutexLock lock(graph_mu_);
     uint64_t min_acked = delta_sequence_;
@@ -498,42 +430,23 @@ Result<DeltaStats> ShardedRuleServer::ApplyDeltaLocked(
   constexpr size_t kMaxPendingFrames = 4096;
   while (pending_.size() > kMaxPendingFrames) pending_.pop_front();
 
-  for (uint32_t s = 0; s < k; ++s) {
-    if (ship_to[s] == 0 || !statuses[s].ok()) continue;
-    const DeltaStats& st = shard_stats[s];
-    ds.memberships_invalidated += st.memberships_invalidated;
-    ds.qclass_invalidated += st.qclass_invalidated;
-    ds.sketches_refreshed += st.sketches_refreshed;
-    ds.members_extended += st.members_extended;
-    ds.wire_bytes += st.wire_bytes;
-  }
-  ds.seconds = timer.Seconds();
-  return ds;
+  if (!strict) return Status::OK();
+  GPAR_RETURN_NOT_OK(ship_failure);
+  return refreshed;
 }
 
-Status ShardedRuleServer::MaintainAfterShip(
-    const Graph& old_graph, std::shared_ptr<const Graph> new_graph,
-    const GraphDelta& wire, DeltaStats* ds) {
-  GPAR_ASSIGN_OR_RETURN(
-      const MaintainStats ms,
-      maintainer_->Advance(old_graph, std::move(new_graph), wire.inserts,
-                           wire.deletes));
-  (void)ms;  // folded into maintain_stats()
-  return PublishRules(maintainer_->TopKRecords(), ds);
-}
-
-Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> refreshed,
+Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> rules,
                                        DeltaStats* ds) {
   {
     MutexLock lock(graph_mu_);
-    if (refreshed == *records_) return Status::OK();
+    if (rules == *records_) return Status::OK();
   }
   // Publish router-side FIRST: selections normalize against the router's
   // set, and a shard still on the old set rejects out-of-range indices
   // (the merge also bounds-checks) instead of answering from the wrong
   // rule.
   auto shared =
-      std::make_shared<const std::vector<RuleRecord>>(std::move(refreshed));
+      std::make_shared<const std::vector<RuleRecord>>(std::move(rules));
   {
     MutexLock lock(graph_mu_);
     records_ = shared;
@@ -547,33 +460,15 @@ Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> refreshed,
   return first_failure;
 }
 
-Status ShardedRuleServer::EnableMaintenance(const MaintainOptions& options) {
-  MutexLock writer(writer_mu_);
-  if (maintainer_ != nullptr) {
-    return Status::InvalidArgument("maintenance is already enabled");
-  }
-  if (std::max<uint32_t>(options.mine.d, 1) > partition_d_) {
+Status ShardedRuleServer::AdmitRadius(uint32_t d) {
+  if (d > partition_d_) {
     return Status::InvalidArgument(
-        "maintained rule radius " + std::to_string(options.mine.d) +
+        "maintained rule radius " + std::to_string(d) +
         " exceeds the partition radius " + std::to_string(partition_d_) +
         " the fragments were cut for; reload the deployment with the "
         "deeper radius instead");
   }
-  GPAR_ASSIGN_OR_RETURN(maintainer_,
-                        RuleMaintainer::Seed(graph_snapshot(), q_, options));
-  DeltaStats ds;
-  return PublishRules(maintainer_->TopKRecords(), &ds);
-}
-
-bool ShardedRuleServer::maintenance_enabled() const {
-  MutexLock writer(writer_mu_);
-  return maintainer_ != nullptr;
-}
-
-MaintainStats ShardedRuleServer::maintain_stats() const {
-  MutexLock writer(writer_mu_);
-  return maintainer_ != nullptr ? maintainer_->lifetime_stats()
-                                : MaintainStats{};
+  return Status::OK();
 }
 
 Status ShardedRuleServer::ResyncLaggingShards() {
@@ -611,8 +506,8 @@ Status ShardedRuleServer::ResyncLaggingShardsLocked() {
              missed.front()->sequence == acked[s] + 1 &&
              missed.back()->sequence == cur;
     };
-    if (journal_ != nullptr) {
-      auto all = DeltaJournal::ReadAll(journal_->path());
+    if (journal() != nullptr) {
+      auto all = DeltaJournal::ReadAll(journal()->path());
       if (all.ok()) {
         journal_frames = std::move(all).value();
         for (const GraphDelta& f : journal_frames) {
@@ -625,10 +520,8 @@ Status ShardedRuleServer::ResyncLaggingShardsLocked() {
     }
     if (missed.empty() || !covered()) {
       missed.clear();
-      for (const PendingFrame& f : pending_) {
-        if (f.sequence > acked[s] && f.sequence <= cur) {
-          missed.push_back(&f.delta);
-        }
+      for (const GraphDelta& f : pending_) {
+        if (f.sequence > acked[s] && f.sequence <= cur) missed.push_back(&f);
       }
     }
     if (missed.empty() || !covered()) {
@@ -661,39 +554,6 @@ Status ShardedRuleServer::ResyncLaggingShardsLocked() {
     }
   }
   return first_failure;
-}
-
-Status ShardedRuleServer::AttachJournal(const std::string& path,
-                                        const DeltaJournalOptions& options,
-                                        JournalReplayStats* replay) {
-  MutexLock writer(writer_mu_);
-  if (journal_ != nullptr) {
-    return Status::InvalidArgument("a journal is already attached");
-  }
-  JournalReplayStats stats;
-  GPAR_ASSIGN_OR_RETURN(std::vector<GraphDelta> frames,
-                        DeltaJournal::ReadAll(path, &stats));
-  for (const GraphDelta& frame : frames) {
-    // Replay through the normal ship path, pinned to the journaled
-    // sequence (not re-journaled — these frames ARE the journal).
-    auto applied = ApplyDeltaLocked(frame, /*journal=*/false, frame.sequence);
-    if (!applied.ok()) return applied.status();
-  }
-  GPAR_ASSIGN_OR_RETURN(journal_, DeltaJournal::Open(path, options));
-  if (replay != nullptr) *replay = stats;
-  return Status::OK();
-}
-
-Status ShardedRuleServer::Checkpoint(const std::string& graph_snapshot_path) {
-  MutexLock writer(writer_mu_);
-  if (journal_ == nullptr) {
-    return Status::InvalidArgument("checkpoint requires an attached journal");
-  }
-  GPAR_RETURN_NOT_OK(
-      WriteGraphSnapshotFile(*graph_snapshot(), graph_snapshot_path));
-  // The snapshot now carries every journaled frame's effects; compaction
-  // keeps only the sequence floor.
-  return journal_->Compact();
 }
 
 }  // namespace gpar

@@ -42,8 +42,12 @@ struct ShardedRuleServerOptions {
   /// `SessionReply::degraded` set (owned-center supports of survivors stay
   /// exact) instead of failing the request; a shard that misses a delta is
   /// likewise left lagging — excluded from queries until a journal/pending
-  /// resync catches it up — rather than failing the `ApplyDelta`. False
-  /// restores strict all-or-nothing semantics.
+  /// resync catches it up — rather than failing the `ApplyDelta`.
+  /// False (strict): a request touching a failed or lagging shard fails,
+  /// and a failed ship fails the `ApplyDelta`. A frame that no shard
+  /// applied is not published; one that some shard applied is published
+  /// (graph, sequence, acks) with the failed shards left lagging, so a
+  /// sequence a shard acknowledged is never stamped again.
   bool degrade_on_shard_failure = true;
 };
 
@@ -66,35 +70,25 @@ struct ShardedRuleServerOptions {
 /// balls — still exact for view-restricted matching (see
 /// `RuleServer::ApplyShardDelta`).
 ///
+/// The write path (`ApplyDelta`, journal, replay, checkpoint, maintenance)
+/// is `ServeSession`'s; this router supplies its publish step — resync
+/// lagging shards, ship the frame, record acks and the pending tail, then
+/// run the maintenance pass on the parent graph and push changed rules.
+///
 /// Thread-safety: as `ServeSession` — any number of concurrent `Query`
 /// calls, concurrent with at most the internal serialization of
 /// `ApplyDelta`. Shards swap snapshots independently, so a query racing a
 /// delta may observe it on some shards and not others (per-shard snapshot
 /// consistency; the delta becomes globally visible when `ApplyDelta`
 /// returns).
-class ShardedRuleServer : public ServeSession {
+class ShardedRuleServer
+    : public SnapshotSession<ShardedRuleServer, ShardedRuleServerOptions> {
  public:
-  /// Loads a snapshot pair (see `RuleServer::Load`) and partitions it.
-  static Result<std::unique_ptr<ShardedRuleServer>> Load(
-      const std::string& graph_snapshot_path,
-      const std::string& rules_snapshot_path,
-      const ShardedRuleServerOptions& options = {});
-
+  /// Partitions `g` (see the class comment) and builds one shard per
+  /// fragment.
   static Result<std::unique_ptr<ShardedRuleServer>> Create(
       Graph g, std::vector<RuleRecord> rules,
       const ShardedRuleServerOptions& options = {});
-
-  /// Crash recovery: loads the snapshot pair, then attaches the journal at
-  /// `journal_path` — replaying its valid frame prefix through the normal
-  /// ship path, so the rebuilt deployment is result-identical to one that
-  /// applied those deltas and never crashed.
-  static Result<std::unique_ptr<ShardedRuleServer>> Recover(
-      const std::string& graph_snapshot_path,
-      const std::string& rules_snapshot_path,
-      const std::string& journal_path,
-      const ShardedRuleServerOptions& options = {},
-      const DeltaJournalOptions& journal_options = {},
-      JournalReplayStats* replay = nullptr);
 
   ShardedRuleServer(const ShardedRuleServer&) = delete;
   ShardedRuleServer& operator=(const ShardedRuleServer&) = delete;
@@ -102,27 +96,9 @@ class ShardedRuleServer : public ServeSession {
   // ---- ServeSession ----
 
   Result<SessionReply> Query(const SessionRequest& request) override;
-  Result<DeltaStats> ApplyDelta(const GraphDelta& delta) override;
-  Status AttachJournal(const std::string& path,
-                       const DeltaJournalOptions& options = {},
-                       JournalReplayStats* replay = nullptr) override;
-  Status Checkpoint(const std::string& graph_snapshot_path) override;
   std::shared_ptr<const Graph> graph_snapshot() const override;
-  /// The currently served rule set. The reference stays valid until the
-  /// next maintenance refresh publishes a different set; callers racing
-  /// refreshes should copy (or hold `AcquireRecords`-style snapshots —
-  /// queries do internally).
   const std::vector<RuleRecord>& rules() const override
       GPAR_EXCLUDES(graph_mu_);
-  const std::vector<NodeId>& candidates() const override {
-    return candidates_;
-  }
-  LabelId InternLabel(std::string_view name) override {
-    return interner_->Intern(name);
-  }
-  /// Router-level lifetime stats (one request per `Query`; per-shard stats
-  /// live on the shards — see `shard()`).
-  ServeStats lifetime_stats() const override;
 
   // ---- Introspection ----
 
@@ -137,35 +113,16 @@ class ShardedRuleServer : public ServeSession {
   /// Shards currently behind `delta_sequence()` (they answer no queries —
   /// the router degrades around them — until a resync catches them up).
   size_t lagging_shards() const GPAR_EXCLUDES(graph_mu_);
-  bool journal_attached() const GPAR_EXCLUDES(writer_mu_);
 
   /// Replays the frames a lagging shard missed — from the attached
   /// journal when possible, else from the in-memory pending tail — merged
   /// into one catch-up batch shipped with the current parent graph. Safe
   /// because a lagging shard serves nothing until it is current again, so
-  /// it never exposes an intermediate state. Called automatically at the
-  /// top of every `ApplyDelta`; public so operators (and tests) can heal a
+  /// it never exposes an intermediate state. Called automatically before
+  /// every frame ships; public so operators (and tests) can heal a
   /// deployment without waiting for the next delta. Returns the first
   /// resync failure, with the still-lagging shards left lagging.
   Status ResyncLaggingShards() GPAR_EXCLUDES(writer_mu_);
-
-  // ---- Incremental rule maintenance ----
-
-  /// Switches the deployment into maintain-on-ApplyDelta mode: seeds a
-  /// `RuleMaintainer` on the PARENT graph (shards only see fragment views)
-  /// and serves its top-k from here on. Every later delta runs a
-  /// maintenance pass after the ship and, when the top-k changed, pushes
-  /// the refreshed set to every healthy shard (`RuleServer::UpdateRules`)
-  /// and republishes the router's records. The maintained radius
-  /// `options.mine.d` must not exceed the partition radius the fragments
-  /// were cut for — deeper rules could not be matched shard-locally.
-  /// A rule refresh is atomic per shard but briefly heterogeneous across
-  /// shards, like deltas (per-shard snapshot consistency).
-  Status EnableMaintenance(const MaintainOptions& options)
-      GPAR_EXCLUDES(writer_mu_);
-  bool maintenance_enabled() const GPAR_EXCLUDES(writer_mu_);
-  /// Accumulated maintenance-pass stats (zero when maintenance is off).
-  MaintainStats maintain_stats() const GPAR_EXCLUDES(writer_mu_);
 
  private:
   explicit ShardedRuleServer(const ShardedRuleServerOptions& options);
@@ -198,12 +155,20 @@ class ShardedRuleServer : public ServeSession {
   Status GatherAll(const SessionRequest& request,
                    const std::vector<uint32_t>& selected, size_t num_rules,
                    const Timer& timer, SessionReply* reply) const;
-  /// The body of `ApplyDelta`. `journal` is false on the replay path;
-  /// `replay_sequence`, when nonzero, pins the batch's sequence to a
-  /// journaled frame's instead of stamping the next one.
-  Result<DeltaStats> ApplyDeltaLocked(const GraphDelta& delta, bool journal,
-                                      uint64_t replay_sequence)
+  /// The publish step of `ApplyDelta` (see the class comment). See
+  /// `degrade_on_shard_failure` for what a failed ship publishes.
+  Status PublishDelta(DeltaCommit* commit) override GPAR_REQUIRES(writer_mu_);
+  /// When `rules` differ from the served set: publishes them
+  /// router-side, sets `ds->rules_refreshed`, and pushes them to every shard.
+  /// Push failures leave those shards on the previous set (the next
+  /// refresh retries — the compare is against the router's records); the
+  /// first one is returned. A rule refresh is atomic per shard but briefly
+  /// heterogeneous across shards, like deltas.
+  Status PublishRules(std::vector<RuleRecord> rules, DeltaStats* ds) override
       GPAR_REQUIRES(writer_mu_);
+  /// Rejects a maintained radius above the partition radius the fragments
+  /// were cut for — deeper rules could not be matched shard-locally.
+  Status AdmitRadius(uint32_t d) override GPAR_REQUIRES(writer_mu_);
   Status ResyncLaggingShardsLocked() GPAR_REQUIRES(writer_mu_);
   /// Runs `call` under the retry policy: transient failures back off
   /// (doubling, bounded by `deadline_seconds` on `timer` when positive)
@@ -215,30 +180,14 @@ class ShardedRuleServer : public ServeSession {
   /// racing maintenance refresh can never resize it mid-merge.
   std::shared_ptr<const std::vector<RuleRecord>> AcquireRecords() const
       GPAR_EXCLUDES(graph_mu_);
-  /// Runs the maintenance pass for one applied batch, then `PublishRules`
-  /// its top-k.
-  Status MaintainAfterShip(const Graph& old_graph,
-                           std::shared_ptr<const Graph> new_graph,
-                           const GraphDelta& wire, DeltaStats* ds)
-      GPAR_REQUIRES(writer_mu_);
-  /// When `refreshed` differs from the served set: publishes it
-  /// router-side, sets `ds->rules_refreshed`, and pushes it to every shard.
-  /// Push failures leave those shards on the previous set (the next
-  /// refresh retries — the compare is against the router's records); the
-  /// first one is returned.
-  Status PublishRules(std::vector<RuleRecord> refreshed, DeltaStats* ds)
-      GPAR_REQUIRES(writer_mu_);
 
   ShardedRuleServerOptions options_;
-  std::shared_ptr<Interner> interner_;
   /// The served rule set, RCU-style: replaced wholesale by a maintenance
   /// refresh, never mutated in place.
   std::shared_ptr<const std::vector<RuleRecord>> records_
       GPAR_GUARDED_BY(graph_mu_);
-  Predicate q_{};           ///< the rule set's predicate q(x, y)
-  uint32_t partition_d_ = 0;  ///< radius the fragments were cut for
-  std::vector<NodeId> candidates_;  ///< all candidate centers, sorted
-  std::vector<uint32_t> owner_;     ///< parallel to candidates_
+  uint32_t partition_d_ = 0;     ///< radius the fragments were cut for
+  std::vector<uint32_t> owner_;  ///< parallel to candidates_
   /// Fixed for the server's lifetime (deltas mutate edges, never the node
   /// set), so point-query validation needn't take `graph_mu_`.
   NodeId num_nodes_ = 0;
@@ -250,29 +199,16 @@ class ShardedRuleServer : public ServeSession {
 
   mutable Mutex graph_mu_;
   std::shared_ptr<const Graph> graph_ GPAR_GUARDED_BY(graph_mu_);
-  /// Serializes ApplyDelta / AttachJournal / Checkpoint / resync.
-  mutable Mutex writer_mu_;
+  /// The published sequence: the last frame made visible here.
   uint64_t delta_sequence_ GPAR_GUARDED_BY(graph_mu_) = 0;
   /// Per-shard last acknowledged batch sequence. A shard is healthy iff
   /// its entry equals `delta_sequence_`; queries route around the rest.
   std::vector<uint64_t> shard_acked_ GPAR_GUARDED_BY(graph_mu_);
-  /// Attach-journal mode: batches are appended here (applied mutations,
-  /// stamped sequence) BEFORE being shipped to any shard.
-  std::unique_ptr<DeltaJournal> journal_ GPAR_GUARDED_BY(writer_mu_);
-  /// Recent shipped batches kept in memory for journal-free resync (and
+  /// Recent published frames kept in memory for journal-free resync (and
   /// for frames a compaction already dropped from the journal). Pruned
   /// once every shard has acked; capped — a shard that lags past the cap
   /// with no journal coverage stays degraded until the process restarts.
-  struct PendingFrame {
-    uint64_t sequence = 0;
-    GraphDelta delta;
-  };
-  std::deque<PendingFrame> pending_ GPAR_GUARDED_BY(writer_mu_);
-  /// Maintain-on-ApplyDelta mode: router-level maintainer on the parent
-  /// graph; passes run under the writer lock, after the ship.
-  std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);
-
-  LifetimeStats lifetime_;
+  std::deque<GraphDelta> pending_ GPAR_GUARDED_BY(writer_mu_);
 };
 
 }  // namespace gpar

@@ -19,6 +19,7 @@
 #include "pattern/pattern_generator.h"
 #include "rule/rule_snapshot.h"
 #include "serve/rule_server.h"
+#include "serve/sharded_rule_server.h"
 
 namespace gpar {
 namespace {
@@ -556,22 +557,17 @@ TEST_F(JournalRecovery, LoadAndReplayFailpointsFailRecoveryCleanly) {
   EXPECT_EQ((*ok)->journal_sequence(), 1u);
 }
 
-/// Checkpoint: snapshot + compact, after which recovery starts from the
-/// fresh snapshot, replays only post-checkpoint frames, and keeps the
-/// sequence counter monotone across the compaction.
-TEST_F(JournalRecovery, CheckpointCompactsJournalAndRecovers) {
-  Workload w = MakeWorkload(2);
-  const std::string gpath = Path("graph", 2, ".snap");
-  const std::string rpath = Path("rules", 2, ".snap");
-  const std::string jpath = Path("journal", 2, ".wal");
-  const std::string ckpt = Path("ckpt", 2, ".snap");
-  ASSERT_TRUE(WriteGraphSnapshotFile(w.graph, gpath).ok());
-  ASSERT_TRUE(
-      WriteRuleSetSnapshotFile(w.records, w.graph.labels(), rpath).ok());
-
-  auto live = RuleServer::Create(w.graph, w.records);
+/// The checkpoint battery, run against one deployment type: checkpoint
+/// and double-attach are rejected, compaction leaves one floor marker at
+/// sequence 2, the next frame is 3, and recovery from checkpoint +
+/// compacted journal reproduces the live session.
+template <typename Server, typename Options>
+void CheckpointBattery(const Workload& w, const Options& options,
+                       const std::string& rpath, const std::string& jpath,
+                       const std::string& ckpt) {
+  auto live = Server::Create(w.graph, w.records, options);
   ASSERT_TRUE(live.ok());
-  RuleServer& s = **live;
+  Server& s = **live;
   // Checkpoint requires an attached journal.
   EXPECT_FALSE(s.Checkpoint(ckpt).ok());
   ASSERT_TRUE(s.AttachJournal(jpath).ok());
@@ -592,7 +588,7 @@ TEST_F(JournalRecovery, CheckpointCompactsJournalAndRecovers) {
   EXPECT_TRUE((*frames)[0].inserts.empty());
 
   // Recovery from checkpoint + compacted journal reproduces the live graph.
-  auto rec1 = RuleServer::Recover(ckpt, rpath, jpath);
+  auto rec1 = Server::Recover(ckpt, rpath, jpath, options);
   ASSERT_TRUE(rec1.ok()) << rec1.status();
   EXPECT_EQ(GraphBytes(*(*rec1)->graph_snapshot()), GraphBytes(*s.graph_snapshot()));
   EXPECT_EQ((*rec1)->journal_sequence(), 2u);
@@ -602,7 +598,7 @@ TEST_F(JournalRecovery, CheckpointCompactsJournalAndRecovers) {
   auto ds3 = s.ApplyDelta(d3);
   ASSERT_TRUE(ds3.ok());
   EXPECT_EQ(ds3->sequence, 3u);
-  auto rec2 = RuleServer::Recover(ckpt, rpath, jpath);
+  auto rec2 = Server::Recover(ckpt, rpath, jpath, options);
   ASSERT_TRUE(rec2.ok()) << rec2.status();
   EXPECT_EQ(GraphBytes(*(*rec2)->graph_snapshot()), GraphBytes(*s.graph_snapshot()));
 
@@ -611,6 +607,60 @@ TEST_F(JournalRecovery, CheckpointCompactsJournalAndRecovers) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswer(*a, *b, "post-checkpoint recovery");
+}
+
+/// Checkpoint: snapshot + compact, after which recovery starts from the
+/// fresh snapshot, replays only post-checkpoint frames, and keeps the
+/// sequence counter monotone across the compaction — for a single server
+/// and for a 2-shard router alike.
+TEST_F(JournalRecovery, CheckpointCompactsJournalAndRecovers) {
+  Workload w = MakeWorkload(2);
+  const std::string gpath = Path("graph", 2, ".snap");
+  const std::string rpath = Path("rules", 2, ".snap");
+  ASSERT_TRUE(WriteGraphSnapshotFile(w.graph, gpath).ok());
+  ASSERT_TRUE(
+      WriteRuleSetSnapshotFile(w.records, w.graph.labels(), rpath).ok());
+
+  {
+    SCOPED_TRACE("RuleServer");
+    CheckpointBattery<RuleServer>(w, RuleServerOptions{}, rpath,
+                                  Path("journal", 2, ".wal"),
+                                  Path("ckpt", 2, ".snap"));
+  }
+  {
+    SCOPED_TRACE("ShardedRuleServer");
+    ShardedRuleServerOptions sopt;
+    sopt.num_shards = 2;
+    sopt.shard_options.num_workers = 2;
+    CheckpointBattery<ShardedRuleServer>(w, sopt, rpath,
+                                         Path("sharded_journal", 2, ".wal"),
+                                         Path("sharded_ckpt", 2, ".snap"));
+  }
+}
+
+/// Replay pins each frame to its journaled sequence, so a journal whose
+/// frames do not follow the session's own sequence is refused instead of
+/// being applied on top of history it was not written against.
+TEST_F(JournalRecovery, AttachRefusesFramesBehindTheSession) {
+  Workload w = MakeWorkload(1);
+  const std::string jpath = Path("journal", 1, ".wal");
+  {
+    auto writer = RuleServer::Create(w.graph, w.records);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->AttachJournal(jpath).ok());
+    ASSERT_TRUE((*writer)->ApplyDelta(MakeMutationDelta(w.graph, 5, 3)).ok());
+  }
+  auto live = RuleServer::Create(w.graph, w.records);
+  ASSERT_TRUE(live.ok());
+  RuleServer& s = **live;
+  // Sequences are stamped with or without a journal.
+  auto ds = s.ApplyDelta(MakeMutationDelta(w.graph, 6, 3));
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  EXPECT_EQ(ds->sequence, 1u);
+  const std::string before = GraphBytes(*s.graph_snapshot());
+  EXPECT_EQ(s.AttachJournal(jpath).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(s.journal_attached());
+  EXPECT_EQ(GraphBytes(*s.graph_snapshot()), before);
 }
 
 /// Labels minted live (`ServeSession::InternLabel`, e.g. the gpar_tool

@@ -468,8 +468,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       // caught-up graph — and re-enabled by `recover`, which rebuilds the
       // session from scratch.
       const MaintainOptions mo = MaintainOptionsFromFlags(flags);
-      Status st = single != nullptr ? single->EnableMaintenance(mo)
-                                    : sharded->EnableMaintenance(mo);
+      Status st = session->EnableMaintenance(mo);
       if (!st.ok()) {
         std::fprintf(stderr, "cannot enable maintenance: %s\n",
                      st.ToString().c_str());
