@@ -34,7 +34,7 @@ int main() {
     double cold_qps, warm_qps, after_delta_qps;
     double batch_s, warm_all_s;
     double delta_s;
-    uint64_t invalidated, sketches_refreshed;
+    uint64_t invalidated;
   };
   std::vector<Row> rows;
 
@@ -127,7 +127,7 @@ int main() {
 
     rows.push_back({sigma.size(), cands.size(), load_s, cold_qps, warm_qps,
                     after_delta_qps, batch_s, warm_all_s, ds->seconds,
-                    ds->memberships_invalidated, ds->sketches_refreshed});
+                    ds->memberships_invalidated});
     PrintCell(static_cast<uint64_t>(sigma.size()));
     PrintCell(static_cast<uint64_t>(cands.size()));
     PrintCell(load_s);
@@ -167,12 +167,10 @@ int main() {
           "\"cold_qps\": %.2f, \"warm_qps\": %.2f, "
           "\"after_delta_qps\": %.2f, \"batch_s\": %.6f, "
           "\"warm_all_s\": %.6f, \"delta_s\": %.6f, "
-          "\"memberships_invalidated\": %llu, "
-          "\"sketches_refreshed\": %llu}%s\n",
+          "\"memberships_invalidated\": %llu}%s\n",
           r.rules, r.candidates, r.load_s, r.cold_qps, r.warm_qps,
           r.after_delta_qps, r.batch_s, r.warm_all_s, r.delta_s,
           static_cast<unsigned long long>(r.invalidated),
-          static_cast<unsigned long long>(r.sketches_refreshed),
           i + 1 < rows.size() ? "," : "");
     }
     double tot_cold = 0, tot_warm = 0, tot_batch = 0, tot_warm_all = 0,

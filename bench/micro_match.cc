@@ -1,11 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the matching layer: VF2 vs
-// guided search, sketch construction, and multi-pattern sharing. Not a
+// guided search and multi-pattern sharing. Not a
 // paper figure — engineering-level visibility into the EIP cost model.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "graph/sketch.h"
 #include "match/guided.h"
 #include "match/matcher.h"
 #include "match/multi_pattern.h"
@@ -70,15 +69,6 @@ void BM_VF2EnumerateAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VF2EnumerateAll);
-
-void BM_SketchIndexBuild(benchmark::State& state) {
-  Graph g = MakeSynthetic(2000, 6000, 50, 3);
-  for (auto _ : state) {
-    SketchIndex idx = SketchIndex::Build(g, 2);
-    benchmark::DoNotOptimize(idx.size());
-  }
-}
-BENCHMARK(BM_SketchIndexBuild);
 
 void BM_MultiPatternSharedEval(benchmark::State& state) {
   Fixture& f = GetFixture();

@@ -101,9 +101,8 @@ int main() {
   }
   RuleServer& s = **server;  // speaks the ServeSession interface
   std::printf("RuleServer up: %zu rules, %zu candidate users, "
-              "%zu plans + %zu sketches precomputed\n",
-              s.rules().size(), s.candidates().size(), s.plans_prepared(),
-              s.sketches_precomputed());
+              "%zu plans precomputed\n",
+              s.rules().size(), s.candidates().size(), s.plans_prepared());
 
   // A full identification — the campaign audience at eta = 1.0.
   SessionRequest all_req;
@@ -150,11 +149,10 @@ int main() {
   }
   auto ds = s.ApplyDelta(delta);
   if (!ds.ok()) return 1;
-  std::printf("\ndelta: +%zu follow edges -> %llu memberships invalidated, "
-              "%llu sketches refreshed (%.2f ms)\n",
+  std::printf("\ndelta: +%zu follow edges -> %llu memberships invalidated "
+              "(%.2f ms)\n",
               ds->edges_inserted,
               static_cast<unsigned long long>(ds->memberships_invalidated),
-              static_cast<unsigned long long>(ds->sketches_refreshed),
               ds->seconds * 1e3);
 
   auto refreshed = s.Query(all_req);

@@ -96,16 +96,6 @@ KHopSketch ComputeSketch(const GraphView& view, NodeId v, uint32_t k) {
                                [&](NodeId w) { return view.contains(w); });
 }
 
-SketchIndex SketchIndex::Build(const Graph& g, uint32_t k) {
-  SketchIndex idx;
-  idx.k_ = k;
-  idx.sketches_.reserve(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    idx.sketches_.push_back(ComputeSketch(g, v, k));
-  }
-  return idx;
-}
-
 bool SketchCovers(const KHopSketch& graph_side,
                   const KHopSketch& pattern_side) {
   const size_t hops = pattern_side.hops.size();
@@ -169,27 +159,6 @@ int64_t SketchScoreAccumulated(const KHopSketch& graph_acc,
     total += slack;
   }
   return total;
-}
-
-void SketchStore::Add(const Graph& g, NodeId v) {
-  if (sketches_.count(v) > 0) return;
-  sketches_.emplace(v, AccumulateSketch(ComputeSketch(g, v, k_)));
-}
-
-const KHopSketch* SketchStore::Find(NodeId v) const {
-  auto it = sketches_.find(v);
-  return it == sketches_.end() ? nullptr : &it->second;
-}
-
-size_t SketchStore::Refresh(const Graph& g, std::span<const NodeId> nodes) {
-  size_t refreshed = 0;
-  for (NodeId v : nodes) {
-    auto it = sketches_.find(v);
-    if (it == sketches_.end()) continue;
-    it->second = AccumulateSketch(ComputeSketch(g, v, k_));
-    ++refreshed;
-  }
-  return refreshed;
 }
 
 }  // namespace gpar

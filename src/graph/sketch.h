@@ -2,8 +2,6 @@
 #define GPAR_GRAPH_SKETCH_H_
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,62 +19,6 @@ using HopDistribution = std::vector<std::pair<LabelId, uint32_t>>;
 /// search index of Section 5.2.
 struct KHopSketch {
   std::vector<HopDistribution> hops;  // hops[i] = D_{i+1}
-};
-
-/// Per-node sketches over a whole graph.
-///
-/// `Build` performs one truncated BFS per node; cost O(|V| * avg |N_k|).
-/// Designed for fragment-local graphs (d-neighborhood unions), where N_k is
-/// small (98% of real-life patterns have radius 1, 1.8% radius 2 — §4.2).
-class SketchIndex {
- public:
-  SketchIndex() = default;
-
-  /// Builds k-hop sketches for every node of `g`.
-  static SketchIndex Build(const Graph& g, uint32_t k);
-
-  uint32_t k() const { return k_; }
-  const KHopSketch& of(NodeId v) const { return sketches_[v]; }
-  size_t size() const { return sketches_.size(); }
-
- private:
-  uint32_t k_ = 0;
-  std::vector<KHopSketch> sketches_;
-};
-
-/// Read-only shared store of *accumulated* node sketches — the serving
-/// counterpart of `SearchPlanStore`: a `RuleServer` precomputes sketches
-/// for the nodes rule patterns can touch once at load, and every worker's
-/// `GuidedMatcher` consults the store before paying for a private BFS
-/// (`GuidedMatcher::set_sketch_store`).
-///
-/// Concurrency contract: `Add`/`Refresh` are single-threaded (load time or
-/// between requests); `Find` is lock-free and safe from any number of
-/// threads once population is done. Under edge deltas, stored sketches of
-/// nodes within k hops of an inserted edge's endpoints go stale and MUST be
-/// refreshed — a stale sketch under-counts and would wrongly prune a
-/// now-valid candidate.
-class SketchStore {
- public:
-  explicit SketchStore(uint32_t k) : k_(k) {}
-
-  /// Computes and stores the sketch of `v` over `g` (idempotent).
-  void Add(const Graph& g, NodeId v);
-
-  /// The stored accumulated sketch of `v`, or nullptr if never added.
-  const KHopSketch* Find(NodeId v) const;
-
-  /// Recomputes the stored sketches among `nodes` over (the current state
-  /// of) `g`; nodes not in the store are ignored. Returns the number of
-  /// sketches recomputed — the delta-maintenance cost counter.
-  size_t Refresh(const Graph& g, std::span<const NodeId> nodes);
-
-  uint32_t k() const { return k_; }
-  size_t size() const { return sketches_.size(); }
-
- private:
-  uint32_t k_;
-  std::unordered_map<NodeId, KHopSketch> sketches_;
 };
 
 /// Computes the sketch of a single node (used for pattern nodes, where the

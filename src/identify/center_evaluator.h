@@ -7,7 +7,6 @@
 
 #include "graph/graph.h"
 #include "graph/graph_view.h"
-#include "graph/sketch.h"
 #include "match/matcher.h"
 #include "rule/gpar.h"
 
@@ -65,16 +64,15 @@ std::unique_ptr<CenterEvaluator> MakeMatchcEvaluator(
 /// are individually toggleable for ablation (early termination is the
 /// definitional difference to Matchc and always on).
 ///
-/// `plan_store` / `sketch_store` optionally attach shared read-only
-/// precomputed state (the serving session's reuse hooks): search plans and
-/// node sketches are then consulted there before being derived privately.
-/// Both may be nullptr (batch identification passes neither).
+/// `plan_store` optionally attaches shared read-only search plans (the
+/// serving session's reuse hook), consulted before planning privately;
+/// batch identification passes none. Node sketches are always built lazily
+/// by the matcher itself.
 std::unique_ptr<CenterEvaluator> MakeMatchEvaluator(
     const Graph& frag_graph, const GraphView* view,
     const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    uint32_t sketch_hops, bool use_guided_search, bool share_multi_patterns,
-    const SearchPlanStore* plan_store = nullptr,
-    const SketchStore* sketch_store = nullptr);
+    bool use_guided_search, bool share_multi_patterns,
+    const SearchPlanStore* plan_store = nullptr);
 
 /// disVF2 (Section 6 baseline): enumerates embeddings of BOTH P_R and Q at
 /// every candidate — two isomorphism checks per candidate.

@@ -136,7 +136,6 @@ Result<EipResult> IdentifyEntities(const Graph& g,
     switch (options.algorithm) {
       case EipAlgorithm::kMatch:
         evaluator = MakeMatchEvaluator(g, view, sigma, other_ok,
-                                       options.sketch_hops,
                                        options.use_guided_search,
                                        options.share_multi_patterns);
         break;

@@ -34,11 +34,6 @@ struct EipOptions {
   /// Formal semantics (Table 1) output Q(x, G) matches; §5.1's Matchc prose
   /// outputs P_R(x, G) matches. False = formal definition (default).
   bool require_consequent = false;
-  /// k for the guided matcher's k-hop sketches. 1 is the robust default:
-  /// on scale-free graphs a 2-hop sketch costs a hub-sized BFS per scored
-  /// node, which can exceed the matching work it saves (k = 2 pays off for
-  /// highly selective patterns on sparse graphs).
-  uint32_t sketch_hops = 1;
   /// Ablation toggles for kMatch (both on by default; the ablation bench
   /// measures each optimization's contribution):
   bool use_guided_search = true;     ///< sketch-guided candidate ordering

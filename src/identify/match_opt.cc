@@ -19,19 +19,16 @@ class MatchEvaluator : public CenterEvaluator {
  public:
   MatchEvaluator(const Graph& g, const GraphView* view,
                  const std::vector<Gpar>& sigma,
-                 const std::vector<char>& other_ok, uint32_t sketch_hops,
-                 bool use_guided, bool share, const SearchPlanStore* plans,
-                 const SketchStore* sketches)
-      : guided_(use_guided
-                    ? std::make_unique<GuidedMatcher>(g, view, sketch_hops)
-                    : nullptr),
+                 const std::vector<char>& other_ok, bool use_guided,
+                 bool share, const SearchPlanStore* plans)
+      : guided_(use_guided ? std::make_unique<GuidedMatcher>(g, view)
+                           : nullptr),
         vf2_(use_guided ? nullptr : std::make_unique<VF2Matcher>(g, view)),
         sigma_(sigma),
         other_ok_(other_ok) {
     Matcher& m = guided_ ? static_cast<Matcher&>(*guided_)
                          : static_cast<Matcher&>(*vf2_);
     if (plans != nullptr) m.set_plan_store(plans);
-    if (guided_ && sketches != nullptr) guided_->set_sketch_store(sketches);
     for (const Gpar& r : sigma_) {
       pr_patterns_.push_back(&r.pr());
       q_patterns_.push_back(&r.x_component());
@@ -110,11 +107,11 @@ class MatchEvaluator : public CenterEvaluator {
 std::unique_ptr<CenterEvaluator> MakeMatchEvaluator(
     const Graph& frag_graph, const GraphView* view,
     const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    uint32_t sketch_hops, bool use_guided_search, bool share_multi_patterns,
-    const SearchPlanStore* plan_store, const SketchStore* sketch_store) {
-  return std::make_unique<MatchEvaluator>(
-      frag_graph, view, sigma, other_ok, sketch_hops, use_guided_search,
-      share_multi_patterns, plan_store, sketch_store);
+    bool use_guided_search, bool share_multi_patterns,
+    const SearchPlanStore* plan_store) {
+  return std::make_unique<MatchEvaluator>(frag_graph, view, sigma, other_ok,
+                                          use_guided_search,
+                                          share_multi_patterns, plan_store);
 }
 
 }  // namespace gpar

@@ -11,13 +11,8 @@ namespace gpar {
 
 Result<MaintainOptions> MaintainOptionsFromSetup(const MiningSetup& setup,
                                                  const MaintainOptions& base) {
-  if (setup.bool_flags > 0xffu) {
-    return Status::InvalidArgument(
-        "evidence setup carries unknown ablation flag bits (" +
-        std::to_string(setup.bool_flags >> 8) +
-        " above bit 7): written by a newer build?");
-  }
   MaintainOptions o = base;
+  GPAR_RETURN_NOT_OK(UnpackMiningFlags(setup.bool_flags, &o.mine));
   o.mine.k = setup.k;
   o.mine.d = setup.d;
   o.mine.sigma = setup.sigma;
@@ -25,12 +20,6 @@ Result<MaintainOptions> MaintainOptionsFromSetup(const MiningSetup& setup,
   o.mine.max_pattern_edges = setup.max_pattern_edges;
   o.mine.seed_edge_limit = setup.seed_edge_limit;
   o.mine.max_candidates_per_round = setup.max_candidates_per_round;
-  o.mine.enable_incremental_div = (setup.bool_flags & (1u << 0)) != 0;
-  o.mine.enable_reduction_rules = (setup.bool_flags & (1u << 1)) != 0;
-  o.mine.enable_bisim_prefilter = (setup.bool_flags & (1u << 2)) != 0;
-  o.mine.enable_parent_prune = (setup.bool_flags & (1u << 3)) != 0;
-  // Bits 4-6 belonged to retired switches that never changed a result.
-  o.mine.enable_prune_aware_usupp = (setup.bool_flags & (1u << 7)) != 0;
   GPAR_RETURN_NOT_OK(ValidateMiningOptions(o.mine));
   return o;
 }

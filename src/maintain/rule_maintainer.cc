@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -17,15 +18,13 @@ namespace gpar {
 
 namespace {
 
-// Bits 4-6 of `MiningSetup::bool_flags` packed three retired DMine
-// switches (worker-side generation, copied fragments, shared plans). They
-// never changed a result. Writers keep them at those switches' defaults
-// (on, off, on), so setups serialize as they always did; readers ignore
-// them.
+// Bits 4-6 of `MiningSetup::bool_flags`, retired (see PackMiningFlags).
 constexpr uint32_t kRetiredFlagBits = 0x70u;
 constexpr uint32_t kRetiredFlagDefaults = (1u << 4) | (1u << 6);
 
-uint32_t PackFlags(const DmineOptions& o) {
+}  // namespace
+
+uint32_t PackMiningFlags(const DmineOptions& o) {
   uint32_t f = kRetiredFlagDefaults;
   if (o.enable_incremental_div) f |= 1u << 0;
   if (o.enable_reduction_rules) f |= 1u << 1;
@@ -34,6 +33,23 @@ uint32_t PackFlags(const DmineOptions& o) {
   if (o.enable_prune_aware_usupp) f |= 1u << 7;
   return f;
 }
+
+Status UnpackMiningFlags(uint32_t flags, DmineOptions* o) {
+  if (flags > 0xffu) {
+    return Status::InvalidArgument(
+        "evidence setup carries unknown ablation flag bits (" +
+        std::to_string(flags >> 8) +
+        " above bit 7): written by a newer build?");
+  }
+  o->enable_incremental_div = (flags & (1u << 0)) != 0;
+  o->enable_reduction_rules = (flags & (1u << 1)) != 0;
+  o->enable_bisim_prefilter = (flags & (1u << 2)) != 0;
+  o->enable_parent_prune = (flags & (1u << 3)) != 0;
+  o->enable_prune_aware_usupp = (flags & (1u << 7)) != 0;
+  return Status::OK();
+}
+
+namespace {
 
 MiningSetup MakeSetup(const DmineOptions& o, const Predicate& q,
                       const Interner& labels) {
@@ -48,7 +64,7 @@ MiningSetup MakeSetup(const DmineOptions& o, const Predicate& q,
   s.max_pattern_edges = o.max_pattern_edges;
   s.seed_edge_limit = o.seed_edge_limit;
   s.max_candidates_per_round = o.max_candidates_per_round;
-  s.bool_flags = PackFlags(o);
+  s.bool_flags = PackMiningFlags(o);
   return s;
 }
 

@@ -80,6 +80,19 @@ struct MaintainStats {
   double seconds = 0;
 };
 
+/// The `MiningSetup::bool_flags` layout, written and read only here. Bits
+/// 0-3 and 7 carry DMine's ablation switches in `DmineOptions` declaration
+/// order (incremental diversification, reduction rules, bisimulation
+/// prefilter, parent pruning; prune-aware Usupp). Bits 4-6 belonged to
+/// three retired switches (worker-side generation, copied fragments, shared
+/// plans) that never changed a result: the encoder writes them at those
+/// switches' defaults (on, off, on), so setups serialize as they always
+/// did, and the decoder ignores them.
+uint32_t PackMiningFlags(const DmineOptions& o);
+/// Sets the five switches of `*o` from `flags`. InvalidArgument when
+/// `flags` carries a bit above 7 (written by a newer build).
+Status UnpackMiningFlags(uint32_t flags, DmineOptions* o);
+
 /// Incremental rule maintenance: keeps a mined diversified top-k — and the
 /// full per-rule match evidence behind it — fresh under the delta stream
 /// without re-running DMine.

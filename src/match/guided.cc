@@ -36,13 +36,6 @@ KHopSketch ComputePatternSketch(const Pattern& p, PNodeId u, uint32_t k) {
 }
 
 const KHopSketch& GuidedMatcher::SketchOf(NodeId v) {
-  if (sketch_store_ != nullptr && sketch_store_->k() == k_ &&
-      view() == nullptr) {
-    if (const KHopSketch* stored = sketch_store_->Find(v)) {
-      ++sketch_store_hits_;
-      return *stored;
-    }
-  }
   auto it = cache_.find(v);
   if (it == cache_.end()) {
     // Stored pre-accumulated: comparisons on the hot loop are then pure

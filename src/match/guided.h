@@ -26,27 +26,22 @@ namespace gpar {
 /// eager index would dwarf the matching work itself). View-backed matchers
 /// sketch the view-induced subgraph (BFS restricted to members), so
 /// filtering and ordering match the induced subgraph exactly.
+///
+/// `k` is the sketch radius. 1 is the robust default: on scale-free graphs
+/// a 2-hop sketch costs a hub-sized BFS per scored node, which can exceed
+/// the matching work it saves (k = 2 pays off for highly selective
+/// patterns on sparse graphs).
 class GuidedMatcher : public Matcher {
  public:
-  explicit GuidedMatcher(const Graph& g, uint32_t k = 2)
+  explicit GuidedMatcher(const Graph& g, uint32_t k = 1)
       : Matcher(g), k_(k) {}
-  explicit GuidedMatcher(const GraphView& view, uint32_t k = 2)
+  explicit GuidedMatcher(const GraphView& view, uint32_t k = 1)
       : Matcher(view), k_(k) {}
-  GuidedMatcher(const Graph& g, const GraphView* view, uint32_t k = 2)
+  GuidedMatcher(const Graph& g, const GraphView* view, uint32_t k = 1)
       : Matcher(g, view), k_(k) {}
 
   /// Number of node sketches materialized so far (for tests/benches).
   size_t sketches_built() const { return cache_.size(); }
-
-  /// Attaches a shared read-only sketch store (serving: precomputed once
-  /// per session, refreshed under deltas). `SketchOf` consults it before
-  /// paying for a private BFS; the store is only used when its k matches
-  /// this matcher's and the matcher is not view-restricted (stored sketches
-  /// are whole-graph; a view-induced sketch differs).
-  void set_sketch_store(const SketchStore* store) { sketch_store_ = store; }
-
-  /// Number of sketch lookups answered by the shared store.
-  uint64_t sketch_store_hits() const { return sketch_store_hits_; }
 
  protected:
   void PrepareForPattern(const Pattern& p) override;
@@ -70,8 +65,6 @@ class GuidedMatcher : public Matcher {
   };
 
   uint32_t k_;
-  const SketchStore* sketch_store_ = nullptr;
-  uint64_t sketch_store_hits_ = 0;
   std::unordered_map<NodeId, KHopSketch> cache_;
   std::unordered_map<uint64_t, std::vector<PatternSketches>> pattern_cache_;
   const std::vector<KHopSketch>* pattern_sketches_ = nullptr;  // current

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
 #include <unordered_set>
 #include <utility>
 
@@ -58,9 +57,6 @@ Result<std::unique_ptr<RuleServer>> RuleServer::CreateShard(
   std::unique_ptr<RuleServer> server(
       new RuleServer(std::move(rules), options));
   server->read_only_ = true;
-  // Shard matchers run view-restricted: the parent-graph sketch store would
-  // never be consulted, so skip the precompute entirely.
-  server->options_.precompute_sketches = false;
   server->interner_ = graph->labels_ptr();
   std::sort(owned_centers.begin(), owned_centers.end());
   owned_centers.erase(
@@ -93,7 +89,7 @@ Status RuleServer::Init(std::shared_ptr<const Graph> g,
     }
   }
 
-  auto st = std::make_shared<State>(options_.sketch_hops);
+  auto st = std::make_shared<State>();
   st->graph = std::move(g);
   st->rules = std::move(rules);
   if (is_shard()) {
@@ -107,13 +103,7 @@ Status RuleServer::Init(std::shared_ptr<const Graph> g,
   st->other_ok = OtherComponentsOk(*st->graph, st->rules->sigma);
   st->plan_store = std::make_unique<SearchPlanStore>(*st->graph);
   PreparePlans(st->plan_store.get(), *st->rules);
-  if (!is_shard() && options_.precompute_sketches &&
-      options_.use_guided_search) {
-    PrecomputeSketches(st.get());
-  }
 
-  num_cache_shards_ = std::max<uint32_t>(options_.cache_shards, 1);
-  cache_shards_ = std::make_unique<CacheShard[]>(num_cache_shards_);
   // Init runs single-threaded, but `state_` is guarded and the lock is
   // uncontended — take it rather than poke an analysis hole.
   MutexLock lock(state_mu_);
@@ -152,48 +142,18 @@ void RuleServer::PreparePlans(SearchPlanStore* store,
   }
 }
 
-void RuleServer::PrecomputeSketches(State* st) const {
-  std::set<LabelId> labels;
-  auto collect = [&labels](const Pattern& p) {
-    for (PNodeId u = 0; u < p.num_nodes(); ++u) labels.insert(p.node(u).label);
-  };
-  for (const Gpar& r : st->rules->sigma) {
-    collect(r.pr());
-    for (const Pattern& comp : r.other_components()) collect(comp);
-  }
-  const Graph& g = *st->graph;
-  for (LabelId l : labels) {
-    if (l >= g.labels().size()) continue;  // wildcard / unset labels
-    for (NodeId v : g.nodes_with_label(l)) {
-      if (st->sketch_store.size() >= options_.max_precomputed_sketches) return;
-      st->sketch_store.Add(g, v);
-    }
-  }
-}
-
 std::unique_ptr<RuleServer::WorkerCtx> RuleServer::BuildCtx(
     const State& st) const {
-  const SketchStore* sketches =
-      st.sketch_store.size() > 0 ? &st.sketch_store : nullptr;
   const GraphView* view = st.view.get();
   auto ctx = std::make_unique<WorkerCtx>();
   ctx->evaluator = MakeMatchEvaluator(
-      *st.graph, view, st.rules->sigma, st.rules->all_ok, options_.sketch_hops,
-      options_.use_guided_search, options_.share_multi_patterns,
-      st.plan_store.get(), sketches);
+      *st.graph, view, st.rules->sigma, st.rules->all_ok,
+      /*use_guided_search=*/true, /*share_multi_patterns=*/true,
+      st.plan_store.get());
   ctx->pq_matcher = std::make_unique<VF2Matcher>(*st.graph, view);
   ctx->pq_matcher->set_plan_store(st.plan_store.get());
-  if (options_.use_guided_search) {
-    auto gm = std::make_unique<GuidedMatcher>(*st.graph, view,
-                                              options_.sketch_hops);
-    gm->set_sketch_store(sketches);
-    gm->set_plan_store(st.plan_store.get());
-    ctx->probe_matcher = std::move(gm);
-  } else {
-    auto m = std::make_unique<VF2Matcher>(*st.graph, view);
-    m->set_plan_store(st.plan_store.get());
-    ctx->probe_matcher = std::move(m);
-  }
+  ctx->probe_matcher = std::make_unique<GuidedMatcher>(*st.graph, view);
+  ctx->probe_matcher->set_plan_store(st.plan_store.get());
   return ctx;
 }
 
@@ -226,9 +186,9 @@ size_t RuleServer::max_cached_centers(const RuleSet& rules) const {
   return std::max<size_t>(options_.cache_capacity / per_center, 1);
 }
 
-RuleServer::CacheShard& RuleServer::ShardFor(NodeId center) const {
+RuleServer::CacheShard& RuleServer::ShardFor(NodeId center) {
   const uint64_t h = (static_cast<uint64_t>(center) * 0x9E3779B97F4A7C15ull);
-  return cache_shards_[(h >> 32) % num_cache_shards_];
+  return match_cache_[(h >> 32) % kCacheShards];
 }
 
 void RuleServer::EvaluateItem(const State& st, WorkerCtx& ctx,
@@ -350,7 +310,7 @@ Status RuleServer::EnsureRows(const State& st, std::span<const NodeId> centers,
   }
 
   const size_t shard_cap =
-      std::max<size_t>(max_cached_centers(*st.rules) / num_cache_shards_, 1);
+      std::max<size_t>(max_cached_centers(*st.rules) / kCacheShards, 1);
   for (WorkItem& item : items) {
     Row& row = (*rows)[item.center];
     row.qclass = item.qclass_out;
@@ -533,29 +493,8 @@ uint64_t RuleServer::shard_sequence() const {
   return shard_sequence_;
 }
 
-const std::vector<RuleRecord>& RuleServer::rules() const {
-  // The RuleSet is owned by the published State, which outlives this call;
-  // the reference stays valid until a refresh publishes a different set.
+std::vector<RuleRecord> RuleServer::rules() const {
   return AcquireState()->rules->records;
-}
-
-Status RuleServer::UpdateRules(std::vector<RuleRecord> rules) {
-  MutexLock writer(writer_mu_);
-  if (!rules.empty()) {
-    std::vector<Gpar> sigma;
-    sigma.reserve(rules.size());
-    for (const RuleRecord& r : rules) sigma.push_back(r.rule);
-    GPAR_ASSIGN_OR_RETURN(const SigmaInfo info, ValidateSigma(sigma));
-    if (!(info.q == q_)) {
-      return Status::InvalidArgument(
-          "refreshed rule set changes the session predicate q(x, y)");
-    }
-    GPAR_RETURN_NOT_OK(AdmitRadius(std::max<uint32_t>(info.d, 1)));
-  }
-  // An empty set skips sigma validation on purpose: a maintained top-k can
-  // die under deletes and the session keeps serving zero rules.
-  DeltaStats ds;
-  return PublishRules(std::move(rules), &ds);
 }
 
 Status RuleServer::PublishRules(std::vector<RuleRecord> rules,
@@ -590,18 +529,13 @@ void RuleServer::SwapStateAndInvalidate(
   for (const EdgeDelete& e : deleted) sources.insert(e.src);
 
   // The delta-affected region (shared with the rule maintainer's evidence
-  // patching) to the largest radius any cached state can reach: rule
-  // memberships go stale within d(R) hops, stored sketches within k hops.
-  // Deletions make reach non-monotone, so the helper also sweeps the
-  // pre-delete graph and unions at minimum distance.
-  uint32_t rmax = max_d_;
-  if (old.sketch_store.size() > 0) {
-    rmax = std::max(rmax, options_.sketch_hops);
-  }
+  // patching) to the radius cached memberships can reach: they go stale
+  // within d(R) hops. Deletions make reach non-monotone, so the helper also
+  // sweeps the pre-delete graph and unions at minimum distance.
   auto touched =
-      DeltaAffectedRegion(*old.graph, *new_graph, applied, deleted, rmax);
+      DeltaAffectedRegion(*old.graph, *new_graph, applied, deleted, max_d_);
 
-  auto next = std::make_shared<State>(options_.sketch_hops);
+  auto next = std::make_shared<State>();
   next->epoch = old.epoch + 1;
   next->graph = std::move(new_graph);
   next->rules = rules_changed ? std::move(new_rules) : old.rules;
@@ -658,14 +592,6 @@ void RuleServer::SwapStateAndInvalidate(
                        : old.other_ok;
   next->plan_store = std::make_unique<SearchPlanStore>(*next->graph);
   PreparePlans(next->plan_store.get(), *next->rules);
-  if (old.sketch_store.size() > 0) {
-    next->sketch_store = old.sketch_store;
-    std::vector<NodeId> refresh;
-    for (const auto& [v, dist] : touched) {
-      if (dist <= options_.sketch_hops) refresh.push_back(v);
-    }
-    ds->sketches_refreshed = next->sketch_store.Refresh(*next->graph, refresh);
-  }
 
   // Publish the state, THEN the epoch, THEN invalidate: readers that
   // slipped a stale writeback past the epoch check did so before the store
@@ -684,8 +610,7 @@ void RuleServer::SwapStateAndInvalidate(
     // the whole cache instead. The publish-then-clear order gives the same
     // guarantee as the selective walk: a stale writeback either landed
     // before this clear (and dies here) or saw the new epoch and skipped.
-    for (uint32_t i = 0; i < num_cache_shards_; ++i) {
-      CacheShard& sh = cache_shards_[i];
+    for (CacheShard& sh : match_cache_) {
       MutexLock lock(sh.mu);
       for (const auto& [v, e] : sh.map) {
         for (uint64_t w : e.known) {
@@ -732,16 +657,11 @@ std::shared_ptr<const Graph> RuleServer::graph_snapshot() const {
 
 size_t RuleServer::cached_centers() const {
   size_t total = 0;
-  for (uint32_t i = 0; i < num_cache_shards_; ++i) {
-    const CacheShard& sh = cache_shards_[i];
+  for (const CacheShard& sh : match_cache_) {
     MutexLock lock(sh.mu);
     total += sh.map.size();
   }
   return total;
-}
-
-size_t RuleServer::sketches_precomputed() const {
-  return AcquireState()->sketch_store.size();
 }
 
 size_t RuleServer::plans_prepared() const {

@@ -1,6 +1,7 @@
 #ifndef GPAR_SERVE_RULE_SERVER_H_
 #define GPAR_SERVE_RULE_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -17,7 +18,6 @@
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
 #include "graph/graph_view.h"
-#include "graph/sketch.h"
 #include "identify/center_evaluator.h"
 #include "identify/eip.h"
 #include "match/matcher.h"
@@ -28,36 +28,25 @@
 namespace gpar {
 
 /// Options for `RuleServer`.
+///
+/// The server always runs Match (Section 5.2) with guided search and
+/// multi-pattern sharing on; their ablations live on `EipOptions`.
 struct RuleServerOptions {
   uint32_t num_workers = 4;
-  /// k for the guided matcher's k-hop sketches (see EipOptions::sketch_hops).
-  uint32_t sketch_hops = 1;
-  bool use_guided_search = true;
-  bool share_multi_patterns = true;
   /// Capacity of the (rule, center) match cache, counted in (rule, center)
   /// memberships. Centers are the physical eviction unit: one cached center
   /// holds one membership slot per loaded rule.
   size_t cache_capacity = size_t{1} << 20;
-  /// Lock shards for the match cache: concurrent queries contend per shard
-  /// (centers hash across shards), not on one global cache mutex.
-  uint32_t cache_shards = 8;
-  /// Precompute a shared sketch store at load for nodes whose label occurs
-  /// in a loaded rule pattern (the only nodes guided search can ever
-  /// sketch), capped below. Off: sketches are built lazily per worker.
-  /// (View-restricted shard servers never precompute: their matchers
-  /// sketch the fragment-induced subgraph, not the parent.)
-  bool precompute_sketches = true;
-  size_t max_precomputed_sketches = size_t{1} << 17;
 };
 
 /// The online half of GPAR mining (Section 5 framing): rules are mined
 /// offline into snapshots; a long-lived `RuleServer` session loads one
 /// (graph, rule set) snapshot pair, precomputes per-rule state once —
-/// search plans in a shared `SearchPlanStore`, k-hop sketches in a shared
-/// `SketchStore`, the per-label candidate index, global satisfiability of
-/// antecedent components not containing x — and then answers `Query`
-/// requests on a persistent `ThreadPool`, far cheaper than one batch
-/// `IdentifyEntities` run per request.
+/// search plans in a shared `SearchPlanStore`, the per-label candidate
+/// index, global satisfiability of antecedent components not containing
+/// x — and then answers `Query` requests on a persistent `ThreadPool`, far
+/// cheaper than one batch `IdentifyEntities` run per request. Node sketches
+/// are built lazily by each worker's guided matcher.
 ///
 /// Memberships are memoized in a lock-sharded LRU (rule, center) match
 /// cache. Edge deltas (`ApplyDelta`) publish a new immutable state
@@ -105,7 +94,7 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
 
   Result<SessionReply> Query(const SessionRequest& request) override;
   std::shared_ptr<const Graph> graph_snapshot() const override;
-  const std::vector<RuleRecord>& rules() const override;
+  std::vector<RuleRecord> rules() const override;
 
   // ---- Shard seam (used by ShardedRuleServer) ----
 
@@ -130,24 +119,11 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   /// router's resync logic compares it against its own delta sequence.
   uint64_t shard_sequence() const GPAR_EXCLUDES(writer_mu_);
 
-  // ---- Rule refresh ----
-
-  /// Replaces the served rule set (router -> shard push after a router-side
-  /// maintenance refresh; also usable standalone as a hot rule reload). The
-  /// new set must keep the session's predicate q(x,y); on a shard its
-  /// radius must stay within the partition radius the fragment view was
-  /// built for (the view only covers N_d of the owned centers at that
-  /// radius). An empty set is allowed — a maintained top-k can die under
-  /// deletes and the session must keep serving (zero rules match nothing).
-  /// Drops the whole match cache: rule indices change meaning.
-  Status UpdateRules(std::vector<RuleRecord> rules) GPAR_EXCLUDES(writer_mu_);
-
   // ---- Introspection ----
 
   const Predicate& predicate() const noexcept { return q_; }
   uint32_t max_rule_radius() const noexcept { return max_d_; }
   size_t cached_centers() const;
-  size_t sketches_precomputed() const;
   size_t plans_prepared() const;
 
  private:
@@ -173,12 +149,10 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   /// One immutable graph generation. Queries pin the current `State` with
   /// a shared_ptr for their whole run; `ApplyDelta` builds the successor
   /// and swaps the head pointer, so readers never see a half-updated
-  /// graph/plan/sketch trio and the old generation dies with its last
+  /// graph/view/plan trio and the old generation dies with its last
   /// reader. Matching contexts are pooled per state (lazily built, reused
   /// across requests, discarded with the generation).
   struct State {
-    explicit State(uint32_t sketch_hops) : sketch_store(sketch_hops) {}
-
     uint64_t epoch = 0;
     std::shared_ptr<const Graph> graph;
     /// The rule set this generation serves. Usually shared with the
@@ -191,7 +165,6 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
     std::unique_ptr<GraphView> view;
     std::vector<char> other_ok;  ///< per-rule other-component check
     std::unique_ptr<SearchPlanStore> plan_store;
-    SketchStore sketch_store;
 
     mutable Mutex ctx_mu;
     mutable std::vector<std::unique_ptr<WorkerCtx>> free_ctxs
@@ -252,7 +225,6 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   static std::shared_ptr<const RuleSet> BuildRuleSet(
       std::vector<RuleRecord> records);
   void PreparePlans(SearchPlanStore* store, const RuleSet& rules) const;
-  void PrecomputeSketches(State* st) const;
   std::unique_ptr<WorkerCtx> BuildCtx(const State& st) const;
   std::unique_ptr<WorkerCtx> AcquireCtx(const State& st) const;
   void ReleaseCtx(const State& st, std::unique_ptr<WorkerCtx> ctx) const;
@@ -277,7 +249,7 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
     return (rules.sigma.size() + 63) / 64;
   }
   size_t max_cached_centers(const RuleSet& rules) const;
-  CacheShard& ShardFor(NodeId center) const;
+  CacheShard& ShardFor(NodeId center);
 
   /// Ensures memberships of `selected` rules for every center in `centers`
   /// (deduplicated internally), filling `rows` keyed by center. Updates the
@@ -312,8 +284,10 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   /// router retry can never double-apply a delta.
   uint64_t shard_sequence_ GPAR_GUARDED_BY(writer_mu_) = 0;
 
-  uint32_t num_cache_shards_ = 1;
-  std::unique_ptr<CacheShard[]> cache_shards_;
+  /// Lock shards of the match cache: concurrent queries contend per shard
+  /// (centers hash across shards), not on one global cache mutex.
+  static constexpr uint32_t kCacheShards = 8;
+  std::array<CacheShard, kCacheShards> match_cache_;
 };
 
 }  // namespace gpar

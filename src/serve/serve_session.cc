@@ -211,6 +211,25 @@ Status ServeSession::EnableMaintenance(const MaintainOptions& options) {
   return PublishRules(maintainer_->TopKRecords(), &ds);
 }
 
+Status ServeSession::UpdateRules(std::vector<RuleRecord> rules) {
+  MutexLock writer(writer_mu_);
+  if (!rules.empty()) {
+    std::vector<Gpar> sigma;
+    sigma.reserve(rules.size());
+    for (const RuleRecord& r : rules) sigma.push_back(r.rule);
+    GPAR_ASSIGN_OR_RETURN(const SigmaInfo info, ValidateSigma(sigma));
+    if (!(info.q == q_)) {
+      return Status::InvalidArgument(
+          "refreshed rule set changes the session predicate q(x, y)");
+    }
+    GPAR_RETURN_NOT_OK(AdmitRadius(std::max<uint32_t>(info.d, 1)));
+  }
+  // An empty set skips sigma validation on purpose: a maintained top-k can
+  // die under deletes and the session keeps serving zero rules.
+  DeltaStats ds;
+  return PublishRules(std::move(rules), &ds);
+}
+
 Result<bool> ServeSession::MaintainPass(const DeltaCommit& commit,
                                         std::vector<RuleRecord>* top_k) {
   if (maintainer_ == nullptr) return false;

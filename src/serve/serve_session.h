@@ -95,6 +95,8 @@ struct DeltaStats {
   size_t deletes_missing = 0;
   uint64_t memberships_invalidated = 0;  ///< known (rule, center) bits cleared
   uint64_t qclass_invalidated = 0;
+  /// Always 0: sketches are built lazily per matcher, so a delta has none
+  /// to refresh. Kept for readers of the old stats layout.
   uint64_t sketches_refreshed = 0;
   uint64_t members_extended = 0;  ///< shard mode: nodes pulled into the view
   uint64_t wire_bytes = 0;        ///< serialized delta bytes shipped to shards
@@ -152,7 +154,7 @@ class LifetimeStats {
 /// concurrently, including while one `ApplyDelta` is in flight (deltas
 /// publish a new immutable state snapshot; in-flight queries finish on the
 /// old one). Writes (`ApplyDelta`, `AttachJournal`, `Checkpoint`,
-/// `EnableMaintenance`) serialize on the writer mutex.
+/// `EnableMaintenance`, `UpdateRules`) serialize on the writer mutex.
 class ServeSession {
  public:
   virtual ~ServeSession() = default;
@@ -203,15 +205,24 @@ class ServeSession {
   bool journal_attached() const GPAR_EXCLUDES(writer_mu_);
   /// Last sequence the attached journal holds (0 when none is attached).
   uint64_t journal_sequence() const GPAR_EXCLUDES(writer_mu_);
+  /// Replaces the served rule set: a hot rule reload, and the way a router
+  /// pushes its refreshed set to its (otherwise read-only) shards. The new
+  /// set must keep the session's predicate q(x,y) and a radius the
+  /// deployment admits — a router and its shards stay within the partition
+  /// radius their fragments were cut for. An empty set is allowed: a
+  /// maintained top-k can die under deletes and the session must keep
+  /// serving (zero rules match nothing). Drops the whole match cache, since
+  /// rule indices change meaning.
+  Status UpdateRules(std::vector<RuleRecord> rules) GPAR_EXCLUDES(writer_mu_);
 
   /// The current graph snapshot. Holding the returned pointer keeps that
   /// version alive across subsequent deltas.
   virtual std::shared_ptr<const Graph> graph_snapshot() const = 0;
 
-  /// The currently served rule set. The reference stays valid until the
-  /// next rule refresh (a maintenance pass that changed the top-k, or
-  /// `RuleServer::UpdateRules`); callers that race refreshes should copy.
-  virtual const std::vector<RuleRecord>& rules() const = 0;
+  /// The currently served rule set, by value: a rule refresh (a
+  /// maintenance pass that changed the top-k, or `UpdateRules`) frees the
+  /// set it replaces.
+  virtual std::vector<RuleRecord> rules() const = 0;
   /// The candidate centers this session answers for (nodes satisfying x's
   /// label — a shard's owned ones), sorted.
   const std::vector<NodeId>& candidates() const { return candidates_; }

@@ -74,9 +74,7 @@ Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Create(
                                 options.shard_options));
     server->shards_.push_back(std::move(shard));
   }
-  server->router_pool_ = std::make_unique<ThreadPool>(
-      options.router_threads > 0 ? options.router_threads
-                                 : options.num_shards);
+  server->router_pool_ = std::make_unique<ThreadPool>(options.num_shards);
   server->num_nodes_ = parent->num_nodes();
   {
     // Create runs single-threaded, but `graph_` is guarded and the lock is
@@ -89,13 +87,8 @@ Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Create(
   return server;
 }
 
-const std::vector<RuleRecord>& ShardedRuleServer::rules() const {
-  MutexLock lock(graph_mu_);
-  // The pointee is immutable and stays alive through the shared_ptr even
-  // after a refresh replaces `records_`... as long as the caller read it
-  // before the old set's last owner (this object) let go — hence the
-  // "valid until the next refresh" contract in the header.
-  return *records_;
+std::vector<RuleRecord> ShardedRuleServer::rules() const {
+  return *AcquireRecords();
 }
 
 std::shared_ptr<const std::vector<RuleRecord>>
@@ -378,7 +371,6 @@ Status ShardedRuleServer::PublishDelta(DeltaCommit* commit) {
     const DeltaStats& st = shard_stats[s];
     ds.memberships_invalidated += st.memberships_invalidated;
     ds.qclass_invalidated += st.qclass_invalidated;
-    ds.sketches_refreshed += st.sketches_refreshed;
     ds.members_extended += st.members_extended;
     ds.wire_bytes += st.wire_bytes;
   }

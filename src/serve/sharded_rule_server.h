@@ -25,11 +25,9 @@ namespace gpar {
 /// Options for `ShardedRuleServer`.
 struct ShardedRuleServerOptions {
   /// Number of shard servers. 1 is a valid (router + one shard)
-  /// deployment, handy for A/B against a plain `RuleServer`.
+  /// deployment, handy for A/B against a plain `RuleServer`. The router
+  /// scatters requests and ships deltas on one thread per shard.
   uint32_t num_shards = 2;
-  /// Threads the router uses to scatter a request across shards and to
-  /// ship deltas; 0 sizes it to `num_shards`.
-  uint32_t router_threads = 0;
   /// Per-shard serving options (worker threads, cache size, ...).
   RuleServerOptions shard_options;
   /// Bounded retry of TRANSIENT shard errors (Unavailable / IoError) on
@@ -97,8 +95,7 @@ class ShardedRuleServer
 
   Result<SessionReply> Query(const SessionRequest& request) override;
   std::shared_ptr<const Graph> graph_snapshot() const override;
-  const std::vector<RuleRecord>& rules() const override
-      GPAR_EXCLUDES(graph_mu_);
+  std::vector<RuleRecord> rules() const override GPAR_EXCLUDES(graph_mu_);
 
   // ---- Introspection ----
 

@@ -113,6 +113,45 @@ TEST(MaintainOptionsFromSetupTest, UnpacksTheMiningParameters) {
   EXPECT_EQ(o->mine.num_workers, 9u);
 }
 
+// The bool_flags codec round-trips all 32 combinations of the five DMine
+// switches through a setup, writing the retired bits 4-6 at their
+// defaults (on, off, on).
+TEST(MiningFlagsTest, RoundTripsEverySwitchCombination) {
+  for (uint32_t mask = 0; mask < 32; ++mask) {
+    DmineOptions in;
+    in.enable_incremental_div = (mask & 1u) != 0;
+    in.enable_reduction_rules = (mask & 2u) != 0;
+    in.enable_bisim_prefilter = (mask & 4u) != 0;
+    in.enable_parent_prune = (mask & 8u) != 0;
+    in.enable_prune_aware_usupp = (mask & 16u) != 0;
+    MiningSetup setup;
+    setup.k = 3;
+    setup.d = 2;
+    setup.bool_flags = PackMiningFlags(in);
+    EXPECT_EQ(setup.bool_flags & 0x70u, (1u << 4) | (1u << 6)) << mask;
+
+    // Start from the complement so every switch must be written.
+    MaintainOptions base;
+    base.mine.enable_incremental_div = !in.enable_incremental_div;
+    base.mine.enable_reduction_rules = !in.enable_reduction_rules;
+    base.mine.enable_bisim_prefilter = !in.enable_bisim_prefilter;
+    base.mine.enable_parent_prune = !in.enable_parent_prune;
+    base.mine.enable_prune_aware_usupp = !in.enable_prune_aware_usupp;
+    auto o = MaintainOptionsFromSetup(setup, base);
+    ASSERT_TRUE(o.ok()) << mask << ": " << o.status();
+    EXPECT_EQ(o->mine.enable_incremental_div, in.enable_incremental_div)
+        << mask;
+    EXPECT_EQ(o->mine.enable_reduction_rules, in.enable_reduction_rules)
+        << mask;
+    EXPECT_EQ(o->mine.enable_bisim_prefilter, in.enable_bisim_prefilter)
+        << mask;
+    EXPECT_EQ(o->mine.enable_parent_prune, in.enable_parent_prune) << mask;
+    EXPECT_EQ(o->mine.enable_prune_aware_usupp, in.enable_prune_aware_usupp)
+        << mask;
+    EXPECT_EQ(PackMiningFlags(o->mine), setup.bool_flags) << mask;
+  }
+}
+
 TEST(MaintainOptionsFromSetupTest, RejectsUnknownFlagBits) {
   MiningSetup setup;
   setup.bool_flags = 1u << 8;  // a bit this build does not know

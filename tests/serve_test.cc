@@ -266,29 +266,6 @@ TEST(ServeEquivalence, ColdWarmAndDeltaMatchBatch) {
   }
 }
 
-TEST(ServeEquivalence, GuidedAndPlainAgree) {
-  Workload w = MakeWorkload(1);
-  EipResult batch = BatchIdentify(w.graph, w.sigma, 0.8, false);
-  for (bool guided : {false, true}) {
-    for (bool share : {false, true}) {
-      for (bool precompute : {false, true}) {
-        RuleServerOptions opt;
-        opt.use_guided_search = guided;
-        opt.share_multi_patterns = share;
-        opt.precompute_sketches = precompute;
-        auto server = RuleServer::Create(w.graph, w.records, opt);
-        ASSERT_TRUE(server.ok()) << server.status();
-        auto got = (*server)->Query(AllRequest(0.8));
-        ASSERT_TRUE(got.ok());
-        ExpectSameAnswer(*got, batch,
-                         "guided=" + std::to_string(guided) +
-                             " share=" + std::to_string(share) +
-                             " precompute=" + std::to_string(precompute));
-      }
-    }
-  }
-}
-
 TEST(ServeEquivalence, TinyCacheStillCorrect) {
   // Capacity far below the candidate count: the LRU thrashes, answers must
   // not change (the transient request rows, not the cache, carry results).

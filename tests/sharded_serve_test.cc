@@ -541,11 +541,39 @@ void StressQueries(ServeSession& session, uint32_t num_threads,
   EXPECT_EQ(failures.load(), 0u);
 }
 
+// `rules()` hands out a copy: a set held across a rule refresh stays
+// readable although the refresh frees the set it replaces (ASan checks the
+// old reference-returning contract's use-after-free here).
+TEST(ServeSessionTest, HeldRulesOutliveARuleRefresh) {
+  Workload w = MakeWorkload(1);
+  ASSERT_GE(w.records.size(), 2u);
+  const std::vector<RuleRecord> fewer(w.records.begin(), w.records.end() - 1);
+  RuleServerOptions opt;
+  opt.num_workers = 2;
+  ShardedRuleServerOptions sopt;
+  sopt.num_shards = 2;
+  sopt.shard_options = opt;
+  auto single = RuleServer::Create(w.graph, w.records, opt);
+  ASSERT_TRUE(single.ok()) << single.status();
+  auto sharded = ShardedRuleServer::Create(w.graph, w.records, sopt);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  for (ServeSession* s :
+       {static_cast<ServeSession*>(single->get()),
+        static_cast<ServeSession*>(sharded->get())}) {
+    const auto& held = s->rules();
+    ASSERT_TRUE(s->UpdateRules(fewer).ok());
+    EXPECT_EQ(held, w.records);
+    EXPECT_EQ(s->rules(), fewer);
+    auto reply = s->Query(AllRequest(0.5));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->rule_evals.size(), fewer.size());
+  }
+}
+
 TEST(ShardedServeEquivalence, ConcurrentQueriesSingleServer) {
   Workload w = MakeWorkload(1);
   RuleServerOptions opt;
   opt.num_workers = 2;
-  opt.cache_shards = 4;
   auto server = RuleServer::Create(w.graph, w.records, opt);
   ASSERT_TRUE(server.ok()) << server.status();
   StressQueries(**server, 8, 12);

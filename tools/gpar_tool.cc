@@ -543,11 +543,12 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
           std::printf("  %zu entities at eta=%.2f", reply->entities.size(),
                       eta);
         } else {
+          const std::vector<RuleRecord> rules = session->rules();
           for (size_t i = 0; i < parsed->request.centers.size(); ++i) {
             std::printf("  node %u:", parsed->request.centers[i]);
             if (reply->matched[i].empty()) std::printf(" no rule matches");
             for (uint32_t ri : reply->matched[i]) {
-              std::printf(" R%u(conf=%.3f)", ri, session->rules()[ri].conf);
+              std::printf(" R%u(conf=%.3f)", ri, rules[ri].conf);
             }
             std::printf("\n");
           }
@@ -580,13 +581,12 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         std::printf(
             "  +%zu edges (%zu dup), -%zu edges (%zu missing), "
             "%llu memberships + %llu q-classes "
-            "invalidated, %llu sketches refreshed, %llu view nodes added, "
+            "invalidated, %llu view nodes added, "
             "%llu wire bytes, %.2f ms\n",
             ds->edges_inserted, ds->duplicates_ignored, ds->edges_deleted,
             ds->deletes_missing,
             static_cast<unsigned long long>(ds->memberships_invalidated),
             static_cast<unsigned long long>(ds->qclass_invalidated),
-            static_cast<unsigned long long>(ds->sketches_refreshed),
             static_cast<unsigned long long>(ds->members_extended),
             static_cast<unsigned long long>(ds->wire_bytes),
             ds->seconds * 1e3);
