@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <algorithm>
+
 namespace gpar {
 
 Result<FlagMap> ParseFlagArgs(int argc, const char* const* argv, int first) {
@@ -19,6 +21,16 @@ Result<FlagMap> ParseFlagArgs(int argc, const char* const* argv, int first) {
     }
   }
   return flags;
+}
+
+Status CheckKnownFlags(const FlagMap& flags,
+                       std::initializer_list<std::string_view> known) {
+  for (const auto& flag : flags) {
+    if (std::find(known.begin(), known.end(), flag.first) == known.end()) {
+      return Status::InvalidArgument("unknown flag '--" + flag.first + "'");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace gpar

@@ -3,8 +3,10 @@
 
 #include "common/require_cxx20.h"  // IWYU pragma: keep
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 
@@ -18,6 +20,12 @@ using FlagMap = std::map<std::string, std::string>;
 /// token. Returns InvalidArgument for a non-flag token, a trailing flag
 /// with no value (previously dropped silently), or a repeated flag.
 Result<FlagMap> ParseFlagArgs(int argc, const char* const* argv, int first);
+
+/// Returns InvalidArgument ("unknown flag '--name'") for the first flag in
+/// `flags` whose name is not in `known`, so a misspelled flag is refused
+/// instead of silently falling back to the default it was meant to change.
+Status CheckKnownFlags(const FlagMap& flags,
+                       std::initializer_list<std::string_view> known);
 
 }  // namespace gpar
 

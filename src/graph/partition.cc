@@ -7,9 +7,7 @@
 namespace gpar {
 
 size_t Fragment::MemoryBytes() const {
-  return centers.capacity() * sizeof(NodeId) +
-         center_hops_available.capacity() * sizeof(uint32_t) +
-         view.MemoryBytes();
+  return centers.capacity() * sizeof(NodeId) + view.MemoryBytes();
 }
 
 namespace {
@@ -75,9 +73,9 @@ Result<Partitioning> PartitionGraph(const Graph& g,
   // swept through a single reused frontier pair with a flat stamp array as
   // the visited set — O(1) dedup per edge scan, no per-BFS hash maps, no
   // per-node tag lists (which go quadratic on scale-free hubs that sit
-  // within d of thousands of centers). The sweep emits the |N_d| weights,
-  // the arena-packed membership lists, and the extendability signal in one
-  // near-linear pass over the replicated edge set.
+  // within d of thousands of centers). The sweep emits the |N_d| weights
+  // and the arena-packed membership lists in one near-linear pass over the
+  // replicated edge set.
   std::vector<uint32_t> stamp(g.num_nodes(), kInvalidNode);
   std::vector<NodeId> curr, next;
   std::vector<size_t> neigh_size(nc, 0);
@@ -85,7 +83,6 @@ Result<Partitioning> PartitionGraph(const Graph& g,
   // replicated node — the transient peak of the build).
   std::vector<size_t> neigh_offsets(nc + 1, 0);
   std::vector<NodeId> neigh_arena;
-  std::vector<uint32_t> hops_avail(nc, 0);
   for (uint32_t c = 0; c < static_cast<uint32_t>(nc); ++c) {
     neigh_offsets[c] = neigh_arena.size();
     const NodeId src = centers[c];
@@ -107,33 +104,6 @@ Result<Partitioning> PartitionGraph(const Graph& g,
       curr.swap(next);
     }
     neigh_size[c] = neigh_arena.size() - neigh_offsets[c];
-    // `curr` now holds exactly the hop-d arrivals. The real "extendable
-    // past d" signal: hops are available iff some node at distance exactly
-    // d has an incident edge leaving N_d — i.e. to an unstamped neighbor.
-    // (The previous implementation recorded the max observed BFS depth,
-    // which is nonzero for any center with a neighbor — even when N_d is
-    // the entire reachable component and no further hop exists.)
-    for (NodeId u : curr) {
-      bool escapes = false;
-      for (const AdjEntry& e : g.out_edges(u)) {
-        if (stamp[e.other] != c) {
-          escapes = true;
-          break;
-        }
-      }
-      if (!escapes) {
-        for (const AdjEntry& e : g.in_edges(u)) {
-          if (stamp[e.other] != c) {
-            escapes = true;
-            break;
-          }
-        }
-      }
-      if (escapes) {
-        hops_avail[c] = 1;
-        break;
-      }
-    }
   }
   neigh_offsets[nc] = neigh_arena.size();
 
@@ -168,10 +138,8 @@ Result<Partitioning> PartitionGraph(const Graph& g,
     Fragment& frag = out.fragments[f];
     frag.view = GraphView(g, std::move(members[f]));
     frag.centers.reserve(assign.per_fragment[f].size());
-    frag.center_hops_available.reserve(assign.per_fragment[f].size());
     for (size_t idx : assign.per_fragment[f]) {
       frag.centers.push_back(centers[idx]);
-      frag.center_hops_available.push_back(hops_avail[idx]);
     }
   }
   return out;

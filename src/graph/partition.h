@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "graph/graph.h"
 #include "graph/graph_view.h"
-#include "graph/neighborhood.h"
 
 namespace gpar {
 
@@ -27,10 +26,6 @@ namespace gpar {
 struct Fragment {
   GraphView view;
   std::vector<NodeId> centers;  // GLOBAL ids of owned centers
-  /// Per owned center: nonzero iff the center's N_d can still grow — some
-  /// node at hop exactly d has an incident edge leaving N_d. 0 means the
-  /// d-neighborhood is saturated (it is the whole reachable component).
-  std::vector<uint32_t> center_hops_available;
 
   /// Bytes held by the fragment (view id-lists + bitmap + center lists) —
   /// the Exp-4 memory column.
@@ -62,10 +57,9 @@ struct PartitionOptions {
 ///
 /// The build is a single multi-source BFS sweep: one frontier pass tags
 /// every node with the (center, distance) pairs that reach it within d,
-/// which yields exact |N_d| weights for the LPT assignment, the
-/// extendable-past-d signal, and sorted fragment membership lists in one
-/// near-linear pass — no per-center BFS, no set unions, and no induced-CSR
-/// rebuild.
+/// which yields exact |N_d| weights for the LPT assignment and sorted
+/// fragment membership lists in one near-linear pass — no per-center BFS,
+/// no set unions, and no induced-CSR rebuild.
 Result<Partitioning> PartitionGraph(const Graph& g,
                                     const std::vector<NodeId>& centers,
                                     const PartitionOptions& options);

@@ -18,9 +18,12 @@ namespace gpar {
 
 namespace {
 
-// Bits 4-6 of `MiningSetup::bool_flags`, retired (see PackMiningFlags).
-constexpr uint32_t kRetiredFlagBits = 0x70u;
-constexpr uint32_t kRetiredFlagDefaults = (1u << 4) | (1u << 6);
+// Bits 3-6 of `MiningSetup::bool_flags`, retired (see PackMiningFlags).
+constexpr uint32_t kRetiredFlagBits = 0x78u;
+constexpr uint32_t kRetiredFlagDefaults = (1u << 3) | (1u << 4) | (1u << 6);
+// Bit 7: the retired prune-aware Usupp switch, whose output this build
+// cannot reproduce.
+constexpr uint32_t kPruneAwareUsuppBit = 1u << 7;
 
 }  // namespace
 
@@ -29,8 +32,6 @@ uint32_t PackMiningFlags(const DmineOptions& o) {
   if (o.enable_incremental_div) f |= 1u << 0;
   if (o.enable_reduction_rules) f |= 1u << 1;
   if (o.enable_bisim_prefilter) f |= 1u << 2;
-  if (o.enable_parent_prune) f |= 1u << 3;
-  if (o.enable_prune_aware_usupp) f |= 1u << 7;
   return f;
 }
 
@@ -41,11 +42,14 @@ Status UnpackMiningFlags(uint32_t flags, DmineOptions* o) {
         std::to_string(flags >> 8) +
         " above bit 7): written by a newer build?");
   }
+  if ((flags & kPruneAwareUsuppBit) != 0) {
+    return Status::InvalidArgument(
+        "evidence setup was mined with prune-aware Usupp (flag bit 7), a "
+        "retired heuristic this build cannot reproduce");
+  }
   o->enable_incremental_div = (flags & (1u << 0)) != 0;
   o->enable_reduction_rules = (flags & (1u << 1)) != 0;
   o->enable_bisim_prefilter = (flags & (1u << 2)) != 0;
-  o->enable_parent_prune = (flags & (1u << 3)) != 0;
-  o->enable_prune_aware_usupp = (flags & (1u << 7)) != 0;
   return Status::OK();
 }
 
@@ -66,17 +70,6 @@ MiningSetup MakeSetup(const DmineOptions& o, const Predicate& q,
   s.max_candidates_per_round = o.max_candidates_per_round;
   s.bool_flags = PackMiningFlags(o);
   return s;
-}
-
-Status ValidateOptions(const MaintainOptions& options) {
-  GPAR_RETURN_NOT_OK(ValidateMiningOptions(options.mine));
-  if (options.mine.enable_prune_aware_usupp) {
-    return Status::InvalidArgument(
-        "enable_prune_aware_usupp is not maintainable: its Usupp tightening "
-        "depends on fragment geometry the sequential maintainer does not "
-        "have");
-  }
-  return Status::OK();
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
@@ -201,9 +194,8 @@ struct Carry {
 /// pass's evidence unless the delta can have changed it (see
 /// `RuleMaintainer` for the three rules and why they are sound), so
 /// supports are exactly the full-probe values. With `old_graph == nullptr`
-/// every membership is probed (the seed pass and the incremental-off
-/// ablation). Every evaluated candidate, sub-sigma ones included, leaves
-/// an entry in `next`.
+/// every membership is probed (the seed pass). Every evaluated candidate,
+/// sub-sigma ones included, leaves an entry in `next`.
 class EvidencePatcher : public LevelwiseEvaluator {
  public:
   EvidencePatcher(const RuleMaintainer& m, const Graph* old_graph,
@@ -266,15 +258,12 @@ class EvidencePatcher : public LevelwiseEvaluator {
       const std::vector<size_t>& cand_parent,
       const std::vector<char>& other_ok,
       const std::vector<std::shared_ptr<MinedRule>>& parents) override {
-    const bool prune = options_.enable_parent_prune;
     // Each parent's entry in `next_` (its match sets of THIS pass). All
     // keys of `entry_of_` belong to rules of one round, alive together
     // when inserted, so a live parent's lookup cannot alias another rule.
-    std::vector<uint32_t> parent_entry(parents.size(), kEvidenceRoot);
-    if (prune) {
-      for (size_t pi = 0; pi < parents.size(); ++pi) {
-        parent_entry[pi] = entry_of_.at(parents[pi].get());
-      }
+    std::vector<uint32_t> parent_entry(parents.size());
+    for (size_t pi = 0; pi < parents.size(); ++pi) {
+      parent_entry[pi] = entry_of_.at(parents[pi].get());
     }
     entry_of_.clear();
 
@@ -284,10 +273,10 @@ class EvidencePatcher : public LevelwiseEvaluator {
       const Gpar& r = candidates[ci];
       const uint32_t radius = r.eval_radius();
 
-      // Pools: the parent's match sets, or the round-0 pools for roots and
-      // the prune-off ablation. Spans into entry vectors stay valid across
-      // `next_.entries` growth — reallocation moves the EvidenceEntry
-      // objects, which transfers the inner buffers without touching them.
+      // Pools: the parent's match sets, or the round-0 pools for roots.
+      // Spans into entry vectors stay valid across `next_.entries` growth
+      // — reallocation moves the EvidenceEntry objects, which transfers the
+      // inner buffers without touching them.
       const uint32_t pe = cand_parent[ci] == kRootParent
                               ? kEvidenceRoot
                               : parent_entry[cand_parent[ci]];
@@ -333,7 +322,6 @@ class EvidencePatcher : public LevelwiseEvaluator {
       rule->supp = ent.pr_matches.size();
       rule->matches = ent.pr_matches;
       rule->extendable = rule->supp > 0;
-      rule->usupp = rule->supp;  // enable_prune_aware_usupp rejected upfront
 
       if (other_ok[ci]) {
         ent.ant_probed = true;
@@ -438,7 +426,7 @@ RuleMaintainer::RuleMaintainer(std::shared_ptr<const Graph> g,
 Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(
     std::shared_ptr<const Graph> g, const Predicate& q,
     const MaintainOptions& options) {
-  GPAR_RETURN_NOT_OK(ValidateOptions(options));
+  GPAR_RETURN_NOT_OK(ValidateMiningOptions(options.mine));
   if (g == nullptr) return Status::InvalidArgument("null graph");
   if (q.x_label >= g->labels().size() || q.edge_label >= g->labels().size() ||
       q.y_label >= g->labels().size()) {
@@ -456,7 +444,7 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(
 Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
     std::shared_ptr<const Graph> g, RuleSetEvidence evidence,
     const MaintainOptions& options) {
-  GPAR_RETURN_NOT_OK(ValidateOptions(options));
+  GPAR_RETURN_NOT_OK(ValidateMiningOptions(options.mine));
   if (g == nullptr) return Status::InvalidArgument("null graph");
   Interner* labels = g->labels_ptr().get();
   const Predicate q{labels->Intern(evidence.setup.x_label),
@@ -489,7 +477,6 @@ Status RuleMaintainer::RefreshPass(const Graph* old_graph,
                                    std::span<const EdgeDelete> deletes,
                                    MaintainStats* ps) {
   const auto t0 = std::chrono::steady_clock::now();
-  if (!options_.enable_incremental_maintenance) old_graph = nullptr;
   ++ps->passes;
 
   RuleSetEvidence next;

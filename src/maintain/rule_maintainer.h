@@ -26,16 +26,8 @@ struct MaintainOptions {
   /// construction and persisted with the evidence. They must pass
   /// `ValidateMiningOptions`. `num_workers` is irrelevant here — DMine
   /// results are worker-count-independent and the maintainer evaluates
-  /// sequentially — and `enable_prune_aware_usupp` is rejected (its Usupp
-  /// tightening depends on fragment geometry the maintainer does not have).
+  /// sequentially.
   DmineOptions mine;
-  /// The subsystem's own ablation flag: off = every pass re-probes every
-  /// pool center from scratch (a sequential re-mine — the "remine" baseline
-  /// of BENCH_maintenance), on = only memberships the delta can change are
-  /// re-probed (see `RuleMaintainer`); everything else is carried from
-  /// evidence. Both settings produce identical evidence and rule sets (the
-  /// MaintainEquivalence and MaintainEvidenceEquivalence batteries).
-  bool enable_incremental_maintenance = true;
 };
 
 /// Cost accounting for one maintenance pass (and, accumulated, for the
@@ -54,10 +46,11 @@ struct MaintainStats {
   /// flipped this pass, and those within the rule's radius of a delta edge
   /// whose label triple the pattern uses and whose direction can change
   /// the old answer (a delete for an old member, an insert for an old
-  /// non-member). With incremental maintenance off, every membership.
+  /// non-member). In the seed pass, every membership.
   uint64_t centers_reprobed = 0;
   /// Memberships reused from evidence. `centers_reprobed + centers_carried`
-  /// equals the incremental-off pass's `centers_reprobed` on the same delta.
+  /// equals the `centers_reprobed` of a fresh `Seed` on the post-delta
+  /// graph.
   uint64_t centers_carried = 0;
   uint64_t exists_calls = 0;        ///< matcher probes (pools + rules)
   size_t candidates_evaluated = 0;  ///< candidate rules the pass walked
@@ -81,16 +74,19 @@ struct MaintainStats {
 };
 
 /// The `MiningSetup::bool_flags` layout, written and read only here. Bits
-/// 0-3 and 7 carry DMine's ablation switches in `DmineOptions` declaration
-/// order (incremental diversification, reduction rules, bisimulation
-/// prefilter, parent pruning; prune-aware Usupp). Bits 4-6 belonged to
-/// three retired switches (worker-side generation, copied fragments, shared
-/// plans) that never changed a result: the encoder writes them at those
-/// switches' defaults (on, off, on), so setups serialize as they always
-/// did, and the decoder ignores them.
+/// 0-2 carry DMine's ablation switches in `DmineOptions` declaration order
+/// (incremental diversification, reduction rules, bisimulation prefilter).
+/// Bits 3-6 belonged to four retired switches (parent pruning, worker-side
+/// generation, copied fragments, shared plans) that never changed a result:
+/// the encoder writes them at those switches' defaults (on, on, off, on),
+/// so setups serialize as they always did, and the decoder ignores them.
+/// Bit 7 belonged to the retired prune-aware Usupp heuristic, which could
+/// change a result; it is written as 0.
 uint32_t PackMiningFlags(const DmineOptions& o);
-/// Sets the five switches of `*o` from `flags`. InvalidArgument when
-/// `flags` carries a bit above 7 (written by a newer build).
+/// Sets the three switches of `*o` from `flags`. InvalidArgument when
+/// `flags` carries a bit above 7 (written by a newer build) or bit 7 (a
+/// setup mined with prune-aware Usupp, which this build cannot
+/// reproduce).
 Status UnpackMiningFlags(uint32_t flags, DmineOptions* o);
 
 /// Incremental rule maintenance: keeps a mined diversified top-k — and the
@@ -207,7 +203,7 @@ class RuleMaintainer {
 
   /// One maintenance pass on the current graph, which is `old_graph` with
   /// `inserts` and `deletes` applied. `old_graph == nullptr` probes every
-  /// membership (the seed pass and the incremental-off ablation).
+  /// membership (the seed pass).
   Status RefreshPass(const Graph* old_graph,
                      std::span<const EdgeInsert> inserts,
                      std::span<const EdgeDelete> deletes, MaintainStats* ps);

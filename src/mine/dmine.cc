@@ -109,12 +109,11 @@ struct alignas(64) WorkerState {
 struct LocalStats {
   uint64_t supp_r = 0;
   uint64_t supp_qqbar = 0;
-  uint64_t usupp = 0;
   bool extendable = false;
   std::vector<NodeId> matches_global;
-  // Parent sets handed to this candidate's own extensions (collected only
-  // under enable_parent_prune; ascending center indices). Scratch while the
-  // worker probes; the message to the coordinator ships the delta forms.
+  // Parent sets handed to this candidate's own extensions (ascending center
+  // indices). Scratch while the worker probes; the message to the
+  // coordinator ships the delta forms.
   std::vector<uint32_t> pr_centers;
   std::vector<uint32_t> ant_centers;
   // The lineage sets as shipped: deltas against the pool each side was
@@ -181,9 +180,7 @@ class FragmentEvaluator : public LevelwiseEvaluator {
   // them — round-robin over the survivors by parent index, for balance —
   // materializes and ships the proposals. Each worker derives the
   // assignment locally from the broadcast lineage (no extra coordinator
-  // round). Without parent lineage (prune off) the survivor set degrades to
-  // "fragments with a non-empty q-pool". MergeProposals keeps the
-  // duplicate-collapse path regardless, as a tripwire
+  // round). MergeProposals keeps the duplicate-collapse path as a tripwire
   // (`cross_fragment_merged` stays 0 unless the assignment ever
   // double-proposes).
   void Generate(const Pattern& base,
@@ -191,7 +188,6 @@ class FragmentEvaluator : public LevelwiseEvaluator {
                 const Extender& extend, std::vector<Gpar>* fresh,
                 std::vector<size_t>* fresh_parent) override {
     const uint32_t n = options_.num_workers;
-    const bool prune = options_.enable_parent_prune;
     auto proposals = bsp_.RunRound([&](uint32_t wi) {
       const WorkerState& w = workers_[wi];
       std::vector<CandidateProposal> out;
@@ -228,27 +224,20 @@ class FragmentEvaluator : public LevelwiseEvaluator {
           out.push_back(std::move(p));
         }
       };
-      auto q_pool = [&](uint32_t j) {
-        return !workers_[j].q_centers.empty();
-      };
       if (parents.empty()) {
-        if (owner_of(0, q_pool) == wi) {
-          propose_from(base, kRootParent, w.q_centers.size());
-        }
+        const uint32_t owner = owner_of(
+            0, [&](uint32_t j) { return !workers_[j].q_centers.empty(); });
+        if (owner == wi) propose_from(base, kRootParent, w.q_centers.size());
         return out;
       }
       for (size_t pi = 0; pi < parents.size(); ++pi) {
         const MinedRule& parent = *parents[pi];
-        const uint32_t owner =
-            prune ? owner_of(pi,
-                             [&](uint32_t j) {
-                               return !parent.frag_pr_centers[j].empty();
-                             })
-                  : owner_of(pi, q_pool);
+        const uint32_t owner = owner_of(pi, [&](uint32_t j) {
+          return !parent.frag_pr_centers[j].empty();
+        });
         if (owner != wi) continue;
         propose_from(parent.rule.antecedent(), pi,
-                     prune ? parent.frag_pr_centers[wi].size()
-                           : w.q_centers.size());
+                     parent.frag_pr_centers[wi].size());
       }
       return out;
     });
@@ -280,15 +269,12 @@ class FragmentEvaluator : public LevelwiseEvaluator {
       const std::vector<char>& other_ok,
       const std::vector<std::shared_ptr<MinedRule>>& parents) override {
     const uint32_t n = options_.num_workers;
-    const bool prune = options_.enable_parent_prune;
-    const bool usupp_tight = options_.enable_prune_aware_usupp;
-    // With parent pruning, a candidate is only probed at the centers where
-    // its parent rule matched (per fragment, per side): anti-monotonicity
-    // guarantees every other center fails, so skipping it cannot change
-    // any support. Without pruning (ablation), every candidate re-tests the
-    // full round-0 pools.
+    // A candidate is only probed at the centers where its parent rule
+    // matched (per fragment, per side): anti-monotonicity guarantees every
+    // other center fails, so skipping it cannot change any support. Round-1
+    // candidates have no parent and probe the full round-0 pools.
     auto parent_of = [&](size_t ci) -> const MinedRule* {
-      if (!prune || cand_parent[ci] == kRootParent) return nullptr;
+      if (cand_parent[ci] == kRootParent) return nullptr;
       return parents[cand_parent[ci]].get();
     };
     auto pr_pool = [&](const MinedRule* parent, uint32_t i) {
@@ -319,15 +305,8 @@ class FragmentEvaluator : public LevelwiseEvaluator {
           if (w.matcher->ExistsAt(r.pr(), center)) {
             ++ls.supp_r;
             ls.matches_global.push_back(center);
-            // Anti-monotonicity makes supp_r a sound Usupp bound: any
-            // extension matches a subset of these centers. The prune-aware
-            // tightening (flagged) additionally requires the center's N_d
-            // to still have room to grow.
-            if (!usupp_tight || w.frag->center_hops_available[c] > 0) {
-              ++ls.usupp;
-            }
             ls.extendable = true;
-            if (prune) ls.pr_centers.push_back(c);
+            ls.pr_centers.push_back(c);
           }
         }
         // Antecedent membership: x-component locally (exact within the
@@ -339,22 +318,20 @@ class FragmentEvaluator : public LevelwiseEvaluator {
             ++w.exists_calls;
             if (w.matcher->ExistsAt(r.x_component(), w.frag->centers[c])) {
               ++ls.supp_qqbar;
-              if (prune) ls.ant_centers.push_back(c);
+              ls.ant_centers.push_back(c);
             }
           }
         }
-        if (prune) {
-          // Ship the lineage as deltas against the probed pools (the
-          // match-set-delta BSP message).
-          ls.pr_delta = EncodeMatchSet(ls.pr_centers, prs);
-          ls.ant_delta = EncodeMatchSet(ls.ant_centers, ants);
-          w.evidence_bytes_full += FullEncodedBytes(ls.pr_centers.size()) +
-                                   FullEncodedBytes(ls.ant_centers.size());
-          w.evidence_bytes_delta +=
-              DeltaWireBytes(ls.pr_delta) + DeltaWireBytes(ls.ant_delta);
-          ls.pr_centers = {};
-          ls.ant_centers = {};
-        }
+        // Ship the lineage as deltas against the probed pools (the
+        // match-set-delta BSP message).
+        ls.pr_delta = EncodeMatchSet(ls.pr_centers, prs);
+        ls.ant_delta = EncodeMatchSet(ls.ant_centers, ants);
+        w.evidence_bytes_full += FullEncodedBytes(ls.pr_centers.size()) +
+                                 FullEncodedBytes(ls.ant_centers.size());
+        w.evidence_bytes_delta +=
+            DeltaWireBytes(ls.pr_delta) + DeltaWireBytes(ls.ant_delta);
+        ls.pr_centers = {};
+        ls.ant_centers = {};
       }
     });
 
@@ -365,26 +342,21 @@ class FragmentEvaluator : public LevelwiseEvaluator {
         auto rule = std::make_shared<MinedRule>();
         rule->rule = candidates[ci];
         const MinedRule* parent = parent_of(ci);
-        if (prune) {
-          rule->frag_pr_centers.resize(n);
-          rule->frag_ant_centers.resize(n);
-        }
+        rule->frag_pr_centers.resize(n);
+        rule->frag_ant_centers.resize(n);
         for (uint32_t i = 0; i < n; ++i) {
           LocalStats& ls = local[i][ci];
           rule->supp += ls.supp_r;
           rule->supp_qqbar += ls.supp_qqbar;
-          rule->usupp += ls.usupp;
           rule->extendable = rule->extendable || ls.extendable;
           rule->matches.insert(rule->matches.end(), ls.matches_global.begin(),
                                ls.matches_global.end());
-          if (prune) {
-            // Decode against the same pools the worker encoded from; the
-            // round trip is exact (the worker encoded a true subset).
-            rule->frag_pr_centers[i] =
-                DecodeMatchSet(ls.pr_delta, pr_pool(parent, i)).value();
-            rule->frag_ant_centers[i] =
-                DecodeMatchSet(ls.ant_delta, ant_pool(parent, i)).value();
-          }
+          // Decode against the same pools the worker encoded from; the
+          // round trip is exact (the worker encoded a true subset).
+          rule->frag_pr_centers[i] =
+              DecodeMatchSet(ls.pr_delta, pr_pool(parent, i)).value();
+          rule->frag_ant_centers[i] =
+              DecodeMatchSet(ls.ant_delta, ant_pool(parent, i)).value();
         }
         std::sort(rule->matches.begin(), rule->matches.end());
         rules[ci] = std::move(rule);

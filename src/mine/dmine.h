@@ -31,28 +31,9 @@ struct DmineOptions {
   bool enable_incremental_div = true;
   bool enable_reduction_rules = true;
   bool enable_bisim_prefilter = true;
-  /// Levelwise parent-match pruning: workers evaluate an extension only at
-  /// the centers where its parent rule matched (anti-monotonicity, §4.2)
-  /// instead of re-testing every owned center each round. Sound — pruned and
-  /// unpruned runs produce identical supports, confidences, and top-k — and
-  /// kept as an ablation flag for the Exp-1 benches.
-  bool enable_parent_prune = true;
-  /// Prune-aware Usupp (Lemma 3 tightening): count toward Usupp only the
-  /// matched centers whose d-neighborhood can still grow
-  /// (`center_hops_available > 0`) instead of all of supp_r. HEURISTIC,
-  /// not a proven bound: a saturated-N_d center can still match an
-  /// extension — backward extensions add no node, and even a forward
-  /// extension's new node may map to an unused node already inside N_d —
-  /// so the tightened Usupp can undercount and, in principle, over-prune.
-  /// It therefore ships off by default; the PruneAwareUsuppEquivalence
-  /// property battery asserts it never changes the reduced output on the
-  /// tested configurations.
-  bool enable_prune_aware_usupp = false;
 };
 
 /// Returns `base` with every optimization disabled (the paper's DMineno).
-/// `enable_parent_prune` is left untouched: it is this implementation's own
-/// ablation axis, not among the paper's three.
 DmineOptions DmineNoOptions(DmineOptions base = {});
 
 /// Counters reported alongside the result.
@@ -70,8 +51,8 @@ struct DmineStats {
   /// Worker-loop ExistsAt probes (both the P_R and the x-component side).
   uint64_t exists_calls = 0;
   /// Centers the workers never probed because the candidate's parent rule
-  /// did not match there (0 when `enable_parent_prune` is off or every
-  /// round-1 candidate exhausts its seed pool).
+  /// did not match there (0 when every candidate is a round-1 extension of
+  /// the bare predicate, probed over the whole seed pool).
   uint64_t centers_skipped_by_parent = 0;
   /// Raw candidate proposals emitted by each worker across all rounds,
   /// indexed by worker id (empty when the run stopped before round 1). The
@@ -94,10 +75,9 @@ struct DmineStats {
   uint64_t plans_shared_hits = 0;
   /// Distinct patterns the coordinator planned into the shared store.
   size_t plans_prepared = 0;
-  /// Lineage (parent match-set) message volume, worker -> coordinator,
-  /// under `enable_parent_prune`: what the raw center lists would have
-  /// cost, and what the match-set-delta encoding actually shipped (see
-  /// match_delta.h). Both 0 with pruning off (no lineage travels).
+  /// Lineage (parent match-set) message volume, worker -> coordinator:
+  /// what the raw center lists would have cost, and what the
+  /// match-set-delta encoding actually shipped (see match_delta.h).
   uint64_t evidence_bytes_full = 0;
   uint64_t evidence_bytes_delta = 0;
 };
@@ -117,7 +97,10 @@ struct DmineResult {
 /// `num_workers` fragments with d-hop locality and supplies the BSP
 /// evaluation strategy: in round r each worker first *proposes* candidate
 /// extensions from its locally surviving parents and then counts the
-/// merged round candidates' supports over its owned centers.
+/// merged round candidates' supports over its owned centers. A candidate
+/// is probed only at the centers where its parent rule matched: support is
+/// anti-monotone under extension, so every other center fails (`NaiveMine`,
+/// which probes the whole q-pool, is the unpruned oracle).
 ///
 /// Worker/coordinator candidate contract (round r):
 ///  1. Worker i enumerates `GenerateExtensions(parent)` for each parent

@@ -165,7 +165,7 @@ LevelwiseResult RunLevelwise(const Graph& g, const Predicate& q,
       std::vector<std::shared_ptr<MinedRule>> delta;  // ΔE
       for (std::shared_ptr<MinedRule>& rule : evaluated) {
         rule->uconf_plus =
-            UConfPlus(rule->usupp, pools.supp_qbar, pools.supp_q);
+            UConfPlus(rule->supp, pools.supp_qbar, pools.supp_q);
         if (rule->supp < options.sigma) continue;
         if (rule->supp_qqbar == 0) {
           // Trivial "logic rule": holds on all of Q(x, G); discarded per the

@@ -64,7 +64,7 @@ class LevelwiseEvaluator {
                         const Extender& extend, std::vector<Gpar>* fresh,
                         std::vector<size_t>* fresh_parent);
 
-  /// Returns one rule per candidate with `supp`, `supp_qqbar`, `usupp`,
+  /// Returns one rule per candidate with `supp`, `supp_qqbar`,
   /// `extendable` and sorted `matches` set. `cand_parent` indexes
   /// `parents` (or is `kRootParent`); `other_ok[i] == 0` means an
   /// antecedent component without x has no match in G.

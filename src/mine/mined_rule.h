@@ -18,7 +18,6 @@ struct MinedRule {
   double conf = 0;           ///< BF/LCWA confidence
   std::vector<NodeId> matches;  ///< P_R(x, G), global ids, sorted (for diff)
   bool extendable = false;   ///< some match still has unexplored hops
-  uint64_t usupp = 0;        ///< matches with expansion room (Lemma 3)
   double uconf_plus = 0;     ///< Uconf+(R): confidence bound for extensions
   bool pruned = false;       ///< removed from Σ/ΔE by the reduction rules
 

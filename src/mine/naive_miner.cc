@@ -68,7 +68,6 @@ Result<NaiveMineResult> NaiveMine(const Graph& g, const Predicate& q,
         if (matcher.ExistsAt(cand.pr(), v)) {
           rule->matches.push_back(v);
           ++rule->supp;
-          ++rule->usupp;  // supp itself is the sound extension bound
           rule->extendable = true;
         }
       }

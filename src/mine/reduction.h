@@ -35,8 +35,10 @@ ReductionStats ApplyReductionRules(
     const std::function<bool(const MinedRule*)>& in_queue);
 
 /// Uconf+(R): the upper bound on the confidence of any extension of R,
-/// assembled from per-fragment Usupp values (Section 4.2):
+/// from the summed per-fragment Usupp values (Section 4.2):
 ///   Uconf+(R) = (Σ_i Usupp_i) * supp(~q, G) / (1 * supp(q, G)).
+/// The miners pass supp(R, G): an extension matches a subset of R's
+/// centers (anti-monotonicity), so supp is a sound Usupp.
 double UConfPlus(uint64_t usupp_total, uint64_t supp_qbar, uint64_t supp_q);
 
 }  // namespace gpar

@@ -33,8 +33,8 @@ struct MiningSetup {
   uint64_t seed_edge_limit = 20;
   uint64_t max_candidates_per_round = 300;
   /// The `DmineOptions` ablation booleans, bit-packed: bit 0 incremental
-  /// div, 1 reduction rules, 2 bisim prefilter, 3 parent prune, 7
-  /// prune-aware Usupp; bits 4-6 are retired and ignored on read. Part of
+  /// div, 1 reduction rules, 2 bisim prefilter; bits 3-6 are retired and
+  /// ignored on read, and a set bit 7 (retired) is refused. Part of
   /// the setup because flags like `enable_bisim_prefilter` change which
   /// candidates survive dedup.
   uint32_t bool_flags = 0;

@@ -316,43 +316,6 @@ TEST(DmineTest, DegenerateNoNegativePoolStaysFinite) {
   EXPECT_EQ(result->objective, 0.0);
 }
 
-TEST(DmineTest, ParentPruneSkipsCentersAndPreservesResults) {
-  Graph g = MakeSynthetic(400, 1200, 20, 5);
-  auto freq = FrequentEdgePatterns(g, 1);
-  ASSERT_FALSE(freq.empty());
-  Predicate q{freq[0].src_label, freq[0].edge_label, freq[0].dst_label};
-  DmineOptions opt = SmallOptions();
-  opt.sigma = 2;
-
-  auto pruned = Dmine(g, q, opt);
-  DmineOptions no_prune = opt;
-  no_prune.enable_parent_prune = false;
-  auto unpruned = Dmine(g, q, no_prune);
-  ASSERT_TRUE(pruned.ok());
-  ASSERT_TRUE(unpruned.ok());
-
-  // The prune must actually engage on a multi-round workload...
-  EXPECT_GT(pruned->stats.centers_skipped_by_parent, 0u);
-  EXPECT_EQ(unpruned->stats.centers_skipped_by_parent, 0u);
-  EXPECT_LT(pruned->stats.exists_calls, unpruned->stats.exists_calls);
-
-  // ...without changing any result: same pool, same top-k, same stats.
-  EXPECT_EQ(pruned->stats.accepted, unpruned->stats.accepted);
-  EXPECT_EQ(pruned->stats.trivial_discarded, unpruned->stats.trivial_discarded);
-  EXPECT_NEAR(pruned->objective, unpruned->objective, 1e-12);
-  ASSERT_EQ(pruned->topk.size(), unpruned->topk.size());
-  for (size_t i = 0; i < pruned->topk.size(); ++i) {
-    const auto& a = pruned->topk[i];
-    const auto& b2 = unpruned->topk[i];
-    EXPECT_EQ(IsomorphismBucketKey(a->rule.pr()),
-              IsomorphismBucketKey(b2->rule.pr()));
-    EXPECT_EQ(a->supp, b2->supp);
-    EXPECT_EQ(a->supp_qqbar, b2->supp_qqbar);
-    EXPECT_DOUBLE_EQ(a->conf, b2->conf);
-    EXPECT_EQ(a->matches, b2->matches);
-  }
-}
-
 /// Builds a designated-preserving isomorphic copy of `r` by reversing the
 /// antecedent's node declaration order — a distinct Gpar object that DMine's
 /// automorphism dedup must collapse with the original.

@@ -65,5 +65,16 @@ TEST(FlagsTest, RepeatedFlagIsAnError) {
   EXPECT_NE(r.status().message().find("twice"), std::string::npos);
 }
 
+TEST(FlagsTest, UnknownFlagIsRefusedByName) {
+  auto r = Parse({"--graph", "g.txt", "--sigam", "3"});
+  ASSERT_TRUE(r.ok()) << r.status();
+  Status s = CheckKnownFlags(*r, {"graph", "sigma"});
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "unknown flag '--sigam'");
+  // Known flags pass, whether given or not.
+  EXPECT_TRUE(CheckKnownFlags(*r, {"graph", "sigam", "out"}).ok());
+  EXPECT_TRUE(CheckKnownFlags(FlagMap{}, {}).ok());
+}
+
 }  // namespace
 }  // namespace gpar

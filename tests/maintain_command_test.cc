@@ -87,12 +87,11 @@ TEST(MaintainOptionsFromSetupTest, UnpacksTheMiningParameters) {
   setup.max_pattern_edges = 5;
   setup.seed_edge_limit = 12;
   setup.max_candidates_per_round = 99;
-  // Bits 0-3 and 7 in DmineOptions declaration order; set an asymmetric
-  // pattern. Bit 6 is retired and must be ignored.
+  // Bits 0-2 in DmineOptions declaration order; set an asymmetric
+  // pattern. Bits 3 and 6 are retired and must be ignored.
   setup.bool_flags = (1u << 0) | (1u << 3) | (1u << 6);
 
   MaintainOptions base;
-  base.enable_incremental_maintenance = false;
   base.mine.num_workers = 9;
   auto o = MaintainOptionsFromSetup(setup, base);
   ASSERT_TRUE(o.ok()) << o.status();
@@ -106,37 +105,31 @@ TEST(MaintainOptionsFromSetupTest, UnpacksTheMiningParameters) {
   EXPECT_TRUE(o->mine.enable_incremental_div);
   EXPECT_FALSE(o->mine.enable_reduction_rules);
   EXPECT_FALSE(o->mine.enable_bisim_prefilter);
-  EXPECT_TRUE(o->mine.enable_parent_prune);
-  EXPECT_FALSE(o->mine.enable_prune_aware_usupp);
   // Non-setup knobs come from `base`, untouched.
-  EXPECT_FALSE(o->enable_incremental_maintenance);
   EXPECT_EQ(o->mine.num_workers, 9u);
 }
 
-// The bool_flags codec round-trips all 32 combinations of the five DMine
-// switches through a setup, writing the retired bits 4-6 at their
-// defaults (on, off, on).
+// The bool_flags codec round-trips all 8 combinations of the three DMine
+// switches through a setup, writing the retired bits 3-6 at their
+// defaults (on, on, off, on) and bit 7 as 0.
 TEST(MiningFlagsTest, RoundTripsEverySwitchCombination) {
-  for (uint32_t mask = 0; mask < 32; ++mask) {
+  for (uint32_t mask = 0; mask < 8; ++mask) {
     DmineOptions in;
     in.enable_incremental_div = (mask & 1u) != 0;
     in.enable_reduction_rules = (mask & 2u) != 0;
     in.enable_bisim_prefilter = (mask & 4u) != 0;
-    in.enable_parent_prune = (mask & 8u) != 0;
-    in.enable_prune_aware_usupp = (mask & 16u) != 0;
     MiningSetup setup;
     setup.k = 3;
     setup.d = 2;
     setup.bool_flags = PackMiningFlags(in);
-    EXPECT_EQ(setup.bool_flags & 0x70u, (1u << 4) | (1u << 6)) << mask;
+    EXPECT_EQ(setup.bool_flags & 0xf8u, (1u << 3) | (1u << 4) | (1u << 6))
+        << mask;
 
     // Start from the complement so every switch must be written.
     MaintainOptions base;
     base.mine.enable_incremental_div = !in.enable_incremental_div;
     base.mine.enable_reduction_rules = !in.enable_reduction_rules;
     base.mine.enable_bisim_prefilter = !in.enable_bisim_prefilter;
-    base.mine.enable_parent_prune = !in.enable_parent_prune;
-    base.mine.enable_prune_aware_usupp = !in.enable_prune_aware_usupp;
     auto o = MaintainOptionsFromSetup(setup, base);
     ASSERT_TRUE(o.ok()) << mask << ": " << o.status();
     EXPECT_EQ(o->mine.enable_incremental_div, in.enable_incremental_div)
@@ -144,9 +137,6 @@ TEST(MiningFlagsTest, RoundTripsEverySwitchCombination) {
     EXPECT_EQ(o->mine.enable_reduction_rules, in.enable_reduction_rules)
         << mask;
     EXPECT_EQ(o->mine.enable_bisim_prefilter, in.enable_bisim_prefilter)
-        << mask;
-    EXPECT_EQ(o->mine.enable_parent_prune, in.enable_parent_prune) << mask;
-    EXPECT_EQ(o->mine.enable_prune_aware_usupp, in.enable_prune_aware_usupp)
         << mask;
     EXPECT_EQ(PackMiningFlags(o->mine), setup.bool_flags) << mask;
   }

@@ -18,6 +18,7 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_delta.h"
 #include "graph/stats.h"
+#include "maintain/maintain_command.h"
 #include "mine/dmine.h"
 #include "rule/rule_snapshot.h"
 #include "serve/delta_journal.h"
@@ -178,14 +179,46 @@ TEST(MaintainTest, RejectsLambdaOutsideTheUnitInterval) {
   }
 }
 
-TEST(MaintainTest, RejectsPruneAwareUsupp) {
+// Setup flag bit 3 belonged to the retired parent-prune switch, which
+// never changed a result: a setup written with it cleared loads, and the
+// restored maintainer writes it back at its old default (1).
+TEST(MaintainTest, SetupWithRetiredParentPruneBitClearedLoads) {
   auto g = std::make_shared<const Graph>(MakeSynthetic(200, 600, 10, 3));
   Predicate q = PickQ(*g);
-  MaintainOptions opt = SmallMaintain();
-  opt.mine.enable_prune_aware_usupp = true;
-  auto m = RuleMaintainer::Seed(g, q, opt);
-  ASSERT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+  auto m = RuleMaintainer::Seed(g, q, SmallMaintain());
+  ASSERT_TRUE(m.ok()) << m.status();
+  RuleSetEvidence ev = (*m)->ExportEvidence();
+  ASSERT_NE(ev.setup.bool_flags & (1u << 3), 0u);
+  ev.setup.bool_flags &= ~(1u << 3);
+
+  auto o = MaintainOptionsFromSetup(ev.setup, SmallMaintain());
+  ASSERT_TRUE(o.ok()) << o.status();
+  EXPECT_EQ(PackMiningFlags(o->mine), (*m)->evidence().setup.bool_flags);
+  auto restored = RuleMaintainer::FromEvidence(g, ev, SmallMaintain());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ((*restored)->evidence().setup, (*m)->evidence().setup);
+  EXPECT_EQ((*restored)->TopKRecords(), (*m)->TopKRecords());
+}
+
+// Setup flag bit 7 belonged to the retired prune-aware Usupp heuristic,
+// which could change a result: evidence mined with it is refused, by the
+// options codec and by FromEvidence alike.
+TEST(MaintainTest, SetupWithPruneAwareUsuppBitIsRefused) {
+  auto g = std::make_shared<const Graph>(MakeSynthetic(200, 600, 10, 3));
+  Predicate q = PickQ(*g);
+  auto m = RuleMaintainer::Seed(g, q, SmallMaintain());
+  ASSERT_TRUE(m.ok()) << m.status();
+  RuleSetEvidence ev = (*m)->ExportEvidence();
+  ev.setup.bool_flags |= 1u << 7;
+
+  auto o = MaintainOptionsFromSetup(ev.setup, SmallMaintain());
+  ASSERT_FALSE(o.ok());
+  EXPECT_EQ(o.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(o.status().message().find("prune-aware Usupp"), std::string::npos)
+      << o.status();
+  auto restored = RuleMaintainer::FromEvidence(g, ev, SmallMaintain());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The headline battery: six seeded workloads, each driven through an
@@ -225,44 +258,43 @@ TEST(MaintainEquivalenceTest, InterleavedStreamsMatchDmineAtCheckpoints) {
   EXPECT_GT(crossed_down, 0u) << "no rule ever fell out of sigma";
 }
 
-// The subsystem's own ablation: enable_incremental_maintenance off means
-// every pass re-probes every pool center (a sequential re-mine). Both
-// settings must produce identical rule sets on an identical stream.
+// The incremental pass against its full-probe reference: after every
+// batch, a fresh `Seed` on the post-batch graph (a sequential re-mine that
+// probes every membership) must hold the same rule set and evidence, and
+// the incremental pass must carry memberships the re-mine probes.
 TEST(MaintainEquivalenceTest, IncrementalAblationIsResultIdentical) {
   auto g = std::make_shared<const Graph>(MakeSynthetic(300, 900, 10, 77));
   Predicate q = PickQ(*g);
-  MaintainOptions on = SmallMaintain();
-  on.enable_incremental_maintenance = true;
-  MaintainOptions off = SmallMaintain();
-  off.enable_incremental_maintenance = false;
-  auto a = RuleMaintainer::Seed(g, q, on);
-  auto b = RuleMaintainer::Seed(g, q, off);
+  auto a = RuleMaintainer::Seed(g, q, SmallMaintain());
   ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
   for (size_t batch = 0; batch < 3; ++batch) {
     GraphDelta d = MakeChurn(*(*a)->graph(), q.edge_label, 500 + batch, 25);
     d.sequence = batch + 1;
     auto pa = (*a)->ApplyDelta(d);
-    auto pb = (*b)->ApplyDelta(d);
     ASSERT_TRUE(pa.ok()) << pa.status();
-    ASSERT_TRUE(pb.ok()) << pb.status();
+    auto b = RuleMaintainer::Seed((*a)->graph(), q, SmallMaintain());
+    ASSERT_TRUE(b.ok()) << b.status();
+    const MaintainStats& pb = (*b)->lifetime_stats();
     EXPECT_EQ((*a)->TopKRecords(), (*b)->TopKRecords()) << "batch " << batch;
     EXPECT_EQ((*a)->objective(), (*b)->objective()) << "batch " << batch;
-    // The ablation is the whole point of the incremental path: the on
-    // maintainer must carry memberships the off maintainer re-probes.
+    EXPECT_EQ((*a)->evidence(), (*b)->evidence()) << "batch " << batch;
+    EXPECT_EQ(pa->centers_reprobed + pa->centers_carried, pb.centers_reprobed)
+        << "batch " << batch;
+    // The carry is the whole point of the incremental path: the maintainer
+    // must carry memberships the re-mine re-probes.
     EXPECT_GT(pa->centers_carried, 0u);
-    EXPECT_EQ(pb->centers_carried, 0u);
+    EXPECT_EQ(pb.centers_carried, 0u);
   }
 }
 
-// Evidence-level ablation battery: the top-k comparisons above only see
-// rules in Σ, so a wrongly carried membership of a sub-sigma rule would
-// stay hidden until its support crossed sigma. Here the full evidence —
-// pools and every candidate's match sets — must equal the full-probe
-// ablation's after every batch, over plain churn, label-matched churn
-// (every insert copies a triple already in the graph), and insert-only
-// and delete-only batches. Every membership the on maintainer carries is one
-// the off maintainer probes.
+// Evidence-level battery: the top-k comparisons above only see rules in
+// Σ, so a wrongly carried membership of a sub-sigma rule would stay hidden
+// until its support crossed sigma. Here the full evidence — pools and
+// every candidate's match sets — must equal a full-probe `Seed` on the
+// post-batch graph after every batch, over plain churn, label-matched
+// churn (every insert copies a triple already in the graph), and
+// insert-only and delete-only batches. Every membership the maintainer
+// carries is one the full probe probes.
 TEST(MaintainEvidenceEquivalenceTest, CarriedEvidenceEqualsFullProbe) {
   const size_t kChurn = 20;
   uint64_t carried = 0;
@@ -270,12 +302,8 @@ TEST(MaintainEvidenceEquivalenceTest, CarriedEvidenceEqualsFullProbe) {
     auto g = std::make_shared<const Graph>(
         MakeSynthetic(300, 900, 10, seed * 31));
     Predicate q = PickQ(*g);
-    MaintainOptions off_opt = SmallMaintain();
-    off_opt.enable_incremental_maintenance = false;
     auto on = RuleMaintainer::Seed(g, q, SmallMaintain());
-    auto off = RuleMaintainer::Seed(g, q, off_opt);
     ASSERT_TRUE(on.ok()) << on.status();
-    ASSERT_TRUE(off.ok()) << off.status();
     for (size_t b = 0; b < 6; ++b) {
       const std::shared_ptr<const Graph> cur = (*on)->graph();
       const uint64_t s = seed * 100 + b;
@@ -298,17 +326,18 @@ TEST(MaintainEvidenceEquivalenceTest, CarriedEvidenceEqualsFullProbe) {
       }
       d.sequence = b + 1;
       auto pon = (*on)->ApplyDelta(d);
-      auto poff = (*off)->ApplyDelta(d);
       ASSERT_TRUE(pon.ok()) << pon.status();
-      ASSERT_TRUE(poff.ok()) << poff.status();
+      auto off = RuleMaintainer::Seed((*on)->graph(), q, SmallMaintain());
+      ASSERT_TRUE(off.ok()) << off.status();
+      const MaintainStats& poff = (*off)->lifetime_stats();
       const std::string what =
           "seed " + std::to_string(seed) + " batch " + std::to_string(b);
       EXPECT_EQ((*on)->evidence(), (*off)->evidence()) << what;
       EXPECT_EQ((*on)->TopKRecords(), (*off)->TopKRecords()) << what;
       EXPECT_EQ(pon->centers_reprobed + pon->centers_carried,
-                poff->centers_reprobed)
+                poff.centers_reprobed)
           << what;
-      EXPECT_EQ(poff->centers_carried, 0u) << what;
+      EXPECT_EQ(poff.centers_carried, 0u) << what;
       carried += pon->centers_carried;
     }
   }
@@ -421,9 +450,8 @@ TEST(MaintainTest, CenterEnteringQbarIsReprobedWithoutRelevantEdges) {
   EXPECT_EQ((*m)->supp_qbar(), 3u);
   ExpectMatchesDmine(**m, "after p6 entered ~q");
 
-  MaintainOptions off = CarryFixture::Options();
-  off.enable_incremental_maintenance = false;
-  auto full = RuleMaintainer::Seed((*m)->graph(), f.q, off);
+  auto full =
+      RuleMaintainer::Seed((*m)->graph(), f.q, CarryFixture::Options());
   ASSERT_TRUE(full.ok()) << full.status();
   EXPECT_EQ((*m)->evidence(), (*full)->evidence());
   // Beyond the pool frontier, only the flipped p6 can have been probed.

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "graph/generator.h"
-#include "graph/graph_builder.h"
 #include "graph/neighborhood.h"
 #include "graph/paper_graphs.h"
 #include "match/matcher.h"
@@ -117,56 +116,6 @@ TEST(PartitionTest, MoreFragmentsThanCenters) {
   size_t total_centers = 0;
   for (const Fragment& f : parts->fragments) total_centers += f.centers.size();
   EXPECT_EQ(total_centers, 2u);
-}
-
-TEST(PartitionTest, SaturatedNeighborhoodCenterIsNotExtendable) {
-  // Regression for the center_hops_available fix: the old implementation
-  // recorded the max observed BFS depth, so a center whose entire reachable
-  // component fits inside N_d still reported hops "available". The real
-  // signal is whether the hop-d frontier has incident edges leaving N_d.
-  GraphBuilder b;
-  // Component A: path a0 - a1 - a2 (length exactly d = 2). N_2(a0) is the
-  // whole component; max BFS depth is 2, but nothing lies beyond it.
-  NodeId a0 = b.AddNode("cust");
-  NodeId a1 = b.AddNode("person");
-  NodeId a2 = b.AddNode("person");
-  ASSERT_TRUE(b.AddEdge(a0, "knows", a1).ok());
-  ASSERT_TRUE(b.AddEdge(a1, "knows", a2).ok());
-  // Component B: path b0 - b1 - b2 - b3 - b4; N_2(b0) = {b0, b1, b2} and
-  // b2 (at hop 2) has an edge to b3 outside N_2 — extendable.
-  NodeId b0 = b.AddNode("cust");
-  NodeId b1 = b.AddNode("person");
-  NodeId b2 = b.AddNode("person");
-  NodeId b3 = b.AddNode("person");
-  NodeId b4 = b.AddNode("person");
-  ASSERT_TRUE(b.AddEdge(b0, "knows", b1).ok());
-  ASSERT_TRUE(b.AddEdge(b1, "knows", b2).ok());
-  ASSERT_TRUE(b.AddEdge(b2, "knows", b3).ok());
-  ASSERT_TRUE(b.AddEdge(b3, "knows", b4).ok());
-  // Component C: a single edge c0 -> c1; BFS from c0 saturates at depth 1,
-  // well before d.
-  NodeId c0 = b.AddNode("cust");
-  NodeId c1 = b.AddNode("person");
-  ASSERT_TRUE(b.AddEdge(c0, "knows", c1).ok());
-  Graph g = std::move(b).Build();
-
-  std::vector<NodeId> centers{a0, b0, c0};
-  PartitionOptions opt;
-  opt.num_fragments = 1;
-  opt.d = 2;
-  auto parts = PartitionGraph(g, centers, opt);
-  ASSERT_TRUE(parts.ok());
-  const Fragment& f = parts->fragments[0];
-  ASSERT_EQ(f.centers.size(), 3u);
-  for (size_t i = 0; i < f.centers.size(); ++i) {
-    const uint32_t avail = f.center_hops_available[i];
-    if (f.centers[i] == b0) {
-      EXPECT_GT(avail, 0u) << "b0 can grow past hop d";
-    } else {
-      EXPECT_EQ(avail, 0u)
-          << "saturated center " << f.centers[i] << " reported hops";
-    }
-  }
 }
 
 }  // namespace

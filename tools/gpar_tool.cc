@@ -1,9 +1,11 @@
 // gpar_tool — command-line front end for the library.
 //
 //   gpar_tool generate --type pokec|gplus|synthetic --scale N --out g.txt
+//                      [--seed 42]
 //   gpar_tool info     --graph g.txt
 //   gpar_tool mine     --graph g.txt --x user --edge like_music --y music_1
 //                      [--k 10 --d 2 --sigma 5 --lambda 0.5 --workers 4]
+//                      [--max-edges 4]
 //                      [--rules-out rules.txt] [--snapshot-out rules.snap]
 //   gpar_tool identify --graph g.txt --rules rules.txt --eta 1.0
 //                      [--algo match|matchc|disvf2|seq] [--workers 4]
@@ -12,6 +14,7 @@
 //   gpar_tool serve    --graph-snapshot g.snap --rules-snapshot rules.snap
 //                      [--workers 4 --cache 1048576 --shards 1 --strict 0]
 //                      [--journal deltas.wal] [--maintain 0]
+//                      [--k 10 --d 2 --sigma 5 --lambda 0.5 --max-edges 4]
 //                      (query loop on stdin; type `help` at the prompt;
 //                      --shards k > 1 serves from a k-shard deployment;
 //                      --strict 1 exits with code 3 on the first malformed
@@ -23,20 +26,21 @@
 //                      snapshot+compact / rebuild from snapshot+journal;
 //                      --maintain 1 enables incremental rule maintenance:
 //                      the session mines once at startup under the mining
-//                      flags below and keeps the top-k fresh across deltas)
+//                      flags --k .. --max-edges and keeps the top-k fresh
+//                      across deltas)
 //   gpar_tool maintain --graph-snapshot g.snap --rules-snapshot rules.snap
 //                      [--journal deltas.wal] [--out rules2.snap]
 //                      [--strict 0] [--x user --edge like_music --y music_1]
 //                      [--k 10 --d 2 --sigma 5 --lambda 0.5 --max-edges 4]
-//                      [--incremental 1]
 //                      (offline rule refresh: restores a maintainer from a
 //                      v2 rule snapshot's evidence — or seeds one from a v1
 //                      snapshot, which needs --x/--edge/--y and the mining
 //                      flags — replays the journal, and writes the
 //                      refreshed v2 snapshot to --out, default in place;
-//                      --strict 1 refuses a torn-tail journal with exit 3;
-//                      --incremental 0 re-probes everything, the ablation
-//                      baseline)
+//                      --strict 1 refuses a torn-tail journal with exit 3)
+//
+// Every command accepts only the flags listed for it; any other flag (a
+// misspelling like --sigam) is a usage error.
 //
 // Exit codes: 0 ok, 1 load/runtime error, 2 usage error, 3 malformed query
 // or failed checkpoint/recover in --strict mode (for `maintain`: refused
@@ -51,10 +55,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/flags.h"
 #include "graph/generator.h"
@@ -89,6 +95,16 @@ std::string RequireFlag(const std::map<std::string, std::string>& flags,
     std::exit(2);
   }
   return it->second;
+}
+
+/// Exits with a usage error (2) on a flag the command does not know.
+void RequireKnownFlags(const FlagMap& flags,
+                       std::initializer_list<std::string_view> known) {
+  const Status s = CheckKnownFlags(flags, known);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s\n", s.message().c_str());
+    std::exit(2);
+  }
 }
 
 /// Checked numeric flag lookups: a malformed value is a usage error (exit
@@ -130,6 +146,7 @@ LabelId RequireLabel(const Graph& g, const std::string& name) {
 }
 
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
+  RequireKnownFlags(flags, {"type", "scale", "seed", "out"});
   std::string type = FlagOr(flags, "type", "synthetic");
   uint32_t scale = NumFlagOr<uint32_t>(flags, "scale", 1);
   uint64_t seed = NumFlagOr<uint64_t>(flags, "seed", 42);
@@ -156,6 +173,7 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdInfo(const std::map<std::string, std::string>& flags) {
+  RequireKnownFlags(flags, {"graph"});
   Graph g = LoadGraph(RequireFlag(flags, "graph"));
   DegreeStats deg = ComputeDegreeStats(g);
   std::printf("nodes: %u\nedges: %zu\n|G| = |V|+|E|: %zu\n", g.num_nodes(),
@@ -174,6 +192,9 @@ int CmdInfo(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdMine(const std::map<std::string, std::string>& flags) {
+  RequireKnownFlags(flags, {"graph", "x", "edge", "y", "k", "d", "sigma",
+                            "lambda", "workers", "max-edges", "rules-out",
+                            "snapshot-out"});
   Graph g = LoadGraph(RequireFlag(flags, "graph"));
   Predicate q{RequireLabel(g, RequireFlag(flags, "x")),
               RequireLabel(g, RequireFlag(flags, "edge")),
@@ -228,6 +249,7 @@ int CmdMine(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdIdentify(const std::map<std::string, std::string>& flags) {
+  RequireKnownFlags(flags, {"graph", "rules", "eta", "algo", "workers"});
   Graph g = LoadGraph(RequireFlag(flags, "graph"));
   std::ifstream is(RequireFlag(flags, "rules"));
   if (!is) {
@@ -286,6 +308,7 @@ int CmdIdentify(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdSnapshot(const std::map<std::string, std::string>& flags) {
+  RequireKnownFlags(flags, {"graph", "out", "rules", "rules-out"});
   Graph g = LoadGraph(RequireFlag(flags, "graph"));
   std::string out = RequireFlag(flags, "out");
   Status s = WriteGraphSnapshotFile(g, out);
@@ -336,12 +359,13 @@ MaintainOptions MaintainOptionsFromFlags(
   o.mine.sigma = NumFlagOr<uint64_t>(flags, "sigma", 5);
   o.mine.lambda = NumFlagOr<double>(flags, "lambda", 0.5);
   o.mine.max_pattern_edges = NumFlagOr<uint32_t>(flags, "max-edges", 4);
-  o.enable_incremental_maintenance =
-      NumFlagOr<int>(flags, "incremental", 1) != 0;
   return o;
 }
 
 int CmdMaintain(const std::map<std::string, std::string>& flags) {
+  RequireKnownFlags(flags, {"graph-snapshot", "rules-snapshot", "journal",
+                            "out", "strict", "x", "edge", "y", "k", "d",
+                            "sigma", "lambda", "max-edges"});
   MaintainRequest req;
   req.graph_snapshot = RequireFlag(flags, "graph-snapshot");
   req.rules_snapshot = RequireFlag(flags, "rules-snapshot");
@@ -404,6 +428,10 @@ void PrintServeStatsLine(const char* prefix, const ServeStats& st,
 // interface, so a single-server and a --shards k deployment answer the
 // same loop identically.
 int CmdServe(const std::map<std::string, std::string>& flags) {
+  RequireKnownFlags(flags, {"graph-snapshot", "rules-snapshot", "workers",
+                            "cache", "shards", "strict", "journal",
+                            "maintain", "k", "d", "sigma", "lambda",
+                            "max-edges"});
   RuleServerOptions opt;
   opt.num_workers = NumFlagOr<uint32_t>(flags, "workers", 4);
   opt.cache_capacity = NumFlagOr<size_t>(flags, "cache", 1048576);

@@ -3,9 +3,9 @@
 # merges their JSON reports into one machine-readable file that seeds the
 # perf trajectory across PRs. Additionally runs a CI-sized
 # exp1_dmine_vary_size sweep into a second JSON report (DMINE_JSON) so
-# DMine-level speedups are tracked PR-over-PR with an in-run baseline, the
-# parent-prune ablation ("noprune_s"), plus DMine's coordinator share and
-# the DMineno/DMine ratio ("dmineno_over_dmine" in "totals").
+# DMine-level speedups are tracked PR-over-PR with an in-run baseline,
+# DMineno ("dmineno_s"), plus DMine's coordinator share and the
+# DMineno/DMine ratio ("dmineno_over_dmine" in "totals").
 #
 # A third JSON report (PARTITION_JSON) comes from a CI-sized
 # exp4_partition_skew run: fragment skew, partition build time and the
@@ -34,10 +34,10 @@
 #
 # An eighth JSON report (MAINTENANCE_JSON) comes from a CI-sized
 # exp9_maintenance run: per-batch cost of the incremental RuleMaintainer
-# vs its re-probe-everything ablation (a sequential re-mine) on one
-# interleaved insert+delete stream, the freshness lag of the maintained
-# top-k, and the match-set-delta evidence encoding's bytes vs the raw
-# full encoding.
+# vs a per-batch RuleMaintainer::Seed on the current graph (a sequential
+# re-mine that re-probes everything) on one interleaved insert+delete
+# stream, the freshness lag of the maintained top-k, and the
+# match-set-delta evidence encoding's bytes vs the raw full encoding.
 #
 # Usage:
 #   tools/run_bench.sh [OUTPUT_JSON] [DMINE_JSON] [PARTITION_JSON] \
