@@ -5,6 +5,7 @@
 
 #include "common/binary_io.h"
 #include "graph/graph_raw_access.h"
+#include "pattern/pattern.h"
 
 namespace gpar {
 
@@ -364,6 +365,37 @@ std::vector<std::pair<NodeId, uint32_t>> DeltaAffectedRegion(
                             }),
                 touched.end());
   return touched;
+}
+
+bool UsesTriple(const Pattern& p, const LabelTriple& t) {
+  for (const PatternEdge& e : p.edges()) {
+    if (e.label == t.edge && p.node(e.src).label == t.src &&
+        p.node(e.dst).label == t.dst) {
+      return true;
+    }
+  }
+  return false;
+}
+
+const std::vector<uint32_t>* DeltaReach::For(const Pattern& p) {
+  std::vector<uint32_t> used;
+  for (uint32_t i = 0; i < edges_.size(); ++i) {
+    if (UsesTriple(p, edges_[i].labels)) used.push_back(i);
+  }
+  if (used.empty()) return nullptr;
+  auto [it, fresh] = memo_.try_emplace(std::move(used));
+  if (fresh) {
+    std::vector<NodeId> sources;
+    for (uint32_t i : it->first) {
+      sources.push_back(edges_[i].src);
+      sources.push_back(edges_[i].dst);
+    }
+    it->second.assign(g_.num_nodes(), kFar);
+    for (const auto& [v, dist] : NodesWithinRadiusOfAny(g_, sources, radius_)) {
+      it->second[v] = dist;
+    }
+  }
+  return &it->second;
 }
 
 }  // namespace gpar

@@ -2,6 +2,7 @@
 #define GPAR_GRAPH_GRAPH_DELTA_H_
 
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -188,6 +189,69 @@ std::vector<std::pair<NodeId, uint32_t>> DeltaAffectedRegion(
     const Graph& old_g, const Graph& new_g,
     std::span<const EdgeInsert> applied,
     std::span<const EdgeDelete> applied_deletes, uint32_t radius);
+
+class Pattern;  // pattern/pattern.h
+
+/// The labels (label(src), edge label, label(dst)) of one delta edge. Node
+/// labels never change under a `GraphDelta`.
+struct LabelTriple {
+  LabelId src;
+  LabelId edge;
+  LabelId dst;
+};
+
+/// Whether some edge of `p` carries `t`. Matching is label-exact, so a
+/// delta edge whose triple `p` lacks is never the image of a pattern edge:
+/// it can neither create nor destroy a match of `p`.
+bool UsesTriple(const Pattern& p, const LabelTriple& t);
+
+/// The affected-area bound of incremental pattern matching (Fan, Wang and
+/// Wu, TODS 2013), per pattern and per direction: one direction of a
+/// delta — the applied inserts, measured on the new graph, or the applied
+/// deletes, measured on the old one — and the distance arrays built from
+/// it so far. A pattern's array covers only the delta edges it uses;
+/// patterns share few distinct such subsets, so each array is built once.
+///
+/// The test it supports: a center's membership in `p` can change only if
+/// a delta edge `p` uses lies within `p`'s eval radius of the center, in
+/// the direction that can flip the old answer — a delete (on the old
+/// graph) for a member, an insert (on the new graph) for a non-member.
+/// Subgraph matching is monotone in the edge set, so inserts never destroy
+/// a match and deletes never create one. The rule maintainer (evidence
+/// patching) and the serving tier (cache invalidation) both decide with it.
+class DeltaReach {
+ public:
+  /// Distance of a node no used delta edge reaches within the radius.
+  static constexpr uint32_t kFar = static_cast<uint32_t>(-1);
+
+  /// `radius` bounds every array, so it must be at least the eval radius
+  /// of every pattern the caller will test.
+  template <typename Mutation>
+  DeltaReach(const Graph& g, std::span<const Mutation> applied,
+             uint32_t radius)
+      : g_(g), radius_(radius) {
+    for (const Mutation& m : applied) {
+      const LabelTriple t{g.node_label(m.src), m.label, g.node_label(m.dst)};
+      edges_.push_back({m.src, m.dst, t});
+    }
+  }
+
+  /// Per node, the distance (up to the radius, else kFar) to the nearest
+  /// endpoint of a delta edge `p` uses; nullptr when `p` uses none.
+  const std::vector<uint32_t>* For(const Pattern& p);
+
+ private:
+  struct Edge {
+    NodeId src;
+    NodeId dst;
+    LabelTriple labels;
+  };
+  const Graph& g_;
+  const uint32_t radius_;
+  std::vector<Edge> edges_;
+  /// Indices of the used delta edges -> their distance array.
+  std::map<std::vector<uint32_t>, std::vector<uint32_t>> memo_;
+};
 
 }  // namespace gpar
 

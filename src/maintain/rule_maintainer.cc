@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -100,86 +99,9 @@ void Accumulate(MaintainStats* total, const MaintainStats& ps) {
   total->seconds += ps.seconds;
 }
 
-/// The labels (label(src), edge label, label(dst)) of one delta edge. Node
-/// labels never change under a `GraphDelta`.
-struct LabelTriple {
-  LabelId src;
-  LabelId edge;
-  LabelId dst;
-};
-
-/// Whether some edge of `p` carries `t`. Matching is label-exact, so a
-/// delta edge whose triple `p` lacks is never the image of a pattern edge:
-/// it can neither create nor destroy a match of `p`.
-bool UsesTriple(const Pattern& p, const LabelTriple& t) {
-  for (const PatternEdge& e : p.edges()) {
-    if (e.label == t.edge && p.node(e.src).label == t.src &&
-        p.node(e.dst).label == t.dst) {
-      return true;
-    }
-  }
-  return false;
-}
-
-constexpr uint32_t kFar = static_cast<uint32_t>(-1);
-
 bool Contains(const std::vector<NodeId>& sorted, NodeId v) {
   return std::binary_search(sorted.begin(), sorted.end(), v);
 }
-
-/// One direction of a pass's delta — the applied inserts, measured on the
-/// new graph, or the applied deletes, measured on the old one — and the
-/// distance arrays built from it so far. A pattern's array covers only the
-/// delta edges it uses; candidates share few distinct such subsets, so
-/// each array is built once per pass. Arrays reach the mining radius d,
-/// which bounds every generated rule's eval_radius().
-class DeltaReach {
- public:
-  template <typename Mutation>
-  DeltaReach(const Graph& g, std::span<const Mutation> applied, uint32_t radius)
-      : g_(g), radius_(radius) {
-    for (const Mutation& m : applied) {
-      const LabelTriple t{g.node_label(m.src), m.label, g.node_label(m.dst)};
-      edges_.push_back({m.src, m.dst, t});
-    }
-  }
-
-  /// Per node, the distance (up to the mining radius, else kFar) to the
-  /// nearest endpoint of a delta edge `p` uses; nullptr when `p` uses none.
-  const std::vector<uint32_t>* For(const Pattern& p) {
-    std::vector<uint32_t> used;
-    for (uint32_t i = 0; i < edges_.size(); ++i) {
-      if (UsesTriple(p, edges_[i].labels)) used.push_back(i);
-    }
-    if (used.empty()) return nullptr;
-    auto [it, fresh] = memo_.try_emplace(std::move(used));
-    if (fresh) {
-      std::vector<NodeId> sources;
-      for (uint32_t i : it->first) {
-        sources.push_back(edges_[i].src);
-        sources.push_back(edges_[i].dst);
-      }
-      it->second.assign(g_.num_nodes(), kFar);
-      for (const auto& [v, dist] :
-           NodesWithinRadiusOfAny(g_, sources, radius_)) {
-        it->second[v] = dist;
-      }
-    }
-    return &it->second;
-  }
-
- private:
-  struct Edge {
-    NodeId src;
-    NodeId dst;
-    LabelTriple labels;
-  };
-  const Graph& g_;
-  const uint32_t radius_;
-  std::vector<Edge> edges_;
-  /// Indices of the used delta edges -> their distance array.
-  std::map<std::vector<uint32_t>, std::vector<uint32_t>> memo_;
-};
 
 /// How one pattern's prior match set carries over a pool. With no old set
 /// every center is probed.
@@ -399,6 +321,8 @@ class EvidencePatcher : public LevelwiseEvaluator {
   const DmineOptions& options_;
   const RuleSetEvidence& prior_;
   const bool incremental_;
+  // Both reach the mining radius d, which bounds every candidate's
+  // eval_radius().
   DeltaReach lost_;    // applied deletes, on the old graph
   DeltaReach gained_;  // applied inserts, on the new graph
   /// Per node: within distance 1 of a touched endpoint (pools re-probed).

@@ -8,6 +8,7 @@
 #include "common/failpoint.h"
 #include "common/timer.h"
 #include "match/guided.h"
+#include "pattern/pattern_ops.h"
 
 namespace gpar {
 
@@ -25,6 +26,12 @@ void SetBit(std::vector<uint64_t>* words, size_t i) {
 }
 void ClearBit(std::vector<uint64_t>* words, size_t i) {
   (*words)[i >> 6] &= ~(uint64_t{1} << (i & 63));
+}
+/// Whether a cache entry still holds something worth keeping.
+bool HoldsAnything(uint8_t qclass, const std::vector<uint64_t>& known) {
+  return (qclass & kQKnown) != 0 ||
+         std::any_of(known.begin(), known.end(),
+                     [](uint64_t w) { return w != 0; });
 }
 
 }  // namespace
@@ -255,14 +262,10 @@ Status RuleServer::EnsureRows(const State& st, std::span<const NodeId> centers,
       CacheShard& sh = ShardFor(c);
       MutexLock lock(sh.mu);
       auto cit = sh.map.find(c);
-      if (cit != sh.map.end() && cit->second.known.size() != words) {
-        // Defensive: an entry written under a different rule-set geometry
-        // (a racing rule refresh) is meaningless here — treat as a miss.
-        sh.lru.erase(cit->second.lru_it);
-        sh.map.erase(cit);
-        cit = sh.map.end();
-      }
-      if (cit != sh.map.end()) {
+      // An entry stamped outside this state's window holds another rule
+      // set's indices, or memberships of a graph newer than this reader's:
+      // a miss.
+      if (cit != sh.map.end() && Answers(cit->second, st)) {
         CenterEntry& e = cit->second;
         qclass = e.qclass;
         for (uint32_t ri : selected) {
@@ -321,27 +324,23 @@ Status RuleServer::EnsureRows(const State& st, std::span<const NodeId> centers,
     }
     CacheShard& sh = ShardFor(item.center);
     MutexLock lock(sh.mu);
-    // Write back only results computed on the CURRENT epoch. A delta
-    // publishes the new epoch BEFORE its invalidation walk, so a stale
-    // reader either inserts before the walk (and gets invalidated by it)
-    // or sees the new epoch here and skips — stale memberships can never
-    // outlive the walk.
+    // Write back only results computed on the CURRENT epoch. A swap stores
+    // the new epoch BEFORE its invalidation walk, so a stale reader either
+    // inserts before the walk (and gets invalidated by it) or sees the new
+    // epoch here and skips — stale memberships can never outlive the walk.
     if (epoch_.load(std::memory_order_acquire) != st.epoch) continue;
     auto [cit, inserted] = sh.map.try_emplace(item.center);
     CenterEntry& e = cit->second;
     if (inserted) {
-      e.known.assign(words, 0);
-      e.in_q.assign(words, 0);
-      e.in_pr.assign(words, 0);
       sh.lru.push_front(item.center);
       e.lru_it = sh.lru.begin();
-    } else if (e.known.size() != words) {
-      // Same defensive geometry guard as the read side.
-      e.qclass = 0;
+    }
+    if (inserted || !Answers(e, st)) {
       e.known.assign(words, 0);
       e.in_q.assign(words, 0);
       e.in_pr.assign(words, 0);
     }
+    e.epoch = st.epoch;
     e.qclass = item.qclass_out;
     for (size_t w = 0; w < words; ++w) {
       // Probed bits overwrite (an invalidated bit may hold a stale value);
@@ -522,23 +521,18 @@ void RuleServer::SwapStateAndInvalidate(
     std::span<const EdgeInsert> applied, std::span<const EdgeDelete> deleted,
     DeltaStats* ds, std::shared_ptr<const RuleSet> new_rules) {
   const bool rules_changed = new_rules != nullptr;
-  // q-class depends only on a node's own out-edges, so its invalidation
-  // frontier is the source nodes — of inserts and deletes alike.
-  std::unordered_set<NodeId> sources;
-  for (const EdgeInsert& e : applied) sources.insert(e.src);
-  for (const EdgeDelete& e : deleted) sources.insert(e.src);
+  auto next = std::make_shared<State>();
+  next->epoch = old.epoch + 1;
+  next->graph = std::move(new_graph);
+  next->rules = rules_changed ? std::move(new_rules) : old.rules;
+  next->rules_epoch = rules_changed ? next->epoch : old.rules_epoch;
 
   // The delta-affected region (shared with the rule maintainer's evidence
   // patching) to the radius cached memberships can reach: they go stale
   // within d(R) hops. Deletions make reach non-monotone, so the helper also
   // sweeps the pre-delete graph and unions at minimum distance.
-  auto touched =
-      DeltaAffectedRegion(*old.graph, *new_graph, applied, deleted, max_d_);
-
-  auto next = std::make_shared<State>();
-  next->epoch = old.epoch + 1;
-  next->graph = std::move(new_graph);
-  next->rules = rules_changed ? std::move(new_rules) : old.rules;
+  const auto touched =
+      DeltaAffectedRegion(*old.graph, *next->graph, applied, deleted, max_d_);
 
   if (is_shard()) {
     // Inserted edges can pull new nodes into an owned center's N_d (and
@@ -593,58 +587,139 @@ void RuleServer::SwapStateAndInvalidate(
   next->plan_store = std::make_unique<SearchPlanStore>(*next->graph);
   PreparePlans(next->plan_store.get(), *next->rules);
 
-  // Publish the state, THEN the epoch, THEN invalidate: readers that
-  // slipped a stale writeback past the epoch check did so before the store
-  // below, hence before this walk, which then clears it (see EnsureRows).
-  {
-    MutexLock lock(state_mu_);
-    state_ = next;
-  }
-  // Release: pairs with the acquire load in EnsureRows — a reader that
-  // observes the new epoch also observes the fully built state above.
+  // Epoch, THEN the cache, THEN the state. Storing the epoch first stops
+  // every writeback of an older reader that has not passed its check yet;
+  // one that has, wrote before the walk below took its shard lock, so the
+  // walk sees it (see EnsureRows). Publishing the state last means no
+  // reader of the new generation can hit an entry the walk has not
+  // reached, and a reader of the old one never accepts a remapped entry —
+  // its stamp is past that reader's epoch.
   epoch_.store(next->epoch, std::memory_order_release);
+  if (rules_changed) RemapCache(old, *next, ds);
+  InvalidateTouched(old, *next, touched, applied, deleted, ds);
+  MutexLock lock(state_mu_);
+  state_ = std::move(next);
+}
 
-  if (rules_changed) {
-    // Rule indices change meaning across rule sets, so a selective walk
-    // could keep bit i of the old set alive as bit i of the new one — drop
-    // the whole cache instead. The publish-then-clear order gives the same
-    // guarantee as the selective walk: a stale writeback either landed
-    // before this clear (and dies here) or saw the new epoch and skipped.
-    for (CacheShard& sh : match_cache_) {
-      MutexLock lock(sh.mu);
-      for (const auto& [v, e] : sh.map) {
-        for (uint64_t w : e.known) {
-          ds->memberships_invalidated += std::popcount(w);
-        }
-        if ((e.qclass & kQKnown) != 0) ++ds->qclass_invalidated;
+void RuleServer::RemapCache(const State& old, const State& next,
+                            DeltaStats* ds) {
+  // Cached bits are raw P_R / antecedent memberships: a function of the
+  // pattern and the graph only. A rule of the new set carries the bits of
+  // the old rule with the same pattern (Gpar equality, indexed by
+  // StructuralHash as the maintainer matches prior evidence); bits of
+  // retired rules are dropped.
+  constexpr uint32_t kRetired = static_cast<uint32_t>(-1);
+  const std::vector<Gpar>& from = old.rules->sigma;
+  const std::vector<Gpar>& to = next.rules->sigma;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> index;
+  for (uint32_t i = 0; i < from.size(); ++i) {
+    index[StructuralHash(from[i].pr())].push_back(i);
+  }
+  std::vector<uint32_t> source(to.size(), kRetired);
+  std::vector<char> kept(from.size(), 0);
+  for (uint32_t j = 0; j < to.size(); ++j) {
+    auto it = index.find(StructuralHash(to[j].pr()));
+    if (it == index.end()) continue;
+    for (uint32_t i : it->second) {
+      if (from[i] == to[j]) {
+        source[j] = i;
+        kept[i] = 1;
+        ++ds->rules_carried;
+        break;
       }
-      sh.map.clear();
-      sh.lru.clear();
     }
-    return;
   }
 
-  const std::vector<Gpar>& sigma = next->rules->sigma;
+  const size_t words = rule_words(*next.rules);
+  for (CacheShard& sh : match_cache_) {
+    MutexLock lock(sh.mu);
+    for (auto it = sh.map.begin(); it != sh.map.end();) {
+      CenterEntry& e = it->second;
+      bool keep = Answers(e, old);
+      if (keep) {
+        std::vector<uint64_t> known(words, 0), in_q(words, 0), in_pr(words, 0);
+        for (size_t i = 0; i < from.size(); ++i) {
+          if (GetBit(e.known, i) && !kept[i]) ++ds->memberships_invalidated;
+        }
+        for (size_t j = 0; j < to.size(); ++j) {
+          const uint32_t i = source[j];
+          if (i == kRetired || !GetBit(e.known, i)) continue;
+          SetBit(&known, j);
+          if (GetBit(e.in_q, i)) SetBit(&in_q, j);
+          if (GetBit(e.in_pr, i)) SetBit(&in_pr, j);
+        }
+        e.known = std::move(known);
+        e.in_q = std::move(in_q);
+        e.in_pr = std::move(in_pr);
+        e.epoch = next.epoch;
+        keep = HoldsAnything(e.qclass, e.known);
+      }
+      if (keep) {
+        ++it;
+      } else {
+        sh.lru.erase(e.lru_it);
+        it = sh.map.erase(it);
+      }
+    }
+  }
+}
+
+void RuleServer::InvalidateTouched(
+    const State& old, const State& next,
+    std::span<const std::pair<NodeId, uint32_t>> touched,
+    std::span<const EdgeInsert> applied, std::span<const EdgeDelete> deleted,
+    DeltaStats* ds) {
+  if (touched.empty()) return;
+  // q-class depends only on the center's own q-labeled out-edges.
+  std::unordered_set<NodeId> q_sources;
+  for (const EdgeInsert& e : applied) {
+    if (e.label == q_.edge_label) q_sources.insert(e.src);
+  }
+  for (const EdgeDelete& e : deleted) {
+    if (e.label == q_.edge_label) q_sources.insert(e.src);
+  }
+
+  // Per rule and pattern, the reach of the delta edges whose label triple
+  // the pattern uses: deletes on the old graph, inserts on the new one.
+  struct Reach {
+    const std::vector<uint32_t>* lost;
+    const std::vector<uint32_t>* gained;
+    /// Whether the delta can have flipped a cached answer `member` of v.
+    bool Flips(bool member, NodeId v, uint32_t radius) const {
+      const std::vector<uint32_t>* d = member ? lost : gained;
+      return d != nullptr && (*d)[v] <= radius;
+    }
+  };
+  const std::vector<Gpar>& sigma = next.rules->sigma;
+  DeltaReach lost(*old.graph, deleted, max_d_);
+  DeltaReach gained(*next.graph, applied, max_d_);
+  std::vector<Reach> pr_reach, q_reach;
+  for (const Gpar& r : sigma) {
+    pr_reach.push_back({lost.For(r.pr()), gained.For(r.pr())});
+    q_reach.push_back({lost.For(r.x_component()), gained.For(r.x_component())});
+  }
+
   for (const auto& [v, dist] : touched) {
     CacheShard& sh = ShardFor(v);
     MutexLock lock(sh.mu);
     auto cit = sh.map.find(v);
     if (cit == sh.map.end()) continue;
     CenterEntry& e = cit->second;
+    if (!Answers(e, next)) continue;  // unreadable under `next` anyway
     for (size_t ri = 0; ri < sigma.size(); ++ri) {
-      if (dist <= sigma[ri].eval_radius() && GetBit(e.known, ri)) {
+      const uint32_t radius = sigma[ri].eval_radius();
+      if (dist > radius || !GetBit(e.known, ri)) continue;
+      if (pr_reach[ri].Flips(GetBit(e.in_pr, ri), v, radius) ||
+          q_reach[ri].Flips(GetBit(e.in_q, ri), v, radius)) {
         ClearBit(&e.known, ri);
         ++ds->memberships_invalidated;
       }
     }
-    // q-class depends only on v's own out-edges: only mutation sources move.
-    if ((e.qclass & kQKnown) != 0 && sources.count(v) > 0) {
+    if ((e.qclass & kQKnown) != 0 && q_sources.count(v) > 0) {
       e.qclass = 0;
       ++ds->qclass_invalidated;
     }
-    bool any_known = (e.qclass & kQKnown) != 0;
-    for (uint64_t w : e.known) any_known = any_known || w != 0;
-    if (!any_known) {
+    if (!HoldsAnything(e.qclass, e.known)) {
       sh.lru.erase(e.lru_it);
       sh.map.erase(cit);
     }

@@ -50,9 +50,16 @@ struct RuleServerOptions {
 ///
 /// Memberships are memoized in a lock-sharded LRU (rule, center) match
 /// cache. Edge deltas (`ApplyDelta`) publish a new immutable state
-/// snapshot (RCU style) and, by the paper's locality property (membership
-/// of v depends only on G_d(v)), invalidate only the cached memberships
-/// within d(R) hops of a touched endpoint — everything else stays warm.
+/// snapshot (RCU style) and invalidate only the cached memberships the
+/// delta can have changed — everything else stays warm. By the paper's
+/// locality property (membership of v depends only on G_d(v)) and the
+/// affected-area bound of incremental matching, a (rule, center) bit is
+/// cleared only when a delta edge whose label triple the rule's pattern
+/// uses lies within the rule's radius of the center, in the direction
+/// that can flip the cached answer: a delete for a member, an insert for
+/// a non-member (`DeltaReach`, shared with the rule maintainer). A rule
+/// refresh (a maintained top-k that moved, or `UpdateRules`) keeps the
+/// cached bits of every rule whose pattern the new set still serves.
 /// An `all_centers` query answers exactly like a fresh batch
 /// `IdentifyEntities` on the equivalent graph (the ServeEquivalence and
 /// ShardedServeEquivalence tests).
@@ -157,9 +164,12 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
     std::shared_ptr<const Graph> graph;
     /// The rule set this generation serves. Usually shared with the
     /// previous generation; a maintenance refresh (or `UpdateRules`)
-    /// publishes a new one, which also drops the whole match cache — rule
-    /// indices change meaning across rule sets.
+    /// publishes a new one, and the swap remaps cached bits to its indices
+    /// by pattern identity — rule indices change meaning across rule sets.
     std::shared_ptr<const RuleSet> rules;
+    /// The epoch that first published `rules`: cache entries stamped
+    /// before it hold another rule set's indices.
+    uint64_t rules_epoch = 0;
     /// Shard mode: sorted fragment membership + the view matchers run in.
     std::vector<NodeId> members;
     std::unique_ptr<GraphView> view;
@@ -176,13 +186,23 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   /// satisfiability is applied at read time, so a flip never invalidates).
   struct CenterEntry {
     uint8_t qclass = 0;  // bit0 known, bit1 is_q, bit2 is_qbar
+    /// The epoch the bits were last written (or remapped) at. They answer
+    /// for every later epoch until the walk clears them, by locality.
+    uint64_t epoch = 0;
     std::vector<uint64_t> known, in_q, in_pr;
     std::list<NodeId>::iterator lru_it;
   };
 
-  /// One lock shard of the match cache. Entries are epoch-agnostic (an
-  /// untouched membership is valid across deltas, by locality); writers
-  /// only insert results computed on the CURRENT epoch — see EnsureRows.
+  /// Whether `e` answers for a reader of `st`: stamped under st's rule set
+  /// (so its bit indices are st's) and not after st (so no newer graph's
+  /// memberships leak into an older reader's reply).
+  static bool Answers(const CenterEntry& e, const State& st) noexcept {
+    return e.epoch >= st.rules_epoch && e.epoch <= st.epoch;
+  }
+
+  /// One lock shard of the match cache. An untouched membership stays
+  /// valid across deltas, by locality; writers only insert results computed
+  /// on the CURRENT epoch — see EnsureRows.
   struct CacheShard {
     mutable Mutex mu;
     std::unordered_map<NodeId, CenterEntry> map GPAR_GUARDED_BY(mu);
@@ -230,13 +250,11 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   void ReleaseCtx(const State& st, std::unique_ptr<WorkerCtx> ctx) const;
 
   std::shared_ptr<const State> AcquireState() const GPAR_EXCLUDES(state_mu_);
-  /// Builds + publishes the successor state for `new_graph`, then walks
-  /// the cache invalidating what the applied inserts and deletes can have
-  /// changed. The invalidation BFS runs on the new graph and — when there
-  /// are deletes — also on `old`'s graph, unioned at minimum distance.
-  /// `new_rules` non-null publishes a refreshed rule set with the new
-  /// generation and clears the whole match cache instead of the selective
-  /// invalidation walk; null keeps `old.rules` shared.
+  /// The one publish path, for deltas, rule refreshes and shards alike:
+  /// builds the successor state for `new_graph`, stores its epoch, brings
+  /// the cache up to it — `RemapCache` when `new_rules` is non-null (null
+  /// keeps `old.rules` shared), then `InvalidateTouched` — and publishes
+  /// the state last.
   void SwapStateAndInvalidate(const State& old,
                               std::shared_ptr<const Graph> new_graph,
                               std::span<const EdgeInsert> applied,
@@ -244,6 +262,20 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
                               DeltaStats* ds,
                               std::shared_ptr<const RuleSet> new_rules =
                                   nullptr) GPAR_REQUIRES(writer_mu_);
+  /// Moves every entry readable under `old` to `next`'s rule indices by
+  /// pattern identity and stamps it `next.epoch`; drops the bits of retired
+  /// rules and the entries left empty. Counts `ds->rules_carried`.
+  void RemapCache(const State& old, const State& next, DeltaStats* ds)
+      GPAR_REQUIRES(writer_mu_);
+  /// The selective walk over the delta-affected region `touched` (node,
+  /// distance to the nearest touched endpoint): clears each cached bit the
+  /// applied mutations can have flipped (see the class comment) and each
+  /// q-class whose center gained or lost a q-labeled out-edge.
+  void InvalidateTouched(const State& old, const State& next,
+                         std::span<const std::pair<NodeId, uint32_t>> touched,
+                         std::span<const EdgeInsert> applied,
+                         std::span<const EdgeDelete> applied_deletes,
+                         DeltaStats* ds) GPAR_REQUIRES(writer_mu_);
 
   static size_t rule_words(const RuleSet& rules) noexcept {
     return (rules.sigma.size() + 63) / 64;
@@ -274,10 +306,11 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
 
   mutable Mutex state_mu_;  ///< guards the `state_` pointer only
   std::shared_ptr<const State> state_ GPAR_GUARDED_BY(state_mu_);
-  /// Epoch of the newest published state. A query writes its results back
-  /// into the cache only if this still equals its state's epoch (checked
-  /// under the cache-shard lock), so a reader that outlived a delta can
-  /// never resurrect stale memberships after the invalidation walk.
+  /// Epoch of the newest state, stored before its invalidation walk and
+  /// its publication. A query writes its results back into the cache only
+  /// if this still equals its state's epoch (checked under the cache-shard
+  /// lock), so a reader that outlived a delta can never resurrect stale
+  /// memberships after the invalidation walk.
   std::atomic<uint64_t> epoch_{0};
   /// Shard mode: sequence of the last applied batch. Retried ships of an
   /// already-applied frame are recognized here and become no-ops, so a

@@ -211,7 +211,8 @@ Status ServeSession::EnableMaintenance(const MaintainOptions& options) {
   return PublishRules(maintainer_->TopKRecords(), &ds);
 }
 
-Status ServeSession::UpdateRules(std::vector<RuleRecord> rules) {
+Status ServeSession::UpdateRules(std::vector<RuleRecord> rules,
+                                 DeltaStats* ds) {
   MutexLock writer(writer_mu_);
   if (!rules.empty()) {
     std::vector<Gpar> sigma;
@@ -226,8 +227,8 @@ Status ServeSession::UpdateRules(std::vector<RuleRecord> rules) {
   }
   // An empty set skips sigma validation on purpose: a maintained top-k can
   // die under deletes and the session keeps serving zero rules.
-  DeltaStats ds;
-  return PublishRules(std::move(rules), &ds);
+  DeltaStats local;
+  return PublishRules(std::move(rules), ds != nullptr ? ds : &local);
 }
 
 Result<bool> ServeSession::MaintainPass(const DeltaCommit& commit,

@@ -109,6 +109,10 @@ struct DeltaStats {
   /// changed the served top-k and a refreshed rule set was published with
   /// the new graph generation.
   uint64_t rules_refreshed = 0;
+  /// With `rules_refreshed`: the rules of the new set whose cached
+  /// memberships survived the refresh by pattern identity. A router sums
+  /// it over its shards.
+  uint64_t rules_carried = 0;
   double seconds = 0;
 };
 
@@ -211,9 +215,11 @@ class ServeSession {
   /// deployment admits — a router and its shards stay within the partition
   /// radius their fragments were cut for. An empty set is allowed: a
   /// maintained top-k can die under deletes and the session must keep
-  /// serving (zero rules match nothing). Drops the whole match cache, since
-  /// rule indices change meaning.
-  Status UpdateRules(std::vector<RuleRecord> rules) GPAR_EXCLUDES(writer_mu_);
+  /// serving (zero rules match nothing). Cached memberships of the rules
+  /// the new set keeps survive; `ds`, when non-null, receives the refresh's
+  /// counts (`rules_refreshed`, `rules_carried`, `memberships_invalidated`).
+  Status UpdateRules(std::vector<RuleRecord> rules, DeltaStats* ds = nullptr)
+      GPAR_EXCLUDES(writer_mu_);
 
   /// The current graph snapshot. Holding the returned pointer keeps that
   /// version alive across subsequent deltas.

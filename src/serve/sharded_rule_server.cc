@@ -446,8 +446,11 @@ Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> rules,
   ds->rules_refreshed = 1;
   Status first_failure = Status::OK();
   for (auto& shard : shards_) {
-    Status st = shard->UpdateRules(*shared);
+    DeltaStats shard_ds;
+    Status st = shard->UpdateRules(*shared, &shard_ds);
     if (!st.ok() && first_failure.ok()) first_failure = std::move(st);
+    ds->rules_carried += shard_ds.rules_carried;
+    ds->memberships_invalidated += shard_ds.memberships_invalidated;
   }
   return first_failure;
 }

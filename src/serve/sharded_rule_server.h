@@ -156,7 +156,8 @@ class ShardedRuleServer
   /// `degrade_on_shard_failure` for what a failed ship publishes.
   Status PublishDelta(DeltaCommit* commit) override GPAR_REQUIRES(writer_mu_);
   /// When `rules` differ from the served set: publishes them
-  /// router-side, sets `ds->rules_refreshed`, and pushes them to every shard.
+  /// router-side, sets `ds->rules_refreshed`, and pushes them to every shard
+  /// (summing the shards' `rules_carried` and dropped memberships into `ds`).
   /// Push failures leave those shards on the previous set (the next
   /// refresh retries — the compare is against the router's records); the
   /// first one is returned. A rule refresh is atomic per shard but briefly

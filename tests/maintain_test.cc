@@ -905,5 +905,195 @@ TEST(MaintainServeTest, ConcurrentMaintainAndQuery) {
   EXPECT_EQ(s.rules(), DmineRecords(*s.graph_snapshot(), q, mopt.mine));
 }
 
+// ---------------------------------------------------------------------------
+// The match cache across maintained rule refreshes.
+// ---------------------------------------------------------------------------
+
+SessionRequest AllCenters() {
+  SessionRequest all;
+  all.all_centers = true;
+  all.eta = 1.0;
+  return all;
+}
+
+/// Field-for-field equality of two all-centers replies.
+bool SameAnswer(const SessionReply& a, const SessionReply& b) {
+  if (a.matched != b.matched || a.entities != b.entities ||
+      a.supp_q != b.supp_q || a.supp_qbar != b.supp_qbar ||
+      a.rule_evals.size() != b.rule_evals.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.rule_evals.size(); ++i) {
+    if (a.rule_evals[i].supp_r != b.rule_evals[i].supp_r ||
+        a.rule_evals[i].supp_qqbar != b.rule_evals[i].supp_qqbar ||
+        a.rule_evals[i].conf != b.rule_evals[i].conf) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The all-centers answer of a server built from scratch on `g` with
+/// `rules` (non-empty).
+SessionReply FreshAnswer(const Graph& g, const std::vector<RuleRecord>& rules) {
+  RuleServerOptions opt;
+  opt.num_workers = 2;
+  auto fresh = RuleServer::Create(g, rules, opt);
+  EXPECT_TRUE(fresh.ok()) << fresh.status();
+  if (!fresh.ok()) return {};
+  auto reply = (*fresh)->Query(AllCenters());
+  EXPECT_TRUE(reply.ok()) << reply.status();
+  return reply.ok() ? std::move(reply).value() : SessionReply{};
+}
+
+/// Maintained serving with supports that move on every batch (churn on the
+/// q edge label): every all-centers reply equals a fresh server's on the
+/// patched graph with the served rules, and a refresh that carried rules
+/// keeps answering them from the cache.
+void CheckMaintainedCache(ServeSession& s, const Graph& g, const Predicate& q,
+                          uint64_t seed) {
+  ASSERT_TRUE(s.Query(AllCenters()).ok());  // warm
+  Graph reference = g;
+  size_t carried_refreshes = 0;
+  for (size_t b = 0; b < 6; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    GraphDelta d = MakeChurn(reference, q.edge_label, seed * 101 + b, 6);
+    d.sequence = b + 1;
+    auto ref = PatchGraph(reference, d);
+    ASSERT_TRUE(ref.ok());
+    reference = std::move(ref)->graph;
+    auto ds = s.ApplyDelta(d);
+    ASSERT_TRUE(ds.ok()) << ds.status();
+
+    auto reply = s.Query(AllCenters());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    const std::vector<RuleRecord> served = s.rules();
+    if (served.empty()) {
+      EXPECT_TRUE(reply->rule_evals.empty());
+    } else {
+      EXPECT_TRUE(SameAnswer(*reply, FreshAnswer(reference, served)));
+    }
+    if (ds->rules_refreshed != 0 && ds->rules_carried > 0) {
+      ++carried_refreshes;
+      EXPECT_GT(reply->stats.cache_hits, 0u);
+    }
+  }
+  // The stream must exercise the remap, or the battery proves nothing.
+  EXPECT_GT(carried_refreshes, 0u);
+}
+
+class MaintainedCacheEquivalence : public ::testing::TestWithParam<uint64_t> {
+};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MaintainedCacheEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST_P(MaintainedCacheEquivalence, SingleServer) {
+  Graph g = MakeSynthetic(300, 900, 10, GetParam());
+  Predicate q = PickQ(g);
+  RuleServerOptions sopt;
+  sopt.num_workers = 2;
+  auto server =
+      RuleServer::Create(g, DmineRecords(g, q, SmallMaintain().mine), sopt);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->EnableMaintenance(SmallMaintain()).ok());
+  CheckMaintainedCache(**server, g, q, GetParam());
+}
+
+TEST_P(MaintainedCacheEquivalence, ShardedServer) {
+  Graph g = MakeSynthetic(300, 900, 10, GetParam());
+  Predicate q = PickQ(g);
+  MaintainOptions mopt = SmallMaintain();
+  const std::vector<RuleRecord> records = DmineRecords(g, q, mopt.mine);
+  ASSERT_FALSE(records.empty());
+  ShardedRuleServerOptions shopt;
+  shopt.num_shards = 2;
+  shopt.shard_options.num_workers = 2;
+  auto sharded = ShardedRuleServer::Create(g, records, shopt);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  // The fragments are cut for the loaded rules' radius, which bounds the
+  // maintained one.
+  mopt.mine.d = 1;
+  for (const RuleRecord& r : records) {
+    mopt.mine.d = std::max(mopt.mine.d, r.rule.eval_radius());
+  }
+  ASSERT_TRUE((*sharded)->EnableMaintenance(mopt).ok());
+  CheckMaintainedCache(**sharded, g, q, GetParam());
+}
+
+// One writer applies maintained batches (most refresh the rule set) while
+// two readers query all centers. Each reply must be the fresh answer at ONE
+// generation of the stream — never a mix of two graphs, nor bits of one
+// rule set read as another's. Run under TSan by the CI regex.
+TEST(MaintainServeTest, ConcurrentRepliesMatchOneGeneration) {
+  Graph g = MakeSynthetic(300, 900, 10, 51);
+  Predicate q = PickQ(g);
+  MaintainOptions mopt = SmallMaintain();
+  constexpr size_t kBatches = 4;
+
+  // The deterministic stream and the fresh answer at each generation (the
+  // maintained rules at a generation are DMine's on its graph).
+  std::vector<GraphDelta> stream;
+  std::vector<SessionReply> generations;
+  Graph reference = g;
+  for (size_t b = 0; b <= kBatches; ++b) {
+    const std::vector<RuleRecord> rules = DmineRecords(reference, q, mopt.mine);
+    ASSERT_FALSE(rules.empty()) << "generation " << b;
+    generations.push_back(FreshAnswer(reference, rules));
+    if (b == kBatches) break;
+    GraphDelta d = MakeChurn(reference, q.edge_label, 130 + b, 15);
+    d.sequence = b + 1;
+    auto ref = PatchGraph(reference, d);
+    ASSERT_TRUE(ref.ok());
+    reference = std::move(ref)->graph;
+    stream.push_back(std::move(d));
+  }
+
+  RuleServerOptions sopt;
+  sopt.num_workers = 2;
+  auto server = RuleServer::Create(g, DmineRecords(g, q, mopt.mine), sopt);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->EnableMaintenance(mopt).ok());
+  RuleServer& s = **server;
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> mixed{0};
+  std::atomic<int> checked{0};
+  std::thread writer([&] {
+    for (const GraphDelta& d : stream) {
+      if (!s.ApplyDelta(d).ok()) ++failures;
+    }
+    stop.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      // At least a few replies per reader, however fast the writer is.
+      for (int n = 0; n < 3 || !stop.load(std::memory_order_acquire); ++n) {
+        auto r = s.Query(AllCenters());
+        if (!r.ok()) {
+          ++failures;
+          break;
+        }
+        ++checked;
+        if (std::none_of(generations.begin(), generations.end(),
+                         [&](const SessionReply& want) {
+                           return SameAnswer(*r, want);
+                         })) {
+          ++mixed;
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mixed.load(), 0) << "of " << checked.load() << " replies";
+  auto last = s.Query(AllCenters());
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(SameAnswer(*last, generations.back()));
+}
+
 }  // namespace
 }  // namespace gpar

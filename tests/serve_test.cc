@@ -567,6 +567,41 @@ TEST(RuleServerTest, RuleSubsetRequestsProbeOnlySelected) {
   }
 }
 
+/// A rule refresh remaps cached bits by pattern identity: the carried rules
+/// (reordered) answer from the cache, only the new rule is probed, the
+/// retired rule's bits are dropped, and the answers equal a fresh server's.
+TEST(RuleServerTest, RuleRefreshRemapsCachedBitsByPattern) {
+  Workload w = MakeWorkload(0);
+  ASSERT_GE(w.records.size(), 5u);
+  const std::vector<RuleRecord> before(w.records.begin(),
+                                       w.records.begin() + 4);
+  // Rules 1-3 reversed, rule 0 retired, rule 4 new.
+  const std::vector<RuleRecord> after = {w.records[3], w.records[2],
+                                         w.records[1], w.records[4]};
+  auto server = RuleServer::Create(w.graph, before);
+  ASSERT_TRUE(server.ok()) << server.status();
+  RuleServer& s = **server;
+  ASSERT_TRUE(s.Query(AllRequest(0.5)).ok());  // every center fully cached
+
+  DeltaStats ds;
+  ASSERT_TRUE(s.UpdateRules(after, &ds).ok());
+  EXPECT_EQ(ds.rules_refreshed, 1u);
+  EXPECT_EQ(ds.rules_carried, 3u);
+
+  const size_t centers = s.candidates().size();
+  auto reply = s.Query(AllRequest(0.5));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->stats.cache_probes, centers);
+  EXPECT_EQ(reply->stats.cache_hits, 3 * centers);
+
+  auto fresh = RuleServer::Create(w.graph, after);
+  ASSERT_TRUE(fresh.ok());
+  auto want = (*fresh)->Query(AllRequest(0.5));
+  ASSERT_TRUE(want.ok());
+  ExpectSameAnswer(*reply, *want, "remapped vs fresh server");
+  EXPECT_EQ(reply->matched, want->matched);
+}
+
 TEST(RuleServerTest, RequireConsequentSemantics) {
   Workload w = MakeWorkload(2);
   auto server = RuleServer::Create(w.graph, w.records);

@@ -619,9 +619,14 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
             static_cast<unsigned long long>(ds->wire_bytes),
             ds->seconds * 1e3);
         if (ds->rules_refreshed != 0) {
+          // A router sums rules_carried over its shards, each serving the
+          // whole set.
+          const size_t served = session->rules().size();
           std::printf("  maintenance refreshed the served rule set "
-                      "(%zu rules)\n",
-                      session->rules().size());
+                      "(%zu rules): %llu of %zu rules kept their cache\n",
+                      served,
+                      static_cast<unsigned long long>(ds->rules_carried),
+                      served * (sharded != nullptr ? sharded->num_shards() : 1));
         }
         break;
       }
