@@ -8,8 +8,9 @@
 //               radius of an old non-member, or the center changed q / ~q
 //               pool. Every other pool membership and match set is carried
 //               from the previous pass's evidence.
-//   remine:     a fresh RuleMaintainer::Seed on the post-batch graph — every
-//               pool center probed from scratch, i.e. a sequential re-mine.
+//   remine:     a fresh RuleMaintainer::Seed on the post-batch graph — one
+//               BSP Dmine run with its evidence captured, every membership
+//               probed from scratch.
 //
 // Both must produce byte-identical top-k supports/confidences every batch
 // (the MaintainEquivalence invariant; a mismatch fails the bench), and

@@ -99,12 +99,32 @@ void Accumulate(MaintainStats* total, const MaintainStats& ps) {
   total->seconds += ps.seconds;
 }
 
+/// Sets the evidence byte gauges of `ps` from `ev`: raw center lists vs
+/// deltas against the pools each set was probed from (the parent entry's
+/// sets, or the round-0 pools for roots).
+void CountEvidenceBytes(const RuleSetEvidence& ev, MaintainStats* ps) {
+  ps->evidence_bytes_full = 0;
+  ps->evidence_bytes_delta = 0;
+  for (const EvidenceEntry& e : ev.entries) {
+    const bool root = e.parent == kEvidenceRoot;
+    const size_t pr_pool =
+        root ? ev.q_pool.size() : ev.entries[e.parent].pr_matches.size();
+    const size_t ant_pool =
+        root ? ev.qbar_pool.size() : ev.entries[e.parent].ant_matches.size();
+    ps->evidence_bytes_full += FullEncodedBytes(e.pr_matches.size()) +
+                               FullEncodedBytes(e.ant_matches.size());
+    ps->evidence_bytes_delta +=
+        DeltaEncodedBytes(e.pr_matches.size(), pr_pool) +
+        DeltaEncodedBytes(e.ant_matches.size(), ant_pool);
+  }
+}
+
 bool Contains(const std::vector<NodeId>& sorted, NodeId v) {
   return std::binary_search(sorted.begin(), sorted.end(), v);
 }
 
 /// How one pattern's prior match set carries over a pool. With no old set
-/// every center is probed.
+/// (a pattern the prior pass never evaluated) every center is probed.
 struct Carry {
   const std::vector<NodeId>* old_set = nullptr;
   const std::vector<uint32_t>* lost = nullptr;    ///< deleted-edge reach
@@ -115,12 +135,11 @@ struct Carry {
 /// graph, with evidence patching. A membership is carried from the prior
 /// pass's evidence unless the delta can have changed it (see
 /// `RuleMaintainer` for the three rules and why they are sound), so
-/// supports are exactly the full-probe values. With `old_graph == nullptr`
-/// every membership is probed (the seed pass). Every evaluated candidate,
+/// supports are exactly the full-probe values. Every evaluated candidate,
 /// sub-sigma ones included, leaves an entry in `next`.
 class EvidencePatcher : public LevelwiseEvaluator {
  public:
-  EvidencePatcher(const RuleMaintainer& m, const Graph* old_graph,
+  EvidencePatcher(const RuleMaintainer& m, const Graph& old_graph,
                   std::span<const EdgeInsert> inserts,
                   std::span<const EdgeDelete> deletes, RuleSetEvidence* next,
                   MaintainStats* ps)
@@ -128,19 +147,17 @@ class EvidencePatcher : public LevelwiseEvaluator {
         q_(m.predicate()),
         options_(m.options().mine),
         prior_(m.evidence()),
-        incremental_(old_graph != nullptr),
-        lost_(incremental_ ? *old_graph : g_, deletes, options_.d),
+        lost_(old_graph, deletes, options_.d),
         gained_(g_, inserts, options_.d),
         flipped_(g_.num_nodes(), 0),
         next_(*next),
         ps_(*ps),
         matcher_(g_) {
-    if (!incremental_) return;  // nothing will be carried
     for (uint32_t i = 0; i < prior_.entries.size(); ++i) {
       index_[StructuralHash(prior_.entries[i].rule.pr())].push_back(i);
     }
     const auto region =
-        DeltaAffectedRegion(*old_graph, g_, inserts, deletes, options_.d);
+        DeltaAffectedRegion(old_graph, g_, inserts, deletes, options_.d);
     ps_.affected_nodes = region.size();
     pool_frontier_.assign(g_.num_nodes(), 0);
     for (const auto& [v, dist] : region) pool_frontier_[v] = dist <= 1;
@@ -157,12 +174,12 @@ class EvidencePatcher : public LevelwiseEvaluator {
       const bool was_q = Contains(prior_.q_pool, c);
       const bool was_qbar = !was_q && Contains(prior_.qbar_pool, c);
       bool in_q = was_q, in_qbar = was_qbar;
-      if (!incremental_ || pool_frontier_[c]) {
+      if (pool_frontier_[c]) {
         ++ps_.centers_reprobed;
         ++ps_.exists_calls;
         in_q = matcher_.ExistsAt(pq, c);
         in_qbar = !in_q && g_.HasOutLabel(c, q_.edge_label);
-        flipped_[c] = incremental_ && (in_q != was_q || in_qbar != was_qbar);
+        flipped_[c] = in_q != was_q || in_qbar != was_qbar;
       } else {
         ++ps_.centers_carried;
       }
@@ -215,14 +232,12 @@ class EvidencePatcher : public LevelwiseEvaluator {
       // new seed, shifted lineage — has none and is re-expanded over its
       // pool, which its parent has already narrowed).
       const EvidenceEntry* old_ev = nullptr;
-      if (incremental_) {
-        auto it = index_.find(StructuralHash(r.pr()));
-        if (it != index_.end()) {
-          for (uint32_t ei : it->second) {
-            if (prior_.entries[ei].rule == r) {
-              old_ev = &prior_.entries[ei];
-              break;
-            }
+      auto it = index_.find(StructuralHash(r.pr()));
+      if (it != index_.end()) {
+        for (uint32_t ei : it->second) {
+          if (prior_.entries[ei].rule == r) {
+            old_ev = &prior_.entries[ei];
+            break;
           }
         }
       }
@@ -262,13 +277,6 @@ class EvidencePatcher : public LevelwiseEvaluator {
         if (was_in && !now_in) ++ps_.sigma_crossed_down;
       }
 
-      // Persisted size: raw lists vs deltas against the pools they were
-      // probed from (the parent's sets, or the round-0 pools).
-      ps_.evidence_bytes_full += FullEncodedBytes(ent.pr_matches.size()) +
-                                 FullEncodedBytes(ent.ant_matches.size());
-      ps_.evidence_bytes_delta +=
-          DeltaEncodedBytes(ent.pr_matches.size(), pr_pool.size()) +
-          DeltaEncodedBytes(ent.ant_matches.size(), ant_pool.size());
       entry_of_[rule.get()] = static_cast<uint32_t>(next_.entries.size());
       next_.entries.push_back(std::move(ent));
       rules.push_back(std::move(rule));
@@ -320,7 +328,6 @@ class EvidencePatcher : public LevelwiseEvaluator {
   const Predicate& q_;
   const DmineOptions& options_;
   const RuleSetEvidence& prior_;
-  const bool incremental_;
   // Both reach the mining radius d, which bounds every candidate's
   // eval_radius().
   DeltaReach lost_;    // applied deletes, on the old graph
@@ -350,7 +357,7 @@ RuleMaintainer::RuleMaintainer(std::shared_ptr<const Graph> g,
 Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(
     std::shared_ptr<const Graph> g, const Predicate& q,
     const MaintainOptions& options) {
-  GPAR_RETURN_NOT_OK(ValidateMiningOptions(options.mine));
+  const auto t0 = std::chrono::steady_clock::now();
   if (g == nullptr) return Status::InvalidArgument("null graph");
   if (q.x_label >= g->labels().size() || q.edge_label >= g->labels().size() ||
       q.y_label >= g->labels().size()) {
@@ -359,8 +366,21 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(
   }
   std::unique_ptr<RuleMaintainer> m(
       new RuleMaintainer(std::move(g), q, options));
+  GPAR_ASSIGN_OR_RETURN(DmineResult r,
+                        Dmine(*m->graph_, q, options.mine, &m->evidence_));
+  m->topk_ = std::move(r.topk);
+  m->objective_ = r.objective;
+  // Every worker probe computes a membership from scratch, and every
+  // candidate is expanded over its full parent-restricted pool.
   MaintainStats ps;
-  GPAR_RETURN_NOT_OK(m->RefreshPass(nullptr, {}, {}, &ps));
+  ps.passes = 1;
+  ps.centers_reprobed = r.stats.exists_calls;
+  ps.exists_calls = r.stats.exists_calls + r.stats.global_exists_calls;
+  ps.candidates_evaluated = r.stats.candidates_verified;
+  ps.rules_reexpanded = r.stats.candidates_verified;
+  ps.rules_accepted = r.stats.accepted;
+  CountEvidenceBytes(m->evidence_, &ps);
+  ps.seconds = SecondsSince(t0);
   Accumulate(&m->lifetime_, ps);
   return m;
 }
@@ -391,12 +411,12 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
   // only (no pool probes) when the evidence matches the graph — and a
   // sound (if slow) re-expansion when it does not.
   MaintainStats ps;
-  GPAR_RETURN_NOT_OK(m->RefreshPass(m->graph_.get(), {}, {}, &ps));
+  GPAR_RETURN_NOT_OK(m->RefreshPass(*m->graph_, {}, {}, &ps));
   Accumulate(&m->lifetime_, ps);
   return m;
 }
 
-Status RuleMaintainer::RefreshPass(const Graph* old_graph,
+Status RuleMaintainer::RefreshPass(const Graph& old_graph,
                                    std::span<const EdgeInsert> inserts,
                                    std::span<const EdgeDelete> deletes,
                                    MaintainStats* ps) {
@@ -407,12 +427,13 @@ Status RuleMaintainer::RefreshPass(const Graph* old_graph,
   next.setup = evidence_.setup;
   EvidencePatcher patcher(*this, old_graph, inserts, deletes, &next, ps);
   DmineStats ds;
-  LevelwiseResult lw = RunLevelwise(*graph_, q_, options_.mine, patcher, &ds);
+  DiversifiedTopK top = RunLevelwise(*graph_, q_, options_.mine, patcher, &ds);
   ps->candidates_evaluated += ds.candidates_verified;
   ps->rules_accepted += ds.accepted;
-  ps->exists_calls += lw.global_exists_calls;
-  topk_ = std::move(lw.top.topk);
-  objective_ = lw.top.objective;
+  ps->exists_calls += ds.global_exists_calls;
+  topk_ = std::move(top.topk);
+  objective_ = top.objective;
+  CountEvidenceBytes(next, ps);
   // With an empty pool the driver stops before round 1, so `next` holds
   // only the pools: stale entries never survive to be patched against a
   // graph they no longer describe.
@@ -431,7 +452,7 @@ Result<MaintainStats> RuleMaintainer::Advance(
   ps.edges_deleted = applied_deletes.size();
   graph_ = std::move(new_graph);
 
-  GPAR_RETURN_NOT_OK(RefreshPass(&old_graph, applied, applied_deletes, &ps));
+  GPAR_RETURN_NOT_OK(RefreshPass(old_graph, applied, applied_deletes, &ps));
   Accumulate(&lifetime_, ps);
   return ps;
 }

@@ -19,14 +19,13 @@ namespace gpar {
 
 /// Options for `RuleMaintainer`.
 struct MaintainOptions {
-  /// The mining parameters the maintained rule set is defined by. Every
-  /// refresh pass runs DMine's levelwise driver (`RunLevelwise`) under
-  /// these exact parameters (the maintained output is DEFINED as what
-  /// `Dmine` would return on the current graph), so they are fixed at
-  /// construction and persisted with the evidence. They must pass
-  /// `ValidateMiningOptions`. `num_workers` is irrelevant here — DMine
-  /// results are worker-count-independent and the maintainer evaluates
-  /// sequentially.
+  /// The mining parameters the maintained rule set is defined by. The seed
+  /// is one `Dmine` run and every refresh pass runs DMine's levelwise
+  /// driver (`RunLevelwise`) under these exact parameters (the maintained
+  /// output is DEFINED as what `Dmine` would return on the current graph),
+  /// so they are fixed at construction and persisted with the evidence.
+  /// They must pass `ValidateMiningOptions`. `num_workers` sets the seed's
+  /// BSP worker count; results do not depend on it.
   DmineOptions mine;
 };
 
@@ -46,7 +45,8 @@ struct MaintainStats {
   /// flipped this pass, and those within the rule's radius of a delta edge
   /// whose label triple the pattern uses and whose direction can change
   /// the old answer (a delete for an old member, an insert for an old
-  /// non-member). In the seed pass, every membership.
+  /// non-member). In the seed, every membership DMine's workers probed
+  /// (its `DmineStats::exists_calls`).
   uint64_t centers_reprobed = 0;
   /// Memberships reused from evidence. `centers_reprobed + centers_carried`
   /// equals the `centers_reprobed` of a fresh `Seed` on the post-delta
@@ -96,10 +96,12 @@ Status UnpackMiningFlags(uint32_t flags, DmineOptions* o);
 /// The maintained invariant: after every pass, `topk()`/`objective()` (and
 /// the supports/confidences of every rule in Σ) equal what
 /// `Dmine(current graph, q, options.mine)` would return, byte-for-byte.
-/// Each pass runs DMine's levelwise driver (`RunLevelwise`: seed alphabet,
-/// candidate generation, automorphism dedup, incDiv, reduction rules) with
-/// sequential candidate generation and, in place of DMine's fragment
-/// workers, evidence patching for the expensive part, match evaluation.
+/// The seed is that `Dmine` run, with its match evidence captured. Each
+/// later pass runs DMine's levelwise driver (`RunLevelwise`: seed
+/// alphabet, candidate generation, automorphism dedup, incDiv, reduction
+/// rules) with sequential candidate generation and, in place of DMine's
+/// fragment workers, evidence patching for the expensive part, match
+/// evaluation.
 /// A center's membership in a pattern P (P_R or the antecedent's
 /// x-component) is carried from the previous pass's evidence unless one of
 /// three rules asks for a probe:
@@ -138,9 +140,10 @@ Status UnpackMiningFlags(uint32_t flags, DmineOptions* o);
 /// their writer lock).
 class RuleMaintainer {
  public:
-  /// Seeds a maintainer by running one full discovery pass on `g` — the
-  /// result is identical to `Dmine(g, q, options.mine)`, and the pass's
-  /// match evidence becomes the baseline later deltas patch.
+  /// Seeds a maintainer with one `Dmine(g, q, options.mine)` run: its
+  /// top-k and objective are adopted as they are, and the match evidence
+  /// it captures becomes the baseline later deltas patch. Errors are
+  /// Dmine's (InvalidArgument for zero workers or bad mining parameters).
   static Result<std::unique_ptr<RuleMaintainer>> Seed(
       std::shared_ptr<const Graph> g, const Predicate& q,
       const MaintainOptions& options = {});
@@ -202,9 +205,8 @@ class RuleMaintainer {
                  const MaintainOptions& options);
 
   /// One maintenance pass on the current graph, which is `old_graph` with
-  /// `inserts` and `deletes` applied. `old_graph == nullptr` probes every
-  /// membership (the seed pass).
-  Status RefreshPass(const Graph* old_graph,
+  /// `inserts` and `deletes` applied.
+  Status RefreshPass(const Graph& old_graph,
                      std::span<const EdgeInsert> inserts,
                      std::span<const EdgeDelete> deletes, MaintainStats* ps);
 

@@ -124,6 +124,12 @@ struct LocalStats {
   MatchSetDelta ant_delta;
 };
 
+// Appends the global ids of a fragment's local center indices to `out`.
+void AppendGlobal(std::span<const uint32_t> local, const Fragment& frag,
+                  std::vector<NodeId>* out) {
+  for (uint32_t c : local) out->push_back(frag.centers[c]);
+}
+
 // Serialized size of one shipped lineage delta (u8 mode + u32 count +
 // count x u32 — the PutMatchSetDelta wire form).
 uint64_t DeltaWireBytes(const MatchSetDelta& d) {
@@ -132,14 +138,16 @@ uint64_t DeltaWireBytes(const MatchSetDelta& d) {
 
 /// DMine's evaluation strategy: BSP fragment workers propose candidates
 /// and count local supports; coordinator sections merge proposals and
-/// assemble the per-fragment counts and lineage.
+/// assemble the per-fragment counts and lineage. With an `evidence`
+/// output, the coordinator also records the global pools and every
+/// candidate's match sets.
 class FragmentEvaluator : public LevelwiseEvaluator {
  public:
   FragmentEvaluator(BspRuntime* bsp, const Partitioning& parts,
                     const Predicate& q, const DmineOptions& options,
-                    DmineStats* stats)
+                    DmineStats* stats, RuleSetEvidence* evidence)
       : bsp_(*bsp), q_(q), options_(options), stats_(*stats),
-        workers_(options.num_workers) {
+        evidence_(evidence), workers_(options.num_workers) {
     for (uint32_t i = 0; i < options.num_workers; ++i) {
       workers_[i].frag = &parts.fragments[i];
     }
@@ -169,6 +177,16 @@ class FragmentEvaluator : public LevelwiseEvaluator {
     for (const WorkerState& w : workers_) {
       pools.supp_q += w.q_centers.size();
       pools.supp_qbar += w.qbar_centers.size();
+    }
+    if (evidence_ != nullptr) {
+      bsp_.RunCoordinator([&] {
+        for (const WorkerState& w : workers_) {
+          AppendGlobal(w.q_centers, *w.frag, &evidence_->q_pool);
+          AppendGlobal(w.qbar_centers, *w.frag, &evidence_->qbar_pool);
+        }
+        std::sort(evidence_->q_pool.begin(), evidence_->q_pool.end());
+        std::sort(evidence_->qbar_pool.begin(), evidence_->qbar_pool.end());
+      });
     }
     return pools;
   }
@@ -338,6 +356,17 @@ class FragmentEvaluator : public LevelwiseEvaluator {
     // --- Coordinator: sum the local counts and decode the lineage.
     std::vector<std::shared_ptr<MinedRule>> rules(candidates.size());
     bsp_.RunCoordinator([&] {
+      // Each parent's evidence entry. All keys of `entry_of_` belong to
+      // rules of one round, alive together when inserted, so a live
+      // parent's lookup cannot alias another rule.
+      std::vector<uint32_t> parent_entry;
+      if (evidence_ != nullptr) {
+        parent_entry.reserve(parents.size());
+        for (const auto& p : parents) {
+          parent_entry.push_back(entry_of_.at(p.get()));
+        }
+        entry_of_.clear();
+      }
       for (size_t ci = 0; ci < candidates.size(); ++ci) {
         auto rule = std::make_shared<MinedRule>();
         rule->rule = candidates[ci];
@@ -359,6 +388,22 @@ class FragmentEvaluator : public LevelwiseEvaluator {
               DecodeMatchSet(ls.ant_delta, ant_pool(parent, i)).value();
         }
         std::sort(rule->matches.begin(), rule->matches.end());
+        if (evidence_ != nullptr) {
+          EvidenceEntry ent;
+          ent.rule = candidates[ci];
+          ent.parent = parent == nullptr ? kEvidenceRoot
+                                         : parent_entry[cand_parent[ci]];
+          ent.ant_probed = other_ok[ci] != 0;
+          ent.pr_matches = rule->matches;
+          for (uint32_t i = 0; i < n; ++i) {
+            AppendGlobal(rule->frag_ant_centers[i], *workers_[i].frag,
+                         &ent.ant_matches);
+          }
+          std::sort(ent.ant_matches.begin(), ent.ant_matches.end());
+          entry_of_[rule.get()] =
+              static_cast<uint32_t>(evidence_->entries.size());
+          evidence_->entries.push_back(std::move(ent));
+        }
         rules[ci] = std::move(rule);
       }
     });
@@ -381,7 +426,10 @@ class FragmentEvaluator : public LevelwiseEvaluator {
   const Predicate& q_;
   const DmineOptions& options_;
   DmineStats& stats_;
+  RuleSetEvidence* evidence_;
   std::vector<WorkerState> workers_;
+  /// Evidence entry index of each rule the last `Evaluate` produced.
+  std::unordered_map<const MinedRule*, uint32_t> entry_of_;
 };
 
 }  // namespace
@@ -472,7 +520,8 @@ std::vector<size_t> DedupCandidates(
 }
 
 Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
-                          const DmineOptions& options) {
+                          const DmineOptions& options,
+                          RuleSetEvidence* evidence) {
   if (options.num_workers == 0) {
     return Status::InvalidArgument("num_workers must be positive");
   }
@@ -486,11 +535,16 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
       Partitioning parts,
       PartitionGraph(g, centers, {options.num_workers, options.d}));
 
-  FragmentEvaluator ev(&bsp, parts, q, options, &result.stats);
-  LevelwiseResult lw = RunLevelwise(g, q, options, ev, &result.stats);
+  if (evidence != nullptr) {
+    evidence->q_pool.clear();
+    evidence->qbar_pool.clear();
+    evidence->entries.clear();
+  }
+  FragmentEvaluator ev(&bsp, parts, q, options, &result.stats, evidence);
+  DiversifiedTopK top = RunLevelwise(g, q, options, ev, &result.stats);
   ev.FinishStats();
-  result.topk = std::move(lw.top.topk);
-  result.objective = lw.top.objective;
+  result.topk = std::move(top.topk);
+  result.objective = top.objective;
   result.times = bsp.FinishTiming();
   return result;
 }

@@ -12,6 +12,7 @@
 #include "mine/mined_rule.h"
 #include "parallel/bsp.h"
 #include "rule/gpar.h"
+#include "rule/rule_evidence.h"
 
 namespace gpar {
 
@@ -50,6 +51,9 @@ struct DmineStats {
   uint64_t iso_tests = 0;
   /// Worker-loop ExistsAt probes (both the P_R and the x-component side).
   uint64_t exists_calls = 0;
+  /// Probes of the coordinator's whole-graph check of antecedent
+  /// components without x (not part of `exists_calls`).
+  uint64_t global_exists_calls = 0;
   /// Centers the workers never probed because the candidate's parent rule
   /// did not match there (0 when every candidate is a round-1 extension of
   /// the bare predicate, probed over the whole seed pool).
@@ -119,11 +123,18 @@ struct DmineResult {
 /// Because every extendable parent survives in at least one fragment and
 /// its owner enumerates the full deterministic extension set, the merged,
 /// ordered candidate stream is byte-identical to the sequential generator's
-/// (`RuleMaintainer::Seed`) — generation cost sits in the round makespan,
-/// not in `coordinator_seconds`, and no result changes (pools, supports,
-/// confidences, diversified top-k).
+/// (the tests' levelwise oracle, tests/seed_oracle.h) — generation cost
+/// sits in the round makespan, not in `coordinator_seconds`, and no result
+/// changes (pools, supports, confidences, diversified top-k).
+///
+/// A non-null `evidence` receives the run's match evidence, the baseline
+/// `RuleMaintainer` patches: the sorted global q / ~q pools and one entry
+/// per evaluated candidate, sub-sigma ones included, in evaluation order.
+/// Its `setup` is left to the caller. Capture reads what the coordinator
+/// already assembles and adds no probe.
 Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
-                          const DmineOptions& options = {});
+                          const DmineOptions& options = {},
+                          RuleSetEvidence* evidence = nullptr);
 
 /// Parent index carried by round-1 proposals: extensions of the bare
 /// predicate q(x, y), which has no MinedRule parent. Sorts after all real

@@ -67,10 +67,10 @@ void ReleaseLineage(MinedRule* r) {
 
 }  // namespace
 
-LevelwiseResult RunLevelwise(const Graph& g, const Predicate& q,
+DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
                              const DmineOptions& options,
                              LevelwiseEvaluator& ev, DmineStats* stats) {
-  LevelwiseResult out;
+  DiversifiedTopK out;
   // The coordinator plans each pattern once; every matcher reads the store.
   SearchPlanStore plans(g);
   const Pattern pq = q.ToPattern();
@@ -137,7 +137,7 @@ LevelwiseResult RunLevelwise(const Graph& g, const Predicate& q,
       other_ok.assign(candidates.size(), 1);
       for (size_t ci = 0; ci < candidates.size(); ++ci) {
         for (const Pattern& comp : candidates[ci].other_components()) {
-          ++out.global_exists_calls;
+          ++stats->global_exists_calls;
           if (!global_matcher.Exists(comp)) {
             other_ok[ci] = 0;
             break;
@@ -193,7 +193,7 @@ LevelwiseResult RunLevelwise(const Graph& g, const Predicate& q,
         // DMineno recomputes the diversified top-k from scratch every round
         // instead of maintaining it incrementally — the cost the paper's
         // Exp-1 ablation measures.
-        out.top = DiversifyPool(sigma, options.k, options.lambda, n_norm);
+        out = DiversifyPool(sigma, options.k, options.lambda, n_norm);
       }
 
       // Next round's M.
@@ -213,8 +213,8 @@ LevelwiseResult RunLevelwise(const Graph& g, const Predicate& q,
 
   if (options.enable_incremental_div) {
     ev.Coordinator([&] {
-      out.top.topk = incdiv.TopK();
-      out.top.objective = incdiv.Objective();
+      out.topk = incdiv.TopK();
+      out.objective = incdiv.Objective();
     });
   }
   stats->plans_prepared = plans.patterns_planned();

@@ -75,13 +75,6 @@ class LevelwiseEvaluator {
       const std::vector<std::shared_ptr<MinedRule>>& parents) = 0;
 };
 
-struct LevelwiseResult {
-  DiversifiedTopK top;
-  /// Probes of the coordinator's whole-graph check of antecedent
-  /// components without x (the maintainer counts them, DMine does not).
-  uint64_t global_exists_calls = 0;
-};
-
 /// DMine's levelwise loop (Section 4.2) over the evaluator `ev`. After the
 /// round-0 pools (empty pools end the run: every rule would be trivial),
 /// each round extends the previous round's parents by one seed edge,
@@ -91,7 +84,7 @@ struct LevelwiseResult {
 /// Extendable, unpruned rules that can still grow become the next
 /// parents. Counters go to `stats`; `options` must pass
 /// `ValidateMiningOptions`.
-LevelwiseResult RunLevelwise(const Graph& g, const Predicate& q,
+DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
                              const DmineOptions& options,
                              LevelwiseEvaluator& ev, DmineStats* stats);
 

@@ -160,6 +160,38 @@ TEST(MaintainTest, SeedMatchesDmine) {
   EXPECT_EQ((*m)->last_sequence(), 0u);
 }
 
+// The seed is one mining run, not two: its probes are exactly one Dmine's
+// worker probes plus that run's whole-graph checks of antecedent
+// components without x.
+TEST(MaintainTest, SeedIsOneDmineRun) {
+  auto g = std::make_shared<const Graph>(MakeSynthetic(300, 900, 10, 11));
+  Predicate q = PickQ(*g);
+  const MaintainOptions opt = SmallMaintain();
+  auto m = RuleMaintainer::Seed(g, q, opt);
+  ASSERT_TRUE(m.ok()) << m.status();
+  auto d = Dmine(*g, q, opt.mine);
+  ASSERT_TRUE(d.ok()) << d.status();
+  const MaintainStats& st = (*m)->lifetime_stats();
+  EXPECT_GT(d->stats.global_exists_calls, 0u);
+  EXPECT_EQ(st.exists_calls,
+            d->stats.exists_calls + d->stats.global_exists_calls);
+  EXPECT_EQ(st.centers_reprobed, d->stats.exists_calls);
+  EXPECT_EQ(st.candidates_evaluated, d->stats.candidates_verified);
+  EXPECT_EQ(st.passes, 1u);
+}
+
+// The seed's worker count is live: it is Dmine's, and Dmine refuses zero.
+TEST(MaintainTest, SeedRejectsZeroWorkers) {
+  auto g = std::make_shared<const Graph>(MakeSynthetic(200, 600, 10, 3));
+  MaintainOptions opt = SmallMaintain();
+  opt.mine.num_workers = 0;
+  auto m = RuleMaintainer::Seed(g, PickQ(*g), opt);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(m.status().message().find("num_workers"), std::string::npos)
+      << m.status();
+}
+
 TEST(MaintainTest, RejectsLambdaOutsideTheUnitInterval) {
   auto g = std::make_shared<const Graph>(MakeSynthetic(200, 600, 10, 3));
   Predicate q = PickQ(*g);
@@ -259,7 +291,7 @@ TEST(MaintainEquivalenceTest, InterleavedStreamsMatchDmineAtCheckpoints) {
 }
 
 // The incremental pass against its full-probe reference: after every
-// batch, a fresh `Seed` on the post-batch graph (a sequential re-mine that
+// batch, a fresh `Seed` on the post-batch graph (a BSP Dmine re-mine that
 // probes every membership) must hold the same rule set and evidence, and
 // the incremental pass must carry memberships the re-mine probes.
 TEST(MaintainEquivalenceTest, IncrementalAblationIsResultIdentical) {

@@ -8,8 +8,11 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/generator.h"
+#include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/neighborhood.h"
 #include "graph/partition.h"
@@ -24,9 +27,11 @@
 #include "pattern/bisimulation.h"
 #include "pattern/pattern_generator.h"
 #include "pattern/pattern_ops.h"
-#include "test_util.h"
 #include "rule/diversity.h"
 #include "rule/metrics.h"
+#include "rule/rule_snapshot.h"
+#include "seed_oracle.h"
+#include "test_util.h"
 
 namespace gpar {
 namespace {
@@ -420,39 +425,25 @@ DmineOptions BatteryOptions() {
   return opt;
 }
 
-/// The sequential reference: `RuleMaintainer::Seed` runs the same
-/// levelwise driver with one-thread candidate generation and probes every
-/// center on the whole graph — no fragments, no proposals, no lineage
-/// messages.
-std::unique_ptr<RuleMaintainer> SequentialReference(const Scenario& s,
-                                                    const DmineOptions& opt) {
-  MaintainOptions mo;
-  mo.mine = opt;
-  auto seq =
-      RuleMaintainer::Seed(std::make_shared<const Graph>(s.graph), s.q, mo);
-  EXPECT_TRUE(seq.ok()) << seq.status();
-  return seq.ok() ? std::move(seq).value() : nullptr;
-}
-
-/// DMine's BSP run must equal the sequential reference at every worker
+/// DMine's BSP run must equal the sequential reference (the levelwise
+/// oracle in seed_oracle.h: one-thread generation, every center probed on
+/// the whole graph, no fragments or lineage messages) at every worker
 /// count: same top-k (order, supports, confidences, match sets) and
 /// objective, same verified candidates and accepted rules, and balanced
 /// proposal bookkeeping (raw = unique + merged, and single ownership never
 /// double-proposes).
 void ExpectDmineMatchesSequential(const Scenario& s) {
   DmineOptions opt = BatteryOptions();
-  std::unique_ptr<RuleMaintainer> seq = SequentialReference(s, opt);
-  ASSERT_NE(seq, nullptr);
-  const std::string want = TopKFingerprint(seq->topk(), seq->objective());
+  const test::OracleSeed seq = test::SequentialSeed(s.graph, s.q, opt);
+  const std::string want = TopKFingerprint(seq.topk, seq.objective);
   for (uint32_t n : {1u, 2u, 4u, 8u}) {
     opt.num_workers = n;
     auto r = Dmine(s.graph, s.q, opt);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_EQ(TopKFingerprint(r->topk, r->objective), want)
         << "DMine diverged from the sequential reference at n=" << n;
-    EXPECT_EQ(r->stats.candidates_verified,
-              seq->lifetime_stats().candidates_evaluated);
-    EXPECT_EQ(r->stats.accepted, seq->lifetime_stats().rules_accepted);
+    EXPECT_EQ(r->stats.candidates_verified, seq.stats.candidates_evaluated);
+    EXPECT_EQ(r->stats.accepted, seq.stats.rules_accepted);
     uint64_t raw = 0;
     for (uint64_t p : r->stats.proposals_per_worker) raw += p;
     EXPECT_EQ(raw, r->stats.candidates_generated +
@@ -522,11 +513,115 @@ TEST_P(SeededProperty, SharedPlanStoreEquivalence) {
   EXPECT_GT(shared->stats.plans_shared_hits, 0u);
   EXPECT_EQ(shared->stats.plans_shared_hits, shared->stats.exists_calls);
   EXPECT_GT(shared->stats.plans_prepared, 0u);
-  std::unique_ptr<RuleMaintainer> seq = SequentialReference(s, opt);
-  ASSERT_NE(seq, nullptr);
+  const test::OracleSeed seq = test::SequentialSeed(s.graph, s.q, opt);
   EXPECT_EQ(TopKFingerprint(shared->topk, shared->objective),
-            TopKFingerprint(seq->topk(), seq->objective()))
+            TopKFingerprint(seq.topk, seq.objective))
       << "plan-store run diverged at seed " << GetParam();
+}
+
+std::string SnapshotV2(const std::vector<RuleRecord>& rules,
+                       const RuleSetEvidence& evidence,
+                       const Interner& labels) {
+  std::ostringstream os;
+  EXPECT_TRUE(WriteRuleSetSnapshotV2(rules, evidence, labels, os).ok());
+  return os.str();
+}
+
+/// `RuleMaintainer::Seed` is one BSP Dmine run with its evidence captured.
+/// At every worker count it must equal the sequential oracle: the v2 rule
+/// snapshot (top-k records + evidence) byte for byte, the objective, and
+/// the seed pass's counters.
+void ExpectSeedMatchesOracle(const std::shared_ptr<const Graph>& g,
+                             const Predicate& q, const DmineOptions& opt,
+                             const test::OracleSeed& want) {
+  const std::string want_bytes =
+      SnapshotV2(want.TopKRecords(), want.evidence, g->labels());
+  for (uint32_t n : {1u, 4u, 8u}) {
+    MaintainOptions mo;
+    mo.mine = opt;
+    mo.mine.num_workers = n;
+    auto m = RuleMaintainer::Seed(g, q, mo);
+    ASSERT_TRUE(m.ok()) << m.status();
+    const RuleMaintainer& got = **m;
+    EXPECT_EQ(SnapshotV2(got.TopKRecords(), got.evidence(), g->labels()),
+              want_bytes)
+        << "n=" << n;
+    EXPECT_EQ(got.objective(), want.objective) << "n=" << n;
+    const MaintainStats& a = got.lifetime_stats();
+    const MaintainStats& b = want.stats;
+    EXPECT_EQ(a.passes, 1u) << "n=" << n;
+    EXPECT_EQ(a.centers_reprobed, b.centers_reprobed) << "n=" << n;
+    EXPECT_EQ(a.centers_carried, 0u) << "n=" << n;
+    EXPECT_EQ(a.exists_calls, b.exists_calls) << "n=" << n;
+    EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated) << "n=" << n;
+    EXPECT_EQ(a.rules_accepted, b.rules_accepted) << "n=" << n;
+    EXPECT_EQ(a.rules_reexpanded, b.rules_reexpanded) << "n=" << n;
+    EXPECT_EQ(a.evidence_bytes_full, b.evidence_bytes_full) << "n=" << n;
+    EXPECT_EQ(a.evidence_bytes_delta, b.evidence_bytes_delta) << "n=" << n;
+  }
+}
+
+class MaintainSeedEquivalence : public ::testing::TestWithParam<uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MaintainSeedEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST_P(MaintainSeedEquivalence, BspSeedMatchesSequentialOracle) {
+  Scenario s = MakeScenario(GetParam());
+  const DmineOptions opt = BatteryOptions();
+  const test::OracleSeed want = test::SequentialSeed(s.graph, s.q, opt);
+  ASSERT_FALSE(want.evidence.entries.empty());
+  ASSERT_FALSE(want.topk.empty());
+  ExpectSeedMatchesOracle(std::make_shared<const Graph>(std::move(s.graph)),
+                          s.q, opt, want);
+}
+
+/// Six persons at two places; `buyers` of them buy an item, `gifted` of
+/// the rest buy only a gift. Predicate person -buys-> item.
+std::shared_ptr<const Graph> PoolGraph(int buyers, int gifted, Predicate* q) {
+  GraphBuilder b;
+  std::vector<NodeId> p;
+  for (int i = 0; i < 6; ++i) p.push_back(b.AddNode("person"));
+  const NodeId item = b.AddNode("item");
+  const NodeId gift = b.AddNode("gift");
+  const NodeId l0 = b.AddNode("place");
+  const NodeId l1 = b.AddNode("place");
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_TRUE(b.AddEdge(p[i], "at", i % 2 == 0 ? l0 : l1).ok());
+    EXPECT_TRUE(b.AddEdge(p[i], "knows", p[(i + 1) % 6]).ok());
+    if (i < buyers) {
+      EXPECT_TRUE(b.AddEdge(p[i], "buys", item).ok());
+    } else if (i < buyers + gifted) {
+      EXPECT_TRUE(b.AddEdge(p[i], "buys", gift).ok());
+    }
+  }
+  const Interner& labels = *b.labels_ptr();
+  *q = {labels.Lookup("person"), labels.Lookup("buys"), labels.Lookup("item")};
+  return std::make_shared<const Graph>(std::move(b).Build());
+}
+
+// With an empty q or ~q pool the run stops before round 1: the evidence
+// holds the pools only, on both sides.
+TEST(MaintainSeedEquivalenceTest, EmptyQPoolHoldsPoolsOnly) {
+  Predicate q;
+  const auto g = PoolGraph(/*buyers=*/0, /*gifted=*/2, &q);
+  const DmineOptions opt = BatteryOptions();
+  const test::OracleSeed want = test::SequentialSeed(*g, q, opt);
+  EXPECT_TRUE(want.evidence.q_pool.empty());
+  EXPECT_EQ(want.evidence.qbar_pool.size(), 2u);
+  EXPECT_TRUE(want.evidence.entries.empty());
+  ExpectSeedMatchesOracle(g, q, opt, want);
+}
+
+TEST(MaintainSeedEquivalenceTest, EmptyQbarPoolHoldsPoolsOnly) {
+  Predicate q;
+  const auto g = PoolGraph(/*buyers=*/4, /*gifted=*/0, &q);
+  const DmineOptions opt = BatteryOptions();
+  const test::OracleSeed want = test::SequentialSeed(*g, q, opt);
+  EXPECT_EQ(want.evidence.q_pool.size(), 4u);
+  EXPECT_TRUE(want.evidence.qbar_pool.empty());
+  EXPECT_TRUE(want.evidence.entries.empty());
+  ExpectSeedMatchesOracle(g, q, opt, want);
 }
 
 class WorkerCountProperty : public ::testing::TestWithParam<uint32_t> {};

@@ -34,7 +34,7 @@
 #
 # An eighth JSON report (MAINTENANCE_JSON) comes from a CI-sized
 # exp9_maintenance run: per-batch cost of the incremental RuleMaintainer
-# vs a per-batch RuleMaintainer::Seed on the current graph (a sequential
+# vs a per-batch RuleMaintainer::Seed on the current graph (a BSP Dmine
 # re-mine that re-probes everything) on one interleaved insert+delete
 # stream, the freshness lag of the maintained top-k, and the
 # match-set-delta evidence encoding's bytes vs the raw full encoding.
