@@ -36,6 +36,15 @@ bool Graph::HasEdge(NodeId src, LabelId elabel, NodeId dst) const {
   return std::binary_search(adj.begin(), adj.end(), AdjEntry{elabel, dst});
 }
 
+uint64_t Graph::edge_triple_count(LabelId src_label, LabelId elabel,
+                                  LabelId dst_label) const {
+  const EdgePatternStat key{src_label, elabel, dst_label, 0};
+  auto it = std::lower_bound(edge_triples_.begin(), edge_triples_.end(), key,
+                             TripleLess);
+  if (it == edge_triples_.end() || TripleLess(key, *it)) return 0;
+  return it->count;
+}
+
 std::span<const NodeId> Graph::nodes_with_label(LabelId label) const {
   auto it = label_index_.find(label);
   if (it == label_index_.end()) return {};

@@ -31,12 +31,37 @@ struct AdjEntry {
   }
 };
 
+/// A single-edge pattern (both node labels plus the edge label) with its
+/// frequency in a graph. These are the paper's "most frequent edge patterns,
+/// i.e., graph patterns consisting of a single edge (with both node and edge
+/// labels)" used as the growth alphabet for DMine (Section 6, Exp-1), and
+/// the selectivity statistics search plans are ordered by.
+struct EdgePatternStat {
+  LabelId src_label;
+  LabelId edge_label;
+  LabelId dst_label;
+  uint64_t count;
+
+  friend bool operator==(const EdgePatternStat&,
+                         const EdgePatternStat&) = default;
+};
+
+/// Orders edge-pattern stats by (source, edge, destination) label, ignoring
+/// the count: the order of `Graph::edge_triples()`.
+inline bool TripleLess(const EdgePatternStat& a, const EdgePatternStat& b) {
+  if (a.src_label != b.src_label) return a.src_label < b.src_label;
+  if (a.edge_label != b.edge_label) return a.edge_label < b.edge_label;
+  return a.dst_label < b.dst_label;
+}
+
 /// Immutable labeled directed graph G = (V, E, L) — the paper's data model
 /// (Section 2.1): finite node set, directed labeled edges, node labels that
 /// carry either type names ("cust") or value bindings ("44").
 ///
 /// Storage is CSR in both directions with label-sorted adjacency, plus an
-/// inverted index from node label to the nodes carrying it. Construct via
+/// inverted index from node label to the nodes carrying it and the edge
+/// count of every (source label, edge label, destination label) triple
+/// that occurs. Construct via
 /// `GraphBuilder`; a built graph is immutable and safe for concurrent reads.
 class Graph {
  public:
@@ -89,6 +114,17 @@ class Graph {
     return nodes_with_label(label).size();
   }
 
+  /// One entry per distinct (source label, edge label, destination label)
+  /// triple of the graph's edges, with its edge count, sorted by the
+  /// triple. A few hundred entries on real label sets: flat, never dense.
+  std::span<const EdgePatternStat> edge_triples() const {
+    return edge_triples_;
+  }
+  /// Number of edges labeled `elabel` from a `src_label` node to a
+  /// `dst_label` node (0 if none): one binary search of `edge_triples()`.
+  uint64_t edge_triple_count(LabelId src_label, LabelId elabel,
+                             LabelId dst_label) const;
+
   /// Shared label dictionary. Patterns posed against this graph should
   /// intern their labels through the same dictionary.
   const Interner& labels() const { return *labels_; }
@@ -110,6 +146,7 @@ class Graph {
   std::vector<AdjEntry> in_adj_;
   // label -> sorted node ids
   std::unordered_map<LabelId, std::vector<NodeId>> label_index_;
+  std::vector<EdgePatternStat> edge_triples_;  // sorted by triple
 };
 
 }  // namespace gpar

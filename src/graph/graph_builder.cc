@@ -43,6 +43,53 @@ void GraphRawAccess::FinishFromOutCsr(Graph& g) {
   for (NodeId v = 0; v < n; ++v) {
     g.label_index_[g.node_labels_[v]].push_back(v);
   }
+
+  // Edge triple table: counted in an open-addressing table (distinct
+  // triples number in the hundreds, so it stays in cache), then laid out
+  // sorted. A slot with count 0 is empty.
+  auto slot_of = [](std::vector<EdgePatternStat>& table, LabelId s, LabelId e,
+                    LabelId d) -> EdgePatternStat& {
+    const uint64_t h = (uint64_t{s} * 0x9e3779b97f4a7c15ull) ^
+                       (uint64_t{e} * 0xbf58476d1ce4e5b9ull) ^
+                       (uint64_t{d} * 0x94d049bb133111ebull);
+    const size_t mask = table.size() - 1;
+    for (size_t i = (h >> 32) & mask;; i = (i + 1) & mask) {
+      EdgePatternStat& slot = table[i];
+      if (slot.count == 0 || (slot.src_label == s && slot.edge_label == e &&
+                              slot.dst_label == d)) {
+        return slot;
+      }
+    }
+  };
+  std::vector<EdgePatternStat> slots(256, EdgePatternStat{0, 0, 0, 0});
+  size_t distinct = 0;
+  for (NodeId src = 0; src < n; ++src) {
+    const LabelId s = g.node_labels_[src];
+    for (size_t i = out_offsets[src]; i < out_offsets[src + 1]; ++i) {
+      const LabelId e = out_adj[i].label;
+      const LabelId d = g.node_labels_[out_adj[i].other];
+      EdgePatternStat& slot = slot_of(slots, s, e, d);
+      if (slot.count++ != 0) continue;
+      slot.src_label = s;
+      slot.edge_label = e;
+      slot.dst_label = d;
+      if (2 * ++distinct <= slots.size()) continue;
+      std::vector<EdgePatternStat> grown(2 * slots.size(),
+                                         EdgePatternStat{0, 0, 0, 0});
+      for (const EdgePatternStat& t : slots) {
+        if (t.count != 0) {
+          slot_of(grown, t.src_label, t.edge_label, t.dst_label) = t;
+        }
+      }
+      slots = std::move(grown);
+    }
+  }
+  g.edge_triples_.clear();
+  g.edge_triples_.reserve(distinct);
+  for (const EdgePatternStat& t : slots) {
+    if (t.count != 0) g.edge_triples_.push_back(t);
+  }
+  std::sort(g.edge_triples_.begin(), g.edge_triples_.end(), TripleLess);
 }
 
 Graph GraphBuilder::Build() && {

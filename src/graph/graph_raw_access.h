@@ -15,11 +15,11 @@ namespace gpar {
 /// by (label, other) within each node's slice, offsets monotone with
 /// `offsets[num_nodes] == adj.size()`.
 ///
-/// `FinishFromOutCsr` derives the remaining storage (in-CSR and the label
-/// inverted index) from the out-CSR; it is the single assembly routine used
-/// by `GraphBuilder::Build`, the snapshot reader, and the delta patcher, so
-/// a graph assembled from any of them is bit-identical given the same
-/// out-CSR and labels.
+/// `FinishFromOutCsr` derives the remaining storage (in-CSR, the label
+/// inverted index and the edge triple table) from the out-CSR; it is the
+/// single assembly routine used by `GraphBuilder::Build`, the snapshot
+/// reader, and the delta patcher, so a graph assembled from any of them is
+/// bit-identical given the same out-CSR and labels.
 struct GraphRawAccess {
   static std::shared_ptr<Interner>& labels(Graph& g) { return g.labels_; }
   static std::vector<LabelId>& node_labels(Graph& g) { return g.node_labels_; }
@@ -37,8 +37,9 @@ struct GraphRawAccess {
   }
 
   /// Rebuilds in-CSR (counting sort by destination, then per-node sort by
-  /// (label, src)) and the label inverted index from the out-CSR. The
-  /// out-CSR fields and `node_labels_` must be fully populated.
+  /// (label, src)), the label inverted index and the edge triple table
+  /// from the out-CSR. The out-CSR fields and `node_labels_` must be fully
+  /// populated.
   static void FinishFromOutCsr(Graph& g);
 };
 

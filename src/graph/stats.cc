@@ -1,26 +1,13 @@
 #include "graph/stats.h"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
 
 namespace gpar {
 
 std::vector<EdgePatternStat> FrequentEdgePatterns(const Graph& g,
                                                   size_t limit) {
-  std::map<std::tuple<LabelId, LabelId, LabelId>, uint64_t> counts;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    LabelId src = g.node_label(v);
-    for (const AdjEntry& e : g.out_edges(v)) {
-      counts[{src, e.label, g.node_label(e.other)}]++;
-    }
-  }
-  std::vector<EdgePatternStat> out;
-  out.reserve(counts.size());
-  for (const auto& [key, count] : counts) {
-    out.push_back({std::get<0>(key), std::get<1>(key), std::get<2>(key),
-                   count});
-  }
+  const std::span<const EdgePatternStat> triples = g.edge_triples();
+  std::vector<EdgePatternStat> out(triples.begin(), triples.end());
   std::stable_sort(out.begin(), out.end(),
                    [](const EdgePatternStat& a, const EdgePatternStat& b) {
                      return a.count > b.count;

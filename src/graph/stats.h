@@ -8,22 +8,10 @@
 
 namespace gpar {
 
-/// A single-edge pattern (both node labels plus the edge label) with its
-/// frequency in a graph. These are the paper's "most frequent edge patterns,
-/// i.e., graph patterns consisting of a single edge (with both node and edge
-/// labels)" used as the growth alphabet for DMine (Section 6, Exp-1).
-struct EdgePatternStat {
-  LabelId src_label;
-  LabelId edge_label;
-  LabelId dst_label;
-  uint64_t count;
-
-  friend bool operator==(const EdgePatternStat&,
-                         const EdgePatternStat&) = default;
-};
-
-/// Returns edge-pattern statistics sorted by descending frequency. If
-/// `limit` > 0 only the `limit` most frequent are returned.
+/// Returns edge-pattern statistics sorted by descending frequency, ties in
+/// ascending (source, edge, destination) label order. If `limit` > 0 only
+/// the `limit` most frequent are returned. A sort of the graph's stored
+/// triple table (`Graph::edge_triples`), not a scan of its edges.
 std::vector<EdgePatternStat> FrequentEdgePatterns(const Graph& g,
                                                   size_t limit = 0);
 

@@ -52,10 +52,8 @@ Status UnpackMiningFlags(uint32_t flags, DmineOptions* o) {
   return Status::OK();
 }
 
-namespace {
-
-MiningSetup MakeSetup(const DmineOptions& o, const Predicate& q,
-                      const Interner& labels) {
+MiningSetup MakeMiningSetup(const DmineOptions& o, const Predicate& q,
+                            const Interner& labels) {
   MiningSetup s;
   s.x_label = labels.Name(q.x_label);
   s.edge_label = labels.Name(q.edge_label);
@@ -70,6 +68,8 @@ MiningSetup MakeSetup(const DmineOptions& o, const Predicate& q,
   s.bool_flags = PackMiningFlags(o);
   return s;
 }
+
+namespace {
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -170,6 +170,7 @@ class EvidencePatcher : public LevelwiseEvaluator {
   LevelwisePools EvaluatePools(const SearchPlanStore& plans) override {
     matcher_.set_plan_store(&plans);
     const Pattern pq = q_.ToPattern();
+    matcher_.Bind(pq);
     for (NodeId c : g_.nodes_with_label(q_.x_label)) {
       const bool was_q = Contains(prior_.q_pool, c);
       const bool was_qbar = !was_q && Contains(prior_.qbar_pool, c);
@@ -177,7 +178,7 @@ class EvidencePatcher : public LevelwiseEvaluator {
       if (pool_frontier_[c]) {
         ++ps_.centers_reprobed;
         ++ps_.exists_calls;
-        in_q = matcher_.ExistsAt(pq, c);
+        in_q = matcher_.ProbeAt(c);
         in_qbar = !in_q && g_.HasOutLabel(c, q_.edge_label);
         flipped_[c] = in_q != was_q || in_qbar != was_qbar;
       } else {
@@ -301,6 +302,7 @@ class EvidencePatcher : public LevelwiseEvaluator {
   void Match(std::span<const NodeId> pool, const Pattern& p, uint32_t radius,
              const Carry& carry, std::vector<NodeId>* out) {
     size_t pos = 0;
+    matcher_.Bind(p);
     for (NodeId c : pool) {
       bool probe = carry.old_set == nullptr || flipped_[c];
       bool was_in = false;
@@ -316,7 +318,7 @@ class EvidencePatcher : public LevelwiseEvaluator {
       if (probe) {
         ++ps_.centers_reprobed;
         ++ps_.exists_calls;
-        in = matcher_.ExistsAt(p, c);
+        in = matcher_.ProbeAt(c);
       } else {
         ++ps_.centers_carried;
       }
@@ -351,7 +353,7 @@ RuleMaintainer::RuleMaintainer(std::shared_ptr<const Graph> g,
                                const Predicate& q,
                                const MaintainOptions& options)
     : options_(options), graph_(std::move(g)), q_(q) {
-  evidence_.setup = MakeSetup(options_.mine, q_, graph_->labels());
+  evidence_.setup = MakeMiningSetup(options_.mine, q_, graph_->labels());
 }
 
 Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(

@@ -89,6 +89,12 @@ uint32_t PackMiningFlags(const DmineOptions& o);
 /// reproduce).
 Status UnpackMiningFlags(uint32_t flags, DmineOptions* o);
 
+/// The evidence setup of a mining run of `q` under `o`, labels by name.
+/// `Seed` stamps it on the evidence it captures; a caller that runs
+/// `Dmine(..., &evidence)` itself stamps it before writing snapshot v2.
+MiningSetup MakeMiningSetup(const DmineOptions& o, const Predicate& q,
+                            const Interner& labels);
+
 /// Incremental rule maintenance: keeps a mined diversified top-k — and the
 /// full per-rule match evidence behind it — fresh under the delta stream
 /// without re-running DMine.

@@ -24,8 +24,9 @@ struct Anchor {
 using EmbeddingCallback = std::function<bool(std::span<const NodeId>)>;
 
 /// A cached match order for one (expanded pattern, anchored-node set):
-/// anchored nodes first, then BFS over pattern adjacency. Only the node
-/// *set* of the anchors matters — anchor values are per-call state.
+/// anchored nodes first, then fail-first over pattern adjacency (see
+/// `BuildSearchPlan`). Only the node *set* of the anchors matters — anchor
+/// values are per-call state.
 struct SearchPlan {
   std::vector<PNodeId> anchored;  ///< sorted, deduplicated key
   std::vector<PNodeId> order;
@@ -41,14 +42,25 @@ struct PatternPlanEntry {
   std::vector<SearchPlan> plans;
 };
 
-/// Builds the match order for `expanded` with the given anchored node set
-/// (expanded-pattern ids; consumed, sorted, deduplicated). `label_count`
-/// supplies per-label candidate counts for rooting disconnected remainder
-/// components at the rarest label. Any order is correct; the heuristic only
-/// steers search cost.
+/// Builds the fail-first match order for `expanded` with the given anchored
+/// node set (expanded-pattern ids; consumed, sorted, deduplicated). The
+/// anchored nodes come first. Then, repeatedly, the unplaced node adjacent
+/// to a placed one with the smallest expected fan-out is placed next:
+/// count(triple) / count(placed node's label) over `g.edge_triples()`,
+/// minimised over the node's placed neighbours, ties to the lower id. A
+/// selective node is thereby searched before unselective ones multiply
+/// the work under it. A remainder with no placed neighbour (a disconnected
+/// component) is rooted at the node whose label is rarest — per `view`
+/// when given, else per `g`. Any order is correct; the order only steers
+/// search cost.
 SearchPlan BuildSearchPlan(const Pattern& expanded,
-                           std::vector<PNodeId> anchored,
-                           const std::function<size_t(LabelId)>& label_count);
+                           std::vector<PNodeId> anchored, const Graph& g,
+                           const GraphView* view = nullptr);
+
+/// Builds a plan for an expanded pattern and its anchored node set; the
+/// planner a `SearchPlanStore` uses (`BuildSearchPlan` by default).
+using PlanBuilder = std::function<SearchPlan(const Pattern& expanded,
+                                             std::vector<PNodeId> anchored)>;
 
 /// Read-only-shared search-plan store (the ROADMAP "plan-cache sharing
 /// across workers" item): patterns are identical across fragments, so the
@@ -60,9 +72,9 @@ SearchPlan BuildSearchPlan(const Pattern& expanded,
 /// safe from any number of threads once preparation for the round is done.
 class SearchPlanStore {
  public:
-  /// `g` supplies the label counts the planner roots disconnected
-  /// components with (global counts — a better selectivity signal than any
-  /// one fragment's, and identical across workers by construction).
+  /// `g` supplies the triple and label counts the planner orders nodes by
+  /// (global counts — a better selectivity signal than any one fragment's,
+  /// and identical across workers by construction).
   explicit SearchPlanStore(const Graph& g) : g_(g) {}
 
   SearchPlanStore(const SearchPlanStore&) = delete;
@@ -71,6 +83,10 @@ class SearchPlanStore {
   /// Plans `p` anchored at `anchored` (original-pattern node ids; mapped
   /// through the multiplicity expansion internally). Idempotent.
   void Prepare(const Pattern& p, std::span<const PNodeId> anchored);
+  /// As above, with `build` in place of the fail-first planner (plan-order
+  /// equivalence tests feed other orders through the same engine).
+  void Prepare(const Pattern& p, std::span<const PNodeId> anchored,
+               const PlanBuilder& build);
 
   /// The prepared entry for `p`, or nullptr if never prepared.
   const PatternPlanEntry* Find(const Pattern& p) const;
@@ -102,7 +118,12 @@ class SearchPlanStore {
 ///
 /// Searches reuse per-matcher scratch state (mapping, injectivity bitmap,
 /// candidate buffers) and a search-plan cache, so repeated `ExistsAt` probes
-/// of the same pattern are allocation-free. Consequently a matcher is NOT
+/// of the same pattern are allocation-free. A loop that probes one pattern
+/// at many centers binds it once (`Bind`) and probes with `ProbeAt`, which
+/// skips the per-call plan lookup and setup. One backtracking body serves
+/// every search; it is instantiated per leaf action (stop at the first
+/// match, or visit each embedding), so existence tests run without a
+/// callback. Consequently a matcher is NOT
 /// reentrant: embedding callbacks must not call back into the same matcher,
 /// and instances must not be shared across threads without external
 /// synchronization (DMine gives each worker its own matcher).
@@ -129,6 +150,16 @@ class Matcher {
     return Exists(p, {&a, 1});
   }
 
+  /// Resolves `p` anchored at its designated node x once — expansion,
+  /// plan, anchor table, policy preparation — for a run of `ProbeAt`
+  /// calls. The binding lasts until the next `Bind`, `Exists`, `ExistsAt`,
+  /// `Images` or `Enumerate` on this matcher.
+  void Bind(const Pattern& p) { BindNode(p, p.x()); }
+
+  /// `ExistsAt(p, vx)` for the bound pattern `p`, with none of the per-call
+  /// resolution. Requires a live binding.
+  bool ProbeAt(NodeId vx);
+
   /// Q(u, G): distinct graph nodes that match pattern node `u` over all
   /// matches. Computed candidate-by-candidate with early termination, so
   /// the cost is one Exists query per candidate, not full enumeration.
@@ -147,7 +178,8 @@ class Matcher {
   /// the plan construction for that pattern.
   void set_plan_store(const SearchPlanStore* store) { plan_store_ = store; }
 
-  /// Number of probes whose plan came from the shared store.
+  /// Number of probes (`ProbeAt` calls included) whose plan came from the
+  /// shared store.
   uint64_t plan_store_hits() const { return plan_store_hits_; }
 
   /// Number of search-tree nodes visited since construction (for benches).
@@ -190,8 +222,29 @@ class Matcher {
     std::vector<PNodeId> anchored_key;  ///< canonical form of `anchored`
   };
 
+  /// A pattern resolved for searching: its expansion and the plan for the
+  /// anchored node set in `scratch_.anchored`.
+  struct Resolved {
+    const Pattern* expanded = nullptr;
+    const SearchPlan* plan = nullptr;
+    bool shared = false;  ///< the plan came from the shared store
+  };
+
+  /// Looks `p` up (store first, private cache otherwise) and leaves the
+  /// anchors' expanded ids in `scratch_.anchored`.
+  Resolved Resolve(const Pattern& p, std::span<const Anchor> anchors);
+  /// Readies the scratch for searches under `r`: anchor table (from
+  /// `anchors`, matched up with `scratch_.anchored`), buffers, cleared
+  /// mapping, policy preparation.
+  void BeginSearch(const Resolved& r, std::span<const Anchor> anchors);
+  /// Binds `p` anchored at its node `u` for `ProbeAt`.
+  void BindNode(const Pattern& p, PNodeId u);
+
+  /// The one backtracking body. `leaf(mapping)` runs per embedding and
+  /// returns whether to continue; Extend returns false once it stopped.
+  template <typename Leaf>
   bool Extend(const Pattern& p, const SearchPlan& plan, size_t level,
-              const EmbeddingCallback& cb, uint64_t limit, uint64_t* count);
+              Leaf& leaf);
   PatternPlanEntry& CacheEntryFor(const Pattern& p);
   /// `anchored_key` must already be sorted and deduplicated.
   const SearchPlan& PlanFor(PatternPlanEntry& entry,
@@ -205,6 +258,8 @@ class Matcher {
   size_t plans_cached_ = 0;
   std::unordered_map<uint64_t, std::vector<PatternPlanEntry>> plan_cache_;
   Scratch scratch_;
+  Resolved bound_;  ///< the `Bind` target; plan == nullptr when unbound
+  PNodeId bound_node_ = kNoPatternNode;  ///< its anchored expanded node
 };
 
 /// Plain VF2-style matcher [10]: label-filtered candidates in index order.

@@ -1,7 +1,7 @@
 #include "match/matcher.h"
 
 #include <algorithm>
-#include <deque>
+#include <cassert>
 
 #include "pattern/pattern_ops.h"
 
@@ -32,56 +32,81 @@ const SearchPlan* FindPlanIn(const PatternPlanEntry& entry,
 
 }  // namespace
 
-SearchPlan BuildSearchPlan(
-    const Pattern& expanded, std::vector<PNodeId> anchored,
-    const std::function<size_t(LabelId)>& label_count) {
+SearchPlan BuildSearchPlan(const Pattern& expanded,
+                           std::vector<PNodeId> anchored, const Graph& g,
+                           const GraphView* view) {
   CanonicalizeAnchored(&anchored);
   const Pattern& p = expanded;
   SearchPlan plan;
   plan.anchored = std::move(anchored);
 
   std::vector<bool> placed(p.num_nodes(), false);
-  std::deque<PNodeId> frontier;
   auto place = [&](PNodeId u) {
     if (placed[u]) return;
     placed[u] = true;
     plan.order.push_back(u);
-    frontier.push_back(u);
   };
-
-  // Anchored nodes first, then BFS across pattern adjacency so every later
-  // node has a mapped neighbor (pivot) when reached.
   for (PNodeId u : plan.anchored) place(u);
-  auto drain = [&] {
-    while (!frontier.empty()) {
-      PNodeId u = frontier.front();
-      frontier.pop_front();
-      for (const PatternAdj& a : p.adj(u)) place(a.other);
-    }
+
+  // Expected candidates for u per image of its placed neighbour a.other:
+  // the edges of the pattern edge's label triple, spread over the nodes
+  // carrying the neighbour's label.
+  auto fan_out = [&](PNodeId u, const PatternAdj& a) {
+    const LabelId lu = p.node(u).label;
+    const LabelId lo = p.node(a.other).label;
+    const uint64_t edges = a.out ? g.edge_triple_count(lu, a.elabel, lo)
+                                 : g.edge_triple_count(lo, a.elabel, lu);
+    const size_t from = g.label_count(lo);
+    return from == 0 ? 0.0
+                     : static_cast<double>(edges) / static_cast<double>(from);
   };
-  drain();
-  // Disconnected remainder: root each component at the node whose label is
-  // rarest in the graph (smallest candidate set).
-  for (;;) {
+  auto root_count = [&](PNodeId u) {
+    const LabelId l = p.node(u).label;
+    return view != nullptr ? view->label_count(l) : g.label_count(l);
+  };
+  while (plan.order.size() < p.num_nodes()) {
     PNodeId best = kNoPatternNode;
-    size_t best_count = 0;
+    double best_fan = 0;
     for (PNodeId u = 0; u < p.num_nodes(); ++u) {
       if (placed[u]) continue;
-      size_t c = label_count(p.node(u).label);
-      if (best == kNoPatternNode || c < best_count) {
-        best = u;
-        best_count = c;
+      for (const PatternAdj& a : p.adj(u)) {
+        if (a.other == u || !placed[a.other]) continue;
+        const double f = fan_out(u, a);
+        if (best == kNoPatternNode || f < best_fan) {
+          best = u;
+          best_fan = f;
+        }
       }
     }
-    if (best == kNoPatternNode) break;
+    if (best == kNoPatternNode) {
+      // Disconnected remainder: root it at the node whose label is rarest
+      // (smallest candidate set).
+      size_t best_count = 0;
+      for (PNodeId u = 0; u < p.num_nodes(); ++u) {
+        if (placed[u]) continue;
+        const size_t c = root_count(u);
+        if (best == kNoPatternNode || c < best_count) {
+          best = u;
+          best_count = c;
+        }
+      }
+    }
     place(best);
-    drain();
   }
   return plan;
 }
 
 void SearchPlanStore::Prepare(const Pattern& p,
                               std::span<const PNodeId> anchored) {
+  Prepare(p, anchored,
+          [this](const Pattern& expanded, std::vector<PNodeId> key) {
+            return BuildSearchPlan(expanded, std::move(key), g_);
+          });
+}
+
+void SearchPlanStore::Prepare(const Pattern& p,
+                              std::span<const PNodeId> anchored,
+                              const PlanBuilder& build) {
   // Same memory ceiling as the private plan cache: a workload exceeding
   // the bounded mined-pattern universe trades a re-plan (consumers fall
   // back to their private caches) for bounded store growth.
@@ -110,9 +135,7 @@ void SearchPlanStore::Prepare(const Pattern& p,
   for (PNodeId u : anchored) mapped.push_back(entry->first_copy[u]);
   CanonicalizeAnchored(&mapped);
   if (FindPlanIn(*entry, mapped) != nullptr) return;  // idempotent
-  entry->plans.push_back(BuildSearchPlan(
-      entry->expanded, std::move(mapped),
-      [this](LabelId l) { return g_.label_count(l); }));
+  entry->plans.push_back(build(entry->expanded, std::move(mapped)));
 }
 
 const PatternPlanEntry* SearchPlanStore::Find(const Pattern& p) const {
@@ -146,23 +169,16 @@ const SearchPlan& Matcher::PlanFor(PatternPlanEntry& entry,
   if (const SearchPlan* plan = FindPlanIn(entry, anchored_key)) return *plan;
   // The copy into BuildSearchPlan happens once per (pattern, anchor set),
   // not per probe.
-  entry.plans.push_back(BuildSearchPlan(
-      entry.expanded, anchored_key, [this](LabelId l) {
-        return view_ != nullptr ? view_->label_count(l) : g_.label_count(l);
-      }));
+  entry.plans.push_back(
+      BuildSearchPlan(entry.expanded, anchored_key, g_, view_));
   return entry.plans.back();
 }
 
+template <typename Leaf>
 bool Matcher::Extend(const Pattern& p, const SearchPlan& plan, size_t level,
-                     const EmbeddingCallback& cb, uint64_t limit,
-                     uint64_t* count) {
+                     Leaf& leaf) {
   std::vector<NodeId>& mapping = scratch_.mapping;
-  if (level == plan.order.size()) {
-    ++*count;
-    bool keep_going = cb(mapping);
-    if (limit != 0 && *count >= limit) keep_going = false;
-    return keep_going;
-  }
+  if (level == plan.order.size()) return leaf(std::span<const NodeId>(mapping));
   const PNodeId u = plan.order[level];
   const LabelId want = p.node(u).label;
 
@@ -241,7 +257,7 @@ bool Matcher::Extend(const Pattern& p, const SearchPlan& plan, size_t level,
 
     mapping[u] = v;
     scratch_.used[v] = 1;
-    bool keep_going = Extend(p, plan, level + 1, cb, limit, count);
+    bool keep_going = Extend(p, plan, level + 1, leaf);
     mapping[u] = kInvalidNode;
     scratch_.used[v] = 0;
     if (!keep_going) return false;
@@ -249,15 +265,13 @@ bool Matcher::Extend(const Pattern& p, const SearchPlan& plan, size_t level,
   return true;
 }
 
-uint64_t Matcher::Enumerate(const Pattern& p, std::span<const Anchor> anchors,
-                            const EmbeddingCallback& cb, uint64_t limit) {
-  // Resolve the pattern's expansion and plan: the shared store first (a hit
-  // costs one hash lookup and skips expansion + planning entirely), the
-  // private cache otherwise. The mapped-anchor and key buffers live in the
-  // scratch so the probe hot path stays allocation-free after warmup; the
-  // single-anchor case (every ExistsAt) is its own canonical key.
-  const PatternPlanEntry* entry = nullptr;
-  const SearchPlan* plan = nullptr;
+Matcher::Resolved Matcher::Resolve(const Pattern& p,
+                                   std::span<const Anchor> anchors) {
+  // The shared store first (a hit costs one hash lookup and skips
+  // expansion + planning entirely), the private cache otherwise. The
+  // mapped-anchor and key buffers live in the scratch so the probe hot
+  // path stays allocation-free after warmup; the single-anchor case (every
+  // ExistsAt) is its own canonical key.
   std::vector<PNodeId>& anchored_nodes = scratch_.anchored;
   auto map_anchors = [&](const std::vector<PNodeId>& first_copy) {
     anchored_nodes.clear();
@@ -272,25 +286,22 @@ uint64_t Matcher::Enumerate(const Pattern& p, std::span<const Anchor> anchors,
   if (plan_store_ != nullptr) {
     if (const PatternPlanEntry* shared = plan_store_->Find(p)) {
       map_anchors(shared->first_copy);
-      if (const SearchPlan* shared_plan = FindPlanIn(*shared, canonical_key())) {
-        entry = shared;
-        plan = shared_plan;
-        ++plan_store_hits_;
+      if (const SearchPlan* plan = FindPlanIn(*shared, canonical_key())) {
+        return {&shared->expanded, plan, true};
       }
     }
   }
-  if (entry == nullptr) {
-    PatternPlanEntry& own = CacheEntryFor(p);
-    map_anchors(own.first_copy);
-    plan = &PlanFor(own, canonical_key());
-    entry = &own;
-  }
-  const Pattern& expanded = entry->expanded;
+  PatternPlanEntry& own = CacheEntryFor(p);
+  map_anchors(own.first_copy);
+  const SearchPlan& plan = PlanFor(own, canonical_key());
+  return {&own.expanded, &plan, false};
+}
 
-  // Anchor values are per-call: (re)build the anchor_of table in scratch.
+void Matcher::BeginSearch(const Resolved& r, std::span<const Anchor> anchors) {
+  const Pattern& expanded = *r.expanded;
   scratch_.anchor_of.assign(expanded.num_nodes(), kInvalidNode);
   for (size_t i = 0; i < anchors.size(); ++i) {
-    scratch_.anchor_of[anchored_nodes[i]] = anchors[i].v;
+    scratch_.anchor_of[scratch_.anchored[i]] = anchors[i].v;
   }
 
   PrepareForPattern(expanded);
@@ -298,8 +309,8 @@ uint64_t Matcher::Enumerate(const Pattern& p, std::span<const Anchor> anchors,
   if (scratch_.used.size() < g_.num_nodes()) {
     scratch_.used.assign(g_.num_nodes(), 0);
   }
-  if (scratch_.cand_bufs.size() < plan->order.size()) {
-    scratch_.cand_bufs.resize(plan->order.size());
+  if (scratch_.cand_bufs.size() < r.plan->order.size()) {
+    scratch_.cand_bufs.resize(r.plan->order.size());
   }
   // A previous search that unwound abnormally (an embedding callback threw)
   // skipped Extend's symmetric clears; sweep the stale path out of `used`
@@ -308,26 +319,84 @@ uint64_t Matcher::Enumerate(const Pattern& p, std::span<const Anchor> anchors,
     if (v != kInvalidNode) scratch_.used[v] = 0;
   }
   scratch_.mapping.assign(expanded.num_nodes(), kInvalidNode);
+}
 
+namespace {
+
+/// Leaf action of an existence test: stop at the first embedding.
+struct FirstMatch {
+  bool found = false;
+  bool operator()(std::span<const NodeId>) {
+    found = true;
+    return false;
+  }
+};
+
+/// Leaf action of an enumeration: hand each embedding to the callback, up
+/// to `limit` (0 = unlimited).
+struct VisitEach {
+  const EmbeddingCallback& cb;
+  uint64_t limit;
   uint64_t count = 0;
-  Extend(expanded, *plan, 0, cb, limit, &count);
-  return count;
+  bool operator()(std::span<const NodeId> mapping) {
+    ++count;
+    bool keep_going = cb(mapping);
+    if (limit != 0 && count >= limit) keep_going = false;
+    return keep_going;
+  }
+};
+
+}  // namespace
+
+uint64_t Matcher::Enumerate(const Pattern& p, std::span<const Anchor> anchors,
+                            const EmbeddingCallback& cb, uint64_t limit) {
+  bound_ = {};
+  const Resolved r = Resolve(p, anchors);
+  if (r.shared) ++plan_store_hits_;
+  BeginSearch(r, anchors);
+  VisitEach leaf{cb, limit};
+  Extend(*r.expanded, *r.plan, 0, leaf);
+  return leaf.count;
 }
 
 bool Matcher::Exists(const Pattern& p, std::span<const Anchor> anchors) {
-  return Enumerate(
-             p, anchors, [](std::span<const NodeId>) { return false; },
-             /*limit=*/1) > 0;
+  bound_ = {};
+  const Resolved r = Resolve(p, anchors);
+  if (r.shared) ++plan_store_hits_;
+  BeginSearch(r, anchors);
+  FirstMatch leaf;
+  Extend(*r.expanded, *r.plan, 0, leaf);
+  return leaf.found;
+}
+
+void Matcher::BindNode(const Pattern& p, PNodeId u) {
+  // The anchor value is a placeholder: ProbeAt writes each center into
+  // the anchor table's one anchored slot.
+  const Anchor a{u, kInvalidNode};
+  bound_ = Resolve(p, {&a, 1});
+  bound_node_ = scratch_.anchored[0];
+  BeginSearch(bound_, {&a, 1});
+}
+
+bool Matcher::ProbeAt(NodeId vx) {
+  assert(bound_.plan != nullptr && "ProbeAt without a live Bind");
+  if (bound_.shared) ++plan_store_hits_;
+  scratch_.anchor_of[bound_node_] = vx;
+  FirstMatch leaf;
+  Extend(*bound_.expanded, *bound_.plan, 0, leaf);
+  return leaf.found;
 }
 
 std::vector<NodeId> Matcher::Images(const Pattern& p, PNodeId u) {
   std::vector<NodeId> out;
   auto cands = view_ != nullptr ? view_->nodes_with_label(p.node(u).label)
                                 : g_.nodes_with_label(p.node(u).label);
+  if (cands.empty()) return out;
+  BindNode(p, u);
   for (NodeId v : cands) {
-    Anchor a{u, v};
-    if (Exists(p, {&a, 1})) out.push_back(v);
+    if (ProbeAt(v)) out.push_back(v);
   }
+  bound_ = {};
   return out;
 }
 

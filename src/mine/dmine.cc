@@ -163,10 +163,12 @@ class FragmentEvaluator : public LevelwiseEvaluator {
       WorkerState& w = workers_[i];
       w.matcher = std::make_unique<VF2Matcher>(w.frag->view);
       w.matcher->set_plan_store(&plans);
+      if (w.frag->centers.empty()) return;
+      w.matcher->Bind(pq);
       for (size_t c = 0; c < w.frag->centers.size(); ++c) {
         const NodeId center = w.frag->centers[c];
         ++w.exists_calls;
-        if (w.matcher->ExistsAt(pq, center)) {
+        if (w.matcher->ProbeAt(center)) {
           w.q_centers.push_back(static_cast<uint32_t>(c));
         } else if (w.frag->view.HasOutLabel(center, q_.edge_label)) {
           w.qbar_centers.push_back(static_cast<uint32_t>(c));
@@ -314,13 +316,14 @@ class FragmentEvaluator : public LevelwiseEvaluator {
         LocalStats& ls = local[i][ci];
         const MinedRule* parent = parent_of(ci);
         // P_R matches live inside the q-match pool (or the parent's
-        // surviving subset of it).
+        // surviving subset of it). Each pool binds its pattern once.
         const std::span<const uint32_t> prs = pr_pool(parent, i);
         w.centers_skipped += w.q_centers.size() - prs.size();
+        if (!prs.empty()) w.matcher->Bind(r.pr());
         for (uint32_t c : prs) {
           const NodeId center = w.frag->centers[c];
           ++w.exists_calls;
-          if (w.matcher->ExistsAt(r.pr(), center)) {
+          if (w.matcher->ProbeAt(center)) {
             ++ls.supp_r;
             ls.matches_global.push_back(center);
             ls.extendable = true;
@@ -332,9 +335,10 @@ class FragmentEvaluator : public LevelwiseEvaluator {
         const std::span<const uint32_t> ants = ant_pool(parent, i);
         if (other_ok[ci]) {
           w.centers_skipped += w.qbar_centers.size() - ants.size();
+          if (!ants.empty()) w.matcher->Bind(r.x_component());
           for (uint32_t c : ants) {
             ++w.exists_calls;
-            if (w.matcher->ExistsAt(r.x_component(), w.frag->centers[c])) {
+            if (w.matcher->ProbeAt(w.frag->centers[c])) {
               ++ls.supp_qqbar;
               ls.ant_centers.push_back(c);
             }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
+#include <tuple>
 
+#include "graph/generator.h"
 #include "graph/graph_builder.h"
+#include "graph/graph_delta.h"
 #include "graph/graph_io.h"
 #include "graph/neighborhood.h"
 #include "graph/stats.h"
@@ -241,6 +246,80 @@ TEST(StatsTest, FrequentEdgePatterns) {
   EXPECT_EQ(stats[1].count, 2u);
   auto limited = FrequentEdgePatterns(g, 2);
   EXPECT_EQ(limited.size(), 2u);
+}
+
+/// The O(|E|) edge scan `FrequentEdgePatterns` ran before it read the
+/// graph's triple table: counts in (src, edge, dst) label order, then a
+/// stable sort by descending count.
+std::vector<EdgePatternStat> ScanFrequentEdgePatterns(const Graph& g,
+                                                      size_t limit = 0) {
+  std::map<std::tuple<LabelId, LabelId, LabelId>, uint64_t> counts;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const AdjEntry& e : g.out_edges(v)) {
+      counts[{g.node_label(v), e.label, g.node_label(e.other)}]++;
+    }
+  }
+  std::vector<EdgePatternStat> out;
+  for (const auto& [key, count] : counts) {
+    out.push_back({std::get<0>(key), std::get<1>(key), std::get<2>(key),
+                   count});
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const EdgePatternStat& a, const EdgePatternStat& b) {
+                     return a.count > b.count;
+                   });
+  if (limit > 0 && out.size() > limit) out.resize(limit);
+  return out;
+}
+
+TEST(StatsTest, FrequentEdgePatternsEqualEdgeScan) {
+  // Same counts, same tie order, with and without a limit, on generated
+  // graphs and on a graph after a mixed insert+delete patch.
+  std::vector<Graph> graphs;
+  graphs.push_back(SmallGraph());
+  for (uint64_t seed : {1, 2, 3}) {
+    graphs.push_back(MakeSynthetic(300, 900, 15, seed));
+  }
+  graphs.push_back(MakePokecLike(1, 7));
+  {
+    const Graph& base = graphs[1];
+    GraphDelta delta;
+    for (NodeId v = 0; v < base.num_nodes() && delta.deletes.size() < 40;
+         v += 3) {
+      for (const AdjEntry& e : base.out_edges(v)) {
+        delta.deletes.push_back({v, e.label, e.other});
+        break;
+      }
+    }
+    const LabelId fresh = base.labels_ptr()->Intern("patched_edge");
+    for (NodeId v = 1; v + 7 < base.num_nodes() && delta.inserts.size() < 40;
+         v += 5) {
+      delta.inserts.push_back({v, fresh, v + 7});
+      delta.inserts.push_back({v + 7, base.out_edges(v).empty()
+                                          ? fresh
+                                          : base.out_edges(v)[0].label,
+                               v});
+    }
+    auto patch = PatchGraph(base, delta);
+    ASSERT_TRUE(patch.ok()) << patch.status();
+    ASSERT_GT(patch->edges_deleted, 0u);
+    ASSERT_GT(patch->edges_inserted, 0u);
+    graphs.push_back(std::move(patch->graph));
+  }
+  for (const Graph& g : graphs) {
+    EXPECT_EQ(FrequentEdgePatterns(g), ScanFrequentEdgePatterns(g));
+    EXPECT_EQ(FrequentEdgePatterns(g, 5), ScanFrequentEdgePatterns(g, 5));
+    uint64_t total = 0;
+    for (const EdgePatternStat& t : g.edge_triples()) {
+      EXPECT_EQ(g.edge_triple_count(t.src_label, t.edge_label, t.dst_label),
+                t.count);
+      total += t.count;
+    }
+    EXPECT_EQ(total, g.num_edges());
+    EXPECT_TRUE(std::is_sorted(g.edge_triples().begin(),
+                               g.edge_triples().end(), TripleLess));
+  }
+  EXPECT_EQ(graphs[0].edge_triple_count(0, 12345, 0), 0u);
 }
 
 TEST(StatsTest, DegreeStats) {

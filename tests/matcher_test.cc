@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "graph/generator.h"
+#include "graph/graph_builder.h"
 #include "graph/graph_view.h"
 #include "graph/neighborhood.h"
 #include "graph/paper_graphs.h"
@@ -325,6 +326,61 @@ TEST_F(MatcherTest, SharedPlanStoreServesProbes) {
   EXPECT_TRUE(with_store.ExistsAt(g1_.r5.pr(), g1_.cust1));
   EXPECT_EQ(with_store.plan_store_hits(), 4u);
   EXPECT_EQ(with_store.plans_cached(), 1u);
+}
+
+TEST_F(MatcherTest, BoundProbesAnswerLikeExistsAt) {
+  // Bind resolves once; each ProbeAt answers like ExistsAt and counts as a
+  // store-served probe when the plan came from the store.
+  SearchPlanStore store(g1_.graph);
+  const Pattern& pr = g1_.r1.pr();
+  PNodeId x = pr.x();
+  store.Prepare(pr, {&x, 1});
+  VF2Matcher bound(g1_.graph);
+  bound.set_plan_store(&store);
+  VF2Matcher reference(g1_.graph);
+  const auto custs = g1_.graph.nodes_with_label(pr.node(x).label);
+  bound.Bind(pr);
+  for (NodeId v : custs) {
+    EXPECT_EQ(bound.ProbeAt(v), reference.ExistsAt(pr, v)) << "node " << v;
+  }
+  EXPECT_EQ(bound.plan_store_hits(), custs.size());
+  // Rebinding to a pattern the store lacks plans it privately, once.
+  const Pattern& ant = g1_.r1.antecedent();
+  bound.Bind(ant);
+  for (NodeId v : custs) {
+    EXPECT_EQ(bound.ProbeAt(v), reference.ExistsAt(ant, v)) << "node " << v;
+  }
+  EXPECT_EQ(bound.plan_store_hits(), custs.size());
+  EXPECT_EQ(bound.plans_cached(), 1u);
+}
+
+TEST(SearchPlanTest, SelectiveNeighbourIsPlacedFirst) {
+  // x has 50 `e`-neighbours labelled b and one labelled c. Breadth-first
+  // order would take b (lower id) first and retry c under each b image;
+  // the fail-first plan takes c, whose expected fan-out is 1, not 50.
+  GraphBuilder b;
+  NodeId hub = b.AddNode("a");
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(b.AddEdge(hub, "e", b.AddNode("b")).ok());
+  }
+  ASSERT_TRUE(b.AddEdge(hub, "e", b.AddNode("c")).ok());
+  Graph g = std::move(b).Build();
+  const Interner& l = g.labels();
+  EXPECT_EQ(g.edge_triple_count(l.Lookup("a"), l.Lookup("e"), l.Lookup("b")),
+            50u);
+  Pattern p;
+  PNodeId x = p.AddNode(l.Lookup("a"));
+  PNodeId pb = p.AddNode(l.Lookup("b"));
+  PNodeId pc = p.AddNode(l.Lookup("c"));
+  p.AddEdge(x, l.Lookup("e"), pb);
+  p.AddEdge(x, l.Lookup("e"), pc);
+  p.set_x(x);
+  SearchPlan plan = BuildSearchPlan(p, {x}, g);
+  EXPECT_EQ(plan.order, (std::vector<PNodeId>{x, pc, pb}));
+  // With nothing anchored the rarest label roots the search.
+  EXPECT_EQ(BuildSearchPlan(p, {}, g).order.front(), x);
+  VF2Matcher m(g);
+  EXPECT_TRUE(m.ExistsAt(p, hub));
 }
 
 TEST_F(MatcherTest, SimulationOverapproximatesIsomorphism) {

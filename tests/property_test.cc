@@ -13,7 +13,9 @@
 
 #include "graph/generator.h"
 #include "graph/graph_builder.h"
+#include "graph/graph_delta.h"
 #include "graph/graph_io.h"
+#include "graph/graph_view.h"
 #include "graph/neighborhood.h"
 #include "graph/partition.h"
 #include "graph/stats.h"
@@ -30,6 +32,7 @@
 #include "rule/diversity.h"
 #include "rule/metrics.h"
 #include "rule/rule_snapshot.h"
+#include "bfs_plan_oracle.h"
 #include "seed_oracle.h"
 #include "test_util.h"
 
@@ -253,6 +256,179 @@ TEST_P(SeededProperty, MatcherScratchReuseMatchesFreshMatcher) {
   // The reused matcher planned each distinct (pattern, anchor) once.
   EXPECT_GT(reused.plans_cached(), 0u);
   EXPECT_LE(reused.plans_cached(), 2 * s.rules.size());
+}
+
+/// The patterns the plan-order battery probes: P_R, the x-component and
+/// the antecedent (disconnected when y is isolated) of the scenario's rules
+/// and of a wider generated workload, plus per rule a variant of P_R with a
+/// multiplicity and one with an extra disconnected frequent edge.
+std::vector<Pattern> PlanBatteryPatterns(const Scenario& s, uint64_t seed) {
+  GparGenOptions wide;
+  wide.num_nodes = 5;
+  wide.num_edges = 6;
+  wide.max_radius = 2;
+  wide.seed = seed * 97 + 13;
+  std::vector<Gpar> rules = s.rules;
+  for (Gpar& r : GenerateGparWorkload(s.graph, s.q, 4, wide)) {
+    rules.push_back(std::move(r));
+  }
+  const std::vector<EdgePatternStat> freq = FrequentEdgePatterns(s.graph, 3);
+  std::vector<Pattern> out;
+  for (const Gpar& r : rules) {
+    out.push_back(r.pr());
+    out.push_back(r.x_component());
+    out.push_back(r.antecedent());
+    const Pattern& pr = r.pr();
+    // The last node that is neither x nor y gets multiplicity 2.
+    PNodeId multi = kNoPatternNode;
+    for (PNodeId u = 0; u < pr.num_nodes(); ++u) {
+      if (u != pr.x() && u != pr.y()) multi = u;
+    }
+    if (multi != kNoPatternNode) {
+      Pattern m;
+      for (PNodeId u = 0; u < pr.num_nodes(); ++u) {
+        m.AddNode(pr.node(u).label, u == multi ? 2 : pr.node(u).multiplicity);
+      }
+      for (const PatternEdge& e : pr.edges()) m.AddEdge(e.src, e.label, e.dst);
+      m.set_x(pr.x());
+      m.set_y(pr.y());
+      out.push_back(std::move(m));
+    }
+    Pattern d = pr;
+    const EdgePatternStat& f = freq.back();
+    d.AddEdge(d.AddNode(f.src_label), f.edge_label, d.AddNode(f.dst_label));
+    out.push_back(std::move(d));
+  }
+  return out;
+}
+
+/// Sorted embeddings of `p` with x at `v`, up to `limit`.
+std::vector<std::vector<NodeId>> EmbeddingSet(Matcher& m, const Pattern& p,
+                                              NodeId v, uint64_t limit) {
+  std::vector<std::vector<NodeId>> out;
+  const Anchor a{p.x(), v};
+  m.Enumerate(
+      p, {&a, 1},
+      [&](std::span<const NodeId> mapping) {
+        out.emplace_back(mapping.begin(), mapping.end());
+        return true;
+      },
+      limit);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_P(SeededProperty, FailFirstPlansAnswerLikeBfsPlans) {
+  // Plan order only steers cost. Over whole-graph and fragment-view
+  // matchers, fail-first plans (private caches) and the old breadth-first
+  // plans (fed through a store) give the same ExistsAt answer at every
+  // center, bound probes give the same answers again, and anchored
+  // enumeration yields the same embedding set.
+  Scenario s = MakeScenario(GetParam());
+  const std::vector<Pattern> patterns = PlanBatteryPatterns(s, GetParam());
+  SearchPlanStore bfs_plans(s.graph);
+  const PlanBuilder bfs = test::BfsPlanBuilder(s.graph);
+  size_t reordered = 0;
+  for (const Pattern& p : patterns) {
+    const PNodeId x = p.x();
+    bfs_plans.Prepare(p, {&x, 1}, bfs);
+    std::vector<PNodeId> first_copy;
+    const Pattern expanded = p.ExpandMultiplicities(&first_copy);
+    if (BuildSearchPlan(expanded, {first_copy[x]}, s.graph).order !=
+        test::BfsSearchPlan(expanded, {first_copy[x]}, s.graph).order) {
+      ++reordered;
+    }
+  }
+  EXPECT_GT(reordered, 0u) << "no pattern exercised a different order";
+
+  const auto centers = s.graph.nodes_with_label(s.q.x_label);
+  std::vector<NodeId> members = NodesWithinRadius(s.graph, centers[0], 2);
+  std::sort(members.begin(), members.end());
+  const GraphView view(s.graph, members);
+  std::vector<NodeId> view_centers;
+  for (NodeId v : members) {
+    if (s.graph.node_label(v) == s.q.x_label) view_centers.push_back(v);
+  }
+
+  struct Side {
+    const GraphView* view;
+    std::span<const NodeId> centers;
+  };
+  for (const Side& side : {Side{nullptr, centers}, Side{&view, view_centers}}) {
+    VF2Matcher fail_first(s.graph, side.view);
+    VF2Matcher breadth_first(s.graph, side.view);
+    breadth_first.set_plan_store(&bfs_plans);
+    GuidedMatcher guided(s.graph, side.view);
+    uint64_t probes = 0;
+    for (const Pattern& p : patterns) {
+      std::vector<char> expected;
+      for (NodeId v : side.centers) {
+        const bool want = breadth_first.ExistsAt(p, v);
+        ++probes;
+        expected.push_back(want ? 1 : 0);
+        EXPECT_EQ(fail_first.ExistsAt(p, v), want)
+            << "seed " << GetParam() << " node " << v;
+        EXPECT_EQ(guided.ExistsAt(p, v), want)
+            << "seed " << GetParam() << " node " << v;
+      }
+      fail_first.Bind(p);
+      for (size_t i = 0; i < side.centers.size(); ++i) {
+        EXPECT_EQ(fail_first.ProbeAt(side.centers[i]) ? 1 : 0, expected[i])
+            << "bound probe, seed " << GetParam();
+      }
+      for (size_t i = 0; i < side.centers.size() && i < 15; ++i) {
+        const NodeId v = side.centers[i];
+        EXPECT_EQ(EmbeddingSet(fail_first, p, v, 0),
+                  EmbeddingSet(breadth_first, p, v, 0))
+            << "embedding sets differ, seed " << GetParam() << " node " << v;
+        probes += 1;
+      }
+    }
+    // Every breadth-first search really ran on the store's plans.
+    EXPECT_EQ(breadth_first.plan_store_hits(), probes);
+  }
+}
+
+TEST_P(SeededProperty, TripleTableAfterPatchEqualsRebuilt) {
+  // PatchGraph reassembles through FinishFromOutCsr; its triple table
+  // equals one built from scratch on the final edge list.
+  Scenario s = MakeScenario(GetParam());
+  const Graph& g = s.graph;
+  GraphDelta delta;
+  for (NodeId v = static_cast<NodeId>(GetParam());
+       v < g.num_nodes() && delta.deletes.size() < 30; v += 7) {
+    if (!g.out_edges(v).empty()) {
+      const AdjEntry e = g.out_edges(v).back();
+      delta.deletes.push_back({v, e.label, e.other});
+    }
+  }
+  const LabelId fresh = g.labels_ptr()->Intern("battery_edge");
+  for (NodeId v = 0; v + 11 < g.num_nodes() && delta.inserts.size() < 30;
+       v += 13) {
+    delta.inserts.push_back({v, s.q.edge_label, v + 11});
+    delta.inserts.push_back({v + 11, fresh, v});
+  }
+  auto patch = PatchGraph(g, delta);
+  ASSERT_TRUE(patch.ok()) << patch.status();
+
+  GraphBuilder b(g.labels_ptr());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) b.AddNode(g.node_label(v));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const AdjEntry& e : patch->graph.out_edges(v)) {
+      ASSERT_TRUE(b.AddEdge(v, e.label, e.other).ok());
+    }
+  }
+  const Graph rebuilt = std::move(b).Build();
+  const std::span<const EdgePatternStat> patched = patch->graph.edge_triples();
+  const std::span<const EdgePatternStat> scratch = rebuilt.edge_triples();
+  EXPECT_TRUE(std::equal(patched.begin(), patched.end(), scratch.begin(),
+                         scratch.end()));
+  // The new label's edges are counted under their triples.
+  uint64_t fresh_edges = 0;
+  for (const EdgePatternStat& t : patched) {
+    if (t.edge_label == fresh) fresh_edges += t.count;
+  }
+  EXPECT_EQ(fresh_edges, delta.inserts.size() / 2);
 }
 
 TEST_P(SeededProperty, GuidedMatcherAgreesWithVF2) {

@@ -7,6 +7,9 @@
 //                      [--k 10 --d 2 --sigma 5 --lambda 0.5 --workers 4]
 //                      [--max-edges 4]
 //                      [--rules-out rules.txt] [--snapshot-out rules.snap]
+//                      (--snapshot-out writes a v2 rule snapshot: the top-k
+//                      plus the run's match evidence, which `maintain`
+//                      restores from without mining again)
 //   gpar_tool identify --graph g.txt --rules rules.txt --eta 1.0
 //                      [--algo match|matchc|disvf2|seq] [--workers 4]
 //   gpar_tool snapshot --graph g.txt --out g.snap
@@ -32,6 +35,7 @@
 //                      [--journal deltas.wal] [--out rules2.snap]
 //                      [--strict 0] [--x user --edge like_music --y music_1]
 //                      [--k 10 --d 2 --sigma 5 --lambda 0.5 --max-edges 4]
+//                      [--workers 4]
 //                      (offline rule refresh: restores a maintainer from a
 //                      v2 rule snapshot's evidence — or seeds one from a v1
 //                      snapshot, which needs --x/--edge/--y and the mining
@@ -207,7 +211,10 @@ int CmdMine(const std::map<std::string, std::string>& flags) {
   opt.num_workers = NumFlagOr<uint32_t>(flags, "workers", 4);
   opt.max_pattern_edges = NumFlagOr<uint32_t>(flags, "max-edges", 4);
 
-  auto result = Dmine(g, q, opt);
+  // The run's match evidence rides along in the snapshot (v2), so
+  // `maintain` can restore from it instead of mining again.
+  RuleSetEvidence evidence;
+  auto result = Dmine(g, q, opt, &evidence);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -237,12 +244,15 @@ int CmdMine(const std::map<std::string, std::string>& flags) {
   }
   it = flags.find("snapshot-out");
   if (it != flags.end()) {
-    Status s = WriteRuleSetSnapshotFile(records, g.labels(), it->second);
+    evidence.setup = MakeMiningSetup(opt, q, g.labels());
+    Status s =
+        WriteRuleSetSnapshotV2File(records, evidence, g.labels(), it->second);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %zu rules (with supp/conf metadata) to %s\n",
+    std::printf("wrote %zu rules (with supp/conf metadata and match "
+                "evidence) to %s\n",
                 records.size(), it->second.c_str());
   }
   return 0;
@@ -350,7 +360,8 @@ int CmdSnapshot(const std::map<std::string, std::string>& flags) {
 
 /// The mining parameters shared by `serve --maintain 1` (seeding the
 /// session's maintainer) and `maintain` on a v1 snapshot — for a v2
-/// snapshot the persisted evidence setup overrides all of these.
+/// snapshot the persisted evidence setup overrides all of these but the
+/// seed's worker count.
 MaintainOptions MaintainOptionsFromFlags(
     const std::map<std::string, std::string>& flags) {
   MaintainOptions o;
@@ -359,13 +370,14 @@ MaintainOptions MaintainOptionsFromFlags(
   o.mine.sigma = NumFlagOr<uint64_t>(flags, "sigma", 5);
   o.mine.lambda = NumFlagOr<double>(flags, "lambda", 0.5);
   o.mine.max_pattern_edges = NumFlagOr<uint32_t>(flags, "max-edges", 4);
+  o.mine.num_workers = NumFlagOr<uint32_t>(flags, "workers", 4);
   return o;
 }
 
 int CmdMaintain(const std::map<std::string, std::string>& flags) {
   RequireKnownFlags(flags, {"graph-snapshot", "rules-snapshot", "journal",
                             "out", "strict", "x", "edge", "y", "k", "d",
-                            "sigma", "lambda", "max-edges"});
+                            "sigma", "lambda", "max-edges", "workers"});
   MaintainRequest req;
   req.graph_snapshot = RequireFlag(flags, "graph-snapshot");
   req.rules_snapshot = RequireFlag(flags, "rules-snapshot");
