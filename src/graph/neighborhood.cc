@@ -71,20 +71,4 @@ DNeighborhood ExtractDNeighborhood(const Graph& g, NodeId v, uint32_t d) {
   return out;
 }
 
-bool IsDescendant(const Graph& g, NodeId v, NodeId desc) {
-  if (v == desc) return false;  // a node is not its own descendant
-  std::unordered_map<NodeId, bool> seen;
-  std::deque<NodeId> frontier{v};
-  seen.emplace(v, true);
-  while (!frontier.empty()) {
-    NodeId u = frontier.front();
-    frontier.pop_front();
-    for (const AdjEntry& e : g.out_edges(u)) {
-      if (e.other == desc) return true;
-      if (seen.emplace(e.other, true).second) frontier.push_back(e.other);
-    }
-  }
-  return false;
-}
-
 }  // namespace gpar

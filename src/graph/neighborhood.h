@@ -38,9 +38,6 @@ struct DNeighborhood {
 };
 DNeighborhood ExtractDNeighborhood(const Graph& g, NodeId v, uint32_t d);
 
-/// True iff `desc` is a descendant of `v` (directed path v ->* desc).
-bool IsDescendant(const Graph& g, NodeId v, NodeId desc);
-
 }  // namespace gpar
 
 #endif  // GPAR_GRAPH_NEIGHBORHOOD_H_

@@ -4,7 +4,6 @@
 #include <map>
 #include <string>
 
-#include "graph/neighborhood.h"
 #include "match/matcher.h"
 #include "mine/levelwise.h"
 #include "pattern/automorphism.h"

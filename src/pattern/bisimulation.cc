@@ -77,7 +77,8 @@ std::vector<uint32_t> BisimulationColors(const Pattern& p) {
   return RefineUnion(p, nullptr);
 }
 
-bool AreBisimilar(const Pattern& a, const Pattern& b) {
+bool AreBisimilarDesignated(const Pattern& a, const Pattern& b) {
+  if (a.has_y() != b.has_y()) return false;
   const uint32_t na = a.num_nodes();
   const uint32_t nb = b.num_nodes();
   std::vector<uint32_t> color = RefineUnion(a, &b);
@@ -86,14 +87,7 @@ bool AreBisimilar(const Pattern& a, const Pattern& b) {
   std::set<uint32_t> in_a, in_b;
   for (uint32_t u = 0; u < na; ++u) in_a.insert(color[u]);
   for (uint32_t u = 0; u < nb; ++u) in_b.insert(color[na + u]);
-  return in_a == in_b;
-}
-
-bool AreBisimilarDesignated(const Pattern& a, const Pattern& b) {
-  if (!AreBisimilar(a, b)) return false;
-  if (a.has_y() != b.has_y()) return false;
-  std::vector<uint32_t> color = RefineUnion(a, &b);
-  const uint32_t na = a.num_nodes();
+  if (in_a != in_b) return false;
   if (color[a.x()] != color[na + b.x()]) return false;
   if (a.has_y() && color[a.y()] != color[na + b.y()]) return false;
   return true;

@@ -14,17 +14,13 @@ namespace gpar {
 std::vector<uint32_t> BisimulationColors(const Pattern& p);
 
 /// True iff patterns `a` and `b` are bisimilar per the paper's definition
-/// (Section 4.2): there is a relation Ob covering every node of each
-/// pattern, pairing same-label nodes whose outgoing edges mutually match.
+/// (Section 4.2) with their designated nodes x (and y, when present)
+/// related: there is a relation Ob covering every node of each pattern,
+/// pairing same-label nodes whose outgoing edges mutually match.
 ///
 /// Lemma 4: if not bisimilar, the patterns cannot be automorphic — so this
-/// is DMine's cheap O((|a|+|b|)^2) prefilter before exact automorphism
-/// checks.
-bool AreBisimilar(const Pattern& a, const Pattern& b);
-
-/// As `AreBisimilar`, additionally requiring the designated nodes x (and y,
-/// when present) to be related. A necessary condition for an automorphism
-/// that fixes the designated nodes — what DMine's rule grouping needs.
+/// is DMine's cheap O((|a|+|b|)^2) prefilter before the exact automorphism
+/// check that fixes the designated nodes, which its rule grouping needs.
 bool AreBisimilarDesignated(const Pattern& a, const Pattern& b);
 
 }  // namespace gpar

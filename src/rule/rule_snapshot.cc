@@ -255,18 +255,4 @@ Result<RuleSetSnapshot> ReadRuleSetSnapshotAnyFile(const std::string& path,
   return ReadRuleSetSnapshotAny(is, labels);
 }
 
-Result<std::vector<RuleRecord>> ReadRuleSetSnapshot(std::istream& is,
-                                                    Interner* labels) {
-  GPAR_ASSIGN_OR_RETURN(RuleSetSnapshot snap,
-                        ReadRuleSetSnapshotAny(is, labels));
-  return std::move(snap.rules);
-}
-
-Result<std::vector<RuleRecord>> ReadRuleSetSnapshotFile(
-    const std::string& path, Interner* labels) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open " + path);
-  return ReadRuleSetSnapshot(is, labels);
-}
-
 }  // namespace gpar

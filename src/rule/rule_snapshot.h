@@ -50,12 +50,12 @@ struct RuleRecord {
 /// ```
 /// Patterns ride in the pattern codec's text form, so records are
 /// self-describing (label *names*, not dictionary ids) and a rule snapshot
-/// can be loaded against any graph: `ReadRuleSetSnapshot` interns the names
+/// can be loaded against any graph: `ReadRuleSetSnapshotAny` interns the names
 /// through the target graph's dictionary. Write -> read -> write is
 /// byte-identical (the codec's text form is canonical for a given rule).
 ///
 /// Version 1 (no evidence) remains the write format for plain rule sets —
-/// v1 files stay byte-identical to earlier releases — and both readers
+/// v1 files stay byte-identical to earlier releases — and the readers
 /// accept both versions.
 Status WriteRuleSetSnapshot(const std::vector<RuleRecord>& rules,
                             const Interner& labels, std::ostream& os);
@@ -89,13 +89,6 @@ Result<RuleSetSnapshot> ReadRuleSetSnapshotAny(std::istream& is,
                                                Interner* labels);
 Result<RuleSetSnapshot> ReadRuleSetSnapshotAnyFile(const std::string& path,
                                                    Interner* labels);
-
-/// Records-only readers (accept both versions; v2 evidence is decoded for
-/// validation, then dropped). The PR 5/6 loading API.
-Result<std::vector<RuleRecord>> ReadRuleSetSnapshot(std::istream& is,
-                                                    Interner* labels);
-Result<std::vector<RuleRecord>> ReadRuleSetSnapshotFile(
-    const std::string& path, Interner* labels);
 
 }  // namespace gpar
 

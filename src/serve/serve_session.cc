@@ -91,8 +91,10 @@ Result<SnapshotPair> ReadSnapshotPair(const std::string& graph_snapshot_path,
   SnapshotPair pair;
   GPAR_ASSIGN_OR_RETURN(pair.graph, ReadGraphSnapshotFile(graph_snapshot_path));
   GPAR_ASSIGN_OR_RETURN(
-      pair.rules, ReadRuleSetSnapshotFile(rules_snapshot_path,
-                                          pair.graph.mutable_labels()));
+      RuleSetSnapshot rules,
+      ReadRuleSetSnapshotAnyFile(rules_snapshot_path,
+                                 pair.graph.mutable_labels()));
+  pair.rules = std::move(rules.rules);
   return pair;
 }
 

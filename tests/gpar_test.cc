@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/paper_graphs.h"
-#include "mine/multi_dmine.h"
 #include "pattern/pattern_ops.h"
 
 namespace gpar {
@@ -140,47 +139,6 @@ TEST_F(GparTest, ParseRejectsGarbage) {
   EXPECT_FALSE(Gpar::Parse("n 0 cust x\n", &in).ok());       // no q line
   EXPECT_FALSE(Gpar::Parse("q visit\n", &in).ok());          // no pattern
   EXPECT_FALSE(Gpar::ParseSet("nonsense\n---\n", &in).ok());
-}
-
-TEST(MultiDmineTest, MinesEachDistinctPredicateOnce) {
-  PaperG1 g1 = MakePaperG1();
-  DmineOptions opt;
-  opt.num_workers = 2;
-  opt.k = 2;
-  opt.d = 2;
-  opt.sigma = 1;
-  opt.max_pattern_edges = 3;
-  opt.seed_edge_limit = 8;
-
-  std::vector<Predicate> predicates{g1.q, g1.q};  // duplicate collapses
-  auto result = DmineForPredicates(g1.graph, predicates, opt);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->per_predicate.size(), 1u);
-  EXPECT_GT(result->per_predicate[0].second.stats.accepted, 0u);
-}
-
-TEST(MultiDmineTest, AutoCollectsFrequentPredicates) {
-  PaperG1 g1 = MakePaperG1();
-  DmineOptions opt;
-  opt.num_workers = 2;
-  opt.k = 2;
-  opt.d = 2;
-  opt.sigma = 1;
-  opt.max_pattern_edges = 2;
-  opt.seed_edge_limit = 6;
-
-  auto result = DmineAuto(g1.graph, opt, /*num_predicates=*/3);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GE(result->per_predicate.size(), 1u);
-  EXPECT_LE(result->per_predicate.size(), 3u);
-
-  // Filtered variant: only visit predicates.
-  auto visits = DmineAuto(g1.graph, opt, 3,
-                          g1.graph.labels().Lookup("visit"));
-  ASSERT_TRUE(visits.ok());
-  for (const auto& [q, r] : visits->per_predicate) {
-    EXPECT_EQ(q.edge_label, g1.graph.labels().Lookup("visit"));
-  }
 }
 
 }  // namespace

@@ -229,14 +229,6 @@ TEST(NeighborhoodTest, DNeighborhoodCentersItself) {
   EXPECT_EQ(dn.sub.graph.num_nodes(), 4u);
 }
 
-TEST(NeighborhoodTest, Descendants) {
-  Graph g = SmallGraph();
-  EXPECT_TRUE(IsDescendant(g, 0, 3));   // a -> t directly
-  EXPECT_TRUE(IsDescendant(g, 1, 3));   // c -> s -> t
-  EXPECT_FALSE(IsDescendant(g, 3, 0));  // t has no out-edges
-  EXPECT_FALSE(IsDescendant(g, 0, 0));  // not its own descendant
-}
-
 TEST(StatsTest, FrequentEdgePatterns) {
   Graph g = SmallGraph();
   auto stats = FrequentEdgePatterns(g);

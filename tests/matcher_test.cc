@@ -12,7 +12,6 @@
 #include "graph/stats.h"
 #include "match/guided.h"
 #include "match/multi_pattern.h"
-#include "match/simulation.h"
 #include "pattern/pattern_generator.h"
 
 namespace gpar {
@@ -381,32 +380,6 @@ TEST(SearchPlanTest, SelectiveNeighbourIsPlacedFirst) {
   EXPECT_EQ(BuildSearchPlan(p, {}, g).order.front(), x);
   VF2Matcher m(g);
   EXPECT_TRUE(m.ExistsAt(p, hub));
-}
-
-TEST_F(MatcherTest, SimulationOverapproximatesIsomorphism) {
-  // sim(x) ⊇ Q(x, G) for every rule pattern.
-  VF2Matcher m(g1_.graph);
-  for (const Gpar* r : {&g1_.r1, &g1_.r5, &g1_.r6, &g1_.r7, &g1_.r8}) {
-    auto iso = m.Images(r->antecedent(), r->antecedent().x());
-    auto sim = SimulationImages(r->antecedent(), g1_.graph,
-                                r->antecedent().x());
-    std::sort(iso.begin(), iso.end());
-    for (NodeId v : iso) {
-      EXPECT_TRUE(std::binary_search(sim.begin(), sim.end(), v))
-          << "simulation dropped isomorphism image " << v;
-    }
-  }
-}
-
-TEST_F(MatcherTest, SimulationEmptyWhenLabelMissing) {
-  const Interner& labels = g1_.graph.labels();
-  Pattern p;
-  PNodeId x = p.AddNode(labels.Lookup("cust"));
-  PNodeId z = p.AddNode(kWildcardLabel);  // label that exists nowhere
-  p.AddEdge(x, labels.Lookup("friend"), z);
-  p.set_x(x);
-  auto sim = DualSimulation(p, g1_.graph);
-  for (const auto& s : sim) EXPECT_TRUE(s.empty());
 }
 
 }  // namespace

@@ -200,8 +200,13 @@ TEST_F(PatternTest, BisimulationNecessaryForIsomorphism) {
     p1.set_x(x);
   }
   Pattern p2 = p1;
-  EXPECT_TRUE(AreBisimilar(p1, p2));
   EXPECT_TRUE(AreBisimilarDesignated(p1, p2));
+
+  // Same pattern, but x moved to `a`, whose out-behaviour differs from the
+  // original x: the patterns are bisimilar, yet their x's are not related.
+  Pattern p1_at_a = p1;
+  p1_at_a.set_x(1);
+  EXPECT_FALSE(AreBisimilarDesignated(p1, p1_at_a));
 
   // Different out-behaviour: drop one live_in.
   Pattern p3;
@@ -213,13 +218,14 @@ TEST_F(PatternTest, BisimulationNecessaryForIsomorphism) {
     p3.AddEdge(x, live_in_, c);
     p3.set_x(x);
   }
-  EXPECT_FALSE(AreBisimilar(p1, p3));
+  EXPECT_FALSE(AreBisimilarDesignated(p1, p3));
   EXPECT_FALSE(AreIsomorphic(p1, p3, false));  // consistent with Lemma 4
 }
 
 TEST_F(PatternTest, BisimilarButNotIsomorphic) {
   // A 2-cycle and a 3-cycle of the same label/edge are bisimilar yet not
-  // isomorphic — exactly why bisimulation is only a prefilter.
+  // isomorphic — exactly why bisimulation is only a prefilter. x defaults to
+  // node 0 in both, and every node falls in one class.
   Pattern two;
   {
     PNodeId a = two.AddNode(cust_);
@@ -236,7 +242,7 @@ TEST_F(PatternTest, BisimilarButNotIsomorphic) {
     three.AddEdge(b, friend_, c);
     three.AddEdge(c, friend_, a);
   }
-  EXPECT_TRUE(AreBisimilar(two, three));
+  EXPECT_TRUE(AreBisimilarDesignated(two, three));
   EXPECT_FALSE(AreIsomorphic(two, three, false));
 }
 

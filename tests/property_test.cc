@@ -22,7 +22,6 @@
 #include "maintain/rule_maintainer.h"
 #include "match/guided.h"
 #include "match/matcher.h"
-#include "match/simulation.h"
 #include "mine/dmine.h"
 #include "mine/naive_miner.h"
 #include "pattern/automorphism.h"
@@ -459,18 +458,6 @@ TEST_P(SeededProperty, MatchingIsLocalWithinEvalRadius) {
       EXPECT_EQ(global.ExistsAt(r.pr(), v),
                 local.ExistsAt(r.pr(), dn.center_local))
           << "locality violated at seed " << GetParam() << " node " << v;
-    }
-  }
-}
-
-TEST_P(SeededProperty, SimulationContainsIsomorphismImages) {
-  Scenario s = MakeScenario(GetParam());
-  VF2Matcher m(s.graph);
-  for (const Gpar& r : s.rules) {
-    auto iso = m.Images(r.pr(), r.pr().x());
-    auto sim = SimulationImages(r.pr(), s.graph, r.pr().x());
-    for (NodeId v : iso) {
-      EXPECT_TRUE(std::binary_search(sim.begin(), sim.end(), v));
     }
   }
 }

@@ -172,16 +172,17 @@ TEST(RuleSnapshotTest, RoundTripWithMetadata) {
   std::string bytes = RuleBytes(records, labels);
 
   std::istringstream is(bytes);
-  auto reloaded = ReadRuleSetSnapshot(is, g1.graph.mutable_labels());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  ASSERT_EQ(reloaded->size(), records.size());
+  auto snap = ReadRuleSetSnapshotAny(is, g1.graph.mutable_labels());
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  const std::vector<RuleRecord>& reloaded = snap->rules;
+  ASSERT_EQ(reloaded.size(), records.size());
   for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ((*reloaded)[i].rule, records[i].rule) << "rule " << i;
-    EXPECT_EQ((*reloaded)[i].supp, records[i].supp);
-    EXPECT_EQ((*reloaded)[i].conf, records[i].conf);
+    EXPECT_EQ(reloaded[i].rule, records[i].rule) << "rule " << i;
+    EXPECT_EQ(reloaded[i].supp, records[i].supp);
+    EXPECT_EQ(reloaded[i].conf, records[i].conf);
   }
   // Byte-identical re-serialization.
-  EXPECT_EQ(RuleBytes(*reloaded, labels), bytes);
+  EXPECT_EQ(RuleBytes(reloaded, labels), bytes);
 }
 
 TEST(RuleSnapshotTest, LoadsIntoFreshInterner) {
@@ -193,10 +194,10 @@ TEST(RuleSnapshotTest, LoadsIntoFreshInterner) {
 
   Interner fresh;
   std::istringstream is(bytes);
-  auto reloaded = ReadRuleSetSnapshot(is, &fresh);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  ASSERT_EQ(reloaded->size(), 1u);
-  const Gpar& r = (*reloaded)[0].rule;
+  auto snap = ReadRuleSetSnapshotAny(is, &fresh);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  ASSERT_EQ(snap->rules.size(), 1u);
+  const Gpar& r = snap->rules[0].rule;
   EXPECT_EQ(r.antecedent().num_nodes(), g1.r1.antecedent().num_nodes());
   EXPECT_EQ(r.antecedent().num_edges(), g1.r1.antecedent().num_edges());
   EXPECT_EQ(fresh.Name(r.q_label()),
@@ -212,18 +213,18 @@ TEST(RuleSnapshotTest, RejectsCorruption) {
     std::string bad = bytes;
     bad[0] ^= 0xff;
     std::istringstream is(bad);
-    EXPECT_FALSE(ReadRuleSetSnapshot(is, &fresh).ok());
+    EXPECT_FALSE(ReadRuleSetSnapshotAny(is, &fresh).ok());
   }
   {
     std::string bad = bytes;
     bad.back() ^= 0x10;  // payload flip -> checksum
     std::istringstream is(bad);
-    EXPECT_FALSE(ReadRuleSetSnapshot(is, &fresh).ok());
+    EXPECT_FALSE(ReadRuleSetSnapshotAny(is, &fresh).ok());
   }
   {
     std::string bad = bytes.substr(0, bytes.size() / 2);
     std::istringstream is(bad);
-    EXPECT_FALSE(ReadRuleSetSnapshot(is, &fresh).ok());
+    EXPECT_FALSE(ReadRuleSetSnapshotAny(is, &fresh).ok());
   }
 }
 
@@ -811,12 +812,13 @@ TEST(RuleSnapshotV2Test, V1ReadersAcceptV2AndViceVersa) {
   std::string v2 = RuleV2Bytes(records, ev, g1.graph.labels());
   std::string v1 = RuleBytes(records, g1.graph.labels());
 
-  // Records-only reader on a v2 file: evidence validated, then dropped.
+  // Any-version reader on a v2 file: records plus the validated evidence.
   Interner fresh;
   std::istringstream is2(v2);
-  auto records_only = ReadRuleSetSnapshot(is2, &fresh);
-  ASSERT_TRUE(records_only.ok()) << records_only.status();
-  EXPECT_EQ(records_only->size(), records.size());
+  auto with_evidence = ReadRuleSetSnapshotAny(is2, &fresh);
+  ASSERT_TRUE(with_evidence.ok()) << with_evidence.status();
+  EXPECT_EQ(with_evidence->rules.size(), records.size());
+  EXPECT_TRUE(with_evidence->has_evidence);
 
   // Any-version reader on a v1 file: no evidence section.
   Interner fresh2;

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """gpar_lint: repo-specific static checks clang cannot express.
 
-Five rules, each encoding a project invariant that has bitten (or would
-bite) the concurrent serving tier:
+Six rules, each encoding a project invariant that has bitten (or would
+bite) the library:
 
   [atomic-order]   Every std::atomic access through .load/.store/.exchange/
                    .fetch_*/.compare_exchange_* in src/ must name an
@@ -32,6 +32,13 @@ bite) the concurrent serving tier:
                    untested failpoint is an untested failure path — the
                    whole point of registering the site was to inject faults
                    through it.
+
+  [orphan-module]  Every header under src/ must be #included by at least
+                   one file outside tests/ — in src/, tools/, bench/,
+                   perfbench/ or examples/ — not counting the header's own
+                   .cc. A module only tests reach is library code no
+                   program calls: one more path to build, lint and
+                   sanitize for nothing.
 
 Usage:
   tools/gpar_lint.py [--root DIR]
@@ -64,6 +71,11 @@ NAKED_INCLUDE_RE = re.compile(r'#\s*include\s*<(mutex|condition_variable|shared_
 BOOL_FIELD_RE = re.compile(r"^\s*bool\s+(\w+)\s*=")
 BENCH_JSON_RE = re.compile(r"\bBENCH_[A-Za-z0-9_]+\.json\b")
 FAILPOINT_SITE_RE = re.compile(r'\bGPAR_FAILPOINT(?:_TORN)?\(\s*"([^"]+)"')
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# Trees whose files count as includers for [orphan-module]: everything that
+# builds into a program, and nothing under tests/.
+INCLUDER_DIRS = ("src", "tools", "bench", "perfbench", "examples")
 
 # Files allowed to touch the raw primitives: the annotated wrappers
 # themselves (and the macro header they depend on).
@@ -251,6 +263,36 @@ class Linter:
                             "needs fault-injection coverage",
                         )
 
+    # -- rule: orphan-module -----------------------------------------------
+
+    def check_orphan_modules(self) -> None:
+        src = self.root / "src"
+        # Resolved header path -> the files that include it.
+        includers: dict[pathlib.Path, set[pathlib.Path]] = {}
+        for subdir in INCLUDER_DIRS:
+            for path in self._source_files(subdir):
+                for line in self._read_lines(path):
+                    m = QUOTED_INCLUDE_RE.match(line)
+                    if not m:
+                        continue
+                    # Includes resolve against src/ (the include root) or
+                    # the including file's own directory.
+                    for base in (src, path.parent):
+                        target = (base / m.group(1)).resolve()
+                        includers.setdefault(target, set()).add(path.resolve())
+        for header in self._source_files("src"):
+            if header.suffix not in (".h", ".hpp"):
+                continue
+            own_cc = header.with_suffix(".cc").resolve()
+            users = includers.get(header.resolve(), set()) - {own_cc}
+            if not users:
+                self.report(
+                    header, 1, "orphan-module",
+                    f"{header.relative_to(src).as_posix()} is included by "
+                    "nothing outside tests/ (only its own .cc, if any) — "
+                    "delete the module or give it a caller",
+                )
+
     # -- driver ------------------------------------------------------------
 
     def run(self) -> int:
@@ -259,6 +301,7 @@ class Linter:
         self.check_ablation_flags()
         self.check_bench_registration()
         self.check_failpoint_sites()
+        self.check_orphan_modules()
         for finding in self.findings:
             print(finding)
         if self.findings:
