@@ -2,7 +2,7 @@
 // growing size (n = 16, d = 2, fixed σ). Each row also reports DMine's
 // worker probes and parent-skipped centers, its coordinator share
 // (coordinator seconds / simulated parallel seconds), the coordinator's
-// candidate-merge seconds and the worker proposal volume.
+// candidate-production seconds and the candidates the workers generated.
 //
 // Paper shape: both grow with |G|; DMine outperforms DMineno (1.76x at the
 // largest size).
@@ -29,7 +29,7 @@ int main() {
     double dmine_s, dmineno_s;
     double coord_share, coord_merge;
     uint64_t centers_skipped, exists_calls;
-    uint64_t proposals, cross_merged;
+    uint64_t proposals;
   };
   std::vector<Row> rows;
 
@@ -77,8 +77,7 @@ int main() {
     for (uint64_t p : fast_stats.proposals_per_worker) proposals += p;
     rows.push_back({v, e, tf, ts, coord_share, coord_merge,
                     fast_stats.centers_skipped_by_parent,
-                    fast_stats.exists_calls, proposals,
-                    fast_stats.cross_fragment_merged});
+                    fast_stats.exists_calls, proposals});
     PrintCell(static_cast<uint64_t>(v));
     PrintCell(e);
     PrintCell(tf);
@@ -109,14 +108,13 @@ int main() {
           "\"dmineno_s\": %.6f, "
           "\"coord_share_workergen\": %.6f, "
           "\"coord_merge_s_workergen\": %.6f, "
-          "\"proposals\": %llu, \"cross_fragment_merged\": %llu, "
+          "\"proposals\": %llu, "
           "\"centers_skipped_by_parent\": %llu, "
           "\"exists_calls_pruned\": %llu}%s\n",
           static_cast<unsigned long long>(r.v),
           static_cast<unsigned long long>(r.e), r.dmine_s, r.dmineno_s,
           r.coord_share, r.coord_merge,
           static_cast<unsigned long long>(r.proposals),
-          static_cast<unsigned long long>(r.cross_merged),
           static_cast<unsigned long long>(r.centers_skipped),
           static_cast<unsigned long long>(r.exists_calls),
           i + 1 < rows.size() ? "," : "");

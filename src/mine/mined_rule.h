@@ -10,7 +10,7 @@
 namespace gpar {
 
 /// A discovered GPAR with its global statistics, as assembled by the DMine
-/// coordinator from worker messages.
+/// coordinator from the workers' local matches.
 struct MinedRule {
   Gpar rule;
   uint64_t supp = 0;         ///< supp(R, G)
@@ -21,20 +21,19 @@ struct MinedRule {
   double uconf_plus = 0;     ///< Uconf+(R): confidence bound for extensions
   bool pruned = false;       ///< removed from Σ/ΔE by the reduction rules
 
-  /// Per-fragment (parallel to the DMine worker array) local-center indices
-  /// where P_R matched. Anti-monotonicity makes this the exact search pool
-  /// for every extension of this rule: a child's P_R contains the parent's
-  /// P_R, so the child can only match where the parent did. Doubly used by
-  /// worker-side candidate generation: the rule "survives" in fragment i
-  /// iff frag_pr_centers[i] is non-empty, exactly one surviving fragment
-  /// owns (proposes) the rule's extensions, and the owner ships its list's
-  /// size as the proposal's local support evidence. The levelwise driver
-  /// clears these once the rule's children have been evaluated. Empty
-  /// outside DMine.
-  std::vector<std::vector<uint32_t>> frag_pr_centers;
-  /// Same lineage for the negative side: per-fragment ~q-pool center indices
+  /// Per-fragment (parallel to the DMine worker array) global ids of the
+  /// fragment's owned centers where P_R matched. Anti-monotonicity makes
+  /// this the exact search pool for every extension of this rule: a child's
+  /// P_R contains the parent's P_R, so the child can only match where the
+  /// parent did. Candidate generation reads it too: the rule "survives" in
+  /// fragment i iff frag_pr_centers[i] is non-empty, and exactly one
+  /// surviving fragment owns (generates) the rule's extensions. The
+  /// levelwise driver clears these once the rule's children have been
+  /// evaluated. Empty outside DMine.
+  std::vector<std::vector<NodeId>> frag_pr_centers;
+  /// Same lineage for the negative side: per-fragment ~q-pool centers
   /// where the antecedent's x-component matched (the supp(Q~q) pool).
-  std::vector<std::vector<uint32_t>> frag_ant_centers;
+  std::vector<std::vector<NodeId>> frag_ant_centers;
 };
 
 }  // namespace gpar

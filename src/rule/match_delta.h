@@ -19,8 +19,10 @@ namespace gpar {
 /// removed-positions when it dropped few. High-support rules — the ones
 /// with the largest sets — lose almost nothing per round, which is exactly
 /// where removed-position frames collapse to a handful of words. The codec
-/// is shared by the evidence section of rule-snapshot v2 (on disk) and by
-/// the BSP message-volume accounting in DmineStats (on the wire).
+/// serves the evidence section of rule-snapshot v2 (on disk) and the
+/// evidence-size accounting in MaintainStats (`evidence_bytes_*`). DMine's
+/// workers hand their match sets to the coordinator as global-id lists and
+/// do not encode them.
 enum class MatchDeltaMode : uint8_t {
   kKept = 0,     ///< payload = positions of the child's members in parent
   kRemoved = 1,  ///< payload = positions of parent members NOT in the child

@@ -326,83 +326,12 @@ Gpar IsomorphicCopy(const Gpar& r) {
   return std::move(result).value();
 }
 
-CandidateProposal MakeProposal(size_t parent, uint32_t ordinal,
-                               uint32_t evidence, Gpar rule) {
-  CandidateProposal p;
-  p.parent = parent;
-  p.ext_ordinal = ordinal;
-  p.structural_hash = StructuralHash(rule.pr());
-  p.local_evidence = evidence;
-  p.rule = std::move(rule);
-  return p;
-}
-
-TEST(DmineTest, MergeProposalsCollapsesCrossFragmentDuplicates) {
-  // Two fragments where the same parent survives propose its extension set
-  // independently; the coordinator must keep one copy per (parent, ordinal),
-  // sum the support evidence, and emit the stream in centralized order
-  // (parent ascending, then generation ordinal) regardless of which worker
-  // proposed what.
-  PaperG1 g1 = MakePaperG1();
-  const Interner& labels = g1.graph.labels();
-  Pattern base;
-  base.set_x(base.AddNode(labels.Lookup("cust")));
-  base.set_y(base.AddNode(labels.Lookup("French_restaurant")));
-  auto seeds = FrequentEdgePatterns(g1.graph, 8);
-  auto fresh = GenerateExtensions(base, labels.Lookup("visit"), 2, 4, seeds);
-  ASSERT_GE(fresh.size(), 2u);
-
-  std::vector<std::vector<CandidateProposal>> per_worker(3);
-  // Worker 0: parent 1's extension 0.
-  per_worker[0].push_back(MakeProposal(1, 0, 3, fresh[0]));
-  // Worker 1: parent 0's extensions 1 then 0 (proposal order within a worker
-  // does not matter), plus the duplicate of parent 1's extension 0.
-  per_worker[1].push_back(MakeProposal(0, 1, 2, fresh[1]));
-  per_worker[1].push_back(MakeProposal(0, 0, 2, fresh[0]));
-  per_worker[1].push_back(MakeProposal(1, 0, 4, fresh[0]));
-  // Worker 2: another duplicate of parent 0's extension 1, plus a
-  // *checksum-mismatched* proposal under parent 1's key 0 (a different
-  // grown pattern claiming an already-used ordinal — an ownership bug the
-  // merge must not paper over by dropping a rule).
-  ASSERT_NE(StructuralHash(fresh[0].pr()), StructuralHash(fresh[1].pr()));
-  per_worker[2].push_back(MakeProposal(0, 1, 5, fresh[1]));
-  per_worker[2].push_back(MakeProposal(1, 0, 9, fresh[1]));
-
-  DmineStats stats;
-  auto merged = MergeProposals(std::move(per_worker), &stats);
-  ASSERT_EQ(merged.size(), 4u);
-  EXPECT_EQ(stats.cross_fragment_merged, 2u);
-  EXPECT_EQ(merged[0].parent, 0u);
-  EXPECT_EQ(merged[0].ext_ordinal, 0u);
-  EXPECT_EQ(merged[0].local_evidence, 2u);
-  EXPECT_EQ(merged[1].parent, 0u);
-  EXPECT_EQ(merged[1].ext_ordinal, 1u);
-  EXPECT_EQ(merged[1].local_evidence, 7u);  // 2 + 5, summed across proposers
-  // The (1, 0) pair: the two checksum-agreeing proposals merged (3 + 4),
-  // the mismatched one survived as its own candidate for the exact
-  // automorphism tests downstream. Their relative order follows the
-  // checksum tiebreaker, so identify them by payload.
-  ASSERT_EQ(merged[2].parent, 1u);
-  ASSERT_EQ(merged[2].ext_ordinal, 0u);
-  ASSERT_EQ(merged[3].parent, 1u);
-  ASSERT_EQ(merged[3].ext_ordinal, 0u);
-  const CandidateProposal& dup =
-      merged[2].local_evidence == 7u ? merged[2] : merged[3];
-  const CandidateProposal& odd =
-      merged[2].local_evidence == 7u ? merged[3] : merged[2];
-  EXPECT_EQ(dup.local_evidence, 7u);
-  EXPECT_EQ(dup.structural_hash, StructuralHash(fresh[0].pr()));
-  EXPECT_EQ(odd.local_evidence, 9u);
-  EXPECT_EQ(odd.structural_hash, StructuralHash(fresh[1].pr()));
-}
-
 TEST(DmineTest, CrossFragmentAutomorphicProposalsMergeWithoutPoisoning) {
-  // Extends PR 2's cap regression to the decentralized path: two workers
-  // proposing *automorphic* (not byte-equal) extensions of the same parent
-  // under different ordinals survive the (parent, ordinal) merge, must then
-  // be collapsed by the automorphism dedup with `automorphic_merged`
-  // incremented — and a candidate dropped by the per-round cap must not be
-  // poisoned as "seen" by its automorphic twin's rejection.
+  // The cap regression on a generated stream: two fragments' slots may
+  // hold *automorphic* (not byte-equal) extensions, which the automorphism
+  // dedup must collapse with `automorphic_merged` incremented — and a
+  // candidate dropped by the per-round cap must not be poisoned as "seen"
+  // by its automorphic twin's rejection.
   PaperG1 g1 = MakePaperG1();
   const Interner& labels = g1.graph.labels();
   Pattern base;
@@ -422,25 +351,13 @@ TEST(DmineTest, CrossFragmentAutomorphicProposalsMergeWithoutPoisoning) {
   Gpar a_twin = IsomorphicCopy(a);
   ASSERT_TRUE(AreIsomorphic(a.pr(), a_twin.pr(), /*preserve_designated=*/true));
 
-  // Workers 0 and 1 propose automorphic copies of the same parent's
-  // extension under different ordinals; worker 1 also proposes b and c.
-  std::vector<std::vector<CandidateProposal>> per_worker(2);
-  per_worker[0].push_back(MakeProposal(0, 0, 1, a));
-  per_worker[1].push_back(MakeProposal(0, 1, 1, a_twin));
-  per_worker[1].push_back(MakeProposal(0, 2, 1, b));
-  per_worker[1].push_back(MakeProposal(0, 3, 1, c));
-
-  DmineStats stats;
-  auto merged = MergeProposals(std::move(per_worker), &stats);
-  ASSERT_EQ(merged.size(), 4u);  // different ordinals: not ordinal-duplicates
-  EXPECT_EQ(stats.cross_fragment_merged, 0u);
-
-  std::vector<Gpar> stream;
-  for (auto& p : merged) stream.push_back(std::move(p.rule));
+  // The concatenated slots: a, its automorphic twin, then b and c.
+  const std::vector<Gpar> stream{a, a_twin, b, c};
 
   // Cap 2: `a` is kept; its automorphic twin is merged (a merge does not
   // consume cap budget — `b` still enters); `c` is dropped by the cap and
   // must NOT be registered as seen.
+  DmineStats stats;
   std::unordered_map<uint64_t, std::vector<Pattern>> seen;
   auto kept = DedupCandidates(stream, 2, &seen, false, &stats);
   ASSERT_EQ(kept.size(), 2u);
@@ -460,9 +377,9 @@ TEST(DmineTest, CrossFragmentAutomorphicProposalsMergeWithoutPoisoning) {
 
 TEST(DmineTest, WorkerGenProposalStatsAreConsistent) {
   // End-to-end bookkeeping on a multi-fragment run: every worker reports
-  // its proposal volume, single-owner assignment spreads generation across
-  // several workers without ever double-proposing a (parent, extension)
-  // key, and raw volume = unique candidates + cross-fragment duplicates.
+  // how many extensions it generated, single-owner assignment spreads
+  // generation across several workers, and the per-worker counts sum to
+  // the candidates generated.
   Graph g = MakeSynthetic(400, 1200, 20, 5);
   auto freq = FrequentEdgePatterns(g, 1);
   ASSERT_FALSE(freq.empty());
@@ -484,10 +401,8 @@ TEST(DmineTest, WorkerGenProposalStatsAreConsistent) {
   // Ownership round-robins over surviving fragments: generation work lands
   // on more than one worker...
   EXPECT_GT(proposing_workers, 1u);
-  // ...and never duplicates a proposal across fragments.
-  EXPECT_EQ(result->stats.cross_fragment_merged, 0u);
-  EXPECT_EQ(raw, result->stats.candidates_generated +
-                     result->stats.cross_fragment_merged);
+  // ...and no parent is extended twice.
+  EXPECT_EQ(raw, result->stats.candidates_generated);
 }
 
 TEST(DmineTest, WorksOnSyntheticGraph) {
