@@ -23,10 +23,10 @@
 #include "bench_common.h"
 #include "common/failpoint.h"
 #include "common/timer.h"
+#include "graph/delta_journal.h"
 #include "graph/graph_delta.h"
 #include "graph/graph_snapshot.h"
 #include "rule/rule_snapshot.h"
-#include "serve/delta_journal.h"
 #include "serve/rule_server.h"
 #include "serve/sharded_rule_server.h"
 

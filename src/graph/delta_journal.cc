@@ -1,4 +1,4 @@
-#include "serve/delta_journal.h"
+#include "graph/delta_journal.h"
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -225,61 +225,6 @@ uint64_t DeltaJournal::size_bytes() const {
 uint64_t DeltaJournal::frames_appended() const {
   MutexLock lock(mu_);
   return frames_;
-}
-
-Result<DeltaJournalCursor> DeltaJournalCursor::Open(const std::string& path,
-                                                    JournalReplayStats* scan) {
-  DeltaJournalCursor cursor;
-  GPAR_RETURN_NOT_OK(SlurpFile(path, &cursor.data_));
-  JournalReplayStats local;
-  GPAR_RETURN_NOT_OK(DeltaJournal::ScanBuffer(cursor.data_, nullptr, &local));
-  // Drop the torn tail from the snapshot: iteration is then a pure forward
-  // walk over pre-vetted frames.
-  cursor.data_.resize(static_cast<size_t>(local.valid_bytes));
-  cursor.frames_ = local.frames;
-  cursor.last_sequence_ = local.last_sequence;
-  if (scan != nullptr) *scan = local;
-  return cursor;
-}
-
-bool DeltaJournalCursor::Next(GraphDelta* delta) {
-  if (consumed_ >= frames_) return false;
-  const std::string_view rest = std::string_view(data_).substr(pos_);
-  // The open scan validated every frame in the prefix, so both the size and
-  // the decode are infallible here.
-  const size_t frame_size = GraphDelta::FrameSize(rest).value();
-  *delta =
-      std::move(GraphDelta::Deserialize(rest.substr(0, frame_size))).value();
-  pos_ += frame_size;
-  ++consumed_;
-  return true;
-}
-
-void DeltaJournalCursor::SeekPastSequence(uint64_t floor) {
-  GraphDelta frame;
-  while (consumed_ < frames_) {
-    const size_t save_pos = pos_;
-    const size_t save_consumed = consumed_;
-    if (!Next(&frame)) return;
-    if (frame.sequence > floor) {
-      pos_ = save_pos;
-      consumed_ = save_consumed;
-      return;
-    }
-  }
-}
-
-Status ReplayRange(const std::string& path, uint64_t after_sequence,
-                   const std::function<Status(const GraphDelta&)>& fn,
-                   JournalReplayStats* scan) {
-  GPAR_ASSIGN_OR_RETURN(DeltaJournalCursor cursor,
-                        DeltaJournalCursor::Open(path, scan));
-  cursor.SeekPastSequence(after_sequence);
-  GraphDelta frame;
-  while (cursor.Next(&frame)) {
-    GPAR_RETURN_NOT_OK(fn(frame));
-  }
-  return Status::OK();
 }
 
 }  // namespace gpar

@@ -1,8 +1,7 @@
-#ifndef GPAR_SERVE_DELTA_JOURNAL_H_
-#define GPAR_SERVE_DELTA_JOURNAL_H_
+#ifndef GPAR_GRAPH_DELTA_JOURNAL_H_
+#define GPAR_GRAPH_DELTA_JOURNAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -66,8 +65,10 @@ class DeltaJournal {
       const std::string& path, const DeltaJournalOptions& options = {},
       JournalReplayStats* scan = nullptr);
 
-  /// Decodes the valid frame prefix of `path` in order — the replay half
-  /// of recovery. A missing file is an empty journal, not an error.
+  /// Decodes the valid frame prefix of `path` in order — the one read-only
+  /// journal reader: server recovery, the router's shard resync and
+  /// `gpar_tool maintain` all replay through it. A missing file is an
+  /// empty journal, not an error; `stats` reports a torn tail.
   static Result<std::vector<GraphDelta>> ReadAll(
       const std::string& path, JournalReplayStats* stats = nullptr);
 
@@ -114,61 +115,6 @@ class DeltaJournal {
   uint64_t frames_ GPAR_GUARDED_BY(mu_) = 0;
 };
 
-/// A read-only frame iterator over a journal file — the replay primitive
-/// for consumers that want frames one at a time (the rule maintainer, the
-/// `maintain` tool) instead of the whole history materialized at once
-/// (`ReadAll`). `Open` slurps and frame-scans the file ONCE, with exactly
-/// `Open`'s torn-tail discipline — the cursor iterates the longest intact
-/// prefix and never yields a frame behind a torn byte — but decodes frames
-/// lazily in `Next`. A non-monotone sequence still fails the open with
-/// `Corruption` (it is foreign data, not a crash artifact).
-///
-/// The cursor holds a snapshot of the bytes at open time; frames appended
-/// afterwards are not observed. Not thread-safe (single consumer).
-class DeltaJournalCursor {
- public:
-  /// Opens a cursor over the valid prefix of `path`. A missing file is an
-  /// empty journal (a cursor with no frames), matching `ReadAll`. `scan`,
-  /// when non-null, reports what the open scan found.
-  static Result<DeltaJournalCursor> Open(const std::string& path,
-                                         JournalReplayStats* scan = nullptr);
-
-  /// Decodes the next frame into `*delta`. Returns false at the end of the
-  /// valid prefix (the scan already vetted every frame, so `Next` itself
-  /// cannot fail).
-  bool Next(GraphDelta* delta);
-
-  /// Skips frames with `sequence <= floor` — the checkpoint-floor seek: a
-  /// consumer restored from a snapshot at sequence s resumes replay with
-  /// `SeekPastSequence(s)`, which also steps over a compaction marker (an
-  /// empty frame carrying the floor). Only forward seeks: frames already
-  /// consumed are not revisited.
-  void SeekPastSequence(uint64_t floor);
-
-  /// Frames remaining ahead of the cursor.
-  size_t remaining() const { return frames_ - consumed_; }
-  /// Total intact frames in the snapshot (markers included).
-  size_t frames() const { return frames_; }
-  /// Sequence of the last intact frame (0 for an empty journal).
-  uint64_t last_sequence() const { return last_sequence_; }
-
- private:
-  DeltaJournalCursor() = default;
-
-  std::string data_;        ///< the valid frame prefix, snapshot at open
-  size_t pos_ = 0;          ///< byte offset of the next frame
-  size_t frames_ = 0;
-  size_t consumed_ = 0;
-  uint64_t last_sequence_ = 0;
-};
-
-/// Replays the frames of `path` with `sequence > after_sequence` through
-/// `fn`, in order, stopping early on the first non-OK status. The
-/// journal-to-maintainer replay loop, shared with the `maintain` tool.
-Status ReplayRange(const std::string& path, uint64_t after_sequence,
-                   const std::function<Status(const GraphDelta&)>& fn,
-                   JournalReplayStats* scan = nullptr);
-
 }  // namespace gpar
 
-#endif  // GPAR_SERVE_DELTA_JOURNAL_H_
+#endif  // GPAR_GRAPH_DELTA_JOURNAL_H_

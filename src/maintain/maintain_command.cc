@@ -77,11 +77,13 @@ Result<MaintainReport> RunMaintain(const MaintainRequest& req) {
   }
 
   if (!req.journal.empty()) {
-    // Scan first so strict mode can refuse lossy history up front (and so
-    // the report carries what the scan found even when zero frames apply).
+    // The scan stats let strict mode refuse lossy history before any frame
+    // applies. Every intact frame replays onto the snapshot: a restored or
+    // seeded maintainer starts at sequence 0, and the scan already refused
+    // non-monotone sequences.
     GPAR_ASSIGN_OR_RETURN(
-        DeltaJournalCursor cursor,
-        DeltaJournalCursor::Open(req.journal, &report.journal_scan));
+        const std::vector<GraphDelta> frames,
+        DeltaJournal::ReadAll(req.journal, &report.journal_scan));
     if (report.journal_scan.tail_truncated) {
       const std::string what =
           "journal " + req.journal + " lost " +
@@ -93,10 +95,10 @@ Result<MaintainReport> RunMaintain(const MaintainRequest& req) {
       }
       report.warnings.push_back(what + " (replaying the intact prefix)");
     }
-    (void)cursor;  // scan-only: ReplayJournal re-reads through its own cursor
-    GPAR_ASSIGN_OR_RETURN(const MaintainStats replayed,
-                          maintainer->ReplayJournal(req.journal));
-    (void)replayed;  // folded into lifetime_stats(), reported below
+    for (const GraphDelta& frame : frames) {
+      // Pass stats fold into lifetime_stats(), reported below.
+      GPAR_RETURN_NOT_OK(maintainer->ApplyDelta(frame).status());
+    }
   }
 
   report.stats = maintainer->lifetime_stats();

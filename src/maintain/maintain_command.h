@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "common/result.h"
+#include "graph/delta_journal.h"
 #include "maintain/rule_maintainer.h"
 #include "rule/rule_evidence.h"
-#include "serve/delta_journal.h"
 
 namespace gpar {
 
@@ -62,8 +62,9 @@ Result<MaintainOptions> MaintainOptionsFromSetup(const MiningSetup& setup,
                                                  const MaintainOptions& base);
 
 /// Runs one maintain invocation end to end: load the graph snapshot,
-/// restore (v2) or seed (v1) the maintainer, replay the journal past the
-/// evidence's sequence floor, and write the refreshed v2 snapshot.
+/// restore (v2) or seed (v1) the maintainer, apply every intact journal
+/// frame in order (the graph snapshot must be the journal's base), and
+/// write the refreshed v2 snapshot.
 /// Error taxonomy (unit-covered): missing/unreadable inputs -> IoError or
 /// the reader's Corruption; a v1 snapshot without predicate labels in the
 /// request, unknown labels, or a setup/options mismatch -> InvalidArgument;

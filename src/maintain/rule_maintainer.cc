@@ -11,7 +11,6 @@
 #include "mine/levelwise.h"
 #include "pattern/pattern_ops.h"
 #include "rule/match_delta.h"
-#include "serve/delta_journal.h"
 
 namespace gpar {
 
@@ -470,19 +469,6 @@ Result<MaintainStats> RuleMaintainer::ApplyDelta(const GraphDelta& delta) {
   std::shared_ptr<const Graph> old = graph_;
   auto next = std::make_shared<const Graph>(std::move(patch.graph));
   return Advance(*old, std::move(next), patch.applied, patch.applied_deletes);
-}
-
-Result<MaintainStats> RuleMaintainer::ReplayJournal(
-    const std::string& journal_path) {
-  MaintainStats total;
-  GPAR_RETURN_NOT_OK(ReplayRange(
-      journal_path, last_sequence_, [&](const GraphDelta& frame) -> Status {
-        auto r = ApplyDelta(frame);
-        if (!r.ok()) return r.status();
-        Accumulate(&total, r.value());
-        return Status::OK();
-      }));
-  return total;
 }
 
 std::vector<RuleRecord> RuleMaintainer::TopKRecords() const {

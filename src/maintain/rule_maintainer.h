@@ -179,12 +179,6 @@ class RuleMaintainer {
                                 std::span<const EdgeInsert> applied,
                                 std::span<const EdgeDelete> applied_deletes);
 
-  /// Replays every journal frame with sequence > `last_sequence()` through
-  /// `ApplyDelta`, in order — snapshot + journal convergence for the
-  /// maintained rule set, mirroring the servers' attach-is-recovery
-  /// discipline. Returns the accumulated stats of the replayed passes.
-  Result<MaintainStats> ReplayJournal(const std::string& journal_path);
-
   /// The maintained diversified top-k (same contents as DmineResult::topk
   /// on the current graph) and its objective F(L_k).
   const std::vector<std::shared_ptr<MinedRule>>& topk() const { return topk_; }
@@ -195,7 +189,6 @@ class RuleMaintainer {
   /// The current evidence — what rule-snapshot v2 persists. Entries are in
   /// evaluation order (parents precede children).
   const RuleSetEvidence& evidence() const { return evidence_; }
-  RuleSetEvidence ExportEvidence() const { return evidence_; }
 
   std::shared_ptr<const Graph> graph() const { return graph_; }
   const Predicate& predicate() const { return q_; }

@@ -74,7 +74,7 @@ struct RuleSetSnapshot {
 /// Writes a v2 snapshot: the rule records plus `evidence`. Evidence match
 /// sets are delta-encoded against their parent entry (entries must be in
 /// evaluation order — every `parent` index earlier than its child — which
-/// is how `RuleMaintainer::ExportEvidence` emits them).
+/// is the order `RuleMaintainer::evidence()` keeps them in).
 Status WriteRuleSetSnapshotV2(const std::vector<RuleRecord>& rules,
                               const RuleSetEvidence& evidence,
                               const Interner& labels, std::ostream& os);

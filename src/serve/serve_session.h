@@ -13,12 +13,12 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
+#include "graph/delta_journal.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
 #include "identify/eip.h"
 #include "maintain/rule_maintainer.h"
 #include "rule/rule_snapshot.h"
-#include "serve/delta_journal.h"
 
 namespace gpar {
 

@@ -482,6 +482,18 @@ Status ShardedRuleServer::ResyncLaggingShardsLocked() {
     acked = shard_acked_;
     g = graph_;
   }
+  if (std::all_of(acked.begin(), acked.end(),
+                  [cur](uint64_t a) { return a >= cur; })) {
+    return Status::OK();
+  }
+  // The journal (durable, survives restarts) is the preferred source of
+  // missed frames; read it once for every lagging shard. An unreadable
+  // journal leaves only the in-memory pending tail.
+  std::vector<GraphDelta> journal_frames;
+  if (journal() != nullptr) {
+    auto all = DeltaJournal::ReadAll(journal()->path());
+    if (all.ok()) journal_frames = std::move(all).value();
+  }
   Status first_failure = Status::OK();
   auto note = [&first_failure](Status st) {
     if (first_failure.ok()) first_failure = std::move(st);
@@ -489,28 +501,21 @@ Status ShardedRuleServer::ResyncLaggingShardsLocked() {
   for (uint32_t s = 0; s < k; ++s) {
     if (acked[s] >= cur) continue;
     // Collect the frames this shard missed — exactly (acked, cur], every
-    // sequence accounted for. The journal (durable, survives restarts) is
-    // preferred; the in-memory pending tail covers frames a compaction
-    // already dropped. Floor markers are empty stand-ins for compacted
-    // frames, not the frames themselves, so they never count as coverage.
+    // sequence accounted for. The journal is preferred; the in-memory
+    // pending tail covers frames a compaction already dropped. Floor
+    // markers are empty stand-ins for compacted frames, not the frames
+    // themselves, so they never count as coverage.
     const uint64_t needed = cur - acked[s];
     std::vector<const GraphDelta*> missed;
-    std::vector<GraphDelta> journal_frames;
     auto covered = [&]() {
       return missed.size() == needed &&
              missed.front()->sequence == acked[s] + 1 &&
              missed.back()->sequence == cur;
     };
-    if (journal() != nullptr) {
-      auto all = DeltaJournal::ReadAll(journal()->path());
-      if (all.ok()) {
-        journal_frames = std::move(all).value();
-        for (const GraphDelta& f : journal_frames) {
-          if (f.sequence > acked[s] && f.sequence <= cur &&
-              !(f.inserts.empty() && f.deletes.empty())) {
-            missed.push_back(&f);
-          }
-        }
+    for (const GraphDelta& f : journal_frames) {
+      if (f.sequence > acked[s] && f.sequence <= cur &&
+          !(f.inserts.empty() && f.deletes.empty())) {
+        missed.push_back(&f);
       }
     }
     if (missed.empty() || !covered()) {

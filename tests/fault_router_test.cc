@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "graph/delta_journal.h"
 #include "graph/generator.h"
 #include "graph/graph_delta.h"
 #include "graph/graph_snapshot.h"
@@ -20,7 +21,6 @@
 #include "pattern/pattern_generator.h"
 #include "rule/metrics.h"
 #include "rule/rule_snapshot.h"
-#include "serve/delta_journal.h"
 #include "serve/rule_server.h"
 #include "serve/serve_session.h"
 

@@ -1,4 +1,4 @@
-#include "serve/delta_journal.h"
+#include "graph/delta_journal.h"
 
 #include <gtest/gtest.h>
 

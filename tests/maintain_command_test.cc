@@ -4,17 +4,19 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "graph/delta_journal.h"
 #include "graph/generator.h"
 #include "graph/graph_snapshot.h"
 #include "graph/stats.h"
 #include "mine/dmine.h"
 #include "pattern/pattern_ops.h"
 #include "rule/rule_snapshot.h"
-#include "serve/delta_journal.h"
 
 namespace gpar {
 namespace {
@@ -56,6 +58,42 @@ Fixture MakeFixture(const std::string& tag) {
   EXPECT_TRUE(
       WriteRuleSetSnapshotFile({}, f.graph.labels(), f.rpath).ok());
   return f;
+}
+
+/// Writes `frames` churn batches to a fresh journal at `wal`: each frame
+/// deletes existing `label` edges of the graph as the earlier frames left
+/// it (retiring matches) and inserts new `label` edges (adding them).
+void WriteChurnJournal(const Graph& base, LabelId label, size_t frames,
+                       const std::string& wal) {
+  std::remove(wal.c_str());
+  auto j = DeltaJournal::Open(wal);
+  ASSERT_TRUE(j.ok()) << j.status();
+  Graph g = base;
+  std::mt19937_64 rng(17);
+  for (uint64_t s = 1; s <= frames; ++s) {
+    GraphDelta d;
+    d.sequence = s;
+    for (size_t i = 0; i < 8; ++i) {
+      const NodeId v = static_cast<NodeId>(rng() % g.num_nodes());
+      for (const AdjEntry& e : g.out_edges(v)) {
+        if (e.label == label) {
+          d.deletes.push_back({v, label, e.other});
+          break;
+        }
+      }
+      d.inserts.push_back({static_cast<NodeId>(rng() % g.num_nodes()), label,
+                           static_cast<NodeId>(rng() % g.num_nodes())});
+    }
+    ASSERT_TRUE((*j)->Append(d).ok());
+    auto p = PatchGraph(g, d);
+    ASSERT_TRUE(p.ok()) << p.status();
+    g = std::move(p)->graph;
+  }
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
 }
 
 void ExpectInvalid(const Result<MaintainReport>& r, std::string_view needle) {
@@ -364,13 +402,14 @@ TEST(MaintainCommandTest, ReplaysTheJournalAndReportsTheScan) {
   EXPECT_EQ(r->stats.passes, 3u);
 
   // The maintained output equals Dmine on the journal-patched graph.
+  auto frames = DeltaJournal::ReadAll(wal);
+  ASSERT_TRUE(frames.ok()) << frames.status();
   Graph patched = f.graph;
-  ASSERT_TRUE(ReplayRange(wal, 0, [&](const GraphDelta& d) -> Status {
-                auto p = PatchGraph(patched, d);
-                GPAR_RETURN_NOT_OK(p.status());
-                patched = std::move(p)->graph;
-                return Status::OK();
-              }).ok());
+  for (const GraphDelta& d : *frames) {
+    auto p = PatchGraph(patched, d);
+    ASSERT_TRUE(p.ok()) << p.status();
+    patched = std::move(p)->graph;
+  }
   Interner labels = patched.labels();
   auto snap = ReadRuleSetSnapshotAnyFile(out, &labels);
   ASSERT_TRUE(snap.ok()) << snap.status();
@@ -385,6 +424,92 @@ TEST(MaintainCommandTest, ReplaysTheJournalAndReportsTheScan) {
   std::remove(f.rpath.c_str());
   std::remove(wal.c_str());
   std::remove(out.c_str());
+}
+
+// Maintain replays every intact frame onto the graph snapshot, so a re-run
+// on the same journal, restored from the first run's output, redoes the
+// same passes and writes the same bytes.
+TEST(MaintainCommandTest, RerunOnTheSameJournalIsByteIdentical) {
+  Fixture f = MakeFixture("rerun");
+  const std::string wal = "/tmp/gpar_mcmd_rerun.wal";
+  const std::string first_out = "/tmp/gpar_mcmd_rerun.first";
+  const std::string second_out = "/tmp/gpar_mcmd_rerun.second";
+  WriteChurnJournal(f.graph, f.q.edge_label, 6, wal);
+
+  MaintainRequest req = SmallRequest();
+  req.graph_snapshot = f.gpath;
+  req.rules_snapshot = f.rpath;
+  req.journal = wal;
+  req.out = first_out;
+  req.x_label = f.x;
+  req.edge_label = f.edge;
+  req.y_label = f.y;
+  auto first = RunMaintain(req);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->stats.passes, 7u);  // seed pass + 6 frames
+  // The churn moves rules across sigma both ways, so a re-run that drifted
+  // from the first would show in the top-k.
+  EXPECT_GT(first->stats.sigma_crossed_up, 0u);
+  EXPECT_GT(first->stats.sigma_crossed_down, 0u);
+
+  MaintainRequest again = SmallRequest();
+  again.graph_snapshot = f.gpath;
+  again.rules_snapshot = first_out;
+  again.journal = wal;
+  again.out = second_out;
+  auto second = RunMaintain(again);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_FALSE(second->seeded);
+  // Restore pass + the same 6 frames: replayed, not skipped.
+  EXPECT_EQ(second->stats.passes, first->stats.passes);
+  EXPECT_EQ(second->last_sequence, 6u);
+  EXPECT_EQ(second->objective, first->objective);
+  const std::string bytes = ReadBytes(first_out);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(ReadBytes(second_out), bytes);
+  for (const std::string& p : {f.gpath, f.rpath, wal, first_out, second_out}) {
+    std::remove(p.c_str());
+  }
+}
+
+// A journal compacted to its floor marker holds no mutations: maintain
+// reports the floor as its sequence and runs only the restore pass.
+TEST(MaintainCommandTest, CompactedJournalReplaysOnlyTheFloorMarker) {
+  Fixture f = MakeFixture("compacted");
+  const std::string wal = "/tmp/gpar_mcmd_compacted.wal";
+  const std::string seeded = "/tmp/gpar_mcmd_compacted.seeded";
+  const std::string out = "/tmp/gpar_mcmd_compacted.out";
+  WriteChurnJournal(f.graph, f.q.edge_label, 3, wal);
+  {
+    auto j = DeltaJournal::Open(wal);
+    ASSERT_TRUE(j.ok()) << j.status();
+    ASSERT_TRUE((*j)->Compact().ok());
+  }
+
+  MaintainRequest req = SmallRequest();
+  req.graph_snapshot = f.gpath;
+  req.rules_snapshot = f.rpath;
+  req.out = seeded;
+  req.x_label = f.x;
+  req.edge_label = f.edge;
+  req.y_label = f.y;
+  ASSERT_TRUE(RunMaintain(req).ok());
+
+  MaintainRequest restore = SmallRequest();
+  restore.graph_snapshot = f.gpath;
+  restore.rules_snapshot = seeded;
+  restore.journal = wal;
+  restore.out = out;
+  auto r = RunMaintain(restore);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->journal_scan.frames, 1u);
+  EXPECT_EQ(r->journal_scan.last_sequence, 3u);
+  EXPECT_EQ(r->last_sequence, 3u);
+  EXPECT_EQ(r->stats.passes, 1u);
+  EXPECT_EQ(ReadBytes(out), ReadBytes(seeded));
+  for (const std::string& p : {f.gpath, f.rpath, wal, seeded, out}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST(MaintainCommandTest, TornTailIsStrictErrorOrWarning) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <random>
@@ -21,7 +20,6 @@
 #include "maintain/maintain_command.h"
 #include "mine/dmine.h"
 #include "rule/rule_snapshot.h"
-#include "serve/delta_journal.h"
 #include "serve/rule_server.h"
 #include "serve/sharded_rule_server.h"
 
@@ -219,7 +217,7 @@ TEST(MaintainTest, SetupWithRetiredParentPruneBitClearedLoads) {
   Predicate q = PickQ(*g);
   auto m = RuleMaintainer::Seed(g, q, SmallMaintain());
   ASSERT_TRUE(m.ok()) << m.status();
-  RuleSetEvidence ev = (*m)->ExportEvidence();
+  RuleSetEvidence ev = (*m)->evidence();
   ASSERT_NE(ev.setup.bool_flags & (1u << 3), 0u);
   ev.setup.bool_flags &= ~(1u << 3);
 
@@ -240,7 +238,7 @@ TEST(MaintainTest, SetupWithPruneAwareUsuppBitIsRefused) {
   Predicate q = PickQ(*g);
   auto m = RuleMaintainer::Seed(g, q, SmallMaintain());
   ASSERT_TRUE(m.ok()) << m.status();
-  RuleSetEvidence ev = (*m)->ExportEvidence();
+  RuleSetEvidence ev = (*m)->evidence();
   ev.setup.bool_flags |= 1u << 7;
 
   auto o = MaintainOptionsFromSetup(ev.setup, SmallMaintain());
@@ -536,7 +534,7 @@ TEST(MaintainEquivalenceTest, SnapshotV2CheckpointRestoresMidStream) {
   }
 
   ASSERT_TRUE(WriteRuleSetSnapshotV2File((*m)->TopKRecords(),
-                                         (*m)->ExportEvidence(),
+                                         (*m)->evidence(),
                                          (*m)->graph()->labels(), path)
                   .ok());
   Interner labels = (*m)->graph()->labels();
@@ -570,188 +568,10 @@ TEST(MaintainEquivalenceTest, FromEvidenceRejectsForeignSetup) {
   ASSERT_TRUE(m.ok()) << m.status();
   MaintainOptions other = SmallMaintain();
   other.mine.sigma = SmallMaintain().mine.sigma + 1;
-  auto restored = RuleMaintainer::FromEvidence(g, (*m)->ExportEvidence(),
+  auto restored = RuleMaintainer::FromEvidence(g, (*m)->evidence(),
                                                other);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Journal replay: the maintainer's snapshot + journal convergence.
-// ---------------------------------------------------------------------------
-
-TEST(MaintainJournalTest, ReplayJournalConvergesWithDirectDeltas) {
-  const std::string wal = "/tmp/gpar_maintain_replay.wal";
-  std::remove(wal.c_str());
-  auto g = std::make_shared<const Graph>(MakeSynthetic(300, 900, 10, 31));
-  Predicate q = PickQ(*g);
-
-  auto direct = RuleMaintainer::Seed(g, q, SmallMaintain());
-  auto replayed = RuleMaintainer::Seed(g, q, SmallMaintain());
-  ASSERT_TRUE(direct.ok()) << direct.status();
-  ASSERT_TRUE(replayed.ok()) << replayed.status();
-
-  auto journal = DeltaJournal::Open(wal);
-  ASSERT_TRUE(journal.ok()) << journal.status();
-  for (size_t b = 0; b < 3; ++b) {
-    GraphDelta d = MakeChurn(*(*direct)->graph(), q.edge_label, 40 + b, 20);
-    d.sequence = b + 1;
-    ASSERT_TRUE((*journal)->Append(d).ok());
-    ASSERT_TRUE((*direct)->ApplyDelta(d).ok());
-  }
-
-  auto stats = (*replayed)->ReplayJournal(wal);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->passes, 3u);
-  EXPECT_EQ((*replayed)->last_sequence(), 3u);
-  EXPECT_EQ((*replayed)->TopKRecords(), (*direct)->TopKRecords());
-
-  // Replay is idempotent: every frame is already behind last_sequence().
-  auto again = (*replayed)->ReplayJournal(wal);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(again->passes, 0u);
-  EXPECT_EQ((*replayed)->TopKRecords(), (*direct)->TopKRecords());
-  std::remove(wal.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// DeltaJournalCursor: the read-only frame iterator ReplayJournal rides.
-// ---------------------------------------------------------------------------
-
-GraphDelta TinyDelta(uint64_t sequence, NodeId src, NodeId dst) {
-  GraphDelta d;
-  d.sequence = sequence;
-  d.inserts.push_back({src, 0, dst});
-  return d;
-}
-
-TEST(DeltaJournalCursorTest, IteratesFramesInOrder) {
-  const std::string wal = "/tmp/gpar_cursor_order.wal";
-  std::remove(wal.c_str());
-  {
-    auto j = DeltaJournal::Open(wal);
-    ASSERT_TRUE(j.ok()) << j.status();
-    for (uint64_t s = 1; s <= 3; ++s) {
-      ASSERT_TRUE((*j)->Append(TinyDelta(s, 1, 2)).ok());
-    }
-  }
-  auto cur = DeltaJournalCursor::Open(wal);
-  ASSERT_TRUE(cur.ok()) << cur.status();
-  EXPECT_EQ(cur->frames(), 3u);
-  EXPECT_EQ(cur->last_sequence(), 3u);
-  GraphDelta d;
-  for (uint64_t s = 1; s <= 3; ++s) {
-    EXPECT_EQ(cur->remaining(), 3u - (s - 1));
-    ASSERT_TRUE(cur->Next(&d));
-    EXPECT_EQ(d.sequence, s);
-  }
-  EXPECT_FALSE(cur->Next(&d));
-  EXPECT_EQ(cur->remaining(), 0u);
-  std::remove(wal.c_str());
-}
-
-TEST(DeltaJournalCursorTest, MissingFileIsAnEmptyJournal) {
-  auto cur = DeltaJournalCursor::Open("/tmp/gpar_cursor_nope.wal");
-  ASSERT_TRUE(cur.ok()) << cur.status();
-  EXPECT_EQ(cur->frames(), 0u);
-  GraphDelta d;
-  EXPECT_FALSE(cur->Next(&d));
-}
-
-TEST(DeltaJournalCursorTest, TornTailIsCutBehindTheValidPrefix) {
-  const std::string wal = "/tmp/gpar_cursor_torn.wal";
-  std::remove(wal.c_str());
-  {
-    auto j = DeltaJournal::Open(wal);
-    ASSERT_TRUE(j.ok()) << j.status();
-    ASSERT_TRUE((*j)->Append(TinyDelta(1, 1, 2)).ok());
-    ASSERT_TRUE((*j)->Append(TinyDelta(2, 3, 4)).ok());
-  }
-  {
-    // A torn third frame: half a real frame's bytes appended raw.
-    std::string frame = TinyDelta(3, 5, 6).Serialize();
-    std::ofstream os(wal, std::ios::binary | std::ios::app);
-    os.write(frame.data(), static_cast<std::streamsize>(frame.size() / 2));
-  }
-  JournalReplayStats scan;
-  auto cur = DeltaJournalCursor::Open(wal, &scan);
-  ASSERT_TRUE(cur.ok()) << cur.status();
-  EXPECT_EQ(cur->frames(), 2u);
-  EXPECT_TRUE(scan.tail_truncated);
-  EXPECT_GT(scan.dropped_bytes, 0u);
-  GraphDelta d;
-  ASSERT_TRUE(cur->Next(&d));
-  EXPECT_EQ(d.sequence, 1u);
-  ASSERT_TRUE(cur->Next(&d));
-  EXPECT_EQ(d.sequence, 2u);
-  EXPECT_FALSE(cur->Next(&d));
-  std::remove(wal.c_str());
-}
-
-TEST(DeltaJournalCursorTest, SeekPastSequenceHonorsTheCheckpointFloor) {
-  const std::string wal = "/tmp/gpar_cursor_seek.wal";
-  std::remove(wal.c_str());
-  {
-    auto j = DeltaJournal::Open(wal);
-    ASSERT_TRUE(j.ok()) << j.status();
-    for (uint64_t s = 1; s <= 4; ++s) {
-      ASSERT_TRUE((*j)->Append(TinyDelta(s, 1, 2)).ok());
-    }
-  }
-  auto cur = DeltaJournalCursor::Open(wal);
-  ASSERT_TRUE(cur.ok()) << cur.status();
-  cur->SeekPastSequence(2);
-  GraphDelta d;
-  ASSERT_TRUE(cur->Next(&d));
-  EXPECT_EQ(d.sequence, 3u);
-  // Only forward seeks: a floor behind the cursor does not rewind it.
-  cur->SeekPastSequence(1);
-  ASSERT_TRUE(cur->Next(&d));
-  EXPECT_EQ(d.sequence, 4u);
-  EXPECT_FALSE(cur->Next(&d));
-
-  // A compacted journal holds just the floor marker; seeking past the
-  // floor steps over it and a fresh consumer sees no frames to replay.
-  {
-    auto j = DeltaJournal::Open(wal);
-    ASSERT_TRUE(j.ok()) << j.status();
-    ASSERT_TRUE((*j)->Compact().ok());
-  }
-  auto after = DeltaJournalCursor::Open(wal);
-  ASSERT_TRUE(after.ok()) << after.status();
-  EXPECT_EQ(after->last_sequence(), 4u);
-  after->SeekPastSequence(4);
-  EXPECT_FALSE(after->Next(&d));
-  std::remove(wal.c_str());
-}
-
-TEST(DeltaJournalCursorTest, ReplayRangeFiltersAndStopsOnError) {
-  const std::string wal = "/tmp/gpar_cursor_range.wal";
-  std::remove(wal.c_str());
-  {
-    auto j = DeltaJournal::Open(wal);
-    ASSERT_TRUE(j.ok()) << j.status();
-    for (uint64_t s = 1; s <= 4; ++s) {
-      ASSERT_TRUE((*j)->Append(TinyDelta(s, 1, 2)).ok());
-    }
-  }
-  std::vector<uint64_t> seen;
-  ASSERT_TRUE(ReplayRange(wal, 2,
-                          [&](const GraphDelta& d) {
-                            seen.push_back(d.sequence);
-                            return Status::OK();
-                          })
-                  .ok());
-  EXPECT_EQ(seen, (std::vector<uint64_t>{3, 4}));
-
-  seen.clear();
-  Status st = ReplayRange(wal, 0, [&](const GraphDelta& d) {
-    seen.push_back(d.sequence);
-    return d.sequence == 2 ? Status::Internal("stop") : Status::OK();
-  });
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2}));
-  std::remove(wal.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """gpar_lint: repo-specific static checks clang cannot express.
 
-Six rules, each encoding a project invariant that has bitten (or would
+Seven rules, each encoding a project invariant that has bitten (or would
 bite) the library:
 
   [atomic-order]   Every std::atomic access through .load/.store/.exchange/
@@ -39,6 +39,15 @@ bite) the library:
                    .cc. A module only tests reach is library code no
                    program calls: one more path to build, lint and
                    sanitize for nothing.
+
+  [layer-order]    An #include "<layer>/..." in src/<layer>/ may name its
+                   own layer or an earlier one in the order documented in
+                   src/CMakeLists.txt: graph -> pattern -> match -> rule ->
+                   mine/identify -> maintain -> serve. common and parallel
+                   are leaf layers that any layer may include. A layer
+                   reaching up the order grows an include cycle; the four
+                   documented crossings (graph_delta.cc, paper_graphs.h,
+                   pattern_generator.{h,cc}) are the allowed exceptions.
 
 Usage:
   tools/gpar_lint.py [--root DIR]
@@ -82,6 +91,23 @@ INCLUDER_DIRS = ("src", "tools", "bench", "perfbench", "examples")
 NAKED_MUTEX_ALLOWLIST = {
     pathlib.PurePosixPath("src/common/mutex.h"),
     pathlib.PurePosixPath("src/common/thread_annotations.h"),
+}
+
+# Rank of each src/ layer in the documented order (src/CMakeLists.txt);
+# mine and identify share a rank. The leaf layers rank lowest, so they may
+# include only each other.
+LAYER_RANK = {
+    "common": 0, "parallel": 0, "graph": 1, "pattern": 2, "match": 3,
+    "rule": 4, "mine": 5, "identify": 5, "maintain": 6, "serve": 7,
+}
+LEAF_LAYERS = {"common", "parallel"}
+
+# The documented crossings: file -> the later layers it may include.
+LAYER_ORDER_EXCEPTIONS = {
+    pathlib.PurePosixPath("src/graph/graph_delta.cc"): {"pattern"},
+    pathlib.PurePosixPath("src/graph/paper_graphs.h"): {"rule"},
+    pathlib.PurePosixPath("src/pattern/pattern_generator.h"): {"match", "rule"},
+    pathlib.PurePosixPath("src/pattern/pattern_generator.cc"): {"match", "rule"},
 }
 
 # How many lines above an atomic access may hold its justifying comment.
@@ -293,6 +319,31 @@ class Linter:
                     "delete the module or give it a caller",
                 )
 
+    # -- rule: layer-order -------------------------------------------------
+
+    def check_layer_order(self) -> None:
+        for path in self._source_files("src"):
+            rel = pathlib.PurePosixPath(path.relative_to(self.root).as_posix())
+            layer = rel.parts[1] if len(rel.parts) > 2 else None
+            if layer not in LAYER_RANK:
+                continue
+            allowed = LAYER_ORDER_EXCEPTIONS.get(rel, set())
+            for i, line in enumerate(self._read_lines(path)):
+                m = QUOTED_INCLUDE_RE.match(line)
+                if not m or "/" not in m.group(1):
+                    continue
+                target = m.group(1).split("/", 1)[0]
+                if (target not in LAYER_RANK or target in LEAF_LAYERS
+                        or target in allowed
+                        or LAYER_RANK[target] <= LAYER_RANK[layer]):
+                    continue
+                self.report(
+                    path, i + 1, "layer-order",
+                    f"{layer}/ includes \"{m.group(1)}\" from the later "
+                    f"{target} layer — see the layer order in "
+                    "src/CMakeLists.txt",
+                )
+
     # -- driver ------------------------------------------------------------
 
     def run(self) -> int:
@@ -302,6 +353,7 @@ class Linter:
         self.check_bench_registration()
         self.check_failpoint_sites()
         self.check_orphan_modules()
+        self.check_layer_order()
         for finding in self.findings:
             print(finding)
         if self.findings:
