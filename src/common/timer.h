@@ -8,8 +8,9 @@
 
 namespace gpar {
 
-/// Monotonic wall-clock stopwatch used by the benchmark harness and by the
-/// BSP runtime's per-worker busy-time accounting.
+/// Monotonic wall-clock stopwatch: request latencies and deadlines, pass
+/// timings, and the benchmark harness. (The BSP runtime times its workers
+/// in thread CPU seconds, `ThreadCpuSeconds` in parallel/bsp.h.)
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}
@@ -34,27 +35,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates busy time across start/stop episodes; one per simulated
-/// worker in the BSP runtime. The max across workers of the accumulated
-/// time is the "parallel makespan" reported by the benchmark harness.
-class BusyClock {
- public:
-  void Start() { timer_.Restart(); running_ = true; }
-  void Stop() {
-    if (running_) {
-      total_seconds_ += timer_.Seconds();
-      running_ = false;
-    }
-  }
-  void Reset() { total_seconds_ = 0; running_ = false; }
-  double TotalSeconds() const { return total_seconds_; }
-
- private:
-  Timer timer_;
-  double total_seconds_ = 0;
-  bool running_ = false;
 };
 
 }  // namespace gpar

@@ -132,7 +132,7 @@ Result<Partitioning> PartitionGraph(const Graph& g,
   }
 
   // --- Materialize fragments as zero-copy views (O(id-list) memory, no
-  // CSR rebuild). Centers are global ids.
+  // CSR rebuild). Centers are global ids, sorted.
   out.fragments.resize(n);
   for (uint32_t f = 0; f < n; ++f) {
     Fragment& frag = out.fragments[f];
@@ -141,6 +141,7 @@ Result<Partitioning> PartitionGraph(const Graph& g,
     for (size_t idx : assign.per_fragment[f]) {
       frag.centers.push_back(centers[idx]);
     }
+    std::sort(frag.centers.begin(), frag.centers.end());
   }
   return out;
 }

@@ -25,7 +25,7 @@ namespace gpar {
 /// per node, not a CSR copy.
 struct Fragment {
   GraphView view;
-  std::vector<NodeId> centers;  // GLOBAL ids of owned centers
+  std::vector<NodeId> centers;  // GLOBAL ids of owned centers, sorted
 
   /// Bytes held by the fragment (view id-lists + bitmap + center lists) —
   /// the Exp-4 memory column.

@@ -1,12 +1,12 @@
 #include "maintain/rule_maintainer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/timer.h"
 #include "match/matcher.h"
 #include "mine/levelwise.h"
 #include "pattern/pattern_ops.h"
@@ -70,11 +70,6 @@ MiningSetup MakeMiningSetup(const DmineOptions& o, const Predicate& q,
 
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Folds one pass's counters into an accumulator. The evidence byte gauges
 /// are point-in-time (the latest pass's evidence), not sums.
 void Accumulate(MaintainStats* total, const MaintainStats& ps) {
@@ -134,14 +129,12 @@ struct Carry {
 /// graph, with evidence patching. A membership is carried from the prior
 /// pass's evidence unless the delta can have changed it (see
 /// `RuleMaintainer` for the three rules and why they are sound), so
-/// supports are exactly the full-probe values. Every evaluated candidate,
-/// sub-sigma ones included, leaves an entry in `next`.
+/// supports are exactly the full-probe values.
 class EvidencePatcher : public LevelwiseEvaluator {
  public:
   EvidencePatcher(const RuleMaintainer& m, const Graph& old_graph,
                   std::span<const EdgeInsert> inserts,
-                  std::span<const EdgeDelete> deletes, RuleSetEvidence* next,
-                  MaintainStats* ps)
+                  std::span<const EdgeDelete> deletes, MaintainStats* ps)
       : g_(*m.graph()),
         q_(m.predicate()),
         options_(m.options().mine),
@@ -149,7 +142,6 @@ class EvidencePatcher : public LevelwiseEvaluator {
         lost_(old_graph, deletes, options_.d),
         gained_(g_, inserts, options_.d),
         flipped_(g_.num_nodes(), 0),
-        next_(*next),
         ps_(*ps),
         matcher_(g_) {
     for (uint32_t i = 0; i < prior_.entries.size(); ++i) {
@@ -184,12 +176,12 @@ class EvidencePatcher : public LevelwiseEvaluator {
         ++ps_.centers_carried;
       }
       if (in_q) {
-        next_.q_pool.push_back(c);
+        q_pool_.push_back(c);
       } else if (in_qbar) {
-        next_.qbar_pool.push_back(c);
+        qbar_pool_.push_back(c);
       }
     }
-    return {next_.q_pool.size(), next_.qbar_pool.size()};
+    return {q_pool_, qbar_pool_};
   }
 
   std::vector<std::shared_ptr<MinedRule>> Evaluate(
@@ -197,36 +189,21 @@ class EvidencePatcher : public LevelwiseEvaluator {
       const std::vector<size_t>& cand_parent,
       const std::vector<char>& other_ok,
       const std::vector<std::shared_ptr<MinedRule>>& parents) override {
-    // Each parent's entry in `next_` (its match sets of THIS pass). All
-    // keys of `entry_of_` belong to rules of one round, alive together
-    // when inserted, so a live parent's lookup cannot alias another rule.
-    std::vector<uint32_t> parent_entry(parents.size());
-    for (size_t pi = 0; pi < parents.size(); ++pi) {
-      parent_entry[pi] = entry_of_.at(parents[pi].get());
-    }
-    entry_of_.clear();
-
     std::vector<std::shared_ptr<MinedRule>> rules;
     rules.reserve(candidates.size());
     for (size_t ci = 0; ci < candidates.size(); ++ci) {
       const Gpar& r = candidates[ci];
       const uint32_t radius = r.eval_radius();
 
-      // Pools: the parent's match sets, or the round-0 pools for roots.
-      // Spans into entry vectors stay valid across `next_.entries` growth
-      // — reallocation moves the EvidenceEntry objects, which transfers the
-      // inner buffers without touching them.
-      const uint32_t pe = cand_parent[ci] == kRootParent
-                              ? kEvidenceRoot
-                              : parent_entry[cand_parent[ci]];
-      std::span<const NodeId> pr_pool =
-          pe != kEvidenceRoot
-              ? std::span<const NodeId>(next_.entries[pe].pr_matches)
-              : std::span<const NodeId>(next_.q_pool);
-      std::span<const NodeId> ant_pool =
-          pe != kEvidenceRoot
-              ? std::span<const NodeId>(next_.entries[pe].ant_matches)
-              : std::span<const NodeId>(next_.qbar_pool);
+      // Pools: the parent's match sets of THIS pass, or the round-0 pools
+      // for roots.
+      const MinedRule* parent = cand_parent[ci] == kRootParent
+                                    ? nullptr
+                                    : parents[cand_parent[ci]].get();
+      const std::vector<NodeId>& pr_pool =
+          parent != nullptr ? parent->matches : q_pool_;
+      const std::vector<NodeId>& ant_pool =
+          parent != nullptr ? parent->ant_matches : qbar_pool_;
 
       // Prior evidence for this exact pattern, if any (a fresh pattern —
       // new seed, shifted lineage — has none and is re-expanded over its
@@ -247,27 +224,23 @@ class EvidencePatcher : public LevelwiseEvaluator {
         ++ps_.rules_reexpanded;
       }
 
-      EvidenceEntry ent;
-      ent.rule = r;
-      ent.parent = pe;
       auto rule = std::make_shared<MinedRule>();
       rule->rule = r;
 
       Carry pr_carry;
       if (old_ev != nullptr) pr_carry = CarryOver(old_ev->pr_matches, r.pr());
-      Match(pr_pool, r.pr(), radius, pr_carry, &ent.pr_matches);
-      rule->supp = ent.pr_matches.size();
-      rule->matches = ent.pr_matches;
+      Match(pr_pool, r.pr(), radius, pr_carry, &rule->matches);
+      rule->supp = rule->matches.size();
       rule->extendable = rule->supp > 0;
 
       if (other_ok[ci]) {
-        ent.ant_probed = true;
         Carry ant_carry;
         if (old_ev != nullptr && old_ev->ant_probed) {
           ant_carry = CarryOver(old_ev->ant_matches, r.x_component());
         }
-        Match(ant_pool, r.x_component(), radius, ant_carry, &ent.ant_matches);
-        rule->supp_qqbar = ent.ant_matches.size();
+        Match(ant_pool, r.x_component(), radius, ant_carry,
+              &rule->ant_matches);
+        rule->supp_qqbar = rule->ant_matches.size();
       }
 
       if (old_ev != nullptr) {
@@ -277,8 +250,6 @@ class EvidencePatcher : public LevelwiseEvaluator {
         if (was_in && !now_in) ++ps_.sigma_crossed_down;
       }
 
-      entry_of_[rule.get()] = static_cast<uint32_t>(next_.entries.size());
-      next_.entries.push_back(std::move(ent));
       rules.push_back(std::move(rule));
     }
     return rules;
@@ -298,8 +269,8 @@ class EvidencePatcher : public LevelwiseEvaluator {
   // an old member, inserts for an old non-member. Otherwise the old answer
   // stands. Pools and old sets are both sorted, so one cursor walks the
   // old set.
-  void Match(std::span<const NodeId> pool, const Pattern& p, uint32_t radius,
-             const Carry& carry, std::vector<NodeId>* out) {
+  void Match(const std::vector<NodeId>& pool, const Pattern& p,
+             uint32_t radius, const Carry& carry, std::vector<NodeId>* out) {
     size_t pos = 0;
     matcher_.Bind(p);
     for (NodeId c : pool) {
@@ -337,13 +308,13 @@ class EvidencePatcher : public LevelwiseEvaluator {
   std::vector<char> pool_frontier_;
   /// Per node: its q / ~q pool status changed this pass.
   std::vector<char> flipped_;
-  RuleSetEvidence& next_;
+  /// This pass's round-0 pools: the root candidates' pools.
+  std::vector<NodeId> q_pool_;
+  std::vector<NodeId> qbar_pool_;
   MaintainStats& ps_;
   VF2Matcher matcher_;
   /// StructuralHash(P_R) -> indices of the prior entries with that hash.
   std::unordered_map<uint64_t, std::vector<uint32_t>> index_;
-  /// Entry index in `next_` of each rule the last `Evaluate` produced.
-  std::unordered_map<const MinedRule*, uint32_t> entry_of_;
 };
 
 }  // namespace
@@ -358,7 +329,7 @@ RuleMaintainer::RuleMaintainer(std::shared_ptr<const Graph> g,
 Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(
     std::shared_ptr<const Graph> g, const Predicate& q,
     const MaintainOptions& options) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const Timer timer;
   if (g == nullptr) return Status::InvalidArgument("null graph");
   if (q.x_label >= g->labels().size() || q.edge_label >= g->labels().size() ||
       q.y_label >= g->labels().size()) {
@@ -381,7 +352,7 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(
   ps.rules_reexpanded = r.stats.candidates_verified;
   ps.rules_accepted = r.stats.accepted;
   CountEvidenceBytes(m->evidence_, &ps);
-  ps.seconds = SecondsSince(t0);
+  ps.seconds = timer.Seconds();
   Accumulate(&m->lifetime_, ps);
   return m;
 }
@@ -408,9 +379,11 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
   }
   m->evidence_ = std::move(evidence);
   // A zero-delta pass rebuilds Σ/top-k from the adopted evidence: with no
-  // delta edges every membership is carried, so this is pattern-level work
-  // only (no pool probes) when the evidence matches the graph — and a
-  // sound (if slow) re-expansion when it does not.
+  // delta edges every pool and evidenced membership is carried. On the
+  // graph the evidence was exported at, every candidate has evidence, so
+  // this is pattern-level work only (no center probes). Evidence exported
+  // at another graph is not detected, and the rules rebuilt from it need
+  // not be `Dmine`'s on `g`.
   MaintainStats ps;
   GPAR_RETURN_NOT_OK(m->RefreshPass(*m->graph_, {}, {}, &ps));
   Accumulate(&m->lifetime_, ps);
@@ -421,14 +394,15 @@ Status RuleMaintainer::RefreshPass(const Graph& old_graph,
                                    std::span<const EdgeInsert> inserts,
                                    std::span<const EdgeDelete> deletes,
                                    MaintainStats* ps) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const Timer timer;
   ++ps->passes;
 
   RuleSetEvidence next;
   next.setup = evidence_.setup;
-  EvidencePatcher patcher(*this, old_graph, inserts, deletes, &next, ps);
+  EvidencePatcher patcher(*this, old_graph, inserts, deletes, ps);
   DmineStats ds;
-  DiversifiedTopK top = RunLevelwise(*graph_, q_, options_.mine, patcher, &ds);
+  DiversifiedTopK top =
+      RunLevelwise(*graph_, q_, options_.mine, patcher, &ds, &next);
   ps->candidates_evaluated += ds.candidates_verified;
   ps->rules_accepted += ds.accepted;
   ps->exists_calls += ds.global_exists_calls;
@@ -439,7 +413,7 @@ Status RuleMaintainer::RefreshPass(const Graph& old_graph,
   // only the pools: stale entries never survive to be patched against a
   // graph they no longer describe.
   evidence_ = std::move(next);
-  ps->seconds = SecondsSince(t0);
+  ps->seconds = timer.Seconds();
   return Status::OK();
 }
 

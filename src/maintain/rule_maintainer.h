@@ -155,12 +155,15 @@ class RuleMaintainer {
       const MaintainOptions& options = {});
 
   /// Restores a maintainer from a persisted evidence section (rule-snapshot
-  /// v2) against the graph that section was exported at. The evidence setup
-  /// must match `options.mine` (same predicate labels and mining
-  /// parameters); a mismatch is InvalidArgument — patching against a
-  /// foreign lineage would silently corrupt supports. Runs one zero-delta
-  /// pass to rebuild Σ/top-k from the evidence — no pool probes, pattern-
-  /// level work only.
+  /// v2). `g` must be the graph that section was exported at. The restore
+  /// trusts the evidence: evidence of another graph is NOT detected (v2
+  /// carries no graph fingerprint) and yields rules that need not be
+  /// `Dmine`'s on `g`. The evidence setup must match `options.mine` (same
+  /// predicate labels and mining parameters); a mismatch is
+  /// InvalidArgument — patching against a foreign lineage would silently
+  /// corrupt supports. Runs one zero-delta pass to rebuild Σ/top-k from the
+  /// evidence; on the right graph it probes no center, pattern-level work
+  /// only.
   static Result<std::unique_ptr<RuleMaintainer>> FromEvidence(
       std::shared_ptr<const Graph> g, RuleSetEvidence evidence,
       const MaintainOptions& options = {});

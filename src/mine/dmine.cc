@@ -124,18 +124,26 @@ uint32_t OwnerOf(size_t pi, uint32_t n, Survives survives) {
   return 0;  // unreachable: target < count
 }
 
+/// Appends the sorted `run` to the sorted `*out`, keeping it sorted. The
+/// workers' runs are sorted (fragment centers are, and every probe loop
+/// keeps pool order) and disjoint (center ownership is), so merging them
+/// one by one assembles a global set without a sort.
+void MergeRun(const std::vector<NodeId>& run, std::vector<NodeId>* out) {
+  const auto mid = static_cast<std::ptrdiff_t>(out->size());
+  out->insert(out->end(), run.begin(), run.end());
+  std::inplace_merge(out->begin(), out->begin() + mid, out->end());
+}
+
 /// DMine's evaluation strategy: BSP fragment workers generate candidates
 /// and count local supports; coordinator sections concatenate the
-/// candidates and assemble the per-fragment counts and lineage. With an
-/// `evidence` output, the coordinator also records the global pools and
-/// every candidate's match sets.
+/// candidates and merge the per-fragment pools, match sets and lineage.
 class FragmentEvaluator : public LevelwiseEvaluator {
  public:
   FragmentEvaluator(BspRuntime* bsp, const Partitioning& parts,
                     const Predicate& q, const DmineOptions& options,
-                    DmineStats* stats, RuleSetEvidence* evidence)
+                    DmineStats* stats)
       : bsp_(*bsp), q_(q), options_(options), stats_(*stats),
-        evidence_(evidence), workers_(options.num_workers) {
+        workers_(options.num_workers) {
     for (uint32_t i = 0; i < options.num_workers; ++i) {
       workers_[i].frag = &parts.fragments[i];
     }
@@ -163,23 +171,12 @@ class FragmentEvaluator : public LevelwiseEvaluator {
       }
     });
     LevelwisePools pools;
-    for (const WorkerState& w : workers_) {
-      pools.supp_q += w.q_centers.size();
-      pools.supp_qbar += w.qbar_centers.size();
-    }
-    if (evidence_ != nullptr) {
-      bsp_.RunCoordinator([&] {
-        for (const WorkerState& w : workers_) {
-          evidence_->q_pool.insert(evidence_->q_pool.end(),
-                                   w.q_centers.begin(), w.q_centers.end());
-          evidence_->qbar_pool.insert(evidence_->qbar_pool.end(),
-                                      w.qbar_centers.begin(),
-                                      w.qbar_centers.end());
-        }
-        std::sort(evidence_->q_pool.begin(), evidence_->q_pool.end());
-        std::sort(evidence_->qbar_pool.begin(), evidence_->qbar_pool.end());
-      });
-    }
+    bsp_.RunCoordinator([&] {
+      for (const WorkerState& w : workers_) {
+        MergeRun(w.q_centers, &pools.q_pool);
+        MergeRun(w.qbar_centers, &pools.qbar_pool);
+      }
+    });
     return pools;
   }
 
@@ -273,20 +270,9 @@ class FragmentEvaluator : public LevelwiseEvaluator {
       }
     });
 
-    // --- Coordinator: sum the local counts and keep the lineage.
+    // --- Coordinator: merge the local matches and keep the lineage.
     std::vector<std::shared_ptr<MinedRule>> rules(candidates.size());
     bsp_.RunCoordinator([&] {
-      // Each parent's evidence entry. All keys of `entry_of_` belong to
-      // rules of one round, alive together when inserted, so a live
-      // parent's lookup cannot alias another rule.
-      std::vector<uint32_t> parent_entry;
-      if (evidence_ != nullptr) {
-        parent_entry.reserve(parents.size());
-        for (const auto& p : parents) {
-          parent_entry.push_back(entry_of_.at(p.get()));
-        }
-        entry_of_.clear();
-      }
       for (size_t ci = 0; ci < candidates.size(); ++ci) {
         auto rule = std::make_shared<MinedRule>();
         rule->rule = candidates[ci];
@@ -294,32 +280,14 @@ class FragmentEvaluator : public LevelwiseEvaluator {
         rule->frag_ant_centers.resize(n);
         for (uint32_t i = 0; i < n; ++i) {
           LocalMatches& lm = local[i][ci];
-          rule->supp_qqbar += lm.ant_centers.size();
-          rule->matches.insert(rule->matches.end(), lm.pr_centers.begin(),
-                               lm.pr_centers.end());
+          MergeRun(lm.pr_centers, &rule->matches);
+          MergeRun(lm.ant_centers, &rule->ant_matches);
           rule->frag_pr_centers[i] = std::move(lm.pr_centers);
           rule->frag_ant_centers[i] = std::move(lm.ant_centers);
         }
         rule->supp = rule->matches.size();
+        rule->supp_qqbar = rule->ant_matches.size();
         rule->extendable = rule->supp > 0;
-        std::sort(rule->matches.begin(), rule->matches.end());
-        if (evidence_ != nullptr) {
-          EvidenceEntry ent;
-          ent.rule = candidates[ci];
-          ent.parent = cand_parent[ci] == kRootParent
-                           ? kEvidenceRoot
-                           : parent_entry[cand_parent[ci]];
-          ent.ant_probed = other_ok[ci] != 0;
-          ent.pr_matches = rule->matches;
-          for (const std::vector<NodeId>& ants : rule->frag_ant_centers) {
-            ent.ant_matches.insert(ent.ant_matches.end(), ants.begin(),
-                                   ants.end());
-          }
-          std::sort(ent.ant_matches.begin(), ent.ant_matches.end());
-          entry_of_[rule.get()] =
-              static_cast<uint32_t>(evidence_->entries.size());
-          evidence_->entries.push_back(std::move(ent));
-        }
         rules[ci] = std::move(rule);
       }
     });
@@ -340,10 +308,7 @@ class FragmentEvaluator : public LevelwiseEvaluator {
   const Predicate& q_;
   const DmineOptions& options_;
   DmineStats& stats_;
-  RuleSetEvidence* evidence_;
   std::vector<WorkerState> workers_;
-  /// Evidence entry index of each rule the last `Evaluate` produced.
-  std::unordered_map<const MinedRule*, uint32_t> entry_of_;
 };
 
 }  // namespace
@@ -395,13 +360,9 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
       Partitioning parts,
       PartitionGraph(g, centers, {options.num_workers, options.d}));
 
-  if (evidence != nullptr) {
-    evidence->q_pool.clear();
-    evidence->qbar_pool.clear();
-    evidence->entries.clear();
-  }
-  FragmentEvaluator ev(&bsp, parts, q, options, &result.stats, evidence);
-  DiversifiedTopK top = RunLevelwise(g, q, options, ev, &result.stats);
+  FragmentEvaluator ev(&bsp, parts, q, options, &result.stats);
+  DiversifiedTopK top =
+      RunLevelwise(g, q, options, ev, &result.stats, evidence);
   ev.FinishStats();
   result.topk = std::move(top.topk);
   result.objective = top.objective;

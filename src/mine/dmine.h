@@ -112,10 +112,10 @@ struct DmineResult {
 /// confidences, diversified top-k).
 ///
 /// A non-null `evidence` receives the run's match evidence, the baseline
-/// `RuleMaintainer` patches: the sorted global q / ~q pools and one entry
-/// per evaluated candidate, sub-sigma ones included, in evaluation order.
-/// Its `setup` is left to the caller. Capture reads what the coordinator
-/// already assembles and adds no probe.
+/// `RuleMaintainer` patches: `Dmine` forwards it to `RunLevelwise`, which
+/// records the global pools and match sets the coordinator merges from
+/// the workers' sorted runs. Its `setup` is left to the caller. Capture
+/// adds no probe.
 Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
                           const DmineOptions& options = {},
                           RuleSetEvidence* evidence = nullptr);

@@ -58,9 +58,11 @@ void LevelwiseEvaluator::Generate(
 
 namespace {
 
-// A parent's per-fragment match sets serve one round: its children's
-// pools. Σ keeps the rule itself alive for diversification.
+// A parent's antecedent set and per-fragment match sets serve one round:
+// its children's pools. Σ keeps the rule itself (and its `matches`) alive
+// for diversification.
 void ReleaseLineage(MinedRule* r) {
+  r->ant_matches = {};
   r->frag_pr_centers = {};
   r->frag_ant_centers = {};
 }
@@ -69,7 +71,8 @@ void ReleaseLineage(MinedRule* r) {
 
 DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
                              const DmineOptions& options,
-                             LevelwiseEvaluator& ev, DmineStats* stats) {
+                             LevelwiseEvaluator& ev, DmineStats* stats,
+                             RuleSetEvidence* evidence) {
   DiversifiedTopK out;
   // The coordinator plans each pattern once; every matcher reads the store.
   SearchPlanStore plans(g);
@@ -80,16 +83,23 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
   });
 
   // The q / ~q pools "never change and hence are derived once for all".
-  const LevelwisePools pools = ev.EvaluatePools(plans);
-  stats->supp_q = pools.supp_q;
-  stats->supp_qbar = pools.supp_qbar;
+  LevelwisePools pools = ev.EvaluatePools(plans);
+  const uint64_t supp_q = pools.q_pool.size();
+  const uint64_t supp_qbar = pools.qbar_pool.size();
+  stats->supp_q = supp_q;
+  stats->supp_qbar = supp_qbar;
   stats->plans_prepared = plans.patterns_planned();
+  if (evidence != nullptr) {
+    evidence->q_pool = std::move(pools.q_pool);
+    evidence->qbar_pool = std::move(pools.qbar_pool);
+    evidence->entries.clear();
+  }
   // No q pool: q(x, y) names no one in G. No ~q pool: every rule would be
   // a trivial logic rule (supp(Q~q) = 0). Returning keeps n_norm = 0 away
   // from the objective's divisions.
-  if (pools.supp_q == 0 || pools.supp_qbar == 0) return out;
+  if (supp_q == 0 || supp_qbar == 0) return out;
   const double n_norm =
-      static_cast<double>(pools.supp_q) * static_cast<double>(pools.supp_qbar);
+      static_cast<double>(supp_q) * static_cast<double>(supp_qbar);
 
   const std::vector<EdgePatternStat> seeds =
       FrequentEdgePatterns(g, options.seed_edge_limit);
@@ -110,6 +120,7 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
   std::vector<std::shared_ptr<MinedRule>> sigma;  // Σ
   std::unordered_map<uint64_t, std::vector<Pattern>> seen_buckets;
   std::vector<std::shared_ptr<MinedRule>> parents;  // M
+  std::vector<uint32_t> parent_entry;  // per parent: its evidence entry
 
   for (uint32_t round = 1;
        round <= options.max_pattern_edges && (round == 1 || !parents.empty());
@@ -162,10 +173,24 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
         ev.Evaluate(candidates, cand_parent, other_ok, parents);
 
     ev.Coordinator([&] {
+      // Evidence: one entry per evaluated candidate, sub-sigma included.
+      uint32_t first_entry = 0;
+      if (evidence != nullptr) {
+        first_entry = static_cast<uint32_t>(evidence->entries.size());
+        for (size_t ci = 0; ci < evaluated.size(); ++ci) {
+          const MinedRule& r = *evaluated[ci];
+          evidence->entries.push_back(
+              {r.rule,
+               cand_parent[ci] == kRootParent ? kEvidenceRoot
+                                              : parent_entry[cand_parent[ci]],
+               other_ok[ci] != 0, r.matches, r.ant_matches});
+        }
+      }
       std::vector<std::shared_ptr<MinedRule>> delta;  // ΔE
-      for (std::shared_ptr<MinedRule>& rule : evaluated) {
-        rule->uconf_plus =
-            UConfPlus(rule->supp, pools.supp_qbar, pools.supp_q);
+      std::vector<uint32_t> delta_entry;  // per ΔE rule: its evidence entry
+      for (size_t ci = 0; ci < evaluated.size(); ++ci) {
+        std::shared_ptr<MinedRule>& rule = evaluated[ci];
+        rule->uconf_plus = UConfPlus(rule->supp, supp_qbar, supp_q);
         if (rule->supp < options.sigma) continue;
         if (rule->supp_qqbar == 0) {
           // Trivial "logic rule": holds on all of Q(x, G); discarded per the
@@ -173,9 +198,10 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
           ++stats->trivial_discarded;
           continue;
         }
-        rule->conf = BayesFactorConf(rule->supp, pools.supp_qbar,
-                                     rule->supp_qqbar, pools.supp_q);
+        rule->conf =
+            BayesFactorConf(rule->supp, supp_qbar, rule->supp_qqbar, supp_q);
         delta.push_back(std::move(rule));
+        delta_entry.push_back(first_entry + static_cast<uint32_t>(ci));
       }
       stats->accepted += delta.size();
       sigma.insert(sigma.end(), delta.begin(), delta.end());
@@ -199,13 +225,16 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
       // Next round's M.
       for (const auto& p : parents) ReleaseLineage(p.get());
       parents.clear();
-      for (const auto& r : delta) {
+      parent_entry.clear();
+      for (size_t i = 0; i < delta.size(); ++i) {
+        const std::shared_ptr<MinedRule>& r = delta[i];
         if (!r->extendable || r->pruned ||
             r->rule.antecedent().num_edges() >= options.max_pattern_edges) {
           ReleaseLineage(r.get());
           continue;
         }
         parents.push_back(r);
+        parent_entry.push_back(delta_entry[i]);
       }
     });
   }

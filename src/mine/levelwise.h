@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "match/matcher.h"
 #include "mine/dmine.h"
+#include "rule/rule_evidence.h"
 
 namespace gpar {
 
@@ -28,10 +29,11 @@ DiversifiedTopK DiversifyPool(
     const std::vector<std::shared_ptr<MinedRule>>& pool, uint32_t k,
     double lambda, double n_norm);
 
-/// Round-0 pool sizes: centers matching q(x, ·), and LCWA negatives.
+/// Round-0 pools, sorted by node id: centers matching q(x, ·), and LCWA
+/// negatives.
 struct LevelwisePools {
-  uint64_t supp_q = 0;
-  uint64_t supp_qbar = 0;
+  std::vector<NodeId> q_pool;
+  std::vector<NodeId> qbar_pool;
 };
 
 /// `GenerateExtensions` bound to one mining setup. Pure, so workers may
@@ -65,9 +67,11 @@ class LevelwiseEvaluator {
                         std::vector<size_t>* fresh_parent);
 
   /// Returns one rule per candidate with `supp`, `supp_qqbar`,
-  /// `extendable` and sorted `matches` set. `cand_parent` indexes
+  /// `extendable` and the sorted `matches` and `ant_matches` set (the
+  /// latter empty when `other_ok[i] == 0`). `cand_parent` indexes
   /// `parents` (or is `kRootParent`); `other_ok[i] == 0` means an
-  /// antecedent component without x has no match in G.
+  /// antecedent component without x has no match in G. A parent's
+  /// `matches` and `ant_matches` are its children's pools.
   virtual std::vector<std::shared_ptr<MinedRule>> Evaluate(
       const std::vector<Gpar>& candidates,
       const std::vector<size_t>& cand_parent,
@@ -84,9 +88,17 @@ class LevelwiseEvaluator {
 /// Extendable, unpruned rules that can still grow become the next
 /// parents. Counters go to `stats`; `options` must pass
 /// `ValidateMiningOptions`.
+///
+/// A non-null `evidence` receives the run's match evidence, the baseline
+/// `RuleMaintainer` patches: the round-0 pools and one entry per evaluated
+/// candidate, sub-sigma ones included, in evaluation order, copied from
+/// the rules `Evaluate` returns. Its `setup` is left to the caller. This
+/// is the one writer of evidence for DMine's seed and every maintenance
+/// pass.
 DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
                              const DmineOptions& options,
-                             LevelwiseEvaluator& ev, DmineStats* stats);
+                             LevelwiseEvaluator& ev, DmineStats* stats,
+                             RuleSetEvidence* evidence = nullptr);
 
 }  // namespace gpar
 

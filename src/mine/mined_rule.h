@@ -17,6 +17,12 @@ struct MinedRule {
   uint64_t supp_qqbar = 0;   ///< supp(Q~q, G)
   double conf = 0;           ///< BF/LCWA confidence
   std::vector<NodeId> matches;  ///< P_R(x, G), global ids, sorted (for diff)
+  /// supp(Q~q) side: the ~q-pool centers where the antecedent's
+  /// x-component matched, global ids, sorted (empty when a component
+  /// without x failed its global check). It and `matches` are the pools of
+  /// the rule's children and its evidence entry's sets; the levelwise
+  /// driver frees it once the rule's children have been evaluated.
+  std::vector<NodeId> ant_matches;
   bool extendable = false;   ///< some match still has unexplored hops
   double uconf_plus = 0;     ///< Uconf+(R): confidence bound for extensions
   bool pruned = false;       ///< removed from Σ/ΔE by the reduction rules

@@ -56,7 +56,7 @@ bool ReadMatchSetDelta(ByteReader* r, MatchSetDelta* delta);
 
 /// Wire size of the encoding `EncodeMatchSet` would pick for a child of
 /// `child_size` members inside a parent of `parent_size`, without
-/// materializing either list — the accounting hook for DmineStats.
+/// materializing either list. Feeds `MaintainStats::evidence_bytes_delta`.
 size_t DeltaEncodedBytes(size_t child_size, size_t parent_size);
 
 /// Wire size of the pre-delta full encoding (raw u32 center list).

@@ -182,9 +182,9 @@ void ShardedRuleServer::RunOnShards(
   }
 }
 
-Status ShardedRuleServer::Scatter(std::vector<ShardCall>& calls,
-                                  double deadline_seconds, const Timer& timer,
-                                  SessionReply* reply) const {
+void ShardedRuleServer::Scatter(std::vector<ShardCall>& calls,
+                                double deadline_seconds, const Timer& timer,
+                                SessionReply* reply) const {
   // Health snapshot: a shard behind the delta sequence would answer from
   // a stale graph, so it fails fast here and the reply degrades around it.
   std::vector<char> healthy(num_shards(), 0);
@@ -220,7 +220,6 @@ Status ShardedRuleServer::Scatter(std::vector<ShardCall>& calls,
       Accumulate(&stats, call.reply.stats);
       continue;
     }
-    if (!options_.degrade_on_shard_failure) return call.status;
     // Degrade: this shard's centers keep their empty matched rows and
     // contribute nothing to the sums — exactly what the failed_shards
     // marker tells the caller to expect.
@@ -228,7 +227,6 @@ Status ShardedRuleServer::Scatter(std::vector<ShardCall>& calls,
     reply->failed_shards.push_back(call.shard);
     ++stats.shards_failed;
   }
-  return Status::OK();
 }
 
 Status ShardedRuleServer::GatherPoint(const SessionRequest& request,
@@ -258,7 +256,7 @@ Status ShardedRuleServer::GatherPoint(const SessionRequest& request,
     call.request.rules = selected;
     call.request.require_consequent = request.require_consequent;
   }
-  GPAR_RETURN_NOT_OK(Scatter(calls, request.deadline_seconds, timer, reply));
+  Scatter(calls, request.deadline_seconds, timer, reply);
 
   reply->matched.assign(request.centers.size(), {});
   for (ShardCall& call : calls) {
@@ -283,7 +281,7 @@ Status ShardedRuleServer::GatherAll(const SessionRequest& request,
     calls[s].request.eta = request.eta;
     calls[s].request.require_consequent = request.require_consequent;
   }
-  GPAR_RETURN_NOT_OK(Scatter(calls, request.deadline_seconds, timer, reply));
+  Scatter(calls, request.deadline_seconds, timer, reply);
 
   // Gather: center ownership is disjoint, so the per-shard partial
   // supports sum to the global ones; confidences are computed from the
@@ -359,29 +357,14 @@ Status ShardedRuleServer::PublishDelta(DeltaCommit* commit) {
   }
 
   DeltaStats& ds = commit->stats;
-  bool applied = false;
-  Status ship_failure = Status::OK();
   for (uint32_t s = 0; s < k; ++s) {
-    if (ship_to[s] == 0) continue;
-    if (!statuses[s].ok()) {
-      if (ship_failure.ok()) ship_failure = statuses[s];
-      continue;
-    }
-    applied = true;
+    if (ship_to[s] == 0 || !statuses[s].ok()) continue;
     const DeltaStats& st = shard_stats[s];
     ds.memberships_invalidated += st.memberships_invalidated;
     ds.qclass_invalidated += st.qclass_invalidated;
     ds.members_extended += st.members_extended;
     ds.wire_bytes += st.wire_bytes;
   }
-  const bool strict = !options_.degrade_on_shard_failure;
-  if (strict && !ship_failure.ok() && !applied) {
-    // Strict mode, and no shard applied the frame: publish nothing. (A
-    // journaled frame stays journaled — the journal is the source of
-    // truth, and recovery replays it.)
-    return ship_failure;
-  }
-
   {
     MutexLock lock(graph_mu_);
     graph_ = commit->new_graph;
@@ -398,13 +381,12 @@ Status ShardedRuleServer::PublishDelta(DeltaCommit* commit) {
 
   // Maintain-on-ApplyDelta: the pass runs on the parent graph after the
   // committed ship; a changed top-k is pushed to the shards and
-  // republished router-side. Its failures degrade (a shard that missed the
-  // push keeps the previous set until the next refresh) unless strict.
+  // republished router-side. Its failures degrade: a shard that missed the
+  // push keeps the previous set until the next refresh.
   std::vector<RuleRecord> top_k;
   const Result<bool> maintained = MaintainPass(*commit, &top_k);
-  Status refreshed = maintained.status();
   if (maintained.ok() && *maintained) {
-    refreshed = PublishRules(std::move(top_k), &ds);
+    (void)PublishRules(std::move(top_k), &ds);
   }
 
   // Keep the frame for pending-tail resync until every shard acked it,
@@ -421,10 +403,7 @@ Status ShardedRuleServer::PublishDelta(DeltaCommit* commit) {
   }
   constexpr size_t kMaxPendingFrames = 4096;
   while (pending_.size() > kMaxPendingFrames) pending_.pop_front();
-
-  if (!strict) return Status::OK();
-  GPAR_RETURN_NOT_OK(ship_failure);
-  return refreshed;
+  return Status::OK();
 }
 
 Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> rules,

@@ -36,17 +36,6 @@ struct ShardedRuleServerOptions {
   /// Backoff before the first retry, doubling per attempt. The retry loop
   /// never sleeps past a request's `deadline_seconds`.
   uint32_t retry_backoff_micros = 200;
-  /// When a shard keeps failing: answer from the surviving shards with
-  /// `SessionReply::degraded` set (owned-center supports of survivors stay
-  /// exact) instead of failing the request; a shard that misses a delta is
-  /// likewise left lagging — excluded from queries until a journal/pending
-  /// resync catches it up — rather than failing the `ApplyDelta`.
-  /// False (strict): a request touching a failed or lagging shard fails,
-  /// and a failed ship fails the `ApplyDelta`. A frame that no shard
-  /// applied is not published; one that some shard applied is published
-  /// (graph, sequence, acks) with the failed shards left lagging, so a
-  /// sequence a shard acknowledged is never stamped again.
-  bool degrade_on_shard_failure = true;
 };
 
 /// A sharded serving deployment: the graph is split once at load with the
@@ -67,6 +56,12 @@ struct ShardedRuleServerOptions {
 /// shard's view may become a strict superset of its owned centers' N_d
 /// balls — still exact for view-restricted matching (see
 /// `RuleServer::ApplyShardDelta`).
+///
+/// Shard failures degrade rather than fail. A shard that keeps failing a
+/// query is left out of the reply, which sets `SessionReply::degraded`
+/// (owned-center supports of the survivors stay exact). A shard that
+/// misses a delta is left lagging, excluded from queries until a journal
+/// or pending-tail resync catches it up, and the `ApplyDelta` succeeds.
 ///
 /// The write path (`ApplyDelta`, journal, replay, checkpoint, maintenance)
 /// is `ServeSession`'s; this router supplies its publish step — resync
@@ -137,12 +132,11 @@ class ShardedRuleServer
   };
   /// Runs `calls` under the retry policy — on the caller when there is
   /// just one, else on the router pool. A lagging shard fails fast. Each
-  /// failed call degrades `reply` (its shard joins `failed_shards`) or, in
-  /// strict mode, fails the request. Retries and the successful calls'
-  /// shard stats are summed into `reply->stats`; callers merge the replies
-  /// of the calls left ok.
-  Status Scatter(std::vector<ShardCall>& calls, double deadline_seconds,
-                 const Timer& timer, SessionReply* reply) const;
+  /// failed call degrades `reply` (its shard joins `failed_shards`).
+  /// Retries and the successful calls' shard stats are summed into
+  /// `reply->stats`; callers merge the replies of the calls left ok.
+  void Scatter(std::vector<ShardCall>& calls, double deadline_seconds,
+               const Timer& timer, SessionReply* reply) const;
   /// Point lookups: scatters the centers by ownership, gathers `matched`.
   Status GatherPoint(const SessionRequest& request,
                      const std::vector<uint32_t>& selected, const Timer& timer,
@@ -152,8 +146,9 @@ class ShardedRuleServer
   Status GatherAll(const SessionRequest& request,
                    const std::vector<uint32_t>& selected, size_t num_rules,
                    const Timer& timer, SessionReply* reply) const;
-  /// The publish step of `ApplyDelta` (see the class comment). See
-  /// `degrade_on_shard_failure` for what a failed ship publishes.
+  /// The publish step of `ApplyDelta` (see the class comment). The frame
+  /// is published even when a ship fails; the failed shards are left
+  /// lagging.
   Status PublishDelta(DeltaCommit* commit) override GPAR_REQUIRES(writer_mu_);
   /// When `rules` differ from the served set: publishes them
   /// router-side, sets `ds->rules_refreshed`, and pushes them to every shard

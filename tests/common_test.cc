@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/timer.h"
 
 namespace gpar {
 namespace {
@@ -118,22 +117,6 @@ TEST(InternerTest, RoundTripAndStability) {
   EXPECT_EQ(in.Name(kNoLabel), "<none>");
   EXPECT_EQ(in.Name(kWildcardLabel), "*");
   EXPECT_EQ(in.size(), 2u);
-}
-
-TEST(TimerTest, BusyClockAccumulates) {
-  BusyClock clock;
-  clock.Start();
-  volatile int64_t x = 0;
-  for (int i = 0; i < 100000; ++i) x = x + i;
-  clock.Stop();
-  double first = clock.TotalSeconds();
-  EXPECT_GE(first, 0.0);
-  clock.Start();
-  for (int i = 0; i < 100000; ++i) x = x + i;
-  clock.Stop();
-  EXPECT_GE(clock.TotalSeconds(), first);
-  clock.Reset();
-  EXPECT_EQ(clock.TotalSeconds(), 0.0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/timer.h"
 #include "graph/delta_journal.h"
 #include "graph/generator.h"
 #include "graph/graph_delta.h"
@@ -482,7 +483,6 @@ TEST_F(FaultRouterTest, DeadlineBoundsTheRetryBudget) {
   sopt.shard_options.num_workers = 2;
   sopt.max_shard_retries = 5;
   sopt.retry_backoff_micros = 200000;  // 0.2s — larger than the deadline
-  sopt.degrade_on_shard_failure = false;
   auto server = ShardedRuleServer::Create(w.graph, w.records, sopt);
   ASSERT_TRUE(server.ok()) << server.status();
   ShardedRuleServer& s = **server;
@@ -496,96 +496,18 @@ TEST_F(FaultRouterTest, DeadlineBoundsTheRetryBudget) {
   FailpointRegistry::Instance().Arm("shard.query", spec);
   SessionRequest req = AllRequest();
   req.deadline_seconds = 0.05;
+  // The first backoff would overrun the deadline, so no retry is taken:
+  // both shards degrade and the reply returns before one 0.2 s backoff.
+  Timer timer;
   auto r = s.Query(req);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded) << r.status();
+  const double elapsed = timer.Seconds();
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->degraded);
+  EXPECT_EQ(r->failed_shards, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(r->stats.retries, 0u);
+  EXPECT_LT(elapsed, 0.2);
   FailpointRegistry::Instance().DisarmAll();
   EXPECT_TRUE(s.Query(AllRequest()).ok());
-}
-
-TEST_F(FaultRouterTest, StrictModePropagatesShardFailures) {
-  Workload w = MakeWorkload(2);
-  ShardedRuleServerOptions sopt;
-  sopt.num_shards = 2;
-  sopt.shard_options.num_workers = 2;
-  sopt.max_shard_retries = 0;
-  sopt.degrade_on_shard_failure = false;
-  auto server = ShardedRuleServer::Create(w.graph, w.records, sopt);
-  ASSERT_TRUE(server.ok()) << server.status();
-  ShardedRuleServer& s = **server;
-
-  FailpointSpec spec;
-  spec.fires = 0;
-  FailpointRegistry::Instance().Arm("shard.query", spec);
-  EXPECT_EQ(s.Query(AllRequest()).status().code(), StatusCode::kUnavailable);
-  FailpointRegistry::Instance().DisarmAll();
-
-  // Strict delta shipping: the failed ship propagates and nothing is
-  // published — sequence and answers stay at the pre-delta state.
-  auto before = s.Query(AllRequest());
-  ASSERT_TRUE(before.ok());
-  FailpointRegistry::Instance().Arm("shard.apply_delta", spec);
-  GraphDelta d = FreshEdgesDelta(w.graph, 31, 3);
-  EXPECT_FALSE(s.ApplyDelta(d).ok());
-  FailpointRegistry::Instance().DisarmAll();
-  EXPECT_EQ(s.delta_sequence(), 0u);
-  auto after = s.Query(AllRequest());
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->matched, before->matched);
-
-  // One of the two shards fails the ship. The other applied the frame, so
-  // the router publishes it — graph, sequence, acks — leaves the failed
-  // shard lagging, and still reports the ship error. A shard that answers
-  // a strict query therefore serves the router's graph, and the sequence a
-  // shard acknowledged is never stamped on a different frame.
-  FailpointSpec once;  // kUnavailable, fires once: exactly one ship fails
-  FailpointRegistry::Instance().Arm("shard.apply_delta", once);
-  GraphDelta d1 = FreshEdgesDelta(w.graph, 32, 3);
-  auto p1 = PatchGraph(w.graph, d1);
-  ASSERT_TRUE(p1.ok());
-  EXPECT_FALSE(s.ApplyDelta(d1).ok());
-  FailpointRegistry::Instance().DisarmAll();
-  EXPECT_EQ(s.delta_sequence(), 1u);
-  EXPECT_EQ(s.lagging_shards(), 1u);
-  const std::string router_bytes = GraphBytes(*s.graph_snapshot());
-  EXPECT_EQ(router_bytes, GraphBytes(p1->graph));
-  size_t answering = 0;
-  for (uint32_t i = 0; i < s.num_shards(); ++i) {
-    SessionRequest point;
-    ASSERT_FALSE(s.shard(i).candidates().empty());
-    point.centers.push_back(s.shard(i).candidates()[0]);
-    if (!s.Query(point).ok()) continue;
-    ++answering;
-    EXPECT_EQ(GraphBytes(*s.shard(i).graph_snapshot()), router_bytes)
-        << "shard " << i;
-  }
-  EXPECT_EQ(answering, 1u);
-
-  // The next delta heals the lagging shard before it ships, so every shard
-  // ends on the router's graph and the deployment answers like a fresh one.
-  GraphDelta d2 = FreshEdgesDelta(p1->graph, 33, 3);
-  auto p2 = PatchGraph(p1->graph, d2);
-  ASSERT_TRUE(p2.ok());
-  auto ds2 = s.ApplyDelta(d2);
-  ASSERT_TRUE(ds2.ok()) << ds2.status();
-  EXPECT_EQ(ds2->sequence, 2u);
-  EXPECT_EQ(s.lagging_shards(), 0u);
-  const std::string healed_bytes = GraphBytes(*s.graph_snapshot());
-  EXPECT_EQ(healed_bytes, GraphBytes(p2->graph));
-  for (uint32_t i = 0; i < s.num_shards(); ++i) {
-    EXPECT_EQ(GraphBytes(*s.shard(i).graph_snapshot()), healed_bytes)
-        << "shard " << i;
-  }
-  auto fresh = ShardedRuleServer::Create(p2->graph, w.records, sopt);
-  ASSERT_TRUE(fresh.ok());
-  auto got = s.Query(AllRequest());
-  auto want = (*fresh)->Query(AllRequest());
-  ASSERT_TRUE(got.ok()) << got.status();
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(got->matched, want->matched);
-  EXPECT_EQ(got->entities, want->entities);
-  EXPECT_EQ(got->supp_q, want->supp_q);
-  EXPECT_EQ(got->supp_qbar, want->supp_qbar);
 }
 
 /// Sweep EVERY registered failpoint site through the sharded deployment:

@@ -549,6 +549,11 @@ TEST(MaintainEquivalenceTest, SnapshotV2CheckpointRestoresMidStream) {
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ((*restored)->TopKRecords(), (*m)->TopKRecords());
   EXPECT_EQ((*restored)->objective(), (*m)->objective());
+  // On the graph it was exported at, the restore pass re-derives the
+  // evidence itself and probes no center.
+  EXPECT_EQ((*restored)->evidence(), (*m)->evidence());
+  EXPECT_EQ((*restored)->lifetime_stats().centers_reprobed, 0u);
+  EXPECT_EQ((*restored)->lifetime_stats().rules_reexpanded, 0u);
 
   for (size_t b = 2; b < 4; ++b) {
     GraphDelta d = MakeChurn(*(*m)->graph(), q.edge_label, 900 + b, 20);

@@ -728,14 +728,19 @@ class MaintainSeedEquivalence : public ::testing::TestWithParam<uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, MaintainSeedEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
+// DMineno's inputs drop reduction-rule pruning, so the run grows another
+// set of parents: another shape of the evidence's parent links.
 TEST_P(MaintainSeedEquivalence, BspSeedMatchesSequentialOracle) {
   Scenario s = MakeScenario(GetParam());
-  const DmineOptions opt = BatteryOptions();
-  const test::OracleSeed want = test::SequentialSeed(s.graph, s.q, opt);
-  ASSERT_FALSE(want.evidence.entries.empty());
-  ASSERT_FALSE(want.topk.empty());
-  ExpectSeedMatchesOracle(std::make_shared<const Graph>(std::move(s.graph)),
-                          s.q, opt, want);
+  const auto g = std::make_shared<const Graph>(std::move(s.graph));
+  for (const DmineOptions& opt :
+       {BatteryOptions(), DmineNoOptions(BatteryOptions())}) {
+    SCOPED_TRACE(opt.enable_reduction_rules ? "DMine" : "DMineno");
+    const test::OracleSeed want = test::SequentialSeed(*g, s.q, opt);
+    ASSERT_FALSE(want.evidence.entries.empty());
+    ASSERT_FALSE(want.topk.empty());
+    ExpectSeedMatchesOracle(g, s.q, opt, want);
+  }
 }
 
 /// Six persons at two places; `buyers` of them buy an item, `gifted` of

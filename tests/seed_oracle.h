@@ -57,7 +57,7 @@ class FullProbeEvaluator : public LevelwiseEvaluator {
         ev.qbar_pool.push_back(c);
       }
     }
-    return {ev.q_pool.size(), ev.qbar_pool.size()};
+    return {ev.q_pool, ev.qbar_pool};
   }
 
   std::vector<std::shared_ptr<MinedRule>> Evaluate(

@@ -1,6 +1,9 @@
 # CLI round trip: `mine --snapshot-out` writes a v2 rule snapshot carrying
 # the run's match evidence, and `maintain` restores from that evidence
-# instead of mining again (it prints "restored maintainer").
+# instead of mining again (it prints "restored maintainer"). With no
+# journal, the restore pass probes no center and re-expands no rule, and
+# it writes back exactly the bytes `mine` wrote: DMine's seed and the
+# maintainer's pass record evidence through one writer.
 #
 #   cmake -DTOOL=path/to/gpar_tool -DWORK=scratch/dir -P mine_maintain_roundtrip.cmake
 file(MAKE_DIRECTORY ${WORK})
@@ -25,4 +28,16 @@ run_tool(maintain --graph-snapshot ${WORK}/g.snap
 message("${tool_out}")
 if(NOT tool_out MATCHES "restored maintainer")
   message(FATAL_ERROR "maintain did not restore from the mine snapshot")
+endif()
+foreach(want "reprobed=0 " "reexpanded=0 ")
+  string(FIND "${tool_out}" "${want}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "maintain output lacks '${want}'")
+  endif()
+endforeach()
+file(SHA256 ${WORK}/rules.snap mined_sha)
+file(SHA256 ${WORK}/rules2.snap maintained_sha)
+if(NOT mined_sha STREQUAL maintained_sha)
+  message(FATAL_ERROR "maintain rewrote the mine snapshot differently: "
+                      "${mined_sha} vs ${maintained_sha}")
 endif()
