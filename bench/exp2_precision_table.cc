@@ -67,8 +67,8 @@ struct Ranked {
 /// QStats on the validation half, cached per predicate.
 using StatsCache = std::map<std::tuple<LabelId, LabelId, LabelId>, QStats>;
 
-const QStats& ValidationStats(Matcher& m2, const Predicate& q,
-                              StatsCache* cache) {
+const QStats& ValidationStats(VF2Matcher& m2, const Predicate& q,
+                                 StatsCache* cache) {
   auto key = std::make_tuple(q.x_label, q.edge_label, q.y_label);
   auto it = cache->find(key);
   if (it == cache->end()) {
@@ -78,7 +78,7 @@ const QStats& ValidationStats(Matcher& m2, const Predicate& q,
 }
 
 double AvgPrecision(const std::vector<Ranked>& ranked, size_t top_k,
-                    Matcher& m2, StatsCache* cache) {
+                    VF2Matcher& m2, StatsCache* cache) {
   double sum = 0;
   size_t used = 0;
   for (size_t i = 0; i < ranked.size() && used < top_k; ++i) {

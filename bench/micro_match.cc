@@ -1,11 +1,10 @@
-// Micro-benchmarks (google-benchmark) for the matching layer: VF2 vs
-// guided search and multi-pattern sharing. Not a
-// paper figure — engineering-level visibility into the EIP cost model.
+// Micro-benchmarks (google-benchmark) for the matching layer: VF2 probes,
+// enumeration, bound pool probes and multi-pattern sharing. Not a paper
+// figure — engineering-level visibility into the EIP cost model.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "match/guided.h"
 #include "match/matcher.h"
 #include "match/multi_pattern.h"
 
@@ -38,20 +37,6 @@ void BM_VF2ExistsAt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VF2ExistsAt);
-
-void BM_GuidedExistsAt(benchmark::State& state) {
-  Fixture& f = GetFixture();
-  GuidedMatcher m(f.graph, 2);
-  auto centers = f.graph.nodes_with_label(f.q.x_label);
-  size_t i = 0;
-  for (auto _ : state) {
-    const Gpar& r = f.sigma[i % f.sigma.size()];
-    NodeId v = centers[(i * 7919) % centers.size()];
-    benchmark::DoNotOptimize(m.ExistsAt(r.pr(), v));
-    ++i;
-  }
-}
-BENCHMARK(BM_GuidedExistsAt);
 
 void BM_VF2EnumerateAll(benchmark::State& state) {
   Fixture& f = GetFixture();

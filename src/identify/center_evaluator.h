@@ -59,19 +59,19 @@ std::unique_ptr<CenterEvaluator> MakeMatchcEvaluator(
     const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
     uint64_t cap);
 
-/// Match (Section 5.2): early termination (exists-queries), sketch-guided
-/// candidate ordering, and multi-pattern sharing across Σ. The last two
-/// are individually toggleable for ablation (early termination is the
-/// definitional difference to Matchc and always on).
+/// Match (Section 5.2): early termination (exists-queries, the
+/// definitional difference to Matchc) and multi-pattern sharing across Σ.
+/// The paper's third ingredient, k-hop-sketch-guided candidate ordering,
+/// is left out: the matcher's fail-first plans already order the search by
+/// selectivity, and sketches only made probes slower (README,
+/// "Reproduction substitutions").
 ///
 /// `plan_store` optionally attaches shared read-only search plans (the
 /// serving session's reuse hook), consulted before planning privately;
-/// batch identification passes none. Node sketches are always built lazily
-/// by the matcher itself.
+/// batch identification passes none.
 std::unique_ptr<CenterEvaluator> MakeMatchEvaluator(
     const Graph& frag_graph, const GraphView* view,
     const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    bool use_guided_search, bool share_multi_patterns,
     const SearchPlanStore* plan_store = nullptr);
 
 /// disVF2 (Section 6 baseline): enumerates embeddings of BOTH P_R and Q at

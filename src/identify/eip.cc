@@ -135,9 +135,7 @@ Result<EipResult> IdentifyEntities(const Graph& g,
     std::unique_ptr<CenterEvaluator> evaluator;
     switch (options.algorithm) {
       case EipAlgorithm::kMatch:
-        evaluator = MakeMatchEvaluator(g, view, sigma, other_ok,
-                                       options.use_guided_search,
-                                       options.share_multi_patterns);
+        evaluator = MakeMatchEvaluator(g, view, sigma, other_ok);
         break;
       case EipAlgorithm::kMatchc:
         evaluator = MakeMatchcEvaluator(g, view, sigma, other_ok,

@@ -13,8 +13,8 @@ namespace gpar {
 
 /// Algorithm selector for the entity identification problem (Section 5).
 enum class EipAlgorithm {
-  /// Match: data locality + early termination + sketch-guided search +
-  /// multi-pattern sharing (Section 5.2).
+  /// Match: data locality + early termination + multi-pattern sharing
+  /// (Section 5.2; without the paper's sketch-guided search).
   kMatch,
   /// Matchc: the parallel-scalable baseline — data locality but full
   /// enumeration of matches per candidate (Section 5.1).
@@ -34,10 +34,6 @@ struct EipOptions {
   /// Formal semantics (Table 1) output Q(x, G) matches; §5.1's Matchc prose
   /// outputs P_R(x, G) matches. False = formal definition (default).
   bool require_consequent = false;
-  /// Ablation toggles for kMatch (both on by default; the ablation bench
-  /// measures each optimization's contribution):
-  bool use_guided_search = true;     ///< sketch-guided candidate ordering
-  bool share_multi_patterns = true;  ///< anchored-subsumption sharing over Σ
   uint64_t enumeration_cap = 0;  ///< per-candidate embedding cap, 0 = none
 };
 

@@ -111,10 +111,9 @@ class SearchPlanStore {
 /// maps to a graph edge with the same label (non-induced). Multiplicity
 /// annotations are expanded before searching.
 ///
-/// The backtracking core is shared; subclasses steer it via candidate
-/// filtering and ordering. `VF2Matcher` applies label checks only;
-/// `GuidedMatcher` adds the paper's k-hop-sketch filter and best-first
-/// candidate ordering (Section 5.2).
+/// The search is VF2-style [10]: label-filtered candidates, taken from the
+/// smallest labeled adjacency slice of a mapped neighbour, in the
+/// fail-first node order of `BuildSearchPlan`.
 ///
 /// Searches reuse per-matcher scratch state (mapping, injectivity bitmap,
 /// candidate buffers) and a search-plan cache, so repeated `ExistsAt` probes
@@ -127,17 +126,16 @@ class SearchPlanStore {
 /// reentrant: embedding callbacks must not call back into the same matcher,
 /// and instances must not be shared across threads without external
 /// synchronization (DMine gives each worker its own matcher).
-class Matcher {
+class VF2Matcher {
  public:
-  explicit Matcher(const Graph& g) : g_(g), view_(nullptr) {}
-  explicit Matcher(const GraphView& view)
+  explicit VF2Matcher(const Graph& g) : g_(g), view_(nullptr) {}
+  explicit VF2Matcher(const GraphView& view)
       : g_(view.parent()), view_(&view) {}
-  Matcher(const Graph& g, const GraphView* view)
+  VF2Matcher(const Graph& g, const GraphView* view)
       : g_(view != nullptr ? view->parent() : g), view_(view) {}
-  virtual ~Matcher() = default;
 
-  Matcher(const Matcher&) = delete;
-  Matcher& operator=(const Matcher&) = delete;
+  VF2Matcher(const VF2Matcher&) = delete;
+  VF2Matcher& operator=(const VF2Matcher&) = delete;
 
   /// True iff a match exists honoring `anchors`. Stops at the first match
   /// (the paper's "early termination": a potential customer is identified
@@ -151,9 +149,9 @@ class Matcher {
   }
 
   /// Resolves `p` anchored at its designated node x once — expansion,
-  /// plan, anchor table, policy preparation — for a run of `ProbeAt`
-  /// calls. The binding lasts until the next `Bind`, `Exists`, `ExistsAt`,
-  /// `Images` or `Enumerate` on this matcher.
+  /// plan, anchor table — for a run of `ProbeAt` calls. The binding lasts
+  /// until the next `Bind`, `Exists`, `ExistsAt`, `Images` or `Enumerate`
+  /// on this matcher.
   void Bind(const Pattern& p) { BindNode(p, p.x()); }
 
   /// `ExistsAt(p, vx)` for the bound pattern `p`, with none of the per-call
@@ -188,27 +186,6 @@ class Matcher {
   /// Number of patterns with a cached search plan (for tests/benches).
   size_t plans_cached() const { return plans_cached_; }
 
- protected:
-  /// Policy hook: may a candidate `v` be considered for pattern node `u`?
-  /// Node-label equality is already checked by the engine.
-  virtual bool FilterCandidate(const Pattern& p, PNodeId u, NodeId v) {
-    (void)p; (void)u; (void)v;
-    return true;
-  }
-
-  /// Policy hook: reorder `cands` in place (best candidates first).
-  virtual void OrderCandidates(const Pattern& p, PNodeId u,
-                               std::vector<NodeId>* cands) {
-    (void)p; (void)u; (void)cands;
-  }
-
-  /// Invoked once per search so policies can precompute per-pattern state.
-  virtual void PrepareForPattern(const Pattern& p) { (void)p; }
-
-  /// The fragment view this matcher is restricted to, or nullptr for a
-  /// whole-graph matcher (policy hooks use it to mirror the restriction).
-  const GraphView* view() const { return view_; }
-
  private:
   /// Reusable per-search state: `ExistsAt` is called once per candidate
   /// center on the mining hot path, so the search must not pay a heap
@@ -235,7 +212,7 @@ class Matcher {
   Resolved Resolve(const Pattern& p, std::span<const Anchor> anchors);
   /// Readies the scratch for searches under `r`: anchor table (from
   /// `anchors`, matched up with `scratch_.anchored`), buffers, cleared
-  /// mapping, policy preparation.
+  /// mapping.
   void BeginSearch(const Resolved& r, std::span<const Anchor> anchors);
   /// Binds `p` anchored at its node `u` for `ProbeAt`.
   void BindNode(const Pattern& p, PNodeId u);
@@ -260,14 +237,6 @@ class Matcher {
   Scratch scratch_;
   Resolved bound_;  ///< the `Bind` target; plan == nullptr when unbound
   PNodeId bound_node_ = kNoPatternNode;  ///< its anchored expanded node
-};
-
-/// Plain VF2-style matcher [10]: label-filtered candidates in index order.
-class VF2Matcher : public Matcher {
- public:
-  explicit VF2Matcher(const Graph& g) : Matcher(g) {}
-  explicit VF2Matcher(const GraphView& view) : Matcher(view) {}
-  VF2Matcher(const Graph& g, const GraphView* view) : Matcher(g, view) {}
 };
 
 }  // namespace gpar

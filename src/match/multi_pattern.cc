@@ -59,9 +59,9 @@ MultiPatternEvaluator::MultiPatternEvaluator(
                    });
 }
 
-void MultiPatternEvaluator::EvaluateAt(Matcher& m, NodeId vx,
-                                       std::vector<char>* out,
-                                       const std::vector<char>* known_yes) const {
+void MultiPatternEvaluator::EvaluateAt(
+    VF2Matcher& m, NodeId vx, std::vector<char>* out,
+    const std::vector<char>* known_yes) const {
   const size_t n = patterns_.size();
   enum : char { kUnknown = -1, kNo = 0, kYes = 1 };
   std::vector<char> state(n, kUnknown);

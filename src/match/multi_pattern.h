@@ -29,7 +29,7 @@ class MultiPatternEvaluator {
   /// `known_yes`, when non-null (size = #patterns), marks patterns already
   /// known to match at vx (e.g. antecedents whose P_R matched): they are
   /// not re-queried and their implications are propagated for free.
-  void EvaluateAt(Matcher& m, NodeId vx, std::vector<char>* out,
+  void EvaluateAt(VF2Matcher& m, NodeId vx, std::vector<char>* out,
                   const std::vector<char>* known_yes = nullptr) const;
 
   /// Number of exists-queries actually issued by the last EvaluateAt calls

@@ -147,7 +147,7 @@ const PatternPlanEntry* SearchPlanStore::Find(const Pattern& p) const {
   return nullptr;
 }
 
-PatternPlanEntry& Matcher::CacheEntryFor(const Pattern& p) {
+PatternPlanEntry& VF2Matcher::CacheEntryFor(const Pattern& p) {
   if (plans_cached_ > kMaxCachedPatterns) {
     plan_cache_.clear();
     plans_cached_ = 0;
@@ -164,8 +164,8 @@ PatternPlanEntry& Matcher::CacheEntryFor(const Pattern& p) {
   return bucket.back();
 }
 
-const SearchPlan& Matcher::PlanFor(PatternPlanEntry& entry,
-                                   const std::vector<PNodeId>& anchored_key) {
+const SearchPlan& VF2Matcher::PlanFor(
+    PatternPlanEntry& entry, const std::vector<PNodeId>& anchored_key) {
   if (const SearchPlan* plan = FindPlanIn(entry, anchored_key)) return *plan;
   // The copy into BuildSearchPlan happens once per (pattern, anchor set),
   // not per probe.
@@ -175,8 +175,8 @@ const SearchPlan& Matcher::PlanFor(PatternPlanEntry& entry,
 }
 
 template <typename Leaf>
-bool Matcher::Extend(const Pattern& p, const SearchPlan& plan, size_t level,
-                     Leaf& leaf) {
+bool VF2Matcher::Extend(const Pattern& p, const SearchPlan& plan,
+                        size_t level, Leaf& leaf) {
   std::vector<NodeId>& mapping = scratch_.mapping;
   if (level == plan.order.size()) return leaf(std::span<const NodeId>(mapping));
   const PNodeId u = plan.order[level];
@@ -225,15 +225,12 @@ bool Matcher::Extend(const Pattern& p, const SearchPlan& plan, size_t level,
     }
   }
 
-  OrderCandidates(p, u, &cands);
-
   for (NodeId v : cands) {
     ++nodes_visited_;
     if (g_.node_label(v) != want) continue;
     // Injectivity: the used bitmap mirrors `mapping` (set/cleared with it),
     // replacing the O(|P|) scan over mapped nodes.
     if (scratch_.used[v]) continue;
-    if (!FilterCandidate(p, u, v)) continue;
     // Every pattern edge between u and an already-mapped node (including
     // self-loops) must exist in the graph with the right label.
     bool edges_ok = true;
@@ -265,8 +262,8 @@ bool Matcher::Extend(const Pattern& p, const SearchPlan& plan, size_t level,
   return true;
 }
 
-Matcher::Resolved Matcher::Resolve(const Pattern& p,
-                                   std::span<const Anchor> anchors) {
+VF2Matcher::Resolved VF2Matcher::Resolve(const Pattern& p,
+                                         std::span<const Anchor> anchors) {
   // The shared store first (a hit costs one hash lookup and skips
   // expansion + planning entirely), the private cache otherwise. The
   // mapped-anchor and key buffers live in the scratch so the probe hot
@@ -297,14 +294,13 @@ Matcher::Resolved Matcher::Resolve(const Pattern& p,
   return {&own.expanded, &plan, false};
 }
 
-void Matcher::BeginSearch(const Resolved& r, std::span<const Anchor> anchors) {
+void VF2Matcher::BeginSearch(const Resolved& r,
+                             std::span<const Anchor> anchors) {
   const Pattern& expanded = *r.expanded;
   scratch_.anchor_of.assign(expanded.num_nodes(), kInvalidNode);
   for (size_t i = 0; i < anchors.size(); ++i) {
     scratch_.anchor_of[scratch_.anchored[i]] = anchors[i].v;
   }
-
-  PrepareForPattern(expanded);
 
   if (scratch_.used.size() < g_.num_nodes()) {
     scratch_.used.assign(g_.num_nodes(), 0);
@@ -348,8 +344,9 @@ struct VisitEach {
 
 }  // namespace
 
-uint64_t Matcher::Enumerate(const Pattern& p, std::span<const Anchor> anchors,
-                            const EmbeddingCallback& cb, uint64_t limit) {
+uint64_t VF2Matcher::Enumerate(const Pattern& p,
+                               std::span<const Anchor> anchors,
+                               const EmbeddingCallback& cb, uint64_t limit) {
   bound_ = {};
   const Resolved r = Resolve(p, anchors);
   if (r.shared) ++plan_store_hits_;
@@ -359,7 +356,7 @@ uint64_t Matcher::Enumerate(const Pattern& p, std::span<const Anchor> anchors,
   return leaf.count;
 }
 
-bool Matcher::Exists(const Pattern& p, std::span<const Anchor> anchors) {
+bool VF2Matcher::Exists(const Pattern& p, std::span<const Anchor> anchors) {
   bound_ = {};
   const Resolved r = Resolve(p, anchors);
   if (r.shared) ++plan_store_hits_;
@@ -369,7 +366,7 @@ bool Matcher::Exists(const Pattern& p, std::span<const Anchor> anchors) {
   return leaf.found;
 }
 
-void Matcher::BindNode(const Pattern& p, PNodeId u) {
+void VF2Matcher::BindNode(const Pattern& p, PNodeId u) {
   // The anchor value is a placeholder: ProbeAt writes each center into
   // the anchor table's one anchored slot.
   const Anchor a{u, kInvalidNode};
@@ -378,7 +375,7 @@ void Matcher::BindNode(const Pattern& p, PNodeId u) {
   BeginSearch(bound_, {&a, 1});
 }
 
-bool Matcher::ProbeAt(NodeId vx) {
+bool VF2Matcher::ProbeAt(NodeId vx) {
   assert(bound_.plan != nullptr && "ProbeAt without a live Bind");
   if (bound_.shared) ++plan_store_hits_;
   scratch_.anchor_of[bound_node_] = vx;
@@ -387,7 +384,7 @@ bool Matcher::ProbeAt(NodeId vx) {
   return leaf.found;
 }
 
-std::vector<NodeId> Matcher::Images(const Pattern& p, PNodeId u) {
+std::vector<NodeId> VF2Matcher::Images(const Pattern& p, PNodeId u) {
   std::vector<NodeId> out;
   auto cands = view_ != nullptr ? view_->nodes_with_label(p.node(u).label)
                                 : g_.nodes_with_label(p.node(u).label);

@@ -30,9 +30,9 @@ inline uint64_t FnvMix(uint64_t h, uint64_t v) { return (h ^ v) * kFnvPrime; }
 
 /// Structural FNV-1a hash over nodes, edges, and designated nodes. Equal
 /// patterns (operator==) hash equal; collisions must be resolved by exact
-/// equality in the consuming cache bucket. Shared by the matchers' pattern
-/// caches (guided sketches, search plans), the rule maintainer's index of
-/// prior evidence and the server's match-cache remap on a rule refresh.
+/// equality in the consuming cache bucket. Shared by the matcher's search
+/// plan cache, the rule maintainer's index of prior evidence and the
+/// server's match-cache remap on a rule refresh.
 /// Not isomorphism-invariant — node ids participate; use IsomorphismBucketHash
 /// for iso-stable bucketing.
 uint64_t StructuralHash(const Pattern& p);

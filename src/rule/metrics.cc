@@ -5,7 +5,7 @@
 
 namespace gpar {
 
-QStats ComputeQStats(Matcher& m, const Predicate& q) {
+QStats ComputeQStats(VF2Matcher& m, const Predicate& q) {
   QStats stats;
   const Graph& g = m.graph();
   Pattern pq = q.ToPattern();
@@ -47,8 +47,8 @@ double BayesFactorConf(uint64_t supp_r, uint64_t supp_qbar,
          (static_cast<double>(supp_qqbar) * static_cast<double>(supp_q));
 }
 
-GparEval EvaluateGpar(Matcher& m, const Gpar& r, const QStats& stats,
-                      const EvalOptions& options) {
+GparEval EvaluateGpar(VF2Matcher& m, const Gpar& r, const QStats& stats,
+                         const EvalOptions& options) {
   GparEval eval;
   eval.trivial_no_q = stats.supp_q == 0;
 
@@ -87,8 +87,8 @@ GparEval EvaluateGpar(Matcher& m, const Gpar& r, const QStats& stats,
   return eval;
 }
 
-uint64_t MinImageSupport(Matcher& m, const Pattern& p,
-                         uint64_t embedding_cap) {
+uint64_t MinImageSupport(VF2Matcher& m, const Pattern& p,
+                            uint64_t embedding_cap) {
   // The callback sees the multiplicity-expanded pattern; minimum image
   // support is computed over its nodes.
   std::vector<std::unordered_set<NodeId>> images;
@@ -110,8 +110,8 @@ uint64_t MinImageSupport(Matcher& m, const Pattern& p,
   return min_image;
 }
 
-double ImageBasedConf(Matcher& m, const Gpar& r, const QStats& stats,
-                      uint64_t supp_qqbar, uint64_t embedding_cap) {
+double ImageBasedConf(VF2Matcher& m, const Gpar& r, const QStats& stats,
+                         uint64_t supp_qqbar, uint64_t embedding_cap) {
   uint64_t isupp_r = MinImageSupport(m, r.pr(), embedding_cap);
   Pattern pq = r.predicate().ToPattern();
   uint64_t isupp_q = MinImageSupport(m, pq, embedding_cap);

@@ -28,7 +28,7 @@ struct QStats {
 };
 
 /// Computes QStats with `m` (bound to the graph) for predicate `q`.
-QStats ComputeQStats(Matcher& m, const Predicate& q);
+QStats ComputeQStats(VF2Matcher& m, const Predicate& q);
 
 /// LCWA classification of a node with x's label (Section 3, Example 7).
 enum class LcwaCase { kPositive, kNegative, kUnknown };
@@ -64,20 +64,20 @@ struct EvalOptions {
   bool compute_antecedent_images = true;
 };
 
-GparEval EvaluateGpar(Matcher& m, const Gpar& r, const QStats& stats,
-                      const EvalOptions& options = {});
+GparEval EvaluateGpar(VF2Matcher& m, const Gpar& r, const QStats& stats,
+                         const EvalOptions& options = {});
 
 /// Minimum-image-based support [7]: the smallest, over pattern nodes u, of
 /// the number of distinct graph nodes matched to u across all embeddings.
 /// Enumerates embeddings up to `embedding_cap` (0 = unlimited).
-uint64_t MinImageSupport(Matcher& m, const Pattern& p,
-                         uint64_t embedding_cap = 1000000);
+uint64_t MinImageSupport(VF2Matcher& m, const Pattern& p,
+                            uint64_t embedding_cap = 1000000);
 
 /// Image-based confidence (the paper's Exp-2 "Iconf"): conf(R, G) with the
 /// pattern supports supp(R) and supp(q) replaced by minimum-image supports.
 /// The ~q terms count plain nodes (not pattern matches) and are kept as-is.
-double ImageBasedConf(Matcher& m, const Gpar& r, const QStats& stats,
-                      uint64_t supp_qqbar, uint64_t embedding_cap = 1000000);
+double ImageBasedConf(VF2Matcher& m, const Gpar& r, const QStats& stats,
+                         uint64_t supp_qqbar, uint64_t embedding_cap = 1000000);
 
 }  // namespace gpar
 

@@ -7,7 +7,6 @@
 
 #include "common/failpoint.h"
 #include "common/timer.h"
-#include "match/guided.h"
 #include "pattern/pattern_ops.h"
 
 namespace gpar {
@@ -153,14 +152,10 @@ std::unique_ptr<RuleServer::WorkerCtx> RuleServer::BuildCtx(
     const State& st) const {
   const GraphView* view = st.view.get();
   auto ctx = std::make_unique<WorkerCtx>();
-  ctx->evaluator = MakeMatchEvaluator(
-      *st.graph, view, st.rules->sigma, st.rules->all_ok,
-      /*use_guided_search=*/true, /*share_multi_patterns=*/true,
-      st.plan_store.get());
-  ctx->pq_matcher = std::make_unique<VF2Matcher>(*st.graph, view);
-  ctx->pq_matcher->set_plan_store(st.plan_store.get());
-  ctx->probe_matcher = std::make_unique<GuidedMatcher>(*st.graph, view);
-  ctx->probe_matcher->set_plan_store(st.plan_store.get());
+  ctx->evaluator = MakeMatchEvaluator(*st.graph, view, st.rules->sigma,
+                                      st.rules->all_ok, st.plan_store.get());
+  ctx->matcher = std::make_unique<VF2Matcher>(*st.graph, view);
+  ctx->matcher->set_plan_store(st.plan_store.get());
   return ctx;
 }
 
@@ -203,7 +198,7 @@ void RuleServer::EvaluateItem(const State& st, WorkerCtx& ctx,
   const NodeId v = item.center;
   uint8_t qc = item.qclass_in;
   if ((qc & kQKnown) == 0) {
-    bool is_q = ctx.pq_matcher->ExistsAt(pq_, v);
+    bool is_q = ctx.matcher->ExistsAt(pq_, v);
     // The consequent edge targets a 1-hop neighbor, which is inside the
     // shard view whenever v is an owned center (d >= 1), so the view and
     // parent-graph probes agree for every center this server answers for.
@@ -230,8 +225,8 @@ void RuleServer::EvaluateItem(const State& st, WorkerCtx& ctx,
       // P_R contains the consequent edge, so only q-match centers can hold
       // it; a P_R match implies antecedent membership (its restriction to
       // Q's nodes is a Q-match), saving the second probe.
-      bool pr = is_q && ctx.probe_matcher->ExistsAt(r.pr(), v);
-      bool qm = pr || ctx.probe_matcher->ExistsAt(r.x_component(), v);
+      bool pr = is_q && ctx.matcher->ExistsAt(r.pr(), v);
+      bool qm = pr || ctx.matcher->ExistsAt(r.x_component(), v);
       SetBit(&item.probed, ri);
       if (qm) SetBit(&item.in_q, ri);
       if (pr) SetBit(&item.in_pr, ri);

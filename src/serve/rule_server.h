@@ -29,8 +29,8 @@ namespace gpar {
 
 /// Options for `RuleServer`.
 ///
-/// The server always runs Match (Section 5.2) with guided search and
-/// multi-pattern sharing on; their ablations live on `EipOptions`.
+/// The server always runs Match (Section 5.2): exists-queries with
+/// multi-pattern sharing across the loaded rules.
 struct RuleServerOptions {
   uint32_t num_workers = 4;
   /// Capacity of the (rule, center) match cache, counted in (rule, center)
@@ -45,8 +45,7 @@ struct RuleServerOptions {
 /// search plans in a shared `SearchPlanStore`, the per-label candidate
 /// index, global satisfiability of antecedent components not containing
 /// x — and then answers `Query` requests on a persistent `ThreadPool`, far
-/// cheaper than one batch `IdentifyEntities` run per request. Node sketches
-/// are built lazily by each worker's guided matcher.
+/// cheaper than one batch `IdentifyEntities` run per request.
 ///
 /// Memberships are memoized in a lock-sharded LRU (rule, center) match
 /// cache. Edge deltas (`ApplyDelta`) publish a new immutable state
@@ -134,11 +133,12 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   size_t plans_prepared() const;
 
  private:
-  /// One worker's private matching state (matchers are not thread-safe).
+  /// One worker's private matching state (matchers are not thread-safe):
+  /// the evaluator answers full-Σ items, the matcher the q(x, y) probe and
+  /// single-rule items.
   struct WorkerCtx {
     std::unique_ptr<CenterEvaluator> evaluator;
-    std::unique_ptr<VF2Matcher> pq_matcher;
-    std::unique_ptr<Matcher> probe_matcher;
+    std::unique_ptr<VF2Matcher> matcher;
   };
 
   /// One immutable generation of the loaded rule set and everything derived

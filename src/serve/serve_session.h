@@ -95,8 +95,9 @@ struct DeltaStats {
   size_t deletes_missing = 0;
   uint64_t memberships_invalidated = 0;  ///< known (rule, center) bits cleared
   uint64_t qclass_invalidated = 0;
-  /// Always 0: sketches are built lazily per matcher, so a delta has none
-  /// to refresh. Kept for readers of the old stats layout.
+  /// Always 0: nothing per node is precomputed for matching, so a delta
+  /// has nothing to refresh. Kept only because the pipeline benchmark still
+  /// reports it (`delta.sketches_per_batch`).
   uint64_t sketches_refreshed = 0;
   uint64_t members_extended = 0;  ///< shard mode: nodes pulled into the view
   uint64_t wire_bytes = 0;        ///< serialized delta bytes shipped to shards

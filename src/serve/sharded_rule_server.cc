@@ -381,8 +381,10 @@ Status ShardedRuleServer::PublishDelta(DeltaCommit* commit) {
 
   // Maintain-on-ApplyDelta: the pass runs on the parent graph after the
   // committed ship; a changed top-k is pushed to the shards and
-  // republished router-side. Its failures degrade: a shard that missed the
-  // push keeps the previous set until the next refresh.
+  // republished router-side. A failed push degrades: a shard that missed
+  // it keeps the previous set until the next refresh. A failed pass is
+  // reported once the frame is kept for resync below — the frame itself
+  // is published either way.
   std::vector<RuleRecord> top_k;
   const Result<bool> maintained = MaintainPass(*commit, &top_k);
   if (maintained.ok() && *maintained) {
@@ -403,7 +405,7 @@ Status ShardedRuleServer::PublishDelta(DeltaCommit* commit) {
   }
   constexpr size_t kMaxPendingFrames = 4096;
   while (pending_.size() > kMaxPendingFrames) pending_.pop_front();
-  return Status::OK();
+  return maintained.status();
 }
 
 Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> rules,

@@ -66,7 +66,9 @@ struct ShardedRuleServerOptions {
 /// The write path (`ApplyDelta`, journal, replay, checkpoint, maintenance)
 /// is `ServeSession`'s; this router supplies its publish step — resync
 /// lagging shards, ship the frame, record acks and the pending tail, then
-/// run the maintenance pass on the parent graph and push changed rules.
+/// run the maintenance pass on the parent graph and push changed rules. A
+/// failed pass fails the `ApplyDelta` (as on a single `RuleServer`), after
+/// the frame is published and the sequence has advanced.
 ///
 /// Thread-safety: as `ServeSession` — any number of concurrent `Query`
 /// calls, concurrent with at most the internal serialization of

@@ -133,31 +133,6 @@ TEST_F(EipTest, WorkCountersOrderAsExpected) {
   EXPECT_GT(dis_r->embeddings_enumerated, 0u);
 }
 
-TEST_F(EipTest, AblationVariantsAgree) {
-  // Every combination of the Match optimizations must give identical
-  // results — the toggles change cost, never answers.
-  EipOptions base;
-  base.algorithm = EipAlgorithm::kMatch;
-  base.eta = 0.5;
-  base.num_workers = 2;
-  auto ref = IdentifyEntities(g1_.graph, sigma_, base);
-  ASSERT_TRUE(ref.ok());
-  for (bool guided : {false, true}) {
-    for (bool share : {false, true}) {
-      EipOptions opt = base;
-      opt.use_guided_search = guided;
-      opt.share_multi_patterns = share;
-      auto got = IdentifyEntities(g1_.graph, sigma_, opt);
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(got->entities, ref->entities)
-          << "guided=" << guided << " share=" << share;
-      for (size_t i = 0; i < ref->rule_evals.size(); ++i) {
-        EXPECT_DOUBLE_EQ(got->rule_evals[i].conf, ref->rule_evals[i].conf);
-      }
-    }
-  }
-}
-
 TEST_F(EipTest, InputValidation) {
   EXPECT_FALSE(IdentifyEntities(g1_.graph, {}, {}).ok());
 

@@ -17,8 +17,8 @@
 namespace gpar {
 namespace {
 
-std::shared_ptr<MinedRule> MakeRule(const Gpar& g, Matcher& m,
-                                    const QStats& stats) {
+std::shared_ptr<MinedRule> MakeRule(const Gpar& g, VF2Matcher& m,
+                                       const QStats& stats) {
   auto r = std::make_shared<MinedRule>();
   r->rule = g;
   GparEval eval = EvaluateGpar(m, g, stats, {.compute_antecedent_images = false});

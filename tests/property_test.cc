@@ -20,8 +20,8 @@
 #include "graph/partition.h"
 #include "graph/stats.h"
 #include "maintain/rule_maintainer.h"
-#include "match/guided.h"
 #include "match/matcher.h"
+#include "match/multi_pattern.h"
 #include "mine/dmine.h"
 #include "mine/naive_miner.h"
 #include "pattern/automorphism.h"
@@ -237,7 +237,6 @@ TEST_P(SeededProperty, MatcherScratchReuseMatchesFreshMatcher) {
   // exactly like a throwaway matcher constructed per probe.
   Scenario s = MakeScenario(GetParam());
   VF2Matcher reused(s.graph);
-  GuidedMatcher reused_guided(s.graph, 2);
   auto centers = s.graph.nodes_with_label(s.q.x_label);
   for (const Gpar& r : s.rules) {
     size_t probes = 0;
@@ -249,12 +248,53 @@ TEST_P(SeededProperty, MatcherScratchReuseMatchesFreshMatcher) {
       EXPECT_EQ(reused.ExistsAt(r.antecedent(), v),
                 fresh.ExistsAt(r.antecedent(), v))
           << "antecedent divergence at seed " << GetParam() << " node " << v;
-      EXPECT_EQ(reused_guided.ExistsAt(r.pr(), v), fresh.ExistsAt(r.pr(), v));
     }
   }
   // The reused matcher planned each distinct (pattern, anchor) once.
   EXPECT_GT(reused.plans_cached(), 0u);
   EXPECT_LE(reused.plans_cached(), 2 * s.rules.size());
+
+  // Match's multi-pattern sharing answers like one ExistsAt per pattern:
+  // over the P_R patterns, over the x-components (alone, and seeded with
+  // the P_R answers as MatchEvaluator runs them), and over both at once,
+  // where x-component_i ⊑ P_R_i guarantees implications to follow.
+  std::vector<const Pattern*> prs, xcs;
+  for (const Gpar& r : s.rules) {
+    prs.push_back(&r.pr());
+    xcs.push_back(&r.x_component());
+  }
+  std::vector<const Pattern*> both = prs;
+  both.insert(both.end(), xcs.begin(), xcs.end());
+  VF2Matcher shared_m(s.graph);
+  const size_t probed = std::min<size_t>(centers.size(), 25);
+  // Returns the exists-queries the shared evaluation issued.
+  auto check = [&](const std::vector<const Pattern*>& set,
+                   const std::vector<const Pattern*>* seed_from) {
+    const MultiPatternEvaluator shared(set);
+    std::vector<char> got, known;
+    for (size_t i = 0; i < probed; ++i) {
+      const NodeId v = centers[i];
+      known.clear();
+      if (seed_from != nullptr) {
+        for (const Pattern* p : *seed_from) {
+          known.push_back(reused.ExistsAt(*p, v) ? 1 : 0);
+        }
+      }
+      shared.EvaluateAt(shared_m, v, &got,
+                        seed_from != nullptr ? &known : nullptr);
+      for (size_t j = 0; j < set.size(); ++j) {
+        EXPECT_EQ(got[j], reused.ExistsAt(*set[j], v) ? 1 : 0)
+            << "shared divergence at seed " << GetParam() << " node " << v
+            << " pattern " << j << " of " << set.size();
+      }
+    }
+    return shared.queries_issued();
+  };
+  check(prs, nullptr);
+  check(xcs, nullptr);
+  check(xcs, &prs);
+  EXPECT_LT(check(both, nullptr), both.size() * probed)
+      << "sharing skipped no query at seed " << GetParam();
 }
 
 /// The patterns the plan-order battery probes: P_R, the x-component and
@@ -302,7 +342,7 @@ std::vector<Pattern> PlanBatteryPatterns(const Scenario& s, uint64_t seed) {
 }
 
 /// Sorted embeddings of `p` with x at `v`, up to `limit`.
-std::vector<std::vector<NodeId>> EmbeddingSet(Matcher& m, const Pattern& p,
+std::vector<std::vector<NodeId>> EmbeddingSet(VF2Matcher& m, const Pattern& p,
                                               NodeId v, uint64_t limit) {
   std::vector<std::vector<NodeId>> out;
   const Anchor a{p.x(), v};
@@ -357,7 +397,6 @@ TEST_P(SeededProperty, FailFirstPlansAnswerLikeBfsPlans) {
     VF2Matcher fail_first(s.graph, side.view);
     VF2Matcher breadth_first(s.graph, side.view);
     breadth_first.set_plan_store(&bfs_plans);
-    GuidedMatcher guided(s.graph, side.view);
     uint64_t probes = 0;
     for (const Pattern& p : patterns) {
       std::vector<char> expected;
@@ -366,8 +405,6 @@ TEST_P(SeededProperty, FailFirstPlansAnswerLikeBfsPlans) {
         ++probes;
         expected.push_back(want ? 1 : 0);
         EXPECT_EQ(fail_first.ExistsAt(p, v), want)
-            << "seed " << GetParam() << " node " << v;
-        EXPECT_EQ(guided.ExistsAt(p, v), want)
             << "seed " << GetParam() << " node " << v;
       }
       fail_first.Bind(p);
@@ -428,19 +465,6 @@ TEST_P(SeededProperty, TripleTableAfterPatchEqualsRebuilt) {
     if (t.edge_label == fresh) fresh_edges += t.count;
   }
   EXPECT_EQ(fresh_edges, delta.inserts.size() / 2);
-}
-
-TEST_P(SeededProperty, GuidedMatcherAgreesWithVF2) {
-  Scenario s = MakeScenario(GetParam());
-  VF2Matcher vf2(s.graph);
-  GuidedMatcher guided(s.graph, 2);
-  for (const Gpar& r : s.rules) {
-    auto a = vf2.Images(r.pr(), r.pr().x());
-    auto b = guided.Images(r.pr(), r.pr().x());
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "guided/vf2 divergence at seed " << GetParam();
-  }
 }
 
 TEST_P(SeededProperty, MatchingIsLocalWithinEvalRadius) {
