@@ -2,11 +2,10 @@
 // paper reports a max-min gap of <= 14.4% (Pokec) / 8.8% (Google+) across
 // fragments for DMine, and <= 6.0% / 5.2% for Match, showing partitioning
 // skew is small. We report fragment-size skew and per-worker busy-time
-// spread for the EIP workload, plus the partition build time and the
-// memory of the zero-copy GraphView fragments.
+// spread for the EIP workload, plus the partition build time.
 //
 // With GPAR_BENCH_JSON=<path> the rows are also written as JSON (the
-// BENCH_partition.json CI artifact tracking build time and fragment memory
+// BENCH_partition.json CI artifact tracking skew and build time
 // PR-over-PR); GPAR_BENCH_SMALL=1 keeps the CI-sized config.
 
 #include <algorithm>
@@ -28,14 +27,12 @@ int main() {
     std::string dataset;
     uint32_t n;
     double size_skew, time_gap;
-    double build_view_s;
-    uint64_t bytes_view;
+    double build_s;
   };
   std::vector<Row> rows;
 
-  PrintHeader("Exp-4 partition skew + fragment memory",
-              {"dataset", "n", "size_skew", "time_gap", "build(s)",
-               "MB_view"});
+  PrintHeader("Exp-4 partition skew",
+              {"dataset", "n", "size_skew", "time_gap", "build(s)"});
   struct Dataset {
     std::string name;
     Graph graph;
@@ -66,18 +63,17 @@ int main() {
 
       // CI sizes finish in ms, so report the min over a few repetitions.
       const int reps = small ? 3 : 2;
-      double build_view = 0;
-      uint64_t bytes_view = 0;
+      double build = 0;
       Partitioning parts;  // last build, reused for the skew
       for (int rep = 0; rep < reps; ++rep) {
-        Timer tv;
-        auto views = PartitionGraph(ds.graph, centers, popt);
-        double sv = tv.Seconds();
-        if (!views.ok()) return 1;
-        if (rep == 0 || sv < build_view) build_view = sv;
-        bytes_view = PartitionMemoryBytes(*views);
-        parts = std::move(*views);
+        Timer t;
+        auto built = PartitionGraph(ds.graph, centers, popt);
+        double s = t.Seconds();
+        if (!built.ok()) return 1;
+        if (rep == 0 || s < build) build = s;
+        parts = std::move(*built);
       }
+      const double skew = FragmentSkew(ds.graph, parts);
 
       auto sigma = MakeSigma(ds.graph, ds.q, 12, 4, 6, 2);
       EipOptions opt;
@@ -92,22 +88,19 @@ int main() {
                                       r->times.worker_total_seconds.end());
         gap = mx > 0 ? (mx - mn) / mx : 0;
       }
-      rows.push_back({ds.name, n, FragmentSkew(parts), gap, build_view,
-                      bytes_view});
+      rows.push_back({ds.name, n, skew, gap, build});
       PrintCell(ds.name);
       PrintCell(static_cast<uint64_t>(n));
-      PrintCell(FragmentSkew(parts));
+      PrintCell(skew);
       PrintCell(gap);
-      PrintCell(build_view);
-      PrintCell(static_cast<double>(bytes_view) / (1024.0 * 1024.0));
+      PrintCell(build);
       EndRow();
     }
   }
   std::printf(
       "size_skew = (max-min)/max fragment |G|; time_gap = (max-min)/max\n"
       "per-worker busy seconds during Match. The paper's gaps: <= 14.4%%.\n"
-      "build = PartitionGraph seconds; MB_view = total fragment\n"
-      "representation bytes.\n");
+      "build = PartitionGraph seconds.\n");
 
   if (const char* json = JsonPath()) {
     std::FILE* f = std::fopen(json, "w");
@@ -123,24 +116,16 @@ int main() {
       std::fprintf(
           f,
           "    {\"dataset\": \"%s\", \"n\": %u, \"size_skew\": %.6f, "
-          "\"time_gap\": %.6f, \"build_view_s\": %.6f, "
-          "\"fragment_bytes_view\": %llu}%s\n",
-          r.dataset.c_str(), r.n, r.size_skew, r.time_gap, r.build_view_s,
-          static_cast<unsigned long long>(r.bytes_view),
+          "\"time_gap\": %.6f, \"build_s\": %.6f}%s\n",
+          r.dataset.c_str(), r.n, r.size_skew, r.time_gap, r.build_s,
           i + 1 < rows.size() ? "," : "");
     }
-    double tot_view = 0;
-    uint64_t tot_bytes_view = 0;
-    for (const Row& r : rows) {
-      tot_view += r.build_view_s;
-      tot_bytes_view += r.bytes_view;
-    }
+    double tot_build = 0;
+    for (const Row& r : rows) tot_build += r.build_s;
     // Per-row times at CI sizes are noisy; trajectory comparisons should
     // use the sweep totals.
-    std::fprintf(f,
-                 "  ],\n  \"totals\": {\"build_view_s\": %.6f, "
-                 "\"fragment_bytes_view\": %llu}\n}\n",
-                 tot_view, static_cast<unsigned long long>(tot_bytes_view));
+    std::fprintf(f, "  ],\n  \"totals\": {\"build_s\": %.6f}\n}\n",
+                 tot_build);
     std::fclose(f);
     std::fprintf(stderr, "wrote %s: %zu rows\n", json, rows.size());
   }

@@ -217,9 +217,8 @@ int main() {
   }
   ShardedRuleServer& r = **sharded;
   for (uint32_t i = 0; i < r.num_shards(); ++i) {
-    std::printf("shard %u: %zu owned centers, %zu view nodes\n", i,
-                r.shard(i).candidates().size(),
-                r.shard(i).view_members());
+    std::printf("shard %u: %zu owned centers\n", i,
+                r.shard(i).candidates().size());
   }
   // Label dictionaries are append-only and both sessions loaded the same
   // snapshot, so interning here reproduces the id `delta` was built with.

@@ -176,8 +176,8 @@ std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
 /// with its minimum distance to a touched endpoint. By the locality
 /// property (Section 5.1) these are the only nodes whose membership in any
 /// pattern of eval radius <= `radius` can have changed — the shared
-/// invalidation/re-probe frontier of the serving tier (cache invalidation,
-/// shard view extension) and the rule maintainer (evidence patching).
+/// invalidation/re-probe frontier of the serving tier (cache invalidation)
+/// and the rule maintainer (evidence patching).
 ///
 /// The BFS runs on the patched graph and — when deletes are present — on
 /// the pre-delete graph too, unioned at minimum distance: a center whose

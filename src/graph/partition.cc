@@ -6,10 +6,6 @@
 
 namespace gpar {
 
-size_t Fragment::MemoryBytes() const {
-  return centers.capacity() * sizeof(NodeId) + view.MemoryBytes();
-}
-
 namespace {
 
 /// Greedy balanced assignment: heaviest centers first, least-loaded
@@ -66,7 +62,6 @@ Result<Partitioning> PartitionGraph(const Graph& g,
   const size_t nc = centers.size();
 
   Partitioning out;
-  out.d = options.d;
 
   // --- Single BFS sweep over all centers with shared flat scratch. --------
   // One (center, distance)-tagging pass: every center's d-neighborhood is
@@ -110,33 +105,25 @@ Result<Partitioning> PartitionGraph(const Graph& g,
   Assignment assign = AssignLpt(neigh_size, n);
   out.owner_of_center = assign.owner_of_center;
 
-  // --- Membership: concatenate each fragment's owned N_d lists from the
+  // --- Node sets: concatenate each fragment's owned N_d lists from the
   // arena, deduplicating with a per-node last-fragment stamp (fragments
   // are processed in order, so one array replaces any set union), then a
-  // single sort per fragment yields the ascending member list.
-  std::vector<std::vector<NodeId>> members(n);
-  {
-    std::vector<uint32_t> last_frag(g.num_nodes(), kInvalidNode);
-    for (uint32_t f = 0; f < n; ++f) {
-      for (size_t idx : assign.per_fragment[f]) {
-        for (size_t k = neigh_offsets[idx]; k < neigh_offsets[idx + 1]; ++k) {
-          const NodeId v = neigh_arena[k];
-          if (last_frag[v] != f) {
-            last_frag[v] = f;
-            members[f].push_back(v);
-          }
-        }
-      }
-      std::sort(members[f].begin(), members[f].end());
-    }
-  }
-
-  // --- Materialize fragments as zero-copy views (O(id-list) memory, no
-  // CSR rebuild). Centers are global ids, sorted.
+  // single sort per fragment yields the ascending node list. Centers are
+  // global ids, sorted.
   out.fragments.resize(n);
+  std::vector<uint32_t> last_frag(g.num_nodes(), kInvalidNode);
   for (uint32_t f = 0; f < n; ++f) {
     Fragment& frag = out.fragments[f];
-    frag.view = GraphView(g, std::move(members[f]));
+    for (size_t idx : assign.per_fragment[f]) {
+      for (size_t k = neigh_offsets[idx]; k < neigh_offsets[idx + 1]; ++k) {
+        const NodeId v = neigh_arena[k];
+        if (last_frag[v] != f) {
+          last_frag[v] = f;
+          frag.nodes.push_back(v);
+        }
+      }
+    }
+    std::sort(frag.nodes.begin(), frag.nodes.end());
     frag.centers.reserve(assign.per_fragment[f].size());
     for (size_t idx : assign.per_fragment[f]) {
       frag.centers.push_back(centers[idx]);
@@ -146,24 +133,29 @@ Result<Partitioning> PartitionGraph(const Graph& g,
   return out;
 }
 
-double FragmentSkew(const Partitioning& p) {
+double FragmentSkew(const Graph& g, const Partitioning& p) {
   if (p.fragments.empty()) return 0;
   size_t max_size = 0;
   size_t min_size = static_cast<size_t>(-1);
-  for (const Fragment& f : p.fragments) {
-    size_t s = f.view.size();  // |V_f| + |E_f|, the paper's size measure
+  // |E_f| counts the out-edges between two nodes of F_f; one stamp array
+  // marks the current fragment's nodes, and fragment ordinals are unique,
+  // so it never needs clearing.
+  std::vector<uint32_t> stamp(g.num_nodes(), kInvalidNode);
+  for (uint32_t f = 0; f < p.fragments.size(); ++f) {
+    const std::vector<NodeId>& nodes = p.fragments[f].nodes;
+    for (NodeId v : nodes) stamp[v] = f;
+    size_t s = nodes.size();  // |V_f| + |E_f|, the paper's size measure
+    for (NodeId v : nodes) {
+      for (const AdjEntry& e : g.out_edges(v)) {
+        if (stamp[e.other] == f) ++s;
+      }
+    }
     max_size = std::max(max_size, s);
     min_size = std::min(min_size, s);
   }
   if (max_size == 0) return 0;
   return static_cast<double>(max_size - min_size) /
          static_cast<double>(max_size);
-}
-
-size_t PartitionMemoryBytes(const Partitioning& p) {
-  size_t total = 0;
-  for (const Fragment& f : p.fragments) total += f.MemoryBytes();
-  return total;
 }
 
 }  // namespace gpar

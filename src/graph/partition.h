@@ -6,36 +6,30 @@
 
 #include "common/result.h"
 #include "graph/graph.h"
-#include "graph/graph_view.h"
 
 namespace gpar {
 
 /// One fragment F_i of a partitioned graph (Sections 4.2 / 5.1).
 ///
 /// A fragment owns a disjoint subset of the *center* nodes (the candidates
-/// v_x) and covers the subgraph induced by the union of their d-neighbor
-/// sets N_d(v_x), so `G_d(v_x)` is fully contained in the fragment for every
-/// owned center — the data-locality invariant both DMine and Matchc rely on.
-/// Border (replicated) nodes are present for matching but never counted
-/// toward support: support counting only ever iterates `centers`.
+/// v_x); its node set F_i is the union of their d-neighbor sets N_d(v_x),
+/// so `G_d(v_x)` lies inside the fragment for every owned center — the
+/// data-locality invariant both DMine and Matchc rely on. Support counting
+/// only ever iterates `centers`, so local supports sum across fragments.
 ///
-/// Representation: the fragment is a zero-copy `GraphView` over the parent
-/// CSR — matching runs on global ids, so match evidence is globally
-/// addressed by construction and border replication costs one id-list entry
-/// per node, not a CSR copy.
+/// Workers match owned centers on the parent graph itself: by locality
+/// (v ∈ P_R(x, G) iff v ∈ P_R(x, G_d(v)) for rules of radius <= d), every
+/// match of an owned center already lies inside F_i, so no membership
+/// filter is needed. `nodes` records F_i for balance (Exp-4) and for the
+/// locality tests.
 struct Fragment {
-  GraphView view;
-  std::vector<NodeId> centers;  // GLOBAL ids of owned centers, sorted
-
-  /// Bytes held by the fragment (view id-lists + bitmap + center lists) —
-  /// the Exp-4 memory column.
-  size_t MemoryBytes() const;
+  std::vector<NodeId> nodes;    // F_i: global ids, sorted
+  std::vector<NodeId> centers;  // global ids of owned centers, sorted
 };
 
 /// A full partitioning of (G, centers) into fragments.
 struct Partitioning {
   std::vector<Fragment> fragments;
-  uint32_t d = 0;
   /// fragment index owning each input center (parallel to the input span).
   std::vector<uint32_t> owner_of_center;
 };
@@ -58,19 +52,17 @@ struct PartitionOptions {
 /// The build is a single multi-source BFS sweep: one frontier pass tags
 /// every node with the (center, distance) pairs that reach it within d,
 /// which yields exact |N_d| weights for the LPT assignment and sorted
-/// fragment membership lists in one near-linear pass — no per-center BFS,
-/// no set unions, and no induced-CSR rebuild.
+/// fragment node sets in one near-linear pass — no per-center BFS, no set
+/// unions, and no induced-CSR rebuild.
 Result<Partitioning> PartitionGraph(const Graph& g,
                                     const std::vector<NodeId>& centers,
                                     const PartitionOptions& options);
 
-/// Measures balance: (max fragment size - min fragment size) / max, in
-/// [0, 1]; 0 is perfectly even. Used by the Exp-4 skew bench.
-double FragmentSkew(const Partitioning& p);
-
-/// Total `Fragment::MemoryBytes()` across fragments — the Exp-4 memory
-/// column.
-size_t PartitionMemoryBytes(const Partitioning& p);
+/// Measures balance of a partitioning of `g`: (max fragment size - min
+/// fragment size) / max, in [0, 1], where a fragment's size is |V_f| +
+/// |E_f| of the subgraph `g` induces on its nodes; 0 is perfectly even.
+/// Used by the Exp-4 skew bench.
+double FragmentSkew(const Graph& g, const Partitioning& p);
 
 }  // namespace gpar
 

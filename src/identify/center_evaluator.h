@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/graph_view.h"
 #include "match/matcher.h"
 #include "rule/gpar.h"
 
@@ -25,7 +24,8 @@ class CenterEvaluator {
  public:
   virtual ~CenterEvaluator() = default;
 
-  /// Evaluates the center `v` (local id in the fragment graph).
+  /// Evaluates the center `v` (a global id of the graph the evaluator was
+  /// built on).
   ///  * `is_q_match`: v ∈ P_q(x, ·) (has a consequent edge to a valid y);
   ///  * `is_qbar`:    v is an LCWA negative;
   ///  * `need_q_membership`: Q(x, ·) membership must be reported even when
@@ -46,18 +46,16 @@ class CenterEvaluator {
 /// says whether rule i's remaining antecedent components (which may match
 /// anywhere in G) were found globally — when false, Q matches nobody.
 ///
-/// Every factory takes the fragment as (graph, view): `view == nullptr`
-/// means `frag_graph` is matched whole, non-null restricts matching to the
-/// zero-copy fragment view — candidates and evidence are then parent-global
-/// ids.
+/// Every factory binds its matcher to the whole graph `g`: a fragment
+/// worker evaluates only its owned centers, and by locality each center's
+/// matches lie within its fragment, so no fragment-local graph is needed.
 
 /// Matchc (Section 5.1): one pattern check per candidate via the minimal
 /// policy, but membership decided by *enumerating* matches (no early
 /// termination), with plain VF2.
 std::unique_ptr<CenterEvaluator> MakeMatchcEvaluator(
-    const Graph& frag_graph, const GraphView* view,
-    const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    uint64_t cap);
+    const Graph& g, const std::vector<Gpar>& sigma,
+    const std::vector<char>& other_ok, uint64_t cap);
 
 /// Match (Section 5.2): early termination (exists-queries, the
 /// definitional difference to Matchc) and multi-pattern sharing across Σ.
@@ -70,16 +68,14 @@ std::unique_ptr<CenterEvaluator> MakeMatchcEvaluator(
 /// serving session's reuse hook), consulted before planning privately;
 /// batch identification passes none.
 std::unique_ptr<CenterEvaluator> MakeMatchEvaluator(
-    const Graph& frag_graph, const GraphView* view,
-    const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    const SearchPlanStore* plan_store = nullptr);
+    const Graph& g, const std::vector<Gpar>& sigma,
+    const std::vector<char>& other_ok, const SearchPlanStore* plan_store = nullptr);
 
 /// disVF2 (Section 6 baseline): enumerates embeddings of BOTH P_R and Q at
 /// every candidate — two isomorphism checks per candidate.
 std::unique_ptr<CenterEvaluator> MakeDisVf2Evaluator(
-    const Graph& frag_graph, const GraphView* view,
-    const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    uint64_t cap);
+    const Graph& g, const std::vector<Gpar>& sigma,
+    const std::vector<char>& other_ok, uint64_t cap);
 
 }  // namespace gpar
 

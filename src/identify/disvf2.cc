@@ -13,10 +13,9 @@ namespace {
 /// 4.79x / 6.24x faster in the paper.
 class DisVf2Evaluator : public CenterEvaluator {
  public:
-  DisVf2Evaluator(const Graph& g, const GraphView* view,
-                  const std::vector<Gpar>& sigma,
+  DisVf2Evaluator(const Graph& g, const std::vector<Gpar>& sigma,
                   const std::vector<char>& other_ok, uint64_t cap)
-      : matcher_(g, view), sigma_(sigma), other_ok_(other_ok), cap_(cap) {}
+      : matcher_(g), sigma_(sigma), other_ok_(other_ok), cap_(cap) {}
 
   void Evaluate(NodeId v, bool is_q_match, bool is_qbar,
                 bool need_q_membership, std::vector<char>* in_pr,
@@ -55,11 +54,9 @@ class DisVf2Evaluator : public CenterEvaluator {
 }  // namespace
 
 std::unique_ptr<CenterEvaluator> MakeDisVf2Evaluator(
-    const Graph& frag_graph, const GraphView* view,
-    const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    uint64_t cap) {
-  return std::make_unique<DisVf2Evaluator>(frag_graph, view, sigma, other_ok,
-                                           cap);
+    const Graph& g, const std::vector<Gpar>& sigma,
+    const std::vector<char>& other_ok, uint64_t cap) {
+  return std::make_unique<DisVf2Evaluator>(g, sigma, other_ok, cap);
 }
 
 }  // namespace gpar

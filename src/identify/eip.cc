@@ -124,10 +124,10 @@ Result<EipResult> IdentifyEntities(const Graph& g,
   const bool need_q_membership = !options.require_consequent;
 
   bsp.RunRound([&](uint32_t i) {
+    // The worker matches its owned centers on the parent graph; by
+    // locality their matches lie inside the fragment (global ids
+    // throughout).
     const Fragment& frag = parts.fragments[i];
-    // Fragments match on the parent CSR restricted by view membership
-    // (global ids throughout).
-    const GraphView* view = &frag.view;
     WorkerOut& out = outs[i];
     out.pr_members.resize(sigma.size());
     out.q_members.resize(sigma.size());
@@ -135,25 +135,25 @@ Result<EipResult> IdentifyEntities(const Graph& g,
     std::unique_ptr<CenterEvaluator> evaluator;
     switch (options.algorithm) {
       case EipAlgorithm::kMatch:
-        evaluator = MakeMatchEvaluator(g, view, sigma, other_ok);
+        evaluator = MakeMatchEvaluator(g, sigma, other_ok);
         break;
       case EipAlgorithm::kMatchc:
-        evaluator = MakeMatchcEvaluator(g, view, sigma, other_ok,
+        evaluator = MakeMatchcEvaluator(g, sigma, other_ok,
                                         options.enumeration_cap);
         break;
       case EipAlgorithm::kDisVf2:
-        evaluator = MakeDisVf2Evaluator(g, view, sigma, other_ok,
+        evaluator = MakeDisVf2Evaluator(g, sigma, other_ok,
                                         options.enumeration_cap);
         break;
       case EipAlgorithm::kSequential:
         return;  // handled above
     }
 
-    VF2Matcher base_matcher(g, view);  // for the cheap P_q classification
+    VF2Matcher base_matcher(g);  // for the cheap P_q classification
     std::vector<char> in_pr, in_q;
     for (NodeId global : frag.centers) {
       bool is_q = base_matcher.ExistsAt(pq, global);
-      bool is_qbar = !is_q && frag.view.HasOutLabel(global, q.edge_label);
+      bool is_qbar = !is_q && g.HasOutLabel(global, q.edge_label);
       if (is_q) ++out.supp_q;
       if (is_qbar) {
         ++out.supp_qbar;

@@ -17,11 +17,10 @@ namespace {
 ///  * other centers: antecedents only.
 class MatchEvaluator : public CenterEvaluator {
  public:
-  MatchEvaluator(const Graph& g, const GraphView* view,
-                 const std::vector<Gpar>& sigma,
+  MatchEvaluator(const Graph& g, const std::vector<Gpar>& sigma,
                  const std::vector<char>& other_ok,
                  const SearchPlanStore* plans)
-      : matcher_(g, view),
+      : matcher_(g),
         sigma_(sigma),
         other_ok_(other_ok),
         pr_eval_(Patterns(sigma, &Gpar::pr)),
@@ -85,11 +84,9 @@ class MatchEvaluator : public CenterEvaluator {
 }  // namespace
 
 std::unique_ptr<CenterEvaluator> MakeMatchEvaluator(
-    const Graph& frag_graph, const GraphView* view,
-    const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    const SearchPlanStore* plan_store) {
-  return std::make_unique<MatchEvaluator>(frag_graph, view, sigma, other_ok,
-                                          plan_store);
+    const Graph& g, const std::vector<Gpar>& sigma,
+    const std::vector<char>& other_ok, const SearchPlanStore* plan_store) {
+  return std::make_unique<MatchEvaluator>(g, sigma, other_ok, plan_store);
 }
 
 }  // namespace gpar

@@ -13,10 +13,9 @@ namespace {
 /// policy is minimal: P_R for q-matches, Q otherwise.
 class MatchcEvaluator : public CenterEvaluator {
  public:
-  MatchcEvaluator(const Graph& g, const GraphView* view,
-                  const std::vector<Gpar>& sigma,
+  MatchcEvaluator(const Graph& g, const std::vector<Gpar>& sigma,
                   const std::vector<char>& other_ok, uint64_t cap)
-      : matcher_(g, view), sigma_(sigma), other_ok_(other_ok), cap_(cap) {}
+      : matcher_(g), sigma_(sigma), other_ok_(other_ok), cap_(cap) {}
 
   void Evaluate(NodeId v, bool is_q_match, bool is_qbar,
                 bool need_q_membership, std::vector<char>* in_pr,
@@ -59,11 +58,9 @@ class MatchcEvaluator : public CenterEvaluator {
 }  // namespace
 
 std::unique_ptr<CenterEvaluator> MakeMatchcEvaluator(
-    const Graph& frag_graph, const GraphView* view,
-    const std::vector<Gpar>& sigma, const std::vector<char>& other_ok,
-    uint64_t cap) {
-  return std::make_unique<MatchcEvaluator>(frag_graph, view, sigma, other_ok,
-                                           cap);
+    const Graph& g, const std::vector<Gpar>& sigma,
+    const std::vector<char>& other_ok, uint64_t cap) {
+  return std::make_unique<MatchcEvaluator>(g, sigma, other_ok, cap);
 }
 
 }  // namespace gpar

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/graph_view.h"
 #include "pattern/pattern.h"
 
 namespace gpar {
@@ -50,12 +49,10 @@ struct PatternPlanEntry {
 /// minimised over the node's placed neighbours, ties to the lower id. A
 /// selective node is thereby searched before unselective ones multiply
 /// the work under it. A remainder with no placed neighbour (a disconnected
-/// component) is rooted at the node whose label is rarest — per `view`
-/// when given, else per `g`. Any order is correct; the order only steers
-/// search cost.
+/// component) is rooted at the node whose label is rarest in `g`. Any
+/// order is correct; the order only steers search cost.
 SearchPlan BuildSearchPlan(const Pattern& expanded,
-                           std::vector<PNodeId> anchored, const Graph& g,
-                           const GraphView* view = nullptr);
+                           std::vector<PNodeId> anchored, const Graph& g);
 
 /// Builds a plan for an expanded pattern and its anchored node set; the
 /// planner a `SearchPlanStore` uses (`BuildSearchPlan` by default).
@@ -100,11 +97,10 @@ class SearchPlanStore {
   std::unordered_map<uint64_t, std::vector<PatternPlanEntry>> cache_;
 };
 
-/// Subgraph-isomorphism engine bound to one graph — or to a zero-copy
-/// `GraphView` fragment of it, in which case every candidate is filtered by
-/// membership and all ids (anchors, embeddings) are parent-global ids. A
-/// view-backed matcher answers exactly like a matcher over the equivalent
-/// copied induced subgraph, without the CSR copy or the id translation.
+/// Subgraph-isomorphism engine bound to one graph. Fragment workers and
+/// serving shards bind it to the whole parent graph too: every match
+/// anchored at an owned center lies within the pattern's radius of it, so
+/// inside its fragment (Section 4.2 locality), and needs no filter.
 ///
 /// Semantics (Section 2.1): a match is an injective mapping of pattern
 /// nodes to graph nodes such that node labels agree and every pattern edge
@@ -128,11 +124,7 @@ class SearchPlanStore {
 /// synchronization (DMine gives each worker its own matcher).
 class VF2Matcher {
  public:
-  explicit VF2Matcher(const Graph& g) : g_(g), view_(nullptr) {}
-  explicit VF2Matcher(const GraphView& view)
-      : g_(view.parent()), view_(&view) {}
-  VF2Matcher(const Graph& g, const GraphView* view)
-      : g_(view != nullptr ? view->parent() : g), view_(view) {}
+  explicit VF2Matcher(const Graph& g) : g_(g) {}
 
   VF2Matcher(const VF2Matcher&) = delete;
   VF2Matcher& operator=(const VF2Matcher&) = delete;
@@ -228,7 +220,6 @@ class VF2Matcher {
                             const std::vector<PNodeId>& anchored_key);
 
   const Graph& g_;
-  const GraphView* view_;
   const SearchPlanStore* plan_store_ = nullptr;
   uint64_t plan_store_hits_ = 0;
   uint64_t nodes_visited_ = 0;

@@ -33,8 +33,7 @@ const SearchPlan* FindPlanIn(const PatternPlanEntry& entry,
 }  // namespace
 
 SearchPlan BuildSearchPlan(const Pattern& expanded,
-                           std::vector<PNodeId> anchored, const Graph& g,
-                           const GraphView* view) {
+                           std::vector<PNodeId> anchored, const Graph& g) {
   CanonicalizeAnchored(&anchored);
   const Pattern& p = expanded;
   SearchPlan plan;
@@ -60,10 +59,6 @@ SearchPlan BuildSearchPlan(const Pattern& expanded,
     return from == 0 ? 0.0
                      : static_cast<double>(edges) / static_cast<double>(from);
   };
-  auto root_count = [&](PNodeId u) {
-    const LabelId l = p.node(u).label;
-    return view != nullptr ? view->label_count(l) : g.label_count(l);
-  };
   while (plan.order.size() < p.num_nodes()) {
     PNodeId best = kNoPatternNode;
     double best_fan = 0;
@@ -84,7 +79,7 @@ SearchPlan BuildSearchPlan(const Pattern& expanded,
       size_t best_count = 0;
       for (PNodeId u = 0; u < p.num_nodes(); ++u) {
         if (placed[u]) continue;
-        const size_t c = root_count(u);
+        const size_t c = g.label_count(p.node(u).label);
         if (best == kNoPatternNode || c < best_count) {
           best = u;
           best_count = c;
@@ -170,7 +165,7 @@ const SearchPlan& VF2Matcher::PlanFor(
   // The copy into BuildSearchPlan happens once per (pattern, anchor set),
   // not per probe.
   entry.plans.push_back(
-      BuildSearchPlan(entry.expanded, anchored_key, g_, view_));
+      BuildSearchPlan(entry.expanded, anchored_key, g_));
   return entry.plans.back();
 }
 
@@ -184,16 +179,11 @@ bool VF2Matcher::Extend(const Pattern& p, const SearchPlan& plan,
 
   // Candidate source: anchored value, or neighbors of the pivot (the mapped
   // neighbor whose labeled adjacency list is smallest), or the label index.
-  // View-backed matchers admit only member candidates, which is the entire
-  // fragment restriction: mapped endpoints are then always members, so the
-  // edge checks below can run on the parent CSR unfiltered (an induced
-  // subgraph has every parent edge between member pairs).
   // The per-level buffer is owned by the scratch and reused across calls.
   std::vector<NodeId>& cands = scratch_.cand_bufs[level];
   cands.clear();
   if (scratch_.anchor_of[u] != kInvalidNode) {
-    const NodeId anchor = scratch_.anchor_of[u];
-    if (view_ == nullptr || view_->contains(anchor)) cands.push_back(anchor);
+    cands.push_back(scratch_.anchor_of[u]);
   } else {
     std::span<const AdjEntry> best_slice;
     bool have_pivot = false;
@@ -211,16 +201,9 @@ bool VF2Matcher::Extend(const Pattern& p, const SearchPlan& plan,
     }
     if (have_pivot) {
       cands.reserve(best_slice.size());
-      if (view_ == nullptr) {
-        for (const AdjEntry& e : best_slice) cands.push_back(e.other);
-      } else {
-        for (const AdjEntry& e : best_slice) {
-          if (view_->contains(e.other)) cands.push_back(e.other);
-        }
-      }
+      for (const AdjEntry& e : best_slice) cands.push_back(e.other);
     } else {
-      auto all = view_ != nullptr ? view_->nodes_with_label(want)
-                                  : g_.nodes_with_label(want);
+      auto all = g_.nodes_with_label(want);
       cands.assign(all.begin(), all.end());
     }
   }
@@ -386,8 +369,7 @@ bool VF2Matcher::ProbeAt(NodeId vx) {
 
 std::vector<NodeId> VF2Matcher::Images(const Pattern& p, PNodeId u) {
   std::vector<NodeId> out;
-  auto cands = view_ != nullptr ? view_->nodes_with_label(p.node(u).label)
-                                : g_.nodes_with_label(p.node(u).label);
+  auto cands = g_.nodes_with_label(p.node(u).label);
   if (cands.empty()) return out;
   BindNode(p, u);
   for (NodeId v : cands) {

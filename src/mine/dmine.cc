@@ -139,10 +139,10 @@ void MergeRun(const std::vector<NodeId>& run, std::vector<NodeId>* out) {
 /// candidates and merge the per-fragment pools, match sets and lineage.
 class FragmentEvaluator : public LevelwiseEvaluator {
  public:
-  FragmentEvaluator(BspRuntime* bsp, const Partitioning& parts,
+  FragmentEvaluator(BspRuntime* bsp, const Graph& g, const Partitioning& parts,
                     const Predicate& q, const DmineOptions& options,
                     DmineStats* stats)
-      : bsp_(*bsp), q_(q), options_(options), stats_(*stats),
+      : bsp_(*bsp), g_(g), q_(q), options_(options), stats_(*stats),
         workers_(options.num_workers) {
     for (uint32_t i = 0; i < options.num_workers; ++i) {
       workers_[i].frag = &parts.fragments[i];
@@ -157,7 +157,7 @@ class FragmentEvaluator : public LevelwiseEvaluator {
     const Pattern pq = q_.ToPattern();
     bsp_.RunRound([&](uint32_t i) {
       WorkerState& w = workers_[i];
-      w.matcher = std::make_unique<VF2Matcher>(w.frag->view);
+      w.matcher = std::make_unique<VF2Matcher>(g_);
       w.matcher->set_plan_store(&plans);
       if (w.frag->centers.empty()) return;
       w.matcher->Bind(pq);
@@ -165,7 +165,7 @@ class FragmentEvaluator : public LevelwiseEvaluator {
         ++w.exists_calls;
         if (w.matcher->ProbeAt(center)) {
           w.q_centers.push_back(center);
-        } else if (w.frag->view.HasOutLabel(center, q_.edge_label)) {
+        } else if (g_.HasOutLabel(center, q_.edge_label)) {
           w.qbar_centers.push_back(center);
         }
       }
@@ -305,6 +305,7 @@ class FragmentEvaluator : public LevelwiseEvaluator {
 
  private:
   BspRuntime& bsp_;
+  const Graph& g_;
   const Predicate& q_;
   const DmineOptions& options_;
   DmineStats& stats_;
@@ -360,7 +361,7 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
       Partitioning parts,
       PartitionGraph(g, centers, {options.num_workers, options.d}));
 
-  FragmentEvaluator ev(&bsp, parts, q, options, &result.stats);
+  FragmentEvaluator ev(&bsp, g, parts, q, options, &result.stats);
   DiversifiedTopK top =
       RunLevelwise(g, q, options, ev, &result.stats, evidence);
   ev.FinishStats();

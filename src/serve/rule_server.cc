@@ -49,14 +49,13 @@ Result<std::unique_ptr<RuleServer>> RuleServer::Create(
   std::unique_ptr<RuleServer> server(
       new RuleServer(std::move(rules), options));
   server->interner_ = graph->labels_ptr();
-  GPAR_RETURN_NOT_OK(server->Init(std::move(graph), {}));
+  GPAR_RETURN_NOT_OK(server->Init(std::move(graph)));
   return server;
 }
 
 Result<std::unique_ptr<RuleServer>> RuleServer::CreateShard(
-    std::shared_ptr<const Graph> graph, std::vector<NodeId> members,
-    std::vector<NodeId> owned_centers, std::vector<RuleRecord> rules,
-    const RuleServerOptions& options) {
+    std::shared_ptr<const Graph> graph, std::vector<NodeId> owned_centers,
+    std::vector<RuleRecord> rules, const RuleServerOptions& options) {
   if (graph == nullptr) {
     return Status::InvalidArgument("shard graph must not be null");
   }
@@ -69,20 +68,16 @@ Result<std::unique_ptr<RuleServer>> RuleServer::CreateShard(
       std::unique(owned_centers.begin(), owned_centers.end()),
       owned_centers.end());
   server->candidates_ = std::move(owned_centers);
-  std::sort(members.begin(), members.end());
-  members.erase(std::unique(members.begin(), members.end()), members.end());
-  GPAR_RETURN_NOT_OK(server->Init(std::move(graph), std::move(members)));
+  GPAR_RETURN_NOT_OK(server->Init(std::move(graph)));
   return server;
 }
 
-Status RuleServer::Init(std::shared_ptr<const Graph> g,
-                        std::vector<NodeId> members) {
+Status RuleServer::Init(std::shared_ptr<const Graph> g) {
   std::shared_ptr<const RuleSet> rules =
       BuildRuleSet(std::move(initial_records_));
   auto info = ValidateSigma(rules->sigma);
   if (!info.ok()) return info.status();
   q_ = info->q;
-  max_d_ = std::max<uint32_t>(info->d, 1);
   pq_ = q_.ToPattern();
   if (!is_shard()) {
     auto span = g->nodes_with_label(q_.x_label);
@@ -98,14 +93,8 @@ Status RuleServer::Init(std::shared_ptr<const Graph> g,
   auto st = std::make_shared<State>();
   st->graph = std::move(g);
   st->rules = std::move(rules);
-  if (is_shard()) {
-    st->members = std::move(members);
-    st->view = std::make_unique<GraphView>(*st->graph, st->members);
-  }
   // Other-component satisfiability is a WHOLE-graph property (components
-  // not containing x match anywhere), so shards, too, compute it on the
-  // parent graph — fragment-local checks would diverge from the
-  // single-server answer.
+  // not containing x match anywhere), computed once per generation.
   st->other_ok = OtherComponentsOk(*st->graph, st->rules->sigma);
   st->plan_store = std::make_unique<SearchPlanStore>(*st->graph);
   PreparePlans(st->plan_store.get(), *st->rules);
@@ -126,6 +115,7 @@ std::shared_ptr<const RuleServer::RuleSet> RuleServer::BuildRuleSet(
   rs->all_ok.assign(rs->sigma.size(), 1);
   for (const Gpar& r : rs->sigma) {
     if (!r.other_components().empty()) rs->has_other_components = true;
+    rs->radius = std::max(rs->radius, r.eval_radius());
   }
   return rs;
 }
@@ -150,11 +140,10 @@ void RuleServer::PreparePlans(SearchPlanStore* store,
 
 std::unique_ptr<RuleServer::WorkerCtx> RuleServer::BuildCtx(
     const State& st) const {
-  const GraphView* view = st.view.get();
   auto ctx = std::make_unique<WorkerCtx>();
-  ctx->evaluator = MakeMatchEvaluator(*st.graph, view, st.rules->sigma,
+  ctx->evaluator = MakeMatchEvaluator(*st.graph, st.rules->sigma,
                                       st.rules->all_ok, st.plan_store.get());
-  ctx->matcher = std::make_unique<VF2Matcher>(*st.graph, view);
+  ctx->matcher = std::make_unique<VF2Matcher>(*st.graph);
   ctx->matcher->set_plan_store(st.plan_store.get());
   return ctx;
 }
@@ -199,12 +188,7 @@ void RuleServer::EvaluateItem(const State& st, WorkerCtx& ctx,
   uint8_t qc = item.qclass_in;
   if ((qc & kQKnown) == 0) {
     bool is_q = ctx.matcher->ExistsAt(pq_, v);
-    // The consequent edge targets a 1-hop neighbor, which is inside the
-    // shard view whenever v is an owned center (d >= 1), so the view and
-    // parent-graph probes agree for every center this server answers for.
-    bool is_qbar = !is_q && (st.view != nullptr
-                                 ? st.view->HasOutLabel(v, q_.edge_label)
-                                 : st.graph->HasOutLabel(v, q_.edge_label));
+    bool is_qbar = !is_q && st.graph->HasOutLabel(v, q_.edge_label);
     qc = kQKnown | (is_q ? kQIsQ : 0) | (is_qbar ? kQIsQbar : 0);
   }
   item.qclass_out = qc;
@@ -501,16 +485,6 @@ Status RuleServer::PublishRules(std::vector<RuleRecord> rules,
   return Status::OK();
 }
 
-Status RuleServer::AdmitRadius(uint32_t d) {
-  if (is_shard() && d > max_d_) {
-    return Status::InvalidArgument(
-        "rule radius " + std::to_string(d) + " exceeds the partition radius " +
-        std::to_string(max_d_) + " this shard's view was cut for");
-  }
-  max_d_ = std::max(max_d_, d);
-  return Status::OK();
-}
-
 void RuleServer::SwapStateAndInvalidate(
     const State& old, std::shared_ptr<const Graph> new_graph,
     std::span<const EdgeInsert> applied, std::span<const EdgeDelete> deleted,
@@ -526,51 +500,8 @@ void RuleServer::SwapStateAndInvalidate(
   // patching) to the radius cached memberships can reach: they go stale
   // within d(R) hops. Deletions make reach non-monotone, so the helper also
   // sweeps the pre-delete graph and unions at minimum distance.
-  const auto touched =
-      DeltaAffectedRegion(*old.graph, *next->graph, applied, deleted, max_d_);
-
-  if (is_shard()) {
-    // Inserted edges can pull new nodes into an owned center's N_d (and
-    // chained inserts can do so through nodes that were not members
-    // before), so re-derive the d-ball of every owned center the delta can
-    // reach ON THE NEW GRAPH and extend the view. Deletions only shrink
-    // neighborhoods, so the view is kept as a superset of ∪N_d(owned) —
-    // never pruned — which stays exact for view-restricted matching: the
-    // view is a subgraph of the parent (soundness) and still covers every
-    // owned center's G_d (completeness).
-    std::vector<NodeId> members = old.members;
-    std::vector<NodeId> affected;
-    for (const auto& [v, dist] : touched) {
-      if (dist <= max_d_ &&
-          std::binary_search(candidates_.begin(), candidates_.end(), v)) {
-        affected.push_back(v);
-      }
-    }
-    if (!affected.empty()) {
-      // One multi-source BFS: v is within max_d_ of SOME affected center
-      // iff v is in the union of their N_d balls.
-      std::vector<NodeId> additions;
-      for (const auto& [v, dist] :
-           NodesWithinRadiusOfAny(*next->graph, affected, max_d_)) {
-        if (!std::binary_search(members.begin(), members.end(), v)) {
-          additions.push_back(v);
-        }
-      }
-      if (!additions.empty()) {
-        std::sort(additions.begin(), additions.end());
-        ds->members_extended += additions.size();
-        const size_t old_size = members.size();
-        members.insert(members.end(), additions.begin(), additions.end());
-        std::inplace_merge(members.begin(),
-                           members.begin() + static_cast<long>(old_size),
-                           members.end());
-      }
-    }
-    next->members = std::move(members);
-    // Rebuild even without additions: the view borrows the graph object,
-    // which this generation replaces.
-    next->view = std::make_unique<GraphView>(*next->graph, next->members);
-  }
+  const auto touched = DeltaAffectedRegion(*old.graph, *next->graph, applied,
+                                           deleted, next->rules->radius);
 
   // Components not containing x can match anywhere, so any mutation can
   // flip their satisfiability globally (in either direction, once deletes
@@ -686,8 +617,8 @@ void RuleServer::InvalidateTouched(
     }
   };
   const std::vector<Gpar>& sigma = next.rules->sigma;
-  DeltaReach lost(*old.graph, deleted, max_d_);
-  DeltaReach gained(*next.graph, applied, max_d_);
+  DeltaReach lost(*old.graph, deleted, next.rules->radius);
+  DeltaReach gained(*next.graph, applied, next.rules->radius);
   std::vector<Reach> pr_reach, q_reach;
   for (const Gpar& r : sigma) {
     pr_reach.push_back({lost.For(r.pr()), gained.For(r.pr())});
@@ -736,11 +667,6 @@ size_t RuleServer::cached_centers() const {
 
 size_t RuleServer::plans_prepared() const {
   return AcquireState()->plan_store->patterns_planned();
-}
-
-size_t RuleServer::view_members() const {
-  const auto st = AcquireState();
-  return st->view != nullptr ? st->view->nodes().size() : 0;
 }
 
 }  // namespace gpar

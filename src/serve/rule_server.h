@@ -17,7 +17,6 @@
 #include "common/thread_annotations.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
-#include "graph/graph_view.h"
 #include "identify/center_evaluator.h"
 #include "identify/eip.h"
 #include "match/matcher.h"
@@ -72,10 +71,10 @@ struct RuleServerOptions {
 /// `SwapStateAndInvalidate` that moves graph and rules together.
 ///
 /// A `RuleServer` can also run as one shard of a `ShardedRuleServer`
-/// deployment (`CreateShard`): it then serves only its owned centers from
-/// a zero-copy `GraphView` slice of the shared parent CSR and receives
-/// serialized `GraphDelta` batches from the router (`ApplyShardDelta`)
-/// instead of applying deltas itself.
+/// deployment (`CreateShard`): it then serves only its owned centers —
+/// matching them on the shared parent CSR, like any other server — and
+/// receives serialized `GraphDelta` batches from the router
+/// (`ApplyShardDelta`) instead of applying deltas itself.
 class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
  public:
   /// Builds a session from in-memory state (tests, single-process use).
@@ -84,14 +83,11 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
       const RuleServerOptions& options = {});
 
   /// Builds one shard of a sharded deployment: the server answers for
-  /// `owned_centers` only, matching inside the `GraphView` slice of
-  /// `graph` induced by `members` (which must cover N_d of every owned
-  /// center — `PartitionGraph`'s fragment invariant). `members` and
-  /// `owned_centers` must be sorted parent-global node ids.
+  /// `owned_centers` (parent-global node ids) only, matching them on the
+  /// shared `graph`.
   static Result<std::unique_ptr<RuleServer>> CreateShard(
-      std::shared_ptr<const Graph> graph, std::vector<NodeId> members,
-      std::vector<NodeId> owned_centers, std::vector<RuleRecord> rules,
-      const RuleServerOptions& options = {});
+      std::shared_ptr<const Graph> graph, std::vector<NodeId> owned_centers,
+      std::vector<RuleRecord> rules, const RuleServerOptions& options = {});
 
   RuleServer(const RuleServer&) = delete;
   RuleServer& operator=(const RuleServer&) = delete;
@@ -107,20 +103,14 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   /// Ingests one serialized `GraphDelta` batch from the router together
   /// with the already-patched parent graph (shards share the parent CSR,
   /// so the router patches once and ships the cheap delta bytes, not a
-  /// graph snapshot). Extends the fragment view where inserted edges pull
-  /// new nodes into an owned center's N_d — deletions may leave the view a
-  /// superset of the owned centers' neighborhoods, which stays correct
-  /// because view-restricted matching of a center only reads G_d(center) ⊆
-  /// view — then invalidates like `ApplyDelta`. Rejected on non-shard
-  /// servers.
+  /// graph snapshot), then invalidates like `ApplyDelta`. Rejected on
+  /// non-shard servers.
   Result<DeltaStats> ApplyShardDelta(std::shared_ptr<const Graph> new_graph,
                                      std::string_view delta_bytes);
 
   /// Shard servers are read-only: `ApplyDelta`, `AttachJournal` and
   /// `EnableMaintenance` are rejected — the router owns those.
   bool is_shard() const noexcept { return read_only_; }
-  /// Shard mode: current fragment view size in nodes (0 otherwise).
-  size_t view_members() const;
   /// Shard mode: sequence of the last batch this shard applied — the
   /// router's resync logic compares it against its own delta sequence.
   uint64_t shard_sequence() const GPAR_EXCLUDES(writer_mu_);
@@ -128,7 +118,6 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   // ---- Introspection ----
 
   const Predicate& predicate() const noexcept { return q_; }
-  uint32_t max_rule_radius() const noexcept { return max_d_; }
   size_t cached_centers() const;
   size_t plans_prepared() const;
 
@@ -151,12 +140,15 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
     std::vector<Gpar> sigma;  ///< records[i].rule, stable storage for evaluators
     std::vector<char> all_ok;  ///< constant 1s handed to evaluators
     bool has_other_components = false;
+    /// Invalidation radius: the largest `eval_radius` of the rules, at
+    /// least 1 (a q-class reads the center's own out-edges).
+    uint32_t radius = 1;
   };
 
   /// One immutable graph generation. Queries pin the current `State` with
   /// a shared_ptr for their whole run; `ApplyDelta` builds the successor
   /// and swaps the head pointer, so readers never see a half-updated
-  /// graph/view/plan trio and the old generation dies with its last
+  /// graph/rules/plan trio and the old generation dies with its last
   /// reader. Matching contexts are pooled per state (lazily built, reused
   /// across requests, discarded with the generation).
   struct State {
@@ -170,9 +162,6 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
     /// The epoch that first published `rules`: cache entries stamped
     /// before it hold another rule set's indices.
     uint64_t rules_epoch = 0;
-    /// Shard mode: sorted fragment membership + the view matchers run in.
-    std::vector<NodeId> members;
-    std::unique_ptr<GraphView> view;
     std::vector<char> other_ok;  ///< per-rule other-component check
     std::unique_ptr<SearchPlanStore> plan_store;
 
@@ -228,7 +217,7 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
 
   RuleServer(std::vector<RuleRecord> rules, const RuleServerOptions& options);
 
-  Status Init(std::shared_ptr<const Graph> g, std::vector<NodeId> members);
+  Status Init(std::shared_ptr<const Graph> g);
 
   /// The publish step of `ApplyDelta`: runs the maintenance pass, then one
   /// `SwapStateAndInvalidate` publishes the new graph generation — with the
@@ -236,12 +225,9 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   Status PublishDelta(DeltaCommit* commit) override GPAR_REQUIRES(writer_mu_);
   Status PublishRules(std::vector<RuleRecord> rules, DeltaStats* ds) override
       GPAR_REQUIRES(writer_mu_);
-  /// Widens the invalidation radius; a shard rejects a radius above the
-  /// one its fragment view was cut for.
-  Status AdmitRadius(uint32_t d) override GPAR_REQUIRES(writer_mu_);
-  /// Derives the per-rule state (sigma storage, other-component flag) for a
-  /// record set. Validation (non-empty sets keep q and respect the radius
-  /// bound) happens in the callers — see UpdateRules.
+  /// Derives the per-rule state (sigma storage, other-component flag,
+  /// invalidation radius) for a record set. Validation (non-empty sets
+  /// keep q) happens in the callers — see UpdateRules.
   static std::shared_ptr<const RuleSet> BuildRuleSet(
       std::vector<RuleRecord> records);
   void PreparePlans(SearchPlanStore* store, const RuleSet& rules) const;
@@ -297,10 +283,6 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   /// published RuleSet (empty afterwards — the live set lives in State).
   std::vector<RuleRecord> initial_records_;
   Pattern pq_;
-  /// Invalidation/view radius bound. Fixed on shards (the fragment view was
-  /// cut at this radius); may grow on non-shard servers when a refreshed
-  /// rule set carries deeper rules.
-  uint32_t max_d_ = 0;
 
   ThreadPool pool_;
 

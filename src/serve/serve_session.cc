@@ -204,9 +204,6 @@ Status ServeSession::EnableMaintenance(const MaintainOptions& options) {
   if (maintainer_ != nullptr) {
     return Status::InvalidArgument("maintenance is already enabled");
   }
-  // Every rule the maintainer will ever emit has eval radius <= mine.d, so
-  // admitting that radius once up front covers all refreshes.
-  GPAR_RETURN_NOT_OK(AdmitRadius(std::max<uint32_t>(options.mine.d, 1)));
   GPAR_ASSIGN_OR_RETURN(maintainer_,
                         RuleMaintainer::Seed(graph_snapshot(), q_, options));
   DeltaStats ds;
@@ -225,7 +222,6 @@ Status ServeSession::UpdateRules(std::vector<RuleRecord> rules,
       return Status::InvalidArgument(
           "refreshed rule set changes the session predicate q(x, y)");
     }
-    GPAR_RETURN_NOT_OK(AdmitRadius(std::max<uint32_t>(info.d, 1)));
   }
   // An empty set skips sigma validation on purpose: a maintained top-k can
   // die under deletes and the session keeps serving zero rules.

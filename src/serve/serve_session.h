@@ -99,7 +99,6 @@ struct DeltaStats {
   /// has nothing to refresh. Kept only because the pipeline benchmark still
   /// reports it (`delta.sketches_per_batch`).
   uint64_t sketches_refreshed = 0;
-  uint64_t members_extended = 0;  ///< shard mode: nodes pulled into the view
   uint64_t wire_bytes = 0;        ///< serialized delta bytes shipped to shards
   uint64_t sequence = 0;       ///< journal/router sequence stamped on the batch
   uint64_t journal_bytes = 0;  ///< frame bytes appended to an attached journal
@@ -145,9 +144,9 @@ class LifetimeStats {
 /// write side is written once, here, for both: intake, sequence stamp,
 /// journal append before publish, the `serve.publish` crash window, the
 /// deployment's publish step, the maintenance pass, replay on attach, and
-/// checkpoint/compact. A deployment plugs in through three hooks —
-/// `PublishDelta`, `PublishRules` and `AdmitRadius` — and the shared
-/// `MaintainPass` its publish step calls.
+/// checkpoint/compact. A deployment plugs in through two hooks —
+/// `PublishDelta` and `PublishRules` — and the shared `MaintainPass` its
+/// publish step calls.
 ///
 /// One sequence rule: a live batch that changes the graph is stamped with
 /// the last published sequence + 1; a replayed journal frame keeps its own
@@ -200,8 +199,7 @@ class ServeSession {
   /// step and, when the top-k changed, publishes the refreshed rule set.
   /// The maintained set replaces the loaded snapshot records, which may
   /// differ from them when the snapshot was mined under other parameters.
-  /// Rejected when maintenance is already enabled and when the deployment
-  /// cannot serve rules of radius `options.mine.d`.
+  /// Rejected when maintenance is already enabled.
   Status EnableMaintenance(const MaintainOptions& options)
       GPAR_EXCLUDES(writer_mu_);
   bool maintenance_enabled() const GPAR_EXCLUDES(writer_mu_);
@@ -212,13 +210,13 @@ class ServeSession {
   uint64_t journal_sequence() const GPAR_EXCLUDES(writer_mu_);
   /// Replaces the served rule set: a hot rule reload, and the way a router
   /// pushes its refreshed set to its (otherwise read-only) shards. The new
-  /// set must keep the session's predicate q(x,y) and a radius the
-  /// deployment admits — a router and its shards stay within the partition
-  /// radius their fragments were cut for. An empty set is allowed: a
-  /// maintained top-k can die under deletes and the session must keep
-  /// serving (zero rules match nothing). Cached memberships of the rules
-  /// the new set keeps survive; `ds`, when non-null, receives the refresh's
-  /// counts (`rules_refreshed`, `rules_carried`, `memberships_invalidated`).
+  /// set must keep the session's predicate q(x,y); any rule radius is
+  /// served, since every deployment matches on the whole graph. An empty
+  /// set is allowed: a maintained top-k can die under deletes and the
+  /// session must keep serving (zero rules match nothing). Cached
+  /// memberships of the rules the new set keeps survive; `ds`, when
+  /// non-null, receives the refresh's counts (`rules_refreshed`,
+  /// `rules_carried`, `memberships_invalidated`).
   Status UpdateRules(std::vector<RuleRecord> rules, DeltaStats* ds = nullptr)
       GPAR_EXCLUDES(writer_mu_);
 
@@ -275,8 +273,6 @@ class ServeSession {
   /// (setting `ds->rules_refreshed`) — the seed of `EnableMaintenance`.
   virtual Status PublishRules(std::vector<RuleRecord> rules, DeltaStats* ds)
       GPAR_REQUIRES(writer_mu_) = 0;
-  /// Hook: accepts (widening what must) or rejects rules of radius `d`.
-  virtual Status AdmitRadius(uint32_t d) GPAR_REQUIRES(writer_mu_) = 0;
 
   /// The maintenance pass for a published frame: when maintenance is on,
   /// advances the maintainer from `commit.old_graph` to `commit.new_graph`,

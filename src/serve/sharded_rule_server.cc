@@ -54,12 +54,11 @@ Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Create(
     server->candidates_.assign(span.begin(), span.end());
   }
 
-  // Partition at the rule set's locality radius: every owned center's
-  // G_d lives inside its fragment, so shard-local matching is exact.
+  // Balance the shards by the |N_d| work of their owned centers at the
+  // rule set's radius; matching itself runs on the shared parent graph.
   PartitionOptions popt;
   popt.num_fragments = options.num_shards;
   popt.d = std::max<uint32_t>(info.d, 1);
-  server->partition_d_ = popt.d;
   GPAR_ASSIGN_OR_RETURN(
       Partitioning parts,
       PartitionGraph(*parent, server->candidates_, popt));
@@ -69,8 +68,7 @@ Result<std::unique_ptr<ShardedRuleServer>> ShardedRuleServer::Create(
   for (Fragment& frag : parts.fragments) {
     GPAR_ASSIGN_OR_RETURN(
         std::unique_ptr<RuleServer> shard,
-        RuleServer::CreateShard(parent, frag.view.nodes(),
-                                std::move(frag.centers), *records,
+        RuleServer::CreateShard(parent, std::move(frag.centers), *records,
                                 options.shard_options));
     server->shards_.push_back(std::move(shard));
   }
@@ -362,7 +360,6 @@ Status ShardedRuleServer::PublishDelta(DeltaCommit* commit) {
     const DeltaStats& st = shard_stats[s];
     ds.memberships_invalidated += st.memberships_invalidated;
     ds.qclass_invalidated += st.qclass_invalidated;
-    ds.members_extended += st.members_extended;
     ds.wire_bytes += st.wire_bytes;
   }
   {
@@ -434,17 +431,6 @@ Status ShardedRuleServer::PublishRules(std::vector<RuleRecord> rules,
     ds->memberships_invalidated += shard_ds.memberships_invalidated;
   }
   return first_failure;
-}
-
-Status ShardedRuleServer::AdmitRadius(uint32_t d) {
-  if (d > partition_d_) {
-    return Status::InvalidArgument(
-        "maintained rule radius " + std::to_string(d) +
-        " exceeds the partition radius " + std::to_string(partition_d_) +
-        " the fragments were cut for; reload the deployment with the "
-        "deeper radius instead");
-  }
-  return Status::OK();
 }
 
 Status ShardedRuleServer::ResyncLaggingShards() {

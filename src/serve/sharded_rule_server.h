@@ -38,11 +38,12 @@ struct ShardedRuleServerOptions {
   uint32_t retry_backoff_micros = 200;
 };
 
-/// A sharded serving deployment: the graph is split once at load with the
-/// `PartitionGraph` fragment builder (d = the rule set's locality radius,
-/// so G_d of every owned center lies inside its shard's `GraphView` slice)
-/// into `num_shards` `RuleServer` shards, each answering for its owned
-/// centers only. This thin router scatters a request by center ownership,
+/// A sharded serving deployment: the candidate centers are split once at
+/// load with the `PartitionGraph` fragment builder (its radius, the loaded
+/// rule set's, only weights the balance) into `num_shards` `RuleServer`
+/// shards, each answering for its owned centers only and matching them on
+/// the shared parent CSR — so any rule radius, including a deeper
+/// maintained one, is served. This thin router scatters a request by center ownership,
 /// gathers the matches, and — for `all_centers` requests — assembles the
 /// global supports and confidences from the per-shard partial sums, which
 /// is exact because center ownership is disjoint (the paper's summable
@@ -51,11 +52,8 @@ struct ShardedRuleServerOptions {
 /// Deltas (inserts and deletes) are applied to the shared parent CSR once,
 /// then shipped to every shard as one serialized `GraphDelta` batch
 /// (`common/binary_io` framing — v2 frames when the batch deletes) rather
-/// than k graph snapshots; each shard re-derives its own invalidation and
-/// view extension from the batch. Deletions shrink neighborhoods, so a
-/// shard's view may become a strict superset of its owned centers' N_d
-/// balls — still exact for view-restricted matching (see
-/// `RuleServer::ApplyShardDelta`).
+/// than k graph snapshots; each shard re-derives its own invalidation from
+/// the batch.
 ///
 /// Shard failures degrade rather than fail. A shard that keeps failing a
 /// query is left out of the reply, which sets `SessionReply::degraded`
@@ -161,9 +159,6 @@ class ShardedRuleServer
   /// heterogeneous across shards, like deltas.
   Status PublishRules(std::vector<RuleRecord> rules, DeltaStats* ds) override
       GPAR_REQUIRES(writer_mu_);
-  /// Rejects a maintained radius above the partition radius the fragments
-  /// were cut for — deeper rules could not be matched shard-locally.
-  Status AdmitRadius(uint32_t d) override GPAR_REQUIRES(writer_mu_);
   Status ResyncLaggingShardsLocked() GPAR_REQUIRES(writer_mu_);
   /// Runs `call` under the retry policy: transient failures back off
   /// (doubling, bounded by `deadline_seconds` on `timer` when positive)
@@ -181,7 +176,6 @@ class ShardedRuleServer
   /// refresh, never mutated in place.
   std::shared_ptr<const std::vector<RuleRecord>> records_
       GPAR_GUARDED_BY(graph_mu_);
-  uint32_t partition_d_ = 0;     ///< radius the fragments were cut for
   std::vector<uint32_t> owner_;  ///< parallel to candidates_
   /// Fixed for the server's lifetime (deltas mutate edges, never the node
   /// set), so point-query validation needn't take `graph_mu_`.

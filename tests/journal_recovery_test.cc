@@ -712,8 +712,7 @@ TEST_F(JournalRecovery, ShardServersDoNotJournal) {
   // Journaling happens at the router (or a standalone server) — a shard
   // must reject AttachJournal outright.
   auto shard = RuleServer::CreateShard(
-      std::make_shared<const Graph>(w.graph), /*members=*/{},
-      /*owned_centers=*/{}, w.records);
+      std::make_shared<const Graph>(w.graph), /*owned_centers=*/{}, w.records);
   // Shard creation with empty ownership may or may not be valid; only the
   // journal rejection matters here.
   if (shard.ok()) {

@@ -657,6 +657,30 @@ TEST(MaintainServeTest, UpdateRulesRejectsAForeignPredicate) {
   EXPECT_TRUE(answer->rule_evals.empty());
 }
 
+SessionRequest AllCenters() {
+  SessionRequest all;
+  all.all_centers = true;
+  all.eta = 1.0;
+  return all;
+}
+
+/// Field-for-field equality of two all-centers replies.
+bool SameAnswer(const SessionReply& a, const SessionReply& b) {
+  if (a.matched != b.matched || a.entities != b.entities ||
+      a.supp_q != b.supp_q || a.supp_qbar != b.supp_qbar ||
+      a.rule_evals.size() != b.rule_evals.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.rule_evals.size(); ++i) {
+    if (a.rule_evals[i].supp_r != b.rule_evals[i].supp_r ||
+        a.rule_evals[i].supp_qqbar != b.rule_evals[i].supp_qqbar ||
+        a.rule_evals[i].conf != b.rule_evals[i].conf) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(MaintainServeTest, ShardedServerMaintainsOnApplyDelta) {
   Graph g = MakeSynthetic(300, 900, 10, 51);
   Predicate q = PickQ(g);
@@ -671,14 +695,40 @@ TEST(MaintainServeTest, ShardedServerMaintainsOnApplyDelta) {
   ASSERT_TRUE(sharded.ok()) << sharded.status();
   ShardedRuleServer& sh = **sharded;
 
-  // The partition was cut for the mined radius, so enabling at that radius
-  // succeeds; asking for a deeper maintained radius must be refused — the
-  // fragment views do not cover it.
-  MaintainOptions deep = mopt;
-  deep.mine.d = mopt.mine.d + 3;
-  Status st = sh.EnableMaintenance(deep);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("partition radius"), std::string::npos) << st;
+  // Any maintained radius is served: shards match their owned centers on
+  // the shared parent graph, so a radius deeper than the one the centers
+  // were partitioned at needs no re-cut. A 2-shard router and a single
+  // server, both maintained one hop deeper, agree batch by batch.
+  {
+    MaintainOptions deep = mopt;
+    deep.mine.d = mopt.mine.d + 1;
+    auto router = ShardedRuleServer::Create(g, records, shopt);
+    ASSERT_TRUE(router.ok()) << router.status();
+    RuleServerOptions sopt;
+    sopt.num_workers = 2;
+    auto single = RuleServer::Create(g, records, sopt);
+    ASSERT_TRUE(single.ok()) << single.status();
+    ASSERT_TRUE((*router)->EnableMaintenance(deep).ok());
+    ASSERT_TRUE((*single)->EnableMaintenance(deep).ok());
+    Graph current = g;
+    for (size_t b = 0; b < 2; ++b) {
+      GraphDelta d = MakeChurn(current, q.edge_label, 80 + b, 20);
+      d.sequence = b + 1;
+      auto next = PatchGraph(current, d);
+      ASSERT_TRUE(next.ok());
+      current = std::move(next)->graph;
+      auto rds = (*router)->ApplyDelta(d);
+      ASSERT_TRUE(rds.ok()) << rds.status();
+      auto sds = (*single)->ApplyDelta(d);
+      ASSERT_TRUE(sds.ok()) << sds.status();
+      EXPECT_EQ((*router)->rules(), (*single)->rules()) << "batch " << b;
+      auto routed = (*router)->Query(AllCenters());
+      ASSERT_TRUE(routed.ok()) << routed.status();
+      auto alone = (*single)->Query(AllCenters());
+      ASSERT_TRUE(alone.ok()) << alone.status();
+      EXPECT_TRUE(SameAnswer(*routed, *alone)) << "batch " << b;
+    }
+  }
 
   ASSERT_TRUE(sh.EnableMaintenance(mopt).ok());
   EXPECT_TRUE(sh.maintenance_enabled());
@@ -765,30 +815,6 @@ TEST(MaintainServeTest, ConcurrentMaintainAndQuery) {
 // ---------------------------------------------------------------------------
 // The match cache across maintained rule refreshes.
 // ---------------------------------------------------------------------------
-
-SessionRequest AllCenters() {
-  SessionRequest all;
-  all.all_centers = true;
-  all.eta = 1.0;
-  return all;
-}
-
-/// Field-for-field equality of two all-centers replies.
-bool SameAnswer(const SessionReply& a, const SessionReply& b) {
-  if (a.matched != b.matched || a.entities != b.entities ||
-      a.supp_q != b.supp_q || a.supp_qbar != b.supp_qbar ||
-      a.rule_evals.size() != b.rule_evals.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.rule_evals.size(); ++i) {
-    if (a.rule_evals[i].supp_r != b.rule_evals[i].supp_r ||
-        a.rule_evals[i].supp_qqbar != b.rule_evals[i].supp_qqbar ||
-        a.rule_evals[i].conf != b.rule_evals[i].conf) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// The all-centers answer of a server built from scratch on `g` with
 /// `rules` (non-empty).

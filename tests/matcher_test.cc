@@ -4,14 +4,9 @@
 
 #include <algorithm>
 
-#include "graph/generator.h"
 #include "graph/graph_builder.h"
-#include "graph/graph_view.h"
-#include "graph/neighborhood.h"
 #include "graph/paper_graphs.h"
-#include "graph/stats.h"
 #include "match/multi_pattern.h"
-#include "pattern/pattern_generator.h"
 
 namespace gpar {
 namespace {
@@ -175,85 +170,6 @@ TEST_F(MatcherTest, MultiPatternDuplicatesEvaluatedOnce) {
   EXPECT_EQ(out[0], 1);
   EXPECT_EQ(out[1], 1);
   EXPECT_EQ(eval.queries_issued(), 1u);
-}
-
-TEST_F(MatcherTest, ViewMatchingEqualsInducedCopyOnG1) {
-  // A matcher over a GraphView answers exactly like one over the copied
-  // induced subgraph of the same member set — on global ids, with no remap.
-  std::vector<NodeId> members =
-      NodesWithinRadius(g1_.graph, g1_.cust1, 2);
-  std::sort(members.begin(), members.end());
-  GraphView view(g1_.graph, members);
-  InducedSubgraph copy = BuildInducedSubgraph(g1_.graph, members);
-
-  EXPECT_EQ(view.num_nodes(), copy.graph.num_nodes());
-  EXPECT_EQ(view.num_edges(), copy.graph.num_edges());
-  EXPECT_EQ(view.size(), copy.graph.size());
-
-  VF2Matcher on_view(view);
-  VF2Matcher on_copy(copy.graph);
-  for (const Gpar* r : {&g1_.r1, &g1_.r5, &g1_.r6, &g1_.r7, &g1_.r8}) {
-    for (NodeId global : members) {
-      NodeId local = copy.to_local.at(global);
-      EXPECT_EQ(on_view.ExistsAt(r->pr(), global),
-                on_copy.ExistsAt(r->pr(), local))
-          << "view/copy pr mismatch at node " << global;
-      EXPECT_EQ(on_view.ExistsAt(r->antecedent(), global),
-                on_copy.ExistsAt(r->antecedent(), local))
-          << "view/copy antecedent mismatch at node " << global;
-    }
-    // Unanchored search exercises the label-index candidate source.
-    EXPECT_EQ(on_view.Exists(r->antecedent()), on_copy.Exists(r->antecedent()));
-  }
-}
-
-TEST_F(MatcherTest, ViewExcludesNonMembers) {
-  // Anchoring outside the view never matches; edges to non-members are
-  // invisible even when the parent graph has them.
-  std::vector<NodeId> members{g1_.cust1};  // a single isolated member
-  GraphView view(g1_.graph, members);
-  VF2Matcher m(view);
-  const Pattern& ant = g1_.r1.antecedent();  // needs neighbors to match
-  EXPECT_FALSE(m.ExistsAt(ant, g1_.cust1));
-  EXPECT_FALSE(m.ExistsAt(ant, g1_.cust2));  // not a member at all
-  EXPECT_TRUE(m.Images(ant, ant.x()).empty());
-  EXPECT_EQ(view.num_edges(), 0u);
-}
-
-TEST_F(MatcherTest, RandomViewMatchingEqualsInducedCopy) {
-  // Randomized cross-check on a generated graph and generated rules: a
-  // matcher over a view must agree with one over the equivalent copy.
-  Graph g = MakeSynthetic(300, 900, 15, 17);
-  auto freq = FrequentEdgePatterns(g, 1);
-  Predicate q{freq[0].src_label, freq[0].edge_label, freq[0].dst_label};
-  GparGenOptions gopt;
-  gopt.num_nodes = 4;
-  gopt.num_edges = 4;
-  gopt.max_radius = 2;
-  gopt.seed = 23;
-  auto rules = GenerateGparWorkload(g, q, 4, gopt);
-
-  auto centers = g.nodes_with_label(q.x_label);
-  std::vector<NodeId> members = NodesWithinRadius(g, centers[0], 2);
-  for (size_t i = 1; i < centers.size() && i < 8; ++i) {
-    auto more = NodesWithinRadius(g, centers[i], 2);
-    members.insert(members.end(), more.begin(), more.end());
-  }
-  std::sort(members.begin(), members.end());
-  members.erase(std::unique(members.begin(), members.end()), members.end());
-  GraphView view(g, members);
-  InducedSubgraph copy = BuildInducedSubgraph(g, members);
-
-  VF2Matcher on_view(view);
-  VF2Matcher on_copy(copy.graph);
-  for (const Gpar& r : rules) {
-    for (NodeId global : members) {
-      if (g.node_label(global) != q.x_label) continue;
-      EXPECT_EQ(on_view.ExistsAt(r.pr(), global),
-                on_copy.ExistsAt(r.pr(), copy.to_local.at(global)))
-          << "view diverged at node " << global;
-    }
-  }
 }
 
 TEST_F(MatcherTest, SharedPlanStoreServesProbes) {

@@ -43,9 +43,8 @@ TEST(PartitionTest, CentersOwnedExactlyOnce) {
 
 TEST(PartitionTest, DLocalityInvariant) {
   // The defining invariant: G_d(v_x) of every owned center is contained in
-  // its fragment. A view carries membership only (parent edges between
-  // members are in the induced subgraph by definition), so the node set is
-  // the whole check.
+  // its fragment. The fragment is the subgraph its node set induces, so
+  // the node set is the whole check.
   Graph g = MakeSynthetic(300, 900, 15, 3);
   std::vector<NodeId> centers;
   for (NodeId v = 0; v < 60; ++v) centers.push_back(v);
@@ -58,7 +57,7 @@ TEST(PartitionTest, DLocalityInvariant) {
   for (const Fragment& f : parts->fragments) {
     for (NodeId global : f.centers) {
       for (NodeId w : NodesWithinRadius(g, global, opt.d)) {
-        EXPECT_TRUE(f.view.contains(w))
+        EXPECT_TRUE(std::binary_search(f.nodes.begin(), f.nodes.end(), w))
             << "missing node " << w << " from N_d(" << global << ")";
       }
     }
@@ -67,7 +66,9 @@ TEST(PartitionTest, DLocalityInvariant) {
 
 TEST(PartitionTest, LocalMatchingEqualsGlobalMatching) {
   // Data locality of subgraph isomorphism (Section 4.2): v_x ∈ P_R(x, G)
-  // iff v_x ∈ P_R(x, G_d(v_x)) — matching inside the fragment is exact.
+  // iff v_x ∈ P_R(x, G_d(v_x)), and G_d(v_x) lies inside the owning
+  // fragment — so a worker matching its owned centers on the whole graph
+  // never leaves its fragment.
   PaperG1 g1 = MakePaperG1();
   std::vector<NodeId> centers{g1.cust1, g1.cust2, g1.cust3,
                               g1.cust4, g1.cust5, g1.cust6};
@@ -79,10 +80,14 @@ TEST(PartitionTest, LocalMatchingEqualsGlobalMatching) {
 
   VF2Matcher global(g1.graph);
   for (const Fragment& f : parts->fragments) {
-    VF2Matcher local(f.view);
     for (NodeId global_id : f.centers) {
+      const DNeighborhood nb = ExtractDNeighborhood(g1.graph, global_id, opt.d);
+      for (NodeId w : nb.sub.to_global) {
+        EXPECT_TRUE(std::binary_search(f.nodes.begin(), f.nodes.end(), w));
+      }
+      VF2Matcher local(nb.sub.graph);
       for (const Gpar* r : {&g1.r1, &g1.r5, &g1.r6, &g1.r7, &g1.r8}) {
-        EXPECT_EQ(local.ExistsAt(r->pr(), global_id),
+        EXPECT_EQ(local.ExistsAt(r->pr(), nb.center_local),
                   global.ExistsAt(r->pr(), global_id))
             << "locality violated at center " << global_id;
       }
@@ -101,7 +106,7 @@ TEST(PartitionTest, FragmentsRoughlyEven) {
   ASSERT_TRUE(parts.ok());
   // The paper reports <= 14.4% skew on Pokec; greedy LPT should stay well
   // under 50% on uniform synthetic graphs.
-  EXPECT_LT(FragmentSkew(*parts), 0.5);
+  EXPECT_LT(FragmentSkew(g, *parts), 0.5);
 }
 
 TEST(PartitionTest, MoreFragmentsThanCenters) {

@@ -15,7 +15,6 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_delta.h"
 #include "graph/graph_io.h"
-#include "graph/graph_view.h"
 #include "graph/neighborhood.h"
 #include "graph/partition.h"
 #include "graph/stats.h"
@@ -358,11 +357,10 @@ std::vector<std::vector<NodeId>> EmbeddingSet(VF2Matcher& m, const Pattern& p,
 }
 
 TEST_P(SeededProperty, FailFirstPlansAnswerLikeBfsPlans) {
-  // Plan order only steers cost. Over whole-graph and fragment-view
-  // matchers, fail-first plans (private caches) and the old breadth-first
-  // plans (fed through a store) give the same ExistsAt answer at every
-  // center, bound probes give the same answers again, and anchored
-  // enumeration yields the same embedding set.
+  // Plan order only steers cost. Fail-first plans (private caches) and the
+  // old breadth-first plans (fed through a store) give the same ExistsAt
+  // answer at every center, bound probes give the same answers again, and
+  // anchored enumeration yields the same embedding set.
   Scenario s = MakeScenario(GetParam());
   const std::vector<Pattern> patterns = PlanBatteryPatterns(s, GetParam());
   SearchPlanStore bfs_plans(s.graph);
@@ -381,48 +379,34 @@ TEST_P(SeededProperty, FailFirstPlansAnswerLikeBfsPlans) {
   EXPECT_GT(reordered, 0u) << "no pattern exercised a different order";
 
   const auto centers = s.graph.nodes_with_label(s.q.x_label);
-  std::vector<NodeId> members = NodesWithinRadius(s.graph, centers[0], 2);
-  std::sort(members.begin(), members.end());
-  const GraphView view(s.graph, members);
-  std::vector<NodeId> view_centers;
-  for (NodeId v : members) {
-    if (s.graph.node_label(v) == s.q.x_label) view_centers.push_back(v);
-  }
-
-  struct Side {
-    const GraphView* view;
-    std::span<const NodeId> centers;
-  };
-  for (const Side& side : {Side{nullptr, centers}, Side{&view, view_centers}}) {
-    VF2Matcher fail_first(s.graph, side.view);
-    VF2Matcher breadth_first(s.graph, side.view);
-    breadth_first.set_plan_store(&bfs_plans);
-    uint64_t probes = 0;
-    for (const Pattern& p : patterns) {
-      std::vector<char> expected;
-      for (NodeId v : side.centers) {
-        const bool want = breadth_first.ExistsAt(p, v);
-        ++probes;
-        expected.push_back(want ? 1 : 0);
-        EXPECT_EQ(fail_first.ExistsAt(p, v), want)
-            << "seed " << GetParam() << " node " << v;
-      }
-      fail_first.Bind(p);
-      for (size_t i = 0; i < side.centers.size(); ++i) {
-        EXPECT_EQ(fail_first.ProbeAt(side.centers[i]) ? 1 : 0, expected[i])
-            << "bound probe, seed " << GetParam();
-      }
-      for (size_t i = 0; i < side.centers.size() && i < 15; ++i) {
-        const NodeId v = side.centers[i];
-        EXPECT_EQ(EmbeddingSet(fail_first, p, v, 0),
-                  EmbeddingSet(breadth_first, p, v, 0))
-            << "embedding sets differ, seed " << GetParam() << " node " << v;
-        probes += 1;
-      }
+  VF2Matcher fail_first(s.graph);
+  VF2Matcher breadth_first(s.graph);
+  breadth_first.set_plan_store(&bfs_plans);
+  uint64_t probes = 0;
+  for (const Pattern& p : patterns) {
+    std::vector<char> expected;
+    for (NodeId v : centers) {
+      const bool want = breadth_first.ExistsAt(p, v);
+      ++probes;
+      expected.push_back(want ? 1 : 0);
+      EXPECT_EQ(fail_first.ExistsAt(p, v), want)
+          << "seed " << GetParam() << " node " << v;
     }
-    // Every breadth-first search really ran on the store's plans.
-    EXPECT_EQ(breadth_first.plan_store_hits(), probes);
+    fail_first.Bind(p);
+    for (size_t i = 0; i < centers.size(); ++i) {
+      EXPECT_EQ(fail_first.ProbeAt(centers[i]) ? 1 : 0, expected[i])
+          << "bound probe, seed " << GetParam();
+    }
+    for (size_t i = 0; i < centers.size() && i < 15; ++i) {
+      const NodeId v = centers[i];
+      EXPECT_EQ(EmbeddingSet(fail_first, p, v, 0),
+                EmbeddingSet(breadth_first, p, v, 0))
+          << "embedding sets differ, seed " << GetParam() << " node " << v;
+      probes += 1;
+    }
   }
+  // Every breadth-first search really ran on the store's plans.
+  EXPECT_EQ(breadth_first.plan_store_hits(), probes);
 }
 
 TEST_P(SeededProperty, TripleTableAfterPatchEqualsRebuilt) {
@@ -517,11 +501,11 @@ TEST_P(SeededProperty, PartitionInvariants) {
     size_t owned = 0;
     for (const Fragment& f : parts->fragments) owned += f.centers.size();
     EXPECT_EQ(owned, centers.size());
-    // Locality spot-check on the view membership.
+    // Locality spot-check on the fragment node set.
     for (const Fragment& f : parts->fragments) {
       for (NodeId global : f.centers) {
         for (NodeId w : NodesWithinRadius(s.graph, global, opt.d)) {
-          EXPECT_TRUE(f.view.contains(w));
+          EXPECT_TRUE(std::binary_search(f.nodes.begin(), f.nodes.end(), w));
         }
         break;  // one center per fragment suffices
       }
@@ -646,11 +630,11 @@ TEST_P(SeededProperty, WorkerGenEquivalence) {
   ExpectDmineMatchesSequential(MakeScenario(GetParam()));
 }
 
-TEST_P(SeededProperty, ViewCopyEquivalence) {
-  // A zero-copy fragment view denotes exactly the induced subgraph a copied
-  // fragment would materialize. Checked against brute force: members are
-  // the sorted union of the owned centers' N_d, the induced edge count
-  // matches both a direct count and `BuildInducedSubgraph`.
+TEST_P(SeededProperty, FragmentMembershipEquivalence) {
+  // A fragment's node set is the sorted union of its owned centers' N_d,
+  // and `FragmentSkew` sizes each fragment as the subgraph it induces:
+  // |V_f| + |E_f| with |E_f| equal to both a direct count and
+  // `BuildInducedSubgraph`'s edge count.
   Scenario s = MakeScenario(GetParam());
   std::vector<NodeId> centers;
   {
@@ -663,6 +647,8 @@ TEST_P(SeededProperty, ViewCopyEquivalence) {
     opt.d = 2;
     auto parts = PartitionGraph(s.graph, centers, opt);
     ASSERT_TRUE(parts.ok()) << parts.status();
+    size_t max_size = 0;
+    size_t min_size = static_cast<size_t>(-1);
     for (const Fragment& f : parts->fragments) {
       std::set<NodeId> members;
       for (NodeId center : f.centers) {
@@ -671,17 +657,22 @@ TEST_P(SeededProperty, ViewCopyEquivalence) {
         members.insert(nd.begin(), nd.end());
       }
       const std::vector<NodeId> want(members.begin(), members.end());
-      EXPECT_EQ(f.view.nodes(), want) << "n=" << n;
+      EXPECT_EQ(f.nodes, want) << "n=" << n;
       size_t induced = 0;
       for (NodeId v : want) {
         for (const AdjEntry& e : s.graph.out_edges(v)) {
           induced += members.count(e.other);
         }
       }
-      EXPECT_EQ(f.view.num_edges(), induced) << "n=" << n;
-      EXPECT_EQ(f.view.num_edges(),
-                BuildInducedSubgraph(s.graph, want).graph.num_edges());
+      EXPECT_EQ(induced, BuildInducedSubgraph(s.graph, want).graph.num_edges())
+          << "n=" << n;
+      max_size = std::max(max_size, want.size() + induced);
+      min_size = std::min(min_size, want.size() + induced);
     }
+    EXPECT_DOUBLE_EQ(FragmentSkew(s.graph, *parts),
+                     static_cast<double>(max_size - min_size) /
+                         static_cast<double>(max_size))
+        << "n=" << n;
   }
 }
 

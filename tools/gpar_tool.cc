@@ -533,8 +533,8 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   if (sharded != nullptr) {
     for (uint32_t i = 0; i < sharded->num_shards(); ++i) {
       const RuleServer& sh = sharded->shard(i);
-      std::printf("  shard %u: %zu owned centers, %zu view nodes\n", i,
-                  sh.candidates().size(), sh.view_members());
+      std::printf("  shard %u: %zu owned centers\n", i,
+                  sh.candidates().size());
     }
   }
 
@@ -620,14 +620,12 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         }
         std::printf(
             "  +%zu edges (%zu dup), -%zu edges (%zu missing), "
-            "%llu memberships + %llu q-classes "
-            "invalidated, %llu view nodes added, "
+            "%llu memberships + %llu q-classes invalidated, "
             "%llu wire bytes, %.2f ms\n",
             ds->edges_inserted, ds->duplicates_ignored, ds->edges_deleted,
             ds->deletes_missing,
             static_cast<unsigned long long>(ds->memberships_invalidated),
             static_cast<unsigned long long>(ds->qclass_invalidated),
-            static_cast<unsigned long long>(ds->members_extended),
             static_cast<unsigned long long>(ds->wire_bytes),
             ds->seconds * 1e3);
         if (ds->rules_refreshed != 0) {

@@ -8,8 +8,8 @@
 # DMineno/DMine ratio ("dmineno_over_dmine" in "totals").
 #
 # A third JSON report (PARTITION_JSON) comes from a CI-sized
-# exp4_partition_skew run: fragment skew, partition build time and the
-# memory of the zero-copy GraphView fragments.
+# exp4_partition_skew run: fragment skew, per-worker busy-time spread and
+# partition build time.
 #
 # A fourth JSON report (SERVE_JSON) comes from a CI-sized exp5_serve run:
 # cold vs warm-cache QPS of the RuleServer serving path and the cost of
@@ -82,7 +82,7 @@ else
   echo "warning: ${dmine_bin} not built; skipping ${dmine_out}" >&2
 fi
 
-# Partition representation sweep (view vs copied fragments).
+# Partition skew sweep (fragment balance and build time).
 partition_bin="${bin_dir}/exp4_partition_skew"
 if [[ -x "${partition_bin}" ]]; then
   echo "== exp4_partition_skew -> ${partition_out}" >&2
