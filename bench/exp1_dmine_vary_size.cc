@@ -2,7 +2,8 @@
 // growing size (n = 16, d = 2, fixed σ). Each row also reports DMine's
 // worker probes and parent-skipped centers, its coordinator share
 // (coordinator seconds / simulated parallel seconds), the coordinator's
-// candidate-production seconds and the candidates the workers generated.
+// candidate-production seconds, the wall seconds of the partition step
+// and the candidates the workers generated.
 //
 // Paper shape: both grow with |G|; DMine outperforms DMineno (1.76x at the
 // largest size).
@@ -27,7 +28,7 @@ int main() {
   struct Row {
     uint64_t v, e;
     double dmine_s, dmineno_s;
-    double coord_share, coord_merge;
+    double coord_share, coord_merge, partition;
     uint64_t centers_skipped, exists_calls;
     uint64_t proposals;
   };
@@ -54,11 +55,12 @@ int main() {
 
     // CI-sized configs finish in tens of ms, where scheduler noise rivals
     // the measured effect: report the min over a few repetitions. The
-    // coordinator share comes from the run that produced the min time.
+    // coordinator share and the partition time come from the run that
+    // produced the min time.
     const int reps = small ? 3 : 1;
     double tf = 0, ts = 0;
     DmineStats fast_stats;
-    double coord_share = 0, coord_merge = 0;
+    double coord_share = 0, coord_merge = 0, partition = 0;
     for (int rep = 0; rep < reps; ++rep) {
       auto fast = Dmine(g, q, opt);
       auto slow = Dmine(g, q, DmineNoOptions(opt));
@@ -69,13 +71,14 @@ int main() {
         tf = f;
         coord_share = f > 0 ? fast->times.coordinator_seconds / f : 0;
         coord_merge = fast->stats.coordinator_merge_seconds;
+        partition = fast->stats.partition_seconds;
       }
       if (rep == 0 || s < ts) ts = s;
       fast_stats = fast->stats;
     }
     uint64_t proposals = 0;
     for (uint64_t p : fast_stats.proposals_per_worker) proposals += p;
-    rows.push_back({v, e, tf, ts, coord_share, coord_merge,
+    rows.push_back({v, e, tf, ts, coord_share, coord_merge, partition,
                     fast_stats.centers_skipped_by_parent,
                     fast_stats.exists_calls, proposals});
     PrintCell(static_cast<uint64_t>(v));
@@ -108,12 +111,13 @@ int main() {
           "\"dmineno_s\": %.6f, "
           "\"coord_share_workergen\": %.6f, "
           "\"coord_merge_s_workergen\": %.6f, "
+          "\"partition_s\": %.6f, "
           "\"proposals\": %llu, "
           "\"centers_skipped_by_parent\": %llu, "
           "\"exists_calls_pruned\": %llu}%s\n",
           static_cast<unsigned long long>(r.v),
           static_cast<unsigned long long>(r.e), r.dmine_s, r.dmineno_s,
-          r.coord_share, r.coord_merge,
+          r.coord_share, r.coord_merge, r.partition,
           static_cast<unsigned long long>(r.proposals),
           static_cast<unsigned long long>(r.centers_skipped),
           static_cast<unsigned long long>(r.exists_calls),

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <thread>
+
+#include "parallel/thread_pool.h"
 
 namespace gpar {
 
@@ -61,79 +64,91 @@ Result<Partitioning> PartitionGraph(const Graph& g,
   const uint32_t n = options.num_fragments;
   const size_t nc = centers.size();
 
-  Partitioning out;
-
-  // --- Single BFS sweep over all centers with shared flat scratch. --------
-  // One (center, distance)-tagging pass: every center's d-neighborhood is
-  // swept through a single reused frontier pair with a flat stamp array as
-  // the visited set — O(1) dedup per edge scan, no per-BFS hash maps, no
-  // per-node tag lists (which go quadratic on scale-free hubs that sit
-  // within d of thousands of centers). The sweep emits the |N_d| weights
-  // and the arena-packed membership lists in one near-linear pass over the
-  // replicated edge set.
-  std::vector<uint32_t> stamp(g.num_nodes(), kInvalidNode);
-  std::vector<NodeId> curr, next;
+  // --- Exact |N_d| weights: one contiguous range of centers per thread. --
+  // Each range sweeps its centers' d-neighborhoods through its own frontier
+  // pair with its own flat stamp array as the visited set — O(1) dedup per
+  // edge scan, no per-BFS hash maps — and writes only its own slice of
+  // `neigh_size`. Nothing mutable is shared, so the weights equal a serial
+  // sweep's whatever the thread count.
   std::vector<size_t> neigh_size(nc, 0);
-  // N_d(center) node sets, CSR-packed into one arena (4 bytes per
-  // replicated node — the transient peak of the build).
-  std::vector<size_t> neigh_offsets(nc + 1, 0);
-  std::vector<NodeId> neigh_arena;
-  for (uint32_t c = 0; c < static_cast<uint32_t>(nc); ++c) {
-    neigh_offsets[c] = neigh_arena.size();
-    const NodeId src = centers[c];
-    stamp[src] = c;  // ordinals are unique, so stamps never need clearing
-    neigh_arena.push_back(src);
-    curr.assign(1, src);
-    for (uint32_t level = 0; level < options.d && !curr.empty(); ++level) {
-      next.clear();
-      for (NodeId u : curr) {
-        auto visit = [&](NodeId w) {
-          if (stamp[w] == c) return;
-          stamp[w] = c;
-          neigh_arena.push_back(w);
-          next.push_back(w);
-        };
-        for (const AdjEntry& e : g.out_edges(u)) visit(e.other);
-        for (const AdjEntry& e : g.in_edges(u)) visit(e.other);
+  const uint32_t threads = std::max<uint32_t>(
+      1, std::min<uint32_t>(n, std::thread::hardware_concurrency()));
+  ThreadPool pool(threads);
+  ParallelFor(pool, threads, [&](uint32_t t) {
+    const size_t begin = nc * t / threads;
+    const size_t end = nc * (t + 1) / threads;
+    if (begin == end) return;
+    std::vector<uint32_t> stamp(g.num_nodes(), kInvalidNode);
+    std::vector<NodeId> curr, next;
+    for (size_t c = begin; c < end; ++c) {
+      // Center ordinals are unique, so stamps never need clearing.
+      const uint32_t mark = static_cast<uint32_t>(c);
+      const NodeId src = centers[c];
+      stamp[src] = mark;
+      size_t size = 1;
+      curr.assign(1, src);
+      for (uint32_t level = 0; level < options.d && !curr.empty(); ++level) {
+        // The last level's nodes are counted but never expanded.
+        const bool expand = level + 1 < options.d;
+        next.clear();
+        for (NodeId u : curr) {
+          auto visit = [&](NodeId w) {
+            if (stamp[w] == mark) return;
+            stamp[w] = mark;
+            ++size;
+            if (expand) next.push_back(w);
+          };
+          for (const AdjEntry& e : g.out_edges(u)) visit(e.other);
+          for (const AdjEntry& e : g.in_edges(u)) visit(e.other);
+        }
+        curr.swap(next);
       }
-      curr.swap(next);
+      neigh_size[c] = size;
     }
-    neigh_size[c] = neigh_arena.size() - neigh_offsets[c];
-  }
-  neigh_offsets[nc] = neigh_arena.size();
+  });
 
   Assignment assign = AssignLpt(neigh_size, n);
-  out.owner_of_center = assign.owner_of_center;
-
-  // --- Node sets: concatenate each fragment's owned N_d lists from the
-  // arena, deduplicating with a per-node last-fragment stamp (fragments
-  // are processed in order, so one array replaces any set union), then a
-  // single sort per fragment yields the ascending node list. Centers are
-  // global ids, sorted.
+  Partitioning out;
+  out.owner_of_center = std::move(assign.owner_of_center);
   out.fragments.resize(n);
-  std::vector<uint32_t> last_frag(g.num_nodes(), kInvalidNode);
   for (uint32_t f = 0; f < n; ++f) {
-    Fragment& frag = out.fragments[f];
-    for (size_t idx : assign.per_fragment[f]) {
-      for (size_t k = neigh_offsets[idx]; k < neigh_offsets[idx + 1]; ++k) {
-        const NodeId v = neigh_arena[k];
-        if (last_frag[v] != f) {
-          last_frag[v] = f;
-          frag.nodes.push_back(v);
-        }
-      }
-    }
-    std::sort(frag.nodes.begin(), frag.nodes.end());
-    frag.centers.reserve(assign.per_fragment[f].size());
-    for (size_t idx : assign.per_fragment[f]) {
-      frag.centers.push_back(centers[idx]);
-    }
-    std::sort(frag.centers.begin(), frag.centers.end());
+    std::vector<NodeId>& owned = out.fragments[f].centers;
+    owned.reserve(assign.per_fragment[f].size());
+    for (size_t idx : assign.per_fragment[f]) owned.push_back(centers[idx]);
+    std::sort(owned.begin(), owned.end());
   }
   return out;
 }
 
-double FragmentSkew(const Graph& g, const Partitioning& p) {
+std::vector<NodeId> FragmentNodes(const Graph& g, const Fragment& fragment,
+                                  uint32_t d) {
+  std::vector<char> seen(g.num_nodes(), 0);
+  std::vector<NodeId> nodes, curr, next;
+  for (NodeId c : fragment.centers) {
+    if (seen[c]) continue;
+    seen[c] = 1;
+    nodes.push_back(c);
+    curr.push_back(c);
+  }
+  for (uint32_t level = 0; level < d && !curr.empty(); ++level) {
+    next.clear();
+    for (NodeId u : curr) {
+      auto visit = [&](NodeId w) {
+        if (seen[w]) return;
+        seen[w] = 1;
+        nodes.push_back(w);
+        next.push_back(w);
+      };
+      for (const AdjEntry& e : g.out_edges(u)) visit(e.other);
+      for (const AdjEntry& e : g.in_edges(u)) visit(e.other);
+    }
+    curr.swap(next);
+  }
+  std::sort(nodes.begin(), nodes.end());
+  return nodes;
+}
+
+double FragmentSkew(const Graph& g, const Partitioning& p, uint32_t d) {
   if (p.fragments.empty()) return 0;
   size_t max_size = 0;
   size_t min_size = static_cast<size_t>(-1);
@@ -142,7 +157,7 @@ double FragmentSkew(const Graph& g, const Partitioning& p) {
   // so it never needs clearing.
   std::vector<uint32_t> stamp(g.num_nodes(), kInvalidNode);
   for (uint32_t f = 0; f < p.fragments.size(); ++f) {
-    const std::vector<NodeId>& nodes = p.fragments[f].nodes;
+    const std::vector<NodeId> nodes = FragmentNodes(g, p.fragments[f], d);
     for (NodeId v : nodes) stamp[v] = f;
     size_t s = nodes.size();  // |V_f| + |E_f|, the paper's size measure
     for (NodeId v : nodes) {

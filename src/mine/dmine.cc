@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/timer.h"
 #include "graph/partition.h"
 #include "match/matcher.h"
 #include "mine/levelwise.h"
@@ -357,9 +358,11 @@ Result<DmineResult> Dmine(const Graph& g, const Predicate& q,
   BspRuntime bsp(options.num_workers);
   const auto span = g.nodes_with_label(q.x_label);
   const std::vector<NodeId> centers(span.begin(), span.end());
+  Timer partition_timer;
   GPAR_ASSIGN_OR_RETURN(
       Partitioning parts,
       PartitionGraph(g, centers, {options.num_workers, options.d}));
+  result.stats.partition_seconds = partition_timer.Seconds();
 
   FragmentEvaluator ev(&bsp, g, parts, q, options, &result.stats);
   DiversifiedTopK top =

@@ -72,6 +72,9 @@ struct DmineStats {
   uint64_t plans_shared_hits = 0;
   /// Distinct patterns the coordinator planned into the shared store.
   size_t plans_prepared = 0;
+  /// Wall seconds of the `PartitionGraph` call that assigns the centers to
+  /// the workers (outside both the makespan and the coordinator time).
+  double partition_seconds = 0;
 };
 
 /// Output of Dmine: the diversified top-k, its objective value F(L_k), and

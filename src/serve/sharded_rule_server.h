@@ -39,7 +39,7 @@ struct ShardedRuleServerOptions {
 };
 
 /// A sharded serving deployment: the candidate centers are split once at
-/// load with the `PartitionGraph` fragment builder (its radius, the loaded
+/// load by `PartitionGraph`'s center ownership (its radius, the loaded
 /// rule set's, only weights the balance) into `num_shards` `RuleServer`
 /// shards, each answering for its owned centers only and matching them on
 /// the shared parent CSR — so any rule radius, including a deeper

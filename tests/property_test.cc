@@ -503,9 +503,10 @@ TEST_P(SeededProperty, PartitionInvariants) {
     EXPECT_EQ(owned, centers.size());
     // Locality spot-check on the fragment node set.
     for (const Fragment& f : parts->fragments) {
+      const std::vector<NodeId> nodes = FragmentNodes(s.graph, f, opt.d);
       for (NodeId global : f.centers) {
         for (NodeId w : NodesWithinRadius(s.graph, global, opt.d)) {
-          EXPECT_TRUE(std::binary_search(f.nodes.begin(), f.nodes.end(), w));
+          EXPECT_TRUE(std::binary_search(nodes.begin(), nodes.end(), w));
         }
         break;  // one center per fragment suffices
       }
@@ -631,10 +632,10 @@ TEST_P(SeededProperty, WorkerGenEquivalence) {
 }
 
 TEST_P(SeededProperty, FragmentMembershipEquivalence) {
-  // A fragment's node set is the sorted union of its owned centers' N_d,
-  // and `FragmentSkew` sizes each fragment as the subgraph it induces:
-  // |V_f| + |E_f| with |E_f| equal to both a direct count and
-  // `BuildInducedSubgraph`'s edge count.
+  // A fragment's node set (`FragmentNodes`) is the sorted union of its
+  // owned centers' N_d, and `FragmentSkew` sizes each fragment as the
+  // subgraph it induces: |V_f| + |E_f| with |E_f| equal to both a direct
+  // count and `BuildInducedSubgraph`'s edge count.
   Scenario s = MakeScenario(GetParam());
   std::vector<NodeId> centers;
   {
@@ -657,7 +658,7 @@ TEST_P(SeededProperty, FragmentMembershipEquivalence) {
         members.insert(nd.begin(), nd.end());
       }
       const std::vector<NodeId> want(members.begin(), members.end());
-      EXPECT_EQ(f.nodes, want) << "n=" << n;
+      EXPECT_EQ(FragmentNodes(s.graph, f, opt.d), want) << "n=" << n;
       size_t induced = 0;
       for (NodeId v : want) {
         for (const AdjEntry& e : s.graph.out_edges(v)) {
@@ -669,7 +670,7 @@ TEST_P(SeededProperty, FragmentMembershipEquivalence) {
       max_size = std::max(max_size, want.size() + induced);
       min_size = std::min(min_size, want.size() + induced);
     }
-    EXPECT_DOUBLE_EQ(FragmentSkew(s.graph, *parts),
+    EXPECT_DOUBLE_EQ(FragmentSkew(s.graph, *parts, opt.d),
                      static_cast<double>(max_size - min_size) /
                          static_cast<double>(max_size))
         << "n=" << n;
