@@ -52,7 +52,6 @@ int main() {
     double wall_qps;  ///< k concurrent threads on this host
     double mixed_qps, p50_ms, p99_ms;
     double delta_s;
-    uint64_t wire_bytes;
   };
   std::vector<Row> rows;
 
@@ -75,7 +74,7 @@ int main() {
 
   PrintHeader("Exp-6 sharded serving (aggregate warm QPS, mixed p50/p99)",
               {"shards", "threads", "load(s)", "warm_qps", "wall_qps",
-               "mixed_qps", "p50(ms)", "p99(ms)", "delta(s)", "wire(B)"});
+               "mixed_qps", "p50(ms)", "p99(ms)", "delta(s)"});
 
   for (uint32_t k : {1u, 2u, 4u}) {
     ShardedRuleServerOptions sopt;
@@ -192,13 +191,11 @@ int main() {
     // invalidated centers; the writer's batches are identical across k.
     std::vector<double> latencies;
     double delta_s = 0;
-    uint64_t wire_bytes = 0;
     double mixed_qps = 0;
     {
       std::atomic<bool> clients_done{false};
       std::atomic<uint64_t> deltas_failed{0};
       double writer_s = 0;
-      uint64_t writer_bytes = 0;
       std::thread writer([&] {
         std::mt19937_64 rng(777);
         LabelId follows = g.labels().Lookup("follows");
@@ -218,7 +215,6 @@ int main() {
             ++deltas_failed;
             break;
           }
-          writer_bytes += ds->wire_bytes;
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
       });
@@ -227,7 +223,6 @@ int main() {
       writer.join();
       if (deltas_failed.load() != 0) return 1;
       delta_s = writer_s;
-      wire_bytes = writer_bytes;
     }
 
     std::sort(latencies.begin(), latencies.end());
@@ -236,7 +231,7 @@ int main() {
         latencies.empty() ? 0 : latencies[latencies.size() * 99 / 100];
 
     rows.push_back({k, threads, load_s, warm_qps, wall_qps, mixed_qps, p50,
-                    p99, delta_s, wire_bytes});
+                    p99, delta_s});
     PrintCell(static_cast<uint64_t>(k));
     PrintCell(static_cast<uint64_t>(threads));
     PrintCell(load_s);
@@ -246,7 +241,6 @@ int main() {
     PrintCell(p50);
     PrintCell(p99);
     PrintCell(delta_s);
-    PrintCell(wire_bytes);
     EndRow();
   }
 
@@ -258,8 +252,7 @@ int main() {
       "same streams as k concurrent threads on this host. mixed_* = those\n"
       "threads while a writer lands %zu-edge delta batches (snapshot swaps;\n"
       "queries never block); p50/p99 over all client-observed request\n"
-      "latencies. wire(B) = serialized GraphDelta bytes shipped\n"
-      "router->shards.\n",
+      "latencies.\n",
       batch_size, delta_edges);
 
   if (const char* json = JsonPath()) {
@@ -277,12 +270,9 @@ int main() {
           f,
           "    {\"shards\": %u, \"threads\": %u, \"load_s\": %.6f, "
           "\"warm_qps\": %.2f, \"wall_qps\": %.2f, \"mixed_qps\": %.2f, "
-          "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"delta_s\": %.6f, "
-          "\"wire_bytes\": %llu}%s\n",
+          "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"delta_s\": %.6f}%s\n",
           r.shards, r.threads, r.load_s, r.warm_qps, r.wall_qps, r.mixed_qps,
-          r.p50_ms, r.p99_ms, r.delta_s,
-          static_cast<unsigned long long>(r.wire_bytes),
-          i + 1 < rows.size() ? "," : "");
+          r.p50_ms, r.p99_ms, r.delta_s, i + 1 < rows.size() ? "," : "");
     }
     // The scaling ratio is the headline number: aggregate warm QPS at the
     // largest shard count over the single-shard deployment.

@@ -142,7 +142,10 @@ int main() {
   const NodeId num_nodes = s.graph_snapshot()->num_nodes();
   GraphDelta delta;
   delta.inserts.reserve(5);
-  LabelId follows = s.InternLabel("follows");
+  // "follows" may be new to the graph: the batch then mints it (a label
+  // definition the session interns when it applies the batch).
+  const LabelId follows =
+      ResolveLabel(s.graph_snapshot()->labels(), "follows", &delta);
   for (int i = 0; i < 5; ++i) {
     delta.inserts.push_back({static_cast<NodeId>(rng() % num_nodes), follows,
                              static_cast<NodeId>(rng() % num_nodes)});
@@ -204,7 +207,7 @@ int main() {
 
   // --- Stage 4: the same session API, sharded. ------------------------------
   // Load the identical snapshot pair behind a 2-shard router, replay both
-  // delta batches (shipped to the shards as serialized "GPARDLTA" bytes),
+  // delta batches (published once, adopted by every shard's cache slice),
   // and confirm the sharded deployment identifies the same audience.
   ShardedRuleServerOptions shard_opt;
   shard_opt.num_shards = 2;
@@ -220,12 +223,8 @@ int main() {
     std::printf("shard %u: %zu owned centers\n", i,
                 r.shard(i).candidates().size());
   }
-  // Label dictionaries are append-only and both sessions loaded the same
-  // snapshot, so interning here reproduces the id `delta` was built with.
-  if (r.InternLabel("follows") != follows) {
-    std::fprintf(stderr, "label dictionaries diverged\n");
-    return 1;
-  }
+  // Both sessions loaded the same snapshot, so `delta` (with its label
+  // definition, if it minted "follows") resolves the same way here.
   auto shard_ds = r.ApplyDelta(delta);
   if (!shard_ds.ok()) {
     std::fprintf(stderr, "sharded ApplyDelta failed: %s\n",
@@ -244,11 +243,9 @@ int main() {
                  shard_audience.status().ToString().c_str());
     return 1;
   }
-  std::printf("sharded re-identification: %zu customers (%llu wire bytes "
-              "shipped) — %s the single-server answer.\n",
+  std::printf("sharded re-identification: %zu customers — %s the "
+              "single-server answer.\n",
               shard_audience->entities.size(),
-              static_cast<unsigned long long>(shard_ds->wire_bytes +
-                                              shard_cds->wire_bytes),
               shard_audience->entities == cleaned->entities
                   ? "identical to"
                   : "MISMATCH vs");

@@ -1,10 +1,10 @@
 #include "graph/graph_delta.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/binary_io.h"
 #include "graph/graph_raw_access.h"
+#include "graph/neighborhood.h"
 #include "pattern/pattern.h"
 
 namespace gpar {
@@ -304,33 +304,17 @@ Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels) {
   return Status::OK();
 }
 
-std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
-    const Graph& g, std::span<const NodeId> sources, uint32_t radius) {
-  std::vector<std::pair<NodeId, uint32_t>> out;
-  std::vector<uint32_t> dist(g.num_nodes(), static_cast<uint32_t>(-1));
-  std::deque<NodeId> frontier;
-  for (NodeId s : sources) {
-    if (s < g.num_nodes() && dist[s] == static_cast<uint32_t>(-1)) {
-      dist[s] = 0;
-      frontier.push_back(s);
-      out.emplace_back(s, 0);
-    }
+LabelId ResolveLabel(const Interner& labels, std::string_view name,
+                     GraphDelta* delta) {
+  const LabelId known = labels.Lookup(name);
+  if (known != kNoLabel) return known;
+  auto next = static_cast<LabelId>(labels.size());
+  for (const LabelDef& def : delta->label_defs) {
+    if (def.name == name) return def.id;
+    next = std::max<LabelId>(next, def.id + 1);
   }
-  while (!frontier.empty()) {
-    NodeId v = frontier.front();
-    frontier.pop_front();
-    if (dist[v] == radius) continue;
-    auto visit = [&](NodeId w) {
-      if (dist[w] == static_cast<uint32_t>(-1)) {
-        dist[w] = dist[v] + 1;
-        frontier.push_back(w);
-        out.emplace_back(w, dist[w]);
-      }
-    };
-    for (const AdjEntry& e : g.out_edges(v)) visit(e.other);
-    for (const AdjEntry& e : g.in_edges(v)) visit(e.other);
-  }
-  return out;
+  delta->label_defs.push_back({next, std::string(name)});
+  return next;
 }
 
 std::vector<std::pair<NodeId, uint32_t>> DeltaAffectedRegion(

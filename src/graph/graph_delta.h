@@ -52,10 +52,9 @@ struct LabelDef {
 };
 
 /// A versioned batch of edge mutations — the unit mutations travel in:
-/// `ServeSession::ApplyDelta` takes one, and the sharded serving router
-/// ships the serialized form to its shard servers instead of full graph
-/// snapshots. `sequence` orders batches from a single producer (the router
-/// stamps it; standalone callers may leave it 0).
+/// `ServeSession::ApplyDelta` takes one, and the delta journal stores the
+/// serialized form. `sequence` orders batches from a single producer (the
+/// session stamps it; standalone callers may leave it 0).
 ///
 /// Within one batch, deletes apply before inserts: an edge that appears in
 /// both lists ends up PRESENT in the patched graph (delete-then-reinsert),
@@ -74,9 +73,10 @@ struct GraphDelta {
   uint64_t sequence = 0;
   std::vector<EdgeInsert> inserts;
   std::vector<EdgeDelete> deletes;
-  /// Definitions for every distinct label the edges reference (sorted by
-  /// id). Empty for in-process deltas; the servers fill it at journal and
-  /// ship time via `CollectLabelDefs`.
+  /// Label definitions (sorted by id). Journaled frames define every
+  /// distinct label their edges reference (`CollectLabelDefs`); a live
+  /// batch defines only the labels it mints (`ResolveLabel`) and is
+  /// otherwise empty.
   std::vector<LabelDef> label_defs;
 
   /// Framed little-endian encoding (see common/binary_io): magic
@@ -127,10 +127,9 @@ struct GraphPatch {
 };
 
 /// Fills `delta->label_defs` with a definition for every distinct label id
-/// its edges reference (sorted by id), named from `labels`. The servers
-/// call this right before serializing a frame for the journal or the shard
-/// wire, which is what makes those frames replayable against an older
-/// snapshot. Ids the dictionary does not know are skipped — `PatchGraph`
+/// its edges reference (sorted by id), named from `labels`. The session
+/// calls this right before journaling a frame, which is what makes
+/// journaled frames replayable against an older snapshot. Ids the dictionary does not know are skipped — `PatchGraph`
 /// rejects such a delta anyway.
 void CollectLabelDefs(const Interner& labels, GraphDelta* delta);
 
@@ -140,8 +139,17 @@ void CollectLabelDefs(const Interner& labels, GraphDelta* delta);
 /// under a different id) is `Corruption` — journal frames replay in append
 /// order, so a well-formed journal only ever extends the dictionary the
 /// way the live server did. Safe to call with defs the dictionary already
-/// has (the live shard-wire path): those verify and no-op.
+/// has: those verify and no-op.
 Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels);
+
+/// The edge-label id `name` will have once `delta` is applied against
+/// `labels`: a known name resolves by `Lookup`; an unseen one gets the next
+/// id, in first-seen order across the batch, and a `LabelDef` is appended
+/// to `delta->label_defs`. `ServeSession::ApplyDelta` interns those defs
+/// under its writer lock, so building a batch from textual input never
+/// mutates the dictionary a server shares with its readers.
+LabelId ResolveLabel(const Interner& labels, std::string_view name,
+                     GraphDelta* delta);
 
 /// The one mutation entry point: applies `delta.deletes` then
 /// `delta.inserts` to an immutable CSR graph, producing a new `Graph` that
@@ -158,17 +166,6 @@ Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels);
 /// The paper's serving scenario applies small deltas to large graphs, where
 /// the merge is dominated by the memcpy of the untouched adjacency.
 Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta);
-
-/// Distance-bounded invalidation support: for every node within undirected
-/// distance `radius` of any source, its distance to the nearest source.
-/// One multi-source BFS; pairs are returned in BFS order (sources first).
-/// The serving layer uses this to find the cache entries an edge delta can
-/// affect (locality, Section 5.1: membership of v depends only on G_d(v)).
-/// For inserts it runs on the *patched* graph; for deletes it must run on
-/// the *pre-delete* graph too — a center that reached a deleted edge only
-/// through that edge is distant in the patched graph but still stale.
-std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
-    const Graph& g, std::span<const NodeId> sources, uint32_t radius);
 
 /// The delta-affected region at radius `radius`: every node whose
 /// r-neighborhood G_r(v) (r <= radius) can differ between `old_g` and

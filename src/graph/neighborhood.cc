@@ -40,6 +40,35 @@ std::vector<NodeId> NodesWithinRadius(const Graph& g, NodeId v, uint32_t r,
   return order;
 }
 
+std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
+    const Graph& g, std::span<const NodeId> sources, uint32_t radius) {
+  std::vector<std::pair<NodeId, uint32_t>> out;
+  std::vector<uint32_t> dist(g.num_nodes(), static_cast<uint32_t>(-1));
+  std::deque<NodeId> frontier;
+  for (NodeId s : sources) {
+    if (s < g.num_nodes() && dist[s] == static_cast<uint32_t>(-1)) {
+      dist[s] = 0;
+      frontier.push_back(s);
+      out.emplace_back(s, 0);
+    }
+  }
+  while (!frontier.empty()) {
+    NodeId v = frontier.front();
+    frontier.pop_front();
+    if (dist[v] == radius) continue;
+    auto visit = [&](NodeId w) {
+      if (dist[w] == static_cast<uint32_t>(-1)) {
+        dist[w] = dist[v] + 1;
+        frontier.push_back(w);
+        out.emplace_back(w, dist[w]);
+      }
+    };
+    for (const AdjEntry& e : g.out_edges(v)) visit(e.other);
+    for (const AdjEntry& e : g.in_edges(v)) visit(e.other);
+  }
+  return out;
+}
+
 InducedSubgraph BuildInducedSubgraph(const Graph& g,
                                      const std::vector<NodeId>& nodes) {
   InducedSubgraph out;

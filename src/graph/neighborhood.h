@@ -2,7 +2,9 @@
 #define GPAR_GRAPH_NEIGHBORHOOD_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -17,6 +19,16 @@ std::vector<NodeId> NodesWithinRadius(const Graph& g, NodeId v, uint32_t r);
 /// As above but also reports each node's distance from `v`.
 std::vector<NodeId> NodesWithinRadius(const Graph& g, NodeId v, uint32_t r,
                                       std::vector<uint32_t>* distances);
+
+/// Distance-bounded invalidation support: for every node within undirected
+/// distance `radius` of any source, its distance to the nearest source.
+/// One multi-source BFS over out- and in-edges; pairs are returned in BFS
+/// order (sources first; out-of-range sources are skipped). It finds the
+/// delta-affected region (`DeltaAffectedRegion`, locality, Section 5.1:
+/// membership of v depends only on G_d(v)) and a fragment's node set
+/// (`FragmentNodes`).
+std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
+    const Graph& g, std::span<const NodeId> sources, uint32_t radius);
 
 /// A subgraph induced by a node set, carrying the local<->global id maps.
 struct InducedSubgraph {

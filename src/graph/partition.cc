@@ -5,6 +5,7 @@
 #include <queue>
 #include <thread>
 
+#include "graph/neighborhood.h"
 #include "parallel/thread_pool.h"
 
 namespace gpar {
@@ -122,28 +123,10 @@ Result<Partitioning> PartitionGraph(const Graph& g,
 
 std::vector<NodeId> FragmentNodes(const Graph& g, const Fragment& fragment,
                                   uint32_t d) {
-  std::vector<char> seen(g.num_nodes(), 0);
-  std::vector<NodeId> nodes, curr, next;
-  for (NodeId c : fragment.centers) {
-    if (seen[c]) continue;
-    seen[c] = 1;
-    nodes.push_back(c);
-    curr.push_back(c);
-  }
-  for (uint32_t level = 0; level < d && !curr.empty(); ++level) {
-    next.clear();
-    for (NodeId u : curr) {
-      auto visit = [&](NodeId w) {
-        if (seen[w]) return;
-        seen[w] = 1;
-        nodes.push_back(w);
-        next.push_back(w);
-      };
-      for (const AdjEntry& e : g.out_edges(u)) visit(e.other);
-      for (const AdjEntry& e : g.in_edges(u)) visit(e.other);
-    }
-    curr.swap(next);
-  }
+  const auto reached = NodesWithinRadiusOfAny(g, fragment.centers, d);
+  std::vector<NodeId> nodes;
+  nodes.reserve(reached.size());
+  for (const auto& [v, dist] : reached) nodes.push_back(v);
   std::sort(nodes.begin(), nodes.end());
   return nodes;
 }

@@ -62,8 +62,8 @@ Result<Partitioning> PartitionGraph(const Graph& g,
                                     const PartitionOptions& options);
 
 /// F_i of `fragment` at radius `d`: the union of its owned centers' N_d
-/// sets, as ascending global ids. One multi-source BFS to depth d from the
-/// owned centers over out- and in-edges.
+/// sets, as ascending global ids: the nodes `NodesWithinRadiusOfAny`
+/// reaches from the owned centers.
 std::vector<NodeId> FragmentNodes(const Graph& g, const Fragment& fragment,
                                   uint32_t d);
 

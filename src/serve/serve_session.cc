@@ -12,10 +12,10 @@ namespace gpar {
 
 namespace {
 
-/// The front half of every `ApplyDelta`: re-interns `delta.label_defs`
+/// The front half of every `ApplyDelta`: interns `delta.label_defs`
 /// (replayed journal frames carry their own dictionary, so a frame minted
-/// after the snapshot was written still resolves; live deltas have none),
-/// patches `g`, and records the patch counts in `ds`.
+/// after the snapshot was written still resolves; a live batch defines the
+/// labels it mints), patches `g`, and records the patch counts in `ds`.
 Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
                                Interner* labels, DeltaStats* ds) {
   GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, labels));
@@ -27,8 +27,10 @@ Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
   return patch;
 }
 
-}  // namespace
-
+/// A request's rule selection against a generation serving `num_rules`
+/// rules — empty selects all, otherwise sorted, deduplicated and
+/// range-checked — after rejecting η <= 0 for `all_centers` and a negative
+/// `deadline_seconds`.
 Result<std::vector<uint32_t>> ValidateRequest(const SessionRequest& request,
                                               size_t num_rules) {
   if (request.all_centers && request.eta <= 0) {
@@ -54,6 +56,13 @@ Result<std::vector<uint32_t>> ValidateRequest(const SessionRequest& request,
   return selected;
 }
 
+/// Fills `reply->entities` once `reply->matched` holds one row per entry
+/// of `centers`. Point lookups: the distinct centers with a matched rule.
+/// `all_centers` (`centers` = the sorted candidates): computes each
+/// selected rule's BayesFactorConf from the supports summed into `reply`
+/// — the one place confidence is assembled, whether the sums come from
+/// one slice or from every shard (Section 5.1) — and keeps the
+/// candidates matching some rule with confidence >= η.
 void AssembleEntities(const SessionRequest& request,
                       const std::vector<uint32_t>& selected,
                       std::span<const NodeId> centers, SessionReply* reply) {
@@ -77,13 +86,15 @@ void AssembleEntities(const SessionRequest& request,
   for (size_t i = 0; i < centers.size(); ++i) {
     // The candidates are sorted, so the entities come out sorted.
     for (uint32_t ri : reply->matched[i]) {
-      if (ri < qualified.size() && qualified[ri] != 0) {
+      if (qualified[ri] != 0) {
         reply->entities.push_back(centers[i]);
         break;
       }
     }
   }
 }
+
+}  // namespace
 
 Result<SnapshotPair> ReadSnapshotPair(const std::string& graph_snapshot_path,
                                       const std::string& rules_snapshot_path) {
@@ -98,17 +109,63 @@ Result<SnapshotPair> ReadSnapshotPair(const std::string& graph_snapshot_path,
   return pair;
 }
 
-Status ServeSession::CheckWritable() const {
-  if (read_only_) {
-    return Status::InvalidArgument(
-        "read-only session: a shard takes deltas, journals and rule "
-        "refreshes from its router");
-  }
+Status ServeSession::Start(Graph g, std::vector<RuleRecord> rules) {
+  auto graph = std::make_shared<const Graph>(std::move(g));
+  std::shared_ptr<const ServedRules> served =
+      BuildServedRules(std::move(rules));
+  GPAR_ASSIGN_OR_RETURN(const SigmaInfo info, ValidateSigma(served->sigma));
+  q_ = info.q;
+  pq_ = q_.ToPattern();
+  interner_ = graph->labels_ptr();
+  auto span = graph->nodes_with_label(q_.x_label);
+  candidates_.assign(span.begin(), span.end());
+  auto first = DeriveGeneration(pq_, nullptr, std::move(graph),
+                                std::move(served));
+  // Start runs single-threaded, but `state_` is guarded and the lock is
+  // uncontended — take it rather than poke an analysis hole.
+  MutexLock lock(state_mu_);
+  state_ = std::move(first);
   return Status::OK();
 }
 
+Result<SessionReply> ServeSession::Query(const SessionRequest& request) {
+  Timer timer;
+  // Pin the generation FIRST: the selection must be normalized against the
+  // same rule set the request will match with, and every slice answers
+  // from it.
+  const std::shared_ptr<const Generation> st = AcquireGeneration();
+  GPAR_ASSIGN_OR_RETURN(std::vector<uint32_t> selected,
+                        ValidateRequest(request, st->rules->sigma.size()));
+  SessionReply reply;
+  GPAR_RETURN_NOT_OK(Gather(*st, request, selected, &reply));
+  reply.stats.requests = 1;
+  AssembleEntities(request, selected,
+                   request.all_centers ? candidates_ : request.centers,
+                   &reply);
+  reply.stats.latency_seconds = timer.Seconds();
+  lifetime_.Record(reply.stats);
+  return reply;
+}
+
+std::shared_ptr<const Generation> ServeSession::AcquireGeneration() const {
+  MutexLock lock(state_mu_);
+  return state_;
+}
+
+std::shared_ptr<const Graph> ServeSession::graph_snapshot() const {
+  return AcquireGeneration()->graph;
+}
+
+std::vector<RuleRecord> ServeSession::rules() const {
+  return AcquireGeneration()->rules->records;
+}
+
+uint64_t ServeSession::delta_sequence() const {
+  MutexLock writer(writer_mu_);
+  return sequence_;
+}
+
 Result<DeltaStats> ServeSession::ApplyDelta(const GraphDelta& delta) {
-  GPAR_RETURN_NOT_OK(CheckWritable());
   MutexLock writer(writer_mu_);
   return ApplyDeltaLocked(delta, /*replay_sequence=*/0);
 }
@@ -120,54 +177,93 @@ Result<DeltaStats> ServeSession::ApplyDeltaLocked(const GraphDelta& delta,
         "journal frames must follow the session's sequence");
   }
   Timer timer;
-  DeltaCommit commit;
-  commit.old_graph = graph_snapshot();
-  GPAR_ASSIGN_OR_RETURN(
-      GraphPatch patch,
-      IntakeDelta(*commit.old_graph, delta, interner_.get(), &commit.stats));
-  if (replay_sequence == 0 && !patch.changed()) {
+  DeltaStats ds;
+  const std::shared_ptr<const Generation> st = AcquireGeneration();
+  GPAR_ASSIGN_OR_RETURN(GraphPatch patch,
+                        IntakeDelta(*st->graph, delta, interner_.get(), &ds));
+  const bool changed = patch.changed();
+  if (replay_sequence == 0 && !changed) {
     // Nothing changed, so every cached answer stays valid and nothing is
     // journaled: replay reproduces only real mutations.
-    commit.stats.seconds = timer.Seconds();
-    return commit.stats;
+    ds.seconds = timer.Seconds();
+    return ds;
   }
-  commit.new_graph = commit.old_graph;
-  if (patch.changed()) {
-    commit.new_graph = std::make_shared<const Graph>(std::move(patch.graph));
-  }
-  commit.frame.sequence =
-      replay_sequence != 0 ? replay_sequence : sequence_ + 1;
-  commit.frame.inserts = std::move(patch.applied);
-  commit.frame.deletes = std::move(patch.applied_deletes);
+  GraphDelta frame;
+  frame.sequence = replay_sequence != 0 ? replay_sequence : sequence_ + 1;
+  frame.inserts = std::move(patch.applied);
+  frame.deletes = std::move(patch.applied_deletes);
   // Frames name the labels they reference, so replay against an older
-  // snapshot (and a shard brought up on one) re-interns live-minted labels
-  // instead of failing.
-  CollectLabelDefs(*interner_, &commit.frame);
+  // snapshot re-interns live-minted labels instead of failing.
+  CollectLabelDefs(*interner_, &frame);
   if (journal_ != nullptr) {
     // Append-before-publish, and journal the APPLIED mutations rather than
     // the raw input: snapshot + replay re-derives this exact graph
     // bit-for-bit. An append failure leaves the served state untouched.
     // (Replay runs before the journal is attached, so it never re-appends.)
     const uint64_t bytes_before = journal_->size_bytes();
-    GPAR_RETURN_NOT_OK(journal_->Append(commit.frame));
-    commit.stats.journal_bytes = journal_->size_bytes() - bytes_before;
+    GPAR_RETURN_NOT_OK(journal_->Append(frame));
+    ds.journal_bytes = journal_->size_bytes() - bytes_before;
   }
   // The crash window recovery must close: the frame is on disk but not yet
   // published. Replay applies it, converging with the no-crash timeline.
   GPAR_FAILPOINT("serve.publish");
-  const uint64_t sequence = commit.frame.sequence;
-  commit.stats.sequence = sequence;
-  const Status published = PublishDelta(&commit);
-  if (commit.published) sequence_ = sequence;
-  GPAR_RETURN_NOT_OK(published);
-  commit.stats.seconds = timer.Seconds();
-  return commit.stats;
+  ds.sequence = frame.sequence;
+  // A replayed floor marker changes nothing a reader can see: it only
+  // carries the sequence.
+  if (changed) {
+    auto graph = std::make_shared<const Graph>(std::move(patch.graph));
+    // Maintain-on-ApplyDelta: the pass runs before the publish, so queries
+    // observe the new graph together with the rule set that is fresh for
+    // it. A failed pass publishes nothing.
+    std::shared_ptr<const ServedRules> rules;
+    if (maintainer_ != nullptr) {
+      GPAR_RETURN_NOT_OK(maintainer_
+                             ->Advance(*st->graph, graph, frame.inserts,
+                                       frame.deletes)
+                             .status());
+      std::vector<RuleRecord> top_k = maintainer_->TopKRecords();
+      if (top_k != st->rules->records) {
+        rules = BuildServedRules(std::move(top_k));
+        ds.rules_refreshed = 1;
+      }
+    }
+    Publish(*st, std::move(graph), frame.inserts, frame.deletes,
+            std::move(rules), &ds);
+  }
+  sequence_ = frame.sequence;
+  ds.seconds = timer.Seconds();
+  return ds;
+}
+
+void ServeSession::PublishRules(std::vector<RuleRecord> rules,
+                                DeltaStats* ds) {
+  const std::shared_ptr<const Generation> st = AcquireGeneration();
+  if (rules == st->rules->records) return;
+  Publish(*st, st->graph, {}, {}, BuildServedRules(std::move(rules)), ds);
+  ds->rules_refreshed = 1;
+}
+
+void ServeSession::Publish(const Generation& old,
+                           std::shared_ptr<const Graph> graph,
+                           std::span<const EdgeInsert> applied,
+                           std::span<const EdgeDelete> deleted,
+                           std::shared_ptr<const ServedRules> rules,
+                           DeltaStats* ds) {
+  if (rules == nullptr) rules = old.rules;
+  std::shared_ptr<const Generation> next =
+      DeriveGeneration(pq_, &old, std::move(graph), std::move(rules));
+  const GenerationChange change(q_, old, *next, applied, deleted);
+  ds->rules_carried += change.rules_carried();
+  for (const std::unique_ptr<CacheSlice>& slice : slices_) {
+    slice->Adopt(change, ds);
+  }
+  MutexLock lock(state_mu_);
+  state_ = std::move(next);
 }
 
 Status ServeSession::AttachJournal(const std::string& path,
                                    const DeltaJournalOptions& options,
                                    JournalReplayStats* replay) {
-  GPAR_RETURN_NOT_OK(CheckWritable());
   MutexLock writer(writer_mu_);
   if (journal_ != nullptr) {
     return Status::InvalidArgument("a journal is already attached");
@@ -199,7 +295,6 @@ Status ServeSession::Checkpoint(const std::string& graph_snapshot_path) {
 }
 
 Status ServeSession::EnableMaintenance(const MaintainOptions& options) {
-  GPAR_RETURN_NOT_OK(CheckWritable());
   MutexLock writer(writer_mu_);
   if (maintainer_ != nullptr) {
     return Status::InvalidArgument("maintenance is already enabled");
@@ -207,7 +302,8 @@ Status ServeSession::EnableMaintenance(const MaintainOptions& options) {
   GPAR_ASSIGN_OR_RETURN(maintainer_,
                         RuleMaintainer::Seed(graph_snapshot(), q_, options));
   DeltaStats ds;
-  return PublishRules(maintainer_->TopKRecords(), &ds);
+  PublishRules(maintainer_->TopKRecords(), &ds);
+  return Status::OK();
 }
 
 Status ServeSession::UpdateRules(std::vector<RuleRecord> rules,
@@ -226,19 +322,8 @@ Status ServeSession::UpdateRules(std::vector<RuleRecord> rules,
   // An empty set skips sigma validation on purpose: a maintained top-k can
   // die under deletes and the session keeps serving zero rules.
   DeltaStats local;
-  return PublishRules(std::move(rules), ds != nullptr ? ds : &local);
-}
-
-Result<bool> ServeSession::MaintainPass(const DeltaCommit& commit,
-                                        std::vector<RuleRecord>* top_k) {
-  if (maintainer_ == nullptr) return false;
-  GPAR_ASSIGN_OR_RETURN(
-      const MaintainStats ms,
-      maintainer_->Advance(*commit.old_graph, commit.new_graph,
-                           commit.frame.inserts, commit.frame.deletes));
-  (void)ms;  // folded into maintain_stats()
-  *top_k = maintainer_->TopKRecords();
-  return true;
+  PublishRules(std::move(rules), ds != nullptr ? ds : &local);
+  return Status::OK();
 }
 
 bool ServeSession::maintenance_enabled() const {
@@ -260,39 +345,6 @@ bool ServeSession::journal_attached() const {
 uint64_t ServeSession::journal_sequence() const {
   MutexLock writer(writer_mu_);
   return journal_ != nullptr ? journal_->last_sequence() : 0;
-}
-
-void LifetimeStats::Record(const ServeStats& stats) {
-  // Relaxed: pure monotonic counters; publishing request results does not
-  // ride on these stores, so no release is needed.
-  const auto add = [](std::atomic<uint64_t>& c, uint64_t v) {
-    c.fetch_add(v, std::memory_order_relaxed);
-  };
-  add(requests_, stats.requests);
-  add(cache_hits_, stats.cache_hits);
-  add(cache_probes_, stats.cache_probes);
-  add(centers_evaluated_, stats.centers_evaluated);
-  add(shards_failed_, stats.shards_failed);
-  add(retries_, stats.retries);
-  add(latency_nanos_, static_cast<uint64_t>(stats.latency_seconds * 1e9));
-}
-
-ServeStats LifetimeStats::Snapshot() const {
-  // Relaxed: each counter is independently monotonic and the snapshot is
-  // advisory — a read torn ACROSS counters is acceptable, no ordering with
-  // any other memory is implied.
-  const auto get = [](const std::atomic<uint64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
-  ServeStats st;
-  st.requests = get(requests_);
-  st.cache_hits = get(cache_hits_);
-  st.cache_probes = get(cache_probes_);
-  st.centers_evaluated = get(centers_evaluated_);
-  st.shards_failed = get(shards_failed_);
-  st.retries = get(retries_);
-  st.latency_seconds = static_cast<double>(get(latency_nanos_)) * 1e-9;
-  return st;
 }
 
 }  // namespace gpar

@@ -1,12 +1,10 @@
 #ifndef GPAR_SERVE_SERVE_SESSION_H_
 #define GPAR_SERVE_SERVE_SESSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,152 +17,50 @@
 #include "identify/eip.h"
 #include "maintain/rule_maintainer.h"
 #include "rule/rule_snapshot.h"
+#include "serve/cache_slice.h"
 
 namespace gpar {
 
-/// The one request shape the serving tier answers — point lookups and the
-/// full Σ(x, G, η) alike — so routers, tools, benches, and the equivalence
-/// batteries are written once against `ServeSession`.
-struct SessionRequest {
-  /// True: classify every candidate center (all nodes with x's label) and
-  /// fill the support/confidence fields of the reply, honoring `eta` — the
-  /// batch-equivalent Σ(x, G, η) answer. False: classify just `centers`.
-  bool all_centers = false;
-  /// Point lookups (ignored when `all_centers`). Centers need not satisfy
-  /// x's label — such centers simply match nothing.
-  std::vector<NodeId> centers;
-  /// Rule subset to probe; empty selects every loaded rule.
-  std::vector<uint32_t> rules;
-  /// Confidence threshold for `all_centers` entity qualification
-  /// (BayesFactorConf >= eta). Ignored for point lookups.
-  double eta = 1.0;
-  /// False (default): a rule matches a center when its antecedent Q does
-  /// (the formal Σ(x, G, η) semantics). True: require the full P_R.
-  bool require_consequent = false;
-  /// Per-request time budget in seconds; 0 = unbounded, negative is
-  /// rejected. The sharded router lets it cap the retry/backoff budget for
-  /// failing shards (an in-flight shard call is never cancelled — the
-  /// budget bounds how long the router keeps TRYING, not a hard wall).
-  double deadline_seconds = 0;
-};
-
-/// Per-request (and accumulated lifetime) serving statistics.
-struct ServeStats {
-  uint64_t requests = 0;
-  uint64_t cache_hits = 0;    ///< (rule, center) memberships answered from cache
-  uint64_t cache_probes = 0;  ///< memberships computed by pattern matching
-  uint64_t centers_evaluated = 0;  ///< centers that needed any matching work
-  uint64_t shards_failed = 0;  ///< shards that contributed nothing (degraded)
-  uint64_t retries = 0;        ///< transient shard errors retried
-  double latency_seconds = 0;
-};
-
-/// Reply to a `SessionRequest`.
-struct SessionReply {
-  /// Per requested center (parallel to `request.centers`, or to
-  /// `candidates()` when `all_centers`): the selected rule indices whose
-  /// antecedent — or full P_R under `require_consequent` — fires there,
-  /// sorted ascending.
-  std::vector<std::vector<uint32_t>> matched;
-  /// Point lookups: distinct centers with at least one matched rule.
-  /// `all_centers`: Σ(x, G, η) — candidates matching some rule whose
-  /// confidence meets `eta`. Sorted ascending either way.
-  std::vector<NodeId> entities;
-  /// `all_centers` only: per loaded rule, live supports and confidence on
-  /// the current graph (entries for unselected rules stay zero).
-  std::vector<EipRuleEval> rule_evals;
-  uint64_t supp_q = 0;     ///< candidates matching the consequent q(x, y)
-  uint64_t supp_qbar = 0;  ///< LCWA negatives (no q-edge at all)
-  /// Degraded mode (sharded router only): one or more shards contributed
-  /// nothing, so matched rows of their owned centers are empty and the
-  /// supports/confidences are sums over the SURVIVING shards — exact for
-  /// the surviving shards' centers, a lower bound globally.
-  bool degraded = false;
-  /// The shards that contributed nothing (sorted), when `degraded`.
-  std::vector<uint32_t> failed_shards;
-  ServeStats stats;
-};
-
-/// Cost accounting for one `ApplyDelta` call.
-struct DeltaStats {
-  size_t edges_inserted = 0;
-  size_t duplicates_ignored = 0;
-  size_t edges_deleted = 0;
-  /// Deletes naming an edge the graph did not have (tolerated, per
-  /// `EdgeDelete`), plus repeated deletes of the same edge.
-  size_t deletes_missing = 0;
-  uint64_t memberships_invalidated = 0;  ///< known (rule, center) bits cleared
-  uint64_t qclass_invalidated = 0;
-  /// Always 0: nothing per node is precomputed for matching, so a delta
-  /// has nothing to refresh. Kept only because the pipeline benchmark still
-  /// reports it (`delta.sketches_per_batch`).
-  uint64_t sketches_refreshed = 0;
-  uint64_t wire_bytes = 0;        ///< serialized delta bytes shipped to shards
-  uint64_t sequence = 0;       ///< journal/router sequence stamped on the batch
-  uint64_t journal_bytes = 0;  ///< frame bytes appended to an attached journal
-  /// Router only: shards that did not acknowledge this batch (they answer
-  /// no queries — degraded mode — until a journal resync catches them up).
-  size_t shards_lagging = 0;
-  /// Maintain-on-ApplyDelta mode: 1 when this batch's maintenance pass
-  /// changed the served top-k and a refreshed rule set was published with
-  /// the new graph generation.
-  uint64_t rules_refreshed = 0;
-  /// With `rules_refreshed`: the rules of the new set whose cached
-  /// memberships survived the refresh by pattern identity. A router sums
-  /// it over its shards.
-  uint64_t rules_carried = 0;
-  double seconds = 0;
-};
-
-/// A session's lifetime `ServeStats`. Lock-free — relaxed atomics, latency
-/// in nanoseconds — because every request adds to it, and a shared mutex
-/// here would serialize otherwise disjoint hot paths.
-class LifetimeStats {
- public:
-  /// Adds one request's (or a delta's retry) counts.
-  void Record(const ServeStats& stats);
-  ServeStats Snapshot() const;
-
- private:
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_probes_{0};
-  std::atomic<uint64_t> centers_evaluated_{0};
-  std::atomic<uint64_t> shards_failed_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> latency_nanos_{0};
-};
-
-/// A long-lived serving session over one (graph, rule set) snapshot pair:
-/// `RuleServer` answers from a single process-local graph; sharded
-/// deployments put a `ShardedRuleServer` router in front of k of them.
-/// Both ends of that split speak this interface.
+/// A long-lived serving session over one (graph, rule set) snapshot pair.
+/// Every deployment is the same structure: ONE current `Generation` (graph,
+/// rules, plan store, other-component check; RCU-published) and k
+/// owned-center `CacheSlice`s — one for a `RuleServer`, one per shard for
+/// a `ShardedRuleServer`, which splits the candidates by ownership.
 ///
-/// The read side (`Query` and the accessors) is each deployment's own. The
-/// write side is written once, here, for both: intake, sequence stamp,
-/// journal append before publish, the `serve.publish` crash window, the
-/// deployment's publish step, the maintenance pass, replay on attach, and
-/// checkpoint/compact. A deployment plugs in through two hooks —
-/// `PublishDelta` and `PublishRules` — and the shared `MaintainPass` its
-/// publish step calls.
+/// Everything but the deployment's `Gather` step — how a request reaches
+/// its slices — is written once, here. `Query` pins the generation once
+/// and every slice answers from it. The write side is intake, sequence
+/// stamp, journal append before publish, the `serve.publish` crash
+/// window, the maintenance pass, the publish itself, replay on attach,
+/// and checkpoint/compact. Publishing derives the next generation once
+/// (`DeriveGeneration`), lets every slice adopt it (epoch, rule remap,
+/// invalidation walk over one shared affected region) and swaps the
+/// generation pointer last. A maintained session runs its pass before the
+/// publish, so graph and rules always move together.
 ///
 /// One sequence rule: a live batch that changes the graph is stamped with
 /// the last published sequence + 1; a replayed journal frame keeps its own
 /// (a checkpoint's floor marker included). The sequence advances when the
-/// publish step makes the frame visible, so a frame no reader ever saw is
-/// never acknowledged.
+/// frame is published, so a frame no reader ever saw is never
+/// acknowledged.
 ///
 /// Thread-safety contract: `Query` may be called from any number of threads
 /// concurrently, including while one `ApplyDelta` is in flight (deltas
-/// publish a new immutable state snapshot; in-flight queries finish on the
+/// publish a new immutable generation; in-flight queries finish on the
 /// old one). Writes (`ApplyDelta`, `AttachJournal`, `Checkpoint`,
 /// `EnableMaintenance`, `UpdateRules`) serialize on the writer mutex.
 class ServeSession {
  public:
   virtual ~ServeSession() = default;
 
-  /// Answers one request against the current graph snapshot.
-  virtual Result<SessionReply> Query(const SessionRequest& request) = 0;
+  /// Answers one request: pins the current generation once, validates the
+  /// request against its rules (an empty selection selects every rule;
+  /// out-of-range rule indices or centers, η <= 0 for `all_centers` and a
+  /// negative deadline are InvalidArgument), lets the deployment gather
+  /// its slices' answers from that generation, and assembles entities and
+  /// confidences — so a reply is exactly the answer at one generation.
+  Result<SessionReply> Query(const SessionRequest& request)
+      GPAR_EXCLUDES(state_mu_);
 
   /// Applies a typed edge-mutation batch (inserts and/or deletes): patches
   /// the graph and invalidates exactly the cached state within reach of the
@@ -195,8 +91,8 @@ class ServeSession {
   /// Switches the session into maintain-on-ApplyDelta mode: seeds a
   /// `RuleMaintainer` on the current graph (one full discovery pass under
   /// `options.mine`) and serves its diversified top-k from here on — every
-  /// later delta runs a maintenance pass inside the deployment's publish
-  /// step and, when the top-k changed, publishes the refreshed rule set.
+  /// later delta runs a maintenance pass before it is published and, when
+  /// the top-k changed, publishes the refreshed rule set with it.
   /// The maintained set replaces the loaded snapshot records, which may
   /// differ from them when the snapshot was mined under other parameters.
   /// Rejected when maintenance is already enabled.
@@ -208,92 +104,56 @@ class ServeSession {
   bool journal_attached() const GPAR_EXCLUDES(writer_mu_);
   /// Last sequence the attached journal holds (0 when none is attached).
   uint64_t journal_sequence() const GPAR_EXCLUDES(writer_mu_);
-  /// Replaces the served rule set: a hot rule reload, and the way a router
-  /// pushes its refreshed set to its (otherwise read-only) shards. The new
-  /// set must keep the session's predicate q(x,y); any rule radius is
-  /// served, since every deployment matches on the whole graph. An empty
-  /// set is allowed: a maintained top-k can die under deletes and the
-  /// session must keep serving (zero rules match nothing). Cached
-  /// memberships of the rules the new set keeps survive; `ds`, when
-  /// non-null, receives the refresh's counts (`rules_refreshed`,
-  /// `rules_carried`, `memberships_invalidated`).
+  /// Replaces the served rule set: a hot rule reload. The new set must
+  /// keep the session's predicate q(x,y); any rule radius is served, since
+  /// every slice matches on the whole graph. An empty set is allowed: a
+  /// maintained top-k can die under deletes and the session must keep
+  /// serving (zero rules match nothing). Cached memberships of the rules
+  /// the new set keeps survive; `ds`, when non-null, receives the
+  /// refresh's counts (`rules_refreshed`, `rules_carried`,
+  /// `memberships_invalidated`).
   Status UpdateRules(std::vector<RuleRecord> rules, DeltaStats* ds = nullptr)
       GPAR_EXCLUDES(writer_mu_);
 
   /// The current graph snapshot. Holding the returned pointer keeps that
   /// version alive across subsequent deltas.
-  virtual std::shared_ptr<const Graph> graph_snapshot() const = 0;
-
+  std::shared_ptr<const Graph> graph_snapshot() const
+      GPAR_EXCLUDES(state_mu_);
   /// The currently served rule set, by value: a rule refresh (a
   /// maintenance pass that changed the top-k, or `UpdateRules`) frees the
   /// set it replaces.
-  virtual std::vector<RuleRecord> rules() const = 0;
+  std::vector<RuleRecord> rules() const GPAR_EXCLUDES(state_mu_);
+  /// The last published sequence: the last frame made visible here.
+  uint64_t delta_sequence() const GPAR_EXCLUDES(writer_mu_);
   /// The candidate centers this session answers for (nodes satisfying x's
-  /// label — a shard's owned ones), sorted.
+  /// label), sorted.
   const std::vector<NodeId>& candidates() const { return candidates_; }
-  /// Interns an edge-label name through the session's dictionary — for
-  /// building `GraphDelta` batches from textual input (ids are append-only,
-  /// so existing patterns and cached state are unaffected). Call from the
-  /// delta-applying thread only; it mutates the shared dictionary.
-  LabelId InternLabel(std::string_view name) {
-    return interner_->Intern(name);
-  }
   /// Accumulated statistics over the session's lifetime (by value — the
   /// internals keep mutating under concurrent queries). A router counts
-  /// each request once; per-shard stats live on the shards.
+  /// each request once; per-slice stats live on the slices.
   ServeStats lifetime_stats() const { return lifetime_.Snapshot(); }
 
  protected:
   ServeSession() = default;
 
-  /// One stamped frame on its way from the writer to the readers.
-  struct DeltaCommit {
-    /// The served graph the frame was patched against, and the patched
-    /// graph — the same pointer for a replayed floor marker, which changes
-    /// nothing.
-    std::shared_ptr<const Graph> old_graph;
-    std::shared_ptr<const Graph> new_graph;
-    /// The frame as journaled: the applied mutations (duplicates and
-    /// missing deletes filtered), the stamped sequence, and the definitions
-    /// of the labels they name. The publish step may consume it.
-    GraphDelta frame;
-    DeltaStats stats;
-    /// Set by `PublishDelta` once readers can observe `new_graph`. The
-    /// sequence advances with it, even when the step then reports an error.
-    bool published = false;
+  /// Loads `g` and `rules` as the first generation: validates the rules,
+  /// sets the predicate and the candidates. The deployment then adds its
+  /// slices.
+  Status Start(Graph g, std::vector<RuleRecord> rules);
+  /// Pins the current generation.
+  std::shared_ptr<const Generation> AcquireGeneration() const
+      GPAR_EXCLUDES(state_mu_);
+  /// The deployment's read step: fills `reply->matched` per requested
+  /// center (every candidate when `all_centers`, with the supports summed
+  /// into `reply`) and the matching stats, for `selected` at `st`.
+  virtual Status Gather(const Generation& st, const SessionRequest& request,
+                        const std::vector<uint32_t>& selected,
+                        SessionReply* reply) = 0;
 
-    bool changes_graph() const { return new_graph != old_graph; }
-  };
-
-  /// Hook: makes a committed frame visible to readers, running
-  /// `MaintainPass` where the deployment keeps graph and rules in step.
-  virtual Status PublishDelta(DeltaCommit* commit)
-      GPAR_REQUIRES(writer_mu_) = 0;
-  /// Hook: serves `rules` from now on when they differ from the served set
-  /// (setting `ds->rules_refreshed`) — the seed of `EnableMaintenance`.
-  virtual Status PublishRules(std::vector<RuleRecord> rules, DeltaStats* ds)
-      GPAR_REQUIRES(writer_mu_) = 0;
-
-  /// The maintenance pass for a published frame: when maintenance is on,
-  /// advances the maintainer from `commit.old_graph` to `commit.new_graph`,
-  /// fills `top_k` with its top-k and returns true; false when it is off.
-  Result<bool> MaintainPass(const DeltaCommit& commit,
-                            std::vector<RuleRecord>* top_k)
-      GPAR_REQUIRES(writer_mu_);
-
-  const DeltaJournal* journal() const GPAR_REQUIRES(writer_mu_) {
-    return journal_.get();
-  }
-
-  /// Serializes every write; deployments guard their writer-side state
-  /// with it too.
-  mutable Mutex writer_mu_;
-  std::shared_ptr<Interner> interner_;
   Predicate q_{};  ///< the rule set's predicate q(x, y)
   std::vector<NodeId> candidates_;
-  /// Read-only sessions (shards, whose writes come from their router)
-  /// reject every write entry point with InvalidArgument.
-  bool read_only_ = false;
+  /// The owned-center slices; fixed after creation.
+  std::vector<std::unique_ptr<CacheSlice>> slices_;
   LifetimeStats lifetime_;
 
  private:
@@ -302,32 +162,29 @@ class ServeSession {
   Result<DeltaStats> ApplyDeltaLocked(const GraphDelta& delta,
                                       uint64_t replay_sequence)
       GPAR_REQUIRES(writer_mu_);
-  Status CheckWritable() const;
+  /// Serves `rules` from now on when they differ from the served set,
+  /// setting `ds->rules_refreshed`.
+  void PublishRules(std::vector<RuleRecord> rules, DeltaStats* ds)
+      GPAR_REQUIRES(writer_mu_);
+  /// The one publish path, for deltas and rule refreshes alike: derives
+  /// the generation after `old` for `graph` (with `rules`, or old's when
+  /// null), lets every slice adopt it, then publishes it.
+  void Publish(const Generation& old, std::shared_ptr<const Graph> graph,
+               std::span<const EdgeInsert> applied,
+               std::span<const EdgeDelete> deleted,
+               std::shared_ptr<const ServedRules> rules, DeltaStats* ds)
+      GPAR_REQUIRES(writer_mu_);
 
+  /// Serializes every write.
+  mutable Mutex writer_mu_;
+  std::shared_ptr<Interner> interner_;
+  Pattern pq_;  ///< q(x, y) as a pattern, planned in every generation
+  mutable Mutex state_mu_;  ///< guards the `state_` pointer only
+  std::shared_ptr<const Generation> state_ GPAR_GUARDED_BY(state_mu_);
   std::unique_ptr<DeltaJournal> journal_ GPAR_GUARDED_BY(writer_mu_);
   std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);
   uint64_t sequence_ GPAR_GUARDED_BY(writer_mu_) = 0;
 };
-
-/// Validates `request` against a session serving `num_rules` rules and
-/// returns its rule selection — empty selects all, otherwise sorted,
-/// deduplicated and range-checked. Rejects η <= 0 for `all_centers` and a
-/// negative `deadline_seconds`. Both `ServeSession` implementations call
-/// it first, against the rule set they pinned for the request.
-Result<std::vector<uint32_t>> ValidateRequest(const SessionRequest& request,
-                                              size_t num_rules);
-
-/// Fills `reply->entities` once `reply->matched` holds one row per entry
-/// of `centers`. Point lookups: the distinct centers with a matched rule.
-/// `all_centers` (`centers` = the sorted candidates): computes each
-/// selected rule's BayesFactorConf from the supports summed into `reply`
-/// — the one place confidence is assembled, whether the sums come from
-/// one server or from every shard (Section 5.1) — and keeps the
-/// candidates matching some rule with confidence >= η. Matched indices
-/// past `reply->rule_evals` (a shard racing a rule refresh) never qualify.
-void AssembleEntities(const SessionRequest& request,
-                      const std::vector<uint32_t>& selected,
-                      std::span<const NodeId> centers, SessionReply* reply);
 
 /// A (graph, rule set) snapshot pair as written by `WriteGraphSnapshot[File]`
 /// and `WriteRuleSetSnapshot[File]`.

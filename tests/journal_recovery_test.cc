@@ -663,8 +663,8 @@ TEST_F(JournalRecovery, AttachRefusesFramesBehindTheSession) {
   EXPECT_EQ(GraphBytes(*s.graph_snapshot()), before);
 }
 
-/// Labels minted live (`ServeSession::InternLabel`, e.g. the gpar_tool
-/// `delta` command naming a label the graph has never seen) must survive
+/// Labels minted live (`ResolveLabel`, e.g. the gpar_tool `delta`
+/// command naming a label the graph has never seen) must survive
 /// recovery: journal frames carry their own label definitions (v3 wire),
 /// so replay against the pre-mint snapshot re-interns them. Without the
 /// defs this failed with "edge insert label not interned".
@@ -684,8 +684,9 @@ TEST_F(JournalRecovery, ReplaysLabelsMintedAfterTheSnapshot) {
 
   // Mint a label the on-disk snapshot has never heard of, mutate with it,
   // then reference it again in a second frame (and delete through it).
-  const LabelId minted = s.InternLabel("minted_after_snapshot");
   GraphDelta d1;
+  const LabelId minted = ResolveLabel(s.graph_snapshot()->labels(),
+                                      "minted_after_snapshot", &d1);
   d1.inserts = {{1, minted, 2}, {3, minted, 4}};
   auto ds1 = s.ApplyDelta(d1);
   ASSERT_TRUE(ds1.ok()) << ds1.status();
@@ -705,20 +706,6 @@ TEST_F(JournalRecovery, ReplaysLabelsMintedAfterTheSnapshot) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectSameAnswer(*a, *b, "minted-label recovery");
-}
-
-TEST_F(JournalRecovery, ShardServersDoNotJournal) {
-  Workload w = MakeWorkload(1);
-  // Journaling happens at the router (or a standalone server) — a shard
-  // must reject AttachJournal outright.
-  auto shard = RuleServer::CreateShard(
-      std::make_shared<const Graph>(w.graph), /*owned_centers=*/{}, w.records);
-  // Shard creation with empty ownership may or may not be valid; only the
-  // journal rejection matters here.
-  if (shard.ok()) {
-    EXPECT_FALSE(
-        (*shard)->AttachJournal(Path("journal", 1, ".wal")).ok());
-  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "graph/generator.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_delta.h"
+#include "graph/neighborhood.h"
 #include "graph/stats.h"
 #include "maintain/maintain_command.h"
 #include "mine/dmine.h"
@@ -907,8 +908,10 @@ TEST_P(MaintainedCacheEquivalence, ShardedServer) {
 // One writer applies maintained batches (most refresh the rule set) while
 // two readers query all centers. Each reply must be the fresh answer at ONE
 // generation of the stream — never a mix of two graphs, nor bits of one
-// rule set read as another's. Run under TSan by the CI regex.
-TEST(MaintainServeTest, ConcurrentRepliesMatchOneGeneration) {
+// rule set read as another's, nor a degraded one. `num_shards` 0 serves
+// from a `RuleServer`, k > 0 from a k-shard router of 2 workers per shard.
+// Run under TSan by the CI regex.
+void CheckConcurrentRepliesMatchOneGeneration(uint32_t num_shards) {
   Graph g = MakeSynthetic(300, 900, 10, 51);
   Predicate q = PickQ(g);
   MaintainOptions mopt = SmallMaintain();
@@ -934,10 +937,22 @@ TEST(MaintainServeTest, ConcurrentRepliesMatchOneGeneration) {
 
   RuleServerOptions sopt;
   sopt.num_workers = 2;
-  auto server = RuleServer::Create(g, DmineRecords(g, q, mopt.mine), sopt);
-  ASSERT_TRUE(server.ok()) << server.status();
-  ASSERT_TRUE((*server)->EnableMaintenance(mopt).ok());
-  RuleServer& s = **server;
+  std::unique_ptr<ServeSession> server;
+  if (num_shards == 0) {
+    auto single = RuleServer::Create(g, DmineRecords(g, q, mopt.mine), sopt);
+    ASSERT_TRUE(single.ok()) << single.status();
+    server = std::move(single).value();
+  } else {
+    ShardedRuleServerOptions shopt;
+    shopt.num_shards = num_shards;
+    shopt.shard_options = sopt;
+    auto sharded =
+        ShardedRuleServer::Create(g, DmineRecords(g, q, mopt.mine), shopt);
+    ASSERT_TRUE(sharded.ok()) << sharded.status();
+    server = std::move(sharded).value();
+  }
+  ASSERT_TRUE(server->EnableMaintenance(mopt).ok());
+  ServeSession& s = *server;
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -955,7 +970,7 @@ TEST(MaintainServeTest, ConcurrentRepliesMatchOneGeneration) {
       // At least a few replies per reader, however fast the writer is.
       for (int n = 0; n < 3 || !stop.load(std::memory_order_acquire); ++n) {
         auto r = s.Query(AllCenters());
-        if (!r.ok()) {
+        if (!r.ok() || r->degraded) {
           ++failures;
           break;
         }
@@ -976,6 +991,14 @@ TEST(MaintainServeTest, ConcurrentRepliesMatchOneGeneration) {
   auto last = s.Query(AllCenters());
   ASSERT_TRUE(last.ok());
   EXPECT_TRUE(SameAnswer(*last, generations.back()));
+}
+
+TEST(MaintainServeTest, ConcurrentRepliesMatchOneGeneration) {
+  CheckConcurrentRepliesMatchOneGeneration(/*num_shards=*/0);
+}
+
+TEST(MaintainServeTest, ConcurrentRouterRepliesMatchOneGeneration) {
+  CheckConcurrentRepliesMatchOneGeneration(/*num_shards=*/2);
 }
 
 }  // namespace

@@ -164,7 +164,7 @@ std::vector<NodeId> SampleCenters(const ServeSession& session, uint64_t seed,
 }
 
 /// The acceptance battery: a k-shard deployment answers — cold, warm, and
-/// after a shipped delta — identical to a single `RuleServer` and to a
+/// after a published delta — identical to a single `RuleServer` and to a
 /// fresh batch `IdentifyEntities` run, through the one `ServeSession`
 /// interface, across seeds and shard counts.
 TEST(ShardedServeEquivalence, ColdWarmAndDeltaMatchSingleAndBatch) {
@@ -231,12 +231,11 @@ TEST(ShardedServeEquivalence, ColdWarmAndDeltaMatchSingleAndBatch) {
       EXPECT_EQ(reply->matched, single_point->matched);
       EXPECT_EQ(reply->entities, single_point->entities);
 
-      // Shipped delta == rebuild: the router patches the parent once and
-      // the shards invalidate from the wire bytes.
+      // Published delta == rebuild: the parent is patched once and every
+      // shard's cache slice adopts the new generation.
       auto ds = s.ApplyDelta(delta);
       ASSERT_TRUE(ds.ok()) << ds.status();
       EXPECT_EQ(ds->edges_inserted, patchref->edges_inserted);
-      EXPECT_EQ(ds->wire_bytes > 0, k >= 1);
       EXPECT_EQ(s.delta_sequence(), 1u);
       auto after = s.Query(AllRequest(0.5));
       ASSERT_TRUE(after.ok());
@@ -360,8 +359,7 @@ TEST(ShardedServeEquivalence, OwnershipPartitionsCandidates) {
   // sets reassemble the global candidate list.
   size_t total_owned = 0;
   for (uint32_t i = 0; i < s.num_shards(); ++i) {
-    const RuleServer& sh = s.shard(i);
-    EXPECT_TRUE(sh.is_shard());
+    const CacheSlice& sh = s.shard(i);
     total_owned += sh.candidates().size();
     for (NodeId c : sh.candidates()) EXPECT_EQ(s.OwnerOf(c), i);
   }
@@ -468,35 +466,6 @@ TEST(ShardedServeEquivalence, InputValidation) {
   auto server = ShardedRuleServer::Create(w.graph, w.records);
   ASSERT_TRUE(server.ok()) << server.status();
   ExpectRejectsMalformedInput(**server, w.records.size());
-}
-
-TEST(ShardedServeEquivalence, ShardSeamRejectsWrongDeltaEntryPoint) {
-  Workload w = MakeWorkload(2);
-  ShardedRuleServerOptions sopt;
-  sopt.num_shards = 2;
-  auto server = ShardedRuleServer::Create(w.graph, w.records, sopt);
-  ASSERT_TRUE(server.ok());
-
-  // A shard refuses direct ApplyDelta: deltas come from the router.
-  auto& shard = const_cast<RuleServer&>((*server)->shard(0));
-  GraphDelta delta{.sequence = 1,
-                   .inserts = MakeDelta(w.graph, 7, 2),
-                   .deletes = {},
-                   .label_defs = {}};
-  EXPECT_FALSE(shard.ApplyDelta(delta).ok());
-
-  // A non-shard server refuses the shard-side entry point.
-  auto single = RuleServer::Create(w.graph, w.records);
-  ASSERT_TRUE(single.ok());
-  EXPECT_FALSE(
-      (*single)
-          ->ApplyShardDelta((*single)->graph_snapshot(), delta.Serialize())
-          .ok());
-
-  // Corrupt wire bytes are rejected by the shard-side decoder.
-  std::string bytes = delta.Serialize();
-  bytes[bytes.size() / 2] ^= 0x5A;
-  EXPECT_FALSE(shard.ApplyShardDelta((*server)->graph_snapshot(), bytes).ok());
 }
 
 /// Concurrency battery: n threads fire a mixed point / all-centers stream

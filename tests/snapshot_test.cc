@@ -10,6 +10,7 @@
 #include "rule/match_delta.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_delta.h"
+#include "graph/neighborhood.h"
 #include "graph/graph_io.h"
 #include "graph/graph_snapshot.h"
 #include "graph/paper_graphs.h"
@@ -495,6 +496,30 @@ TEST(GraphDeltaTest, LabelDefsCollectAndReintern) {
   two.Intern("a");
   two.Intern("b");
   EXPECT_FALSE(ApplyLabelDefs(dup, &two).ok());
+}
+
+TEST(GraphDeltaTest, ResolveLabelMintsUnseenNamesInFirstSeenOrder) {
+  Interner dict;
+  const LabelId a = dict.Intern("a");
+  dict.Intern("b");
+
+  GraphDelta delta;
+  // A known name resolves by lookup and defines nothing.
+  EXPECT_EQ(ResolveLabel(dict, "a", &delta), a);
+  EXPECT_TRUE(delta.label_defs.empty());
+  // Unseen names take the next ids in first-seen order; a repeat reuses
+  // its definition. The dictionary itself is never touched.
+  EXPECT_EQ(ResolveLabel(dict, "x", &delta), 2u);
+  EXPECT_EQ(ResolveLabel(dict, "y", &delta), 3u);
+  EXPECT_EQ(ResolveLabel(dict, "x", &delta), 2u);
+  EXPECT_EQ(delta.label_defs,
+            (std::vector<LabelDef>{{2, "x"}, {3, "y"}}));
+  EXPECT_EQ(dict.size(), 2u);
+
+  // Applying the defs interns exactly those ids.
+  ASSERT_TRUE(ApplyLabelDefs(delta, &dict).ok());
+  EXPECT_EQ(dict.Lookup("x"), 2u);
+  EXPECT_EQ(dict.Lookup("y"), 3u);
 }
 
 TEST(GraphDeltaTest, WireV1BackCompat) {

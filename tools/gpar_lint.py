@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """gpar_lint: repo-specific static checks clang cannot express.
 
-Seven rules, each encoding a project invariant that has bitten (or would
+Eight rules, each encoding a project invariant that has bitten (or would
 bite) the library:
 
   [atomic-order]   Every std::atomic access through .load/.store/.exchange/
@@ -32,6 +32,13 @@ bite) the library:
                    untested failpoint is an untested failure path — the
                    whole point of registering the site was to inject faults
                    through it.
+
+  [failpoint-armed] Every name a test in tests/*.cc passes to Arm("...")
+                   must be a GPAR_FAILPOINT / GPAR_FAILPOINT_TORN site in
+                   src/. The registry arms any name, so a test that arms a
+                   deleted site passes without injecting anything. Names
+                   under the "test." prefix (the registry's own unit
+                   tests) are exempt.
 
   [orphan-module]  Every header under src/ must be #included by at least
                    one file outside tests/ — in src/, tools/, bench/,
@@ -80,6 +87,9 @@ NAKED_INCLUDE_RE = re.compile(r'#\s*include\s*<(mutex|condition_variable|shared_
 BOOL_FIELD_RE = re.compile(r"^\s*bool\s+(\w+)\s*=")
 BENCH_JSON_RE = re.compile(r"\bBENCH_[A-Za-z0-9_]+\.json\b")
 FAILPOINT_SITE_RE = re.compile(r'\bGPAR_FAILPOINT(?:_TORN)?\(\s*"([^"]+)"')
+ARMED_SITE_RE = re.compile(r'\bArm\(\s*"([^"]+)"')
+# Failpoint names reserved for the registry's own unit tests.
+TEST_SITE_PREFIX = "test."
 QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
 # Trees whose files count as includers for [orphan-module]: everything that
@@ -289,6 +299,30 @@ class Linter:
                             "needs fault-injection coverage",
                         )
 
+    # -- rule: failpoint-armed ---------------------------------------------
+
+    def check_armed_failpoints(self) -> None:
+        sites = {
+            site
+            for path in self._source_files("src")
+            if path.name not in ("failpoint.h", "failpoint.cc")
+            for line in self._read_lines(path)
+            for site in FAILPOINT_SITE_RE.findall(line)
+        }
+        test_dir = self.root / "tests"
+        tests = sorted(test_dir.glob("*.cc")) if test_dir.is_dir() else []
+        for path in tests:
+            for i, line in enumerate(self._read_lines(path)):
+                for name in ARMED_SITE_RE.findall(line):
+                    if name in sites or name.startswith(TEST_SITE_PREFIX):
+                        continue
+                    self.report(
+                        path, i + 1, "failpoint-armed",
+                        f'test arms failpoint "{name}", which is no '
+                        "GPAR_FAILPOINT site in src/ — the injection can "
+                        "never fire",
+                    )
+
     # -- rule: orphan-module -----------------------------------------------
 
     def check_orphan_modules(self) -> None:
@@ -352,6 +386,7 @@ class Linter:
         self.check_ablation_flags()
         self.check_bench_registration()
         self.check_failpoint_sites()
+        self.check_armed_failpoints()
         self.check_orphan_modules()
         self.check_layer_order()
         for finding in self.findings:

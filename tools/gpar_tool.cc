@@ -532,7 +532,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   }
   if (sharded != nullptr) {
     for (uint32_t i = 0; i < sharded->num_shards(); ++i) {
-      const RuleServer& sh = sharded->shard(i);
+      const CacheSlice& sh = sharded->shard(i);
       std::printf("  shard %u: %zu owned centers\n", i,
                   sh.candidates().size());
     }
@@ -557,7 +557,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
                             single != nullptr ? single->cached_centers() : 0);
         if (sharded != nullptr) {
           for (uint32_t i = 0; i < sharded->num_shards(); ++i) {
-            const RuleServer& sh = sharded->shard(i);
+            const CacheSlice& sh = sharded->shard(i);
             std::printf("  shard %u: ", i);
             PrintServeStatsLine("", sh.lifetime_stats(), sh.cached_centers());
           }
@@ -601,16 +601,19 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         break;
       }
       case ServeCommand::Kind::kDelta: {
+        // A label the graph has never seen is minted by the delta itself
+        // (its label_defs), interned when the session applies it.
+        const std::shared_ptr<const Graph> g = session->graph_snapshot();
         GraphDelta delta;
         delta.inserts.reserve(parsed->inserts.size());
         for (const TextEdgeInsert& e : parsed->inserts) {
-          delta.inserts.push_back(
-              {e.src, session->InternLabel(e.label), e.dst});
+          const LabelId label = ResolveLabel(g->labels(), e.label, &delta);
+          delta.inserts.push_back({e.src, label, e.dst});
         }
         delta.deletes.reserve(parsed->deletes.size());
         for (const TextEdgeDelete& e : parsed->deletes) {
-          delta.deletes.push_back(
-              {e.src, session->InternLabel(e.label), e.dst});
+          const LabelId label = ResolveLabel(g->labels(), e.label, &delta);
+          delta.deletes.push_back({e.src, label, e.dst});
         }
         auto ds = session->ApplyDelta(delta);
         if (!ds.ok()) {
@@ -620,23 +623,19 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         }
         std::printf(
             "  +%zu edges (%zu dup), -%zu edges (%zu missing), "
-            "%llu memberships + %llu q-classes invalidated, "
-            "%llu wire bytes, %.2f ms\n",
+            "%llu memberships + %llu q-classes invalidated, %.2f ms\n",
             ds->edges_inserted, ds->duplicates_ignored, ds->edges_deleted,
             ds->deletes_missing,
             static_cast<unsigned long long>(ds->memberships_invalidated),
             static_cast<unsigned long long>(ds->qclass_invalidated),
-            static_cast<unsigned long long>(ds->wire_bytes),
             ds->seconds * 1e3);
         if (ds->rules_refreshed != 0) {
-          // A router sums rules_carried over its shards, each serving the
-          // whole set.
           const size_t served = session->rules().size();
           std::printf("  maintenance refreshed the served rule set "
                       "(%zu rules): %llu of %zu rules kept their cache\n",
                       served,
                       static_cast<unsigned long long>(ds->rules_carried),
-                      served * (sharded != nullptr ? sharded->num_shards() : 1));
+                      served);
         }
         break;
       }
