@@ -1,5 +1,5 @@
-// Experiment E8 — the price of durability and the cost of losing a shard.
-// Three measurements around the fault-tolerance layer:
+// Experiment E8 — the price of durability. Two measurements around the
+// journal:
 //
 //   1. Journal overhead: a delta stream applied through RuleServer with
 //      and without an attached journal (and with fsync-per-append), so
@@ -7,9 +7,6 @@
 //   2. Replay throughput: RuleServer::Recover over the journal the stream
 //      just wrote — frames/s and the end-to-end rebuild time, checked
 //      result-identical to the maintained session.
-//   3. Degraded-mode serving: warm all-centers QPS of a k-shard
-//      ShardedRuleServer, healthy vs one shard down (failpoint-injected),
-//      plus the surviving-entity fraction of each degraded answer.
 //
 // With GPAR_BENCH_JSON=<path> the rows are also written as JSON (the
 // BENCH_recovery.json CI artifact); GPAR_BENCH_SMALL=1 keeps the CI-sized
@@ -21,14 +18,12 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/failpoint.h"
 #include "common/timer.h"
 #include "graph/delta_journal.h"
 #include "graph/graph_delta.h"
 #include "graph/graph_snapshot.h"
 #include "rule/rule_snapshot.h"
 #include "serve/rule_server.h"
-#include "serve/sharded_rule_server.h"
 
 namespace {
 
@@ -55,7 +50,6 @@ int main() {
   const uint32_t workers = 4;
   const size_t batches = small ? 6 : 16;
   const size_t batch_k = small ? 16 : 64;
-  const size_t qps_rounds = small ? 4 : 12;
   const std::string dir = "/tmp/gpar_exp8";
 
   Graph g = MakePokecLike(scale);
@@ -129,75 +123,9 @@ int main() {
               static_cast<unsigned long long>(replay.valid_bytes), recover_s,
               frames_per_s);
 
-  // ---- 3. degraded-mode QPS: k shards, healthy vs one down ----
-  ShardedRuleServerOptions shopt;
-  shopt.num_shards = 4;
-  shopt.shard_options.num_workers = 2;
-  shopt.max_shard_retries = 0;  // a failure degrades immediately
-  auto sharded = ShardedRuleServer::Create(g, records, shopt);
-  if (!sharded.ok()) return 1;
-  ShardedRuleServer& sh = **sharded;
-  SessionRequest all;
-  all.all_centers = true;
-  all.eta = 1.0;
-  auto warmup = sh.Query(all);  // warm every shard's cache
-  if (!warmup.ok()) return 1;
-  const double healthy_entities =
-      static_cast<double>(warmup->entities.size());
-
-  Timer th;
-  for (size_t i = 0; i < qps_rounds; ++i) {
-    if (!sh.Query(all).ok()) return 1;
-  }
-  double healthy_s = th.Seconds();
-
-  // One shard down for the whole degraded sweep: the first query's failure
-  // is permanent (fires = 0), so every round answers from k-1 shards.
-  FailpointSpec spec;
-  spec.fires = 0;
-  spec.probability = 1.0 / static_cast<double>(shopt.num_shards);
-  spec.seed = 7;  // deterministic victim selection per round
-  FailpointRegistry::Instance().Arm("shard.query", spec);
-  double degraded_entities = 0;
-  size_t degraded_hits = 0;
-  Timer td;
-  for (size_t i = 0; i < qps_rounds; ++i) {
-    auto r = sh.Query(all);
-    if (!r.ok()) return 1;
-    if (r->degraded) {
-      ++degraded_hits;
-      degraded_entities += static_cast<double>(r->entities.size());
-    }
-  }
-  double degraded_s = td.Seconds();
-  FailpointRegistry::Instance().DisarmAll();
-
-  double healthy_qps =
-      healthy_s > 0 ? static_cast<double>(qps_rounds) / healthy_s : 0;
-  double degraded_qps =
-      degraded_s > 0 ? static_cast<double>(qps_rounds) / degraded_s : 0;
-  double survive_frac =
-      degraded_hits > 0 && healthy_entities > 0
-          ? degraded_entities /
-                (static_cast<double>(degraded_hits) * healthy_entities)
-          : 1.0;
-
-  PrintHeader("Exp-8c degraded serving (k=4, failpoint-injected loss)",
-              {"mode", "qps", "entity_frac"});
-  PrintCell(std::string("healthy"));
-  PrintCell(healthy_qps);
-  PrintCell(1.0);
-  EndRow();
-  PrintCell(std::string("degraded"));
-  PrintCell(degraded_qps);
-  PrintCell(survive_frac);
-  EndRow();
-
   std::printf(
       "8a: one delta stream through ApplyDelta, journal off / on / fsync —\n"
-      "the write-ahead tax. 8b: RuleServer::Recover replaying that journal.\n"
-      "8c: all-centers QPS with shard.query failing probabilistically —\n"
-      "degraded answers keep the surviving shards' entities (entity_frac).\n");
+      "the write-ahead tax. 8b: RuleServer::Recover replaying that journal.\n");
 
   if (const char* json = JsonPath()) {
     std::FILE* f = std::fopen(json, "w");
@@ -221,15 +149,10 @@ int main() {
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"recovery\": {\"frames\": %zu, \"valid_bytes\": %llu, "
-                 "\"recover_s\": %.6f, \"frames_per_s\": %.1f},\n",
+                 "\"recover_s\": %.6f, \"frames_per_s\": %.1f}\n}\n",
                  replay.frames,
                  static_cast<unsigned long long>(replay.valid_bytes),
                  recover_s, frames_per_s);
-    std::fprintf(f,
-                 "  \"degraded\": {\"healthy_qps\": %.2f, "
-                 "\"degraded_qps\": %.2f, \"degraded_rounds\": %zu, "
-                 "\"entity_frac\": %.4f}\n}\n",
-                 healthy_qps, degraded_qps, degraded_hits, survive_frac);
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", json);
   }

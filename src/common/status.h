@@ -20,11 +20,8 @@ enum class StatusCode {
   kCorruption,
   kUnimplemented,
   kInternal,
-  /// Transient failure (an injected fault, a shard mid-resync): safe to
-  /// retry. The serving router's retry policy keys on this code.
+  /// Transient failure: safe to retry. A failpoint's default injection.
   kUnavailable,
-  /// A per-request deadline budget ran out before the work completed.
-  kDeadlineExceeded,
 };
 
 /// Lightweight status object returned by fallible operations.
@@ -60,9 +57,6 @@ class Status {
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
   /// Constructs from a runtime code — for layers (like the failpoint
   /// registry) that inject configured, not hardcoded, error categories.
@@ -101,7 +95,6 @@ class Status {
       case StatusCode::kUnimplemented: return "Unimplemented";
       case StatusCode::kInternal: return "Internal";
       case StatusCode::kUnavailable: return "Unavailable";
-      case StatusCode::kDeadlineExceeded: return "DeadlineExceeded";
     }
     return "Unknown";
   }

@@ -8,9 +8,9 @@
 
 namespace gpar {
 
-/// Monotonic wall-clock stopwatch: request latencies and deadlines, pass
-/// timings, and the benchmark harness. (The BSP runtime times its workers
-/// in thread CPU seconds, `ThreadCpuSeconds` in parallel/bsp.h.)
+/// Monotonic wall-clock stopwatch: request latencies, pass timings, and
+/// the benchmark harness. (The BSP runtime times its workers in thread CPU
+/// seconds, `ThreadCpuSeconds` in parallel/bsp.h.)
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}

@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -17,6 +19,31 @@ namespace {
 
 Status Errno(const std::string& what, const std::string& path) {
   return Status::IoError(what + " " + path + ": " + std::strerror(errno));
+}
+
+/// Writes all of `data` to `fd`, resuming after short writes and EINTR.
+Status WriteFully(int fd, std::string_view data, const std::string& what,
+                  const std::string& path) {
+  while (!data.empty()) {
+    const ssize_t n = ::write(fd, data.data(), data.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno(what, path);
+    }
+    data.remove_prefix(static_cast<size_t>(n));
+  }
+  return Status::OK();
+}
+
+/// fsyncs the directory holding `path`, making a rename into it durable.
+Status SyncParentDir(const std::string& path) {
+  std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Errno("cannot open directory", dir.string());
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced ? Status::OK() : Errno("cannot fsync directory", dir.string());
 }
 
 /// Reads the whole file into `out`; a missing file yields an empty buffer.
@@ -133,19 +160,6 @@ DeltaJournal::~DeltaJournal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status DeltaJournal::WriteFully(const char* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd_, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("cannot append to journal", path_);
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 Status DeltaJournal::Append(const GraphDelta& delta) {
   GPAR_FAILPOINT("journal.append");
   MutexLock lock(mu_);
@@ -166,7 +180,9 @@ Status DeltaJournal::Append(const GraphDelta& delta) {
   const std::string bytes = frame.Serialize();
   const size_t budget = GPAR_FAILPOINT_TORN("journal.append_torn",
                                             bytes.size());
-  GPAR_RETURN_NOT_OK(WriteFully(bytes.data(), budget));
+  const std::string_view written = std::string_view(bytes).substr(0, budget);
+  GPAR_RETURN_NOT_OK(
+      WriteFully(fd_, written, "cannot append to journal", path_));
   if (budget < bytes.size()) {
     // Injected torn write: the partial frame is on disk exactly as a
     // crash would leave it. Fail-stop — recovery reopens and truncates.
@@ -202,7 +218,8 @@ Status DeltaJournal::Compact() {
     GraphDelta marker;
     marker.sequence = last_sequence_;
     const std::string bytes = marker.Serialize();
-    GPAR_RETURN_NOT_OK(WriteFully(bytes.data(), bytes.size()));
+    GPAR_RETURN_NOT_OK(
+        WriteFully(fd_, bytes, "cannot append to journal", path_));
     size_bytes_ = bytes.size();
     frames_ = 1;
   }
@@ -225,6 +242,30 @@ uint64_t DeltaJournal::size_bytes() const {
 uint64_t DeltaJournal::frames_appended() const {
   MutexLock lock(mu_);
   return frames_;
+}
+
+Status ReplaceFileDurably(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return Errno("cannot create", tmp);
+  const size_t budget =
+      GPAR_FAILPOINT_TORN("checkpoint.write_torn", bytes.size());
+  Status st = WriteFully(fd, bytes.substr(0, budget), "cannot write", tmp);
+  if (st.ok() && budget < bytes.size()) {
+    st = Status::IoError(tmp + ": torn write injected (" +
+                         std::to_string(budget) + " of " +
+                         std::to_string(bytes.size()) + " bytes)");
+  }
+  if (st.ok() && ::fsync(fd) != 0) st = Errno("cannot fsync", tmp);
+  if (::close(fd) != 0 && st.ok()) st = Errno("cannot close", tmp);
+  if (st.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = Errno("cannot rename", tmp);
+  }
+  if (!st.ok()) {
+    std::remove(tmp.c_str());
+    return st;
+  }
+  return SyncParentDir(path);
 }
 
 }  // namespace gpar

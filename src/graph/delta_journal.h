@@ -66,8 +66,8 @@ class DeltaJournal {
       JournalReplayStats* scan = nullptr);
 
   /// Decodes the valid frame prefix of `path` in order — the one read-only
-  /// journal reader: server recovery, the router's shard resync and
-  /// `gpar_tool maintain` all replay through it. A missing file is an
+  /// journal reader: server recovery and `gpar_tool maintain` both replay
+  /// through it. A missing file is an
   /// empty journal, not an error; `stats` reports a torn tail.
   static Result<std::vector<GraphDelta>> ReadAll(
       const std::string& path, JournalReplayStats* stats = nullptr);
@@ -102,8 +102,6 @@ class DeltaJournal {
  private:
   DeltaJournal(std::string path, const DeltaJournalOptions& options, int fd);
 
-  Status WriteFully(const char* data, size_t size) GPAR_REQUIRES(mu_);
-
   const std::string path_;
   const DeltaJournalOptions options_;
 
@@ -114,6 +112,14 @@ class DeltaJournal {
   uint64_t size_bytes_ GPAR_GUARDED_BY(mu_) = 0;
   uint64_t frames_ GPAR_GUARDED_BY(mu_) = 0;
 };
+
+/// Replaces the file at `path` with `bytes` so that a crash at any point
+/// leaves either the old file or the new one, never a torn mix: writes a
+/// temporary file beside it, fsyncs it, renames it over `path` and fsyncs
+/// the directory. On failure `path` is untouched and the temporary file is
+/// removed. The checkpoint's snapshot write, which must be durable before
+/// the journal behind it is compacted.
+Status ReplaceFileDurably(const std::string& path, std::string_view bytes);
 
 }  // namespace gpar
 

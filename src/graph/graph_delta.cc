@@ -82,23 +82,75 @@ Graph MergePatched(const Graph& g, const std::vector<EdgeDelete>& dels,
   return out;
 }
 
+/// Inserts stay strict — a dangling endpoint or a label past the
+/// dictionary's `num_labels` is a producer bug. Deletes are tolerant (see
+/// EdgeDelete): anything that doesn't name a present edge lands in
+/// `missing`.
+Status CheckInserts(const GraphDelta& delta, NodeId n, size_t num_labels) {
+  for (const EdgeInsert& e : delta.inserts) {
+    if (e.src >= n || e.dst >= n) {
+      return Status::InvalidArgument("edge insert endpoint out of range");
+    }
+    if (e.label >= num_labels) {
+      return Status::InvalidArgument("edge insert label not interned");
+    }
+  }
+  return Status::OK();
+}
+
+/// Checks `delta.label_defs` against `labels` as `ApplyLabelDefs` would
+/// intern them, without interning anything, and returns the dictionary
+/// size once they are: a def for a known id (the dictionary's or one the
+/// batch defined earlier) must match its name, and each new one must name
+/// the next id and a name not yet known. Journal frames replay in append
+/// order, so a well-formed journal only ever extends the dictionary one id
+/// at a time, exactly the way the live server interned it.
+Result<size_t> CheckLabelDefs(const GraphDelta& delta,
+                              const Interner& labels) {
+  std::vector<std::string_view> minted;  // names of ids labels.size().. on
+  for (const LabelDef& def : delta.label_defs) {
+    const size_t size = labels.size() + minted.size();
+    if (def.id < size) {
+      const std::string_view known = def.id < labels.size()
+                                         ? labels.Name(def.id)
+                                         : minted[def.id - labels.size()];
+      if (known != def.name) {
+        return Status::Corruption("label def mismatch: id " +
+                                  std::to_string(def.id) + " is \"" +
+                                  std::string(known) + "\", frame says \"" +
+                                  def.name + "\"");
+      }
+      continue;
+    }
+    if (def.id != size) {
+      return Status::Corruption("label def skips ids: frame defines id " +
+                                std::to_string(def.id) +
+                                " but the dictionary has " +
+                                std::to_string(size) + " labels");
+    }
+    if (labels.Lookup(def.name) != kNoLabel ||
+        std::find(minted.begin(), minted.end(), def.name) != minted.end()) {
+      return Status::Corruption("label \"" + def.name +
+                                "\" already interned under another id");
+    }
+    minted.push_back(def.name);
+  }
+  return labels.size() + minted.size();
+}
+
 }  // namespace
+
+Status ValidateDelta(const Graph& g, const GraphDelta& delta) {
+  GPAR_ASSIGN_OR_RETURN(const size_t num_labels,
+                        CheckLabelDefs(delta, g.labels()));
+  return CheckInserts(delta, g.num_nodes(), num_labels);
+}
 
 Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta) {
   const std::vector<EdgeInsert>& inserts = delta.inserts;
   const std::vector<EdgeDelete>& deletes = delta.deletes;
   const NodeId n = g.num_nodes();
-  // Inserts stay strict — a dangling endpoint or uninterned label is a
-  // producer bug. Deletes are tolerant (see EdgeDelete): anything that
-  // doesn't name a present edge lands in `missing`.
-  for (const EdgeInsert& e : inserts) {
-    if (e.src >= n || e.dst >= n) {
-      return Status::InvalidArgument("edge insert endpoint out of range");
-    }
-    if (e.label >= g.labels().size()) {
-      return Status::InvalidArgument("edge insert label not interned");
-    }
-  }
+  GPAR_RETURN_NOT_OK(CheckInserts(delta, n, g.labels().size()));
 
   GraphPatch patch;
 
@@ -277,29 +329,9 @@ void CollectLabelDefs(const Interner& labels, GraphDelta* delta) {
 }
 
 Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels) {
+  GPAR_RETURN_NOT_OK(CheckLabelDefs(delta, *labels).status());
   for (const LabelDef& def : delta.label_defs) {
-    if (def.id < labels->size()) {
-      if (labels->Name(def.id) != def.name) {
-        return Status::Corruption("label def mismatch: id " +
-                                  std::to_string(def.id) + " is \"" +
-                                  labels->Name(def.id) + "\", frame says \"" +
-                                  def.name + "\"");
-      }
-      continue;
-    }
-    // Defs are sorted by id and frames replay in append order, so a
-    // well-formed journal only ever extends the dictionary one id at a
-    // time, exactly the way the live server interned it.
-    if (def.id != labels->size()) {
-      return Status::Corruption("label def skips ids: frame defines id " +
-                                std::to_string(def.id) +
-                                " but the dictionary has " +
-                                std::to_string(labels->size()) + " labels");
-    }
-    if (labels->Intern(def.name) != def.id) {
-      return Status::Corruption("label \"" + def.name +
-                                "\" already interned under another id");
-    }
+    if (def.id >= labels->size()) labels->Intern(def.name);
   }
   return Status::OK();
 }

@@ -139,8 +139,16 @@ void CollectLabelDefs(const Interner& labels, GraphDelta* delta);
 /// under a different id) is `Corruption` — journal frames replay in append
 /// order, so a well-formed journal only ever extends the dictionary the
 /// way the live server did. Safe to call with defs the dictionary already
-/// has: those verify and no-op.
+/// has: those verify and no-op. All or nothing: every def is checked
+/// before any is interned.
 Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels);
+
+/// Everything `ApplyLabelDefs` then `PatchGraph` would reject in `delta`
+/// against `g`, checked without touching the dictionary: the defs, and
+/// each insert's endpoints and label against g's dictionary extended by
+/// the batch's new defs. `ServeSession::ApplyDelta` calls it first, so a
+/// rejected batch interns nothing.
+Status ValidateDelta(const Graph& g, const GraphDelta& delta);
 
 /// The edge-label id `name` will have once `delta` is applied against
 /// `labels`: a known name resolves by `Lookup`; an unseen one gets the next

@@ -59,10 +59,13 @@ SearchPlan BuildSearchPlan(const Pattern& expanded,
 using PlanBuilder = std::function<SearchPlan(const Pattern& expanded,
                                              std::vector<PNodeId> anchored)>;
 
-/// Read-only-shared search-plan store (the ROADMAP "plan-cache sharing
-/// across workers" item): patterns are identical across fragments, so the
-/// coordinator plans each round's patterns once via `Prepare` and every
-/// worker matcher consults the store before planning privately.
+/// Search-plan store: the multiplicity expansion and the plans of every
+/// pattern prepared in it, keyed by StructuralHash with exact-equality
+/// buckets and cleared wholesale past a memory ceiling. Shared read-only,
+/// it lets the coordinator plan each round's patterns once via `Prepare`
+/// while every worker matcher consults it (patterns are identical across
+/// fragments); each matcher also keeps a private one for the patterns the
+/// shared store lacks.
 ///
 /// Concurrency contract: `Prepare` is single-threaded (call it from
 /// coordinator sections, between worker rounds); `Find` is lock-free and
@@ -78,12 +81,15 @@ class SearchPlanStore {
   SearchPlanStore& operator=(const SearchPlanStore&) = delete;
 
   /// Plans `p` anchored at `anchored` (original-pattern node ids; mapped
-  /// through the multiplicity expansion internally). Idempotent.
-  void Prepare(const Pattern& p, std::span<const PNodeId> anchored);
+  /// through the multiplicity expansion internally) and returns its entry,
+  /// valid until the next `Prepare`. Idempotent.
+  const PatternPlanEntry& Prepare(const Pattern& p,
+                                  std::span<const PNodeId> anchored);
   /// As above, with `build` in place of the fail-first planner (plan-order
   /// equivalence tests feed other orders through the same engine).
-  void Prepare(const Pattern& p, std::span<const PNodeId> anchored,
-               const PlanBuilder& build);
+  const PatternPlanEntry& Prepare(const Pattern& p,
+                                  std::span<const PNodeId> anchored,
+                                  const PlanBuilder& build);
 
   /// The prepared entry for `p`, or nullptr if never prepared.
   const PatternPlanEntry* Find(const Pattern& p) const;
@@ -95,6 +101,7 @@ class SearchPlanStore {
   const Graph& g_;
   size_t planned_ = 0;
   std::unordered_map<uint64_t, std::vector<PatternPlanEntry>> cache_;
+  std::vector<PNodeId> key_;  ///< `Prepare`'s reused anchored-set buffer
 };
 
 /// Subgraph-isomorphism engine bound to one graph. Fragment workers and
@@ -112,19 +119,19 @@ class SearchPlanStore {
 /// fail-first node order of `BuildSearchPlan`.
 ///
 /// Searches reuse per-matcher scratch state (mapping, injectivity bitmap,
-/// candidate buffers) and a search-plan cache, so repeated `ExistsAt` probes
-/// of the same pattern are allocation-free. A loop that probes one pattern
-/// at many centers binds it once (`Bind`) and probes with `ProbeAt`, which
-/// skips the per-call plan lookup and setup. One backtracking body serves
-/// every search; it is instantiated per leaf action (stop at the first
-/// match, or visit each embedding), so existence tests run without a
-/// callback. Consequently a matcher is NOT
+/// candidate buffers) and a private `SearchPlanStore`, so repeated
+/// `ExistsAt` probes of the same pattern are allocation-free. A loop that
+/// probes one pattern at many centers binds it once (`Bind`) and probes
+/// with `ProbeAt`, which skips the per-call plan lookup and setup. One
+/// backtracking body serves every search; it is instantiated per leaf
+/// action (stop at the first match, or visit each embedding), so existence
+/// tests run without a callback. Consequently a matcher is NOT
 /// reentrant: embedding callbacks must not call back into the same matcher,
 /// and instances must not be shared across threads without external
 /// synchronization (DMine gives each worker its own matcher).
 class VF2Matcher {
  public:
-  explicit VF2Matcher(const Graph& g) : g_(g) {}
+  explicit VF2Matcher(const Graph& g) : g_(g), own_plans_(g) {}
 
   VF2Matcher(const VF2Matcher&) = delete;
   VF2Matcher& operator=(const VF2Matcher&) = delete;
@@ -164,8 +171,8 @@ class VF2Matcher {
   const Graph& graph() const { return g_; }
 
   /// Attaches a shared read-only plan store. Probes consult it before the
-  /// private plan cache; a hit skips both the multiplicity expansion and
-  /// the plan construction for that pattern.
+  /// private one; a hit skips both the multiplicity expansion and the plan
+  /// construction for that pattern.
   void set_plan_store(const SearchPlanStore* store) { plan_store_ = store; }
 
   /// Number of probes (`ProbeAt` calls included) whose plan came from the
@@ -175,8 +182,8 @@ class VF2Matcher {
   /// Number of search-tree nodes visited since construction (for benches).
   uint64_t nodes_visited() const { return nodes_visited_; }
 
-  /// Number of patterns with a cached search plan (for tests/benches).
-  size_t plans_cached() const { return plans_cached_; }
+  /// Number of patterns planned privately (for tests/benches).
+  size_t plans_cached() const { return own_plans_.patterns_planned(); }
 
  private:
   /// Reusable per-search state: `ExistsAt` is called once per candidate
@@ -199,8 +206,8 @@ class VF2Matcher {
     bool shared = false;  ///< the plan came from the shared store
   };
 
-  /// Looks `p` up (store first, private cache otherwise) and leaves the
-  /// anchors' expanded ids in `scratch_.anchored`.
+  /// Looks `p` up (shared store first, private one otherwise) and leaves
+  /// the anchors' expanded ids in `scratch_.anchored`.
   Resolved Resolve(const Pattern& p, std::span<const Anchor> anchors);
   /// Readies the scratch for searches under `r`: anchor table (from
   /// `anchors`, matched up with `scratch_.anchored`), buffers, cleared
@@ -214,17 +221,12 @@ class VF2Matcher {
   template <typename Leaf>
   bool Extend(const Pattern& p, const SearchPlan& plan, size_t level,
               Leaf& leaf);
-  PatternPlanEntry& CacheEntryFor(const Pattern& p);
-  /// `anchored_key` must already be sorted and deduplicated.
-  const SearchPlan& PlanFor(PatternPlanEntry& entry,
-                            const std::vector<PNodeId>& anchored_key);
 
   const Graph& g_;
   const SearchPlanStore* plan_store_ = nullptr;
+  SearchPlanStore own_plans_;  ///< patterns the shared store lacks
   uint64_t plan_store_hits_ = 0;
   uint64_t nodes_visited_ = 0;
-  size_t plans_cached_ = 0;
-  std::unordered_map<uint64_t, std::vector<PatternPlanEntry>> plan_cache_;
   Scratch scratch_;
   Resolved bound_;  ///< the `Bind` target; plan == nullptr when unbound
   PNodeId bound_node_ = kNoPatternNode;  ///< its anchored expanded node

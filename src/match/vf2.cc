@@ -9,9 +9,9 @@ namespace gpar {
 
 namespace {
 
-// Mined pattern universes are bounded (a few thousand per run); the cache is
-// cleared wholesale if a workload ever exceeds this, trading a re-plan for a
-// memory ceiling.
+// Mined pattern universes are bounded (a few thousand per run); a plan store
+// is cleared wholesale if a workload ever exceeds this, trading a re-plan for
+// a memory ceiling.
 constexpr size_t kMaxCachedPatterns = 1 << 14;
 
 /// Sorts and deduplicates an anchored-node set into its plan-cache key form.
@@ -91,20 +91,16 @@ SearchPlan BuildSearchPlan(const Pattern& expanded,
   return plan;
 }
 
-void SearchPlanStore::Prepare(const Pattern& p,
-                              std::span<const PNodeId> anchored) {
-  Prepare(p, anchored,
-          [this](const Pattern& expanded, std::vector<PNodeId> key) {
-            return BuildSearchPlan(expanded, std::move(key), g_);
-          });
+const PatternPlanEntry& SearchPlanStore::Prepare(
+    const Pattern& p, std::span<const PNodeId> anchored) {
+  return Prepare(p, anchored, PlanBuilder());
 }
 
-void SearchPlanStore::Prepare(const Pattern& p,
-                              std::span<const PNodeId> anchored,
-                              const PlanBuilder& build) {
-  // Same memory ceiling as the private plan cache: a workload exceeding
-  // the bounded mined-pattern universe trades a re-plan (consumers fall
-  // back to their private caches) for bounded store growth.
+const PatternPlanEntry& SearchPlanStore::Prepare(
+    const Pattern& p, std::span<const PNodeId> anchored,
+    const PlanBuilder& build) {
+  // Past the ceiling, consumers of a shared store fall back to their
+  // private ones, and a private store re-plans.
   if (planned_ > kMaxCachedPatterns) {
     cache_.clear();
     planned_ = 0;
@@ -125,12 +121,16 @@ void SearchPlanStore::Prepare(const Pattern& p,
     entry = &bucket.back();
     ++planned_;
   }
-  std::vector<PNodeId> mapped;
-  mapped.reserve(anchored.size());
-  for (PNodeId u : anchored) mapped.push_back(entry->first_copy[u]);
-  CanonicalizeAnchored(&mapped);
-  if (FindPlanIn(*entry, mapped) != nullptr) return;  // idempotent
-  entry->plans.push_back(build(entry->expanded, std::move(mapped)));
+  key_.clear();
+  for (PNodeId u : anchored) key_.push_back(entry->first_copy[u]);
+  CanonicalizeAnchored(&key_);
+  if (FindPlanIn(*entry, key_) == nullptr) {
+    // The copy into the planner happens once per (pattern, anchor set),
+    // not per probe.
+    entry->plans.push_back(build ? build(entry->expanded, key_)
+                                 : BuildSearchPlan(entry->expanded, key_, g_));
+  }
+  return *entry;
 }
 
 const PatternPlanEntry* SearchPlanStore::Find(const Pattern& p) const {
@@ -140,33 +140,6 @@ const PatternPlanEntry* SearchPlanStore::Find(const Pattern& p) const {
     if (entry.pattern == p) return &entry;
   }
   return nullptr;
-}
-
-PatternPlanEntry& VF2Matcher::CacheEntryFor(const Pattern& p) {
-  if (plans_cached_ > kMaxCachedPatterns) {
-    plan_cache_.clear();
-    plans_cached_ = 0;
-  }
-  auto& bucket = plan_cache_[StructuralHash(p)];
-  for (PatternPlanEntry& entry : bucket) {
-    if (entry.pattern == p) return entry;
-  }
-  PatternPlanEntry entry;
-  entry.pattern = p;
-  entry.expanded = p.ExpandMultiplicities(&entry.first_copy);
-  bucket.push_back(std::move(entry));
-  ++plans_cached_;
-  return bucket.back();
-}
-
-const SearchPlan& VF2Matcher::PlanFor(
-    PatternPlanEntry& entry, const std::vector<PNodeId>& anchored_key) {
-  if (const SearchPlan* plan = FindPlanIn(entry, anchored_key)) return *plan;
-  // The copy into BuildSearchPlan happens once per (pattern, anchor set),
-  // not per probe.
-  entry.plans.push_back(
-      BuildSearchPlan(entry.expanded, anchored_key, g_));
-  return entry.plans.back();
 }
 
 template <typename Leaf>
@@ -247,11 +220,11 @@ bool VF2Matcher::Extend(const Pattern& p, const SearchPlan& plan,
 
 VF2Matcher::Resolved VF2Matcher::Resolve(const Pattern& p,
                                          std::span<const Anchor> anchors) {
-  // The shared store first (a hit costs one hash lookup and skips
-  // expansion + planning entirely), the private cache otherwise. The
-  // mapped-anchor and key buffers live in the scratch so the probe hot
-  // path stays allocation-free after warmup; the single-anchor case (every
-  // ExistsAt) is its own canonical key.
+  // The shared store first (a hit skips expansion + planning entirely),
+  // then the private one; a hit in either costs one hash lookup, and only
+  // a miss in both plans. The mapped-anchor and key buffers live in the
+  // scratch so the probe hot path stays allocation-free after warmup; the
+  // single-anchor case (every ExistsAt) is its own canonical key.
   std::vector<PNodeId>& anchored_nodes = scratch_.anchored;
   auto map_anchors = [&](const std::vector<PNodeId>& first_copy) {
     anchored_nodes.clear();
@@ -263,18 +236,23 @@ VF2Matcher::Resolved VF2Matcher::Resolve(const Pattern& p,
     CanonicalizeAnchored(&scratch_.anchored_key);
     return scratch_.anchored_key;
   };
-  if (plan_store_ != nullptr) {
-    if (const PatternPlanEntry* shared = plan_store_->Find(p)) {
-      map_anchors(shared->first_copy);
-      if (const SearchPlan* plan = FindPlanIn(*shared, canonical_key())) {
-        return {&shared->expanded, plan, true};
+  const SearchPlanStore* const stores[] = {plan_store_, &own_plans_};
+  for (const SearchPlanStore* store : stores) {
+    if (store == nullptr) continue;
+    if (const PatternPlanEntry* entry = store->Find(p)) {
+      map_anchors(entry->first_copy);
+      if (const SearchPlan* plan = FindPlanIn(*entry, canonical_key())) {
+        return {&entry->expanded, plan, store == plan_store_};
       }
     }
   }
-  PatternPlanEntry& own = CacheEntryFor(p);
+  // The original anchor ids go through the key buffer, which
+  // `canonical_key` overwrites only after `Prepare` has read them.
+  scratch_.anchored_key.clear();
+  for (const Anchor& a : anchors) scratch_.anchored_key.push_back(a.u);
+  const PatternPlanEntry& own = own_plans_.Prepare(p, scratch_.anchored_key);
   map_anchors(own.first_copy);
-  const SearchPlan& plan = PlanFor(own, canonical_key());
-  return {&own.expanded, &plan, false};
+  return {&own.expanded, FindPlanIn(own, canonical_key()), false};
 }
 
 void VF2Matcher::BeginSearch(const Resolved& r,

@@ -226,19 +226,15 @@ void CacheSlice::EvaluateItem(const Generation& st, WorkerCtx& ctx,
   }
 }
 
-Status CacheSlice::EnsureRows(const Generation& st,
-                              std::span<const NodeId> centers,
-                              const std::vector<uint32_t>& selected,
-                              std::unordered_map<NodeId, Row>* rows,
-                              ServeStats* stats) {
+void CacheSlice::EnsureRows(const Generation& st,
+                            std::span<const NodeId> centers,
+                            const std::vector<uint32_t>& selected,
+                            std::unordered_map<NodeId, Row>* rows,
+                            ServeStats* stats) {
   const size_t words = rule_words(*st.rules);
   std::vector<WorkItem> items;
 
   for (NodeId c : centers) {
-    if (c >= st.graph->num_nodes()) {
-      return Status::InvalidArgument("center id " + std::to_string(c) +
-                                     " out of range");
-    }
     if (rows->count(c) > 0) continue;  // duplicate within this request
     Row& row = (*rows)[c];
     row.in_q.assign(words, 0);
@@ -344,19 +340,18 @@ Status CacheSlice::EnsureRows(const Generation& st,
       sh.map.erase(victim);
     }
   }
-  return Status::OK();
 }
 
-Status CacheSlice::Answer(const Generation& st, const SessionRequest& request,
-                          const std::vector<uint32_t>& selected,
-                          SessionReply* reply) {
+void CacheSlice::Answer(const Generation& st, const SessionRequest& request,
+                        const std::vector<uint32_t>& selected,
+                        SessionReply* reply) {
   Timer timer;
   const std::span<const NodeId> centers =
       request.all_centers ? std::span<const NodeId>(candidates_)
                           : std::span<const NodeId>(request.centers);
   reply->stats.requests = 1;
   std::unordered_map<NodeId, Row> rows;
-  GPAR_RETURN_NOT_OK(EnsureRows(st, centers, selected, &rows, &reply->stats));
+  EnsureRows(st, centers, selected, &rows, &reply->stats);
 
   reply->matched.reserve(centers.size());
   for (NodeId c : centers) {
@@ -391,7 +386,6 @@ Status CacheSlice::Answer(const Generation& st, const SessionRequest& request,
   }
   reply->stats.latency_seconds = timer.Seconds();
   lifetime_.Record(reply->stats);
-  return Status::OK();
 }
 
 void CacheSlice::Adopt(const GenerationChange& change, DeltaStats* ds) {
@@ -490,8 +484,6 @@ void LifetimeStats::Record(const ServeStats& stats) {
   add(cache_hits_, stats.cache_hits);
   add(cache_probes_, stats.cache_probes);
   add(centers_evaluated_, stats.centers_evaluated);
-  add(shards_failed_, stats.shards_failed);
-  add(retries_, stats.retries);
   add(latency_nanos_, static_cast<uint64_t>(stats.latency_seconds * 1e9));
 }
 
@@ -507,8 +499,6 @@ ServeStats LifetimeStats::Snapshot() const {
   st.cache_hits = get(cache_hits_);
   st.cache_probes = get(cache_probes_);
   st.centers_evaluated = get(centers_evaluated_);
-  st.shards_failed = get(shards_failed_);
-  st.retries = get(retries_);
   st.latency_seconds = static_cast<double>(get(latency_nanos_)) * 1e-9;
   return st;
 }

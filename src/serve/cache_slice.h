@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/result.h"
 #include "common/thread_annotations.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
@@ -58,11 +57,6 @@ struct SessionRequest {
   /// False (default): a rule matches a center when its antecedent Q does
   /// (the formal Σ(x, G, η) semantics). True: require the full P_R.
   bool require_consequent = false;
-  /// Per-request time budget in seconds; 0 = unbounded, negative is
-  /// rejected. The sharded router lets it cap the retry/backoff budget for
-  /// failing shards (an in-flight shard call is never cancelled — the
-  /// budget bounds how long the router keeps TRYING, not a hard wall).
-  double deadline_seconds = 0;
 };
 
 /// Per-request (and accumulated lifetime) serving statistics.
@@ -71,8 +65,11 @@ struct ServeStats {
   uint64_t cache_hits = 0;    ///< (rule, center) memberships answered from cache
   uint64_t cache_probes = 0;  ///< memberships computed by pattern matching
   uint64_t centers_evaluated = 0;  ///< centers that needed any matching work
-  uint64_t shards_failed = 0;  ///< shards that contributed nothing (degraded)
-  uint64_t retries = 0;        ///< transient shard errors retried
+  /// Always 0: every shard is an in-process cache slice answering a
+  /// validated request, so no shard call fails or is retried. Kept only
+  /// because the pipeline benchmark still reports them (`router.failures`).
+  uint64_t shards_failed = 0;
+  uint64_t retries = 0;
   double latency_seconds = 0;
 };
 
@@ -92,13 +89,6 @@ struct SessionReply {
   std::vector<EipRuleEval> rule_evals;
   uint64_t supp_q = 0;     ///< candidates matching the consequent q(x, y)
   uint64_t supp_qbar = 0;  ///< LCWA negatives (no q-edge at all)
-  /// Degraded mode (sharded router only): one or more shards contributed
-  /// nothing, so matched rows of their owned centers are empty and the
-  /// supports/confidences are sums over the SURVIVING shards — exact for
-  /// the surviving shards' centers, a lower bound globally.
-  bool degraded = false;
-  /// The shards that contributed nothing (sorted), when `degraded`.
-  std::vector<uint32_t> failed_shards;
   ServeStats stats;
 };
 
@@ -147,8 +137,6 @@ class LifetimeStats {
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_probes_{0};
   std::atomic<uint64_t> centers_evaluated_{0};
-  std::atomic<uint64_t> shards_failed_{0};
-  std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> latency_nanos_{0};
 };
 
@@ -263,10 +251,11 @@ class GenerationChange {
 /// One owned-center slice of a served deployment: its candidate centers,
 /// the lock-sharded LRU (rule, center) match cache over them, its worker
 /// pool and its lifetime stats. A `RuleServer` has one slice owning every
-/// candidate; a `ShardedRuleServer` has one per shard. Slices hold no
-/// generation: each answer is computed at the generation its caller
-/// pinned, and each publish walks every slice (`Adopt`) before the new
-/// generation becomes visible.
+/// candidate; a `ShardedRuleServer` has one per shard, all in one
+/// process. Slices hold no generation: each answer is computed at the
+/// generation its caller pinned, for a request `ServeSession::Query` has
+/// already validated against it, so an answer cannot fail; each publish
+/// walks every slice (`Adopt`) before the new generation becomes visible.
 ///
 /// Memberships are raw P_R / antecedent bits, a function of the pattern
 /// and the graph only (other-component satisfiability is applied at read
@@ -284,13 +273,13 @@ class CacheSlice {
   CacheSlice(const CacheSlice&) = delete;
   CacheSlice& operator=(const CacheSlice&) = delete;
 
-  /// Answers `request` at generation `st` for `selected` (already
-  /// validated against `st`'s rules): fills `reply->matched` per requested
+  /// Answers `request` at generation `st` for `selected` (the request is
+  /// already validated against `st`): fills `reply->matched` per requested
   /// center — every owned candidate when `all_centers`, together with this
   /// slice's partial supports — and `reply->stats`. Entities and
   /// confidences are the session's (`ServeSession::Query`).
-  Status Answer(const Generation& st, const SessionRequest& request,
-                const std::vector<uint32_t>& selected, SessionReply* reply);
+  void Answer(const Generation& st, const SessionRequest& request,
+              const std::vector<uint32_t>& selected, SessionReply* reply);
 
   /// Brings the cache from `change`'s old generation to its next one:
   /// stores the new epoch, remaps the cached bits when the rules changed,
@@ -357,11 +346,11 @@ class CacheSlice {
   CacheShard& ShardFor(NodeId center);
 
   /// Ensures memberships of `selected` rules for every center in `centers`
-  /// (deduplicated internally), filling `rows` keyed by center. Updates the
-  /// cache/LRU and accumulates stats.
-  Status EnsureRows(const Generation& st, std::span<const NodeId> centers,
-                    const std::vector<uint32_t>& selected,
-                    std::unordered_map<NodeId, Row>* rows, ServeStats* stats);
+  /// (in range of `st`'s graph; deduplicated internally), filling `rows`
+  /// keyed by center. Updates the cache/LRU and accumulates stats.
+  void EnsureRows(const Generation& st, std::span<const NodeId> centers,
+                  const std::vector<uint32_t>& selected,
+                  std::unordered_map<NodeId, Row>* rows, ServeStats* stats);
   void EvaluateItem(const Generation& st, WorkerCtx& ctx,
                     WorkItem& item) const;
 

@@ -13,10 +13,10 @@ Result<std::unique_ptr<RuleServer>> RuleServer::Create(
   return server;
 }
 
-Status RuleServer::Gather(const Generation& st, const SessionRequest& request,
-                          const std::vector<uint32_t>& selected,
-                          SessionReply* reply) {
-  return slices_.front()->Answer(st, request, selected, reply);
+void RuleServer::Gather(const Generation& st, const SessionRequest& request,
+                        const std::vector<uint32_t>& selected,
+                        SessionReply* reply) {
+  slices_.front()->Answer(st, request, selected, reply);
 }
 
 size_t RuleServer::plans_prepared() const {

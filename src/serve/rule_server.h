@@ -52,9 +52,9 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   RuleServer() = default;
 
   /// The one slice answers every request.
-  Status Gather(const Generation& st, const SessionRequest& request,
-                const std::vector<uint32_t>& selected,
-                SessionReply* reply) override;
+  void Gather(const Generation& st, const SessionRequest& request,
+              const std::vector<uint32_t>& selected,
+              SessionReply* reply) override;
 };
 
 }  // namespace gpar

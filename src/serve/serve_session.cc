@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/timer.h"
@@ -12,12 +13,15 @@ namespace gpar {
 
 namespace {
 
-/// The front half of every `ApplyDelta`: interns `delta.label_defs`
-/// (replayed journal frames carry their own dictionary, so a frame minted
-/// after the snapshot was written still resolves; a live batch defines the
-/// labels it mints), patches `g`, and records the patch counts in `ds`.
+/// The front half of every `ApplyDelta`: validates the whole batch, then
+/// interns `delta.label_defs` (replayed journal frames carry their own
+/// dictionary, so a frame minted after the snapshot was written still
+/// resolves; a live batch defines the labels it mints), patches `g`, and
+/// records the patch counts in `ds`. A rejected batch interns nothing, so
+/// the dictionary never holds a label no journal frame defines.
 Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
                                Interner* labels, DeltaStats* ds) {
+  GPAR_RETURN_NOT_OK(ValidateDelta(g, delta));
   GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, labels));
   GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(g, delta));
   ds->edges_inserted = patch.edges_inserted;
@@ -27,18 +31,23 @@ Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
   return patch;
 }
 
-/// A request's rule selection against a generation serving `num_rules`
-/// rules — empty selects all, otherwise sorted, deduplicated and
-/// range-checked — after rejecting η <= 0 for `all_centers` and a negative
-/// `deadline_seconds`.
+/// A request's rule selection against generation `st` — empty selects
+/// all, otherwise sorted, deduplicated and range-checked — after rejecting
+/// η <= 0 for `all_centers` and point-lookup centers outside `st`'s graph.
 Result<std::vector<uint32_t>> ValidateRequest(const SessionRequest& request,
-                                              size_t num_rules) {
+                                              const Generation& st) {
   if (request.all_centers && request.eta <= 0) {
     return Status::InvalidArgument("eta must be positive");
   }
-  if (request.deadline_seconds < 0) {
-    return Status::InvalidArgument("deadline_seconds must be non-negative");
+  if (!request.all_centers) {
+    for (NodeId c : request.centers) {
+      if (c >= st.graph->num_nodes()) {
+        return Status::InvalidArgument("center id " + std::to_string(c) +
+                                       " out of range");
+      }
+    }
   }
+  const size_t num_rules = st.rules->sigma.size();
   std::vector<uint32_t> selected = request.rules;
   if (selected.empty()) {
     selected.resize(num_rules);
@@ -135,9 +144,9 @@ Result<SessionReply> ServeSession::Query(const SessionRequest& request) {
   // from it.
   const std::shared_ptr<const Generation> st = AcquireGeneration();
   GPAR_ASSIGN_OR_RETURN(std::vector<uint32_t> selected,
-                        ValidateRequest(request, st->rules->sigma.size()));
+                        ValidateRequest(request, *st));
   SessionReply reply;
-  GPAR_RETURN_NOT_OK(Gather(*st, request, selected, &reply));
+  Gather(*st, request, selected, &reply);
   reply.stats.requests = 1;
   AssembleEntities(request, selected,
                    request.all_centers ? candidates_ : request.centers,
@@ -287,10 +296,14 @@ Status ServeSession::Checkpoint(const std::string& graph_snapshot_path) {
   if (journal_ == nullptr) {
     return Status::InvalidArgument("checkpoint requires an attached journal");
   }
+  std::ostringstream snapshot(std::ios::binary);
+  GPAR_RETURN_NOT_OK(WriteGraphSnapshot(*graph_snapshot(), snapshot));
+  // Compact only once the snapshot is durable: a crash before the rename
+  // keeps the old snapshot and the whole journal; after it, the new
+  // snapshot carries every journaled frame's effects, so compaction keeps
+  // only the sequence floor.
   GPAR_RETURN_NOT_OK(
-      WriteGraphSnapshotFile(*graph_snapshot(), graph_snapshot_path));
-  // The snapshot now carries every journaled frame's effects; compaction
-  // keeps only the sequence floor.
+      ReplaceFileDurably(graph_snapshot_path, std::move(snapshot).str()));
   return journal_->Compact();
 }
 

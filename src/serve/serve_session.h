@@ -54,11 +54,12 @@ class ServeSession {
   virtual ~ServeSession() = default;
 
   /// Answers one request: pins the current generation once, validates the
-  /// request against its rules (an empty selection selects every rule;
-  /// out-of-range rule indices or centers, η <= 0 for `all_centers` and a
-  /// negative deadline are InvalidArgument), lets the deployment gather
-  /// its slices' answers from that generation, and assembles entities and
+  /// request against it (an empty selection selects every rule;
+  /// out-of-range rule indices or point-lookup centers and η <= 0 for
+  /// `all_centers` are InvalidArgument), lets the deployment gather its
+  /// slices' answers from that generation, and assembles entities and
   /// confidences — so a reply is exactly the answer at one generation.
+  /// Validation is the only way a query fails.
   Result<SessionReply> Query(const SessionRequest& request)
       GPAR_EXCLUDES(state_mu_);
 
@@ -82,9 +83,11 @@ class ServeSession {
                        JournalReplayStats* replay = nullptr)
       GPAR_EXCLUDES(writer_mu_);
 
-  /// Checkpoint: writes the current graph to `graph_snapshot_path` and
-  /// compacts the attached journal behind it (keeping the sequence
-  /// floor). Requires an attached journal; serialized against deltas.
+  /// Checkpoint: replaces `graph_snapshot_path` with the current graph
+  /// (`ReplaceFileDurably`, so a failed or interrupted write leaves the
+  /// old file whole) and then compacts the attached journal behind it
+  /// (keeping the sequence floor). Requires an attached journal;
+  /// serialized against deltas.
   Status Checkpoint(const std::string& graph_snapshot_path)
       GPAR_EXCLUDES(writer_mu_);
 
@@ -143,12 +146,13 @@ class ServeSession {
   /// Pins the current generation.
   std::shared_ptr<const Generation> AcquireGeneration() const
       GPAR_EXCLUDES(state_mu_);
-  /// The deployment's read step: fills `reply->matched` per requested
-  /// center (every candidate when `all_centers`, with the supports summed
-  /// into `reply`) and the matching stats, for `selected` at `st`.
-  virtual Status Gather(const Generation& st, const SessionRequest& request,
-                        const std::vector<uint32_t>& selected,
-                        SessionReply* reply) = 0;
+  /// The deployment's read step, for a request already validated against
+  /// `st`: fills `reply->matched` per requested center (every candidate
+  /// when `all_centers`, with the supports summed into `reply`) and the
+  /// matching stats, for `selected` at `st`.
+  virtual void Gather(const Generation& st, const SessionRequest& request,
+                      const std::vector<uint32_t>& selected,
+                      SessionReply* reply) = 0;
 
   Predicate q_{};  ///< the rule set's predicate q(x, y)
   std::vector<NodeId> candidates_;

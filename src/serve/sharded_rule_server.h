@@ -21,38 +21,27 @@ struct ShardedRuleServerOptions {
   uint32_t num_shards = 2;
   /// Per-shard serving options (worker threads, cache size, ...).
   RuleServerOptions shard_options;
-  /// Bounded retry of TRANSIENT shard errors (Unavailable / IoError) on
-  /// the query path; other codes propagate immediately.
-  uint32_t max_shard_retries = 2;
-  /// Backoff before the first retry, doubling per attempt. The retry loop
-  /// never sleeps past a request's `deadline_seconds`.
-  uint32_t retry_backoff_micros = 200;
 };
 
 /// A sharded serving deployment: ONE served generation plus `num_shards`
-/// owned-center cache slices. The candidate centers are split once at load
-/// by `PartitionGraph`'s center ownership (its radius, the loaded rule
-/// set's, only weights the balance); each shard answers for its owned
-/// centers only, matching them on the shared parent CSR — so any rule
-/// radius, including a deeper maintained one, is served. This thin router
-/// scatters a request by center ownership, gathers the matches, and — for
-/// `all_centers` requests — assembles the global supports and confidences
-/// from the per-shard partial sums, which is exact because center
-/// ownership is disjoint (the paper's summable local supports,
-/// Section 5.1).
+/// owned-center cache slices, all in this process. The candidate centers
+/// are split once at load by `PartitionGraph`'s center ownership (its
+/// radius, the loaded rule set's, only weights the balance); each shard
+/// answers for its owned centers only, matching them on the shared parent
+/// CSR — so any rule radius, including a deeper maintained one, is served.
+/// This thin router scatters a request by center ownership, gathers the
+/// matches, and — for `all_centers` requests — assembles the global
+/// supports and confidences from the per-shard partial sums, which is
+/// exact because center ownership is disjoint (the paper's summable local
+/// supports, Section 5.1).
 ///
 /// A query pins the deployment's generation once and every shard call
 /// answers from it, so a reply is exactly the answer at one generation.
-/// The write path (`ApplyDelta`, journal, replay, checkpoint, maintenance,
-/// publish) is `ServeSession`'s: a delta is patched and published once,
-/// and every shard's slice adopts it in process before it becomes
-/// visible.
-///
-/// Shard failures on the query path degrade rather than fail: a transient
-/// error is retried under `max_shard_retries`, bounded by the request's
-/// deadline, and a shard that keeps failing is left out of the reply,
-/// which sets `SessionReply::degraded` (owned-center supports of the
-/// survivors stay exact).
+/// `ServeSession::Query` has validated the request before the scatter, so
+/// a shard call cannot fail. The write path (`ApplyDelta`, journal,
+/// replay, checkpoint, maintenance, publish) is `ServeSession`'s: a delta
+/// is patched and published once, and every shard's slice adopts it in
+/// process before it becomes visible.
 ///
 /// Thread-safety: as `ServeSession`.
 class ShardedRuleServer
@@ -77,39 +66,32 @@ class ShardedRuleServer
   uint32_t OwnerOf(NodeId center) const;
 
  private:
-  explicit ShardedRuleServer(const ShardedRuleServerOptions& options);
+  ShardedRuleServer() = default;
 
   /// Point lookups scatter by center ownership; `all_centers` asks every
   /// shard and sums the partial supports.
-  Status Gather(const Generation& st, const SessionRequest& request,
-                const std::vector<uint32_t>& selected,
-                SessionReply* reply) override;
+  void Gather(const Generation& st, const SessionRequest& request,
+              const std::vector<uint32_t>& selected,
+              SessionReply* reply) override;
 
   /// One shard's part of a scattered request.
   struct ShardCall {
     uint32_t shard = 0;
     SessionRequest request;
-    Status status;
     SessionReply reply;
-    uint64_t retries = 0;
   };
-  /// Runs `calls` at generation `st`, retrying transient failures (see
-  /// the options) within `request`'s deadline — on the caller when there
-  /// is just one, else on the router pool. Each failed call degrades
-  /// `reply` (its shard joins `failed_shards`). Retries and the successful
-  /// calls' shard stats are summed into `reply->stats`; callers merge the
-  /// replies of the calls left ok.
-  void Scatter(const Generation& st, const SessionRequest& request,
-               const std::vector<uint32_t>& selected,
+  /// Answers `calls` at generation `st` — on the caller when there is just
+  /// one, else on the router pool — and sums their shard stats into
+  /// `reply->stats`; callers merge the calls' replies.
+  void Scatter(const Generation& st, const std::vector<uint32_t>& selected,
                std::vector<ShardCall>& calls, SessionReply* reply) const;
-  Status GatherPoint(const Generation& st, const SessionRequest& request,
-                     const std::vector<uint32_t>& selected,
-                     SessionReply* reply) const;
+  void GatherPoint(const Generation& st, const SessionRequest& request,
+                   const std::vector<uint32_t>& selected,
+                   SessionReply* reply) const;
   void GatherAll(const Generation& st, const SessionRequest& request,
                  const std::vector<uint32_t>& selected,
                  SessionReply* reply) const;
 
-  ShardedRuleServerOptions options_;
   std::vector<uint32_t> owner_;  ///< parallel to candidates_
   /// Scatter pool — deliberately separate from the slices' matching pools:
   /// a router task blocks on a slice's answer, and blocking waits must

@@ -708,5 +708,118 @@ TEST_F(JournalRecovery, ReplaysLabelsMintedAfterTheSnapshot) {
   ExpectSameAnswer(*a, *b, "minted-label recovery");
 }
 
+/// A rejected batch interns nothing. Were its minted label left in the
+/// live dictionary with no journaled definition, the next frame minting a
+/// label would define an id one past the orphan, and recovery would
+/// refuse the journal ("label def skips ids"). A batch whose second def is
+/// bad must not leave its first one interned either.
+TEST_F(JournalRecovery, RejectedBatchLeavesNoOrphanLabel) {
+  Workload w = MakeWorkload(1);
+  const std::string gpath = Path("graph", 1, ".snap");
+  const std::string rpath = Path("rules", 1, ".snap");
+  const std::string jpath = Path("journal", 1, ".wal");
+  ASSERT_TRUE(WriteGraphSnapshotFile(w.graph, gpath).ok());
+  ASSERT_TRUE(
+      WriteRuleSetSnapshotFile(w.records, w.graph.labels(), rpath).ok());
+
+  auto live = RuleServer::Load(gpath, rpath);
+  ASSERT_TRUE(live.ok()) << live.status();
+  RuleServer& s = **live;
+  ASSERT_TRUE(s.AttachJournal(jpath).ok());
+  const Interner& labels = s.graph_snapshot()->labels();
+  const size_t labels_before = labels.size();
+
+  // An endpoint out of range rejects the batch that mints "brand_new".
+  GraphDelta bad_endpoint;
+  const LabelId orphan = ResolveLabel(labels, "brand_new", &bad_endpoint);
+  bad_endpoint.inserts = {{999999999, orphan, 1}};
+  EXPECT_EQ(s.ApplyDelta(bad_endpoint).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(labels.size(), labels_before);
+  EXPECT_EQ(labels.Lookup("brand_new"), kNoLabel);
+
+  // A def that skips ids rejects the batch after a well-formed def.
+  GraphDelta bad_def;
+  const LabelId first = ResolveLabel(labels, "first_def", &bad_def);
+  bad_def.label_defs.push_back(
+      {static_cast<LabelId>(labels_before + 5), "skipping_def"});
+  bad_def.inserts = {{5, first, 12}};
+  EXPECT_EQ(s.ApplyDelta(bad_def).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(labels.size(), labels_before);
+  EXPECT_EQ(labels.Lookup("first_def"), kNoLabel);
+
+  GraphDelta good;
+  const LabelId minted = ResolveLabel(labels, "second_new", &good);
+  EXPECT_EQ(minted, labels_before);
+  good.inserts = {{5, minted, 12}};
+  auto ds = s.ApplyDelta(good);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  EXPECT_EQ(ds->sequence, 1u);
+
+  auto rec = RuleServer::Recover(gpath, rpath, jpath);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_EQ(GraphBytes(*(*rec)->graph_snapshot()),
+            GraphBytes(*s.graph_snapshot()));
+  EXPECT_EQ((*rec)->graph_snapshot()->labels().Lookup("second_new"), minted);
+  auto a = (*rec)->Query(AllRequest(0.5));
+  auto b = s.Query(AllRequest(0.5));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ExpectSameAnswer(*a, *b, "recovery after a rejected batch");
+}
+
+/// A checkpoint replaces the snapshot durably: a torn write to the loaded
+/// snapshot's own path fails without touching that file or the journal, so
+/// recovery still reproduces the live session. Disarmed, the same
+/// checkpoint succeeds and compacts the journal.
+TEST_F(JournalRecovery, TornCheckpointKeepsSnapshotAndJournal) {
+  Workload w = MakeWorkload(2);
+  const std::string gpath = Path("graph", 2, ".snap");
+  const std::string rpath = Path("rules", 2, ".snap");
+  const std::string jpath = Path("journal", 2, ".wal");
+  ASSERT_TRUE(WriteGraphSnapshotFile(w.graph, gpath).ok());
+  ASSERT_TRUE(
+      WriteRuleSetSnapshotFile(w.records, w.graph.labels(), rpath).ok());
+
+  auto live = RuleServer::Load(gpath, rpath);
+  ASSERT_TRUE(live.ok()) << live.status();
+  RuleServer& s = **live;
+  ASSERT_TRUE(s.AttachJournal(jpath).ok());
+  ASSERT_TRUE(s.ApplyDelta(MakeMutationDelta(*s.graph_snapshot(), 31, 4)).ok());
+  ASSERT_TRUE(s.ApplyDelta(MakeMutationDelta(*s.graph_snapshot(), 32, 4)).ok());
+  const std::string snapshot_before = SlurpFile(gpath);
+  const std::string journal_before = SlurpFile(jpath);
+
+  FailpointSpec spec;
+  spec.code = StatusCode::kIoError;
+  spec.torn_bytes = 64;
+  FailpointRegistry::Instance().Arm("checkpoint.write_torn", spec);
+  EXPECT_EQ(s.Checkpoint(gpath).code(), StatusCode::kIoError);
+  FailpointRegistry::Instance().DisarmAll();
+  EXPECT_EQ(SlurpFile(gpath), snapshot_before);
+  EXPECT_EQ(SlurpFile(jpath), journal_before);
+  auto frames = DeltaJournal::ReadAll(jpath);
+  ASSERT_TRUE(frames.ok());
+  EXPECT_EQ(frames->size(), 2u);
+
+  auto rec = RuleServer::Recover(gpath, rpath, jpath);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_EQ(GraphBytes(*(*rec)->graph_snapshot()),
+            GraphBytes(*s.graph_snapshot()));
+  auto a = (*rec)->Query(AllRequest(0.5));
+  auto b = s.Query(AllRequest(0.5));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ExpectSameAnswer(*a, *b, "recovery after a torn checkpoint");
+
+  ASSERT_TRUE(s.Checkpoint(gpath).ok());
+  EXPECT_EQ(SlurpFile(gpath), GraphBytes(*s.graph_snapshot()));
+  frames = DeltaJournal::ReadAll(jpath);
+  ASSERT_TRUE(frames.ok());
+  ASSERT_EQ(frames->size(), 1u);
+  EXPECT_EQ((*frames)[0].sequence, 2u);
+  EXPECT_TRUE((*frames)[0].inserts.empty());
+}
+
 }  // namespace
 }  // namespace gpar

@@ -422,14 +422,6 @@ void ExpectRejectsMalformedInput(ServeSession& s, size_t num_rules) {
   expect_invalid(AllRequest(0), "eta = 0");
   expect_invalid(AllRequest(-1), "eta < 0");
 
-  SessionRequest bad_deadline;
-  bad_deadline.centers = {s.candidates().front()};
-  bad_deadline.deadline_seconds = -1;
-  expect_invalid(bad_deadline, "negative deadline, point lookup");
-  SessionRequest bad_deadline_all = AllRequest(0.5);
-  bad_deadline_all.deadline_seconds = -1;
-  expect_invalid(bad_deadline_all, "negative deadline, all centers");
-
   GraphDelta bad_delta;
   bad_delta.inserts.push_back({n, s.graph_snapshot()->node_label(0), 0});
   EXPECT_FALSE(s.ApplyDelta(bad_delta).ok()) << "delta node out of range";

@@ -498,6 +498,54 @@ TEST(GraphDeltaTest, LabelDefsCollectAndReintern) {
   EXPECT_FALSE(ApplyLabelDefs(dup, &two).ok());
 }
 
+TEST(GraphDeltaTest, ValidateDeltaChecksTheWholeBatchWithoutInterning) {
+  GraphBuilder b;
+  const NodeId u = b.AddNode("cust");
+  const NodeId v = b.AddNode("cust");
+  ASSERT_TRUE(b.AddEdge(u, "follow", v).ok());
+  const Graph g = std::move(b).Build();
+  const Interner& dict = g.labels();
+  const size_t before = dict.size();
+
+  // An insert may use a label the batch itself defines, not one past it.
+  GraphDelta good;
+  good.inserts = {{u, ResolveLabel(dict, "minted", &good), v}};
+  EXPECT_TRUE(ValidateDelta(g, good).ok());
+  GraphDelta past_defs = good;
+  past_defs.inserts.push_back({v, static_cast<LabelId>(before + 1), u});
+  EXPECT_EQ(ValidateDelta(g, past_defs).code(), StatusCode::kInvalidArgument);
+  GraphDelta bad_endpoint = good;
+  bad_endpoint.inserts.push_back({u, good.inserts[0].label, 99});
+  EXPECT_EQ(ValidateDelta(g, bad_endpoint).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dict.size(), before);
+
+  // A bad def after a good one fails the whole batch: `ApplyLabelDefs`
+  // interns neither.
+  GraphDelta bad_def = good;
+  bad_def.label_defs.push_back({static_cast<LabelId>(before + 2), "skips"});
+  EXPECT_EQ(ValidateDelta(g, bad_def).code(), StatusCode::kCorruption);
+  Interner copy = dict;
+  EXPECT_FALSE(ApplyLabelDefs(bad_def, &copy).ok());
+  EXPECT_EQ(copy.size(), before);
+  EXPECT_EQ(copy.Lookup("minted"), kNoLabel);
+
+  // A def the batch repeats verifies against its first occurrence; the
+  // same id under another name, or the same name under a second id, is
+  // corruption.
+  GraphDelta repeated = good;
+  repeated.label_defs.push_back(good.label_defs[0]);
+  EXPECT_TRUE(ValidateDelta(g, repeated).ok());
+  ASSERT_TRUE(ApplyLabelDefs(repeated, &copy).ok());
+  EXPECT_EQ(copy.size(), before + 1);
+  GraphDelta renamed = good;
+  renamed.label_defs.push_back({good.label_defs[0].id, "other"});
+  EXPECT_EQ(ValidateDelta(g, renamed).code(), StatusCode::kCorruption);
+  GraphDelta twice = good;
+  twice.label_defs.push_back({static_cast<LabelId>(before + 1), "minted"});
+  EXPECT_EQ(ValidateDelta(g, twice).code(), StatusCode::kCorruption);
+}
+
 TEST(GraphDeltaTest, ResolveLabelMintsUnseenNamesInFirstSeenOrder) {
   Interner dict;
   const LabelId a = dict.Intern("a");

@@ -28,9 +28,7 @@
 #
 # A seventh JSON report (RECOVERY_JSON) comes from a CI-sized exp8_recovery
 # run: the write-ahead journal's ApplyDelta overhead (off / journal /
-# fsync), journal replay throughput through RuleServer::Recover, and
-# degraded-mode QPS of a k=4 sharded deployment with failpoint-injected
-# shard loss.
+# fsync) and journal replay throughput through RuleServer::Recover.
 #
 # An eighth JSON report (MAINTENANCE_JSON) comes from a CI-sized
 # exp9_maintenance run: per-batch cost of the incremental RuleMaintainer
@@ -122,7 +120,7 @@ else
   echo "warning: ${churn_bin} not built; skipping ${churn_out}" >&2
 fi
 
-# Fault-tolerance sweep (journal overhead, replay throughput, degraded QPS).
+# Durability sweep (journal overhead, replay throughput).
 recovery_bin="${bin_dir}/exp8_recovery"
 if [[ -x "${recovery_bin}" ]]; then
   echo "== exp8_recovery -> ${recovery_out}" >&2
