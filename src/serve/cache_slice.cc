@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
+#include <unordered_map>
 
 #include "common/timer.h"
 #include "pattern/pattern_ops.h"
@@ -14,20 +16,14 @@ constexpr uint8_t kQKnown = 1;
 constexpr uint8_t kQIsQ = 2;
 constexpr uint8_t kQIsQbar = 4;
 
-bool GetBit(const std::vector<uint64_t>& words, size_t i) {
+bool GetBit(std::span<const uint64_t> words, size_t i) {
   return (words[i >> 6] >> (i & 63)) & 1;
 }
-void SetBit(std::vector<uint64_t>* words, size_t i) {
-  (*words)[i >> 6] |= uint64_t{1} << (i & 63);
+void SetBit(std::span<uint64_t> words, size_t i) {
+  words[i >> 6] |= uint64_t{1} << (i & 63);
 }
-void ClearBit(std::vector<uint64_t>* words, size_t i) {
-  (*words)[i >> 6] &= ~(uint64_t{1} << (i & 63));
-}
-/// Whether a cache entry still holds something worth keeping.
-bool HoldsAnything(uint8_t qclass, const std::vector<uint64_t>& known) {
-  return (qclass & kQKnown) != 0 ||
-         std::any_of(known.begin(), known.end(),
-                     [](uint64_t w) { return w != 0; });
+void ClearBit(std::span<uint64_t> words, size_t i) {
+  words[i >> 6] &= ~(uint64_t{1} << (i & 63));
 }
 
 std::unique_ptr<WorkerCtx> AcquireCtx(const Generation& st) {
@@ -168,31 +164,32 @@ CacheSlice::CacheSlice(const Predicate& q, std::vector<NodeId> candidates,
     : q_(q),
       pq_(q.ToPattern()),
       candidates_(std::move(candidates)),
-      options_(options),
-      pool_(std::max(1u, options.num_workers)) {}
-
-size_t CacheSlice::max_cached_centers(const ServedRules& rules) const {
-  size_t per_center = std::max<size_t>(rules.sigma.size(), 1);
-  return std::max<size_t>(options_.cache_capacity / per_center, 1);
-}
-
-CacheSlice::CacheShard& CacheSlice::ShardFor(NodeId center) {
-  const uint64_t h = (static_cast<uint64_t>(center) * 0x9E3779B97F4A7C15ull);
-  return match_cache_[(h >> 32) % kCacheShards];
+      pool_(std::max(1u, options.num_workers)) {
+  for (uint32_t i = 0; i < kStripes; ++i) {
+    MutexLock lock(stripes_[i].mu);
+    stripes_[i].entries.resize((candidates_.size() + kStripes - 1 - i) /
+                               kStripes);
+  }
 }
 
 size_t CacheSlice::cached_centers() const {
   size_t total = 0;
-  for (const CacheShard& sh : match_cache_) {
+  for (const Stripe& sh : stripes_) {
     MutexLock lock(sh.mu);
-    total += sh.map.size();
+    for (const CenterEntry& e : sh.entries) {
+      if ((e.qclass & kQKnown) != 0 ||
+          std::any_of(e.known.begin(), e.known.end(),
+                      [](uint64_t w) { return w != 0; })) {
+        ++total;
+      }
+    }
   }
   return total;
 }
 
 void CacheSlice::EvaluateItem(const Generation& st, WorkerCtx& ctx,
                               WorkItem& item) const {
-  const NodeId v = item.center;
+  const NodeId v = candidates_[item.ordinal];
   uint8_t qc = item.qclass_in;
   if ((qc & kQKnown) == 0) {
     bool is_q = ctx.matcher->ExistsAt(pq_, v);
@@ -207,9 +204,9 @@ void CacheSlice::EvaluateItem(const Generation& st, WorkerCtx& ctx,
     ctx.evaluator->Evaluate(v, is_q, is_qbar, /*need_q_membership=*/true,
                             &in_pr, &in_q);
     for (size_t i = 0; i < st.rules->sigma.size(); ++i) {
-      SetBit(&item.probed, i);
-      if (in_q[i]) SetBit(&item.in_q, i);
-      if (in_pr[i]) SetBit(&item.in_pr, i);
+      SetBit(item.probed, i);
+      if (in_q[i]) SetBit(item.in_q, i);
+      if (in_pr[i]) SetBit(item.in_pr, i);
     }
   } else {
     for (uint32_t ri : item.rules) {
@@ -219,58 +216,57 @@ void CacheSlice::EvaluateItem(const Generation& st, WorkerCtx& ctx,
       // Q's nodes is a Q-match), saving the second probe.
       bool pr = is_q && ctx.matcher->ExistsAt(r.pr(), v);
       bool qm = pr || ctx.matcher->ExistsAt(r.x_component(), v);
-      SetBit(&item.probed, ri);
-      if (qm) SetBit(&item.in_q, ri);
-      if (pr) SetBit(&item.in_pr, ri);
+      SetBit(item.probed, ri);
+      if (qm) SetBit(item.in_q, ri);
+      if (pr) SetBit(item.in_pr, ri);
     }
   }
 }
 
 void CacheSlice::EnsureRows(const Generation& st,
-                            std::span<const NodeId> centers,
-                            const std::vector<uint32_t>& selected,
-                            std::unordered_map<NodeId, Row>* rows,
+                            std::span<const uint32_t> ordinals,
+                            const std::vector<uint32_t>& selected, Rows* rows,
                             ServeStats* stats) {
   const size_t words = rule_words(*st.rules);
+  rows->words = words;
+  rows->qclass.assign(ordinals.size(), 0);
+  rows->in_q.assign(ordinals.size() * words, 0);
+  rows->in_pr.assign(ordinals.size() * words, 0);
   std::vector<WorkItem> items;
 
-  for (NodeId c : centers) {
-    if (rows->count(c) > 0) continue;  // duplicate within this request
-    Row& row = (*rows)[c];
-    row.in_q.assign(words, 0);
-    row.in_pr.assign(words, 0);
-
+  for (size_t j = 0; j < ordinals.size(); ++j) {
+    const uint32_t o = ordinals[j];
     std::vector<uint32_t> missing;
     uint8_t qclass = 0;
     {
-      CacheShard& sh = ShardFor(c);
+      Stripe& sh = StripeOf(o);
       MutexLock lock(sh.mu);
-      auto cit = sh.map.find(c);
+      const CenterEntry& e = sh.entries[o / kStripes];
       // An entry stamped outside this generation's window holds another
       // rule set's indices, or memberships of a graph newer than this
       // reader's: a miss.
-      if (cit != sh.map.end() && Answers(cit->second, st)) {
-        CenterEntry& e = cit->second;
+      if (Answers(e, st)) {
         qclass = e.qclass;
+        const std::span<uint64_t> in_q = rows->Q(j), in_pr = rows->Pr(j);
         for (uint32_t ri : selected) {
           if (GetBit(e.known, ri)) {
             ++stats->cache_hits;
-            if (GetBit(e.in_q, ri)) SetBit(&row.in_q, ri);
-            if (GetBit(e.in_pr, ri)) SetBit(&row.in_pr, ri);
+            if (GetBit(e.in_q, ri)) SetBit(in_q, ri);
+            if (GetBit(e.in_pr, ri)) SetBit(in_pr, ri);
           } else {
             missing.push_back(ri);
           }
         }
-        sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_it);
       } else {
         missing = selected;
       }
     }
-    row.qclass = qclass;
+    rows->qclass[j] = qclass;
     if (missing.empty() && (qclass & kQKnown) != 0) continue;
 
     WorkItem item;
-    item.center = c;
+    item.ordinal = o;
+    item.row = j;
     item.qclass_in = qclass;
     item.full = missing.size() == st.rules->sigma.size();
     if (!item.full) item.rules = std::move(missing);
@@ -296,30 +292,24 @@ void CacheSlice::EnsureRows(const Generation& st,
     for (auto& c : ctxs) ReleaseCtx(st, std::move(c));
   }
 
-  const size_t shard_cap =
-      std::max<size_t>(max_cached_centers(*st.rules) / kCacheShards, 1);
   for (WorkItem& item : items) {
-    Row& row = (*rows)[item.center];
-    row.qclass = item.qclass_out;
+    rows->qclass[item.row] = item.qclass_out;
+    const std::span<uint64_t> in_q = rows->Q(item.row);
+    const std::span<uint64_t> in_pr = rows->Pr(item.row);
     for (size_t w = 0; w < words; ++w) {
-      row.in_q[w] |= item.in_q[w];
-      row.in_pr[w] |= item.in_pr[w];
+      in_q[w] |= item.in_q[w];
+      in_pr[w] |= item.in_pr[w];
       stats->cache_probes += std::popcount(item.probed[w]);
     }
-    CacheShard& sh = ShardFor(item.center);
+    Stripe& sh = StripeOf(item.ordinal);
     MutexLock lock(sh.mu);
     // Write back only results computed on the CURRENT epoch. Adopt stores
-    // the new epoch BEFORE its walk, so a stale reader either inserts
+    // the new epoch BEFORE its walk, so a stale reader either writes
     // before the walk (and gets invalidated by it) or sees the new epoch
     // here and skips — stale memberships can never outlive the walk.
     if (epoch_.load(std::memory_order_acquire) != st.epoch) continue;
-    auto [cit, inserted] = sh.map.try_emplace(item.center);
-    CenterEntry& e = cit->second;
-    if (inserted) {
-      sh.lru.push_front(item.center);
-      e.lru_it = sh.lru.begin();
-    }
-    if (inserted || !Answers(e, st)) {
+    CenterEntry& e = sh.entries[item.ordinal / kStripes];
+    if (!Answers(e, st)) {
       e.known.assign(words, 0);
       e.in_q.assign(words, 0);
       e.in_pr.assign(words, 0);
@@ -333,52 +323,50 @@ void CacheSlice::EnsureRows(const Generation& st,
       e.in_pr[w] = (e.in_pr[w] & ~item.probed[w]) | item.in_pr[w];
       e.known[w] |= item.probed[w];
     }
-    sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_it);
-    while (sh.map.size() > shard_cap) {
-      NodeId victim = sh.lru.back();
-      sh.lru.pop_back();
-      sh.map.erase(victim);
-    }
   }
 }
 
 void CacheSlice::Answer(const Generation& st, const SessionRequest& request,
+                        std::span<const uint32_t> ordinals,
                         const std::vector<uint32_t>& selected,
                         SessionReply* reply) {
   Timer timer;
-  const std::span<const NodeId> centers =
-      request.all_centers ? std::span<const NodeId>(candidates_)
-                          : std::span<const NodeId>(request.centers);
+  std::vector<uint32_t> every;
+  if (request.all_centers) {
+    every.resize(candidates_.size());
+    std::iota(every.begin(), every.end(), 0u);
+    ordinals = every;
+  }
   reply->stats.requests = 1;
-  std::unordered_map<NodeId, Row> rows;
-  EnsureRows(st, centers, selected, &rows, &reply->stats);
+  Rows rows;
+  EnsureRows(st, ordinals, selected, &rows, &reply->stats);
 
-  reply->matched.reserve(centers.size());
-  for (NodeId c : centers) {
-    const Row& row = rows.at(c);
+  reply->matched.reserve(ordinals.size());
+  for (size_t j = 0; j < ordinals.size(); ++j) {
+    const std::span<const uint64_t> in_q = rows.Q(j), in_pr = rows.Pr(j);
     std::vector<uint32_t> m;
     for (uint32_t ri : selected) {
       bool hit = request.require_consequent
-                     ? GetBit(row.in_pr, ri)
-                     : (GetBit(row.in_q, ri) && st.other_ok[ri] != 0);
+                     ? GetBit(in_pr, ri)
+                     : (GetBit(in_q, ri) && st.other_ok[ri] != 0);
       if (hit) m.push_back(ri);
     }
     reply->matched.push_back(std::move(m));
   }
 
   if (request.all_centers) {
-    // Candidate-major assembly: one row lookup per center, all rule bits
-    // read inline (the warm path is lookup-bound, not match-bound).
+    // Candidate-major assembly: all rule bits of a row read inline (the
+    // warm path is lookup-bound, not match-bound).
     reply->rule_evals.assign(st.rules->sigma.size(), {});
-    for (NodeId c : candidates_) {
-      const Row& row = rows.at(c);
-      if (row.qclass & kQIsQ) ++reply->supp_q;
-      const bool is_qbar = (row.qclass & kQIsQbar) != 0;
+    for (size_t j = 0; j < ordinals.size(); ++j) {
+      const std::span<const uint64_t> in_q = rows.Q(j), in_pr = rows.Pr(j);
+      if (rows.qclass[j] & kQIsQ) ++reply->supp_q;
+      const bool is_qbar = (rows.qclass[j] & kQIsQbar) != 0;
       if (is_qbar) ++reply->supp_qbar;
       for (uint32_t ri : selected) {
         EipRuleEval& ev = reply->rule_evals[ri];
-        if (GetBit(row.in_pr, ri)) ++ev.supp_r;
-        if (is_qbar && GetBit(row.in_q, ri) && st.other_ok[ri] != 0) {
+        if (GetBit(in_pr, ri)) ++ev.supp_r;
+        if (is_qbar && GetBit(in_q, ri) && st.other_ok[ri] != 0) {
           ++ev.supp_qqbar;
         }
       }
@@ -408,37 +396,30 @@ void CacheSlice::RemapCache(const GenerationChange& change, DeltaStats* ds) {
   const size_t from = old.rules->sigma.size();
   const size_t to = next.rules->sigma.size();
   const size_t words = rule_words(*next.rules);
-  for (CacheShard& sh : match_cache_) {
+  for (Stripe& sh : stripes_) {
     MutexLock lock(sh.mu);
-    for (auto it = sh.map.begin(); it != sh.map.end();) {
-      CenterEntry& e = it->second;
-      bool keep = Answers(e, old);
-      if (keep) {
-        std::vector<uint64_t> known(words, 0), in_q(words, 0), in_pr(words, 0);
-        for (size_t i = 0; i < from; ++i) {
-          if (GetBit(e.known, i) && !change.kept_[i]) {
-            ++ds->memberships_invalidated;
-          }
-        }
-        for (size_t j = 0; j < to; ++j) {
-          const uint32_t i = change.source_[j];
-          if (i == GenerationChange::kRetired || !GetBit(e.known, i)) continue;
-          SetBit(&known, j);
-          if (GetBit(e.in_q, i)) SetBit(&in_q, j);
-          if (GetBit(e.in_pr, i)) SetBit(&in_pr, j);
-        }
-        e.known = std::move(known);
-        e.in_q = std::move(in_q);
-        e.in_pr = std::move(in_pr);
-        e.epoch = next.epoch;
-        keep = HoldsAnything(e.qclass, e.known);
+    for (CenterEntry& e : sh.entries) {
+      if (!Answers(e, old)) {
+        e = CenterEntry{};
+        continue;
       }
-      if (keep) {
-        ++it;
-      } else {
-        sh.lru.erase(e.lru_it);
-        it = sh.map.erase(it);
+      std::vector<uint64_t> known(words, 0), in_q(words, 0), in_pr(words, 0);
+      for (size_t i = 0; i < from; ++i) {
+        if (GetBit(e.known, i) && !change.kept_[i]) {
+          ++ds->memberships_invalidated;
+        }
       }
+      for (size_t j = 0; j < to; ++j) {
+        const uint32_t i = change.source_[j];
+        if (i == GenerationChange::kRetired || !GetBit(e.known, i)) continue;
+        SetBit(known, j);
+        if (GetBit(e.in_q, i)) SetBit(in_q, j);
+        if (GetBit(e.in_pr, i)) SetBit(in_pr, j);
+      }
+      e.known = std::move(known);
+      e.in_q = std::move(in_q);
+      e.in_pr = std::move(in_pr);
+      e.epoch = next.epoch;
     }
   }
 }
@@ -447,29 +428,30 @@ void CacheSlice::InvalidateTouched(const GenerationChange& change,
                                    DeltaStats* ds) {
   const Generation& next = change.next_;
   const std::vector<Gpar>& sigma = next.rules->sigma;
+  // Both lists are sorted by node: each touched candidate is found by a
+  // binary search past the previous one.
+  auto cand = candidates_.begin();
   for (const auto& [v, dist] : change.touched_) {
-    CacheShard& sh = ShardFor(v);
+    cand = std::lower_bound(cand, candidates_.end(), v);
+    if (cand == candidates_.end()) break;
+    if (*cand != v) continue;
+    const auto o = static_cast<uint32_t>(cand - candidates_.begin());
+    Stripe& sh = StripeOf(o);
     MutexLock lock(sh.mu);
-    auto cit = sh.map.find(v);
-    if (cit == sh.map.end()) continue;
-    CenterEntry& e = cit->second;
+    CenterEntry& e = sh.entries[o / kStripes];
     if (!Answers(e, next)) continue;  // unreadable under `next` anyway
     for (size_t ri = 0; ri < sigma.size(); ++ri) {
       const uint32_t radius = sigma[ri].eval_radius();
       if (dist > radius || !GetBit(e.known, ri)) continue;
       if (change.pr_reach_[ri].Flips(GetBit(e.in_pr, ri), v, radius) ||
           change.q_reach_[ri].Flips(GetBit(e.in_q, ri), v, radius)) {
-        ClearBit(&e.known, ri);
+        ClearBit(e.known, ri);
         ++ds->memberships_invalidated;
       }
     }
     if ((e.qclass & kQKnown) != 0 && change.q_sources_.count(v) > 0) {
       e.qclass = 0;
       ++ds->qclass_invalidated;
-    }
-    if (!HoldsAnything(e.qclass, e.known)) {
-      sh.lru.erase(e.lru_it);
-      sh.map.erase(cit);
     }
   }
 }

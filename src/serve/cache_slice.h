@@ -4,11 +4,9 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -29,13 +27,10 @@ namespace gpar {
 /// `ShardedRuleServer`.
 ///
 /// The server always runs Match (Section 5.2): exists-queries with
-/// multi-pattern sharing across the loaded rules.
+/// multi-pattern sharing across the loaded rules. The match cache needs no
+/// capacity: it holds one entry per owned candidate, fixed at load.
 struct RuleServerOptions {
   uint32_t num_workers = 4;
-  /// Capacity of the (rule, center) match cache, counted in (rule, center)
-  /// memberships. Centers are the physical eviction unit: one cached center
-  /// holds one membership slot per loaded rule.
-  size_t cache_capacity = size_t{1} << 20;
 };
 
 /// The one request shape the serving tier answers — point lookups and the
@@ -47,7 +42,7 @@ struct SessionRequest {
   /// batch-equivalent Σ(x, G, η) answer. False: classify just `centers`.
   bool all_centers = false;
   /// Point lookups (ignored when `all_centers`). Centers need not satisfy
-  /// x's label — such centers simply match nothing.
+  /// x's label — such centers match nothing, and cost no probe.
   std::vector<NodeId> centers;
   /// Rule subset to probe; empty selects every loaded rule.
   std::vector<uint32_t> rules;
@@ -249,13 +244,19 @@ class GenerationChange {
 };
 
 /// One owned-center slice of a served deployment: its candidate centers,
-/// the lock-sharded LRU (rule, center) match cache over them, its worker
-/// pool and its lifetime stats. A `RuleServer` has one slice owning every
-/// candidate; a `ShardedRuleServer` has one per shard, all in one
-/// process. Slices hold no generation: each answer is computed at the
-/// generation its caller pinned, for a request `ServeSession::Query` has
-/// already validated against it, so an answer cannot fail; each publish
-/// walks every slice (`Adopt`) before the new generation becomes visible.
+/// a dense (rule, center) match cache over them, its worker pool and its
+/// lifetime stats. A `RuleServer` has one slice owning every candidate; a
+/// `ShardedRuleServer` has one per shard, all in one process. Slices hold
+/// no generation: each answer is computed at the generation its caller
+/// pinned, for owned candidates `ServeSession` has already resolved to
+/// ordinals, so an answer cannot fail; each publish walks every slice
+/// (`Adopt`) before the new generation becomes visible.
+///
+/// The candidate set is fixed at load (a delta adds or deletes edges, never
+/// labels a node), so the cache is one entry per owned candidate, indexed
+/// by its ordinal in `candidates()`: nothing is evicted, and a lookup is an
+/// array index under one of a few lock stripes. An entry costs its epoch
+/// stamp and q-class from load, plus 3⌈|Σ|/64⌉ words once first written.
 ///
 /// Memberships are raw P_R / antecedent bits, a function of the pattern
 /// and the graph only (other-component satisfiability is applied at read
@@ -274,11 +275,13 @@ class CacheSlice {
   CacheSlice& operator=(const CacheSlice&) = delete;
 
   /// Answers `request` at generation `st` for `selected` (the request is
-  /// already validated against `st`): fills `reply->matched` per requested
-  /// center — every owned candidate when `all_centers`, together with this
-  /// slice's partial supports — and `reply->stats`. Entities and
-  /// confidences are the session's (`ServeSession::Query`).
+  /// already validated against `st`): fills `reply->matched` per entry of
+  /// `ordinals` (owned candidates by ordinal, sorted and distinct) — or per
+  /// owned candidate when `all_centers`, together with this slice's partial
+  /// supports — and `reply->stats`. Entities and confidences are the
+  /// session's (`ServeSession::Query`).
   void Answer(const Generation& st, const SessionRequest& request,
+              std::span<const uint32_t> ordinals,
               const std::vector<uint32_t>& selected, SessionReply* reply);
 
   /// Brings the cache from `change`'s old generation to its next one:
@@ -288,22 +291,26 @@ class CacheSlice {
   /// generation.
   void Adopt(const GenerationChange& change, DeltaStats* ds);
 
-  /// The candidate centers this slice answers for, sorted.
+  /// The candidate centers this slice answers for, sorted; a center's
+  /// position here is its ordinal.
   const std::vector<NodeId>& candidates() const { return candidates_; }
   /// This slice's accumulated answer statistics.
   ServeStats lifetime_stats() const { return lifetime_.Snapshot(); }
+  /// Owned candidates with a cached q-class or membership.
   size_t cached_centers() const;
 
  private:
+  /// The stamp of an entry never written: no reader accepts it.
+  static constexpr uint64_t kUnwritten = static_cast<uint64_t>(-1);
+
   /// Cached per-center state; rule memberships are bitsets over the rule
   /// set of the entry's epoch.
   struct CenterEntry {
     uint8_t qclass = 0;  // bit0 known, bit1 is_q, bit2 is_qbar
     /// The epoch the bits were last written (or remapped) at. They answer
     /// for every later epoch until the walk clears them, by locality.
-    uint64_t epoch = 0;
+    uint64_t epoch = kUnwritten;
     std::vector<uint64_t> known, in_q, in_pr;
-    std::list<NodeId>::iterator lru_it;
   };
 
   /// Whether `e` answers for a reader of `st`: stamped under st's rule set
@@ -313,24 +320,33 @@ class CacheSlice {
     return e.epoch >= st.rules_epoch && e.epoch <= st.epoch;
   }
 
-  /// One lock shard of the match cache. An untouched membership stays
-  /// valid across deltas, by locality; writers only insert results computed
-  /// on the CURRENT epoch — see EnsureRows.
-  struct CacheShard {
+  /// One lock stripe of the match cache: the entries of the ordinals o with
+  /// o % kStripes equal to its index, at o / kStripes. An untouched
+  /// membership stays valid across deltas, by locality; writers only store
+  /// results computed on the CURRENT epoch — see EnsureRows.
+  struct Stripe {
     mutable Mutex mu;
-    std::unordered_map<NodeId, CenterEntry> map GPAR_GUARDED_BY(mu);
-    std::list<NodeId> lru GPAR_GUARDED_BY(mu);  ///< front = most recently used
+    std::vector<CenterEntry> entries GPAR_GUARDED_BY(mu);
   };
 
-  /// Resolved memberships for one request center.
-  struct Row {
-    uint8_t qclass = 0;
+  /// Resolved memberships of one request's centers, positional: row j
+  /// spans words [j * words, (j + 1) * words) of `in_q` and `in_pr`.
+  struct Rows {
+    size_t words = 0;
+    std::vector<uint8_t> qclass;
     std::vector<uint64_t> in_q, in_pr;
+    std::span<uint64_t> Q(size_t j) {
+      return {in_q.data() + j * words, words};
+    }
+    std::span<uint64_t> Pr(size_t j) {
+      return {in_pr.data() + j * words, words};
+    }
   };
 
   /// A unit of matching work for one center.
   struct WorkItem {
-    NodeId center = kInvalidNode;
+    uint32_t ordinal = 0;
+    size_t row = 0;                  ///< the request row it resolves
     bool full = false;               ///< evaluate all rules via the evaluator
     std::vector<uint32_t> rules;     ///< rules to probe when !full
     uint8_t qclass_in = 0;           ///< known q-class, or 0 to compute
@@ -342,21 +358,20 @@ class CacheSlice {
   static size_t rule_words(const ServedRules& rules) noexcept {
     return (rules.sigma.size() + 63) / 64;
   }
-  size_t max_cached_centers(const ServedRules& rules) const;
-  CacheShard& ShardFor(NodeId center);
+  Stripe& StripeOf(uint32_t ordinal) { return stripes_[ordinal % kStripes]; }
 
-  /// Ensures memberships of `selected` rules for every center in `centers`
-  /// (in range of `st`'s graph; deduplicated internally), filling `rows`
-  /// keyed by center. Updates the cache/LRU and accumulates stats.
-  void EnsureRows(const Generation& st, std::span<const NodeId> centers,
-                  const std::vector<uint32_t>& selected,
-                  std::unordered_map<NodeId, Row>* rows, ServeStats* stats);
+  /// Ensures memberships of `selected` rules for every owned candidate in
+  /// `ordinals` (distinct), filling `rows` positionally. Updates the cache
+  /// and accumulates stats.
+  void EnsureRows(const Generation& st, std::span<const uint32_t> ordinals,
+                  const std::vector<uint32_t>& selected, Rows* rows,
+                  ServeStats* stats);
   void EvaluateItem(const Generation& st, WorkerCtx& ctx,
                     WorkItem& item) const;
 
   /// Moves every entry readable under the old generation to the new rule
   /// indices and stamps it the new epoch; drops the bits of retired rules
-  /// and the entries left empty.
+  /// and resets the entries no reader of the old generation could read.
   void RemapCache(const GenerationChange& change, DeltaStats* ds);
   /// The selective walk over the delta-affected region: clears each cached
   /// bit the applied mutations can have flipped and each q-class whose
@@ -366,18 +381,17 @@ class CacheSlice {
   const Predicate q_;
   const Pattern pq_;
   const std::vector<NodeId> candidates_;
-  const RuleServerOptions options_;
   ThreadPool pool_;
   /// Epoch of the newest generation, stored before this slice's walk and
   /// before the generation's publication. A query writes its results back
   /// into the cache only if this still equals its generation's epoch
-  /// (checked under the cache-shard lock), so a reader that outlived a
-  /// delta can never resurrect stale memberships after the walk.
+  /// (checked under the stripe lock), so a reader that outlived a delta can
+  /// never resurrect stale memberships after the walk.
   std::atomic<uint64_t> epoch_{0};
-  /// Lock shards of the match cache: concurrent queries contend per shard
-  /// (centers hash across shards), not on one global cache mutex.
-  static constexpr uint32_t kCacheShards = 8;
-  std::array<CacheShard, kCacheShards> match_cache_;
+  /// Lock stripes of the match cache: concurrent queries contend per
+  /// stripe, not on one global cache mutex.
+  static constexpr uint32_t kStripes = 8;
+  std::array<Stripe, kStripes> stripes_;
   LifetimeStats lifetime_;
 };
 

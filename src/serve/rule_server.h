@@ -20,12 +20,14 @@ namespace gpar {
 /// answers `Query` requests on a persistent `ThreadPool`, far cheaper than
 /// one batch `IdentifyEntities` run per request.
 ///
-/// It is a `ServeSession` with ONE cache slice owning every candidate:
-/// memberships are memoized in the slice's lock-sharded LRU (rule, center)
-/// match cache, and edge deltas (`ApplyDelta`) publish a new immutable
-/// generation (RCU style) after invalidating only the cached memberships
-/// the delta can have changed (see `CacheSlice`) — everything else stays
-/// warm. An `all_centers` query answers exactly like a fresh batch
+/// It is a `ServeSession` whose `Create` gives every candidate to ONE
+/// cache slice: memberships are memoized in the slice's dense (rule,
+/// center) match cache, one entry per candidate, and edge deltas
+/// (`ApplyDelta`) publish a new immutable generation (RCU style) after
+/// invalidating only the cached memberships the delta can have changed
+/// (see `CacheSlice`) — everything else stays warm. Point lookups of
+/// centers without x's label cost nothing: they reach no slice. An
+/// `all_centers` query answers exactly like a fresh batch
 /// `IdentifyEntities` on the equivalent graph (the ServeEquivalence and
 /// ShardedServeEquivalence tests).
 ///
@@ -50,11 +52,6 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
 
  private:
   RuleServer() = default;
-
-  /// The one slice answers every request.
-  void Gather(const Generation& st, const SessionRequest& request,
-              const std::vector<uint32_t>& selected,
-              SessionReply* reply) override;
 };
 
 }  // namespace gpar

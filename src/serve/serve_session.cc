@@ -137,6 +137,121 @@ Status ServeSession::Start(Graph g, std::vector<RuleRecord> rules) {
   return Status::OK();
 }
 
+void ServeSession::SplitCandidates(std::vector<uint32_t> owner,
+                                   uint32_t num_slices,
+                                   const RuleServerOptions& options) {
+  // The candidates are sorted, so each slice's list comes out sorted too.
+  std::vector<std::vector<NodeId>> owned(num_slices);
+  ordinal_.resize(candidates_.size());
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    ordinal_[i] = static_cast<uint32_t>(owned[owner[i]].size());
+    owned[owner[i]].push_back(candidates_[i]);
+  }
+  owner_ = std::move(owner);
+  for (std::vector<NodeId>& centers : owned) {
+    slices_.push_back(
+        std::make_unique<CacheSlice>(q_, std::move(centers), options));
+  }
+  if (num_slices > 1) router_pool_ = std::make_unique<ThreadPool>(num_slices);
+}
+
+size_t ServeSession::CandidateIndex(NodeId center) const {
+  auto it = std::lower_bound(candidates_.begin(), candidates_.end(), center);
+  return it != candidates_.end() && *it == center
+             ? static_cast<size_t>(it - candidates_.begin())
+             : candidates_.size();
+}
+
+uint32_t ServeSession::OwnerOf(NodeId center) const {
+  const size_t i = CandidateIndex(center);
+  return i < candidates_.size() ? owner_[i]
+                                : static_cast<uint32_t>(slices_.size());
+}
+
+void ServeSession::Gather(const Generation& st, const SessionRequest& request,
+                          const std::vector<uint32_t>& selected,
+                          SessionReply* reply) {
+  const auto k = static_cast<uint32_t>(slices_.size());
+  std::vector<SliceCall> calls(k);
+  // Point lookups: per requested center, its candidate index. Centers
+  // that are not candidates match nothing and reach no slice.
+  std::vector<size_t> index;
+  if (!request.all_centers) {
+    index.reserve(request.centers.size());
+    for (NodeId c : request.centers) {
+      const size_t i = index.emplace_back(CandidateIndex(c));
+      if (i < candidates_.size()) {
+        calls[owner_[i]].ordinals.push_back(ordinal_[i]);
+      }
+    }
+    for (SliceCall& call : calls) {
+      std::vector<uint32_t>& ords = call.ordinals;
+      std::sort(ords.begin(), ords.end());
+      const auto last = std::unique(ords.begin(), ords.end());
+      call.repeats = last != ords.end();
+      ords.erase(last, ords.end());
+    }
+  }
+  std::vector<uint32_t> active;
+  for (uint32_t s = 0; s < k; ++s) {
+    if (request.all_centers || !calls[s].ordinals.empty()) active.push_back(s);
+  }
+  auto run = [&](uint32_t j) {
+    SliceCall& call = calls[active[j]];
+    slices_[active[j]]->Answer(st, request, call.ordinals, selected,
+                               &call.reply);
+  };
+  // A single call (the common point-lookup case under center affinity)
+  // skips the router pool entirely and runs on the caller.
+  if (active.size() == 1) {
+    run(0);
+  } else if (active.size() > 1) {
+    ParallelFor(*router_pool_, static_cast<uint32_t>(active.size()), run);
+  }
+  for (uint32_t s : active) {
+    const ServeStats& sub = calls[s].reply.stats;
+    reply->stats.cache_hits += sub.cache_hits;
+    reply->stats.cache_probes += sub.cache_probes;
+    reply->stats.centers_evaluated += sub.centers_evaluated;
+  }
+
+  if (!request.all_centers) {
+    reply->matched.resize(request.centers.size());
+    for (size_t p = 0; p < index.size(); ++p) {
+      const size_t i = index[p];
+      if (i == candidates_.size()) continue;
+      SliceCall& call = calls[owner_[i]];
+      const std::vector<uint32_t>& ords = call.ordinals;
+      const auto j = static_cast<size_t>(
+          std::ranges::lower_bound(ords, ordinal_[i]) - ords.begin());
+      // A repeated center shares its row, so it is copied, not moved.
+      if (call.repeats) {
+        reply->matched[p] = call.reply.matched[j];
+      } else {
+        reply->matched[p] = std::move(call.reply.matched[j]);
+      }
+    }
+    return;
+  }
+  // Center ownership is disjoint, so the slices' partial supports sum to
+  // the global ones; confidences come from the global sums (Query) —
+  // slice-local confidences are meaningless.
+  reply->matched.resize(candidates_.size());
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    reply->matched[i] = std::move(calls[owner_[i]].reply.matched[ordinal_[i]]);
+  }
+  reply->rule_evals.assign(st.rules->sigma.size(), {});
+  for (const SliceCall& call : calls) {
+    const SessionReply& sub = call.reply;
+    reply->supp_q += sub.supp_q;
+    reply->supp_qbar += sub.supp_qbar;
+    for (uint32_t ri : selected) {
+      reply->rule_evals[ri].supp_r += sub.rule_evals[ri].supp_r;
+      reply->rule_evals[ri].supp_qqbar += sub.rule_evals[ri].supp_qqbar;
+    }
+  }
+}
+
 Result<SessionReply> ServeSession::Query(const SessionRequest& request) {
   Timer timer;
   // Pin the generation FIRST: the selection must be normalized against the

@@ -25,18 +25,23 @@ namespace gpar {
 /// Every deployment is the same structure: ONE current `Generation` (graph,
 /// rules, plan store, other-component check; RCU-published) and k
 /// owned-center `CacheSlice`s — one for a `RuleServer`, one per shard for
-/// a `ShardedRuleServer`, which splits the candidates by ownership.
+/// a `ShardedRuleServer`. Deployments differ only in how `Create` splits
+/// the candidates among the slices (`SplitCandidates`).
 ///
-/// Everything but the deployment's `Gather` step — how a request reaches
-/// its slices — is written once, here. `Query` pins the generation once
-/// and every slice answers from it. The write side is intake, sequence
-/// stamp, journal append before publish, the `serve.publish` crash
-/// window, the maintenance pass, the publish itself, replay on attach,
-/// and checkpoint/compact. Publishing derives the next generation once
-/// (`DeriveGeneration`), lets every slice adopt it (epoch, rule remap,
-/// invalidation walk over one shared affected region) and swaps the
-/// generation pointer last. A maintained session runs its pass before the
-/// publish, so graph and rules always move together.
+/// Everything else is written once, here. The read side is `Query`: it
+/// pins the generation once, and its one gather resolves each requested
+/// candidate to its owning slice and that slice's ordinal for it, drops
+/// point-lookup centers that are not candidates before any slice sees
+/// them, and scatters the rest by owner — inline for one call, on the
+/// router pool otherwise — so every slice answers from the one
+/// generation. The write side is intake, sequence stamp, journal append
+/// before publish, the `serve.publish` crash window, the maintenance
+/// pass, the publish itself, replay on attach, and checkpoint/compact.
+/// Publishing derives the next generation once (`DeriveGeneration`), lets
+/// every slice adopt it (epoch, rule remap, invalidation walk over one
+/// shared affected region) and swaps the generation pointer last. A
+/// maintained session runs its pass before the publish, so graph and
+/// rules always move together.
 ///
 /// One sequence rule: a live batch that changes the graph is stamped with
 /// the last published sequence + 1; a replayed journal frame keeps its own
@@ -56,10 +61,10 @@ class ServeSession {
   /// Answers one request: pins the current generation once, validates the
   /// request against it (an empty selection selects every rule;
   /// out-of-range rule indices or point-lookup centers and η <= 0 for
-  /// `all_centers` are InvalidArgument), lets the deployment gather its
-  /// slices' answers from that generation, and assembles entities and
-  /// confidences — so a reply is exactly the answer at one generation.
-  /// Validation is the only way a query fails.
+  /// `all_centers` are InvalidArgument), gathers the slices' answers from
+  /// that generation, and assembles entities and confidences — so a reply
+  /// is exactly the answer at one generation. Validation is the only way a
+  /// query fails.
   Result<SessionReply> Query(const SessionRequest& request)
       GPAR_EXCLUDES(state_mu_);
 
@@ -140,19 +145,20 @@ class ServeSession {
   ServeSession() = default;
 
   /// Loads `g` and `rules` as the first generation: validates the rules,
-  /// sets the predicate and the candidates. The deployment then adds its
-  /// slices.
+  /// sets the predicate and the candidates. The deployment then splits the
+  /// candidates among its slices.
   Status Start(Graph g, std::vector<RuleRecord> rules);
+  /// Builds `num_slices` slices, giving candidate i to slice `owner[i]`
+  /// (`owner` is parallel to `candidates()`), with a router pool when
+  /// there is more than one.
+  void SplitCandidates(std::vector<uint32_t> owner, uint32_t num_slices,
+                       const RuleServerOptions& options);
   /// Pins the current generation.
   std::shared_ptr<const Generation> AcquireGeneration() const
       GPAR_EXCLUDES(state_mu_);
-  /// The deployment's read step, for a request already validated against
-  /// `st`: fills `reply->matched` per requested center (every candidate
-  /// when `all_centers`, with the supports summed into `reply`) and the
-  /// matching stats, for `selected` at `st`.
-  virtual void Gather(const Generation& st, const SessionRequest& request,
-                      const std::vector<uint32_t>& selected,
-                      SessionReply* reply) = 0;
+  /// The slice owning `center`, or the slice count when it is not a
+  /// candidate.
+  uint32_t OwnerOf(NodeId center) const;
 
   Predicate q_{};  ///< the rule set's predicate q(x, y)
   std::vector<NodeId> candidates_;
@@ -161,6 +167,22 @@ class ServeSession {
   LifetimeStats lifetime_;
 
  private:
+  /// One slice's part of a request: its owned candidates by ordinal
+  /// (sorted, distinct; unused for `all_centers`) and its reply.
+  struct SliceCall {
+    std::vector<uint32_t> ordinals;
+    bool repeats = false;  ///< a point lookup named one center twice
+    SessionReply reply;
+  };
+  /// Index of `center` in `candidates_`, or `candidates_.size()`.
+  size_t CandidateIndex(NodeId center) const;
+  /// The one read step, for a request already validated against `st`:
+  /// fills `reply->matched` per requested center (every candidate when
+  /// `all_centers`, with the slices' partial supports summed into `reply`)
+  /// and the matching stats, for `selected` at `st`.
+  void Gather(const Generation& st, const SessionRequest& request,
+              const std::vector<uint32_t>& selected, SessionReply* reply);
+
   /// The body of `ApplyDelta`. `replay_sequence`, when nonzero, pins the
   /// frame to a journaled sequence instead of stamping the next one.
   Result<DeltaStats> ApplyDeltaLocked(const GraphDelta& delta,
@@ -188,6 +210,14 @@ class ServeSession {
   std::unique_ptr<DeltaJournal> journal_ GPAR_GUARDED_BY(writer_mu_);
   std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);
   uint64_t sequence_ GPAR_GUARDED_BY(writer_mu_) = 0;
+  /// Parallel to `candidates_`: the owning slice, and the candidate's
+  /// ordinal in that slice's `candidates()`.
+  std::vector<uint32_t> owner_, ordinal_;
+  /// Scatter pool (more than one slice only) — deliberately separate from
+  /// the slices' matching pools: a router task blocks on a slice's answer,
+  /// and blocking waits must never share a pool with the tasks they wait
+  /// for.
+  std::unique_ptr<ThreadPool> router_pool_;
 };
 
 /// A (graph, rule set) snapshot pair as written by `WriteGraphSnapshot[File]`

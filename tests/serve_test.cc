@@ -266,33 +266,6 @@ TEST(ServeEquivalence, ColdWarmAndDeltaMatchBatch) {
   }
 }
 
-TEST(ServeEquivalence, TinyCacheStillCorrect) {
-  // Capacity far below the candidate count: the LRU thrashes, answers must
-  // not change (the transient request rows, not the cache, carry results).
-  Workload w = MakeWorkload(2);
-  EipResult batch = BatchIdentify(w.graph, w.sigma, 0.5, false);
-  RuleServerOptions opt;
-  opt.cache_capacity = 8;  // (rule, center) pairs — a handful of centers
-  auto server = RuleServer::Create(w.graph, w.records, opt);
-  ASSERT_TRUE(server.ok());
-  RuleServer& s = **server;
-  for (int round = 0; round < 2; ++round) {
-    auto got = s.Query(AllRequest(0.5));
-    ASSERT_TRUE(got.ok());
-    ExpectSameAnswer(*got, batch, "tiny cache round " + std::to_string(round));
-  }
-  EXPECT_LE(s.cached_centers(), 8u);
-
-  SessionRequest req;
-  req.centers = SampleCenters(s, 9, 5);
-  auto reply = s.Query(req);
-  ASSERT_TRUE(reply.ok());
-  for (size_t i = 0; i < req.centers.size(); ++i) {
-    EXPECT_EQ(reply->matched[i],
-              OracleMatched(w.graph, w.sigma, req.centers[i], false));
-  }
-}
-
 TEST(ServeEquivalence, SnapshotLoadRoundTrip) {
   // mine -> write snapshot pair -> Load: same answers as in-memory Create.
   Workload w = MakeWorkload(4);

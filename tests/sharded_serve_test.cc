@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "graph/paper_graphs.h"
 #include "graph/stats.h"
 #include "identify/eip.h"
+#include "match/matcher.h"
 #include "pattern/pattern_generator.h"
 #include "rule/rule_snapshot.h"
 #include "serve/rule_server.h"
@@ -32,8 +34,9 @@ struct Workload {
   std::vector<RuleRecord> records;
 };
 
-/// Same seeded workloads as the single-server ServeEquivalence battery.
-Workload MakeWorkload(uint64_t seed) {
+/// Same seeded workloads as the single-server ServeEquivalence battery,
+/// drawing up to `num_rules` rules.
+Workload MakeWorkload(uint64_t seed, size_t num_rules = 5) {
   Workload w;
   w.graph = (seed % 3 == 0) ? MakePokecLike(1, seed)
                             : MakeSynthetic(600, 1800, 20, seed);
@@ -45,7 +48,7 @@ Workload MakeWorkload(uint64_t seed) {
   gopt.num_edges = 4;
   gopt.max_radius = 2;
   gopt.seed = seed * 31 + 1;
-  w.sigma = GenerateGparWorkload(w.graph, q, 5, gopt);
+  w.sigma = GenerateGparWorkload(w.graph, q, num_rules, gopt);
   EXPECT_GE(w.sigma.size(), 2u);
   for (const Gpar& r : w.sigma) w.records.push_back({r, 0, 0.0});
   return w;
@@ -527,6 +530,162 @@ TEST(ServeSessionTest, HeldRulesOutliveARuleRefresh) {
     auto reply = s->Query(AllRequest(0.5));
     ASSERT_TRUE(reply.ok()) << reply.status();
     EXPECT_EQ(reply->rule_evals.size(), fewer.size());
+  }
+}
+
+size_t CachedCenters(const ShardedRuleServer& s) {
+  size_t n = 0;
+  for (uint32_t i = 0; i < s.num_shards(); ++i) {
+    n += s.shard(i).cached_centers();
+  }
+  return n;
+}
+
+/// `req`, whose centers are no candidates, answers empty rows without
+/// probing, evaluating or caching anything (`cached` counts the cache
+/// entries), cold and once every candidate is warm.
+void ExpectFreeLookups(ServeSession& s, const SessionRequest& req,
+                       const std::function<size_t()>& cached) {
+  const std::vector<std::vector<uint32_t>> empty_rows(req.centers.size());
+  for (const char* phase : {"cold", "warm"}) {
+    SCOPED_TRACE(phase);
+    const size_t before = cached();
+    auto reply = s.Query(req);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->matched, empty_rows);
+    EXPECT_TRUE(reply->entities.empty());
+    EXPECT_EQ(reply->stats.cache_probes, 0u);
+    EXPECT_EQ(reply->stats.centers_evaluated, 0u);
+    EXPECT_EQ(cached(), before);
+    ASSERT_TRUE(s.Query(AllRequest(0.5)).ok());  // warms every candidate
+  }
+}
+
+/// A point lookup of centers without x's label can never match, so it
+/// costs nothing — on a single server and on a router alike.
+TEST(ServeSessionTest, NonCandidateLookupsCostNothing) {
+  Workload w = MakeWorkload(1);
+  RuleServerOptions opt;
+  opt.num_workers = 2;
+  ShardedRuleServerOptions sopt;
+  sopt.num_shards = 2;
+  sopt.shard_options = opt;
+  auto single = RuleServer::Create(w.graph, w.records, opt);
+  ASSERT_TRUE(single.ok()) << single.status();
+  auto sharded = ShardedRuleServer::Create(w.graph, w.records, sopt);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+
+  SessionRequest req;
+  const std::vector<NodeId>& cands = (*single)->candidates();
+  for (NodeId v = 0; v < w.graph.num_nodes() && req.centers.size() < 6; ++v) {
+    if (!std::binary_search(cands.begin(), cands.end(), v)) {
+      req.centers.push_back(v);
+    }
+  }
+  ASSERT_FALSE(req.centers.empty());
+  req.centers.push_back(req.centers.front());  // a repeat, too
+  ExpectFreeLookups(**single, req, [&] { return (*single)->cached_centers(); });
+  ExpectFreeLookups(**sharded, req, [&] { return CachedCenters(**sharded); });
+}
+
+/// Direct per-(rule, center) oracle for point queries: fresh whole-graph
+/// matching, no caches.
+std::vector<uint32_t> OracleMatched(const Graph& g,
+                                    const std::vector<Gpar>& sigma,
+                                    NodeId center) {
+  VF2Matcher m(g);
+  const std::vector<char> other_ok = OtherComponentsOk(g, sigma);
+  std::vector<uint32_t> out;
+  for (uint32_t ri = 0; ri < sigma.size(); ++ri) {
+    if (m.ExistsAt(sigma[ri].x_component(), center) && other_ok[ri] != 0) {
+      out.push_back(ri);
+    }
+  }
+  return out;
+}
+
+/// `s` answers like batch identification on `g` for `sigma` (all centers)
+/// and like fresh matching at each of `centers` (point lookups); `stats`
+/// receives the all-centers request's.
+void ExpectServesBatch(ServeSession& s, const Graph& g,
+                       const std::vector<Gpar>& sigma,
+                       const std::vector<NodeId>& centers,
+                       const std::string& what, ServeStats* stats) {
+  auto all = s.Query(AllRequest(0.5));
+  ASSERT_TRUE(all.ok()) << all.status();
+  ExpectSameAsBatch(*all, BatchIdentify(g, sigma, 0.5, false), what);
+  *stats = all->stats;
+  SessionRequest point;
+  point.centers = centers;
+  auto reply = s.Query(point);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  for (size_t i = 0; i < centers.size(); ++i) {
+    EXPECT_EQ(reply->matched[i], OracleMatched(g, sigma, centers[i]))
+        << what << " center " << centers[i];
+  }
+}
+
+/// Served sets wider than one bitset word: every cached row and its remap
+/// span two words. Cold, warm, after a delta, and across rule refreshes
+/// that shrink the row to one word and grow it back.
+TEST(ServeSessionTest, WideRuleSetsMatchBatch) {
+  constexpr size_t kWide = 70;
+  constexpr size_t kNarrow = 5;
+  for (uint64_t seed : {1u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Workload w = MakeWorkload(seed, kWide);
+    ASSERT_GE(w.records.size(), kNarrow);
+    // A served set may repeat a rule: cycle a short draw up to the width.
+    for (size_t i = 0; w.records.size() < kWide; ++i) {
+      w.records.push_back(w.records[i]);
+      w.sigma.push_back(w.sigma[i]);
+    }
+    const std::vector<RuleRecord> narrow(w.records.begin(),
+                                         w.records.begin() + kNarrow);
+    const std::vector<Gpar> narrow_sigma(w.sigma.begin(),
+                                         w.sigma.begin() + kNarrow);
+    const GraphDelta delta = MakeMutationDelta(w.graph, seed + 7, 6);
+    auto patched = PatchGraph(w.graph, delta);
+    ASSERT_TRUE(patched.ok()) << patched.status();
+
+    RuleServerOptions opt;
+    opt.num_workers = 2;
+    ShardedRuleServerOptions sopt;
+    sopt.num_shards = 2;
+    sopt.shard_options = opt;
+    auto single = RuleServer::Create(w.graph, w.records, opt);
+    ASSERT_TRUE(single.ok()) << single.status();
+    auto sharded = ShardedRuleServer::Create(w.graph, w.records, sopt);
+    ASSERT_TRUE(sharded.ok()) << sharded.status();
+    for (ServeSession* s :
+         {static_cast<ServeSession*>(single->get()),
+          static_cast<ServeSession*>(sharded->get())}) {
+      const std::vector<NodeId> centers = SampleCenters(*s, seed + 5, 8);
+      ServeStats st;
+      ExpectServesBatch(*s, w.graph, w.sigma, centers, "cold", &st);
+      EXPECT_GT(st.cache_probes, 0u);
+      ExpectServesBatch(*s, w.graph, w.sigma, centers, "warm", &st);
+      EXPECT_EQ(st.cache_probes, 0u);
+
+      ASSERT_TRUE(s->ApplyDelta(delta).ok());
+      ExpectServesBatch(*s, patched->graph, w.sigma, centers, "after delta",
+                        &st);
+
+      DeltaStats ds;
+      ASSERT_TRUE(s->UpdateRules(narrow, &ds).ok());
+      EXPECT_EQ(ds.rules_refreshed, 1u);
+      EXPECT_GT(ds.rules_carried, 0u);
+      ExpectServesBatch(*s, patched->graph, narrow_sigma, centers, "narrowed",
+                        &st);
+      EXPECT_GT(st.cache_hits, 0u);
+
+      DeltaStats ds2;
+      ASSERT_TRUE(s->UpdateRules(w.records, &ds2).ok());
+      EXPECT_EQ(ds2.rules_refreshed, 1u);
+      EXPECT_GT(ds2.rules_carried, 0u);
+      ExpectServesBatch(*s, patched->graph, w.sigma, centers, "widened", &st);
+      EXPECT_GT(st.cache_hits, 0u);
+    }
   }
 }
 

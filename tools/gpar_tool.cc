@@ -15,11 +15,13 @@
 //   gpar_tool snapshot --graph g.txt --out g.snap
 //                      [--rules rules.txt --rules-out rules.snap]
 //   gpar_tool serve    --graph-snapshot g.snap --rules-snapshot rules.snap
-//                      [--workers 4 --cache 1048576 --shards 1 --strict 0]
+//                      [--workers 4 --shards 1 --strict 0]
 //                      [--journal deltas.wal] [--maintain 0]
 //                      [--k 10 --d 2 --sigma 5 --lambda 0.5 --max-edges 4]
 //                      (query loop on stdin; type `help` at the prompt;
-//                      --shards k > 1 serves from a k-shard deployment;
+//                      --shards k > 1 serves from a k-shard deployment,
+//                      --shards 0 is a usage error; the match cache holds
+//                      one entry per candidate, so it takes no size;
 //                      --strict 1 exits with code 3 on the first malformed
 //                      or failed query instead of continuing; --journal
 //                      attaches a write-ahead delta journal — existing
@@ -441,13 +443,15 @@ void PrintServeStatsLine(const char* prefix, const ServeStats& st,
 // same loop identically.
 int CmdServe(const std::map<std::string, std::string>& flags) {
   RequireKnownFlags(flags, {"graph-snapshot", "rules-snapshot", "workers",
-                            "cache", "shards", "strict", "journal",
-                            "maintain", "k", "d", "sigma", "lambda",
-                            "max-edges"});
+                            "shards", "strict", "journal", "maintain", "k",
+                            "d", "sigma", "lambda", "max-edges"});
   RuleServerOptions opt;
   opt.num_workers = NumFlagOr<uint32_t>(flags, "workers", 4);
-  opt.cache_capacity = NumFlagOr<size_t>(flags, "cache", 1048576);
   const uint32_t shards = NumFlagOr<uint32_t>(flags, "shards", 1);
+  if (shards == 0) {
+    std::fprintf(stderr, "flag --shards must be at least 1\n");
+    return 2;
+  }
   const bool strict = NumFlagOr<int>(flags, "strict", 0) != 0;
   const bool maintain = NumFlagOr<int>(flags, "maintain", 0) != 0;
   // Not const: `checkpoint <path>` moves the snapshot-of-record there (the
