@@ -1,12 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the matching layer: VF2 probes,
-// enumeration, bound pool probes and multi-pattern sharing. Not a paper
-// figure — engineering-level visibility into the EIP cost model.
+// enumeration, bound pool probes and multi-pattern sharing, plus incDiv's
+// pair scan over match bitsets. Not a paper figure — engineering-level
+// visibility into the EIP and diversification cost models.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <random>
+#include <vector>
 
 #include "bench_common.h"
 #include "match/matcher.h"
 #include "match/multi_pattern.h"
+#include "mine/inc_div.h"
 
 namespace {
 
@@ -130,6 +136,58 @@ void BM_MultiPatternNaiveEval(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiPatternNaiveEval);
+
+/// Two incDiv rounds shaped like one churn maintenance pass: 22 rules offered
+/// as ΔE = Σ, then 257 more (|Σ| = 279), over a q pool of 830 centers, so
+/// each match bitset spans up to 13 words. Round-2 match sets are subsets
+/// of a round-1 set, as children's are of their parents'. Arg 0 draws
+/// round-1 sets from id bands, so some pairs are disjoint (diff = 1) and
+/// the queue's F' floor prunes most pair scores; arg 1 gives every set a
+/// shared core, so no pair is disjoint and every pair is scored. Each
+/// iteration builds a fresh IncDiv, so bitset encoding is included.
+void BM_IncDivAddRound(benchmark::State& state) {
+  constexpr size_t kPool = 830;
+  const bool shared_core = state.range(0) != 0;
+  std::mt19937_64 rng(2015);
+  std::uniform_real_distribution<double> unit(0, 1);
+  auto make = [&](std::vector<NodeId> matches) {
+    auto r = std::make_shared<MinedRule>();
+    r->matches = std::move(matches);
+    r->conf = 0.5 + 30 * unit(rng);
+    return r;
+  };
+  std::vector<std::shared_ptr<MinedRule>> round1, round2;
+  for (size_t i = 0; i < 22; ++i) {
+    const size_t lo = shared_core ? 0 : rng() % kPool;
+    const size_t hi = shared_core ? kPool : lo + (kPool - lo) * unit(rng);
+    const double keep = 0.2 + 0.7 * unit(rng);
+    std::vector<NodeId> m;
+    for (size_t v = 0; v < kPool; ++v) {
+      if ((v >= lo && v < hi && unit(rng) < keep) || (shared_core && v < 8)) {
+        m.push_back(static_cast<NodeId>(v * 37));
+      }
+    }
+    round1.push_back(make(std::move(m)));
+  }
+  for (size_t i = 0; i < 257; ++i) {
+    const std::vector<NodeId>& parent = round1[rng() % round1.size()]->matches;
+    const double keep = 0.3 + 0.6 * unit(rng);
+    std::vector<NodeId> m;
+    for (size_t j = 0; j < parent.size(); ++j) {
+      if (unit(rng) < keep || (shared_core && j < 8)) m.push_back(parent[j]);
+    }
+    round2.push_back(make(std::move(m)));
+  }
+  std::vector<std::shared_ptr<MinedRule>> sigma = round1;
+  sigma.insert(sigma.end(), round2.begin(), round2.end());
+  for (auto _ : state) {
+    IncDiv inc(/*k=*/6, /*lambda=*/0.5, /*n_norm=*/kPool * 1200.0);
+    inc.AddRound(round1, round1);
+    inc.AddRound(round2, sigma);
+    benchmark::DoNotOptimize(inc.MinPairFPrime());
+  }
+}
+BENCHMARK(BM_IncDivAddRound)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -172,6 +172,7 @@ class EvidencePatcher : public LevelwiseEvaluator {
         in_q = matcher_.ProbeAt(c);
         in_qbar = !in_q && g_.HasOutLabel(c, q_.edge_label);
         flipped_[c] = in_q != was_q || in_qbar != was_qbar;
+        if (flipped_[c]) flipped_list_.push_back(c);
       } else {
         ++ps_.centers_carried;
       }
@@ -271,6 +272,11 @@ class EvidencePatcher : public LevelwiseEvaluator {
   // old set.
   void Match(const std::vector<NodeId>& pool, const Pattern& p,
              uint32_t radius, const Carry& carry, std::vector<NodeId>* out) {
+    if (carry.old_set != nullptr && carry.lost == nullptr &&
+        carry.gained == nullptr) {
+      CarryWhole(pool, p, *carry.old_set, out);
+      return;
+    }
     size_t pos = 0;
     matcher_.Bind(p);
     for (NodeId c : pool) {
@@ -296,6 +302,46 @@ class EvidencePatcher : public LevelwiseEvaluator {
     }
   }
 
+  // `Match` for a pattern that uses no delta edge, where only the pool's
+  // flipped centers are probed and every other center keeps its old
+  // answer: the result is `old ∩ pool` plus the flipped centers that
+  // match, built by one sorted intersection instead of a per-center walk.
+  void CarryWhole(const std::vector<NodeId>& pool, const Pattern& p,
+                  const std::vector<NodeId>& old, std::vector<NodeId>* out) {
+    // A branch-free merge: each step keeps the old member when it equals
+    // the pool's and advances whichever cursor is behind (or both).
+    const size_t base = out->size();
+    out->resize(base + std::min(old.size(), pool.size()));
+    NodeId* kept_out = out->data() + base;
+    size_t i = 0, j = 0, n = 0;
+    while (i < old.size() && j < pool.size()) {
+      const NodeId a = old[i], b = pool[j];
+      kept_out[n] = a;
+      n += a == b;
+      i += a <= b;
+      j += b <= a;
+    }
+    out->resize(base + n);
+    hits_.clear();
+    size_t probed = 0;
+    for (NodeId c : flipped_list_) {
+      if (!Contains(pool, c)) continue;
+      if (probed++ == 0) matcher_.Bind(p);
+      if (matcher_.ProbeAt(c)) hits_.push_back(c);
+    }
+    ps_.centers_reprobed += probed;
+    ps_.exists_calls += probed;
+    ps_.centers_carried += pool.size() - probed;
+    // A flipped center of this pool is in no old set: it has just entered
+    // its side's pool (q for P_R, ~q for antecedents), and every old set of
+    // that side lies within the prior pass's pool (restored evidence is
+    // first refreshed by a zero-delta pass, which flips nothing). So its
+    // answer merges in without replacing a carried one.
+    const size_t mid = out->size();
+    out->insert(out->end(), hits_.begin(), hits_.end());
+    std::inplace_merge(out->begin() + base, out->begin() + mid, out->end());
+  }
+
   const Graph& g_;
   const Predicate& q_;
   const DmineOptions& options_;
@@ -308,6 +354,10 @@ class EvidencePatcher : public LevelwiseEvaluator {
   std::vector<char> pool_frontier_;
   /// Per node: its q / ~q pool status changed this pass.
   std::vector<char> flipped_;
+  /// The flipped centers, ascending.
+  std::vector<NodeId> flipped_list_;
+  /// `CarryWhole`'s scratch: the flipped centers that matched.
+  std::vector<NodeId> hits_;
   /// This pass's round-0 pools: the root candidates' pools.
   std::vector<NodeId> q_pool_;
   std::vector<NodeId> qbar_pool_;

@@ -24,18 +24,36 @@ namespace gpar {
 /// Rules are owned by the caller (DMine's Σ, stable `shared_ptr`s). A rule's
 /// match set must not change once offered: IncDiv encodes it as a
 /// `MatchBitset` on first sight and scores every later pair from the cached
-/// bitsets, so one diff costs at most ⌈supp_q/64⌉ word ANDs and popcounts.
+/// bitsets, so one diff costs at most ⌈supp_q/64⌉ word ANDs and bit counts.
+///
+/// Each round resolves Σ once into a flat per-position array (bitset,
+/// confidence, ΔE index, and whether the rule is pruned or queued), so the
+/// O(|ΔE|·|Σ|) pair scans do no hash lookup. The fill phase keeps each
+/// row's best partner across its ⌈k/2⌉ steps and rescans a row only when
+/// that partner was just queued; extra memory stays O(|ΔE| + |Σ|).
 class IncDiv {
  public:
+  /// One queue entry: a disjoint rule pair and its F'.
+  struct QueuePair {
+    std::shared_ptr<MinedRule> a;
+    std::shared_ptr<MinedRule> b;
+    double fprime;
+  };
+
   IncDiv(uint32_t k, double lambda, double n_norm);
 
-  /// Offers one round of newly accepted rules. `sigma` is the full pool Σ
-  /// (including `delta`); pruned rules are skipped as pair partners.
+  /// Offers one round of newly accepted rules. `sigma` is the full pool Σ,
+  /// each rule once, including every rule of `delta`; pruned rules are
+  /// skipped as pair partners.
   void AddRound(const std::vector<std::shared_ptr<MinedRule>>& delta,
                 const std::vector<std::shared_ptr<MinedRule>>& sigma);
 
   /// Current top-k rules (flattened pairs, best F' first, truncated to k).
   std::vector<std::shared_ptr<MinedRule>> TopK() const;
+
+  /// The queue's pairs in slot order (a replacement takes the evicted
+  /// pair's slot).
+  const std::vector<QueuePair>& pairs() const { return queue_; }
 
   /// F'm: the minimum F' among queue pairs; -infinity while the queue is
   /// not yet full (no pruning is safe before that, per Lemma 3's premise).
@@ -53,26 +71,17 @@ class IncDiv {
   double n_norm() const { return n_norm_; }
 
  private:
-  struct QueuePair {
-    std::shared_ptr<MinedRule> a;
-    std::shared_ptr<MinedRule> b;
-    double fprime;
-  };
-
   const MatchBitset& BitsOf(const std::shared_ptr<MinedRule>& r);
-  double PairFPrime(const std::shared_ptr<MinedRule>& a,
-                    const std::shared_ptr<MinedRule>& b);
-  bool UsedInQueue(const MinedRule* r) const;
 
   uint32_t k_;
   double lambda_;
   double n_norm_;
   uint32_t max_pairs_;
   std::vector<QueuePair> queue_;
-  /// Members of `queue_`, kept in sync on every insert/replace: membership
-  /// tests run inside AddRound's O(|Δ|·|Σ|) pair scans, whose other per-pair
-  /// cost is one bitset diff of ⌈supp_q/64⌉ words, so they must be O(1), not
-  /// a walk over the queue.
+  /// Members of `queue_`, kept in sync on every insert/replace. AddRound
+  /// reads it once per Σ rule, when it resolves the round's flat array (the
+  /// pair scans then test a per-position flag); `InQueue` serves the
+  /// reduction rules.
   std::unordered_set<const MinedRule*> in_queue_;
   MatchRanks ranks_;
   /// Each offered rule's match bitset. Keying by `shared_ptr` keeps the

@@ -1,33 +1,57 @@
 #include "rule/diversity.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 namespace gpar {
 
 MatchBitset MatchRanks::Encode(std::span<const NodeId> matches) {
+  std::vector<NodeId> sorted;
+  if (!std::is_sorted(matches.begin(), matches.end())) {
+    sorted.assign(matches.begin(), matches.end());
+    std::sort(sorted.begin(), sorted.end());
+    matches = sorted;
+  }
+  // No rank reaches the ranked count plus the members.
   MatchBitset out;
+  out.words.resize((ranked_.size() + matches.size() + 63) / 64);
+  uint32_t top = 0;  // one past the highest rank set
+  std::vector<std::pair<NodeId, uint32_t>> fresh;
+  // Both lists ascend, so each lookup resumes where the previous one
+  // ended: a few linear steps (dense sets), then a galloping search.
+  const auto end = ranked_.cend();
+  auto it = ranked_.cbegin();
   for (NodeId v : matches) {
-    const uint32_t r =
-        rank_.try_emplace(v, static_cast<uint32_t>(rank_.size())).first->second;
-    if (r / 64 >= out.words.size()) out.words.resize(r / 64 + 1);
+    for (int s = 0; s < 8 && it != end && it->first < v; ++s) ++it;
+    if (it != end && it->first < v) {
+      size_t step = 4;
+      while (static_cast<size_t>(end - it) > step && it[step].first < v) {
+        it += step;
+        step *= 2;
+      }
+      const auto hi = static_cast<size_t>(end - it) > step ? it + step : end;
+      it = std::lower_bound(it + 1, hi, v,
+                            [](const std::pair<NodeId, uint32_t>& e,
+                               NodeId n) { return e.first < n; });
+    }
+    uint32_t r;
+    if (it != end && it->first == v) {
+      r = it->second;
+    } else {
+      r = static_cast<uint32_t>(ranked_.size() + fresh.size());
+      fresh.emplace_back(v, r);
+    }
     out.words[r / 64] |= uint64_t{1} << (r % 64);
+    top = std::max(top, r + 1);
   }
-  for (uint64_t w : out.words) out.count += std::popcount(w);
+  out.words.resize((top + 63) / 64);
+  if (!fresh.empty()) {
+    const size_t old = ranked_.size();
+    ranked_.insert(ranked_.end(), fresh.begin(), fresh.end());
+    std::inplace_merge(ranked_.begin(), ranked_.begin() + old, ranked_.end());
+  }
+  for (uint64_t w : out.words) out.count += PopCount(w);
   return out;
-}
-
-double BitsetJaccardDistance(const MatchBitset& a, const MatchBitset& b) {
-  if (a.count == 0 && b.count == 0) return 0;
-  // Words past the shorter bitset hold no common member.
-  const size_t n = std::min(a.words.size(), b.words.size());
-  uint64_t inter = 0;
-  for (size_t i = 0; i < n; ++i) {
-    inter += std::popcount(a.words[i] & b.words[i]);
-  }
-  const uint64_t uni = a.count + b.count - inter;
-  return 1.0 - static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 double JaccardDistance(const std::vector<NodeId>& a,
@@ -63,20 +87,6 @@ double ObjectiveF(const std::vector<double>& confs,
   }
   double div_term = k > 1 ? 2.0 * lambda / (k - 1) * diff_sum : 0;
   return conf_term + div_term;
-}
-
-double FPrime(double conf1, double conf2, double diff, double lambda,
-              double n_norm, uint32_t k) {
-  if (k <= 1) return 0;
-  // Same degeneracy guards as ObjectiveF's confidence term: with N = 0 the
-  // diversity term still ranks pairs (the old code returned a flat 0 here,
-  // collapsing the queue order entirely).
-  double conf_term = 0;
-  const double conf_sum = conf1 + conf2;
-  if (n_norm > 0 && lambda < 1.0 && std::isfinite(conf_sum)) {
-    conf_term = (1.0 - lambda) / (n_norm * (k - 1)) * conf_sum;
-  }
-  return conf_term + 2.0 * lambda / (k - 1) * diff;
 }
 
 }  // namespace gpar

@@ -1,10 +1,10 @@
 #include "serve/cache_slice.h"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <unordered_map>
 
+#include "common/bits.h"
 #include "common/timer.h"
 #include "pattern/pattern_ops.h"
 
@@ -299,7 +299,7 @@ void CacheSlice::EnsureRows(const Generation& st,
     for (size_t w = 0; w < words; ++w) {
       in_q[w] |= item.in_q[w];
       in_pr[w] |= item.in_pr[w];
-      stats->cache_probes += std::popcount(item.probed[w]);
+      stats->cache_probes += PopCount(item.probed[w]);
     }
     Stripe& sh = StripeOf(item.ordinal);
     MutexLock lock(sh.mu);

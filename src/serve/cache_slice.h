@@ -120,8 +120,10 @@ struct DeltaStats {
 
 /// A lifetime `ServeStats`. Lock-free — relaxed atomics, latency in
 /// nanoseconds — because every request adds to it, and a shared mutex here
-/// would serialize otherwise disjoint hot paths.
-class LifetimeStats {
+/// would serialize otherwise disjoint hot paths. Cache-line aligned, so
+/// the counters every request bumps share no line with a neighbour's hot
+/// fields, wherever the heap places the owner.
+class alignas(64) LifetimeStats {
  public:
   /// Adds one request's counts.
   void Record(const ServeStats& stats);
@@ -323,8 +325,10 @@ class CacheSlice {
   /// One lock stripe of the match cache: the entries of the ordinals o with
   /// o % kStripes equal to its index, at o / kStripes. An untouched
   /// membership stays valid across deltas, by locality; writers only store
-  /// results computed on the CURRENT epoch — see EnsureRows.
-  struct Stripe {
+  /// results computed on the CURRENT epoch — see EnsureRows. Each stripe
+  /// has its own cache line, so locking one never invalidates another's
+  /// mutex.
+  struct alignas(64) Stripe {
     mutable Mutex mu;
     std::vector<CenterEntry> entries GPAR_GUARDED_BY(mu);
   };

@@ -47,7 +47,6 @@ class RuleServer : public SnapshotSession<RuleServer, RuleServerOptions> {
   // ---- Introspection ----
 
   const Predicate& predicate() const noexcept { return q_; }
-  size_t cached_centers() const { return slices_.front()->cached_centers(); }
   size_t plans_prepared() const;
 
  private:

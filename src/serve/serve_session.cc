@@ -284,6 +284,12 @@ std::vector<RuleRecord> ServeSession::rules() const {
   return AcquireGeneration()->rules->records;
 }
 
+size_t ServeSession::cached_centers() const {
+  size_t total = 0;
+  for (const auto& slice : slices_) total += slice->cached_centers();
+  return total;
+}
+
 uint64_t ServeSession::delta_sequence() const {
   MutexLock writer(writer_mu_);
   return sequence_;

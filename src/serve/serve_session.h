@@ -140,6 +140,9 @@ class ServeSession {
   /// internals keep mutating under concurrent queries). A router counts
   /// each request once; per-slice stats live on the slices.
   ServeStats lifetime_stats() const { return lifetime_.Snapshot(); }
+  /// Candidates with a cached q-class or membership, summed over the
+  /// slices.
+  size_t cached_centers() const;
 
  protected:
   ServeSession() = default;

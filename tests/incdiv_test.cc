@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <random>
+#include <string>
 
 #include "graph/paper_graphs.h"
+#include "inc_div_oracle.h"
 #include "match/matcher.h"
 #include "mine/reduction.h"
 #include "rule/diversity.h"
@@ -146,6 +151,140 @@ TEST_F(IncDivTest, FullDiversifyMatchesGreedyChoice) {
   EXPECT_NEAR(FPrime(topk[0]->conf, topk[1]->conf, diff, 0.5, n_norm_, 2),
               1.1, 1e-12);
   (void)conf_sum;
+}
+
+// --- The flat pair scan against the straightforward one ------------------
+
+/// A random rule pool for the oracle battery: match sets over a universe of
+/// scattered node ids (up to ~13 bitset words, like a q pool), with repeated
+/// match sets and repeated confidences so F' ties are common.
+std::vector<std::shared_ptr<MinedRule>> RandomRules(std::mt19937_64& rng,
+                                                    size_t n) {
+  std::vector<NodeId> universe(800);
+  for (NodeId& v : universe) v = static_cast<NodeId>(rng() % 1000000);
+  std::sort(universe.begin(), universe.end());
+  universe.erase(std::unique(universe.begin(), universe.end()),
+                 universe.end());
+  const double confs[] = {0.5, 1.0, 1.0, 2.5, 7.0};
+  std::vector<std::shared_ptr<MinedRule>> out;
+  for (size_t i = 0; i < n; ++i) {
+    auto r = std::make_shared<MinedRule>();
+    if (!out.empty() && rng() % 4 == 0) {
+      r->matches = out[rng() % out.size()]->matches;  // a duplicate set
+    } else {
+      // Dense, sparse and empty sets; occasionally a narrow id band.
+      const double p = std::array<double, 4>{0.9, 0.3, 0.02, 0.0}[rng() % 4];
+      std::bernoulli_distribution keep(p);
+      const size_t lo = rng() % 3 == 0 ? rng() % universe.size() : 0;
+      for (size_t u = lo; u < universe.size(); ++u) {
+        if (keep(rng)) r->matches.push_back(universe[u]);
+      }
+    }
+    r->conf = rng() % 3 == 0 ? static_cast<double>(rng() % 1000) / 37.0
+                             : confs[rng() % 5];
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+void ExpectSameQueue(const IncDiv& got, const test::OracleIncDiv& want,
+                     const std::vector<std::shared_ptr<MinedRule>>& sigma,
+                     const std::string& what) {
+  ASSERT_EQ(got.pairs().size(), want.pairs().size()) << what;
+  for (size_t p = 0; p < want.pairs().size(); ++p) {
+    const IncDiv::QueuePair& g = got.pairs()[p];
+    const IncDiv::QueuePair& w = want.pairs()[p];
+    EXPECT_EQ(g.a.get(), w.a.get()) << what << " pair " << p;
+    EXPECT_EQ(g.b.get(), w.b.get()) << what << " pair " << p;
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.fprime),
+              std::bit_cast<uint64_t>(w.fprime))
+        << what << " pair " << p << ": " << g.fprime << " vs " << w.fprime;
+  }
+  for (const auto& r : sigma) {
+    EXPECT_EQ(got.InQueue(r.get()), want.InQueue(r.get())) << what;
+  }
+}
+
+class IncDivOracleEquivalence : public ::testing::TestWithParam<uint32_t> {};
+
+// Three rounds per case, after each of which the queue must equal the
+// oracle's: same pairs, same slots, same F' bits. Σ reaches 2..400 rules;
+// round 1 offers all of Σ as ΔE, later rounds may offer nothing (the Σ-only
+// fallback) or only pruned rules, and rules are pruned between rounds as
+// the reduction rules would, sometimes out of ΔE itself.
+TEST_P(IncDivOracleEquivalence, QueueMatchesOracleEveryRound) {
+  const uint32_t k = GetParam();
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    for (size_t total : {2, 3, 5, 9, 40, 150, 400}) {
+      // λ outside [0, 1] too: a negative λ makes F' fall with diff.
+      for (double lambda : {-0.5, 0.0, 0.5, 1.0, 1.5}) {
+        std::mt19937_64 rng(seed * 7919 + total * 31 + k);
+        const std::vector<std::shared_ptr<MinedRule>> pool =
+            RandomRules(rng, total);
+        const double n_norm = rng() % 5 == 0 ? 0.0 : 4000.0;
+        IncDiv got(k, lambda, n_norm);
+        test::OracleIncDiv want(k, lambda, n_norm);
+        // Round sizes: the first takes at least two rules.
+        size_t first = 2 + (total > 2 ? rng() % (total - 1) : 0);
+        size_t second = first + (total > first ? rng() % (total - first + 1)
+                                               : 0);
+        const size_t ends[] = {first, second, total};
+        std::vector<std::shared_ptr<MinedRule>> sigma;
+        size_t begin = 0;
+        for (int round = 0; round < 3; ++round) {
+          std::vector<std::shared_ptr<MinedRule>> delta(
+              pool.begin() + begin, pool.begin() + ends[round]);
+          begin = ends[round];
+          sigma.insert(sigma.end(), delta.begin(), delta.end());
+          if (round > 0) {
+            for (const auto& r : sigma) {
+              if (!got.InQueue(r.get()) && rng() % 8 == 0) r->pruned = true;
+            }
+          }
+          got.AddRound(delta, sigma);
+          want.AddRound(delta, sigma);
+          const std::string what =
+              "seed " + std::to_string(seed) + " |Σ| " +
+              std::to_string(total) + " λ " + std::to_string(lambda) +
+              " round " + std::to_string(round + 1);
+          ExpectSameQueue(got, want, sigma, what);
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ks, IncDivOracleEquivalence,
+                         ::testing::Values(2u, 3u, 6u, 7u));
+
+// Ranks depend on which sets a `MatchRanks` saw first, distances do not.
+TEST(MatchRanksTest, DistancesDoNotDependOnEncodeOrder) {
+  std::mt19937_64 rng(34);
+  const std::vector<std::shared_ptr<MinedRule>> rules = RandomRules(rng, 24);
+  std::vector<size_t> order(rules.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::vector<MatchBitset> base;
+  MatchRanks first;
+  for (const auto& r : rules) base.push_back(first.Encode(r->matches));
+  for (int rep = 0; rep < 4; ++rep) {
+    std::shuffle(order.begin(), order.end(), rng);
+    MatchRanks ranks;
+    std::vector<MatchBitset> bits(rules.size());
+    for (size_t i : order) {
+      std::vector<NodeId> shuffled = rules[i]->matches;  // any member order
+      std::shuffle(shuffled.begin(), shuffled.end(), rng);
+      bits[i] = ranks.Encode(shuffled);
+    }
+    for (size_t i = 0; i < rules.size(); ++i) {
+      EXPECT_EQ(bits[i].count, rules[i]->matches.size());
+      for (size_t j = 0; j < rules.size(); ++j) {
+        EXPECT_EQ(BitsetJaccardDistance(bits[i], bits[j]),
+                  BitsetJaccardDistance(base[i], base[j]))
+            << "rep " << rep << " sets " << i << ", " << j;
+      }
+    }
+  }
 }
 
 class ReductionTest : public IncDivTest {};

@@ -9,6 +9,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -517,6 +518,88 @@ TEST(MaintainTest, IrrelevantTriplesReprobeOnlyThePoolFrontier) {
     EXPECT_EQ(ps->rules_reexpanded, 0u) << "batch " << seq;
     ExpectMatchesDmine(**m, "batch " + std::to_string(seq));
   }
+}
+
+/// What a pass visits: every x-labelled center for the pools, plus, per
+/// evaluated candidate, its P_R pool and, when its antecedent was probed,
+/// its ~q-side pool (the parent entry's sets, or the round-0 pools for
+/// roots). Each visit is one re-probe or one carry.
+uint64_t SummedPoolSizes(const RuleMaintainer& m) {
+  const RuleSetEvidence& ev = m.evidence();
+  uint64_t total = m.graph()->nodes_with_label(m.predicate().x_label).size();
+  for (const EvidenceEntry& e : ev.entries) {
+    const bool root = e.parent == kEvidenceRoot;
+    total += root ? ev.q_pool.size() : ev.entries[e.parent].pr_matches.size();
+    if (e.ant_probed) {
+      total += root ? ev.qbar_pool.size()
+                    : ev.entries[e.parent].ant_matches.size();
+    }
+  }
+  return total;
+}
+
+std::string SnapshotV2Bytes(const RuleMaintainer& m) {
+  std::ostringstream os;
+  EXPECT_TRUE(WriteRuleSetSnapshotV2(m.TopKRecords(), m.evidence(),
+                                     m.graph()->labels(), os)
+                  .ok());
+  return os.str();
+}
+
+/// Applies `d` to a maintainer seeded on the fixture and holds the pass to
+/// a fresh seed on the new graph: v2 snapshot bytes (top-k and evidence),
+/// and one visit per pool member.
+void ExpectCarryMatchesSeed(const CarryFixture& f, const GraphDelta& d,
+                            const std::string& what) {
+  auto m = RuleMaintainer::Seed(f.g, f.q, CarryFixture::Options());
+  ASSERT_TRUE(m.ok()) << m.status();
+  auto ps = (*m)->ApplyDelta(d);
+  ASSERT_TRUE(ps.ok()) << ps.status();
+  auto full =
+      RuleMaintainer::Seed((*m)->graph(), f.q, CarryFixture::Options());
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ((*m)->evidence(), (*full)->evidence()) << what;
+  EXPECT_EQ((*m)->TopKRecords(), (*full)->TopKRecords()) << what;
+  EXPECT_EQ(SnapshotV2Bytes(**m), SnapshotV2Bytes(**full)) << what;
+  EXPECT_EQ(ps->centers_reprobed + ps->centers_carried, SummedPoolSizes(**m))
+      << what;
+  EXPECT_GT(ps->centers_carried, 0u) << what;
+  ExpectMatchesDmine(**m, what);
+}
+
+// Wholesale carry, centers entering ~q: the inserted person -buys-> gift
+// triple is in no evaluated pattern, so every pattern with evidence is
+// carried as old ∩ pool, and only the two flipped centers are probed.
+TEST(MaintainTest, WholesaleCarryReprobesCentersEnteringQbar) {
+  CarryFixture f;
+  const Interner& labels = f.g->labels();
+  const NodeId p7 = f.p6 + 1;
+  ASSERT_EQ(f.g->node_label(p7), f.q.x_label);
+  GraphDelta d;
+  d.sequence = 1;
+  d.inserts.push_back({f.p6, f.q.edge_label, f.gift});
+  d.inserts.push_back({p7, f.q.edge_label, f.gift});
+  auto seeded = RuleMaintainer::Seed(f.g, f.q, CarryFixture::Options());
+  ASSERT_TRUE(seeded.ok()) << seeded.status();
+  ASSERT_FALSE(AnyPatternUses(**seeded, f.q.x_label, f.q.edge_label,
+                              labels.Lookup("gift")));
+  ExpectCarryMatchesSeed(f, d, "p6 and p7 enter ~q");
+}
+
+// Wholesale carry, a center leaving q: p0 trades its item for a gift, so
+// it moves from the q pool to the ~q pool. P_R patterns use the deleted
+// buys-item triple and take the per-center path; antecedents without it
+// are carried whole, with p0 probed as a new ~q member.
+TEST(MaintainTest, WholesaleCarryReprobesACenterLeavingQ) {
+  CarryFixture f;
+  const NodeId p0 = 0;
+  ASSERT_EQ(f.g->node_label(p0), f.q.x_label);
+  ASSERT_TRUE(f.g->HasEdge(p0, f.q.edge_label, f.item0));
+  GraphDelta d;
+  d.sequence = 1;
+  d.deletes.push_back({p0, f.q.edge_label, f.item0});
+  d.inserts.push_back({p0, f.q.edge_label, f.gift});
+  ExpectCarryMatchesSeed(f, d, "p0 leaves q for ~q");
 }
 
 // Mid-stream checkpoint through the at-rest format: export the evidence as

@@ -588,6 +588,20 @@ TEST(ServeSessionTest, NonCandidateLookupsCostNothing) {
   ExpectFreeLookups(**sharded, req, [&] { return CachedCenters(**sharded); });
 }
 
+/// The session's cached-center count sums its slices, so a router reports
+/// what its shards hold, not zero.
+TEST(ServeSessionTest, RouterCachedCentersSumTheShards) {
+  Workload w = MakeWorkload(1);
+  ShardedRuleServerOptions sopt;
+  sopt.num_shards = 3;
+  sopt.shard_options.num_workers = 2;
+  auto sharded = ShardedRuleServer::Create(w.graph, w.records, sopt);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  ASSERT_TRUE((*sharded)->Query(AllRequest(0.5)).ok());
+  EXPECT_EQ((*sharded)->cached_centers(), CachedCenters(**sharded));
+  EXPECT_GT((*sharded)->cached_centers(), 0u);
+}
+
 /// Direct per-(rule, center) oracle for point queries: fresh whole-graph
 /// matching, no caches.
 std::vector<uint32_t> OracleMatched(const Graph& g,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """gpar_lint: repo-specific static checks clang cannot express.
 
-Eight rules, each encoding a project invariant that has bitten (or would
+Nine rules, each encoding a project invariant that has bitten (or would
 bite) the library:
 
   [atomic-order]   Every std::atomic access through .load/.store/.exchange/
@@ -56,6 +56,11 @@ bite) the library:
                    documented crossings (graph_delta.cc, paper_graphs.h,
                    pattern_generator.{h,cc}) are the allowed exceptions.
 
+  [popcount]       No std::popcount / __builtin_popcount* in src/ outside
+                   common/bits.h. The build targets baseline x86-64, where
+                   both compile to an out-of-line libgcc call per word;
+                   PopCount in common/bits.h is the one inline bit count.
+
 Usage:
   tools/gpar_lint.py [--root DIR]
 
@@ -91,6 +96,10 @@ ARMED_SITE_RE = re.compile(r'\bArm\(\s*"([^"]+)"')
 # Failpoint names reserved for the registry's own unit tests.
 TEST_SITE_PREFIX = "test."
 QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+POPCOUNT_RE = re.compile(r"\bstd::popcount\b|\b__builtin_popcount\w*")
+
+# The one file allowed to name a bit-count primitive: the PopCount helper.
+POPCOUNT_HELPER = pathlib.PurePosixPath("src/common/bits.h")
 
 # Trees whose files count as includers for [orphan-module]: everything that
 # builds into a program, and nothing under tests/.
@@ -378,6 +387,22 @@ class Linter:
                     "src/CMakeLists.txt",
                 )
 
+    # -- rule: popcount ----------------------------------------------------
+
+    def check_popcounts(self) -> None:
+        for path in self._source_files("src"):
+            rel = pathlib.PurePosixPath(path.relative_to(self.root).as_posix())
+            if rel == POPCOUNT_HELPER:
+                continue
+            for i, line in enumerate(self._read_lines(path)):
+                m = POPCOUNT_RE.search(line.split("//", 1)[0])
+                if m:
+                    self.report(
+                        path, i + 1, "popcount",
+                        f"{m.group(0)} outside common/bits.h — it compiles "
+                        "to a libgcc call on baseline x86-64; use PopCount",
+                    )
+
     # -- driver ------------------------------------------------------------
 
     def run(self) -> int:
@@ -389,6 +414,7 @@ class Linter:
         self.check_armed_failpoints()
         self.check_orphan_modules()
         self.check_layer_order()
+        self.check_popcounts()
         for finding in self.findings:
             print(finding)
         if self.findings:

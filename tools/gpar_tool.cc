@@ -558,7 +558,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         break;
       case ServeCommand::Kind::kStats: {
         PrintServeStatsLine("  ", session->lifetime_stats(),
-                            single != nullptr ? single->cached_centers() : 0);
+                            session->cached_centers());
         if (sharded != nullptr) {
           for (uint32_t i = 0; i < sharded->num_shards(); ++i) {
             const CacheSlice& sh = sharded->shard(i);
