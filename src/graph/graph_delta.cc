@@ -21,11 +21,11 @@ constexpr auto ByEdge = [](const auto& a, const auto& b) {
   return a.dst < b.dst;
 };
 
-// The one merge routine behind all three Patch* entry points: applies the
-// (already normalized) deletes and inserts in a single pass over the
-// out-CSR, then re-derives the in-CSR and label index via the shared
-// assembly routine — the same code path a from-scratch rebuild takes, which
-// is what makes the result bit-identical to one.
+// The merge routine behind `PatchGraph`: applies the (already normalized)
+// deletes and inserts in a single pass over the out-CSR, then re-derives
+// the in-CSR and label index via the shared assembly routine — the same
+// code path a from-scratch rebuild takes, which is what makes the result
+// bit-identical to one.
 //
 // Preconditions: `dels` sorted/unique with every entry present in `g`;
 // `fresh` sorted/unique with no entry present in `g` *except* those also in
@@ -98,13 +98,11 @@ Status CheckInserts(const GraphDelta& delta, NodeId n, size_t num_labels) {
   return Status::OK();
 }
 
-/// Checks `delta.label_defs` against `labels` as `ApplyLabelDefs` would
-/// intern them, without interning anything, and returns the dictionary
-/// size once they are: a def for a known id (the dictionary's or one the
-/// batch defined earlier) must match its name, and each new one must name
-/// the next id and a name not yet known. Journal frames replay in append
-/// order, so a well-formed journal only ever extends the dictionary one id
-/// at a time, exactly the way the live server interned it.
+/// Checks `delta.label_defs` against `labels` without interning anything
+/// and returns the dictionary size once they are interned: a def for a
+/// known id (the dictionary's or one the batch defined earlier) must match
+/// its name, and each new one must name the next id and a name not yet
+/// known.
 Result<size_t> CheckLabelDefs(const GraphDelta& delta,
                               const Interner& labels) {
   std::vector<std::string_view> minted;  // names of ids labels.size().. on
@@ -140,17 +138,19 @@ Result<size_t> CheckLabelDefs(const GraphDelta& delta,
 
 }  // namespace
 
-Status ValidateDelta(const Graph& g, const GraphDelta& delta) {
-  GPAR_ASSIGN_OR_RETURN(const size_t num_labels,
-                        CheckLabelDefs(delta, g.labels()));
-  return CheckInserts(delta, g.num_nodes(), num_labels);
-}
-
 Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta) {
   const std::vector<EdgeInsert>& inserts = delta.inserts;
   const std::vector<EdgeDelete>& deletes = delta.deletes;
   const NodeId n = g.num_nodes();
-  GPAR_RETURN_NOT_OK(CheckInserts(delta, n, g.labels().size()));
+  Interner& labels = *g.labels_ptr();
+  GPAR_ASSIGN_OR_RETURN(const size_t num_labels,
+                        CheckLabelDefs(delta, labels));
+  GPAR_RETURN_NOT_OK(CheckInserts(delta, n, num_labels));
+  // The whole batch checked out: only now may the dictionary grow, so a
+  // rejected batch leaves no orphan label for a later frame to skip past.
+  for (const LabelDef& def : delta.label_defs) {
+    if (def.id >= labels.size()) labels.Intern(def.name);
+  }
 
   GraphPatch patch;
 
@@ -158,7 +158,7 @@ Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta) {
   std::sort(dels.begin(), dels.end(), ByEdge);
   dels.erase(std::unique(dels.begin(), dels.end()), dels.end());
   std::erase_if(dels, [&](const EdgeDelete& e) {
-    return e.src >= n || e.dst >= n || e.label >= g.labels().size() ||
+    return e.src >= n || e.dst >= n || e.label >= labels.size() ||
            !g.HasEdge(e.src, e.label, e.dst);
   });
   patch.missing = deletes.size() - dels.size();
@@ -328,14 +328,6 @@ void CollectLabelDefs(const Interner& labels, GraphDelta* delta) {
   }
 }
 
-Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels) {
-  GPAR_RETURN_NOT_OK(CheckLabelDefs(delta, *labels).status());
-  for (const LabelDef& def : delta.label_defs) {
-    if (def.id >= labels->size()) labels->Intern(def.name);
-  }
-  return Status::OK();
-}
-
 LabelId ResolveLabel(const Interner& labels, std::string_view name,
                      GraphDelta* delta) {
   const LabelId known = labels.Lookup(name);
@@ -349,17 +341,21 @@ LabelId ResolveLabel(const Interner& labels, std::string_view name,
   return next;
 }
 
-std::vector<std::pair<NodeId, uint32_t>> DeltaAffectedRegion(
-    const Graph& old_g, const Graph& new_g,
-    std::span<const EdgeInsert> applied,
-    std::span<const EdgeDelete> applied_deletes, uint32_t radius) {
+DeltaFootprint::DeltaFootprint(const Graph& old_g, const Graph& new_g,
+                               std::span<const EdgeInsert> inserts,
+                               std::span<const EdgeDelete> deletes,
+                               uint32_t radius)
+    : inserts(inserts),
+      deletes(deletes),
+      lost(old_g, deletes, radius),
+      gained(new_g, inserts, radius) {
   std::vector<NodeId> endpoints;
-  endpoints.reserve(2 * (applied.size() + applied_deletes.size()));
-  for (const EdgeInsert& e : applied) {
+  endpoints.reserve(2 * (inserts.size() + deletes.size()));
+  for (const EdgeInsert& e : inserts) {
     endpoints.push_back(e.src);
     endpoints.push_back(e.dst);
   }
-  for (const EdgeDelete& e : applied_deletes) {
+  for (const EdgeDelete& e : deletes) {
     endpoints.push_back(e.src);
     endpoints.push_back(e.dst);
   }
@@ -367,20 +363,19 @@ std::vector<std::pair<NodeId, uint32_t>> DeltaAffectedRegion(
   endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
                   endpoints.end());
 
-  auto touched = NodesWithinRadiusOfAny(new_g, endpoints, radius);
-  if (!applied_deletes.empty()) {
+  region = NodesWithinRadiusOfAny(new_g, endpoints, radius);
+  if (!deletes.empty()) {
     auto before = NodesWithinRadiusOfAny(old_g, endpoints, radius);
-    touched.insert(touched.end(), before.begin(), before.end());
+    region.insert(region.end(), before.begin(), before.end());
   }
   // Sorting pairs lexicographically keeps the minimum distance first among
   // duplicates, so the unique pass below retains it.
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end(),
-                            [](const auto& a, const auto& b) {
-                              return a.first == b.first;
-                            }),
-                touched.end());
-  return touched;
+  std::sort(region.begin(), region.end());
+  region.erase(std::unique(region.begin(), region.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first;
+                           }),
+               region.end());
 }
 
 bool UsesTriple(const Pattern& p, const LabelTriple& t) {

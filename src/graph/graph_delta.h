@@ -14,8 +14,8 @@
 namespace gpar {
 
 /// One edge insertion src --label--> dst. Endpoints must already exist in
-/// the graph (deltas add edges, not nodes); the label must be interned
-/// through the graph's dictionary.
+/// the graph (deltas add edges, not nodes); the label must be interned in
+/// the graph's dictionary or defined by the batch's `label_defs`.
 struct EdgeInsert {
   NodeId src;
   LabelId label;
@@ -43,7 +43,7 @@ struct EdgeDelete {
 /// journal frame replayed against a freshly loaded snapshot may reference
 /// labels interned live *after* that snapshot was written. Frames carry
 /// their own definitions so replay can re-intern exactly the ids it needs
-/// (see `ApplyLabelDefs`).
+/// (see `PatchGraph`).
 struct LabelDef {
   LabelId id;
   std::string name;
@@ -129,44 +129,33 @@ struct GraphPatch {
 /// Fills `delta->label_defs` with a definition for every distinct label id
 /// its edges reference (sorted by id), named from `labels`. The session
 /// calls this right before journaling a frame, which is what makes
-/// journaled frames replayable against an older snapshot. Ids the dictionary does not know are skipped — `PatchGraph`
-/// rejects such a delta anyway.
+/// journaled frames replayable against an older snapshot. Ids the
+/// dictionary does not know are skipped — `PatchGraph` rejects such a delta
+/// anyway.
 void CollectLabelDefs(const Interner& labels, GraphDelta* delta);
-
-/// Replays `delta.label_defs` into `labels`: a def naming the next unseen
-/// id is interned, a def for an existing id must match its name, and
-/// anything out of order (an id past the end, a name already interned
-/// under a different id) is `Corruption` — journal frames replay in append
-/// order, so a well-formed journal only ever extends the dictionary the
-/// way the live server did. Safe to call with defs the dictionary already
-/// has: those verify and no-op. All or nothing: every def is checked
-/// before any is interned.
-Status ApplyLabelDefs(const GraphDelta& delta, Interner* labels);
-
-/// Everything `ApplyLabelDefs` then `PatchGraph` would reject in `delta`
-/// against `g`, checked without touching the dictionary: the defs, and
-/// each insert's endpoints and label against g's dictionary extended by
-/// the batch's new defs. `ServeSession::ApplyDelta` calls it first, so a
-/// rejected batch interns nothing.
-Status ValidateDelta(const Graph& g, const GraphDelta& delta);
 
 /// The edge-label id `name` will have once `delta` is applied against
 /// `labels`: a known name resolves by `Lookup`; an unseen one gets the next
 /// id, in first-seen order across the batch, and a `LabelDef` is appended
-/// to `delta->label_defs`. `ServeSession::ApplyDelta` interns those defs
-/// under its writer lock, so building a batch from textual input never
-/// mutates the dictionary a server shares with its readers.
+/// to `delta->label_defs`. `PatchGraph` interns those defs, under the
+/// server's writer lock when a server applies the batch, so building a
+/// batch from textual input never mutates the dictionary a server shares
+/// with its readers.
 LabelId ResolveLabel(const Interner& labels, std::string_view name,
                      GraphDelta* delta);
 
-/// The one mutation entry point: applies `delta.deletes` then
-/// `delta.inserts` to an immutable CSR graph, producing a new `Graph` that
-/// is bit-identical to rebuilding from scratch with the final edge list
-/// (old edges \ deletes) ∪ inserts (guarded by the delta tests via
-/// snapshot-byte comparison). Deletes of absent edges (including
-/// out-of-range endpoints or uninterned labels) are counted in
-/// `GraphPatch::missing`, never fatal; inserts naming an unknown node or
-/// label are rejected.
+/// The one way a batch enters a graph (a server's `ApplyDelta` and
+/// journal replay, the rule maintainer's `ApplyDelta`). All or nothing, it
+///  1. checks the whole batch: each label def must name a known id by its
+///     name or the next id by a new name, as in-order replay of a journal
+///     extends the dictionary (else Corruption); each insert needs nodes of
+///     `g` and a label known once the defs are in (else InvalidArgument);
+///  2. interns the new defs into g's shared dictionary, so a frame minted
+///     after a snapshot was written resolves against it;
+///  3. applies `delta.deletes` then `delta.inserts` to the immutable CSR
+///     graph, producing a new `Graph` bit-identical to rebuilding from the
+///     final edge list (old edges \ deletes) ∪ inserts. Deletes of absent
+///     edges are counted in `GraphPatch::missing`, never fatal.
 ///
 /// Cost is O(|V| + |E| + k log k) for k mutations: the batch is sorted and
 /// merged into the out-CSR in one pass — no global edge re-sort — and the
@@ -174,26 +163,6 @@ LabelId ResolveLabel(const Interner& labels, std::string_view name,
 /// The paper's serving scenario applies small deltas to large graphs, where
 /// the merge is dominated by the memcpy of the untouched adjacency.
 Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta);
-
-/// The delta-affected region at radius `radius`: every node whose
-/// r-neighborhood G_r(v) (r <= radius) can differ between `old_g` and
-/// `new_g` after applying exactly `applied` + `applied_deletes`, paired
-/// with its minimum distance to a touched endpoint. By the locality
-/// property (Section 5.1) these are the only nodes whose membership in any
-/// pattern of eval radius <= `radius` can have changed — the shared
-/// invalidation/re-probe frontier of the serving tier (cache invalidation)
-/// and the rule maintainer (evidence patching).
-///
-/// The BFS runs on the patched graph and — when deletes are present — on
-/// the pre-delete graph too, unioned at minimum distance: a center whose
-/// only path to a deleted edge ran THROUGH that edge is beyond `radius` on
-/// the patched graph but its d-ball still lost the edge (non-monotone
-/// reach). Pure-insert batches skip the second sweep (the patched graph
-/// contains every old path). Pairs come back sorted by node id.
-std::vector<std::pair<NodeId, uint32_t>> DeltaAffectedRegion(
-    const Graph& old_g, const Graph& new_g,
-    std::span<const EdgeInsert> applied,
-    std::span<const EdgeDelete> applied_deletes, uint32_t radius);
 
 class Pattern;  // pattern/pattern.h
 
@@ -211,11 +180,12 @@ struct LabelTriple {
 bool UsesTriple(const Pattern& p, const LabelTriple& t);
 
 /// The affected-area bound of incremental pattern matching (Fan, Wang and
-/// Wu, TODS 2013), per pattern and per direction: one direction of a
-/// delta — the applied inserts, measured on the new graph, or the applied
-/// deletes, measured on the old one — and the distance arrays built from
-/// it so far. A pattern's array covers only the delta edges it uses;
-/// patterns share few distinct such subsets, so each array is built once.
+/// Wu, TODS 2013), per pattern, for one direction of an applied batch —
+/// its inserts, measured on the new graph, or its deletes, measured on the
+/// old one — and the distance arrays built from it so far. A pattern's
+/// array covers only the delta edges it uses; patterns share few distinct
+/// such subsets, so each array is built once per batch, whichever consumer
+/// asks first. Only `DeltaFootprint` builds one.
 ///
 /// The test it supports: a center's membership in `p` can change only if
 /// a delta edge `p` uses lies within `p`'s eval radius of the center, in
@@ -229,8 +199,13 @@ class DeltaReach {
   /// Distance of a node no used delta edge reaches within the radius.
   static constexpr uint32_t kFar = static_cast<uint32_t>(-1);
 
-  /// `radius` bounds every array, so it must be at least the eval radius
-  /// of every pattern the caller will test.
+  /// Per node, the distance (exact up to the footprint's radius, else
+  /// kFar) to the nearest endpoint of a delta edge `p` uses; nullptr when
+  /// `p` uses none. Not thread-safe: it memoizes.
+  const std::vector<uint32_t>* For(const Pattern& p);
+
+ private:
+  friend class DeltaFootprint;
   template <typename Mutation>
   DeltaReach(const Graph& g, std::span<const Mutation> applied,
              uint32_t radius)
@@ -241,11 +216,6 @@ class DeltaReach {
     }
   }
 
-  /// Per node, the distance (up to the radius, else kFar) to the nearest
-  /// endpoint of a delta edge `p` uses; nullptr when `p` uses none.
-  const std::vector<uint32_t>* For(const Pattern& p);
-
- private:
   struct Edge {
     NodeId src;
     NodeId dst;
@@ -256,6 +226,33 @@ class DeltaReach {
   std::vector<Edge> edges_;
   /// Indices of the used delta edges -> their distance array.
   std::map<std::vector<uint32_t>, std::vector<uint32_t>> memo_;
+};
+
+/// What one applied batch changed, and where: built once per batch from
+/// `PatchGraph`'s applied mutations and read by both the rule maintainer
+/// (evidence patching) and the serving tier (cache invalidation). It
+/// references both graphs and the spans, which must outlive it. `radius`
+/// must be at least every tested pattern's eval radius; distances are
+/// exact up to it and consumers filter by each pattern's own radius, so a
+/// larger footprint answers exactly as a smaller one would.
+class DeltaFootprint {
+ public:
+  DeltaFootprint(const Graph& old_g, const Graph& new_g,
+                 std::span<const EdgeInsert> inserts,
+                 std::span<const EdgeDelete> deletes, uint32_t radius);
+
+  /// The applied mutations (`GraphPatch::applied`/`applied_deletes`).
+  std::span<const EdgeInsert> inserts;
+  std::span<const EdgeDelete> deletes;
+  /// The delta-affected region, sorted by node: every node within `radius`
+  /// of a touched endpoint, at its minimum distance — by locality (Section
+  /// 5.1) the only nodes whose memberships can have changed. With deletes
+  /// the old graph is swept too: a center whose only path to a deleted
+  /// edge ran through it is beyond `radius` on the new graph, yet its ball
+  /// lost the edge.
+  std::vector<std::pair<NodeId, uint32_t>> region;
+  DeltaReach lost;    ///< the deletes, on the old graph
+  DeltaReach gained;  ///< the inserts, on the new graph
 };
 
 }  // namespace gpar

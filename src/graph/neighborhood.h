@@ -23,10 +23,10 @@ std::vector<NodeId> NodesWithinRadius(const Graph& g, NodeId v, uint32_t r,
 /// Distance-bounded invalidation support: for every node within undirected
 /// distance `radius` of any source, its distance to the nearest source.
 /// One multi-source BFS over out- and in-edges; pairs are returned in BFS
-/// order (sources first; out-of-range sources are skipped). It finds the
-/// delta-affected region (`DeltaAffectedRegion`, locality, Section 5.1:
-/// membership of v depends only on G_d(v)) and a fragment's node set
-/// (`FragmentNodes`).
+/// order (sources first; out-of-range sources are skipped). It finds a
+/// batch's delta-affected region and reach (`DeltaFootprint`, locality,
+/// Section 5.1: membership of v depends only on G_d(v)) and a fragment's
+/// node set (`FragmentNodes`).
 std::vector<std::pair<NodeId, uint32_t>> NodesWithinRadiusOfAny(
     const Graph& g, std::span<const NodeId> sources, uint32_t radius);
 

@@ -34,6 +34,9 @@ Result<MaintainReport> RunMaintain(const MaintainRequest& req) {
   GPAR_ASSIGN_OR_RETURN(Graph loaded,
                         ReadGraphSnapshotFile(req.graph_snapshot));
   auto g = std::make_shared<const Graph>(std::move(loaded));
+  // The rule reader interns the rules' labels into g's dictionary; ids
+  // from here on name labels the graph snapshot never had.
+  const size_t graph_labels = g->labels().size();
 
   GPAR_ASSIGN_OR_RETURN(
       RuleSetSnapshot snap,
@@ -61,7 +64,7 @@ Result<MaintainReport> RunMaintain(const MaintainRequest& req) {
     }
     auto lookup = [&](const std::string& name, LabelId* slot) -> Status {
       *slot = g->labels().Lookup(name);
-      if (*slot == kNoLabel) {
+      if (*slot == kNoLabel || *slot >= graph_labels) {
         return Status::InvalidArgument(
             "maintain: label '" + name +
             "' does not occur in the graph snapshot");

@@ -132,26 +132,24 @@ struct Carry {
 /// supports are exactly the full-probe values.
 class EvidencePatcher : public LevelwiseEvaluator {
  public:
-  EvidencePatcher(const RuleMaintainer& m, const Graph& old_graph,
-                  std::span<const EdgeInsert> inserts,
-                  std::span<const EdgeDelete> deletes, MaintainStats* ps)
+  EvidencePatcher(const RuleMaintainer& m, DeltaFootprint* footprint,
+                  MaintainStats* ps)
       : g_(*m.graph()),
         q_(m.predicate()),
         options_(m.options().mine),
         prior_(m.evidence()),
-        lost_(old_graph, deletes, options_.d),
-        gained_(g_, inserts, options_.d),
+        footprint_(*footprint),
         flipped_(g_.num_nodes(), 0),
         ps_(*ps),
         matcher_(g_) {
     for (uint32_t i = 0; i < prior_.entries.size(); ++i) {
       index_[StructuralHash(prior_.entries[i].rule.pr())].push_back(i);
     }
-    const auto region =
-        DeltaAffectedRegion(old_graph, g_, inserts, deletes, options_.d);
-    ps_.affected_nodes = region.size();
     pool_frontier_.assign(g_.num_nodes(), 0);
-    for (const auto& [v, dist] : region) pool_frontier_[v] = dist <= 1;
+    for (const auto& [v, dist] : footprint_.region) {
+      pool_frontier_[v] = dist <= 1;
+      ps_.affected_nodes += dist <= options_.d;
+    }
   }
 
   // Pool membership of a center depends on G_1(center) (P_q has radius 1;
@@ -260,7 +258,7 @@ class EvidencePatcher : public LevelwiseEvaluator {
   // Carries `old`, the prior match set of `p`, subject to the delta edges
   // `p` uses.
   Carry CarryOver(const std::vector<NodeId>& old, const Pattern& p) {
-    return {&old, lost_.For(p), gained_.For(p)};
+    return {&old, footprint_.lost.For(p), footprint_.gained.For(p)};
   }
 
   // Appends the centers of `pool` matching `p` (eval radius <= `radius`)
@@ -346,10 +344,9 @@ class EvidencePatcher : public LevelwiseEvaluator {
   const Predicate& q_;
   const DmineOptions& options_;
   const RuleSetEvidence& prior_;
-  // Both reach the mining radius d, which bounds every candidate's
+  // Reaches at least the mining radius d, which bounds every candidate's
   // eval_radius().
-  DeltaReach lost_;    // applied deletes, on the old graph
-  DeltaReach gained_;  // applied inserts, on the new graph
+  DeltaFootprint& footprint_;
   /// Per node: within distance 1 of a touched endpoint (pools re-probed).
   std::vector<char> pool_frontier_;
   /// Per node: its q / ~q pool status changed this pass.
@@ -412,10 +409,27 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
     const MaintainOptions& options) {
   GPAR_RETURN_NOT_OK(ValidateMiningOptions(options.mine));
   if (g == nullptr) return Status::InvalidArgument("null graph");
-  Interner* labels = g->labels_ptr().get();
-  const Predicate q{labels->Intern(evidence.setup.x_label),
-                    labels->Intern(evidence.setup.edge_label),
-                    labels->Intern(evidence.setup.y_label)};
+  const Interner& labels = g->labels();
+  const Predicate q{labels.Lookup(evidence.setup.x_label),
+                    labels.Lookup(evidence.setup.edge_label),
+                    labels.Lookup(evidence.setup.y_label)};
+  if (q.x_label == kNoLabel || q.edge_label == kNoLabel ||
+      q.y_label == kNoLabel) {
+    return Status::InvalidArgument(
+        "evidence predicate labels are not interned in the graph's "
+        "dictionary");
+  }
+  // With no graph fingerprint, the pools are what can be checked: on the
+  // graph the evidence was exported at, every pooled center has x's label.
+  for (const auto* pool : {&evidence.q_pool, &evidence.qbar_pool}) {
+    for (NodeId c : *pool) {
+      if (c >= g->num_nodes() || g->node_label(c) != q.x_label) {
+        return Status::InvalidArgument(
+            "evidence pools a center that is not an x-labelled node of the "
+            "graph: evidence of another graph?");
+      }
+    }
+  }
   std::unique_ptr<RuleMaintainer> m(
       new RuleMaintainer(std::move(g), q, options));
   // The retired bits are don't-care; adopting this build's values keeps
@@ -432,52 +446,40 @@ Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::FromEvidence(
   // delta edges every pool and evidenced membership is carried. On the
   // graph the evidence was exported at, every candidate has evidence, so
   // this is pattern-level work only (no center probes). Evidence exported
-  // at another graph is not detected, and the rules rebuilt from it need
-  // not be `Dmine`'s on `g`.
-  MaintainStats ps;
-  GPAR_RETURN_NOT_OK(m->RefreshPass(*m->graph_, {}, {}, &ps));
-  Accumulate(&m->lifetime_, ps);
+  // at another graph that passes the checks above is not detected, and the
+  // rules rebuilt from it need not be `Dmine`'s on `g`.
+  DeltaFootprint none(*m->graph_, *m->graph_, {}, {}, options.mine.d);
+  GPAR_RETURN_NOT_OK(m->Advance(m->graph_, &none).status());
   return m;
 }
 
-Status RuleMaintainer::RefreshPass(const Graph& old_graph,
-                                   std::span<const EdgeInsert> inserts,
-                                   std::span<const EdgeDelete> deletes,
-                                   MaintainStats* ps) {
+Result<MaintainStats> RuleMaintainer::Advance(
+    std::shared_ptr<const Graph> new_graph, DeltaFootprint* footprint) {
+  if (new_graph == nullptr) return Status::InvalidArgument("null graph");
   const Timer timer;
-  ++ps->passes;
+  MaintainStats ps;
+  ps.passes = 1;
+  ps.edges_inserted = footprint->inserts.size();
+  ps.edges_deleted = footprint->deletes.size();
+  graph_ = std::move(new_graph);
 
   RuleSetEvidence next;
   next.setup = evidence_.setup;
-  EvidencePatcher patcher(*this, old_graph, inserts, deletes, ps);
+  EvidencePatcher patcher(*this, footprint, &ps);
   DmineStats ds;
   DiversifiedTopK top =
       RunLevelwise(*graph_, q_, options_.mine, patcher, &ds, &next);
-  ps->candidates_evaluated += ds.candidates_verified;
-  ps->rules_accepted += ds.accepted;
-  ps->exists_calls += ds.global_exists_calls;
+  ps.candidates_evaluated = ds.candidates_verified;
+  ps.rules_accepted = ds.accepted;
+  ps.exists_calls += ds.global_exists_calls;
   topk_ = std::move(top.topk);
   objective_ = top.objective;
-  CountEvidenceBytes(next, ps);
+  CountEvidenceBytes(next, &ps);
   // With an empty pool the driver stops before round 1, so `next` holds
   // only the pools: stale entries never survive to be patched against a
   // graph they no longer describe.
   evidence_ = std::move(next);
-  ps->seconds = timer.Seconds();
-  return Status::OK();
-}
-
-Result<MaintainStats> RuleMaintainer::Advance(
-    const Graph& old_graph, std::shared_ptr<const Graph> new_graph,
-    std::span<const EdgeInsert> applied,
-    std::span<const EdgeDelete> applied_deletes) {
-  if (new_graph == nullptr) return Status::InvalidArgument("null graph");
-  MaintainStats ps;
-  ps.edges_inserted = applied.size();
-  ps.edges_deleted = applied_deletes.size();
-  graph_ = std::move(new_graph);
-
-  GPAR_RETURN_NOT_OK(RefreshPass(old_graph, applied, applied_deletes, &ps));
+  ps.seconds = timer.Seconds();
   Accumulate(&lifetime_, ps);
   return ps;
 }
@@ -485,14 +487,17 @@ Result<MaintainStats> RuleMaintainer::Advance(
 Result<MaintainStats> RuleMaintainer::ApplyDelta(const GraphDelta& delta) {
   GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(*graph_, delta));
   if (delta.sequence > last_sequence_) last_sequence_ = delta.sequence;
-  if (patch.applied.empty() && patch.applied_deletes.empty()) {
+  if (!patch.changed()) {
     // Nothing changed (duplicates/missing only, or a compaction marker):
     // the rule set is already fresh.
     return MaintainStats{};
   }
-  std::shared_ptr<const Graph> old = graph_;
+  // The footprint reads the old graph, which `Advance` drops as current.
+  const std::shared_ptr<const Graph> old = graph_;
   auto next = std::make_shared<const Graph>(std::move(patch.graph));
-  return Advance(*old, std::move(next), patch.applied, patch.applied_deletes);
+  DeltaFootprint footprint(*old, *next, patch.applied, patch.applied_deletes,
+                           options_.mine.d);
+  return Advance(std::move(next), &footprint);
 }
 
 std::vector<RuleRecord> RuleMaintainer::TopKRecords() const {

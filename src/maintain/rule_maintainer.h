@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -35,7 +34,7 @@ struct MaintainStats {
   uint64_t passes = 0;
   size_t edges_inserted = 0;  ///< applied mutations this pass
   size_t edges_deleted = 0;
-  /// Nodes within d hops of a touched endpoint (`DeltaAffectedRegion`):
+  /// Nodes within d hops of a touched endpoint (`DeltaFootprint::region`):
   /// the region locality alone would re-probe. Pools are re-probed within
   /// 1 hop; the label and direction tests narrow the pattern re-probes to
   /// a subset of this region.
@@ -156,7 +155,9 @@ class RuleMaintainer {
 
   /// Restores a maintainer from a persisted evidence section (rule-snapshot
   /// v2). `g` must be the graph that section was exported at. The restore
-  /// trusts the evidence: evidence of another graph is NOT detected (v2
+  /// never grows g's dictionary: unknown predicate labels, or a pooled
+  /// center that is not an x-labelled node of `g`, are InvalidArgument.
+  /// Evidence of another graph that passes both checks is NOT detected (v2
   /// carries no graph fingerprint) and yields rules that need not be
   /// `Dmine`'s on `g`. The evidence setup must match `options.mine` (same
   /// predicate labels and mining parameters); a mismatch is
@@ -168,19 +169,19 @@ class RuleMaintainer {
       std::shared_ptr<const Graph> g, RuleSetEvidence evidence,
       const MaintainOptions& options = {});
 
-  /// Applies one mutation batch: patches the graph internally, then runs a
-  /// maintenance pass over the applied mutations. A batch that changes
-  /// nothing (all duplicates/missing) only advances the sequence.
+  /// Applies one mutation batch through `PatchGraph` (which interns a
+  /// journal frame's label defs), then runs a maintenance pass over the
+  /// applied mutations. A batch that changes nothing (all
+  /// duplicates/missing) only advances the sequence.
   Result<MaintainStats> ApplyDelta(const GraphDelta& delta);
 
-  /// Serving hook: the caller (a server) already patched and swapped the
-  /// graph; run the maintenance pass from the applied mutations. `old_graph`
-  /// is the pre-delta graph (deleted edges are measured on it); the
-  /// maintainer adopts `new_graph` as current.
-  Result<MaintainStats> Advance(const Graph& old_graph,
-                                std::shared_ptr<const Graph> new_graph,
-                                std::span<const EdgeInsert> applied,
-                                std::span<const EdgeDelete> applied_deletes);
+  /// One maintenance pass: adopts `new_graph` as current and patches the
+  /// evidence by `footprint`, the batch from the current graph to it at a
+  /// radius of at least `options().mine.d` (which bounds every candidate's
+  /// eval radius). A server calls it with the footprint its cache
+  /// invalidation then reads, reusing the reach arrays this pass built.
+  Result<MaintainStats> Advance(std::shared_ptr<const Graph> new_graph,
+                                DeltaFootprint* footprint);
 
   /// The maintained diversified top-k (same contents as DmineResult::topk
   /// on the current graph) and its objective F(L_k).
@@ -205,12 +206,6 @@ class RuleMaintainer {
  private:
   RuleMaintainer(std::shared_ptr<const Graph> g, const Predicate& q,
                  const MaintainOptions& options);
-
-  /// One maintenance pass on the current graph, which is `old_graph` with
-  /// `inserts` and `deletes` applied.
-  Status RefreshPass(const Graph& old_graph,
-                     std::span<const EdgeInsert> inserts,
-                     std::span<const EdgeDelete> deletes, MaintainStats* ps);
 
   MaintainOptions options_;
   std::shared_ptr<const Graph> graph_;

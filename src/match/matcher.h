@@ -179,9 +179,6 @@ class VF2Matcher {
   /// shared store.
   uint64_t plan_store_hits() const { return plan_store_hits_; }
 
-  /// Number of search-tree nodes visited since construction (for benches).
-  uint64_t nodes_visited() const { return nodes_visited_; }
-
   /// Number of patterns planned privately (for tests/benches).
   size_t plans_cached() const { return own_plans_.patterns_planned(); }
 
@@ -226,7 +223,6 @@ class VF2Matcher {
   const SearchPlanStore* plan_store_ = nullptr;
   SearchPlanStore own_plans_;  ///< patterns the shared store lacks
   uint64_t plan_store_hits_ = 0;
-  uint64_t nodes_visited_ = 0;
   Scratch scratch_;
   Resolved bound_;  ///< the `Bind` target; plan == nullptr when unbound
   PNodeId bound_node_ = kNoPatternNode;  ///< its anchored expanded node

@@ -182,7 +182,6 @@ bool VF2Matcher::Extend(const Pattern& p, const SearchPlan& plan,
   }
 
   for (NodeId v : cands) {
-    ++nodes_visited_;
     if (g_.node_label(v) != want) continue;
     // Injectivity: the used bitmap mirrors `mapping` (set/cleared with it),
     // replacing the O(|P|) scan over mapped nodes.

@@ -103,8 +103,7 @@ std::shared_ptr<const Generation> DeriveGeneration(
 
 GenerationChange::GenerationChange(const Predicate& q, const Generation& old,
                                    const Generation& next,
-                                   std::span<const EdgeInsert> applied,
-                                   std::span<const EdgeDelete> deleted)
+                                   DeltaFootprint* footprint)
     : old_(old), next_(next), rules_changed_(next.rules != old.rules) {
   const std::vector<Gpar>& to = next.rules->sigma;
   if (rules_changed_) {
@@ -131,31 +130,24 @@ GenerationChange::GenerationChange(const Predicate& q, const Generation& old,
       }
     }
   }
-  if (applied.empty() && deleted.empty()) return;
-
-  // The delta-affected region (shared with the rule maintainer's evidence
-  // patching) to the radius cached memberships can reach: they go stale
-  // within d(R) hops. Deletions make reach non-monotone, so the helper also
-  // sweeps the pre-delete graph and unions at minimum distance.
-  const uint32_t radius = next.rules->radius;
-  touched_ =
-      DeltaAffectedRegion(*old.graph, *next.graph, applied, deleted, radius);
-  if (touched_.empty()) return;
+  if (footprint == nullptr || footprint->region.empty()) return;
+  touched_ = footprint->region;
   // q-class depends only on the center's own q-labeled out-edges.
-  for (const EdgeInsert& e : applied) {
+  for (const EdgeInsert& e : footprint->inserts) {
     if (e.label == q.edge_label) q_sources_.insert(e.src);
   }
-  for (const EdgeDelete& e : deleted) {
+  for (const EdgeDelete& e : footprint->deletes) {
     if (e.label == q.edge_label) q_sources_.insert(e.src);
   }
   // Per rule and pattern, the reach of the delta edges whose label triple
   // the pattern uses: deletes on the old graph, inserts on the new one.
-  lost_.emplace(*old.graph, deleted, radius);
-  gained_.emplace(*next.graph, applied, radius);
+  // The maintainer's pass may have built them already.
+  DeltaReach& lost = footprint->lost;
+  DeltaReach& gained = footprint->gained;
   for (const Gpar& r : to) {
-    pr_reach_.push_back({lost_->For(r.pr()), gained_->For(r.pr())});
+    pr_reach_.push_back({lost.For(r.pr()), gained.For(r.pr())});
     q_reach_.push_back(
-        {lost_->For(r.x_component()), gained_->For(r.x_component())});
+        {lost.For(r.x_component()), gained.For(r.x_component())});
   }
 }
 

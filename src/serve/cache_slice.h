@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_set>
 #include <utility>
@@ -199,14 +198,15 @@ std::shared_ptr<const Generation> DeriveGeneration(
     std::shared_ptr<const ServedRules> rules);
 
 /// What publishing `next` over `old` changes, derived once per publish and
-/// walked by every slice: the rule remap (when the rule set changed) and
-/// the delta-affected region with each rule's reach (when the graph did).
+/// walked by every slice: the rule remap (when the rule set changed) and,
+/// when the graph changed, each rule's reach in the batch's footprint.
 class GenerationChange {
  public:
+  /// `footprint` leads from old's graph to next's (null when only the
+  /// rules changed), at a radius of at least next's rules' radius. It must
+  /// outlive this change.
   GenerationChange(const Predicate& q, const Generation& old,
-                   const Generation& next,
-                   std::span<const EdgeInsert> applied,
-                   std::span<const EdgeDelete> deleted);
+                   const Generation& next, DeltaFootprint* footprint);
   GenerationChange(const GenerationChange&) = delete;
   GenerationChange& operator=(const GenerationChange&) = delete;
 
@@ -237,9 +237,9 @@ class GenerationChange {
   std::vector<uint32_t> source_;
   std::vector<char> kept_;
   uint64_t rules_carried_ = 0;
-  /// (node, distance to the nearest touched endpoint) at the rules' radius.
-  std::vector<std::pair<NodeId, uint32_t>> touched_;
-  std::optional<DeltaReach> lost_, gained_;
+  /// The footprint's region: (node, distance to the nearest touched
+  /// endpoint), sorted by node; empty when the graph did not change.
+  std::span<const std::pair<NodeId, uint32_t>> touched_;
   std::vector<Reach> pr_reach_, q_reach_;  ///< per rule of `next_`
   /// Centers that gained or lost a q-labeled out-edge.
   std::unordered_set<NodeId> q_sources_;
@@ -266,9 +266,9 @@ class GenerationChange {
 /// on G_d(v)) and the affected-area bound of incremental matching, a
 /// (rule, center) bit is cleared only when a delta edge whose label triple
 /// the rule's pattern uses lies within the rule's radius of the center, in
-/// the direction that can flip the cached answer (`DeltaReach`, shared
-/// with the rule maintainer). A rule refresh keeps the cached bits of
-/// every rule whose pattern the new set still serves.
+/// the direction that can flip the cached answer (the batch's
+/// `DeltaFootprint`, shared with the rule maintainer). A rule refresh keeps
+/// the cached bits of every rule whose pattern the new set still serves.
 class CacheSlice {
  public:
   CacheSlice(const Predicate& q, std::vector<NodeId> candidates,

@@ -13,24 +13,6 @@ namespace gpar {
 
 namespace {
 
-/// The front half of every `ApplyDelta`: validates the whole batch, then
-/// interns `delta.label_defs` (replayed journal frames carry their own
-/// dictionary, so a frame minted after the snapshot was written still
-/// resolves; a live batch defines the labels it mints), patches `g`, and
-/// records the patch counts in `ds`. A rejected batch interns nothing, so
-/// the dictionary never holds a label no journal frame defines.
-Result<GraphPatch> IntakeDelta(const Graph& g, const GraphDelta& delta,
-                               Interner* labels, DeltaStats* ds) {
-  GPAR_RETURN_NOT_OK(ValidateDelta(g, delta));
-  GPAR_RETURN_NOT_OK(ApplyLabelDefs(delta, labels));
-  GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(g, delta));
-  ds->edges_inserted = patch.edges_inserted;
-  ds->duplicates_ignored = patch.duplicates;
-  ds->edges_deleted = patch.edges_deleted;
-  ds->deletes_missing = patch.missing;
-  return patch;
-}
-
 /// A request's rule selection against generation `st` — empty selects
 /// all, otherwise sorted, deduplicated and range-checked — after rejecting
 /// η <= 0 for `all_centers` and point-lookup centers outside `st`'s graph.
@@ -125,7 +107,6 @@ Status ServeSession::Start(Graph g, std::vector<RuleRecord> rules) {
   GPAR_ASSIGN_OR_RETURN(const SigmaInfo info, ValidateSigma(served->sigma));
   q_ = info.q;
   pq_ = q_.ToPattern();
-  interner_ = graph->labels_ptr();
   auto span = graph->nodes_with_label(q_.x_label);
   candidates_.assign(span.begin(), span.end());
   auto first = DeriveGeneration(pq_, nullptr, std::move(graph),
@@ -309,8 +290,11 @@ Result<DeltaStats> ServeSession::ApplyDeltaLocked(const GraphDelta& delta,
   Timer timer;
   DeltaStats ds;
   const std::shared_ptr<const Generation> st = AcquireGeneration();
-  GPAR_ASSIGN_OR_RETURN(GraphPatch patch,
-                        IntakeDelta(*st->graph, delta, interner_.get(), &ds));
+  GPAR_ASSIGN_OR_RETURN(GraphPatch patch, PatchGraph(*st->graph, delta));
+  ds.edges_inserted = patch.edges_inserted;
+  ds.duplicates_ignored = patch.duplicates;
+  ds.edges_deleted = patch.edges_deleted;
+  ds.deletes_missing = patch.missing;
   const bool changed = patch.changed();
   if (replay_sequence == 0 && !changed) {
     // Nothing changed, so every cached answer stays valid and nothing is
@@ -324,7 +308,7 @@ Result<DeltaStats> ServeSession::ApplyDeltaLocked(const GraphDelta& delta,
   frame.deletes = std::move(patch.applied_deletes);
   // Frames name the labels they reference, so replay against an older
   // snapshot re-interns live-minted labels instead of failing.
-  CollectLabelDefs(*interner_, &frame);
+  CollectLabelDefs(st->graph->labels(), &frame);
   if (journal_ != nullptr) {
     // Append-before-publish, and journal the APPLIED mutations rather than
     // the raw input: snapshot + replay re-derives this exact graph
@@ -342,23 +326,29 @@ Result<DeltaStats> ServeSession::ApplyDeltaLocked(const GraphDelta& delta,
   // carries the sequence.
   if (changed) {
     auto graph = std::make_shared<const Graph>(std::move(patch.graph));
+    // One footprint feeds both the maintenance pass and every slice's
+    // invalidation walk. Its radius covers the served rules and, when
+    // maintained, the mining radius d, which bounds every rule a refresh
+    // can publish.
+    uint32_t radius = st->rules->radius;
+    if (maintainer_ != nullptr) {
+      radius = std::max(radius, maintainer_->options().mine.d);
+    }
+    DeltaFootprint footprint(*st->graph, *graph, frame.inserts, frame.deletes,
+                             radius);
     // Maintain-on-ApplyDelta: the pass runs before the publish, so queries
     // observe the new graph together with the rule set that is fresh for
     // it. A failed pass publishes nothing.
     std::shared_ptr<const ServedRules> rules;
     if (maintainer_ != nullptr) {
-      GPAR_RETURN_NOT_OK(maintainer_
-                             ->Advance(*st->graph, graph, frame.inserts,
-                                       frame.deletes)
-                             .status());
+      GPAR_RETURN_NOT_OK(maintainer_->Advance(graph, &footprint).status());
       std::vector<RuleRecord> top_k = maintainer_->TopKRecords();
       if (top_k != st->rules->records) {
         rules = BuildServedRules(std::move(top_k));
         ds.rules_refreshed = 1;
       }
     }
-    Publish(*st, std::move(graph), frame.inserts, frame.deletes,
-            std::move(rules), &ds);
+    Publish(*st, std::move(graph), &footprint, std::move(rules), &ds);
   }
   sequence_ = frame.sequence;
   ds.seconds = timer.Seconds();
@@ -369,20 +359,19 @@ void ServeSession::PublishRules(std::vector<RuleRecord> rules,
                                 DeltaStats* ds) {
   const std::shared_ptr<const Generation> st = AcquireGeneration();
   if (rules == st->rules->records) return;
-  Publish(*st, st->graph, {}, {}, BuildServedRules(std::move(rules)), ds);
+  Publish(*st, st->graph, nullptr, BuildServedRules(std::move(rules)), ds);
   ds->rules_refreshed = 1;
 }
 
 void ServeSession::Publish(const Generation& old,
                            std::shared_ptr<const Graph> graph,
-                           std::span<const EdgeInsert> applied,
-                           std::span<const EdgeDelete> deleted,
+                           DeltaFootprint* footprint,
                            std::shared_ptr<const ServedRules> rules,
                            DeltaStats* ds) {
   if (rules == nullptr) rules = old.rules;
   std::shared_ptr<const Generation> next =
       DeriveGeneration(pq_, &old, std::move(graph), std::move(rules));
-  const GenerationChange change(q_, old, *next, applied, deleted);
+  const GenerationChange change(q_, old, *next, footprint);
   ds->rules_carried += change.rules_carried();
   for (const std::unique_ptr<CacheSlice>& slice : slices_) {
     slice->Adopt(change, ds);

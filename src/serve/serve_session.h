@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -197,18 +196,20 @@ class ServeSession {
       GPAR_REQUIRES(writer_mu_);
   /// The one publish path, for deltas and rule refreshes alike: derives
   /// the generation after `old` for `graph` (with `rules`, or old's when
-  /// null), lets every slice adopt it, then publishes it.
+  /// null), lets every slice adopt it, then publishes it. `footprint` is
+  /// the batch that led from old's graph to `graph` (null for a rule
+  /// refresh), at a radius covering the published rules.
   void Publish(const Generation& old, std::shared_ptr<const Graph> graph,
-               std::span<const EdgeInsert> applied,
-               std::span<const EdgeDelete> deleted,
+               DeltaFootprint* footprint,
                std::shared_ptr<const ServedRules> rules, DeltaStats* ds)
       GPAR_REQUIRES(writer_mu_);
 
   /// Serializes every write.
   mutable Mutex writer_mu_;
-  std::shared_ptr<Interner> interner_;
   Pattern pq_;  ///< q(x, y) as a pattern, planned in every generation
-  mutable Mutex state_mu_;  ///< guards the `state_` pointer only
+  /// Guards the `state_` pointer only. Every query takes it, so it starts
+  /// a cache line that holds `state_` and nothing another thread writes.
+  alignas(64) mutable Mutex state_mu_;
   std::shared_ptr<const Generation> state_ GPAR_GUARDED_BY(state_mu_);
   std::unique_ptr<DeltaJournal> journal_ GPAR_GUARDED_BY(writer_mu_);
   std::unique_ptr<RuleMaintainer> maintainer_ GPAR_GUARDED_BY(writer_mu_);

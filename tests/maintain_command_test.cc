@@ -17,6 +17,7 @@
 #include "mine/dmine.h"
 #include "pattern/pattern_ops.h"
 #include "rule/rule_snapshot.h"
+#include "serve/rule_server.h"
 
 namespace gpar {
 namespace {
@@ -361,6 +362,112 @@ TEST(MaintainCommandTest, RetiredFlagBitsAreIgnoredOnRestore) {
     }
   }
   for (const std::string& p : {f.gpath, f.rpath, seeded, flipped, out, wal}) {
+    std::remove(p.c_str());
+  }
+}
+
+// A serving session can mint an edge label the graph snapshot has never
+// seen (a `delta` line naming a new label). Its journal frames carry their
+// own label defs, and `maintain` replays them through the same intake the
+// server applied them with, ending at what a fresh seed on the server's
+// graph mines.
+TEST(MaintainCommandTest, ReplaysALabelTheServerMinted) {
+  Fixture f = MakeFixture("minted");
+  const std::string seeded = "/tmp/gpar_mcmd_minted.seeded";
+  const std::string wal = "/tmp/gpar_mcmd_minted.wal";
+  const std::string out = "/tmp/gpar_mcmd_minted.out";
+  std::remove(wal.c_str());
+  MaintainRequest req = SmallRequest();
+  req.graph_snapshot = f.gpath;
+  req.rules_snapshot = f.rpath;
+  req.out = seeded;
+  req.x_label = f.x;
+  req.edge_label = f.edge;
+  req.y_label = f.y;
+  auto first = RunMaintain(req);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(first->rules_out, 0u);
+
+  auto server = RuleServer::Load(f.gpath, seeded);
+  ASSERT_TRUE(server.ok()) << server.status();
+  RuleServer& s = **server;
+  ASSERT_TRUE(s.AttachJournal(wal).ok());
+  GraphDelta minting;
+  const LabelId minted =
+      ResolveLabel(s.graph_snapshot()->labels(), "minted_by_serve", &minting);
+  minting.inserts = {{5, minted, 12}, {7, minted, 9}};
+  ASSERT_TRUE(s.ApplyDelta(minting).ok());
+  GraphDelta plain;
+  for (NodeId v = 0; v < 10; ++v) {
+    plain.inserts.push_back({static_cast<NodeId>(v * 7 + 1), f.q.edge_label,
+                             static_cast<NodeId>(v * 11 + 2)});
+  }
+  auto ds = s.ApplyDelta(plain);
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  EXPECT_EQ(ds->sequence, 2u);
+
+  MaintainRequest replay = SmallRequest();
+  replay.graph_snapshot = f.gpath;
+  replay.rules_snapshot = seeded;
+  replay.journal = wal;
+  replay.out = out;
+  auto r = RunMaintain(replay);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->seeded);
+  EXPECT_EQ(r->last_sequence, 2u);
+
+  auto fresh = RuleMaintainer::Seed(s.graph_snapshot(), f.q, req.options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  Interner labels = s.graph_snapshot()->labels();
+  auto snap = ReadRuleSetSnapshotAnyFile(out, &labels);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->rules, (*fresh)->TopKRecords());
+  for (const std::string& p : {f.gpath, f.rpath, seeded, wal, out}) {
+    std::remove(p.c_str());
+  }
+}
+
+// Rules restore or seed only onto a graph they can describe. Against a
+// foreign graph (none of the predicate's labels, so none of its centers)
+// both paths are a usage error raised before anything is written:
+// `maintain` refreshes its input in place by default, and would otherwise
+// replace a good snapshot with an empty rule set. The rule reader interns
+// the rules' labels into the graph's dictionary first, so neither check
+// may trust a plain dictionary lookup.
+TEST(MaintainCommandTest, ForeignGraphLeavesTheSnapshotUntouched) {
+  Fixture f = MakeFixture("foreign");
+  const std::string foreign = "/tmp/gpar_mcmd_foreign.graph";
+  const std::string v1 = "/tmp/gpar_mcmd_foreign.v1";
+  MaintainRequest req = SmallRequest();
+  req.graph_snapshot = f.gpath;
+  req.rules_snapshot = f.rpath;
+  req.x_label = f.x;
+  req.edge_label = f.edge;
+  req.y_label = f.y;
+  auto seeded = RunMaintain(req);  // v1 -> v2, in place
+  ASSERT_TRUE(seeded.ok()) << seeded.status();
+  ASSERT_GT(seeded->rules_out, 0u);
+  ASSERT_TRUE(WriteGraphSnapshotFile(MakePokecLike(1), foreign).ok());
+  const std::string before = ReadBytes(f.rpath);
+
+  MaintainRequest restore = SmallRequest();
+  restore.graph_snapshot = foreign;
+  restore.rules_snapshot = f.rpath;
+  ExpectInvalid(RunMaintain(restore), "another graph");
+  EXPECT_EQ(ReadBytes(f.rpath), before);
+
+  // The same rules as a v1 snapshot take the seeding path.
+  Interner labels = f.graph.labels();
+  auto snap = ReadRuleSetSnapshotAnyFile(f.rpath, &labels);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  ASSERT_TRUE(WriteRuleSetSnapshotFile(snap->rules, labels, v1).ok());
+  const std::string v1_before = ReadBytes(v1);
+  MaintainRequest seed = req;
+  seed.graph_snapshot = foreign;
+  seed.rules_snapshot = v1;
+  ExpectInvalid(RunMaintain(seed), "does not occur in the graph snapshot");
+  EXPECT_EQ(ReadBytes(v1), v1_before);
+  for (const std::string& p : {f.gpath, f.rpath, foreign, v1}) {
     std::remove(p.c_str());
   }
 }

@@ -707,6 +707,46 @@ TEST(MaintainServeTest, RuleServerMaintainsOnApplyDelta) {
   ASSERT_TRUE(answer.ok()) << answer.status();
 }
 
+// One footprint per batch feeds the maintenance pass and the cache walk,
+// so it must reach the mining radius d even when the served rules are
+// shallower: here an empty served set (radius 1) before every batch. The
+// server's pass must do exactly what a standalone maintainer's does — a
+// footprint at the served radius would skip the re-probes of depth-2
+// candidates' memberships that only a delta edge 2 hops away can flip.
+TEST(MaintainServeTest, PassReachesTheMiningRadiusPastShallowServedRules) {
+  Graph g = MakeSynthetic(300, 900, 10, 51);
+  Predicate q = PickQ(g);
+  MaintainOptions mopt = SmallMaintain();
+  std::vector<RuleRecord> records = DmineRecords(g, q, mopt.mine);
+  ASSERT_FALSE(records.empty());
+  RuleServerOptions sopt;
+  sopt.num_workers = 2;
+  auto server = RuleServer::Create(g, records, sopt);
+  ASSERT_TRUE(server.ok()) << server.status();
+  ASSERT_TRUE((*server)->EnableMaintenance(mopt).ok());
+  auto alone = RuleMaintainer::Seed(std::make_shared<const Graph>(g), q, mopt);
+  ASSERT_TRUE(alone.ok()) << alone.status();
+
+  Graph reference = g;
+  for (size_t b = 0; b < 3; ++b) {
+    ASSERT_TRUE((*server)->UpdateRules({}).ok());
+    GraphDelta d = MakeChurn(reference, q.edge_label, 170 + b, 25);
+    auto ref = PatchGraph(reference, d);
+    ASSERT_TRUE(ref.ok());
+    reference = std::move(ref)->graph;
+    ASSERT_TRUE((*server)->ApplyDelta(d).ok());
+    ASSERT_TRUE((*alone)->ApplyDelta(d).ok());
+    EXPECT_EQ((*server)->rules(), (*alone)->TopKRecords()) << "batch " << b;
+    EXPECT_EQ((*server)->rules(), DmineRecords(reference, q, mopt.mine))
+        << "batch " << b;
+    const MaintainStats got = (*server)->maintain_stats();
+    const MaintainStats& want = (*alone)->lifetime_stats();
+    EXPECT_EQ(got.affected_nodes, want.affected_nodes) << "batch " << b;
+    EXPECT_EQ(got.centers_reprobed, want.centers_reprobed) << "batch " << b;
+    EXPECT_EQ(got.centers_carried, want.centers_carried) << "batch " << b;
+  }
+}
+
 TEST(MaintainServeTest, UpdateRulesRejectsAForeignPredicate) {
   Graph g = MakeSynthetic(300, 900, 10, 51);
   Predicate q = PickQ(g);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -446,6 +447,13 @@ TEST(GraphDeltaTest, WireRoundTripV3LabelDefs) {
   EXPECT_EQ(*back2, delta);
 }
 
+/// `n` nodes over the dictionary `labels` (labelled with its first id).
+Graph NodesOver(std::shared_ptr<Interner> labels, NodeId n) {
+  GraphBuilder b(std::move(labels));
+  if (n > 0) b.AddNodes(0, n);
+  return std::move(b).Build();
+}
+
 TEST(GraphDeltaTest, LabelDefsCollectAndReintern) {
   Interner live;
   const LabelId a = live.Intern("a");
@@ -461,44 +469,50 @@ TEST(GraphDeltaTest, LabelDefsCollectAndReintern) {
   EXPECT_EQ(delta.label_defs[1], (LabelDef{b, "b"}));
   EXPECT_EQ(delta.label_defs[2], (LabelDef{minted, "minted_live"}));
 
-  // A dictionary from an older snapshot (no "minted_live") learns it.
-  Interner older;
-  older.Intern("a");
-  older.Intern("b");
-  ASSERT_TRUE(ApplyLabelDefs(delta, &older).ok());
-  EXPECT_EQ(older.Lookup("minted_live"), minted);
+  // A graph from an older snapshot (no "minted_live") learns it when the
+  // frame is patched in.
+  auto older = std::make_shared<Interner>();
+  older->Intern("a");
+  older->Intern("b");
+  const Graph old_graph = NodesOver(older, 8);
+  auto patched = PatchGraph(old_graph, delta);
+  ASSERT_TRUE(patched.ok()) << patched.status();
+  EXPECT_EQ(patched->edges_inserted, 3u);
+  EXPECT_EQ(older->Lookup("minted_live"), minted);
   // Idempotent: everything now verifies as a no-op.
-  ASSERT_TRUE(ApplyLabelDefs(delta, &older).ok());
-  EXPECT_EQ(older.size(), live.size());
+  ASSERT_TRUE(PatchGraph(old_graph, delta).ok());
+  EXPECT_EQ(older->size(), live.size());
 
   // A name clash on an existing id is data corruption, not interning.
-  Interner clash;
-  clash.Intern("a");
-  clash.Intern("NOT_b");
-  EXPECT_FALSE(ApplyLabelDefs(delta, &clash).ok());
+  auto clash = std::make_shared<Interner>();
+  clash->Intern("a");
+  clash->Intern("NOT_b");
+  EXPECT_FALSE(PatchGraph(NodesOver(clash, 8), delta).ok());
 
   // In-order defs may extend the dictionary by more than one id (a frame
   // that minted several labels) — but a def that SKIPS ids cannot come
   // from in-order replay.
-  Interner fresh;
-  ASSERT_TRUE(ApplyLabelDefs(delta, &fresh).ok());
-  EXPECT_EQ(fresh.size(), 3u);
+  auto fresh = std::make_shared<Interner>();
+  GraphDelta defs_only;
+  defs_only.label_defs = delta.label_defs;
+  ASSERT_TRUE(PatchGraph(NodesOver(fresh, 0), defs_only).ok());
+  EXPECT_EQ(fresh->size(), 3u);
   GraphDelta skipper;
   skipper.label_defs = {{2, "minted_live"}};
-  Interner gap;
-  gap.Intern("a");
-  EXPECT_FALSE(ApplyLabelDefs(skipper, &gap).ok());
+  auto gap = std::make_shared<Interner>();
+  gap->Intern("a");
+  EXPECT_FALSE(PatchGraph(NodesOver(gap, 1), skipper).ok());
 
   // A name already interned under a different id is corruption too.
   GraphDelta dup;
   dup.label_defs = {{2, "a"}};
-  Interner two;
-  two.Intern("a");
-  two.Intern("b");
-  EXPECT_FALSE(ApplyLabelDefs(dup, &two).ok());
+  auto two = std::make_shared<Interner>();
+  two->Intern("a");
+  two->Intern("b");
+  EXPECT_FALSE(PatchGraph(NodesOver(two, 1), dup).ok());
 }
 
-TEST(GraphDeltaTest, ValidateDeltaChecksTheWholeBatchWithoutInterning) {
+TEST(GraphDeltaTest, PatchGraphChecksTheWholeBatchBeforeInterning) {
   GraphBuilder b;
   const NodeId u = b.AddNode("cust");
   const NodeId v = b.AddNode("cust");
@@ -510,64 +524,65 @@ TEST(GraphDeltaTest, ValidateDeltaChecksTheWholeBatchWithoutInterning) {
   // An insert may use a label the batch itself defines, not one past it.
   GraphDelta good;
   good.inserts = {{u, ResolveLabel(dict, "minted", &good), v}};
-  EXPECT_TRUE(ValidateDelta(g, good).ok());
   GraphDelta past_defs = good;
   past_defs.inserts.push_back({v, static_cast<LabelId>(before + 1), u});
-  EXPECT_EQ(ValidateDelta(g, past_defs).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(PatchGraph(g, past_defs).status().code(),
+            StatusCode::kInvalidArgument);
   GraphDelta bad_endpoint = good;
   bad_endpoint.inserts.push_back({u, good.inserts[0].label, 99});
-  EXPECT_EQ(ValidateDelta(g, bad_endpoint).code(),
+  EXPECT_EQ(PatchGraph(g, bad_endpoint).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(dict.size(), before);
 
-  // A bad def after a good one fails the whole batch: `ApplyLabelDefs`
-  // interns neither.
+  // A bad def after a good one fails the whole batch, interning neither.
   GraphDelta bad_def = good;
   bad_def.label_defs.push_back({static_cast<LabelId>(before + 2), "skips"});
-  EXPECT_EQ(ValidateDelta(g, bad_def).code(), StatusCode::kCorruption);
-  Interner copy = dict;
-  EXPECT_FALSE(ApplyLabelDefs(bad_def, &copy).ok());
-  EXPECT_EQ(copy.size(), before);
-  EXPECT_EQ(copy.Lookup("minted"), kNoLabel);
-
-  // A def the batch repeats verifies against its first occurrence; the
-  // same id under another name, or the same name under a second id, is
-  // corruption.
-  GraphDelta repeated = good;
-  repeated.label_defs.push_back(good.label_defs[0]);
-  EXPECT_TRUE(ValidateDelta(g, repeated).ok());
-  ASSERT_TRUE(ApplyLabelDefs(repeated, &copy).ok());
-  EXPECT_EQ(copy.size(), before + 1);
+  EXPECT_EQ(PatchGraph(g, bad_def).status().code(), StatusCode::kCorruption);
+  // The same id under another name, or the same name under a second id,
+  // is corruption.
   GraphDelta renamed = good;
   renamed.label_defs.push_back({good.label_defs[0].id, "other"});
-  EXPECT_EQ(ValidateDelta(g, renamed).code(), StatusCode::kCorruption);
+  EXPECT_EQ(PatchGraph(g, renamed).status().code(), StatusCode::kCorruption);
   GraphDelta twice = good;
   twice.label_defs.push_back({static_cast<LabelId>(before + 1), "minted"});
-  EXPECT_EQ(ValidateDelta(g, twice).code(), StatusCode::kCorruption);
+  EXPECT_EQ(PatchGraph(g, twice).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(dict.size(), before);
+  EXPECT_EQ(dict.Lookup("minted"), kNoLabel);
+
+  // A def the batch repeats verifies against its first occurrence.
+  GraphDelta repeated = good;
+  repeated.label_defs.push_back(good.label_defs[0]);
+  auto patched = PatchGraph(g, repeated);
+  ASSERT_TRUE(patched.ok()) << patched.status();
+  EXPECT_EQ(patched->edges_inserted, 1u);
+  EXPECT_EQ(dict.size(), before + 1);
+  EXPECT_EQ(dict.Lookup("minted"), good.inserts[0].label);
+  // Once interned, the batch's def verifies as a no-op.
+  ASSERT_TRUE(PatchGraph(g, good).ok());
+  EXPECT_EQ(dict.size(), before + 1);
 }
 
 TEST(GraphDeltaTest, ResolveLabelMintsUnseenNamesInFirstSeenOrder) {
-  Interner dict;
-  const LabelId a = dict.Intern("a");
-  dict.Intern("b");
+  auto dict = std::make_shared<Interner>();
+  const LabelId a = dict->Intern("a");
+  dict->Intern("b");
 
   GraphDelta delta;
   // A known name resolves by lookup and defines nothing.
-  EXPECT_EQ(ResolveLabel(dict, "a", &delta), a);
+  EXPECT_EQ(ResolveLabel(*dict, "a", &delta), a);
   EXPECT_TRUE(delta.label_defs.empty());
   // Unseen names take the next ids in first-seen order; a repeat reuses
   // its definition. The dictionary itself is never touched.
-  EXPECT_EQ(ResolveLabel(dict, "x", &delta), 2u);
-  EXPECT_EQ(ResolveLabel(dict, "y", &delta), 3u);
-  EXPECT_EQ(ResolveLabel(dict, "x", &delta), 2u);
+  EXPECT_EQ(ResolveLabel(*dict, "x", &delta), 2u);
+  EXPECT_EQ(ResolveLabel(*dict, "y", &delta), 3u);
+  EXPECT_EQ(ResolveLabel(*dict, "x", &delta), 2u);
   EXPECT_EQ(delta.label_defs,
             (std::vector<LabelDef>{{2, "x"}, {3, "y"}}));
-  EXPECT_EQ(dict.size(), 2u);
+  EXPECT_EQ(dict->size(), 2u);
 
-  // Applying the defs interns exactly those ids.
-  ASSERT_TRUE(ApplyLabelDefs(delta, &dict).ok());
-  EXPECT_EQ(dict.Lookup("x"), 2u);
-  EXPECT_EQ(dict.Lookup("y"), 3u);
+  // Patching the batch in interns exactly those ids.
+  ASSERT_TRUE(PatchGraph(NodesOver(dict, 1), delta).ok());
+  EXPECT_EQ(dict->Lookup("x"), 2u);
+  EXPECT_EQ(dict->Lookup("y"), 3u);
 }
 
 TEST(GraphDeltaTest, WireV1BackCompat) {
