@@ -83,6 +83,8 @@ int main() {
     size_t inserted, deleted;
     uint64_t affected, reprobed, carried;
     size_t patched, reexpanded, crossings;
+    size_t replayed, regenerated, bitsets_reused;
+    uint64_t sets_unchanged;
     double maintain_s, remine_s;
     uint64_t bytes_full, bytes_delta;
   };
@@ -141,6 +143,10 @@ int main() {
     row.patched = ms->rules_patched;
     row.reexpanded = ms->rules_reexpanded;
     row.crossings = ms->sigma_crossed_up + ms->sigma_crossed_down;
+    row.replayed = ms->rounds_replayed;
+    row.regenerated = ms->rounds_regenerated;
+    row.sets_unchanged = ms->sets_unchanged;
+    row.bitsets_reused = ms->bitsets_reused;
     row.maintain_s = ms->seconds;
     row.remine_s = rs.seconds;
     row.bytes_full = ms->evidence_bytes_full;
@@ -213,12 +219,16 @@ int main() {
           "\"affected_nodes\": %llu, \"centers_reprobed\": %llu, "
           "\"centers_carried\": %llu, \"rules_patched\": %zu, "
           "\"rules_reexpanded\": %zu, \"sigma_crossings\": %zu, "
+          "\"rounds_replayed\": %zu, \"rounds_regenerated\": %zu, "
+          "\"sets_unchanged\": %llu, \"bitsets_reused\": %zu, "
           "\"maintain_s\": %.6f, \"remine_s\": %.6f}%s\n",
           row.batch, row.inserted, row.deleted,
           static_cast<unsigned long long>(row.affected),
           static_cast<unsigned long long>(row.reprobed),
           static_cast<unsigned long long>(row.carried), row.patched,
-          row.reexpanded, row.crossings, row.maintain_s, row.remine_s,
+          row.reexpanded, row.crossings, row.replayed, row.regenerated,
+          static_cast<unsigned long long>(row.sets_unchanged),
+          row.bitsets_reused, row.maintain_s, row.remine_s,
           i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");

@@ -1,16 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the matching layer: VF2 probes,
 // enumeration, bound pool probes and multi-pattern sharing, plus incDiv's
-// pair scan over match bitsets. Not a paper figure — engineering-level
-// visibility into the EIP and diversification cost models.
+// pair scan over match bitsets and one rule-maintenance pass. Not a paper
+// figure — engineering-level visibility into the EIP, diversification and
+// maintenance cost models.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 #include <vector>
 
 #include "bench_common.h"
 #include "match/matcher.h"
+#include "graph/graph_delta.h"
+#include "maintain/rule_maintainer.h"
 #include "match/multi_pattern.h"
 #include "mine/inc_div.h"
 
@@ -188,6 +192,58 @@ void BM_IncDivAddRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IncDivAddRound)->Arg(0)->Arg(1);
+
+/// One maintenance pass per iteration, shaped like the pipeline benchmark's
+/// churn stream: a maintainer seeded on `MakePokecLike(1)` under Exp-9's
+/// k = 6, d = 2, sigma = 5 at two pattern edges takes a batch of 48
+/// q-labelled inserts between random nodes plus the deletes of the older
+/// half of the edges earlier batches inserted. Building the batch is not
+/// timed; `ApplyDelta` (patch, footprint, pass) is.
+void BM_MaintainPass(benchmark::State& state) {
+  struct Stream {
+    std::unique_ptr<RuleMaintainer> m;
+    std::mt19937_64 rng{1};
+    std::vector<EdgeInsert> live;
+  };
+  static Stream* s = [] {
+    Fixture& f = GetFixture();
+    MaintainOptions o;
+    o.mine.k = 6;
+    o.mine.d = 2;
+    o.mine.sigma = 5;
+    o.mine.max_pattern_edges = 2;
+    auto m = RuleMaintainer::Seed(std::make_shared<const Graph>(f.graph), f.q,
+                                  o);
+    auto* out = new Stream;
+    out->m = std::move(m).value();
+    return out;
+  }();
+  const LabelId q_edge = s->m->predicate().edge_label;
+  for (auto _ : state) {
+    state.PauseTiming();
+    GraphDelta d;
+    const size_t cleanup = s->live.size() / 2;
+    for (size_t i = 0; i < cleanup; ++i) {
+      d.deletes.push_back({s->live[i].src, s->live[i].label, s->live[i].dst});
+    }
+    s->live.erase(s->live.begin(), s->live.begin() + cleanup);
+    const Graph& g = *s->m->graph();
+    while (d.inserts.size() < 48) {
+      const EdgeInsert e{static_cast<NodeId>(s->rng() % g.num_nodes()),
+                         q_edge,
+                         static_cast<NodeId>(s->rng() % g.num_nodes())};
+      if (g.HasEdge(e.src, e.label, e.dst) ||
+          std::find(s->live.begin(), s->live.end(), e) != s->live.end()) {
+        continue;
+      }
+      d.inserts.push_back(e);
+      s->live.push_back(e);
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(s->m->ApplyDelta(d));
+  }
+}
+BENCHMARK(BM_MaintainPass)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -21,11 +21,110 @@ constexpr auto ByEdge = [](const auto& a, const auto& b) {
   return a.dst < b.dst;
 };
 
+/// One adjacency entry addressed by its row: `e` in the slice of node `v`.
+struct RowEntry {
+  NodeId v;
+  AdjEntry e;
+
+  friend bool operator==(const RowEntry&, const RowEntry&) = default;
+  friend auto operator<=>(const RowEntry& a, const RowEntry& b) {
+    if (auto c = a.v <=> b.v; c != 0) return c;
+    return a.e <=> b.e;
+  }
+};
+
+// Merges one CSR direction: drops the `dels` entries from `old_adj` and
+// splices in `ins`, in a single pass. Both lists are sorted by (row, entry);
+// every delete names a present entry, and no insert does unless it is also
+// deleted (delete-then-reinsert).
+void MergeCsr(const std::vector<size_t>& old_offsets,
+              const std::vector<AdjEntry>& old_adj,
+              const std::vector<RowEntry>& dels,
+              const std::vector<RowEntry>& ins, std::vector<size_t>* offsets,
+              std::vector<AdjEntry>* adj) {
+  const auto n = static_cast<NodeId>(old_offsets.size() - 1);
+  offsets->assign(n + 1, 0);
+  adj->reserve(old_adj.size() + ins.size() - dels.size());
+  size_t next_ins = 0;  // cursor into `ins`
+  size_t next_del = 0;  // cursor into `dels`
+  for (NodeId v = 0; v < n; ++v) {
+    size_t lo = old_offsets[v], hi = old_offsets[v + 1];
+    while (lo < hi || (next_ins < ins.size() && ins[next_ins].v == v)) {
+      // Deletes first: when the next old entry is the next delete's target,
+      // drop it. This must precede the insert comparison so a
+      // delete-then-reinsert of the same edge removes the old copy before
+      // the (equal) insert is spliced in.
+      if (lo < hi && next_del < dels.size() && dels[next_del].v == v &&
+          old_adj[lo] == dels[next_del].e) {
+        ++lo;
+        ++next_del;
+        continue;
+      }
+      if (next_ins < ins.size() && ins[next_ins].v == v &&
+          (lo == hi || !(old_adj[lo] < ins[next_ins].e))) {
+        adj->push_back(ins[next_ins++].e);
+      } else {
+        adj->push_back(old_adj[lo++]);
+      }
+    }
+    (*offsets)[v + 1] = adj->size();
+  }
+}
+
+// Moves the edge triple table by the batch: -1 per deleted edge and +1 per
+// inserted one. A triple first seen is inserted in sorted order; one whose
+// count falls to 0 is erased.
+std::vector<EdgePatternStat> PatchTriples(
+    const Graph& g, const std::vector<EdgeDelete>& dels,
+    const std::vector<EdgeInsert>& fresh) {
+  std::vector<std::pair<EdgePatternStat, int64_t>> moves;
+  moves.reserve(dels.size() + fresh.size());
+  auto triple = [&](NodeId src, LabelId label, NodeId dst) {
+    return EdgePatternStat{g.node_label(src), label, g.node_label(dst), 0};
+  };
+  for (const EdgeDelete& e : dels) {
+    moves.emplace_back(triple(e.src, e.label, e.dst), -1);
+  }
+  for (const EdgeInsert& e : fresh) {
+    moves.emplace_back(triple(e.src, e.label, e.dst), 1);
+  }
+  std::sort(moves.begin(), moves.end(), [](const auto& a, const auto& b) {
+    return TripleLess(a.first, b.first);
+  });
+  const std::span<const EdgePatternStat> old = g.edge_triples();
+  std::vector<EdgePatternStat> out;
+  out.reserve(old.size() + moves.size());
+  size_t i = 0, j = 0;
+  while (i < old.size() || j < moves.size()) {
+    EdgePatternStat t;
+    int64_t count;
+    if (j == moves.size() ||
+        (i < old.size() && TripleLess(old[i], moves[j].first))) {
+      out.push_back(old[i++]);
+      continue;
+    }
+    if (i < old.size() && !TripleLess(moves[j].first, old[i])) {
+      t = old[i++];
+      count = static_cast<int64_t>(t.count);
+    } else {
+      t = moves[j].first;
+      count = 0;
+    }
+    for (; j < moves.size() && !TripleLess(t, moves[j].first); ++j) {
+      count += moves[j].second;
+    }
+    t.count = static_cast<uint64_t>(count);
+    if (count > 0) out.push_back(t);
+  }
+  return out;
+}
+
 // The merge routine behind `PatchGraph`: applies the (already normalized)
-// deletes and inserts in a single pass over the out-CSR, then re-derives
-// the in-CSR and label index via the shared assembly routine — the same
-// code path a from-scratch rebuild takes, which is what makes the result
-// bit-identical to one.
+// deletes and inserts in one pass over each CSR direction, copies the node
+// label index (node labels never change under a delta) and moves the edge
+// triple counts by the applied edges. The result is bit-identical to a
+// from-scratch rebuild of the patched edge set (`GraphDeltaTest`'s
+// `*EqualsRebuilt` cases).
 //
 // Preconditions: `dels` sorted/unique with every entry present in `g`;
 // `fresh` sorted/unique with no entry present in `g` *except* those also in
@@ -33,52 +132,35 @@ constexpr auto ByEdge = [](const auto& a, const auto& b) {
 // adjacency sort within each source node.
 Graph MergePatched(const Graph& g, const std::vector<EdgeDelete>& dels,
                    const std::vector<EdgeInsert>& fresh) {
-  const NodeId n = g.num_nodes();
-  const auto& old_offsets = GraphRawAccess::out_offsets(g);
-  const auto& old_adj = GraphRawAccess::out_adj(g);
-
   Graph out;
   GraphRawAccess::labels(out) = g.labels_ptr();
   GraphRawAccess::node_labels(out) = GraphRawAccess::node_labels(g);
-  auto& offsets = GraphRawAccess::out_offsets(out);
-  auto& adj = GraphRawAccess::out_adj(out);
-  offsets.assign(n + 1, 0);
-  adj.reserve(old_adj.size() + fresh.size() - dels.size());
 
-  size_t next_ins = 0;  // cursor into `fresh`, sorted by src
-  size_t next_del = 0;  // cursor into `dels`, sorted by src
-  for (NodeId v = 0; v < n; ++v) {
-    size_t lo = old_offsets[v], hi = old_offsets[v + 1];
-    while (lo < hi || (next_ins < fresh.size() && fresh[next_ins].src == v)) {
-      // Deletes first: when the next old entry is the next delete's target,
-      // drop it. This must precede the insert comparison so a
-      // delete-then-reinsert of the same edge removes the old copy before
-      // the (equal) insert is spliced in.
-      if (lo < hi && next_del < dels.size() && dels[next_del].src == v) {
-        const AdjEntry de{dels[next_del].label, dels[next_del].dst};
-        if (old_adj[lo] == de) {
-          ++lo;
-          ++next_del;
-          continue;
-        }
-      }
-      const bool has_insert =
-          next_ins < fresh.size() && fresh[next_ins].src == v;
-      if (!has_insert) {
-        adj.push_back(old_adj[lo++]);
-      } else {
-        const AdjEntry ins{fresh[next_ins].label, fresh[next_ins].dst};
-        if (lo < hi && old_adj[lo] < ins) {
-          adj.push_back(old_adj[lo++]);
-        } else {
-          adj.push_back(ins);
-          ++next_ins;
-        }
-      }
-    }
-    offsets[v + 1] = adj.size();
+  std::vector<RowEntry> out_dels, out_ins, in_dels, in_ins;
+  out_dels.reserve(dels.size());
+  in_dels.reserve(dels.size());
+  for (const EdgeDelete& e : dels) {
+    out_dels.push_back({e.src, {e.label, e.dst}});
+    in_dels.push_back({e.dst, {e.label, e.src}});
   }
-  GraphRawAccess::FinishFromOutCsr(out);
+  out_ins.reserve(fresh.size());
+  in_ins.reserve(fresh.size());
+  for (const EdgeInsert& e : fresh) {
+    out_ins.push_back({e.src, {e.label, e.dst}});
+    in_ins.push_back({e.dst, {e.label, e.src}});
+  }
+  // The out lists are already in (src, label, dst) order; the in-CSR's
+  // rows are destinations.
+  std::sort(in_dels.begin(), in_dels.end());
+  std::sort(in_ins.begin(), in_ins.end());
+  MergeCsr(GraphRawAccess::out_offsets(g), GraphRawAccess::out_adj(g),
+           out_dels, out_ins, &GraphRawAccess::out_offsets(out),
+           &GraphRawAccess::out_adj(out));
+  MergeCsr(GraphRawAccess::in_offsets(g), GraphRawAccess::in_adj(g), in_dels,
+           in_ins, &GraphRawAccess::in_offsets(out),
+           &GraphRawAccess::in_adj(out));
+  GraphRawAccess::label_index(out) = GraphRawAccess::label_index(g);
+  GraphRawAccess::edge_triples(out) = PatchTriples(g, dels, fresh);
   return out;
 }
 
@@ -148,11 +230,12 @@ Result<GraphPatch> PatchGraph(const Graph& g, const GraphDelta& delta) {
   GPAR_RETURN_NOT_OK(CheckInserts(delta, n, num_labels));
   // The whole batch checked out: only now may the dictionary grow, so a
   // rejected batch leaves no orphan label for a later frame to skip past.
-  for (const LabelDef& def : delta.label_defs) {
-    if (def.id >= labels.size()) labels.Intern(def.name);
-  }
-
   GraphPatch patch;
+  for (const LabelDef& def : delta.label_defs) {
+    if (def.id < labels.size()) continue;
+    labels.Intern(def.name);
+    patch.interned.push_back(def);
+  }
 
   std::vector<EdgeDelete> dels(deletes.begin(), deletes.end());
   std::sort(dels.begin(), dels.end(), ByEdge);
@@ -311,11 +394,13 @@ Result<GraphDelta> GraphDelta::Deserialize(std::string_view bytes) {
   return delta;
 }
 
-void CollectLabelDefs(const Interner& labels, GraphDelta* delta) {
+void CollectLabelDefs(const Interner& labels, GraphDelta* delta,
+                      std::span<const LabelDef> interned) {
   std::vector<LabelId> ids;
-  ids.reserve(delta->inserts.size() + delta->deletes.size());
+  ids.reserve(delta->inserts.size() + delta->deletes.size() + interned.size());
   for (const EdgeInsert& e : delta->inserts) ids.push_back(e.label);
   for (const EdgeDelete& e : delta->deletes) ids.push_back(e.label);
+  for (const LabelDef& def : interned) ids.push_back(def.id);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   delta->label_defs.clear();

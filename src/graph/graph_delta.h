@@ -119,6 +119,11 @@ struct GraphPatch {
   /// The deletes that actually removed an edge (sorted, deduplicated) —
   /// the other half of the invalidation frontier.
   std::vector<EdgeDelete> applied_deletes;
+  /// The batch's label defs this patch interned (ids past the dictionary's
+  /// size before it), in id order. A journal frame of the batch must carry
+  /// them all (`CollectLabelDefs`), referenced by an applied edge or not:
+  /// a later frame's new ids follow them.
+  std::vector<LabelDef> interned;
 
   /// False when the batch changed nothing (all duplicates / missing).
   bool changed() const noexcept {
@@ -127,12 +132,14 @@ struct GraphPatch {
 };
 
 /// Fills `delta->label_defs` with a definition for every distinct label id
-/// its edges reference (sorted by id), named from `labels`. The session
+/// its edges reference and every def in `interned` (the batch's
+/// `GraphPatch::interned`), sorted by id, named from `labels`. The session
 /// calls this right before journaling a frame, which is what makes
-/// journaled frames replayable against an older snapshot. Ids the
-/// dictionary does not know are skipped — `PatchGraph` rejects such a delta
-/// anyway.
-void CollectLabelDefs(const Interner& labels, GraphDelta* delta);
+/// journaled frames replayable against an older snapshot: no id the batch
+/// interned is left for a later frame's def to skip. Ids the dictionary
+/// does not know are skipped — `PatchGraph` rejects such a delta anyway.
+void CollectLabelDefs(const Interner& labels, GraphDelta* delta,
+                      std::span<const LabelDef> interned = {});
 
 /// The edge-label id `name` will have once `delta` is applied against
 /// `labels`: a known name resolves by `Lookup`; an unseen one gets the next

@@ -86,6 +86,10 @@ void Accumulate(MaintainStats* total, const MaintainStats& ps) {
   total->sigma_crossed_up += ps.sigma_crossed_up;
   total->sigma_crossed_down += ps.sigma_crossed_down;
   total->rules_accepted += ps.rules_accepted;
+  total->rounds_replayed += ps.rounds_replayed;
+  total->rounds_regenerated += ps.rounds_regenerated;
+  total->sets_unchanged += ps.sets_unchanged;
+  total->bitsets_reused += ps.bitsets_reused;
   if (ps.passes > 0) {
     total->evidence_bytes_full = ps.evidence_bytes_full;
     total->evidence_bytes_delta = ps.evidence_bytes_delta;
@@ -117,12 +121,25 @@ bool Contains(const std::vector<NodeId>& sorted, NodeId v) {
   return std::binary_search(sorted.begin(), sorted.end(), v);
 }
 
+constexpr uint32_t kNoEntry = static_cast<uint32_t>(-1);
+
 /// How one pattern's prior match set carries over a pool. With no old set
 /// (a pattern the prior pass never evaluated) every center is probed.
 struct Carry {
   const std::vector<NodeId>* old_set = nullptr;
   const std::vector<uint32_t>* lost = nullptr;    ///< deleted-edge reach
   const std::vector<uint32_t>* gained = nullptr;  ///< inserted-edge reach
+  /// The pool is the one the old set was probed over, unchanged.
+  bool same_pool = false;
+};
+
+/// What a child needs to know of its parent's evaluation this pass: the
+/// parent's prior evidence entry, and whether each of its sets came out
+/// equal to that entry's.
+struct Lineage {
+  uint32_t prior = kNoEntry;
+  bool pr_same = false;
+  bool ant_same = false;
 };
 
 /// The maintainer's evaluation strategy: sequential matching over the whole
@@ -142,9 +159,6 @@ class EvidencePatcher : public LevelwiseEvaluator {
         flipped_(g_.num_nodes(), 0),
         ps_(*ps),
         matcher_(g_) {
-    for (uint32_t i = 0; i < prior_.entries.size(); ++i) {
-      index_[StructuralHash(prior_.entries[i].rule.pr())].push_back(i);
-    }
     pool_frontier_.assign(g_.num_nodes(), 0);
     for (const auto& [v, dist] : footprint_.region) {
       pool_frontier_[v] = dist <= 1;
@@ -188,6 +202,15 @@ class EvidencePatcher : public LevelwiseEvaluator {
       const std::vector<size_t>& cand_parent,
       const std::vector<char>& other_ok,
       const std::vector<std::shared_ptr<MinedRule>>& parents) override {
+    // The parents are some of the previous round's rules, in order.
+    std::vector<Lineage> parent_lineage(parents.size());
+    for (size_t pi = 0, j = 0; pi < parents.size(); ++pi) {
+      while (j < round_rules_.size() && round_rules_[j] != parents[pi].get()) {
+        ++j;
+      }
+      if (j < round_rules_.size()) parent_lineage[pi] = round_lineage_[j];
+    }
+    std::vector<Lineage> lineage(candidates.size());
     std::vector<std::shared_ptr<MinedRule>> rules;
     rules.reserve(candidates.size());
     for (size_t ci = 0; ci < candidates.size(); ++ci) {
@@ -207,39 +230,54 @@ class EvidencePatcher : public LevelwiseEvaluator {
       // Prior evidence for this exact pattern, if any (a fresh pattern —
       // new seed, shifted lineage — has none and is re-expanded over its
       // pool, which its parent has already narrowed).
-      const EvidenceEntry* old_ev = nullptr;
-      auto it = index_.find(StructuralHash(r.pr()));
-      if (it != index_.end()) {
-        for (uint32_t ei : it->second) {
-          if (prior_.entries[ei].rule == r) {
-            old_ev = &prior_.entries[ei];
-            break;
-          }
-        }
-      }
+      const uint32_t prior = PriorEntry(entries_before_ + ci, r);
+      const EvidenceEntry* old_ev =
+          prior != kNoEntry ? &prior_.entries[prior] : nullptr;
       if (old_ev != nullptr) {
         ++ps_.rules_patched;
       } else {
         ++ps_.rules_reexpanded;
       }
+      // Is each pool the one the old sets were probed over? For a root,
+      // when no center flipped; for a child, when its parent is the old
+      // sets' parent and came out with that entry's sets. Then each old
+      // set lies within its pool by construction, and no flipped center
+      // does (a flipped center is in no old set of its side).
+      bool pr_pool_same = false, ant_pool_same = false;
+      if (old_ev != nullptr && parent == nullptr) {
+        pr_pool_same = ant_pool_same = flipped_list_.empty();
+      } else if (old_ev != nullptr) {
+        const Lineage& pl = parent_lineage[cand_parent[ci]];
+        const bool same_parent =
+            pl.prior != kNoEntry && old_ev->parent == pl.prior;
+        pr_pool_same = same_parent && pl.pr_same;
+        ant_pool_same = same_parent && pl.ant_same;
+      }
 
       auto rule = std::make_shared<MinedRule>();
       rule->rule = r;
+      Lineage& lin = lineage[ci];
+      lin.prior = prior;
 
       Carry pr_carry;
-      if (old_ev != nullptr) pr_carry = CarryOver(old_ev->pr_matches, r.pr());
-      Match(pr_pool, r.pr(), radius, pr_carry, &rule->matches);
+      if (old_ev != nullptr) {
+        pr_carry = CarryOver(old_ev->pr_matches, r.pr(), pr_pool_same);
+      }
+      lin.pr_same = Match(pr_pool, r.pr(), radius, pr_carry, &rule->matches);
       rule->supp = rule->matches.size();
       rule->extendable = rule->supp > 0;
 
       if (other_ok[ci]) {
         Carry ant_carry;
         if (old_ev != nullptr && old_ev->ant_probed) {
-          ant_carry = CarryOver(old_ev->ant_matches, r.x_component());
+          ant_carry =
+              CarryOver(old_ev->ant_matches, r.x_component(), ant_pool_same);
         }
-        Match(ant_pool, r.x_component(), radius, ant_carry,
-              &rule->ant_matches);
+        lin.ant_same = Match(ant_pool, r.x_component(), radius, ant_carry,
+                             &rule->ant_matches);
         rule->supp_qqbar = rule->ant_matches.size();
+      } else {
+        lin.ant_same = old_ev != nullptr && old_ev->ant_matches.empty();
       }
 
       if (old_ev != nullptr) {
@@ -251,29 +289,72 @@ class EvidencePatcher : public LevelwiseEvaluator {
 
       rules.push_back(std::move(rule));
     }
+    round_rules_.clear();
+    for (const auto& rule : rules) round_rules_.push_back(rule.get());
+    round_lineage_ = std::move(lineage);
+    round_first_entry_ = entries_before_;
+    entries_before_ += static_cast<uint32_t>(candidates.size());
     return rules;
   }
 
+  bool MatchesCarried(size_t ci) const override {
+    const Lineage& lin = round_lineage_[ci];
+    return lin.pr_same && lin.prior == round_first_entry_ + ci;
+  }
+
  private:
+  // The prior entry of `r`: the one at its own evidence position `pos`
+  // when that holds `r`, which it does whenever this pass replays the
+  // prior pass's lattice up to `r`'s round. Otherwise (a round generated
+  // anew) a lookup by pattern, indexed on first use.
+  uint32_t PriorEntry(uint32_t pos, const Gpar& r) {
+    if (pos < prior_.entries.size() && prior_.entries[pos].rule == r) {
+      return pos;
+    }
+    if (!indexed_) {
+      for (uint32_t i = 0; i < prior_.entries.size(); ++i) {
+        index_[StructuralHash(prior_.entries[i].rule.pr())].push_back(i);
+      }
+      indexed_ = true;
+    }
+    auto it = index_.find(StructuralHash(r.pr()));
+    if (it == index_.end()) return kNoEntry;
+    for (uint32_t ei : it->second) {
+      if (prior_.entries[ei].rule == r) return ei;
+    }
+    return kNoEntry;
+  }
+
   // Carries `old`, the prior match set of `p`, subject to the delta edges
   // `p` uses.
-  Carry CarryOver(const std::vector<NodeId>& old, const Pattern& p) {
-    return {&old, footprint_.lost.For(p), footprint_.gained.For(p)};
+  Carry CarryOver(const std::vector<NodeId>& old, const Pattern& p,
+                  bool same_pool) {
+    return {&old, footprint_.lost.For(p), footprint_.gained.For(p), same_pool};
   }
 
   // Appends the centers of `pool` matching `p` (eval radius <= `radius`)
-  // to `out`. A center is probed when its pool status flipped this pass,
-  // when there is no old set, or when a delta edge `p` uses lies within
-  // `radius` in the direction that can change its old answer: deletes for
-  // an old member, inserts for an old non-member. Otherwise the old answer
-  // stands. Pools and old sets are both sorted, so one cursor walks the
-  // old set.
-  void Match(const std::vector<NodeId>& pool, const Pattern& p,
+  // to `out`, and returns whether they are exactly the old set. A center
+  // is probed when its pool status flipped this pass, when there is no old
+  // set, or when a delta edge `p` uses lies within `radius` in the
+  // direction that can change its old answer: deletes for an old member,
+  // inserts for an old non-member. Otherwise the old answer stands. Pools
+  // and old sets are both sorted, so one cursor walks the old set.
+  bool Match(const std::vector<NodeId>& pool, const Pattern& p,
              uint32_t radius, const Carry& carry, std::vector<NodeId>* out) {
     if (carry.old_set != nullptr && carry.lost == nullptr &&
         carry.gained == nullptr) {
+      if (carry.same_pool) {
+        // No delta edge reaches p and the pool is the old one, so no
+        // flipped center lies in it (a flipped center is in no old set of
+        // its side) and the old set, which lies within the old pool, is
+        // the answer: every pool member is carried.
+        *out = *carry.old_set;
+        ps_.centers_carried += pool.size();
+        ++ps_.sets_unchanged;
+        return true;
+      }
       CarryWhole(pool, p, *carry.old_set, out);
-      return;
+      return *out == *carry.old_set;
     }
     size_t pos = 0;
     matcher_.Bind(p);
@@ -298,6 +379,7 @@ class EvidencePatcher : public LevelwiseEvaluator {
       }
       if (in) out->push_back(c);
     }
+    return carry.old_set != nullptr && *out == *carry.old_set;
   }
 
   // `Match` for a pattern that uses no delta edge, where only the pool's
@@ -360,8 +442,18 @@ class EvidencePatcher : public LevelwiseEvaluator {
   std::vector<NodeId> qbar_pool_;
   MaintainStats& ps_;
   VF2Matcher matcher_;
-  /// StructuralHash(P_R) -> indices of the prior entries with that hash.
+  /// Candidates evaluated in earlier rounds of this pass: the evidence
+  /// position of the current round's first candidate.
+  uint32_t entries_before_ = 0;
+  /// The last evaluated round: its first evidence position, its rules and
+  /// their lineage (the next round's parents are some of these rules).
+  uint32_t round_first_entry_ = 0;
+  std::vector<const MinedRule*> round_rules_;
+  std::vector<Lineage> round_lineage_;
+  /// StructuralHash(P_R) -> indices of the prior entries with that hash,
+  /// built by the first `PriorEntry` that misses its position.
   std::unordered_map<uint64_t, std::vector<uint32_t>> index_;
+  bool indexed_ = false;
 };
 
 }  // namespace
@@ -369,9 +461,14 @@ class EvidencePatcher : public LevelwiseEvaluator {
 RuleMaintainer::RuleMaintainer(std::shared_ptr<const Graph> g,
                                const Predicate& q,
                                const MaintainOptions& options)
-    : options_(options), graph_(std::move(g)), q_(q) {
+    : options_(options),
+      graph_(std::move(g)),
+      q_(q),
+      memo_(std::make_unique<LevelwiseMemo>()) {
   evidence_.setup = MakeMiningSetup(options_.mine, q_, graph_->labels());
 }
+
+RuleMaintainer::~RuleMaintainer() = default;
 
 Result<std::unique_ptr<RuleMaintainer>> RuleMaintainer::Seed(
     std::shared_ptr<const Graph> g, const Predicate& q,
@@ -467,8 +564,11 @@ Result<MaintainStats> RuleMaintainer::Advance(
   next.setup = evidence_.setup;
   EvidencePatcher patcher(*this, footprint, &ps);
   DmineStats ds;
-  DiversifiedTopK top =
-      RunLevelwise(*graph_, q_, options_.mine, patcher, &ds, &next);
+  DiversifiedTopK top = RunLevelwise(*graph_, q_, options_.mine, patcher,
+                                     &ds, &next, memo_.get());
+  ps.rounds_replayed = memo_->rounds_replayed;
+  ps.rounds_regenerated = memo_->rounds_regenerated;
+  ps.bitsets_reused = memo_->bitsets_reused;
   ps.candidates_evaluated = ds.candidates_verified;
   ps.rules_accepted = ds.accepted;
   ps.exists_calls += ds.global_exists_calls;

@@ -16,6 +16,8 @@
 
 namespace gpar {
 
+struct LevelwiseMemo;
+
 /// Options for `RuleMaintainer`.
 struct MaintainOptions {
   /// The mining parameters the maintained rule set is defined by. The seed
@@ -65,6 +67,17 @@ struct MaintainStats {
   size_t sigma_crossed_up = 0;
   size_t sigma_crossed_down = 0;
   size_t rules_accepted = 0;  ///< entered Σ this pass (supp >= sigma, nontrivial)
+  /// Levelwise rounds replayed from the lattice memo (no generation, dedup
+  /// or plan preparation) and rounds whose key missed it and ran in full.
+  size_t rounds_replayed = 0;
+  size_t rounds_regenerated = 0;
+  /// Match sets (P_R or x-component) kept whole from evidence: no delta
+  /// edge reaches the pattern and its pool is the one the old set was
+  /// probed over, so neither a merge nor a probe runs.
+  uint64_t sets_unchanged = 0;
+  /// Accepted rules whose incDiv bitset was carried from the previous pass
+  /// instead of being encoded again.
+  size_t bitsets_reused = 0;
   /// Serialized size of the pass's full evidence section, raw center lists
   /// vs the match-set-delta encoding actually persisted (point-in-time).
   uint64_t evidence_bytes_full = 0;
@@ -149,6 +162,8 @@ class RuleMaintainer {
   /// top-k and objective are adopted as they are, and the match evidence
   /// it captures becomes the baseline later deltas patch. Errors are
   /// Dmine's (InvalidArgument for zero workers or bad mining parameters).
+  ~RuleMaintainer();
+
   static Result<std::unique_ptr<RuleMaintainer>> Seed(
       std::shared_ptr<const Graph> g, const Predicate& q,
       const MaintainOptions& options = {});
@@ -215,6 +230,10 @@ class RuleMaintainer {
   /// pass (ALL evaluated candidates, sub-sigma ones included — that is
   /// what makes upward sigma crossings cheap).
   RuleSetEvidence evidence_;
+
+  /// The previous pass's candidate lattice and incDiv bitsets, in step
+  /// with `evidence_` (its bitsets are indexed by evidence entry).
+  std::unique_ptr<LevelwiseMemo> memo_;
 
   std::vector<std::shared_ptr<MinedRule>> topk_;
   double objective_ = 0;

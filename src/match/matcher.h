@@ -75,7 +75,7 @@ class SearchPlanStore {
   /// `g` supplies the triple and label counts the planner orders nodes by
   /// (global counts — a better selectivity signal than any one fragment's,
   /// and identical across workers by construction).
-  explicit SearchPlanStore(const Graph& g) : g_(g) {}
+  explicit SearchPlanStore(const Graph& g) : g_(&g) {}
 
   SearchPlanStore(const SearchPlanStore&) = delete;
   SearchPlanStore& operator=(const SearchPlanStore&) = delete;
@@ -97,8 +97,17 @@ class SearchPlanStore {
   /// Number of distinct patterns prepared (for tests/stats).
   size_t patterns_planned() const { return planned_; }
 
+  /// Plans later `Prepare` calls against `g`. Plans already stored stay:
+  /// any plan order is correct on any graph, the counts only steer search
+  /// cost. A store that outlives its graph is rebound before it prepares
+  /// again, since only `Prepare` reads the graph.
+  void set_graph(const Graph& g) { g_ = &g; }
+
+  /// Drops every prepared pattern. Entries returned earlier dangle.
+  void Clear();
+
  private:
-  const Graph& g_;
+  const Graph* g_;
   size_t planned_ = 0;
   std::unordered_map<uint64_t, std::vector<PatternPlanEntry>> cache_;
   std::vector<PNodeId> key_;  ///< `Prepare`'s reused anchored-set buffer

@@ -101,10 +101,7 @@ const PatternPlanEntry& SearchPlanStore::Prepare(
     const PlanBuilder& build) {
   // Past the ceiling, consumers of a shared store fall back to their
   // private ones, and a private store re-plans.
-  if (planned_ > kMaxCachedPatterns) {
-    cache_.clear();
-    planned_ = 0;
-  }
+  if (planned_ > kMaxCachedPatterns) Clear();
   auto& bucket = cache_[StructuralHash(p)];
   PatternPlanEntry* entry = nullptr;
   for (PatternPlanEntry& e : bucket) {
@@ -128,9 +125,14 @@ const PatternPlanEntry& SearchPlanStore::Prepare(
     // The copy into the planner happens once per (pattern, anchor set),
     // not per probe.
     entry->plans.push_back(build ? build(entry->expanded, key_)
-                                 : BuildSearchPlan(entry->expanded, key_, g_));
+                                 : BuildSearchPlan(entry->expanded, key_, *g_));
   }
   return *entry;
+}
+
+void SearchPlanStore::Clear() {
+  cache_.clear();
+  planned_ = 0;
 }
 
 const PatternPlanEntry* SearchPlanStore::Find(const Pattern& p) const {

@@ -10,8 +10,12 @@
 
 namespace gpar {
 
-IncDiv::IncDiv(uint32_t k, double lambda, double n_norm)
-    : k_(k), lambda_(lambda), n_norm_(n_norm), max_pairs_((k + 1) / 2) {}
+IncDiv::IncDiv(uint32_t k, double lambda, double n_norm, MatchRanks* ranks)
+    : k_(k),
+      lambda_(lambda),
+      n_norm_(n_norm),
+      max_pairs_((k + 1) / 2),
+      ranks_(ranks != nullptr ? ranks : &own_ranks_) {}
 
 namespace {
 
@@ -72,8 +76,17 @@ RowBest BestPartner(const std::vector<Slot>& slots, uint32_t row,
 
 const MatchBitset& IncDiv::BitsOf(const std::shared_ptr<MinedRule>& r) {
   auto [it, fresh] = bits_.try_emplace(r);
-  if (fresh) it->second = ranks_.Encode(r->matches);
+  if (fresh) it->second = ranks_->Encode(r->matches);
   return it->second;
+}
+
+void IncDiv::AdoptBits(std::shared_ptr<MinedRule> r, MatchBitset bits) {
+  bits_[std::move(r)] = std::move(bits);
+}
+
+MatchBitset IncDiv::TakeBits(const std::shared_ptr<MinedRule>& r) {
+  auto it = bits_.find(r);
+  return it == bits_.end() ? MatchBitset{} : std::move(it->second);
 }
 
 bool IncDiv::InQueue(const MinedRule* rule) const {

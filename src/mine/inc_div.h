@@ -25,6 +25,11 @@ namespace gpar {
 /// match set must not change once offered: IncDiv encodes it as a
 /// `MatchBitset` on first sight and scores every later pair from the cached
 /// bitsets, so one diff costs at most ⌈supp_q/64⌉ word ANDs and bit counts.
+/// A caller that runs incDiv again over a mostly unchanged Σ (the rule
+/// maintainer, once per pass) passes its own `MatchRanks` and hands back
+/// the bitsets of rules whose match sets did not change (`AdoptBits`): a
+/// Jaccard distance is a ratio of popcounts, so it does not depend on which
+/// ranks the members got, only on both bitsets sharing one `MatchRanks`.
 ///
 /// Each round resolves Σ once into a flat per-position array (bitset,
 /// confidence, ΔE index, and whether the rule is pruned or queued), so the
@@ -40,7 +45,21 @@ class IncDiv {
     double fprime;
   };
 
-  IncDiv(uint32_t k, double lambda, double n_norm);
+  /// `ranks`, when given, encodes every bitset and must outlive this
+  /// IncDiv; otherwise IncDiv owns its ranks.
+  IncDiv(uint32_t k, double lambda, double n_norm,
+         MatchRanks* ranks = nullptr);
+  IncDiv(const IncDiv&) = delete;
+  IncDiv& operator=(const IncDiv&) = delete;
+
+  /// Gives `r` a bitset encoded earlier by this IncDiv's `MatchRanks` for
+  /// a set equal to `r->matches`, so `AddRound` does not encode it again.
+  void AdoptBits(std::shared_ptr<MinedRule> r, MatchBitset bits);
+
+  /// Moves out the bitset of an offered rule (an empty bitset if `r` was
+  /// never offered). For the end of a run: a later `AddRound` must not see
+  /// `r` again.
+  MatchBitset TakeBits(const std::shared_ptr<MinedRule>& r);
 
   /// Offers one round of newly accepted rules. `sigma` is the full pool Σ,
   /// each rule once, including every rule of `delta`; pruned rules are
@@ -83,7 +102,8 @@ class IncDiv {
   /// pair scans then test a per-position flag); `InQueue` serves the
   /// reduction rules.
   std::unordered_set<const MinedRule*> in_queue_;
-  MatchRanks ranks_;
+  MatchRanks own_ranks_;
+  MatchRanks* ranks_;  ///< the caller's, or `own_ranks_`
   /// Each offered rule's match bitset. Keying by `shared_ptr` keeps the
   /// rule alive, so its address cannot be reused by another rule.
   std::unordered_map<std::shared_ptr<MinedRule>, MatchBitset> bits_;

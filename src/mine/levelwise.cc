@@ -1,5 +1,7 @@
 #include "mine/levelwise.h"
 
+#include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -67,20 +69,44 @@ void ReleaseLineage(MinedRule* r) {
   r->frag_ant_centers = {};
 }
 
+/// Whether two seed alphabets list the same label triples in the same
+/// order (counts aside): `GenerateExtensions` reads nothing else.
+bool SameTriples(const std::vector<EdgePatternStat>& a,
+                 const std::vector<EdgePatternStat>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const EdgePatternStat& x, const EdgePatternStat& y) {
+                      return !TripleLess(x, y) && !TripleLess(y, x);
+                    });
+}
+
 }  // namespace
 
 DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
                              const DmineOptions& options,
                              LevelwiseEvaluator& ev, DmineStats* stats,
-                             RuleSetEvidence* evidence) {
+                             RuleSetEvidence* evidence, LevelwiseMemo* memo) {
   DiversifiedTopK out;
   // The coordinator plans each pattern once; every matcher reads the store.
-  SearchPlanStore plans(g);
+  std::optional<SearchPlanStore> own_plans;
+  if (memo == nullptr) {
+    own_plans.emplace(g);
+  } else if (memo->plans == nullptr) {
+    memo->plans = std::make_unique<SearchPlanStore>(g);
+  } else {
+    memo->plans->set_graph(g);
+  }
+  SearchPlanStore& plans = memo != nullptr ? *memo->plans : *own_plans;
   const Pattern pq = q.ToPattern();
-  ev.Coordinator([&] {
+  auto prepare_pq = [&] {
     PNodeId px = pq.x();
     plans.Prepare(pq, {&px, 1});
-  });
+  };
+  ev.Coordinator(prepare_pq);
+  if (memo != nullptr) {
+    memo->rounds_replayed = 0;
+    memo->rounds_regenerated = 0;
+    memo->bitsets_reused = 0;
+  }
 
   // The q / ~q pools "never change and hence are derived once for all".
   LevelwisePools pools = ev.EvaluatePools(plans);
@@ -97,12 +123,18 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
   // No q pool: q(x, y) names no one in G. No ~q pool: every rule would be
   // a trivial logic rule (supp(Q~q) = 0). Returning keeps n_norm = 0 away
   // from the objective's divisions.
-  if (supp_q == 0 || supp_qbar == 0) return out;
+  if (supp_q == 0 || supp_qbar == 0) {
+    if (memo != nullptr) memo->bits.clear();  // no entry left to describe
+    return out;
+  }
   const double n_norm =
       static_cast<double>(supp_q) * static_cast<double>(supp_qbar);
 
   const std::vector<EdgePatternStat> seeds =
       FrequentEdgePatterns(g, options.seed_edge_limit);
+  // True while every round so far was replayed from the memo.
+  bool replaying = memo != nullptr && SameTriples(memo->alphabet, seeds);
+  if (memo != nullptr && !replaying) memo->alphabet = seeds;
   const Extender extend = [&](const Pattern& ant) {
     return GenerateExtensions(ant, q.edge_label, options.d,
                               options.max_pattern_edges, seeds);
@@ -116,38 +148,106 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
   // per candidate on the whole graph.
   VF2Matcher global_matcher(g);
 
-  IncDiv incdiv(options.k, options.lambda, n_norm);
+  IncDiv incdiv(options.k, options.lambda, n_norm,
+                memo != nullptr ? &memo->ranks : nullptr);
   std::vector<std::shared_ptr<MinedRule>> sigma;  // Σ
+  std::vector<uint32_t> sigma_entry;  // per Σ rule: its evidence entry
   std::unordered_map<uint64_t, std::vector<Pattern>> seen_buckets;
   std::vector<std::shared_ptr<MinedRule>> parents;  // M
-  std::vector<uint32_t> parent_entry;  // per parent: its evidence entry
+  std::vector<uint32_t> parent_cand;  // per parent: its previous-round index
+  uint32_t parents_first_entry = 0;   // evidence entry of that round's first
+  uint32_t num_entries = 0;           // candidates evaluated so far
+
+  auto prepare = [&](const std::vector<Gpar>& candidates) {
+    // Matchers probe P_R and the x-component, both anchored at x.
+    for (const Gpar& r : candidates) {
+      PNodeId prx = r.pr().x();
+      plans.Prepare(r.pr(), {&prx, 1});
+      PNodeId qx = r.x_component().x();
+      plans.Prepare(r.x_component(), {&qx, 1});
+    }
+  };
 
   for (uint32_t round = 1;
        round <= options.max_pattern_edges && (round == 1 || !parents.empty());
        ++round) {
-    std::vector<Gpar> fresh;
-    std::vector<size_t> fresh_parent;
-    ev.Generate(base, parents, extend, &fresh, &fresh_parent);
-    stats->candidates_generated += fresh.size();
+    // The round's deduplicated candidates: the memo's on a replay, else
+    // freshly generated (into the memo when there is one).
+    std::vector<Gpar> own_candidates;
+    std::vector<size_t> own_parent;
+    const std::vector<Gpar>* candidates = &own_candidates;
+    const std::vector<size_t>* cand_parent = &own_parent;
+    const bool replay = replaying && memo->rounds.size() >= round &&
+                        memo->rounds[round - 1].parents == parent_cand;
+    if (replay) {
+      const LevelwiseMemo::Round& mr = memo->rounds[round - 1];
+      candidates = &mr.candidates;
+      cand_parent = &mr.cand_parent;
+      stats->candidates_generated += mr.generated;
+      stats->automorphic_merged += mr.automorphic_merged;
+      stats->bisim_tests += mr.bisim_tests;
+      stats->iso_tests += mr.iso_tests;
+      ++memo->rounds_replayed;
+    } else {
+      if (replaying && round > 1) seen_buckets = memo->rounds[round - 2].seen;
+      replaying = false;
+      const bool first_miss = memo != nullptr && memo->rounds_regenerated == 0;
+      std::vector<Gpar> fresh;
+      std::vector<size_t> fresh_parent;
+      ev.Generate(base, parents, extend, &fresh, &fresh_parent);
+      stats->candidates_generated += fresh.size();
+      const size_t merged_before = stats->automorphic_merged;
+      const uint64_t bisim_before = stats->bisim_tests;
+      const uint64_t iso_before = stats->iso_tests;
+      ev.Coordinator([&] {
+        const double start = ThreadCpuSeconds();
+        const std::vector<size_t> kept = DedupCandidates(
+            fresh, options.max_candidates_per_round, &seen_buckets,
+            options.enable_bisim_prefilter, stats);
+        own_candidates.reserve(kept.size());
+        own_parent.reserve(kept.size());
+        for (size_t idx : kept) {
+          own_candidates.push_back(std::move(fresh[idx]));
+          own_parent.push_back(fresh_parent[idx]);
+        }
+        stats->coordinator_merge_seconds += ThreadCpuSeconds() - start;
+      });
+      if (memo != nullptr) {
+        // Every later memo round was keyed on the old version of this one.
+        memo->rounds.resize(round - 1);
+        LevelwiseMemo::Round& mr = memo->rounds.emplace_back();
+        mr.parents = parent_cand;
+        mr.candidates = std::move(own_candidates);
+        mr.cand_parent = std::move(own_parent);
+        mr.seen = seen_buckets;
+        mr.generated = fresh.size();
+        mr.automorphic_merged = stats->automorphic_merged - merged_before;
+        mr.bisim_tests = stats->bisim_tests - bisim_before;
+        mr.iso_tests = stats->iso_tests - iso_before;
+        candidates = &mr.candidates;
+        cand_parent = &mr.cand_parent;
+        ++memo->rounds_regenerated;
+      }
+      ev.Coordinator([&] {
+        if (first_miss) {
+          // The store keeps exactly the lattice's patterns: drop the old
+          // lattice's, re-plan P_q and the rounds replayed so far.
+          plans.Clear();
+          prepare_pq();
+          for (uint32_t r = 0; r + 1 < round; ++r) {
+            prepare(memo->rounds[r].candidates);
+          }
+        }
+        prepare(*candidates);
+      });
+    }
+    stats->candidates_verified += candidates->size();
 
-    std::vector<Gpar> candidates;
-    std::vector<size_t> cand_parent;  // per candidate: index into `parents`
-    std::vector<char> other_ok;
+    std::vector<char> other_ok(candidates->size(), 1);
     ev.Coordinator([&] {
       const double start = ThreadCpuSeconds();
-      const std::vector<size_t> kept = DedupCandidates(
-          fresh, options.max_candidates_per_round, &seen_buckets,
-          options.enable_bisim_prefilter, stats);
-      candidates.reserve(kept.size());
-      cand_parent.reserve(kept.size());
-      for (size_t idx : kept) {
-        candidates.push_back(std::move(fresh[idx]));
-        cand_parent.push_back(fresh_parent[idx]);
-      }
-      stats->candidates_verified += candidates.size();
-      other_ok.assign(candidates.size(), 1);
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        for (const Pattern& comp : candidates[ci].other_components()) {
+      for (size_t ci = 0; ci < candidates->size(); ++ci) {
+        for (const Pattern& comp : (*candidates)[ci].other_components()) {
           ++stats->global_exists_calls;
           if (!global_matcher.Exists(comp)) {
             other_ok[ci] = 0;
@@ -157,37 +257,28 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
       }
       stats->coordinator_merge_seconds += ThreadCpuSeconds() - start;
     });
-    if (candidates.empty()) break;
-
-    // Matchers probe P_R and the x-component, both anchored at x.
-    ev.Coordinator([&] {
-      for (const Gpar& r : candidates) {
-        PNodeId prx = r.pr().x();
-        plans.Prepare(r.pr(), {&prx, 1});
-        PNodeId qx = r.x_component().x();
-        plans.Prepare(r.x_component(), {&qx, 1});
-      }
-    });
+    if (candidates->empty()) break;
 
     std::vector<std::shared_ptr<MinedRule>> evaluated =
-        ev.Evaluate(candidates, cand_parent, other_ok, parents);
+        ev.Evaluate(*candidates, *cand_parent, other_ok, parents);
 
     ev.Coordinator([&] {
       // Evidence: one entry per evaluated candidate, sub-sigma included.
-      uint32_t first_entry = 0;
+      const uint32_t first_entry = num_entries;
+      num_entries += static_cast<uint32_t>(evaluated.size());
       if (evidence != nullptr) {
-        first_entry = static_cast<uint32_t>(evidence->entries.size());
         for (size_t ci = 0; ci < evaluated.size(); ++ci) {
           const MinedRule& r = *evaluated[ci];
+          const size_t pi = (*cand_parent)[ci];
           evidence->entries.push_back(
               {r.rule,
-               cand_parent[ci] == kRootParent ? kEvidenceRoot
-                                              : parent_entry[cand_parent[ci]],
+               pi == kRootParent ? kEvidenceRoot
+                                 : parents_first_entry + parent_cand[pi],
                other_ok[ci] != 0, r.matches, r.ant_matches});
         }
       }
       std::vector<std::shared_ptr<MinedRule>> delta;  // ΔE
-      std::vector<uint32_t> delta_entry;  // per ΔE rule: its evidence entry
+      std::vector<uint32_t> delta_cand;  // per ΔE rule: its candidate index
       for (size_t ci = 0; ci < evaluated.size(); ++ci) {
         std::shared_ptr<MinedRule>& rule = evaluated[ci];
         rule->uconf_plus = UConfPlus(rule->supp, supp_qbar, supp_q);
@@ -201,12 +292,26 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
         rule->conf =
             BayesFactorConf(rule->supp, supp_qbar, rule->supp_qqbar, supp_q);
         delta.push_back(std::move(rule));
-        delta_entry.push_back(first_entry + static_cast<uint32_t>(ci));
+        delta_cand.push_back(static_cast<uint32_t>(ci));
       }
       stats->accepted += delta.size();
       sigma.insert(sigma.end(), delta.begin(), delta.end());
+      for (uint32_t ci : delta_cand) sigma_entry.push_back(first_entry + ci);
 
       if (options.enable_incremental_div) {
+        if (memo != nullptr) {
+          // A rule whose P_R set is the one its entry held last call keeps
+          // that call's bitset.
+          for (size_t i = 0; i < delta.size(); ++i) {
+            const uint32_t e = first_entry + delta_cand[i];
+            if (!ev.MatchesCarried(delta_cand[i]) || e >= memo->bits.size() ||
+                !memo->bits[e].has_value()) {
+              continue;
+            }
+            incdiv.AdoptBits(delta[i], std::move(*memo->bits[e]));
+            ++memo->bitsets_reused;
+          }
+        }
         incdiv.AddRound(delta, sigma);
         if (options.enable_reduction_rules) {
           ReductionStats rs = ApplyReductionRules(
@@ -225,7 +330,8 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
       // Next round's M.
       for (const auto& p : parents) ReleaseLineage(p.get());
       parents.clear();
-      parent_entry.clear();
+      parent_cand.clear();
+      parents_first_entry = first_entry;
       for (size_t i = 0; i < delta.size(); ++i) {
         const std::shared_ptr<MinedRule>& r = delta[i];
         if (!r->extendable || r->pruned ||
@@ -234,7 +340,7 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
           continue;
         }
         parents.push_back(r);
-        parent_entry.push_back(delta_entry[i]);
+        parent_cand.push_back(delta_cand[i]);
       }
     });
   }
@@ -245,6 +351,15 @@ DiversifiedTopK RunLevelwise(const Graph& g, const Predicate& q,
       out.topk = incdiv.TopK();
       out.objective = incdiv.Objective();
     });
+  }
+  if (memo != nullptr) {
+    // Next call's bitsets, by this call's evidence entries.
+    memo->bits.assign(num_entries, std::nullopt);
+    if (options.enable_incremental_div) {
+      for (size_t i = 0; i < sigma.size(); ++i) {
+        memo->bits[sigma_entry[i]] = incdiv.TakeBits(sigma[i]);
+      }
+    }
   }
   stats->plans_prepared = plans.patterns_planned();
   return out;

@@ -296,7 +296,7 @@ Result<DeltaStats> ServeSession::ApplyDeltaLocked(const GraphDelta& delta,
   ds.edges_deleted = patch.edges_deleted;
   ds.deletes_missing = patch.missing;
   const bool changed = patch.changed();
-  if (replay_sequence == 0 && !changed) {
+  if (replay_sequence == 0 && !changed && patch.interned.empty()) {
     // Nothing changed, so every cached answer stays valid and nothing is
     // journaled: replay reproduces only real mutations.
     ds.seconds = timer.Seconds();
@@ -307,8 +307,11 @@ Result<DeltaStats> ServeSession::ApplyDeltaLocked(const GraphDelta& delta,
   frame.inserts = std::move(patch.applied);
   frame.deletes = std::move(patch.applied_deletes);
   // Frames name the labels they reference, so replay against an older
-  // snapshot re-interns live-minted labels instead of failing.
-  CollectLabelDefs(st->graph->labels(), &frame);
+  // snapshot re-interns live-minted labels instead of failing. They also
+  // define every label the batch interned, used or not (a batch that only
+  // minted one journals a frame of defs alone): a later frame's def must
+  // not skip an id the live dictionary holds.
+  CollectLabelDefs(st->graph->labels(), &frame, patch.interned);
   if (journal_ != nullptr) {
     // Append-before-publish, and journal the APPLIED mutations rather than
     // the raw input: snapshot + replay re-derives this exact graph

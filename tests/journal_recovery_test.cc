@@ -768,6 +768,49 @@ TEST_F(JournalRecovery, RejectedBatchLeavesNoOrphanLabel) {
   ExpectSameAnswer(*a, *b, "recovery after a rejected batch");
 }
 
+/// An accepted batch may mint a label no applied edge uses (its only
+/// reference is a delete, which always misses). The session journals that
+/// definition, in a frame of definitions alone, so the next frame minting
+/// a label defines the id after it and recovery replays both.
+TEST_F(JournalRecovery, UnusedMintedLabelIsJournaled) {
+  Workload w = MakeWorkload(1);
+  const std::string gpath = Path("graph", 1, ".snap");
+  const std::string rpath = Path("rules", 1, ".snap");
+  const std::string jpath = Path("journal", 1, ".wal");
+  ASSERT_TRUE(WriteGraphSnapshotFile(w.graph, gpath).ok());
+  ASSERT_TRUE(
+      WriteRuleSetSnapshotFile(w.records, w.graph.labels(), rpath).ok());
+
+  auto live = RuleServer::Load(gpath, rpath);
+  ASSERT_TRUE(live.ok()) << live.status();
+  RuleServer& s = **live;
+  ASSERT_TRUE(s.AttachJournal(jpath).ok());
+  const Interner& labels = s.graph_snapshot()->labels();
+  const size_t labels_before = labels.size();
+
+  GraphDelta unused;
+  unused.deletes = {{5, ResolveLabel(labels, "brand_x", &unused), 12}};
+  auto ds1 = s.ApplyDelta(unused);
+  ASSERT_TRUE(ds1.ok()) << ds1.status();
+  EXPECT_EQ(ds1->deletes_missing, 1u);
+  EXPECT_EQ(ds1->sequence, 1u);
+  EXPECT_EQ(labels.Lookup("brand_x"), labels_before);
+
+  GraphDelta used;
+  const LabelId minted = ResolveLabel(labels, "brand_y", &used);
+  EXPECT_EQ(minted, labels_before + 1);
+  used.inserts = {{5, minted, 12}};
+  auto ds2 = s.ApplyDelta(used);
+  ASSERT_TRUE(ds2.ok()) << ds2.status();
+  EXPECT_EQ(ds2->sequence, 2u);
+
+  auto rec = RuleServer::Recover(gpath, rpath, jpath);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_EQ(GraphBytes(*(*rec)->graph_snapshot()),
+            GraphBytes(*s.graph_snapshot()));
+  EXPECT_EQ((*rec)->graph_snapshot()->labels().Lookup("brand_y"), minted);
+}
+
 /// A checkpoint replaces the snapshot durably: a torn write to the loaded
 /// snapshot's own path fails without touching that file or the journal, so
 /// recovery still reproduces the live session. Disarmed, the same

@@ -410,8 +410,8 @@ TEST_P(SeededProperty, FailFirstPlansAnswerLikeBfsPlans) {
 }
 
 TEST_P(SeededProperty, TripleTableAfterPatchEqualsRebuilt) {
-  // PatchGraph reassembles through FinishFromOutCsr; its triple table
-  // equals one built from scratch on the final edge list.
+  // PatchGraph moves the triple counts by the applied edges; its triple
+  // table equals one built from scratch on the final edge list.
   Scenario s = MakeScenario(GetParam());
   const Graph& g = s.graph;
   GraphDelta delta;

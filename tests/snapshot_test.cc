@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "common/binary_io.h"
 #include "graph/generator.h"
@@ -359,6 +362,99 @@ TEST(GraphDeltaTest, MixedPatchEqualsRebuilt) {
   EXPECT_EQ(patch->duplicates, 1u);
 }
 
+std::set<std::tuple<LabelId, LabelId, LabelId>> TripleSet(const Graph& g) {
+  std::set<std::tuple<LabelId, LabelId, LabelId>> out;
+  for (const EdgePatternStat& t : g.edge_triples()) {
+    out.emplace(t.src_label, t.edge_label, t.dst_label);
+  }
+  return out;
+}
+
+/// Seeded random batches, each patched onto the previous batch's result:
+/// the in-place patch of the out- and in-CSR, the label index and the edge
+/// triple table equals a from-scratch rebuild, through triples that first
+/// appear (an edge under a label the dictionary just learned) and triples
+/// whose every edge is deleted.
+TEST(GraphDeltaTest, RandomBatchesPatchEqualsRebuilt) {
+  size_t appeared = 0, vanished = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Graph g = MakeSynthetic(120, 300, 6, seed);
+    std::mt19937_64 rng(seed);
+    auto random_node = [&] {
+      return static_cast<NodeId>(rng() % g.num_nodes());
+    };
+    for (int b = 0; b < 12; ++b) {
+      GraphDelta d;
+      for (int i = 0; i < 8; ++i) {
+        const NodeId v = random_node();
+        const auto edges = g.out_edges(v);
+        if (edges.empty()) continue;
+        const AdjEntry& e = edges[rng() % edges.size()];
+        d.deletes.push_back({v, e.label, e.other});
+        if (i == 0) d.inserts.push_back({v, e.label, e.other});  // re-add
+      }
+      d.deletes.push_back({random_node(), 0, random_node()});  // likely missing
+      if (b % 3 == 1) {
+        // Every edge of the rarest triple goes.
+        const auto triples = g.edge_triples();
+        const EdgePatternStat rare = *std::min_element(
+            triples.begin(), triples.end(),
+            [](const auto& x, const auto& y) { return x.count < y.count; });
+        for (NodeId v : g.nodes_with_label(rare.src_label)) {
+          for (const AdjEntry& e : g.out_edges_labeled(v, rare.edge_label)) {
+            if (g.node_label(e.other) == rare.dst_label) {
+              d.deletes.push_back({v, e.label, e.other});
+            }
+          }
+        }
+      }
+      std::vector<LabelId> labels;
+      for (const EdgePatternStat& t : g.edge_triples()) {
+        labels.push_back(t.edge_label);
+      }
+      if (b % 4 == 2) {
+        labels.push_back(g.mutable_labels()->Intern(
+            "fresh_" + std::to_string(seed) + "_" + std::to_string(b)));
+      }
+      for (int i = 0; i < 8; ++i) {
+        d.inserts.push_back(
+            {random_node(), labels[rng() % labels.size()], random_node()});
+      }
+      if (b % 4 == 2) d.inserts.push_back({random_node(), labels.back(), 0});
+      d.inserts.push_back(d.inserts.back());  // repeated in the batch
+
+      auto patch = PatchGraph(g, d);
+      ASSERT_TRUE(patch.ok()) << patch.status();
+      const Graph rebuilt = RebuildWith(g, d.deletes, d.inserts);
+      const std::string what =
+          "seed " + std::to_string(seed) + " batch " + std::to_string(b);
+      EXPECT_EQ(GraphBytes(patch->graph), GraphBytes(rebuilt)) << what;
+      const auto pt = patch->graph.edge_triples();
+      const auto rt = rebuilt.edge_triples();
+      EXPECT_TRUE(std::equal(pt.begin(), pt.end(), rt.begin(), rt.end()))
+          << what;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        const auto pi = patch->graph.in_edges(v);
+        const auto ri = rebuilt.in_edges(v);
+        ASSERT_TRUE(std::equal(pi.begin(), pi.end(), ri.begin(), ri.end()))
+            << what << " node " << v;
+      }
+      for (LabelId l = 0; l < g.labels().size(); ++l) {
+        const auto pn = patch->graph.nodes_with_label(l);
+        const auto rn = rebuilt.nodes_with_label(l);
+        EXPECT_TRUE(std::equal(pn.begin(), pn.end(), rn.begin(), rn.end()))
+            << what << " label " << l;
+      }
+      const auto before = TripleSet(g), after = TripleSet(patch->graph);
+      for (const auto& t : after) appeared += before.count(t) == 0;
+      for (const auto& t : before) vanished += after.count(t) == 0;
+      g = std::move(patch->graph);
+    }
+  }
+  EXPECT_GT(appeared, 0u);
+  EXPECT_GT(vanished, 0u);
+}
+
 TEST(GraphDeltaTest, ValidatesInserts) {
   Graph g = MakeSynthetic(10, 20, 3, 1);
   LabelId l = g.node_label(0);
@@ -559,6 +655,57 @@ TEST(GraphDeltaTest, PatchGraphChecksTheWholeBatchBeforeInterning) {
   // Once interned, the batch's def verifies as a no-op.
   ASSERT_TRUE(PatchGraph(g, good).ok());
   EXPECT_EQ(dict.size(), before + 1);
+}
+
+// A batch may mint a label no applied edge references (a delete naming a
+// label nobody has seen). The journal frame built from its patch still
+// defines it, so the next batch's minted id follows it on replay instead
+// of skipping past it.
+TEST(GraphDeltaTest, JournalFrameCarriesEveryDefTheBatchInterned) {
+  GraphBuilder b;
+  const NodeId u = b.AddNode("cust");
+  const NodeId v = b.AddNode("cust");
+  ASSERT_TRUE(b.AddEdge(u, "follow", v).ok());
+  const Graph g = std::move(b).Build();
+  const auto base = std::make_shared<Interner>(g.labels());
+  const auto before = static_cast<LabelId>(g.labels().size());
+
+  // The journal frame a session writes for a patched batch.
+  auto frame_of = [](const Graph& at, const GraphPatch& p, uint64_t seq) {
+    GraphDelta f;
+    f.sequence = seq;
+    f.inserts = p.applied;
+    f.deletes = p.applied_deletes;
+    CollectLabelDefs(at.labels(), &f, p.interned);
+    return f;
+  };
+  GraphDelta one;
+  one.deletes = {{u, ResolveLabel(g.labels(), "brand_x", &one), v}};
+  auto p1 = PatchGraph(g, one);
+  ASSERT_TRUE(p1.ok()) << p1.status();
+  EXPECT_FALSE(p1->changed());
+  EXPECT_EQ(p1->interned, (std::vector<LabelDef>{{before, "brand_x"}}));
+  const GraphDelta f1 = frame_of(p1->graph, *p1, 1);
+  EXPECT_EQ(f1.label_defs, (std::vector<LabelDef>{{before, "brand_x"}}));
+
+  GraphDelta two;
+  two.inserts = {{u, ResolveLabel(p1->graph.labels(), "brand_y", &two), v}};
+  auto p2 = PatchGraph(p1->graph, two);
+  ASSERT_TRUE(p2.ok()) << p2.status();
+  EXPECT_EQ(p2->interned, (std::vector<LabelDef>{{before + 1, "brand_y"}}));
+  const GraphDelta f2 = frame_of(p2->graph, *p2, 2);
+
+  // Without the first frame, the second skips an id.
+  const Graph skipped = NodesOver(std::make_shared<Interner>(*base), 2);
+  EXPECT_EQ(PatchGraph(skipped, f2).status().code(), StatusCode::kCorruption);
+  // In order, the frames re-derive the live dictionary and graph.
+  const Graph replay = NodesOver(base, 2);
+  ASSERT_TRUE(PatchGraph(replay, f1).ok());
+  auto r2 = PatchGraph(replay, f2);
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  EXPECT_EQ(base->Lookup("brand_x"), before);
+  EXPECT_EQ(base->Lookup("brand_y"), before + 1);
+  EXPECT_TRUE(r2->graph.HasEdge(u, before + 1, v));
 }
 
 TEST(GraphDeltaTest, ResolveLabelMintsUnseenNamesInFirstSeenOrder) {

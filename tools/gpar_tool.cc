@@ -413,11 +413,14 @@ int CmdMaintain(const std::map<std::string, std::string>& flags) {
   const MaintainStats& ms = report->stats;
   std::printf(
       "passes=%llu reprobed=%llu carried=%llu patched=%zu reexpanded=%zu "
-      "sigma-crossings +%zu/-%zu\n",
+      "sigma-crossings +%zu/-%zu rounds-replayed=%zu rounds-regenerated=%zu "
+      "sets-unchanged=%llu bitsets-reused=%zu\n",
       static_cast<unsigned long long>(ms.passes),
       static_cast<unsigned long long>(ms.centers_reprobed),
       static_cast<unsigned long long>(ms.centers_carried), ms.rules_patched,
-      ms.rules_reexpanded, ms.sigma_crossed_up, ms.sigma_crossed_down);
+      ms.rules_reexpanded, ms.sigma_crossed_up, ms.sigma_crossed_down,
+      ms.rounds_replayed, ms.rounds_regenerated,
+      static_cast<unsigned long long>(ms.sets_unchanged), ms.bitsets_reused);
   std::printf("evidence: %llu bytes delta-encoded (%llu raw)\n",
               static_cast<unsigned long long>(ms.evidence_bytes_delta),
               static_cast<unsigned long long>(ms.evidence_bytes_full));
@@ -606,7 +609,9 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       }
       case ServeCommand::Kind::kDelta: {
         // A label the graph has never seen is minted by the delta itself
-        // (its label_defs), interned when the session applies it.
+        // (its label_defs), interned when the session applies it. Only an
+        // insert mints: a delete naming an unknown label names no edge, so
+        // it resolves to kNoLabel and counts as missing.
         const std::shared_ptr<const Graph> g = session->graph_snapshot();
         GraphDelta delta;
         delta.inserts.reserve(parsed->inserts.size());
@@ -616,8 +621,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
         }
         delta.deletes.reserve(parsed->deletes.size());
         for (const TextEdgeDelete& e : parsed->deletes) {
-          const LabelId label = ResolveLabel(g->labels(), e.label, &delta);
-          delta.deletes.push_back({e.src, label, e.dst});
+          delta.deletes.push_back({e.src, g->labels().Lookup(e.label), e.dst});
         }
         auto ds = session->ApplyDelta(delta);
         if (!ds.ok()) {
